@@ -27,7 +27,6 @@ from .embeddings import (
     DimsConfig,
     EmbeddingStore,
     cosine,
-    linear,
     load_store,
     save_store,
     sigmoid,
@@ -55,15 +54,11 @@ from .evaluation import (
 )
 from .model import (
     DreqModel,
-    ScoredDocument,
+    FeatureTable,
     WeightingMode,
-    entity_centric_embedding,
-    entity_weights,
-    hybrid_embedding,
-    interaction_vectors,
+    build_feature_table,
     maxsimcos_rerank,
     rerank,
-    score_document,
     text_centric_embedding,
 )
 from .retrieval import (

@@ -55,6 +55,7 @@ from .evaluation import (
 from .model import (
     DreqModel,
     WeightingMode,
+    build_feature_table,
     load_checkpoint,
     maxsimcos_rerank,
     rerank,
@@ -621,6 +622,27 @@ def cmd_train_dreq(settings: Settings) -> None:
     )
 
 
+def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
+    """The model that scores each query: `--checkpoint` for every query, else
+    the checkpoint of the fold whose test set holds it (out of fold)."""
+    ckpt = settings.args.checkpoint
+    if not ckpt:
+        plan = FoldPlan.load(require_artifact(settings.workpath("folds.json"), "train-dreq"))
+        fold_of = {qid: i for i, fold in enumerate(plan.folds) for qid in fold.test}
+        unplanned = [qid for qid in qids if qid not in fold_of]
+        if unplanned:
+            raise CliError(f"queries {unplanned[:5]} are in no test fold of folds.json; "
+                           "rerun `dreq train-dreq` or pass --checkpoint")
+    paths = {qid: ckpt or settings.workpath(f"dreq_fold{fold_of[qid]}.ckpt") for qid in qids}
+    models = {p: load_checkpoint(require_artifact(p, "train-dreq")) for p in dict.fromkeys(paths.values())}
+    for model in models.values():
+        if settings.args.weighting:
+            model.mode = WeightingMode(settings.args.weighting)
+        if settings.args.no_entities:
+            model.use_entities = False
+    return {qid: models[p] for qid, p in paths.items()}
+
+
 def cmd_rerank(settings: Settings) -> None:
     t0 = time.time()
     mode = settings.args.mode
@@ -643,26 +665,14 @@ def cmd_rerank(settings: Settings) -> None:
     elif mode == "dreq":
         stores = _load_stores(settings)
         entity_rankings = _entity_rankings(settings)
-        ckpt = settings.args.checkpoint or settings.workpath("dreq_fold0.ckpt")
-        model = load_checkpoint(require_artifact(ckpt, "train-dreq"))
-        if settings.args.weighting:
-            model.mode = WeightingMode(settings.args.weighting)
-        if settings.args.no_entities:
-            model.use_entities = False
-        rankings = {}
-        for q in queries:
-            if q.query_id not in cands:
-                continue
-            rankings[q.query_id] = rerank(
-                model,
-                stores["query"].get(q.query_id),
-                cands[q.query_id],
-                corpus.documents,
-                entity_rankings[q.query_id],
-                stores["entity"],
-                stores["passage"],
-                settings.segmenter(),
-            )
+        qids = [q.query_id for q in queries if q.query_id in cands]
+        models = _rerank_models(settings, qids)
+        docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids())
+        table = build_feature_table(docs, stores["entity"], stores["passage"], settings.segmenter())
+        rankings = {
+            qid: rerank(models[qid], stores["query"].get(qid), cands[qid], table, entity_rankings[qid])
+            for qid in qids
+        }
     else:
         raise CliError(f"unknown rerank mode {mode!r}")
 

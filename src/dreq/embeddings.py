@@ -1,4 +1,4 @@
-"""Fixed-dimension embedding stores and the dense linear-algebra kernel.
+"""Fixed-dimension embedding stores and small numeric helpers.
 
 Stores hold float64 vectors keyed by string id, one store per embedding
 space (entities, passages, queries, query-conditioned entity encodings).
@@ -18,7 +18,6 @@ __all__ = [
     "load_store",
     "save_store",
     "synthetic_embed",
-    "linear",
     "softmax",
     "sigmoid",
     "cosine",
@@ -181,21 +180,6 @@ def synthetic_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
 
 
 # --- dense kernels -----------------------------------------------------------
-
-
-def linear(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W @ x + b with shape validation."""
-    W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if W.ndim != 2:
-        raise ValueError(f"W must be a matrix, got ndim {W.ndim}")
-    r, c = W.shape
-    if x.shape != (c,):
-        raise ValueError(f"x has shape {x.shape}, expected ({c},) for W {W.shape}")
-    if b.shape != (r,):
-        raise ValueError(f"b has shape {b.shape}, expected ({r},) for W {W.shape}")
-    return W @ x + b
 
 
 def softmax(x) -> np.ndarray:

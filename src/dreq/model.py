@@ -1,11 +1,17 @@
-"""Hybrid entity+text document scorer.
+"""Hybrid entity+text document scorer: one batched forward pass.
 
-A document is represented by a query-specific entity-centric vector (a
-weighted sum of entity embeddings), a text-centric vector (the mean of
-its passage embeddings), and their linear fusion into the query space.
-The relevance logit is a linear projection over the query embedding, the
-fused document embedding, and their additive / subtractive / Hadamard
-interactions.
+Per query, a document's logit w3 . [q, d, q+d, q-d, q*d] + b3, with
+d = W2 [v_t; v_e] + b2, is linear in its text vector v_t (mean of passage
+embeddings) and entity vector v_e (weighted sum of linked entity
+embeddings), so training and serving score arrays of rows through one
+forward pass (`_forward`). `build_feature_table`, run once per CLI stage,
+`train_dreq` call or ablation sweep, holds the text vectors, a CSR map doc ->
+entity rows and the entity table (swapped per fold when fine-tuning).
+Per-document sums add left to right from zero, as `v = v + w * E[e]` does
+(`_row_sums`; numpy's reductions reassociate), so entity weights and v_e
+are bit-identical to a per-document loop; fusion and projection are matrix
+products, equal to per-document ones up to rounding. `rerank` scores
+`BLOCK_ROWS` candidates at a time to bound its temporaries at any depth.
 """
 
 from __future__ import annotations
@@ -13,38 +19,32 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .corpus import Document, SegmenterConfig, segment_passages
-from .embeddings import (
-    DimsConfig,
-    EmbeddingStore,
-    linear,
-    passage_key,
-    sigmoid,
-)
+from .embeddings import DimsConfig, EmbeddingStore, passage_key
 from .retrieval import Ranking
 
 if TYPE_CHECKING:  # pragma: no cover
     from .entity_ranking import EntityRanking
 
 __all__ = [
+    "BLOCK_ROWS",
     "WeightingMode",
     "DreqModel",
-    "ScoredDocument",
-    "entity_weights",
-    "entity_centric_embedding",
+    "FeatureTable",
+    "build_feature_table",
     "text_centric_embedding",
-    "hybrid_embedding",
-    "interaction_vectors",
-    "score_document",
     "rerank",
     "maxsimcos_rerank",
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+#: candidate rows scored per forward call in `rerank`
+BLOCK_ROWS = 128
 
 
 class WeightingMode(str, Enum):
@@ -124,51 +124,6 @@ class DreqModel:
         )
 
 
-@dataclass
-class ScoredDocument:
-    doc_id: str
-    logit: float
-    prob: float
-    diagnostics: dict = field(default_factory=dict)
-
-
-def entity_weights(
-    doc: Document, ranking: "EntityRanking", mode: WeightingMode
-) -> list[tuple[str, float]]:
-    """Per-document entity weights, one per distinct linked entity.
-
-    probability:      w_e = prob_e / sum of probs over the doc's entities
-    uniform:          w_e = 1
-    reciprocal_rank:  w_e = 1 / rank(e) in the pooled ranking
-    """
-    entity_ids = doc.entity_ids()
-    if not entity_ids:
-        return []
-    for eid in entity_ids:
-        if eid not in ranking:
-            raise KeyError(
-                f"entity {eid!r} of doc {doc.doc_id!r} missing from the entity "
-                f"ranking for query {ranking.query_id!r}"
-            )
-    if mode == WeightingMode.UNIFORM:
-        return [(eid, 1.0) for eid in entity_ids]
-    if mode == WeightingMode.RECIPROCAL_RANK:
-        return [(eid, 1.0 / ranking.rank_of(eid)) for eid in entity_ids]
-    probs = [ranking.prob_of(eid) for eid in entity_ids]
-    total = sum(probs)
-    return [(eid, prob / total) for eid, prob in zip(entity_ids, probs)]
-
-
-def entity_centric_embedding(
-    weights: list[tuple[str, float]], entity_store: EmbeddingStore
-) -> np.ndarray:
-    """Weighted sum of entity embeddings; no entities gives the zero vector."""
-    v = np.zeros(entity_store.dim)
-    for entity_id, w in weights:
-        v = v + w * entity_store.get(entity_id)
-    return v
-
-
 def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarray:
     """Arithmetic mean of the passage embeddings."""
     keys = [passage_key(p.doc_id, p.index) for p in passages]
@@ -180,86 +135,147 @@ def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarra
     return total / len(keys)
 
 
-def hybrid_embedding(model: DreqModel, v_t: np.ndarray, v_e: np.ndarray) -> np.ndarray:
-    """Fuse [text; entity] into the query space: W2 @ [v_t; v_e] + b2."""
-    d = model.dims
-    if v_t.shape != (d.n,):
-        raise ValueError(f"v_t shape {v_t.shape} != ({d.n},)")
-    if v_e.shape != (d.m,):
-        raise ValueError(f"v_e shape {v_e.shape} != ({d.m},)")
-    return linear(model.W2, np.concatenate([v_t, v_e]), model.b2)
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, added column by column from zero: per row the
+    left-to-right order of `v = v + x_j` (numpy's reductions reassociate)."""
+    out = np.zeros(x.shape[:1] + x.shape[2:])
+    for j in range(x.shape[1]):
+        out += x[:, j]
+    return out
 
 
-def interaction_vectors(
-    q: np.ndarray, d_q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Additive, subtractive, and Hadamard interactions of query and document."""
-    if q.shape != d_q.shape or q.ndim != 1:
-        raise ValueError(f"interaction dims differ: {q.shape} vs {d_q.shape}")
-    return q + d_q, q - d_q, q * d_q
+@dataclass
+class FeatureTable:
+    """Query-independent document features shared by training and serving:
+    doc i has text vector text[i] and links the entity rows
+    entity_index[indptr[i]:indptr[i+1]]; `entities` rows follow `entity_ids`."""
+
+    doc_ids: list[str]
+    text: np.ndarray  # (docs, n)
+    indptr: np.ndarray  # (docs + 1,)
+    entity_index: np.ndarray  # (links,)
+    entity_ids: list[str]
+    entities: np.ndarray  # (entities, m)
+
+    def __post_init__(self) -> None:
+        self.doc_row = {d: i for i, d in enumerate(self.doc_ids)}
+        self.entity_row = {e: i for i, e in enumerate(self.entity_ids)}
+
+    def rows(self, doc_ids: Iterable[str]) -> np.ndarray:
+        try:
+            return np.array([self.doc_row[d] for d in doc_ids], dtype=np.intp)
+        except KeyError as e:
+            raise KeyError(f"doc_id {e.args[0]!r} not in the feature table") from None
+
+    def entity_weights(
+        self, ranking: "EntityRanking", mode: WeightingMode, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(links, weights) of the docs at `rows`, both (rows, most links of a
+        doc): row i is doc i's entity rows in mention order, padded with 0s.
+        probability: prob_e / the doc's sum of probs (a softmax of raw scores
+        where all of them underflow); uniform: 1; reciprocal_rank: 1 / rank."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        cols = np.arange(int(counts.max(initial=0)))
+        linked = cols < counts[:, None]
+        at = np.minimum(starts[:, None] + cols, len(self.entity_index) - 1)
+        links = np.where(linked, self.entity_index[at], 0)
+        prob, raw, rank = np.full((3, len(self.entity_ids)), np.nan)
+        for e in ranking.entries:
+            if e.entity_id in self.entity_row:
+                r = self.entity_row[e.entity_id]
+                prob[r], raw[r], rank[r] = e.prob, e.raw_score, e.rank
+        absent = np.argwhere(linked & np.isnan(prob[links]))
+        if absent.size:
+            i, j = absent[0]
+            raise KeyError(f"entity {self.entity_ids[links[i, j]]!r} of doc {self.doc_ids[rows[i]]!r} "
+                           f"missing from the entity ranking for query {ranking.query_id!r}")
+        if mode == WeightingMode.UNIFORM:
+            return links, linked.astype(np.float64)
+        if mode == WeightingMode.RECIPROCAL_RANK:
+            return links, linked / np.where(linked, rank[links], 1.0)
+        p = np.where(linked, prob[links], 0.0)
+        totals = _row_sums(p)
+        weights = p / np.where(totals > 0, totals, 1.0)[:, None]
+        for i in np.flatnonzero((totals == 0) & (counts > 0)):
+            scores = raw[links[i, : counts[i]]]
+            shifted = np.exp(scores - scores.max())
+            weights[i, : counts[i]] = shifted / shifted.sum()
+        return links, weights
 
 
-def score_document(
-    model: DreqModel,
-    q_vec: np.ndarray,
-    doc: Document,
-    ranking: "EntityRanking",
+def build_feature_table(
+    docs: Iterable[Document],
     entity_store: EmbeddingStore,
     passage_store: EmbeddingStore,
     seg: SegmenterConfig = SegmenterConfig(),
-) -> ScoredDocument:
-    """Full scoring path: segmentation, Eq.-style entity aggregation, fusion,
-    interactions, linear projection. With use_entities disabled the entity
-    block is the zero vector and the logit is independent of the entity store.
-    """
-    passages = segment_passages(doc, seg)
-    v_t = text_centric_embedding(passages, passage_store)
-    if model.use_entities:
-        weights = entity_weights(doc, ranking, model.mode)
-        v_e = entity_centric_embedding(weights, entity_store)
-    else:
-        weights = []
-        v_e = np.zeros(model.dims.m)
-    d_q = hybrid_embedding(model, v_t, v_e)
-    v_add, v_sub, v_mul = interaction_vectors(q_vec, d_q)
-    features = np.concatenate([q_vec, d_q, v_add, v_sub, v_mul])
-    logit = float(model.w3 @ features + model.b3)
-    return ScoredDocument(
-        doc_id=doc.doc_id,
-        logit=logit,
-        prob=sigmoid(logit),
-        diagnostics={
-            "entity_weights": weights,
-            "zero_entities": model.use_entities and not weights,
-            "v_e_norm": float(np.linalg.norm(v_e)),
-            "v_t_norm": float(np.linalg.norm(v_t)),
-            "d_q_norm": float(np.linalg.norm(d_q)),
-        },
+) -> FeatureTable:
+    """Feature table over `docs` (repeats skipped) and all of `entity_store`."""
+    docs = list({doc.doc_id: doc for doc in docs}.values())
+    entity_ids = entity_store.ids()
+    entity_row = {e: i for i, e in enumerate(entity_ids)}
+    text, index, indptr = [], [], [0]
+    for doc in docs:
+        passages = segment_passages(doc, seg)
+        if not passages:
+            raise ValueError(f"document {doc.doc_id!r} has no sentences to segment")
+        text.append(text_centric_embedding(passages, passage_store))
+        unembedded = [e for e in doc.entity_ids() if e not in entity_row]
+        if unembedded:
+            raise KeyError(f"entity {unembedded[0]!r} of doc {doc.doc_id!r} has no embedding")
+        index.extend(entity_row[e] for e in doc.entity_ids())
+        indptr.append(len(index))
+    return FeatureTable(
+        doc_ids=[doc.doc_id for doc in docs],
+        text=np.array(text).reshape(-1, passage_store.dim),
+        indptr=np.array(indptr, dtype=np.intp),
+        entity_index=np.array(index, dtype=np.intp),
+        entity_ids=entity_ids,
+        entities=np.array([entity_store.get(e) for e in entity_ids]).reshape(-1, entity_store.dim),
     )
+
+
+def _entity_vectors(links: np.ndarray, weights: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """(rows, m) entity-centric vectors: per row, the sum of w * E[link]."""
+    return _row_sums(weights[:, :, None] * entities[links])
+
+
+def _forward(
+    model: DreqModel, Q: np.ndarray, Vt: np.ndarray, Ve: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scorer on a block of rows: X = [Vt, Ve], D = X W2^T + b2,
+    F = [Q, D, Q+D, Q-D, Q*D]; returns X, F and the logits F w3 + b3."""
+    X = np.hstack([Vt, Ve])
+    D = X @ model.W2.T + model.b2
+    F = np.hstack([Q, D, Q + D, Q - D, Q * D])
+    return X, F, F @ model.w3 + model.b3
 
 
 def rerank(
     model: DreqModel,
     q_vec: np.ndarray,
     candidates: Ranking,
-    docs,
+    table: FeatureTable,
     ranking: "EntityRanking",
-    entity_store: EmbeddingStore,
-    passage_store: EmbeddingStore,
-    seg: SegmenterConfig = SegmenterConfig(),
 ) -> Ranking:
-    """Reorder candidates by model logit (desc, doc_id asc on ties).
-
-    `docs` maps doc_id -> Document for every candidate.
-    """
+    """Reorder candidates by model logit (desc, doc_id asc on ties); every
+    candidate must be in `table`. Without use_entities, v_e = 0 and the
+    entity ranking is not read."""
     if not candidates.entries:
         raise ValueError(f"empty candidate list for query {candidates.query_id!r}")
-    scored = []
-    for entry in candidates.entries:
-        doc = docs[entry.doc_id]
-        sd = score_document(model, q_vec, doc, ranking, entity_store, passage_store, seg)
-        scored.append((entry.doc_id, sd.logit))
-    return Ranking.from_scores(candidates.query_id, scored)
+    doc_ids = candidates.doc_ids()
+    rows = table.rows(doc_ids)
+    if model.use_entities:
+        links, weights = table.entity_weights(ranking, model.mode, rows)
+    else:
+        links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
+    logits = np.empty(len(rows))
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        Ve = _entity_vectors(links[block], weights[block], table.entities)
+        Q = np.broadcast_to(q_vec, (Ve.shape[0], q_vec.shape[0]))
+        logits[block] = _forward(model, Q, table.text[rows[block]], Ve)[2]
+    return Ranking.from_scores(candidates.query_id, zip(doc_ids, logits.tolist()))
 
 
 def maxsimcos_rerank(

@@ -24,6 +24,7 @@ from .training import (
     build_entity_examples,
     make_folds,
     train_dreq,
+    train_feature_table,
 )
 
 __all__ = [
@@ -150,8 +151,9 @@ def ablation_sweep(
     init_seed: int = 0,
 ) -> AblationResult:
     """Train and evaluate each weighting variant with the same folds,
-    examples, and entity rankings; evaluate the candidates alongside."""
+    examples, entity rankings, and feature table; evaluate the candidates alongside."""
     candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates")
+    table = train_feature_table(data, examples)
     reports: dict[str, MetricsReport] = {}
     runs: dict[str, dict[str, Ranking]] = {}
     for name in variants:
@@ -163,7 +165,7 @@ def ablation_sweep(
             use_entities=use_entities,
             finetune_entity_embeddings=cfg.finetune_entity_embeddings,
         )
-        result = train_dreq(template, examples, folds, data, cfg)
+        result = train_dreq(template, examples, folds, data, cfg, table)
         runs[name] = result.reranked
         reports[name] = evaluate_run(result.reranked, qrels, tag=name)
     return AblationResult(candidate_report, reports, runs)

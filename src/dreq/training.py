@@ -1,10 +1,17 @@
 """Pointwise training: balanced example construction, query-level folds,
-Adam optimization, and analytic gradients through the full scoring path.
+Adam optimization, and analytic gradients through the scorer's forward pass.
+
+Training and serving share one forward (`model._forward`) and one feature
+table (`train_feature_table`, built once per `train_dreq` call or ablation
+sweep): the examples are gathered from it into one `DreqBatch` of arrays,
+and each minibatch is a row gather from that. A row's entity-centric
+vector is the left-to-right sum of its weighted entity rows, the same
+arithmetic `model.rerank` uses; no (rows, |entities|) weight matrix is formed.
 
 The entity ranking is frozen while the document scorer trains, so the
 per-document entity weights are constants and the gradient of the loss
 w.r.t. an entity embedding is the weight-scaled gradient w.r.t. the
-entity-centric document vector.
+entity-centric document vector, scattered onto the entity table.
 """
 
 from __future__ import annotations
@@ -13,14 +20,21 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, Qrels, SegmenterConfig, segment_passages
-from .embeddings import EmbeddingStore, passage_key, sigmoid
-from .model import DreqModel, entity_weights, rerank
+from .corpus import CorpusStore, Qrels, SegmenterConfig
+from .embeddings import EmbeddingStore, sigmoid
+from .model import (
+    DreqModel,
+    FeatureTable,
+    _entity_vectors,
+    _forward,
+    build_feature_table,
+    rerank,
+)
 from .retrieval import Ranking
 
 logger = logging.getLogger(__name__)
@@ -38,6 +52,7 @@ __all__ = [
     "adam_step",
     "TrainData",
     "DreqBatch",
+    "train_feature_table",
     "TrainResult",
     "train_dreq",
 ]
@@ -231,22 +246,24 @@ def adam_step(
 
 @dataclass
 class DreqBatch:
-    """Stacked example rows: query embeddings, text-centric vectors, the
-    per-row entity-weight matrix (columns index the entity table), labels."""
+    """Stacked example rows: query embeddings, text-centric vectors, entity
+    links and weights as `FeatureTable.entity_weights` lays them out, labels."""
 
     Q: np.ndarray  # (B, p)
     Vt: np.ndarray  # (B, n)
-    W: np.ndarray  # (B, num_entities)
+    links: np.ndarray  # (B, L)
+    weights: np.ndarray  # (B, L)
     y: np.ndarray  # (B,)
 
 
+def _batch_forward(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray):
+    """X, F and logits of `model._forward`, the pass `model.rerank` scores with."""
+    Ve = _entity_vectors(batch.links, batch.weights, entity_table)
+    return _forward(model, batch.Q, batch.Vt, Ve)
+
+
 def dreq_logits(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
-    """Batched forward pass mirroring model.score_document."""
-    Ve = batch.W @ entity_table  # (B, m)
-    X = np.hstack([batch.Vt, Ve])  # (B, n+m)
-    D = X @ model.W2.T + model.b2  # (B, p)
-    F = np.hstack([batch.Q, D, batch.Q + D, batch.Q - D, batch.Q * D])
-    return F @ model.w3 + model.b3
+    return _batch_forward(model, batch, entity_table)[2]
 
 
 def dreq_loss(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> float:
@@ -269,11 +286,7 @@ def dreq_loss_and_grads(
     n_dim = model.dims.n
     B = batch.y.shape[0]
 
-    Ve = batch.W @ entity_table
-    X = np.hstack([batch.Vt, Ve])
-    D = X @ model.W2.T + model.b2
-    F = np.hstack([batch.Q, D, batch.Q + D, batch.Q - D, batch.Q * D])
-    z = F @ model.w3 + model.b3
+    X, F, z = _batch_forward(model, batch, entity_table)
     loss = bce_loss(z, batch.y)
 
     dz = bce_dlogits(z, batch.y) / B  # (B,)
@@ -289,8 +302,15 @@ def dreq_loss_and_grads(
     grads = {"W2": dW2, "b2": db2, "w3": dw3, "b3": db3}
     if finetune_entities:
         dVe = dD @ model.W2[:, n_dim:]  # (B, m)
-        grads["entities"] = batch.W.T @ dVe
+        dE = np.zeros_like(entity_table)
+        np.add.at(dE, batch.links, batch.weights[:, :, None] * dVe[:, None, :])
+        grads["entities"] = dE
     return loss, grads
+
+
+def _take(batch: DreqBatch, idx: np.ndarray) -> DreqBatch:
+    """The rows `idx` of `batch`, in that order."""
+    return DreqBatch(**{name: value[idx] for name, value in vars(batch).items()})
 
 
 # --- end-to-end trainer --------------------------------------------------------
@@ -326,65 +346,39 @@ class TrainResult:
     log_rows: list[tuple[int, int, float]]  # (fold, epoch, loss)
 
 
-@dataclass
-class _Row:
-    query_id: str
-    doc_id: str
-    y: int
-    q: np.ndarray
-    v_t: np.ndarray
-    weights: list[tuple[int, float]]  # (entity table row, weight)
+def train_feature_table(data: TrainData, examples: Sequence[TrainingExample]) -> FeatureTable:
+    """Feature table over every candidate and example document."""
+    doc_ids = [d for qid in sorted(data.candidates) for d in data.candidates[qid].doc_ids()]
+    docs = (data.corpus.doc(d) for d in doc_ids + [ex.item_id for ex in examples])
+    return build_feature_table(docs, data.entity_store, data.passage_store, data.seg)
 
 
-def _text_vector(doc, passage_store: EmbeddingStore, seg: SegmenterConfig) -> np.ndarray:
-    passages = segment_passages(doc, seg)
-    if not passages:
-        raise ValueError(f"document {doc.doc_id!r} has no sentences to segment")
-    total = np.zeros(passage_store.dim)
-    for p in passages:
-        total = total + passage_store.get(passage_key(p.doc_id, p.index))
-    return total / len(passages)
-
-
-def _prepare_rows(
-    model: DreqModel, examples: Sequence[TrainingExample], data: TrainData, entity_col: dict
-) -> list[_Row]:
-    text_cache: dict[str, np.ndarray] = {}
-    rows = []
-    for ex in examples:
-        doc = data.corpus.doc(ex.item_id)
-        if ex.item_id not in text_cache:
-            text_cache[ex.item_id] = _text_vector(doc, data.passage_store, data.seg)
-        if model.use_entities:
-            ranking = data.entity_rankings[ex.query_id]
-            weights = [
-                (entity_col[eid], w) for eid, w in entity_weights(doc, ranking, model.mode)
-            ]
-        else:
-            weights = []
-        rows.append(
-            _Row(
-                query_id=ex.query_id,
-                doc_id=ex.item_id,
-                y=ex.label,
-                q=data.query_store.get(ex.query_id),
-                v_t=text_cache[ex.item_id],
-                weights=weights,
-            )
-        )
-    return rows
-
-
-def _stack(rows: Sequence[_Row], num_entities: int) -> DreqBatch:
-    B = len(rows)
-    Q = np.stack([r.q for r in rows])
-    Vt = np.stack([r.v_t for r in rows])
-    W = np.zeros((B, num_entities))
-    for i, r in enumerate(rows):
-        for col, w in r.weights:
-            W[i, col] = w
-    y = np.array([r.y for r in rows], dtype=np.float64)
-    return DreqBatch(Q=Q, Vt=Vt, W=W, y=y)
+def _example_batch(
+    model: DreqModel, examples: Sequence[TrainingExample], data: TrainData, table: FeatureTable
+) -> DreqBatch:
+    """All examples as one batch, in example order; entity weights are
+    formed per query, over that query's example documents."""
+    rows = table.rows(ex.item_id for ex in examples)
+    width = int((table.indptr[rows + 1] - table.indptr[rows]).max(initial=0))
+    links = np.zeros((len(rows), width if model.use_entities else 0), dtype=np.intp)
+    weights = np.zeros(links.shape)
+    by_query: dict[str, list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_query.setdefault(ex.query_id, []).append(i)
+    for qid, idx in by_query.items() if model.use_entities else ():
+        ranking = data.entity_rankings[qid]
+        part_links, part_weights = table.entity_weights(ranking, model.mode, rows[idx])
+        links[idx, : part_links.shape[1]] = part_links
+        weights[idx, : part_weights.shape[1]] = part_weights
+    return DreqBatch(
+        Q=np.array([data.query_store.get(ex.query_id) for ex in examples]).reshape(
+            len(rows), data.query_store.dim
+        ),
+        Vt=table.text[rows],
+        links=links,
+        weights=weights,
+        y=np.array([ex.label for ex in examples], dtype=np.float64),
+    )
 
 
 def train_dreq(
@@ -393,6 +387,7 @@ def train_dreq(
     folds: FoldPlan,
     data: TrainData,
     cfg: TrainConfig,
+    table: FeatureTable | None = None,
 ) -> TrainResult:
     """Per-fold training of the document scorer with out-of-fold reranking.
 
@@ -400,15 +395,13 @@ def train_dreq(
     queries' examples, then reranks the candidate lists of its test
     queries. When entity fine-tuning is on, the fold owns a mutable copy
     of the entity table and the gradient of one embedding is the sum of
-    its weight-scaled fusion gradients.
+    its weight-scaled fusion gradients. `table` defaults to
+    `train_feature_table(data, examples)`.
     """
-    entity_ids = data.entity_store.ids()
-    entity_col = {eid: i for i, eid in enumerate(entity_ids)}
-    base_table = np.stack([data.entity_store.get(e) for e in entity_ids]) if entity_ids else (
-        np.zeros((0, data.entity_store.dim))
-    )
-
-    rows_all = _prepare_rows(template, examples, data, entity_col)
+    if table is None:
+        table = train_feature_table(data, examples)
+    all_rows = _example_batch(template, examples, data, table)
+    query_ids = [ex.query_id for ex in examples]
     # fail fast if any test query lacks what reranking will need
     for fold in folds.folds:
         for qid in fold.test:
@@ -421,10 +414,10 @@ def train_dreq(
 
     for fold_index, fold in enumerate(folds.folds):
         model = template.copy()
-        table = base_table.copy()
+        entities = table.entities.copy()
         train_qids = set(fold.train)
-        rows = [r for r in rows_all if r.query_id in train_qids]
-        if not rows:
+        fold_rows = np.array([i for i, q in enumerate(query_ids) if q in train_qids], np.intp)
+        if not fold_rows.size:
             raise ValueError(f"fold {fold_index} has no training examples")
 
         params: dict[str, np.ndarray] = {
@@ -434,7 +427,7 @@ def train_dreq(
             "b3": np.array([model.b3]),
         }
         if finetune:
-            params["entities"] = table
+            params["entities"] = entities
         state = AdamState()
         rng = np.random.default_rng([cfg.seed, fold_index])
 
@@ -442,16 +435,16 @@ def train_dreq(
         stall = 0
         epoch_losses: list[float] = []
         for epoch in range(cfg.epochs):
-            perm = rng.permutation(len(rows))
+            perm = fold_rows[rng.permutation(len(fold_rows))]
             total_loss = 0.0
-            for start in range(0, len(rows), cfg.batch_size):
+            for start in range(0, len(perm), cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                batch = _stack([rows[i] for i in idx], len(entity_ids))
-                loss, grads = dreq_loss_and_grads(model, batch, table, finetune)
+                batch = _take(all_rows, idx)
+                loss, grads = dreq_loss_and_grads(model, batch, entities, finetune)
                 adam_step(params, grads, state, cfg)
                 model.b3 = float(params["b3"][0])
                 total_loss += loss * len(idx)
-            epoch_loss = total_loss / len(rows)
+            epoch_loss = total_loss / len(fold_rows)
             epoch_losses.append(epoch_loss)
             log_rows.append((fold_index, epoch, epoch_loss))
             if best - epoch_loss < cfg.early_stop_delta:
@@ -462,15 +455,15 @@ def train_dreq(
             if stall >= cfg.early_stop_patience:
                 break
 
+        fold_table = table
+        tuned = data.entity_store
         if finetune:
+            fold_table = replace(table, entities=entities)
             tuned = EmbeddingStore(space=data.entity_store.space, dim=data.entity_store.dim)
-            for i, eid in enumerate(entity_ids):
-                tuned.add(eid, table[i].copy())
-        else:
-            tuned = data.entity_store
+            for i, eid in enumerate(table.entity_ids):
+                tuned.add(eid, entities[i].copy())
 
         test_rankings: dict[str, Ranking] = {}
-        docs = data.corpus.documents
         for qid in fold.test:
             if qid not in data.candidates:
                 continue
@@ -478,11 +471,8 @@ def train_dreq(
                 model,
                 data.query_store.get(qid),
                 data.candidates[qid],
-                docs,
+                fold_table,
                 data.entity_rankings[qid],
-                tuned,
-                data.passage_store,
-                data.seg,
             )
         merged.update(test_rankings)
         outcomes.append(

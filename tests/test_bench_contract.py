@@ -1,0 +1,78 @@
+"""The benchmark's per-layer metrics (dreqbench/layers.py) name `dreq`
+functions and read their arguments and results. These checks keep those
+names resolvable and those shapes intact, so that per-layer numbers stay
+comparable from one change to the next. layers.py is only read."""
+
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+import os
+import sys
+
+import pytest
+
+from dreq import training
+from dreq.model import DreqModel, WeightingMode
+from dreq.retrieval import Ranking
+from dreq.training import TrainConfig, build_doc_examples, make_folds
+from test_training import make_train_world
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "dreqbench")
+
+
+@pytest.fixture(scope="module")
+def layers():
+    sys.path.insert(0, BENCH)  # layers.py imports its sibling tracing.py
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "dreqbench_layers", os.path.join(BENCH, "layers.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses resolve their module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(BENCH)
+    return module
+
+
+def resolve(name: str):
+    module, _, func = name.rpartition(".")
+    return getattr(importlib.import_module(f"dreq.{module}"), func, None)
+
+
+def test_every_metric_target_resolves(layers):
+    names = {n for m in layers.METRICS for n in m.needs}
+    names |= {m.probed for m in layers.METRICS if m.probed} | set(layers.PROBES)
+    unresolved = sorted(n for n in names if not inspect.isfunction(resolve(n)))
+    assert unresolved == []
+
+
+def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
+    calls = {"rerank": [], "dreq_loss_and_grads": []}
+    for name, seen in calls.items():
+        original = getattr(training, name)
+
+        def spy(*args, _original=original, _seen=seen, **kwargs):
+            result = _original(*args, **kwargs)
+            _seen.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(training, name, spy)
+    dims, data, qrels = make_train_world()
+    examples = build_doc_examples(qrels, data.candidates, seed=2)
+    folds = make_folds(sorted(data.candidates), k=5, seed=2)
+    template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=2)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=2)
+    result = training.train_dreq(template, examples, folds, data, cfg)
+
+    assert layers.PROBES["training.train_dreq"]((), {}, result)["fold_epochs"] == [2] * 5
+    assert len(calls["rerank"]) == len(data.candidates)
+    for args, kwargs, ranking in calls["rerank"]:
+        assert isinstance(ranking, Ranking)
+        assert layers.PROBES["model.rerank"](args, kwargs, ranking) == {"docs": len(ranking)}
+    assert calls["dreq_loss_and_grads"]
+    for args, kwargs, out in calls["dreq_loss_and_grads"]:
+        assert isinstance(args[0], DreqModel)
+        assert dataclasses.is_dataclass(args[1])
+        assert layers.PROBES["training.dreq_loss_and_grads"](args, kwargs, out)["bytes"] > 0

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from dreq.cli import Settings, load_config_file, main
+from dreq.retrieval import load_run
+from dreq.training import FoldPlan
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 
@@ -137,6 +139,25 @@ class TestPipeline:
         )
         assert os.path.exists(out)
 
+    def test_rerank_scores_each_query_with_its_test_fold_model(self, pipeline):
+        config, workdir = pipeline
+        assert run(config, "rerank", "--mode", "dreq") == 0
+        routed = load_run(os.path.join(workdir, "rerank_dreq.run"))
+        plan = FoldPlan.load(os.path.join(workdir, "folds.json"))
+        per_fold = []
+        for i, fold in enumerate(plan.folds):
+            out = os.path.join(workdir, f"rerank_fold{i}.run")
+            ckpt = os.path.join(workdir, f"dreq_fold{i}.ckpt")
+            assert run(config, "rerank", "--checkpoint", ckpt, "--output", out) == 0
+            per_fold.append(load_run(out))
+            for qid in fold.test:
+                assert routed[qid].entries == per_fold[i][qid].entries, qid
+        # fold 0's model alone would have scored other folds' queries differently
+        assert any(routed[q].entries != per_fold[0][q].entries for q in routed)
+        # and the routed run is train-dreq's own out-of-fold run
+        oof = load_run(os.path.join(workdir, "dreq.run"))
+        assert {q: r.entries for q, r in routed.items()} == {q: r.entries for q, r in oof.items()}
+
     def test_evaluate_unknown_qids_listed(self, pipeline, tmp_path):
         config, workdir = pipeline
         bad = tmp_path / "bad.run"
@@ -153,10 +174,10 @@ class TestPipeline:
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         # same settings, two fresh work directories
-        config_a = write_config(tmp_path / "ca", tmp_path / "runA")
-        config_b = write_config(tmp_path / "cb", tmp_path / "runB")
         (tmp_path / "ca").mkdir(exist_ok=True)
         (tmp_path / "cb").mkdir(exist_ok=True)
+        config_a = write_config(tmp_path / "ca", tmp_path / "runA")
+        config_b = write_config(tmp_path / "cb", tmp_path / "runB")
         run_pipeline(config_a)
         run_pipeline(config_b)
         for rel in (

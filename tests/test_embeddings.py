@@ -8,13 +8,13 @@ from dreq.embeddings import (
     DimsConfig,
     EmbeddingStore,
     cosine,
-    linear,
     load_store,
     save_store,
     sigmoid,
     softmax,
     synthetic_embed,
 )
+from dreq.model import DreqModel, _forward
 
 
 class TestStoreRoundTrip:
@@ -103,7 +103,19 @@ class TestSyntheticEmbed:
         )
 
 
+def linear(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W @ x + b computed by the scorer's fusion step, d = W2 [v_t; v_e] + b2."""
+    p, c = W.shape
+    model = DreqModel(
+        W2=W, b2=b, w3=np.zeros(5 * p), b3=0.0, dims=DimsConfig(k=1, m=c - 1, n=1, p=p)
+    )
+    _, F, _ = _forward(model, np.zeros((1, p)), x[None, :1], x[None, 1:])
+    return F[0, p : 2 * p]
+
+
 class TestLinear:
+    """The affine kernel, which runs inside the batched scorer forward."""
+
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
         assert np.array_equal(linear(np.eye(3), x, np.zeros(3)), x)

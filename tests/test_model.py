@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreq.corpus import Document, EntityMention, SegmenterConfig, split_sentences
-from dreq.embeddings import DimsConfig, EmbeddingStore
+from dreq.corpus import Document, EntityMention, SegmenterConfig, segment_passages, split_sentences
+from dreq.embeddings import DimsConfig, EmbeddingStore, passage_key, sigmoid
 from dreq.entity_ranking import EntityRanking
 from dreq.model import (
+    BLOCK_ROWS,
     DreqModel,
     WeightingMode,
-    entity_centric_embedding,
-    entity_weights,
-    hybrid_embedding,
-    interaction_vectors,
+    _entity_vectors,
+    _forward,
+    build_feature_table,
     load_checkpoint,
     maxsimcos_rerank,
     rerank,
     save_checkpoint,
-    score_document,
     text_centric_embedding,
 )
 from dreq.retrieval import Ranking
+from dreq.training import DreqBatch, dreq_logits
 
 
 def doc_with(doc_id: str, entity_ids: list[str], text: str = "one sentence.") -> Document:
@@ -33,46 +33,6 @@ def ranking_of(*scored) -> EntityRanking:
     return EntityRanking.from_raw_scores("q", list(scored))
 
 
-class TestEntityWeights:
-    def test_probability_single_entity_self_normalizes(self):
-        ranking = ranking_of(("a", 5.0), ("b", 1.0), ("c", 0.0))
-        weights = entity_weights(doc_with("d", ["a"]), ranking, WeightingMode.PROBABILITY)
-        assert weights == [("a", 1.0)]
-
-    def test_uniform_is_all_ones(self):
-        ranking = ranking_of(("a", 1.0), ("b", 2.0), ("c", 3.0))
-        weights = entity_weights(doc_with("d", ["a", "b", "c"]), ranking, WeightingMode.UNIFORM)
-        assert weights == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
-
-    def test_reciprocal_rank(self):
-        ranking = ranking_of(("top", 9.0), ("mid2", 3.0), ("mid1", 4.0), ("low", 1.0))
-        weights = entity_weights(
-            doc_with("d", ["top", "low"]), ranking, WeightingMode.RECIPROCAL_RANK
-        )
-        assert weights == [("top", 1.0), ("low", 0.25)]
-
-    def test_duplicate_mentions_collapse(self):
-        ranking = ranking_of(("a", 1.0), ("b", 0.0))
-        weights = entity_weights(doc_with("d", ["a", "a", "b"]), ranking, WeightingMode.UNIFORM)
-        assert [e for e, _ in weights] == ["a", "b"]
-
-    def test_probability_weights_sum_to_one(self):
-        ranking = ranking_of(("a", 0.3), ("b", -1.2), ("c", 2.0), ("d", 0.0))
-        weights = entity_weights(
-            doc_with("d", ["a", "c", "d"]), ranking, WeightingMode.PROBABILITY
-        )
-        assert sum(w for _, w in weights) == pytest.approx(1.0, abs=1e-9)
-
-    def test_missing_entity_rejected(self):
-        ranking = ranking_of(("a", 1.0))
-        with pytest.raises(KeyError, match="ghost"):
-            entity_weights(doc_with("d", ["ghost"]), ranking, WeightingMode.PROBABILITY)
-
-    def test_zero_entity_doc_empty(self):
-        ranking = ranking_of(("a", 1.0))
-        assert entity_weights(doc_with("d", []), ranking, WeightingMode.PROBABILITY) == []
-
-
 def store_with(dim: int, **vectors) -> EmbeddingStore:
     store = EmbeddingStore("test", dim)
     for key, vec in vectors.items():
@@ -80,35 +40,179 @@ def store_with(dim: int, **vectors) -> EmbeddingStore:
     return store
 
 
+# --- the per-document scorer, kept as the reference for the batched path ------
+
+
+def reference_weights(doc, ranking, mode):
+    """Per-document entity weights as a loop over the doc's entities."""
+    entity_ids = doc.entity_ids()
+    if mode == WeightingMode.UNIFORM:
+        return [(e, 1.0) for e in entity_ids]
+    if mode == WeightingMode.RECIPROCAL_RANK:
+        return [(e, 1.0 / ranking.rank_of(e)) for e in entity_ids]
+    probs = [ranking.prob_of(e) for e in entity_ids]
+    total = sum(probs)
+    return [(e, p / total) for e, p in zip(entity_ids, probs)]
+
+
+def reference_logit(model, q, doc, ranking, entity_store, passage_store, seg=SegmenterConfig()):
+    """Sequential sums, concatenated features, w3 @ f + b3."""
+    passages = segment_passages(doc, seg)
+    v_t = np.zeros(passage_store.dim)
+    for p in passages:
+        v_t = v_t + passage_store.get(passage_key(p.doc_id, p.index))
+    v_t = v_t / len(passages)
+    v_e = np.zeros(model.dims.m)
+    if model.use_entities:
+        for e, w in reference_weights(doc, ranking, model.mode):
+            v_e = v_e + w * entity_store.get(e)
+    d = model.W2 @ np.concatenate([v_t, v_e]) + model.b2
+    f = np.concatenate([q, d, q + d, q - d, q * d])
+    return float(model.w3 @ f + model.b3)
+
+
+# --- views of one document through the batched path ---------------------------
+
+
+def text_store_for(docs, dim: int = 2) -> EmbeddingStore:
+    store = EmbeddingStore("passage", dim)
+    for doc in docs:
+        for p in segment_passages(doc, SegmenterConfig()):
+            store.add(passage_key(p.doc_id, p.index), np.ones(dim))
+    return store
+
+
+def weights_of(doc, ranking, mode, entity_store=None):
+    """A document's (entity_id, weight) pairs as the feature table forms them."""
+    if entity_store is None:
+        entity_store = store_with(1, **{e: [1.0] for e in doc.entity_ids()})
+    table = build_feature_table([doc], entity_store, text_store_for([doc]))
+    links, weights = table.entity_weights(ranking, mode, table.rows([doc.doc_id]))
+    assert links.shape == weights.shape == (1, len(doc.entity_ids()))
+    return [(table.entity_ids[i], float(w)) for i, w in zip(links[0], weights[0])]
+
+
+def entity_vector(weights, store: EmbeddingStore) -> np.ndarray:
+    """One document's entity-centric vector through the batched segment sum."""
+    ids = store.ids()
+    links = np.array([[ids.index(e) for e, _ in weights]], dtype=np.intp)
+    entities = np.array([store.get(e) for e in ids]).reshape(len(ids), store.dim)
+    w = np.array([[w for _, w in weights]], dtype=np.float64)
+    return _entity_vectors(links, w, entities)[0]
+
+
+def fused(model, v_t, v_e) -> np.ndarray:
+    """The fused document vector d = W2 [v_t; v_e] + b2 of one row."""
+    p = model.dims.p
+    _, F, _ = _forward(model, np.zeros((1, p)), v_t[None, :], v_e[None, :])
+    return F[0, p : 2 * p]
+
+
+def interactions(q, d_q):
+    """The additive, subtractive and Hadamard blocks the forward builds."""
+    p = q.shape[0]
+    model = tiny_model(p=p)
+    model.b2 = d_q  # W2 = 0, so the fused vector is b2
+    _, F, _ = _forward(model, q[None, :], np.zeros((1, 2)), np.zeros((1, 2)))
+    return F[0, 2 * p : 3 * p], F[0, 3 * p : 4 * p], F[0, 4 * p :]
+
+
+def score_of(model, q, doc, ranking, es, ps) -> float:
+    table = build_feature_table([doc], es, ps)
+    return rerank(model, q, Ranking.from_scores("q", [(doc.doc_id, 0.0)]), table, ranking).entries[
+        0
+    ].score
+
+
+class TestEntityWeights:
+    def test_probability_single_entity_self_normalizes(self):
+        ranking = ranking_of(("a", 5.0), ("b", 1.0), ("c", 0.0))
+        weights = weights_of(doc_with("d", ["a"]), ranking, WeightingMode.PROBABILITY)
+        assert weights == [("a", 1.0)]
+
+    def test_uniform_is_all_ones(self):
+        ranking = ranking_of(("a", 1.0), ("b", 2.0), ("c", 3.0))
+        weights = weights_of(doc_with("d", ["a", "b", "c"]), ranking, WeightingMode.UNIFORM)
+        assert weights == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+
+    def test_reciprocal_rank(self):
+        ranking = ranking_of(("top", 9.0), ("mid2", 3.0), ("mid1", 4.0), ("low", 1.0))
+        weights = weights_of(
+            doc_with("d", ["top", "low"]), ranking, WeightingMode.RECIPROCAL_RANK
+        )
+        assert weights == [("top", 1.0), ("low", 0.25)]
+
+    def test_duplicate_mentions_collapse(self):
+        ranking = ranking_of(("a", 1.0), ("b", 0.0))
+        weights = weights_of(doc_with("d", ["a", "a", "b"]), ranking, WeightingMode.UNIFORM)
+        assert [e for e, _ in weights] == ["a", "b"]
+
+    def test_probability_weights_sum_to_one(self):
+        ranking = ranking_of(("a", 0.3), ("b", -1.2), ("c", 2.0), ("d", 0.0))
+        weights = weights_of(
+            doc_with("d", ["a", "c", "d"]), ranking, WeightingMode.PROBABILITY
+        )
+        assert sum(w for _, w in weights) == pytest.approx(1.0, abs=1e-9)
+
+    def test_missing_entity_rejected(self):
+        ranking = ranking_of(("a", 1.0))
+        with pytest.raises(KeyError, match="ghost"):
+            weights_of(doc_with("d", ["ghost"]), ranking, WeightingMode.PROBABILITY)
+
+    def test_zero_entity_doc_empty(self):
+        ranking = ranking_of(("a", 1.0))
+        assert weights_of(doc_with("d", []), ranking, WeightingMode.PROBABILITY) == []
+
+    def test_underflowing_probabilities_use_raw_scores(self):
+        # exp(-800) underflows: both of the doc's probabilities are exactly 0
+        ranking = ranking_of(("top", 0.0), ("a", -800.0), ("b", -801.0))
+        assert ranking.prob_of("a") == ranking.prob_of("b") == 0.0
+        weights = weights_of(doc_with("d", ["a", "b"]), ranking, WeightingMode.PROBABILITY)
+        values = np.array([w for _, w in weights])
+        assert np.all(np.isfinite(values))
+        assert values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert values[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(4)
+        ids = [f"e{i}" for i in range(12)]
+        ranking = ranking_of(*((e, float(rng.normal(0, 3))) for e in ids))
+        for mode in WeightingMode:
+            for n in (1, 5, 12):
+                doc = doc_with("d", list(rng.choice(ids, size=n, replace=False)))
+                assert weights_of(doc, ranking, mode) == reference_weights(doc, ranking, mode)
+
+
 class TestEntityCentricEmbedding:
     def test_single_entity_verbatim(self):
         store = store_with(3, a=[0.1, -0.2, 0.7])
-        out = entity_centric_embedding([("a", 1.0)], store)
+        out = entity_vector([("a", 1.0)], store)
         assert np.array_equal(out, store.get("a"))
 
     def test_midpoint(self):
         store = store_with(2, a=[1.0, 0.0], b=[0.0, 1.0])
-        out = entity_centric_embedding([("a", 0.5), ("b", 0.5)], store)
+        out = entity_vector([("a", 0.5), ("b", 0.5)], store)
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_three_entity_hand_sum(self):
         store = store_with(2, a=[1.0, 2.0], b=[-1.0, 0.5], c=[3.0, -2.0])
-        out = entity_centric_embedding([("a", 0.2), ("b", 0.3), ("c", 0.5)], store)
+        out = entity_vector([("a", 0.2), ("b", 0.3), ("c", 0.5)], store)
         expected = [0.2 * 1 + 0.3 * -1 + 0.5 * 3, 0.2 * 2 + 0.3 * 0.5 + 0.5 * -2]
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_zero_entities_zero_vector(self):
-        assert np.array_equal(entity_centric_embedding([], store_with(4)), np.zeros(4))
+        assert np.array_equal(entity_vector([], store_with(4)), np.zeros(4))
 
     def test_missing_embedding_names_entity(self):
+        doc = doc_with("d", ["nope"])
         with pytest.raises(KeyError, match="nope"):
-            entity_centric_embedding([("nope", 1.0)], store_with(2))
+            weights_of(doc, ranking_of(("nope", 1.0)), WeightingMode.UNIFORM, store_with(2))
 
     def test_uniform_equals_unweighted_sum_exactly(self):
         rng = np.random.default_rng(5)
         store = store_with(4, **{f"e{i}": rng.standard_normal(4) for i in range(5)})
         weights = [(f"e{i}", 1.0) for i in range(5)]
-        out = entity_centric_embedding(weights, store)
+        out = entity_vector(weights, store)
         expected = np.zeros(4)
         for i in range(5):
             expected = expected + store.get(f"e{i}")
@@ -118,18 +222,34 @@ class TestEntityCentricEmbedding:
         rng = np.random.default_rng(6)
         store = store_with(3, **{f"e{i}": rng.standard_normal(3) for i in range(4)})
         weights = [(f"e{i}", float(rng.uniform(0.1, 1))) for i in range(4)]
-        base = entity_centric_embedding(weights, store)
+        base = entity_vector(weights, store)
         for c in (2.0, 0.5, 8.0):
-            scaled = entity_centric_embedding([(e, c * w) for e, w in weights], store)
+            scaled = entity_vector([(e, c * w) for e, w in weights], store)
             assert np.array_equal(scaled, c * base)
 
     @given(st.floats(0.1, 10.0))
     def test_homogeneity_general(self, c):
         store = store_with(2, a=[0.3, -0.7], b=[1.1, 0.2])
         weights = [("a", 0.4), ("b", 0.6)]
-        base = entity_centric_embedding(weights, store)
-        scaled = entity_centric_embedding([(e, c * w) for e, w in weights], store)
+        base = entity_vector(weights, store)
+        scaled = entity_vector([(e, c * w) for e, w in weights], store)
         assert np.allclose(scaled, c * base, rtol=1e-12, atol=0)
+
+    def test_rows_sum_left_to_right_bit_exact(self):
+        rng = np.random.default_rng(8)
+        entities = rng.standard_normal((9, 3)) * 10.0 ** rng.uniform(-6, 6, size=(9, 1))
+        counts = [0, 1, 9, 3, 0, 7]
+        links = np.zeros((len(counts), 9), dtype=np.intp)
+        weights = np.zeros((len(counts), 9))
+        for row, c in enumerate(counts):
+            links[row, :c] = rng.permutation(9)[:c]
+            weights[row, :c] = rng.uniform(0.01, 3.0, size=c)
+        out = _entity_vectors(links, weights, entities)
+        for row, c in enumerate(counts):
+            v = np.zeros(3)
+            for j in range(c):
+                v = v + weights[row, j] * entities[links[row, j]]
+            assert np.array_equal(out[row], v)
 
 
 class TestTextCentricEmbedding:
@@ -184,14 +304,14 @@ class TestHybridAndInteractions:
     def test_zero_fusion_gives_bias(self):
         model = tiny_model()
         model.b2 = np.array([0.7, -0.3])
-        out = hybrid_embedding(model, np.ones(2), np.ones(2))
+        out = fused(model, np.ones(2), np.ones(2))
         assert np.array_equal(out, model.b2)
 
     def test_projection_selects_text_block(self):
         model = tiny_model()
         model.W2 = np.hstack([np.eye(2), np.zeros((2, 2))])
         v_t = np.array([0.25, -0.5])
-        out = hybrid_embedding(model, v_t, np.array([9.0, 9.0]))
+        out = fused(model, v_t, np.array([9.0, 9.0]))
         assert np.array_equal(out, v_t)
 
     def test_random_dims_hand_product(self):
@@ -207,27 +327,28 @@ class TestHybridAndInteractions:
         v_t, v_e = rng.standard_normal(2), rng.standard_normal(3)
         x = np.concatenate([v_t, v_e])
         expected = [sum(model.W2[r, c] * x[c] for c in range(5)) + model.b2[r] for r in range(2)]
-        assert np.allclose(hybrid_embedding(model, v_t, v_e), expected, atol=1e-12)
+        assert np.allclose(fused(model, v_t, v_e), expected, atol=1e-12)
 
     def test_interactions(self):
         q = np.array([1.0, 2.0])
         dq = np.array([3.0, -1.0])
-        add, sub, mul = interaction_vectors(q, dq)
+        add, sub, mul = interactions(q, dq)
         assert np.array_equal(add, [4.0, 1.0])
         assert np.array_equal(sub, [-2.0, 3.0])
         assert np.array_equal(mul, [3.0, -2.0])
 
     def test_interactions_identities(self):
         q = np.array([0.5, -0.5])
-        add, sub, mul = interaction_vectors(q, q)
+        add, sub, mul = interactions(q, q)
         assert np.array_equal(sub, np.zeros(2))
-        add, sub, mul = interaction_vectors(q, np.zeros(2))
+        add, sub, mul = interactions(q, np.zeros(2))
         assert np.array_equal(add, q) and np.array_equal(sub, q)
         assert np.array_equal(mul, np.zeros(2))
 
     def test_dim_mismatch(self):
+        model = tiny_model()
         with pytest.raises(ValueError):
-            interaction_vectors(np.ones(2), np.ones(3))
+            _forward(model, np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)))
 
 
 class TestScoreDocument:
@@ -251,19 +372,19 @@ class TestScoreDocument:
         model.b2 = np.zeros_like(model.b2)
         model.w3 = np.zeros_like(model.w3)
         model.b3 = 1.25
-        sd = score_document(model, q, doc, ranking, es, ps)
-        assert sd.logit == 1.25
-        assert sd.prob == pytest.approx(1 / (1 + math.exp(-1.25)), abs=1e-12)
+        logit = score_of(model, q, doc, ranking, es, ps)
+        assert logit == 1.25
+        assert sigmoid(logit) == pytest.approx(1 / (1 + math.exp(-1.25)), abs=1e-12)
 
     def test_purity(self):
         model, q, doc, ranking, es, ps = self.build_world()
-        a = score_document(model, q, doc, ranking, es, ps)
-        b = score_document(model, q, doc, ranking, es, ps)
-        assert a.logit == b.logit
+        a = score_of(model, q, doc, ranking, es, ps)
+        b = score_of(model, q, doc, ranking, es, ps)
+        assert a == b
 
     def test_full_hand_trace(self):
         model, q, doc, ranking, es, ps = self.build_world()
-        sd = score_document(model, q, doc, ranking, es, ps)
+        logit = score_of(model, q, doc, ranking, es, ps)
         # weights 0.75/0.25 -> V_e = (1.5, 1.0); V_t = (0.5, -0.5)
         # d = W2 [V_t; V_e] + b2 = (2.1, 0.4)
         # features = [1,2, 2.1,0.4, 3.1,2.4, -1.1,1.6, 2.1,0.8]
@@ -275,25 +396,27 @@ class TestScoreDocument:
             + 0.15 * 2.1 + 0.25 * 0.8
             + 0.05
         )
-        assert sd.logit == pytest.approx(expected, abs=1e-12)
-        assert sd.logit == pytest.approx(0.675, abs=1e-12)
-        assert sd.diagnostics["entity_weights"][0][1] == pytest.approx(0.75, abs=1e-12)
+        assert logit == pytest.approx(expected, abs=1e-12)
+        assert logit == pytest.approx(0.675, abs=1e-12)
+        assert logit == pytest.approx(reference_logit(model, q, doc, ranking, es, ps), abs=1e-12)
+        weights = weights_of(doc, ranking, WeightingMode.PROBABILITY, es)
+        assert weights[0][1] == pytest.approx(0.75, abs=1e-12)
 
     def test_no_entity_ablation_ignores_entity_store(self):
         model, q, doc, ranking, es, ps = self.build_world()
         model.use_entities = False
-        base = score_document(model, q, doc, ranking, es, ps).logit
+        base = score_of(model, q, doc, ranking, es, ps)
         perturbed = store_with(2, e1=[999.0, -999.0], e2=[123.0, 321.0])
-        again = score_document(model, q, doc, ranking, perturbed, ps).logit
+        again = score_of(model, q, doc, ranking, perturbed, ps)
         assert base == again
 
     def test_shift_invariance_of_raw_scores(self):
         model, q, doc, ranking, es, ps = self.build_world()
-        base = score_document(model, q, doc, ranking, es, ps)
+        base = score_of(model, q, doc, ranking, es, ps)
         for c in (-3.0, 0.7, 42.0):
             shifted = ranking_of(("e1", math.log(3.0) + c), ("e2", 0.0 + c))
-            sd = score_document(model, q, doc, shifted, es, ps)
-            assert sd.logit == pytest.approx(base.logit, abs=1e-9)
+            logit = score_of(model, q, doc, shifted, es, ps)
+            assert logit == pytest.approx(base, abs=1e-9)
 
 
 class TestRerank:
@@ -318,26 +441,124 @@ class TestRerank:
         q = rng.standard_normal(2)
         return model, q, candidates, docs, ranking, entity_store, passage_store
 
+    def table(self, docs, es, ps):
+        return build_feature_table(docs.values(), es, ps)
+
     def test_output_is_permutation(self):
         model, q, cands, docs, ranking, es, ps = self.build()
-        out = rerank(model, q, cands, docs, ranking, es, ps)
+        out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
         assert sorted(out.doc_ids()) == sorted(cands.doc_ids())
         assert len(out) == len(cands)
 
     def test_single_candidate_unchanged(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=1)
-        out = rerank(model, q, cands, docs, ranking, es, ps)
+        out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
         assert out.doc_ids() == cands.doc_ids()
 
     def test_order_matches_exhaustive_scoring(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=10)
-        out = rerank(model, q, cands, docs, ranking, es, ps)
+        out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
         logits = {
-            d: score_document(model, q, docs[d], ranking, es, ps).logit
-            for d in cands.doc_ids()
+            d: reference_logit(model, q, docs[d], ranking, es, ps) for d in cands.doc_ids()
         }
         expected = [d for d, _ in sorted(logits.items(), key=lambda kv: (-kv[1], kv[0]))]
         assert out.doc_ids() == expected
+
+    def test_candidate_outside_table_named(self):
+        model, q, cands, docs, ranking, es, ps = self.build(n_docs=3)
+        table = build_feature_table([docs["d0"]], es, ps)
+        with pytest.raises(KeyError, match="d1"):
+            rerank(model, q, cands, table, ranking)
+
+    def test_underflowing_probabilities_rank_every_candidate(self):
+        model, q, cands, docs, ranking, es, ps = self.build(n_docs=4)
+        # e1..e3 sit ~800 raw-score units below e0: their probabilities are 0
+        ranking = EntityRanking.from_raw_scores(
+            "q", [("e0", 0.0), ("e1", -800.0), ("e2", -805.0), ("e3", -900.0)]
+        )
+        out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
+        assert sorted(out.doc_ids()) == sorted(cands.doc_ids())
+        assert all(math.isfinite(e.score) for e in out.entries)
+
+
+def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
+    """Docs with 0..6 linked entities (some with none), one query's ranking."""
+    rng = np.random.default_rng(seed)
+    entity_store = EmbeddingStore("entity", dims.m)
+    for i in range(n_entities):
+        entity_store.add(f"e{i}", rng.standard_normal(dims.m))
+    passage_store = EmbeddingStore("passage", dims.n)
+    docs = []
+    for i in range(n_docs):
+        text = " ".join(f"s{j}." for j in range(int(rng.integers(1, 14))))
+        linked = list(rng.choice(n_entities, size=int(rng.integers(0, 7)), replace=True))
+        doc = doc_with(f"d{i:04d}", [f"e{j}" for j in linked], text=text)
+        for p in segment_passages(doc, SegmenterConfig()):
+            passage_store.add(passage_key(p.doc_id, p.index), rng.standard_normal(dims.n))
+        docs.append(doc)
+    ranking = EntityRanking.from_raw_scores(
+        "q", [(f"e{i}", float(rng.normal(0.0, 4.0))) for i in range(n_entities)]
+    )
+    model = DreqModel(
+        W2=rng.standard_normal((dims.p, dims.m + dims.n)),
+        b2=rng.standard_normal(dims.p),
+        w3=rng.standard_normal(5 * dims.p),
+        b3=float(rng.standard_normal()),
+        dims=dims,
+    )
+    return model, rng.standard_normal(dims.p), docs, ranking, entity_store, passage_store
+
+
+class TestBatchedMatchesReference:
+    """rerank and dreq_logits against the per-document reference scorer."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_docs=st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+        mode=st.sampled_from(list(WeightingMode)),
+        use_entities=st.booleans(),
+    )
+    def test_rerank(self, seed, n_docs, mode, use_entities):
+        dims = DimsConfig(2, 3, 4, 3)
+        model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
+        model.mode, model.use_entities = mode, use_entities
+        cands = Ranking.from_scores("q", [(d.doc_id, float(-i)) for i, d in enumerate(docs)])
+        out = rerank(model, q, cands, build_feature_table(docs, es, ps), ranking)
+        expected = {d.doc_id: reference_logit(model, q, d, ranking, es, ps) for d in docs}
+        got = {e.doc_id: e.score for e in out.entries}
+        assert got.keys() == expected.keys()
+        for doc_id, logit in expected.items():
+            assert abs(got[doc_id] - logit) <= 1e-12
+        assert out.doc_ids() == [d for d, _ in sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_docs=st.integers(1, 40),
+        mode=st.sampled_from(list(WeightingMode)),
+        use_entities=st.booleans(),
+    )
+    def test_dreq_logits(self, seed, n_docs, mode, use_entities):
+        dims = DimsConfig(2, 3, 4, 3)
+        model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
+        model.mode, model.use_entities = mode, use_entities
+        table = build_feature_table(docs, es, ps)
+        rows = table.rows(d.doc_id for d in docs)
+        if use_entities:
+            links, weights = table.entity_weights(ranking, mode, rows)
+        else:
+            links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
+        batch = DreqBatch(
+            Q=np.tile(q, (len(rows), 1)),
+            Vt=table.text[rows],
+            links=links,
+            weights=weights,
+            y=np.zeros(len(rows)),
+        )
+        logits = dreq_logits(model, batch, table.entities)
+        for doc, logit in zip(docs, logits):
+            assert abs(logit - reference_logit(model, q, doc, ranking, es, ps)) <= 1e-12
 
 
 class TestMaxSimCos:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dreq.corpus import CorpusStore, Qrels
 from dreq.embeddings import DimsConfig, EmbeddingStore
 from dreq.entity_ranking import EntityRanking
-from dreq.model import DreqModel, WeightingMode
+from dreq.corpus import Document, EntityMention
+from dreq.model import DreqModel, WeightingMode, _entity_vectors
 from dreq.retrieval import Ranking
 from dreq.training import (
     AdamState,
@@ -23,6 +24,9 @@ from dreq.training import (
     dreq_loss_and_grads,
     make_folds,
     train_dreq,
+    train_feature_table,
+    _example_batch,
+    _take,
 )
 
 
@@ -195,16 +199,27 @@ class TestAdam:
 
 
 def random_batch(rng, dims: DimsConfig, n_entities: int, batch: int) -> DreqBatch:
-    W = np.zeros((batch, n_entities))
+    links = np.zeros((batch, n_entities), dtype=np.intp)
+    weights = np.zeros((batch, n_entities))
     for i in range(batch):
-        for j in rng.choice(n_entities, size=rng.integers(1, n_entities + 1), replace=False):
-            W[i, j] = rng.uniform(0.05, 1.0)
+        picked = rng.choice(n_entities, size=rng.integers(1, n_entities + 1), replace=False)
+        links[i, : len(picked)] = picked
+        weights[i, : len(picked)] = rng.uniform(0.05, 1.0, size=len(picked))
     return DreqBatch(
         Q=rng.standard_normal((batch, dims.p)),
         Vt=rng.standard_normal((batch, dims.n)),
-        W=W,
+        links=links,
+        weights=weights,
         y=rng.integers(0, 2, size=batch).astype(float),
     )
+
+
+def dense_weights(batch: DreqBatch, n_entities: int) -> np.ndarray:
+    """The (B, |entities|) weight matrix the per-row sums replace."""
+    W = np.zeros((len(batch.y), n_entities))
+    rows = np.repeat(np.arange(len(batch.y)), batch.links.shape[1])
+    np.add.at(W, (rows, batch.links.ravel()), batch.weights.ravel())
+    return W
 
 
 def random_model(rng, dims: DimsConfig) -> DreqModel:
@@ -268,9 +283,58 @@ class TestDreqGradients:
         model = random_model(rng, dims)
         table = rng.standard_normal((4, dims.m))
         batch = random_batch(rng, dims, 4, batch=4)
-        batch.W = np.zeros_like(batch.W)  # use_entities=False is an all-zero weight matrix
+        # use_entities=False gives every row an empty link list
+        batch.links = batch.links[:, :0]
+        batch.weights = batch.weights[:, :0]
         _, grads = dreq_loss_and_grads(model, batch, table, finetune_entities=True)
         assert np.array_equal(grads["entities"], np.zeros_like(table))
+
+
+class TestEntitySumBatch:
+    """Per-row entity sums against the dense (B, |entities|) weight matrix."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 30))
+    def test_matches_dense_weight_matrix(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        dims = DimsConfig(3, 5, 3, 3)
+        table = rng.standard_normal((9, dims.m))
+        batch = random_batch(rng, dims, 9, batch=rows)
+        Ve = _entity_vectors(batch.links, batch.weights, table)
+        assert np.allclose(Ve, dense_weights(batch, 9) @ table, rtol=0, atol=1e-12)
+
+    def test_training_batches_gather_each_examples_row(self):
+        dims, data, qrels = make_train_world()
+        # link documents to 1-4 of their query's entities, own entity first
+        for doc_id, doc in list(data.corpus.documents.items()):
+            qid, di = doc_id.split("_d")
+            others = [e.entity_id for e in data.entity_rankings[qid].entries]
+            others = [e for e in others if e != doc.entity_ids()[0]][: int(di) % 4]
+            extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
+            data.corpus.documents[doc_id] = Document(
+                doc_id, doc.text, doc.sentences, doc.mentions + extra
+            )
+        examples = build_doc_examples(qrels, data.candidates, seed=3)
+        table = train_feature_table(data, examples)
+        template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=3)
+        all_rows = _example_batch(template, examples, data, table)
+        for idx in np.array_split(np.random.default_rng(0).permutation(len(examples)), 4):
+            batch = _take(all_rows, idx)
+            Ve = _entity_vectors(batch.links, batch.weights, table.entities)
+            dense = dense_weights(batch, len(table.entities)) @ table.entities
+            assert np.allclose(Ve, dense, rtol=0, atol=1e-12)
+            for row, i in enumerate(idx):
+                ex = examples[i]
+                doc = data.corpus.doc(ex.item_id)
+                ranking = data.entity_rankings[ex.query_id]
+                probs = [ranking.prob_of(e) for e in doc.entity_ids()]
+                linked = len(probs)
+                got = batch.links[row, :linked]
+                assert [table.entity_ids[j] for j in got] == doc.entity_ids()
+                assert batch.weights[row, :linked].tolist() == [p / sum(probs) for p in probs]
+                assert not batch.weights[row, linked:].any()
+                assert np.array_equal(batch.Q[row], data.query_store.get(ex.query_id))
+                assert batch.y[row] == ex.label
 
 
 def make_train_world(n_queries=6, docs_per_query=6, seed=0):
