@@ -14,7 +14,10 @@ import json
 import os
 import sys
 import time
+import zipfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from .corpus import (
     SegmenterConfig,
@@ -122,7 +125,6 @@ _DEFAULTS = {
     "wig.k": "20",
     "run.tag": "dreq",
     "seed": "13",
-    "threads": "1",
 }
 
 
@@ -162,7 +164,7 @@ class Settings:
             env_key = ENV_PREFIX + key.upper().replace(".", "_")
             if env_key in os.environ:
                 self.values[key] = os.environ[env_key]
-        for flag in ("seed", "threads", "workdir"):
+        for flag in ("seed", "workdir"):
             v = getattr(args, flag, None)
             if v is not None:
                 self.values[flag] = str(v)
@@ -278,28 +280,59 @@ def write_manifest(settings: Settings, stage: str, inputs: dict, outputs: dict, 
 # --- artifact I/O ----------------------------------------------------------------
 
 
+_INDEX_ARRAYS = ("indptr", "docs", "tfs", "doc_lengths")
+
+
+def _pack_strings(items: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 blob plus int64 byte offsets; unlike a `U` array, this keeps
+    trailing NULs."""
+    encoded = [item.encode("utf-8") for item in items]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    data = blob.tobytes()
+    bounds = offsets.tolist()
+    return [data[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+
+
 def save_index(index: InvertedIndex, path: str) -> None:
-    payload = {
-        "tokenizer": {"lowercase": index.tokenizer.lowercase, "stem": index.tokenizer.stem},
-        "doc_ids": index.doc_ids,
-        "doc_lengths": index.doc_lengths,
-        "avg_doc_length": index.avg_doc_length,
-        "postings": {t: sorted(p.items()) for t, p in index.postings.items()},
+    """Write the index's arrays as an uncompressed `.npz` with fixed member
+    timestamps, so identical indexes give identical bytes."""
+    terms, term_offsets = _pack_strings(index.terms)
+    doc_ids, doc_id_offsets = _pack_strings(index.doc_ids)
+    arrays = {
+        "tokenizer": np.array([index.tokenizer.lowercase, index.tokenizer.stem]),
+        "terms": terms,
+        "term_offsets": term_offsets,
+        "doc_ids": doc_ids,
+        "doc_id_offsets": doc_id_offsets,
+        **{name: getattr(index, name) for name in _INDEX_ARRAYS},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, value in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(member, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, value, allow_pickle=False)
 
 
 def load_index(path: str) -> InvertedIndex:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:
+        raise CliError(f"{path}: unreadable index ({e}); rerun `dreq build-index`") from e
+    expected = {"tokenizer", "terms", "term_offsets", "doc_ids", "doc_id_offsets", *_INDEX_ARRAYS}
+    if set(arrays) != expected:
+        raise CliError(f"{path}: not an index written by this version; rerun `dreq build-index`")
+    lowercase, stem = arrays["tokenizer"].tolist()
     return InvertedIndex(
-        doc_ids=payload["doc_ids"],
-        doc_lengths=payload["doc_lengths"],
-        postings={t: {int(i): tf for i, tf in p} for t, p in payload["postings"].items()},
-        avg_doc_length=payload["avg_doc_length"],
-        tokenizer=TokenizerConfig(**payload["tokenizer"]),
+        terms=_unpack_strings(arrays["terms"], arrays["term_offsets"]),
+        doc_ids=_unpack_strings(arrays["doc_ids"], arrays["doc_id_offsets"]),
+        tokenizer=TokenizerConfig(lowercase=lowercase, stem=stem),
+        **{name: arrays[name] for name in _INDEX_ARRAYS},
     )
 
 
@@ -368,7 +401,7 @@ def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
 def cmd_build_index(settings: Settings) -> None:
     t0 = time.time()
     corpus = _load_corpus(settings)
-    index_path = settings.workpath("index.json")
+    index_path = settings.workpath("index.npz")
     index = build_index(corpus, settings.tokenizer())
     with atomic_path(index_path) as tmp:
         save_index(index, tmp)
@@ -380,7 +413,7 @@ def cmd_build_index(settings: Settings) -> None:
 
 def cmd_retrieve(settings: Settings) -> None:
     t0 = time.time()
-    index = load_index(require_artifact(settings.workpath("index.json"), "build-index"))
+    index = load_index(require_artifact(settings.workpath("index.npz"), "build-index"))
     queries = load_queries(settings.path("queries"))
     k = settings.get_int("retrieve.k")
     mode = settings.get("retrieve.mode")
@@ -391,7 +424,6 @@ def cmd_retrieve(settings: Settings) -> None:
         mode=mode,
         bm25=settings.bm25(),
         rm3=settings.rm3(),
-        threads=settings.get_int("threads"),
     )
     out = settings.workpath("candidates.run")
     with atomic_path(out) as tmp:
@@ -490,6 +522,22 @@ def cmd_rank_entities(settings: Settings) -> None:
     queries = {q.query_id: q for q in load_queries(settings.path("queries"))}
     rankings: dict[str, EntityRanking] = {}
 
+    desc_index = None
+    if mode in ("bm25", "geeer"):
+        corpus = _load_corpus(settings)
+        descriptions = {
+            eid: rec.description for eid, rec in corpus.entities.items() if rec.description
+        }
+        if descriptions:
+            desc_index = build_index(descriptions, settings.tokenizer())
+        elif mode == "bm25":
+            raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
+
+    def bm25_ranking(qid: str) -> EntityRanking:
+        return bm25_entity_rank(
+            queries[qid].text, pooled[qid], desc_index, settings.bm25(), query_id=qid
+        )
+
     if mode == "learned":
         stores = _load_stores(settings)
         head = load_entity_head(
@@ -497,40 +545,15 @@ def cmd_rank_entities(settings: Settings) -> None:
         )
         rankings = entity_rankings_map(head, pooled, stores["query_entity"])
     elif mode == "bm25":
-        corpus = _load_corpus(settings)
-        descriptions = {
-            eid: rec.description for eid, rec in corpus.entities.items() if rec.description
-        }
-        if not descriptions:
-            raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
-        from .retrieval import build_index
-
-        desc_index = build_index(descriptions, settings.tokenizer())
-        for qid in sorted(pooled):
-            rankings[qid] = bm25_entity_rank(
-                queries[qid].text, pooled[qid], desc_index, settings.bm25(), query_id=qid
-            )
+        rankings = {qid: bm25_ranking(qid) for qid in sorted(pooled)}
     elif mode == "geeer":
-        corpus = _load_corpus(settings)
         stores = _load_stores(settings)
         links = load_query_links(settings.path("query_links"))
-        descriptions = {
-            eid: rec.description for eid, rec in corpus.entities.items() if rec.description
-        }
-        desc_index = None
-        if descriptions:
-            from .retrieval import build_index
-
-            desc_index = build_index(descriptions, settings.tokenizer())
         lam = settings.get_float("geeer.lambda")
         for qid in sorted(pooled):
+            bm25_scores = {}
             if desc_index is not None:
-                sparse = bm25_entity_rank(
-                    queries[qid].text, pooled[qid], desc_index, settings.bm25(), query_id=qid
-                )
-                bm25_scores = {e.entity_id: e.raw_score for e in sparse.entries}
-            else:
-                bm25_scores = {}
+                bm25_scores = {e.entity_id: e.raw_score for e in bm25_ranking(qid).entries}
             rankings[qid] = geeer_entity_rank(
                 links.get(qid, []), pooled[qid], stores["entity"], bm25_scores, lam, query_id=qid
             )
@@ -814,7 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="global RNG seed")
-    parser.add_argument("--threads", type=int, help="threads for per-query stages")
     parser.add_argument("--workdir", help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
-from .retrieval import Bm25Params, InvertedIndex, Ranking, RunEntry, bm25_score, tokenize
+from .retrieval import Bm25Params, InvertedIndex, Ranking, RunEntry, _score_all, tokenize
 from .training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
 
 __all__ = [
@@ -186,18 +186,18 @@ def bm25_entity_rank(
     bm25: Bm25Params = Bm25Params(),
     query_id: str = "",
 ) -> EntityRanking:
-    """Sparse alternative: BM25 of the query against catalog descriptions.
+    """Sparse alternative: BM25 of the query against catalog descriptions,
+    one scoring pass over the description index per query (each query term
+    occurrence adds once, as in `bm25_score`).
 
     Entities without an indexed description score 0.
     """
     terms = tokenize(query, description_index.tokenizer) if isinstance(query, str) else query
-    scored = []
-    for entity_id in pooled:
-        if description_index.has_doc(entity_id):
-            raw = bm25_score(description_index, terms, entity_id, bm25)
-        else:
-            raw = 0.0
-        scored.append((entity_id, raw))
+    scores = _score_all(description_index, ((t, 1.0) for t in terms), bm25)
+    position = description_index.doc_position
+    scored = [
+        (eid, float(scores[position[eid]]) if eid in position else 0.0) for eid in pooled
+    ]
     return EntityRanking.from_raw_scores(query_id, scored)
 
 

@@ -5,7 +5,6 @@ transfer, the entity-ranking stage, and cross-validated ablation sweeps.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .corpus import CorpusStore, Qrels, Query, transfer_labels
@@ -60,19 +59,12 @@ def candidate_rankings(
     mode: str = "bm25_rm3",
     bm25: Bm25Params = Bm25Params(),
     rm3: Rm3Params = Rm3Params(),
-    threads: int = 1,
 ) -> dict[str, Ranking]:
-    """First-stage ranking per query; per-query scoring may run threaded,
-    results are assembled in query order either way."""
-    def one(q: Query) -> Ranking:
-        return retrieve(index, q.text, k=k, mode=mode, bm25=bm25, rm3=rm3, query_id=q.query_id)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, queries))
-    else:
-        results = [one(q) for q in queries]
-    return {r.query_id: r for r in results}
+    """First-stage ranking per query, in query order."""
+    return {
+        q.query_id: retrieve(index, q.text, k=k, mode=mode, bm25=bm25, rm3=rm3, query_id=q.query_id)
+        for q in queries
+    }
 
 
 def pooling_docs(

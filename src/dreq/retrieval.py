@@ -2,20 +2,47 @@
 
 BM25 uses the Lucene-style formulation
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
-    score  = sum_t idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl))
+    tfc    = tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl))
+    score  = sum over the weighted query terms of (weight * idf(t)) * tfc
 with defaults k1 = 0.9, b = 0.4. RM3 interpolates a relevance model built
 from the top feedback documents with the original query model.
 
+The index is a set of numpy arrays in CSR layout. `terms` lists the
+vocabulary in first-occurrence order; term t's postings are
+`docs[indptr[t]:indptr[t + 1]]` (int32 internal doc indices, ascending)
+with their term frequencies in `tfs` (int32); `doc_lengths` (int64) and
+`doc_ids` are per internal index. Everything else is derived on first use
+and never stored: the term -> id dict, each document's rank in doc_id
+order, and a doc -> term forward CSR, so that RM3 reads only the feedback
+documents' own rows instead of the whole vocabulary.
+
+Scoring adds one term at a time into a float64 array over all documents.
+BM25 impacts are deliberately not precomputed into the index: `Bm25Params`
+is a runtime setting, not a property of the artifact, and a stored
+`idf * tfc` would score `weight * (idf * tfc)`, which is not bit-equal to
+the per-document formula's `(weight * idf) * tfc`. Each term's `tfc` is computed on its
+postings slice with the scalar expression's operation order, so array
+scores equal the per-document formula bit for bit.
+
 Ties are always broken score-descending, doc_id-ascending, so run files
-are stable across executions.
+are stable across executions. The top k comes from a partition at the k-th
+best score; every document tied with it is kept and the survivors are
+sorted by (score desc, doc_id asc), so the k-th place goes to the right
+doc_id. Documents that match no query term score 0 and pad the ranking in
+doc_id order.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from . import _porter
 from .corpus import CorpusStore
@@ -28,6 +55,7 @@ __all__ = [
     "RunEntry",
     "Ranking",
     "InvertedIndex",
+    "PostingsView",
     "build_index",
     "bm25_score",
     "rm3_expand",
@@ -107,49 +135,82 @@ class Ranking:
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
 
-    def score_of(self, doc_id: str) -> float:
-        for e in self.entries:
-            if e.doc_id == doc_id:
-                return e.score
-        raise KeyError(f"doc_id {doc_id!r} not in ranking for query {self.query_id!r}")
-
-    def top(self, k: int) -> "Ranking":
-        return Ranking(self.query_id, self.entries[:k])
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass
+class PostingsView(Mapping):
+    """Read-only term -> posting doc indices view of an index's CSR arrays."""
+
+    def __init__(self, index: "InvertedIndex"):
+        self._index = index
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        t = self._index.term_id[term]
+        return self._index.docs[self._index.indptr[t] : self._index.indptr[t + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
+
+
+@dataclass(eq=False)
 class InvertedIndex:
-    """Term -> {doc_internal_id: tf} postings plus per-document statistics."""
+    """CSR postings: term t's documents are `docs[indptr[t]:indptr[t + 1]]`
+    (ascending internal doc indices) with term frequencies `tfs` alongside.
+    Lookups derived from these arrays are built on first use."""
 
+    terms: list[str]
+    indptr: np.ndarray  # int64, (len(terms) + 1,)
+    docs: np.ndarray  # int32, (postings,)
+    tfs: np.ndarray  # int32, (postings,)
     doc_ids: list[str]
-    doc_lengths: list[int]
-    postings: dict[str, dict[int, int]]
-    avg_doc_length: float
+    doc_lengths: np.ndarray  # int64, (doc_count,)
     tokenizer: TokenizerConfig
-    _doc_index: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._doc_index:
-            self._doc_index = {d: i for i, d in enumerate(self.doc_ids)}
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
-    def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+    @cached_property
+    def avg_doc_length(self) -> float:
+        return int(self.doc_lengths.sum()) / self.doc_count
 
-    def tf(self, term: str, doc_id: str) -> int:
-        i = self._doc_index.get(doc_id)
-        if i is None:
-            raise KeyError(f"doc_id {doc_id!r} not in index")
-        return self.postings.get(term, {}).get(i, 0)
+    @cached_property
+    def term_id(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.terms)}
 
-    def has_doc(self, doc_id: str) -> bool:
-        return doc_id in self._doc_index
+    @cached_property
+    def doc_position(self) -> dict[str, int]:
+        return {d: i for i, d in enumerate(self.doc_ids)}
+
+    @cached_property
+    def doc_rank(self) -> np.ndarray:
+        """Each document's position in doc_id order (the tie-break key)."""
+        order = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
+        rank = np.empty(self.doc_count, dtype=np.int64)
+        rank[order] = np.arange(self.doc_count)
+        return rank
+
+    @cached_property
+    def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Doc -> term CSR `(indptr, term ids, tfs)`; a row's term ids ascend."""
+        term_of = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.indptr))
+        order = np.argsort(self.docs, kind="stable")
+        return _indptr(self.docs, self.doc_count), term_of[order], self.tfs[order]
+
+    @property
+    def postings(self) -> PostingsView:
+        return PostingsView(self)
+
+
+def _indptr(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers for entries whose row ids are `ids` (rows 0..n-1)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def build_index(
@@ -164,31 +225,51 @@ def build_index(
     if not texts:
         raise ValueError("cannot build an index over an empty corpus")
 
-    doc_ids: list[str] = []
-    doc_lengths: list[int] = []
-    postings: dict[str, dict[int, int]] = {}
-    for doc_id, text in texts.items():
+    # an id per token (a new term takes the next id: first-occurrence order),
+    # then one sort of (term, doc) keys yields term-major postings with
+    # ascending docs, and each key's count is its tf
+    term_id: defaultdict[str, int] = defaultdict()
+    term_id.default_factory = term_id.__len__
+    token_ids, doc_lengths = array("i"), array("q")
+    for text in texts.values():
         tokens = tokenize(text, tokenizer)
-        i = len(doc_ids)
-        doc_ids.append(doc_id)
+        token_ids.extend(map(term_id.__getitem__, tokens))
         doc_lengths.append(len(tokens))
-        for term in tokens:
-            per_term = postings.setdefault(term, {})
-            per_term[i] = per_term.get(i, 0) + 1
-    avg = sum(doc_lengths) / len(doc_lengths)
-    return InvertedIndex(doc_ids, doc_lengths, postings, avg, tokenizer)
+    n = len(texts)
+    token_docs = np.repeat(np.arange(n, dtype=np.int64), np.array(doc_lengths))
+    keys, tfs = np.unique(np.array(token_ids, dtype=np.int64) * n + token_docs, return_counts=True)
+    return InvertedIndex(
+        terms=list(term_id),
+        indptr=_indptr(keys // n, len(term_id)),
+        docs=(keys % n).astype(np.int32),
+        tfs=tfs.astype(np.int32),
+        doc_ids=list(texts),
+        doc_lengths=np.array(doc_lengths, dtype=np.int64),
+        tokenizer=tokenizer,
+    )
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    df = index.df(term)
-    return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def _tf_component(tf: int, dl: int, avgdl: float, params: Bm25Params) -> float:
-    if tf == 0:
-        return 0.0
-    norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-    return tf * (params.k1 + 1.0) / (tf + norm)
+def _score_all(
+    index: InvertedIndex, weighted_terms: Iterable[tuple[str, float]], params: Bm25Params
+) -> np.ndarray:
+    """Term-at-a-time weighted BM25 over every document. Each (term, weight)
+    pair adds `(weight * idf) * tfc` to its postings' scores, pairs in order."""
+    scores = np.zeros(index.doc_count)
+    for term, weight in weighted_terms:
+        t = index.term_id.get(term)
+        if t is None:
+            continue
+        lo, hi = int(index.indptr[t]), int(index.indptr[t + 1])
+        docs, tf = index.docs[lo:hi], index.tfs[lo:hi]
+        dl = index.doc_lengths[docs]
+        norm = params.k1 * (1.0 - params.b + params.b * dl / index.avg_doc_length)
+        tfc = tf * (params.k1 + 1.0) / (tf + norm)
+        scores[docs] += (weight * _idf(index.doc_count, hi - lo)) * tfc
+    return scores
 
 
 def bm25_score(
@@ -197,44 +278,28 @@ def bm25_score(
     doc_id: str,
     params: Bm25Params = Bm25Params(),
 ) -> float:
-    """BM25 score of one document; terms absent from the doc contribute 0."""
-    if not index.has_doc(doc_id):
+    """BM25 score of one document: every query term occurrence adds once;
+    terms absent from the doc contribute 0."""
+    i = index.doc_position.get(doc_id)
+    if i is None:
         raise KeyError(f"doc_id {doc_id!r} not in index")
-    i = index._doc_index[doc_id]
-    dl = index.doc_lengths[i]
-    score = 0.0
-    for term in query_terms:
-        tf = index.postings.get(term, {}).get(i, 0)
-        if tf:
-            score += _idf(index, term) * _tf_component(tf, dl, index.avg_doc_length, params)
-    return score
+    return float(_score_all(index, ((t, 1.0) for t in query_terms), params)[i])
 
 
-def _score_all(
-    index: InvertedIndex, weighted_terms: Mapping[str, float], params: Bm25Params
-) -> list[float]:
-    """Term-at-a-time accumulation of weighted BM25 over every document."""
-    scores = [0.0] * index.doc_count
-    for term, weight in weighted_terms.items():
-        per_term = index.postings.get(term)
-        if not per_term:
-            continue
-        idf = _idf(index, term)
-        for i, tf in per_term.items():
-            scores[i] += weight * idf * _tf_component(
-                tf, index.doc_lengths[i], index.avg_doc_length, params
-            )
-    return scores
+def _top_k(index: InvertedIndex, scores: np.ndarray, docs: np.ndarray, k: int) -> np.ndarray:
+    """The k best of `docs` (internal indices), score-desc then doc_id-asc.
+    Only documents scoring at least the k-th best score are sorted."""
+    s = scores[docs]
+    if k < len(docs):
+        kth = np.partition(s, len(s) - k)[len(s) - k]
+        docs, s = docs[s >= kth], s[s >= kth]
+    return docs[np.lexsort((index.doc_rank[docs], -s))[:k]]
 
 
 def _original_query_model(query_terms: list[str]) -> dict[str, float]:
-    distinct: dict[str, None] = {}
-    for t in query_terms:
-        distinct.setdefault(t, None)
-    if not distinct:
-        raise ValueError("query has no terms")
-    w = 1.0 / len(distinct)
-    return {t: w for t in distinct}
+    """Uniform weights over the distinct terms; empty for an empty query."""
+    distinct = dict.fromkeys(query_terms)
+    return {t: 1.0 / len(distinct) for t in distinct}
 
 
 def rm3_expand(
@@ -246,35 +311,36 @@ def rm3_expand(
     """RM3 pseudo-relevance feedback: a relevance model over the top
     `fb_docs` documents (document weights = softmax of their BM25 scores),
     truncated to `fb_terms` terms, interpolated with the uniform original
-    query model at `original_weight`. Output weights sum to 1.
+    query model at `original_weight`. Output weights sum to 1; a query
+    without terms gives an empty model.
     """
     original = _original_query_model(query_terms)
     if params.original_weight == 1.0:
         return original
-    scores = _score_all(index, original, bm25)
-    matched = [(i, s) for i, s in enumerate(scores) if s > 0.0]
-    if not matched:
+    scores = _score_all(index, original.items(), bm25)
+    feedback = _top_k(index, scores, np.flatnonzero(scores > 0.0), params.fb_docs)
+    if not len(feedback):
         return original
-    matched.sort(key=lambda item: (-item[1], index.doc_ids[item[0]]))
-    feedback = matched[: params.fb_docs]
 
     # softmax-normalized doc weights over the feedback set
-    max_s = max(s for _, s in feedback)
-    exp_s = [(i, math.exp(s - max_s)) for i, s in feedback]
-    z = sum(e for _, e in exp_s)
+    fb_scores = scores[feedback].tolist()
+    max_s = max(fb_scores)
+    exp_s = [math.exp(s - max_s) for s in fb_scores]
+    z = sum(exp_s)
 
-    term_weights: dict[str, float] = {}
-    for i, e in exp_s:
+    # each feedback document's own terms, from the forward index
+    fwd_indptr, fwd_terms, fwd_tfs = index.forward
+    term_weights: dict[int, float] = {}
+    for i, e in zip(feedback.tolist(), exp_s):
         doc_weight = e / z
-        dl = index.doc_lengths[i]
-        if dl == 0:
-            continue
-        for term, per_term in index.postings.items():
-            tf = per_term.get(i)
-            if tf:
-                term_weights[term] = term_weights.get(term, 0.0) + doc_weight * tf / dl
+        dl = int(index.doc_lengths[i])
+        lo, hi = fwd_indptr[i], fwd_indptr[i + 1]
+        for t, tf in zip(fwd_terms[lo:hi].tolist(), fwd_tfs[lo:hi].tolist()):
+            term_weights[t] = term_weights.get(t, 0.0) + doc_weight * tf / dl
 
-    top = sorted(term_weights.items(), key=lambda item: (-item[1], item[0]))[: params.fb_terms]
+    top = sorted(
+        ((index.terms[t], w) for t, w in term_weights.items()), key=lambda item: (-item[1], item[0])
+    )[: params.fb_terms]
     total = sum(w for _, w in top)
     feedback_model = {t: w / total for t, w in top}
 
@@ -299,7 +365,7 @@ def retrieve(
     """Top-k retrieval; `mode` is "bm25" or "bm25_rm3" (second-pass scoring
     with the expanded weighted query). Every indexed document is scored, so
     a k beyond the matched set is padded with zero-score documents in
-    doc_id order.
+    doc_id order (all of the top k, for a query without terms).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -315,10 +381,13 @@ def retrieve(
     else:
         weighted = rm3_expand(index, terms, rm3, bm25)
 
-    scores = _score_all(index, weighted, bm25)
-    ranking = Ranking.from_scores(query_id, zip(index.doc_ids, scores))
-    ranking.entries = ranking.entries[:k]
-    return ranking
+    scores = _score_all(index, weighted.items(), bm25)
+    top = _top_k(index, scores, np.arange(index.doc_count), k)
+    entries = [
+        RunEntry(index.doc_ids[i], s, r)
+        for r, (i, s) in enumerate(zip(top.tolist(), scores[top].tolist()), start=1)
+    ]
+    return Ranking(query_id, entries)
 
 
 def write_run(rankings: Iterable[Ranking], path: str, tag: str = "dreq") -> None:

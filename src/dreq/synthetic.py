@@ -179,14 +179,12 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
         doc = _compose_doc(doc_id, rng, [], noise, filler)
         corpus.documents[doc_id] = doc
 
-    all_entities = [e for qid in sorted(planted) for e in planted[qid]] + noise_entities
-    for eid in all_entities:
-        if eid.startswith("eq"):
-            qid = "q" + eid[2:4]
-            desc = f"about {' '.join(topic_words[qid])}"
-        else:
-            desc = " ".join(rng.sample(filler, 6))
-        corpus.entities[eid] = EntityRecord(eid, desc)
+    for qid in sorted(planted):
+        for eid in planted[qid]:
+            corpus.entities[eid] = EntityRecord(eid, f"about {' '.join(topic_words[qid])}")
+    for eid in noise_entities:
+        corpus.entities[eid] = EntityRecord(eid, " ".join(rng.sample(filler, 6)))
+    all_entities = list(corpus.entities)
 
     seg = SegmenterConfig()
 

@@ -13,12 +13,14 @@ import sys
 import pytest
 
 from dreq import training
+from dreq.corpus import load_corpus
 from dreq.model import DreqModel, WeightingMode
-from dreq.retrieval import Ranking
+from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from test_training import make_train_world
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "dreqbench")
+TOY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data", "toy")
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +78,15 @@ def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
         assert isinstance(args[0], DreqModel)
         assert dataclasses.is_dataclass(args[1])
         assert layers.PROBES["training.dreq_loss_and_grads"](args, kwargs, out)["bytes"] > 0
+
+
+def test_first_stage_probes_read_the_csr_index(layers):
+    index = build_index(load_corpus(os.path.join(TOY, "corpus.jsonl")))
+    probed = layers.PROBES["retrieval.build_index"]((), {}, index)
+    assert probed == {"vocab_terms": len(index.terms), "postings": len(index.docs)}
+    assert probed["postings"] == index.indptr[-1] == len(index.tfs)
+    ranking = retrieve(index, "topic01a topic01b", k=30, mode="bm25_rm3", query_id="q01")
+    assert isinstance(ranking, Ranking)
+    assert layers.PROBES["retrieval.retrieve"]((index, "topic01a topic01b"), {"k": 30}, ranking) == {
+        "docs": 30
+    }

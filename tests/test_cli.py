@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from dreq.cli import Settings, load_config_file, main
-from dreq.retrieval import load_run
+from dreq.cli import Settings, load_config_file, load_index, main, save_index
+from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.training import FoldPlan
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
@@ -68,7 +69,7 @@ class TestPipeline:
     def test_all_artifacts_exist(self, pipeline):
         _, workdir = pipeline
         for name in (
-            "index.json",
+            "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
             "stores/query.vec",
@@ -170,6 +171,73 @@ class TestPipeline:
         assert main(["--config", config, "--workdir", str(fresh), "retrieve"]) == 1
         assert "build-index" in capsys.readouterr().err
 
+    def test_stale_index_json_names_build_index(self, pipeline, tmp_path, capsys):
+        config, _ = pipeline
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        (stale / "index.json").write_text("{}\n")
+        assert main(["--config", config, "--workdir", str(stale), "retrieve"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "build-index" in err
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    def test_unreadable_index_names_build_index(self, pipeline, tmp_path, capsys, damage):
+        config, workdir = pipeline
+        data = open(os.path.join(workdir, "index.npz"), "rb").read()
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "index.npz").write_bytes(data[: len(data) // 2] if damage == "truncate" else b"{}\n")
+        assert main(["--config", config, "--workdir", str(broken), "retrieve"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unreadable index" in err and "build-index" in err
+
+    def test_query_without_terms_gets_zero_score_padding(self, pipeline, tmp_path, monkeypatch):
+        config, workdir = pipeline
+        queries = tmp_path / "queries.tsv"
+        toy = open(os.path.join(TOY, "queries.tsv")).read()
+        queries.write_text(toy + "qempty\t?! -- ...\n")
+        fresh = tmp_path / "work"
+        argv = ["--config", config, "--workdir", str(fresh)]
+        monkeypatch.setenv("DREQ_QUERIES", str(queries))
+        assert main([*argv, "build-index"]) == 0
+        assert main([*argv, "retrieve"]) == 0
+        got = load_run(str(fresh / "candidates.run"))
+        doc_ids = sorted(json.loads(line)["doc_id"] for line in open(os.path.join(TOY, "corpus.jsonl")))
+        assert [(e.doc_id, e.score) for e in got["qempty"].entries] == [(d, 0.0) for d in doc_ids[:30]]
+        normal = load_run(os.path.join(workdir, "candidates.run"))
+        assert {q: r.entries for q, r in got.items() if q != "qempty"} == {
+            q: r.entries for q, r in normal.items()
+        }
+
+
+class TestIndexArtifact:
+    def test_npz_round_trip_keeps_odd_ids(self, tmp_path):
+        texts = {
+            "doc one": "alpha beta beta",
+            "naïve café": "beta gamma",
+            "tail\x00": "gamma gamma alpha",
+            "tail": "",
+            "日本": "alpha",
+        }
+        index = build_index(texts, TokenizerConfig(stem=True))
+        path = str(tmp_path / "index.npz")
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.doc_ids == index.doc_ids
+        assert loaded.terms == index.terms
+        assert loaded.tokenizer == index.tokenizer
+        for name in ("indptr", "docs", "tfs", "doc_lengths"):
+            a, b = getattr(index, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert loaded.avg_doc_length == index.avg_doc_length
+        for query in ("alpha", "beta gamma"):
+            assert retrieve(loaded, query, k=5, mode="bm25_rm3").entries == retrieve(
+                index, query, k=5, mode="bm25_rm3"
+            ).entries
+        again = str(tmp_path / "again.npz")
+        save_index(loaded, again)
+        assert open(path, "rb").read() == open(again, "rb").read()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -181,6 +249,7 @@ class TestDeterminism:
         run_pipeline(config_a)
         run_pipeline(config_b)
         for rel in (
+            "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
             "stores/query_entity.vec",

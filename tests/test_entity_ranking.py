@@ -197,6 +197,15 @@ class TestBm25EntityRank:
         expected = sorted(brute, key=lambda e: (-brute[e], e))
         assert [e.entity_id for e in ranking.entries] == expected
 
+    def test_raw_scores_equal_bm25_score_per_occurrence(self):
+        index, descriptions = self.catalog_index()
+        query = ["alaska", "bear", "alaska", "unknown"]
+        ranking = bm25_entity_rank(query, ["undescribed", *descriptions], index)
+        raw = {e.entity_id: e.raw_score for e in ranking.entries}
+        expected = {eid: bm25_score(index, query, eid) for eid in descriptions}
+        assert raw == {"undescribed": 0.0, **expected}
+        assert expected["bear"] > bm25_score(index, ["alaska", "bear"], "bear")
+
 
 class TestGeeerEntityRank:
     def store(self):

@@ -1,5 +1,8 @@
 import math
+from collections import Counter
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,38 +87,88 @@ class TestTokenizer:
         assert _porter.stem(word) == stemmed
 
 
+def tf_table(index):
+    """(term, doc_id) -> tf, read off the CSR arrays."""
+    table = {}
+    for t, term in enumerate(index.terms):
+        for p in range(index.indptr[t], index.indptr[t + 1]):
+            table[term, index.doc_ids[index.docs[p]]] = int(index.tfs[p])
+    return table
+
+
 class TestIndex:
     def test_single_doc_statistics(self):
         index = build_index(corpus_of({"d1": "a b a"}))
-        assert index.df("a") == 1
-        assert index.tf("a", "d1") == 2
+        assert tf_table(index) == {("a", "d1"): 2, ("b", "d1"): 1}
         assert index.avg_doc_length == 3.0
         assert index.doc_count == 1
 
     def test_df_across_docs(self):
         index = build_index(corpus_of({"d1": "t x", "d2": "t y"}))
-        assert index.df("t") == 2
-        assert index.df("x") == 1
+        assert {term: len(docs) for term, docs in index.postings.items()} == {"t": 2, "x": 1, "y": 1}
 
     def test_rebuild_identical(self):
         texts = {"d1": "alpha beta", "d2": "beta gamma gamma"}
         a, b = build_index(corpus_of(texts)), build_index(corpus_of(texts))
-        assert a.postings == b.postings
-        assert a.doc_lengths == b.doc_lengths
+        assert a.terms == b.terms
+        assert a.doc_ids == b.doc_ids
+        for name in ("indptr", "docs", "tfs", "doc_lengths"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.avg_doc_length == b.avg_doc_length
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_index(corpus_of({}))
 
-    def test_invariants(self):
-        texts = {"d1": "a a b", "d2": "b c", "d3": "c c c a"}
+    def test_csr_layout(self):
+        texts = {"d1": "b a b", "d2": "", "d3": "c b"}
         index = build_index(corpus_of(texts))
-        total_tokens = sum(index.doc_lengths)
-        for term, per_term in index.postings.items():
-            assert sum(per_term.values()) <= total_tokens
-            assert index.df(term) == len(per_term)
-        assert index.avg_doc_length == total_tokens / index.doc_count
+        assert index.terms == ["b", "a", "c"]  # first-occurrence order
+        assert index.indptr.tolist() == [0, 2, 3, 4]
+        assert index.docs.tolist() == [0, 2, 0, 2]
+        assert index.tfs.tolist() == [2, 1, 1, 1]
+        assert index.doc_lengths.tolist() == [3, 0, 2]
+        assert (index.indptr.dtype, index.docs.dtype, index.tfs.dtype, index.doc_lengths.dtype) == (
+            np.int64, np.int32, np.int32, np.int64
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_invariants(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        vocab = ["a", "b", "c", "d", "e"]
+        texts = {
+            f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(0, 8)))
+            for i in rng.sample(range(20), rng.randint(1, 8))
+        }
+        index = build_index(corpus_of(texts))
+        bags = [Counter(tokenize(t)) for t in texts.values()]
+        fwd_indptr, fwd_terms, fwd_tfs = index.forward
+        for i, bag in enumerate(bags):
+            lo, hi = fwd_indptr[i], fwd_indptr[i + 1]
+            assert dict(zip((index.terms[t] for t in fwd_terms[lo:hi]), fwd_tfs[lo:hi])) == bag
+            assert index.doc_lengths[i] == sum(bag.values())
+        for t, term in enumerate(index.terms):
+            lo, hi = index.indptr[t], index.indptr[t + 1]
+            docs = index.docs[lo:hi].tolist()
+            assert docs == sorted(docs) == [i for i, bag in enumerate(bags) if term in bag]
+            assert index.tfs[lo:hi].tolist() == [bags[i][term] for i in docs]
+            assert index.postings[term].tolist() == docs
+        assert len(index.postings) == len(index.terms) == len(set().union(*bags))
+        assert sorted(index.doc_ids, key=lambda d: index.doc_rank[index.doc_position[d]]) == sorted(
+            texts
+        )
+        assert index.avg_doc_length == sum(index.doc_lengths.tolist()) / index.doc_count
+
+    def test_postings_view_is_read_only(self):
+        index = build_index(corpus_of({"d1": "a b", "d2": "b"}))
+        assert isinstance(index.postings, Mapping)
+        assert not hasattr(index.postings, "__setitem__")
+        assert dict((t, p.tolist()) for t, p in index.postings.items()) == {"a": [0], "b": [0, 1]}
+        with pytest.raises(KeyError):
+            index.postings["absent"]
 
 
 class TestBm25:
@@ -189,15 +242,17 @@ class TestRm3:
 
 def _oracle_order(index, weighted_terms, params):
     """Independent exhaustive scorer: per-document sum over weighted terms."""
+    tfs = tf_table(index)
+    dfs = Counter(term for term, _ in tfs)
     scores = {}
     for i, doc_id in enumerate(index.doc_ids):
-        dl = index.doc_lengths[i]
+        dl = int(index.doc_lengths[i])
         s = 0.0
         for term, weight in weighted_terms.items():
-            tf = index.postings.get(term, {}).get(i, 0)
+            tf = tfs.get((term, doc_id), 0)
             if tf == 0:
                 continue
-            df = index.df(term)
+            df = dfs[term]
             idf = math.log(1 + (index.doc_count - df + 0.5) / (df + 0.5))
             s += weight * idf * tf * (params.k1 + 1) / (
                 tf + params.k1 * (1 - params.b + params.b * dl / index.avg_doc_length)
@@ -257,6 +312,138 @@ class TestRetrieve:
         expanded = rm3_expand(index, list(terms), rm3, params)
         got_rm3 = retrieve(index, list(terms), k=n_docs, mode="bm25_rm3", rm3=rm3, bm25=params)
         assert got_rm3.doc_ids() == _oracle_order(index, expanded, params)
+
+
+# --- a plain per-document reference, built from the texts alone -----------------
+
+
+def reference_scores(texts, weighted_terms, params):
+    """BM25 per document from `tokenize` + `Counter`; (term, weight) pairs add
+    in order, each as (weight * idf) * tfc."""
+    bags = {d: Counter(tokenize(t)) for d, t in texts.items()}
+    n = len(bags)
+    avgdl = sum(sum(bag.values()) for bag in bags.values()) / n
+    scores = {}
+    for doc_id, bag in bags.items():
+        dl = sum(bag.values())
+        s = 0.0
+        for term, weight in weighted_terms:
+            tf = bag[term]
+            if tf == 0:
+                continue
+            df = sum(1 for other in bags.values() if term in other)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            tfc = tf * (params.k1 + 1.0) / (tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl))
+            s += weight * idf * tfc
+        scores[doc_id] = s
+    return scores
+
+
+def reference_ranking(texts, weighted_terms, k, params):
+    scores = reference_scores(texts, weighted_terms, params)
+    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return [(d, s, r) for r, (d, s) in enumerate(ordered, start=1)]
+
+
+def reference_rm3(texts, terms, rm3, params):
+    distinct = list(dict.fromkeys(terms))
+    original = {t: 1.0 / len(distinct) for t in distinct}
+    if rm3.original_weight == 1.0:
+        return original
+    scores = reference_scores(texts, original.items(), params)
+    feedback = sorted(
+        ((d, s) for d, s in scores.items() if s > 0.0), key=lambda kv: (-kv[1], kv[0])
+    )[: rm3.fb_docs]
+    if not feedback:
+        return original
+    max_s = max(s for _, s in feedback)
+    exps = [math.exp(s - max_s) for _, s in feedback]
+    z = sum(exps)
+    term_weights = {}
+    for (doc_id, _), e in zip(feedback, exps):
+        bag = Counter(tokenize(texts[doc_id]))
+        dl = sum(bag.values())
+        for term, tf in bag.items():
+            term_weights[term] = term_weights.get(term, 0.0) + (e / z) * tf / dl
+    top = sorted(term_weights.items(), key=lambda kv: (-kv[1], kv[0]))[: rm3.fb_terms]
+    total = sum(w for _, w in top)
+    alpha = rm3.original_weight
+    combined = {t: alpha * w for t, w in original.items()}
+    for t, w in top:
+        combined[t] = combined.get(t, 0.0) + (1.0 - alpha) * (w / total)
+    return {t: w for t, w in combined.items() if w > 0.0}
+
+
+VOCAB = ["red", "green", "blue", "cyan", "teal"]
+
+
+@st.composite
+def retrieval_worlds(draw):
+    """Texts (some empty, some copied under other ids so that scores tie),
+    a query with duplicates and unknown terms, and a k placed below, at or
+    above the number of matching documents."""
+    ids = draw(st.lists(st.text("abzé", min_size=1, max_size=3), min_size=1, max_size=9, unique=True))
+    texts = {}
+    for doc_id in ids:
+        if texts and draw(st.booleans()):
+            texts[doc_id] = texts[draw(st.sampled_from(sorted(texts)))]
+        else:
+            texts[doc_id] = " ".join(draw(st.lists(st.sampled_from(VOCAB), max_size=8)))
+    terms = draw(st.lists(st.sampled_from(VOCAB + ["zzz"]), max_size=4))
+    rm3 = Rm3Params(
+        fb_docs=draw(st.integers(1, len(texts) + 2)),
+        fb_terms=draw(st.integers(1, 6)),
+        original_weight=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+    )
+    return texts, terms, rm3, draw(st.integers(-2, 2)), draw(st.sampled_from(["bm25", "bm25_rm3"]))
+
+
+class TestArrayPathMatchesReference:
+    @given(retrieval_worlds())
+    @settings(max_examples=300, deadline=None)
+    def test_retrieve_and_rm3(self, world):
+        texts, terms, rm3, k_offset, mode = world
+        params = Bm25Params()
+        index = build_index(texts)
+        if mode == "bm25":
+            model = {}
+            for t in terms:
+                model[t] = model.get(t, 0.0) + 1.0
+        else:
+            model = reference_rm3(texts, terms, rm3, params)
+            got_model = rm3_expand(index, list(terms), rm3, params)
+            assert list(got_model.items()) == list(model.items())
+        matched = sum(1 for s in reference_scores(texts, model.items(), params).values() if s > 0)
+        k = max(1, matched + k_offset)
+        got = retrieve(index, list(terms), k=k, mode=mode, bm25=params, rm3=rm3)
+        assert [(e.doc_id, e.score, e.rank) for e in got.entries] == reference_ranking(
+            texts, model.items(), k, params
+        )
+
+    @given(retrieval_worlds())
+    @settings(max_examples=100, deadline=None)
+    def test_bm25_score_counts_each_occurrence(self, world):
+        texts, terms, _, _, _ = world
+        index = build_index(texts)
+        expected = reference_scores(texts, [(t, 1.0) for t in terms], Bm25Params())
+        assert {d: bm25_score(index, terms, d) for d in texts} == expected
+
+    def test_ties_straddling_kth_score_break_by_doc_id(self):
+        texts = {"d5": "t t", "d4": "t x", "d2": "t x", "d3": "t x", "d1": "x x", "d0": "y"}
+        index = build_index(texts)
+        got = retrieve(index, "t", k=3, mode="bm25")
+        assert got.doc_ids() == ["d5", "d2", "d3"]
+        assert got.entries[1].score == got.entries[2].score
+        assert [(e.doc_id, e.score, e.rank) for e in got.entries] == reference_ranking(
+            texts, [("t", 1.0)], 3, Bm25Params()
+        )
+
+    def test_query_without_terms_pads_in_doc_id_order(self):
+        index = build_index({"b": "x", "a": "y", "c": "x y"})
+        for mode in ("bm25", "bm25_rm3"):
+            got = retrieve(index, "?!", k=2, mode=mode)
+            assert [(e.doc_id, e.score, e.rank) for e in got.entries] == [("a", 0.0, 1), ("b", 0.0, 2)]
+        assert rm3_expand(index, []) == {}
 
 
 class TestRankingAndRunIO:
