@@ -4,6 +4,14 @@ Stages communicate through files in a work directory, so every step is
 re-runnable and inspectable. Settings resolve as CLI flag > DREQ_*
 environment variable > config file > default; outputs are written
 atomically (temp file + rename) and each stage records a manifest.
+
+Numbers one stage hands to the next are arrays in one deterministic `.npz`
+format (`dreq._npz`): `index.npz`, `stores/<name>.npz` (and the fine-tuned
+`stores/entity_tuned_fold{i}.npz`), `entity_head.npz`, `entity_ranking.npz`
+and `dreq_fold{i}.ckpt`. An unreadable one is an `error:` line naming the
+stage to rerun. What people read stays text: run files, the eval, ablate,
+wig and difficulty TSVs, training logs, `folds.json`,
+`pooled_entities.tsv` and the manifests.
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ import json
 import os
 import sys
 import time
-import zipfile
 from contextlib import contextmanager
 
 import numpy as np
 
+from . import _npz
 from .corpus import (
     SegmenterConfig,
     load_corpus,
@@ -27,12 +35,14 @@ from .corpus import (
     segment_passages,
 )
 from .embeddings import (
+    STORE_NAMES,
     DimsConfig,
     EmbeddingStore,
     load_store,
     query_entity_key,
     passage_key,
     save_store,
+    store_path,
     synthetic_embed,
 )
 from .entity_ranking import (
@@ -41,11 +51,10 @@ from .entity_ranking import (
     entity_ranking_to_run,
     geeer_entity_rank,
     load_entity_head,
-    load_entity_rankings_tsv,
-    rank_entities,
+    load_entity_rankings,
     save_entity_head,
+    save_entity_rankings,
     train_entity_head,
-    write_entity_rankings_tsv,
 )
 from .evaluation import (
     build_difficulty_report,
@@ -80,6 +89,7 @@ from .retrieval import (
     TokenizerConfig,
     build_index,
     load_run,
+    tokenize,
     write_run,
 )
 from .training import (
@@ -283,54 +293,26 @@ def write_manifest(settings: Settings, stage: str, inputs: dict, outputs: dict, 
 _INDEX_ARRAYS = ("indptr", "docs", "tfs", "doc_lengths")
 
 
-def _pack_strings(items: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 blob plus int64 byte offsets; unlike a `U` array, this keeps
-    trailing NULs."""
-    encoded = [item.encode("utf-8") for item in items]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
-
-
-def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-    data = blob.tobytes()
-    bounds = offsets.tolist()
-    return [data[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
-
-
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Write the index's arrays as an uncompressed `.npz` with fixed member
-    timestamps, so identical indexes give identical bytes."""
-    terms, term_offsets = _pack_strings(index.terms)
-    doc_ids, doc_id_offsets = _pack_strings(index.doc_ids)
-    arrays = {
+    terms, term_offsets = _npz.pack_strings(index.terms)
+    doc_ids, doc_id_offsets = _npz.pack_strings(index.doc_ids)
+    _npz.write(path, {
         "tokenizer": np.array([index.tokenizer.lowercase, index.tokenizer.stem]),
         "terms": terms,
         "term_offsets": term_offsets,
         "doc_ids": doc_ids,
         "doc_id_offsets": doc_id_offsets,
         **{name: getattr(index, name) for name in _INDEX_ARRAYS},
-    }
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, value in arrays.items():
-            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            with zf.open(member, "w", force_zip64=True) as f:
-                np.lib.format.write_array(f, value, allow_pickle=False)
+    })
 
 
 def load_index(path: str) -> InvertedIndex:
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as e:
-        raise CliError(f"{path}: unreadable index ({e}); rerun `dreq build-index`") from e
-    expected = {"tokenizer", "terms", "term_offsets", "doc_ids", "doc_id_offsets", *_INDEX_ARRAYS}
-    if set(arrays) != expected:
-        raise CliError(f"{path}: not an index written by this version; rerun `dreq build-index`")
+    names = ("tokenizer", "terms", "term_offsets", "doc_ids", "doc_id_offsets", *_INDEX_ARRAYS)
+    arrays = _npz.read(path, names, "index", "build-index")
     lowercase, stem = arrays["tokenizer"].tolist()
     return InvertedIndex(
-        terms=_unpack_strings(arrays["terms"], arrays["term_offsets"]),
-        doc_ids=_unpack_strings(arrays["doc_ids"], arrays["doc_id_offsets"]),
+        terms=_npz.unpack_strings(arrays["terms"], arrays["term_offsets"]),
+        doc_ids=_npz.unpack_strings(arrays["doc_ids"], arrays["doc_id_offsets"]),
         tokenizer=TokenizerConfig(lowercase=lowercase, stem=stem),
         **{name: arrays[name] for name in _INDEX_ARRAYS},
     )
@@ -378,11 +360,10 @@ def _load_corpus(settings: Settings):
 
 
 def _load_stores(settings: Settings) -> dict[str, EmbeddingStore]:
-    stores = {}
-    for name in ("query", "entity", "passage", "query_entity"):
-        path = require_artifact(settings.workpath(f"stores/{name}.vec"), "synth-embed")
-        stores[name] = load_store(path)
-    return stores
+    return {
+        name: load_store(require_artifact(store_path(settings.workdir, name), "synth-embed"))
+        for name in STORE_NAMES
+    }
 
 
 def _candidates(settings: Settings):
@@ -391,8 +372,8 @@ def _candidates(settings: Settings):
 
 
 def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
-    path = require_artifact(settings.workpath("entity_ranking.tsv"), "rank-entities")
-    return load_entity_rankings_tsv(path)
+    path = require_artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
+    return load_entity_rankings(path)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -473,13 +454,8 @@ def cmd_synth_embed(settings: Settings) -> None:
             encoding_store.add(key, synthetic_embed("query_entity", key, dims.k, seed))
 
     outputs = {}
-    for name, store in (
-        ("query", query_store),
-        ("entity", entity_store),
-        ("passage", passage_store),
-        ("query_entity", encoding_store),
-    ):
-        out = settings.workpath(f"stores/{name}.vec")
+    for name, store in zip(STORE_NAMES, (query_store, entity_store, passage_store, encoding_store)):
+        out = store_path(settings.workdir, name)
         with atomic_path(out) as tmp:
             save_store(store, tmp)
         outputs[name] = out
@@ -502,7 +478,7 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
     head = train_entity_head(examples, settings.train_config(), log_rows=log_rows)
-    head_path = settings.workpath("entity_head.txt")
+    head_path = settings.workpath("entity_head.npz")
     with atomic_path(head_path) as tmp:
         save_entity_head(head, tmp)
     log_path = settings.workpath("entity_train_log.tsv")
@@ -541,7 +517,7 @@ def cmd_rank_entities(settings: Settings) -> None:
     if mode == "learned":
         stores = _load_stores(settings)
         head = load_entity_head(
-            require_artifact(settings.workpath("entity_head.txt"), "train-entity-ranker")
+            require_artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         )
         rankings = entity_rankings_map(head, pooled, stores["query_entity"])
     elif mode == "bm25":
@@ -560,9 +536,9 @@ def cmd_rank_entities(settings: Settings) -> None:
     else:
         raise CliError(f"unknown entity ranking mode {mode!r}")
 
-    tsv_path = settings.workpath("entity_ranking.tsv")
-    with atomic_path(tsv_path) as tmp:
-        write_entity_rankings_tsv(rankings, tmp)
+    rankings_path = settings.workpath("entity_ranking.npz")
+    with atomic_path(rankings_path) as tmp:
+        save_entity_rankings(rankings, tmp)
     run_path = settings.workpath("entity_ranking.run")
     with atomic_path(run_path) as tmp:
         write_run(
@@ -572,9 +548,9 @@ def cmd_rank_entities(settings: Settings) -> None:
         )
     write_manifest(
         settings, "rank-entities", {"pooled": "pooled_entities.tsv", "mode": mode},
-        {"tsv": tsv_path, "run": run_path}, t0,
+        {"rankings": rankings_path, "run": run_path}, t0,
     )
-    print(f"ranked entities ({mode}) for {len(rankings)} queries -> {tsv_path}")
+    print(f"ranked entities ({mode}) for {len(rankings)} queries -> {rankings_path}")
 
 
 def _train_data(settings: Settings, corpus, stores, rankings, cands) -> TrainData:
@@ -612,7 +588,6 @@ def cmd_train_dreq(settings: Settings) -> None:
         mode=WeightingMode(settings.get("weighting.mode")),
         seed=seed,
         use_entities=settings.get_bool("use_entities"),
-        finetune_entity_embeddings=cfg.finetune_entity_embeddings,
     )
     result = train_dreq(template, examples, folds, _train_data(settings, corpus, stores, rankings, cands), cfg)
 
@@ -623,7 +598,7 @@ def cmd_train_dreq(settings: Settings) -> None:
             save_checkpoint(outcome.model, tmp)
         outputs[f"fold{outcome.fold_index}"] = ckpt
         if cfg.finetune_entity_embeddings:
-            tuned = settings.workpath(f"stores/entity_tuned_fold{outcome.fold_index}.vec")
+            tuned = store_path(settings.workdir, f"entity_tuned_fold{outcome.fold_index}")
             with atomic_path(tuned) as tmp:
                 save_store(outcome.entity_store, tmp)
             outputs[f"entity_tuned_fold{outcome.fold_index}"] = tuned
@@ -673,6 +648,7 @@ def cmd_rerank(settings: Settings) -> None:
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     queries = load_queries(settings.path("queries"))
+    kept = 0
 
     if mode == "maxsimcos":
         stores = _load_stores(settings)
@@ -681,7 +657,11 @@ def cmd_rerank(settings: Settings) -> None:
         for q in queries:
             if q.query_id not in cands:
                 continue
-            qlinks = [eid for eid, _ in links.get(q.query_id, [])]
+            qlinks = [eid for eid, _ in links.get(q.query_id, []) if eid in stores["entity"]]
+            if not qlinks:  # no query entity to compare with
+                rankings[q.query_id] = cands[q.query_id]
+                kept += 1
+                continue
             rankings[q.query_id] = maxsimcos_rerank(
                 qlinks, cands[q.query_id], corpus.documents, stores["entity"]
             )
@@ -702,7 +682,7 @@ def cmd_rerank(settings: Settings) -> None:
     with atomic_path(out) as tmp:
         write_run((rankings[qid] for qid in sorted(rankings)), tmp, tag=f"rerank-{mode}")
     write_manifest(settings, "rerank", {"candidates": "candidates.run", "mode": mode}, {"run": out}, t0)
-    print(f"reranked {len(rankings)} queries ({mode}) -> {out}")
+    print(f"reranked {len(rankings)} queries ({mode}), {kept} kept their candidate ranking -> {out}")
 
 
 def cmd_evaluate(settings: Settings) -> None:
@@ -734,11 +714,12 @@ def cmd_qpp(settings: Settings) -> None:
     cands = _candidates(settings)
     k = settings.get_int("wig.k")
     tok = settings.tokenizer()
-    scores = {
-        q.query_id: wig(q.text, cands[q.query_id], k=k, tokenizer=tok)
-        for q in queries
-        if q.query_id in cands
-    }
+    scores = {}
+    for q in queries:
+        if q.query_id in cands:
+            terms = tokenize(q.text, tok)
+            # a query without terms retrieved only zero-score padding
+            scores[q.query_id] = wig(terms, cands[q.query_id], k=k) if terms else 0.0
     terciles = wig_terciles(scores) if len(scores) >= 3 else {}
     out = settings.workpath("wig.tsv")
     with atomic_path(out) as tmp:

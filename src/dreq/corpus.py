@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Iterable
 
 __all__ = [
     "EntityMention",
@@ -42,7 +43,7 @@ _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
 
 def split_sentences(text: str) -> list[str]:
     """Split on `.`, `!`, `?` followed by whitespace. Deterministic and
-    dependency-free; swap in another splitter via the `splitter` hooks."""
+    dependency-free."""
     return [piece for piece in _SENTENCE_BREAK.split(text) if piece.strip()]
 
 
@@ -65,8 +66,12 @@ class EntityRecord:
 class Document:
     doc_id: str
     text: str
-    sentences: list[str]
     mentions: list[EntityMention] = field(default_factory=list)
+
+    @cached_property
+    def sentences(self) -> list[str]:
+        """`split_sentences(text)`, split on first use."""
+        return split_sentences(self.text)
 
     def entity_ids(self) -> list[str]:
         """Distinct linked entities in first-mention order."""
@@ -172,12 +177,8 @@ def _parse_mention(raw: dict, doc_id: str, text_len: int) -> EntityMention:
     return mention
 
 
-def load_corpus(
-    path: str,
-    catalog_path: str | None = None,
-    splitter: Callable[[str], list[str]] = split_sentences,
-) -> CorpusStore:
-    """Load a JSONL corpus; sentences are materialized with `splitter`.
+def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
+    """Load a JSONL corpus.
 
     Rejects duplicate doc_ids and mention spans outside the text. When
     `catalog_path` is given its descriptions are merged into the store's
@@ -202,7 +203,7 @@ def load_corpus(
             if doc_id in store.documents:
                 raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
             mentions = [_parse_mention(m, doc_id, len(text)) for m in raw.get("entities", [])]
-            doc = Document(doc_id=doc_id, text=text, sentences=splitter(text), mentions=mentions)
+            doc = Document(doc_id=doc_id, text=text, mentions=mentions)
             store.documents[doc_id] = doc
             for m in mentions:
                 store.entities.setdefault(m.entity_id, EntityRecord(m.entity_id))

@@ -8,13 +8,19 @@ desk scale.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _npz
+
 __all__ = [
     "DimsConfig",
     "EmbeddingStore",
+    "STORE_NAMES",
+    "store_path",
     "load_store",
     "save_store",
     "synthetic_embed",
@@ -92,46 +98,42 @@ class EmbeddingStore:
             raise KeyError(f"id {key!r} not found in store '{self.space}'") from None
 
 
-def save_store(store: EmbeddingStore, path: str) -> None:
-    """Write a store in the text format: header line, then `id<TAB>components`.
+#: the stores every stage that scores reads, in a work directory's `stores/`
+STORE_NAMES = ("query", "entity", "passage", "query_entity")
 
-    Components use 17 significant digits so load(save(s)) is bit-exact.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#space={store.space} dim={store.dim}\n")
-        for key, vec in store.vectors.items():
-            comps = " ".join("%.17g" % c for c in vec)
-            f.write(f"{key}\t{comps}\n")
+
+def store_path(workdir: str, name: str) -> str:
+    """Where store `name` lives in `workdir`."""
+    return os.path.join(workdir, "stores", f"{name}.npz")
+
+
+def save_store(store: EmbeddingStore, path: str) -> None:
+    """Write the store's space, ids and (len, dim) vector matrix."""
+    ids, id_offsets = _npz.pack_strings(store.ids())
+    _npz.write(path, {
+        "space": np.frombuffer(store.space.encode("utf-8"), dtype=np.uint8),
+        "ids": ids,
+        "id_offsets": id_offsets,
+        "vectors": np.array(list(store.vectors.values())).reshape(len(store), store.dim),
+    })
 
 
 def load_store(path: str) -> EmbeddingStore:
-    """Load a store written by :func:`save_store`."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#space="):
-            raise ValueError(f"{path}: missing store header, got {header!r}")
-        try:
-            space_part, dim_part = header[1:].split(" ")
-            space = space_part.split("=", 1)[1]
-            dim = int(dim_part.split("=", 1)[1])
-        except (ValueError, IndexError) as e:
-            raise ValueError(f"{path}: malformed header {header!r}") from e
-        store = EmbeddingStore(space=space, dim=dim)
-        for line_no, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'id<TAB>components'")
-            key, comp_str = line.split("\t", 1)
-            parts = comp_str.split()
-            if len(parts) != dim:
-                raise ValueError(
-                    f"{path}:{line_no}: id {key!r} has {len(parts)} components, expected {dim}"
-                )
-            vec = np.array([float(x) for x in parts], dtype=np.float64)
-            store.add(key, vec)
-    return store
+    """Load a store written by :func:`save_store`; its rows are views of one matrix."""
+    names = ("space", "ids", "id_offsets", "vectors")
+    arrays = _npz.read(path, names, "embedding store", "synth-embed")
+    ids = _npz.unpack_strings(arrays["ids"], arrays["id_offsets"])
+    vectors = arrays["vectors"]
+    if vectors.dtype != np.float64 or vectors.ndim != 2 or len(vectors) != len(ids):
+        raise ValueError(f"{path}: {len(ids)} ids for a {vectors.dtype} {vectors.shape} matrix")
+    duplicates = [key for key, count in Counter(ids).items() if count > 1]
+    if duplicates:
+        raise ValueError(f"{path}: duplicate id {duplicates[0]!r}")
+    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if non_finite.size:
+        raise ValueError(f"{path}: non-finite components in vector for id {ids[non_finite[0]]!r}")
+    space = arrays["space"].tobytes().decode("utf-8")
+    return EmbeddingStore(space, vectors.shape[1], dict(zip(ids, vectors)))
 
 
 # --- deterministic synthetic embedder ---------------------------------------

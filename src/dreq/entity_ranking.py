@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _npz
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
 from .retrieval import Bm25Params, InvertedIndex, Ranking, RunEntry, _score_all, tokenize
 from .training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
@@ -30,8 +31,8 @@ __all__ = [
     "save_entity_head",
     "load_entity_head",
     "entity_ranking_to_run",
-    "write_entity_rankings_tsv",
-    "load_entity_rankings_tsv",
+    "save_entity_rankings",
+    "load_entity_rankings",
 ]
 
 
@@ -252,55 +253,47 @@ def entity_ranking_to_run(ranking: EntityRanking) -> Ranking:
     return Ranking(ranking.query_id, entries)
 
 
-def write_entity_rankings_tsv(rankings: Mapping[str, EntityRanking], path: str) -> None:
-    """Full-precision sidecar used by downstream stages (the TREC export
-    rounds scores to 6 decimals)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("query_id\tentity_id\traw_score\tprob\trank\n")
-        for qid in sorted(rankings):
-            for e in rankings[qid].entries:
-                f.write(f"{qid}\t{e.entity_id}\t{e.raw_score:.17g}\t{e.prob:.17g}\t{e.rank}\n")
+_RANKING_ARRAYS = (
+    "query_ids", "query_id_offsets", "entity_ids", "entity_id_offsets", "raw_score", "prob", "rank"
+)
 
 
-def load_entity_rankings_tsv(path: str) -> dict[str, EntityRanking]:
+def save_entity_rankings(rankings: Mapping[str, EntityRanking], path: str) -> None:
+    """Full-precision rankings for downstream stages (the TREC export rounds
+    scores to 6 decimals): one row per entry, queries sorted, entries in
+    rank order."""
+    rows = [(qid, e) for qid in sorted(rankings) for e in rankings[qid].entries]
+    query_ids, query_id_offsets = _npz.pack_strings([qid for qid, _ in rows])
+    entity_ids, entity_id_offsets = _npz.pack_strings([e.entity_id for _, e in rows])
+    _npz.write(path, {
+        "query_ids": query_ids,
+        "query_id_offsets": query_id_offsets,
+        "entity_ids": entity_ids,
+        "entity_id_offsets": entity_id_offsets,
+        "raw_score": np.array([e.raw_score for _, e in rows]),
+        "prob": np.array([e.prob for _, e in rows]),
+        "rank": np.array([e.rank for _, e in rows]),
+    })
+
+
+def load_entity_rankings(path: str) -> dict[str, EntityRanking]:
+    arrays = _npz.read(path, _RANKING_ARRAYS, "entity ranking", "rank-entities")
     per_query: dict[str, list[EntityRankingEntry]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
-        if not header.startswith("query_id\t"):
-            raise ValueError(f"{path}: missing entity-ranking header")
-        for line_no, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{line_no}: expected 5 columns")
-            qid, eid, raw, prob, rank = parts
-            per_query.setdefault(qid, []).append(
-                EntityRankingEntry(eid, float(raw), float(prob), int(rank))
-            )
-    out: dict[str, EntityRanking] = {}
-    for qid, entries in per_query.items():
-        entries.sort(key=lambda e: e.rank)
-        out[qid] = EntityRanking(qid, entries)
-    return out
+    for qid, *entry in zip(
+        _npz.unpack_strings(arrays["query_ids"], arrays["query_id_offsets"]),
+        _npz.unpack_strings(arrays["entity_ids"], arrays["entity_id_offsets"]),
+        arrays["raw_score"].tolist(),
+        arrays["prob"].tolist(),
+        arrays["rank"].tolist(),
+    ):
+        per_query.setdefault(qid, []).append(EntityRankingEntry(*entry))
+    return {qid: EntityRanking(qid, entries) for qid, entries in per_query.items()}
 
 
 def save_entity_head(head: EntityHead, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#entity-head k={head.w1.shape[0]}\n")
-        f.write(" ".join("%.17g" % x for x in head.w1) + "\n")
-        f.write("%.17g\n" % head.b1)
+    _npz.write(path, {"w1": head.w1, "b1": np.array(head.b1)})
 
 
 def load_entity_head(path: str) -> EntityHead:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#entity-head k="):
-            raise ValueError(f"{path}: malformed entity-head header")
-        k = int(header.split("=", 1)[1])
-        w1 = np.array([float(x) for x in f.readline().split()], dtype=np.float64)
-        b1 = float(f.readline().strip())
-    if w1.shape != (k,):
-        raise ValueError(f"{path}: expected {k} weights, got {w1.shape[0]}")
-    return EntityHead(w1=w1, b1=b1)
+    arrays = _npz.read(path, ("w1", "b1"), "entity head", "train-entity-ranker")
+    return EntityHead(w1=arrays["w1"], b1=float(arrays["b1"]))

@@ -16,13 +16,13 @@ products, equal to per-document ones up to rounding. `rerank` scores
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from . import _npz
 from .corpus import Document, SegmenterConfig, segment_passages
 from .embeddings import DimsConfig, EmbeddingStore, passage_key
 from .retrieval import Ranking
@@ -67,7 +67,6 @@ class DreqModel:
     b3: float
     mode: WeightingMode = WeightingMode.PROBABILITY
     use_entities: bool = True
-    finetune_entity_embeddings: bool = False
     dims: DimsConfig = field(default_factory=DimsConfig)
 
     def __post_init__(self) -> None:
@@ -91,7 +90,6 @@ class DreqModel:
         mode: WeightingMode = WeightingMode.PROBABILITY,
         seed: int = 0,
         use_entities: bool = True,
-        finetune_entity_embeddings: bool = False,
     ) -> "DreqModel":
         """Seeded uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out))."""
         rng = np.random.default_rng(seed)
@@ -107,7 +105,6 @@ class DreqModel:
             b3=0.0,
             mode=mode,
             use_entities=use_entities,
-            finetune_entity_embeddings=finetune_entity_embeddings,
             dims=dims,
         )
 
@@ -119,7 +116,6 @@ class DreqModel:
             b3=self.b3,
             mode=self.mode,
             use_entities=self.use_entities,
-            finetune_entity_embeddings=self.finetune_entity_embeddings,
             dims=self.dims,
         )
 
@@ -311,66 +307,31 @@ def maxsimcos_rerank(
 
 # --- checkpoint serialization -------------------------------------------------
 
-_HEADER_RE = re.compile(
-    r"^#dreq-checkpoint k=(\d+) m=(\d+) n=(\d+) p=(\d+) mode=(\S+) "
-    r"use_entities=([01]) finetune_entity_embeddings=([01])$"
-)
+_CHECKPOINT_ARRAYS = ("dims", "mode", "use_entities", "W2", "b2", "w3", "b3")
 
 
 def save_checkpoint(model: DreqModel, path: str) -> None:
-    """Write parameters in the text block format; round-trip is bit-exact."""
     d = model.dims
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            f"#dreq-checkpoint k={d.k} m={d.m} n={d.n} p={d.p} "
-            f"mode={model.mode.value} "
-            f"use_entities={int(model.use_entities)} "
-            f"finetune_entity_embeddings={int(model.finetune_entity_embeddings)}\n"
-        )
-        _write_block(f, "W2", model.W2)
-        _write_block(f, "b2", model.b2.reshape(1, -1))
-        _write_block(f, "w3", model.w3.reshape(1, -1))
-        _write_block(f, "b3", np.array([[model.b3]]))
-
-
-def _write_block(f, name: str, arr: np.ndarray) -> None:
-    rows, cols = arr.shape
-    f.write(f"{name} {rows} {cols}\n")
-    for row in arr:
-        f.write(" ".join("%.17g" % x for x in row) + "\n")
+    _npz.write(path, {
+        "dims": np.array([d.k, d.m, d.n, d.p]),
+        "mode": np.frombuffer(model.mode.value.encode("utf-8"), dtype=np.uint8),
+        "use_entities": np.array(model.use_entities),
+        "W2": model.W2,
+        "b2": model.b2,
+        "w3": model.w3,
+        "b3": np.array(model.b3),
+    })
 
 
 def load_checkpoint(path: str) -> DreqModel:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        match = _HEADER_RE.match(header)
-        if not match:
-            raise ValueError(f"{path}: malformed checkpoint header {header!r}")
-        k, m, n, p = (int(match.group(i)) for i in range(1, 5))
-        mode = WeightingMode(match.group(5))
-        use_entities = match.group(6) == "1"
-        finetune = match.group(7) == "1"
-        blocks: dict[str, np.ndarray] = {}
-        line = f.readline()
-        while line:
-            name, rows_str, cols_str = line.split()
-            rows, cols = int(rows_str), int(cols_str)
-            data = [[float(x) for x in f.readline().split()] for _ in range(rows)]
-            arr = np.array(data, dtype=np.float64)
-            if arr.shape != (rows, cols):
-                raise ValueError(f"{path}: block {name!r} shape mismatch")
-            blocks[name] = arr
-            line = f.readline()
-    missing = {"W2", "b2", "w3", "b3"} - set(blocks)
-    if missing:
-        raise ValueError(f"{path}: missing parameter blocks {sorted(missing)}")
+    arrays = _npz.read(path, _CHECKPOINT_ARRAYS, "checkpoint", "train-dreq")
+    k, m, n, p = arrays["dims"].tolist()
     return DreqModel(
-        W2=blocks["W2"],
-        b2=blocks["b2"].reshape(-1),
-        w3=blocks["w3"].reshape(-1),
-        b3=float(blocks["b3"][0, 0]),
-        mode=mode,
-        use_entities=use_entities,
-        finetune_entity_embeddings=finetune,
+        W2=arrays["W2"],
+        b2=arrays["b2"],
+        w3=arrays["w3"],
+        b3=float(arrays["b3"]),
+        mode=WeightingMode(arrays["mode"].tobytes().decode("utf-8")),
+        use_entities=bool(arrays["use_entities"]),
         dims=DimsConfig(k=k, m=m, n=n, p=p),
     )

@@ -150,13 +150,7 @@ def ablation_sweep(
     runs: dict[str, dict[str, Ranking]] = {}
     for name in variants:
         mode, use_entities = VARIANTS[name]
-        template = DreqModel.init(
-            dims,
-            mode=mode,
-            seed=init_seed,
-            use_entities=use_entities,
-            finetune_entity_embeddings=cfg.finetune_entity_embeddings,
-        )
+        template = DreqModel.init(dims, mode=mode, seed=init_seed, use_entities=use_entities)
         result = train_dreq(template, examples, folds, data, cfg, table)
         runs[name] = result.reranked
         reports[name] = evaluate_run(result.reranked, qrels, tag=name)

@@ -25,14 +25,15 @@ from .corpus import (
     Query,
     SegmenterConfig,
     segment_passages,
-    split_sentences,
 )
 from .embeddings import (
+    STORE_NAMES,
     DimsConfig,
     EmbeddingStore,
     passage_key,
     query_entity_key,
     save_store,
+    store_path,
     synthetic_embed,
 )
 
@@ -122,7 +123,7 @@ def _compose_doc(
             pieces.append(" ")
             pos += 1
     text = "".join(pieces).rstrip()
-    return Document(doc_id=doc_id, text=text, sentences=split_sentences(text), mentions=mentions)
+    return Document(doc_id=doc_id, text=text, mentions=mentions)
 
 
 def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
@@ -325,15 +326,12 @@ def write_world_files(world: SyntheticWorld, out_dir: str, stores: bool = True) 
             for eid, conf in links:
                 f.write(f"{qid}\t{eid}\t{conf}\n")
     if stores:
-        store_dir = os.path.join(out_dir, "stores")
-        os.makedirs(store_dir, exist_ok=True)
-        for name, store in (
-            ("query", world.query_store),
-            ("entity", world.entity_store),
-            ("passage", world.passage_store),
-            ("query_entity", world.encoding_store),
+        for name, store in zip(
+            STORE_NAMES,
+            (world.query_store, world.entity_store, world.passage_store, world.encoding_store),
         ):
-            path = os.path.join(store_dir, f"{name}.vec")
+            path = store_path(out_dir, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             save_store(store, path)
             paths[f"store_{name}"] = path
     return paths

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -72,12 +73,12 @@ class TestPipeline:
             "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
-            "stores/query.vec",
-            "stores/entity.vec",
-            "stores/passage.vec",
-            "stores/query_entity.vec",
-            "entity_head.txt",
-            "entity_ranking.tsv",
+            "stores/query.npz",
+            "stores/entity.npz",
+            "stores/passage.npz",
+            "stores/query_entity.npz",
+            "entity_head.npz",
+            "entity_ranking.npz",
             "entity_ranking.run",
             "folds.json",
             "dreq.run",
@@ -118,6 +119,27 @@ class TestPipeline:
         )
         text = open(os.path.join(workdir, "difficulty.tsv")).read()
         assert "#helped" in text
+
+    def test_maxsimcos_keeps_candidates_of_query_without_entities(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        full = str(tmp_path / "full.run")
+        assert run(config, "rerank", "--mode", "maxsimcos", "--output", full) == 0
+        links = tmp_path / "query_links.tsv"
+        toy = open(os.path.join(TOY, "query_links.tsv")).read().splitlines(keepends=True)
+        links.write_text("".join(line for line in toy if not line.startswith("q03\t")))
+        monkeypatch.setenv("DREQ_QUERY_LINKS", str(links))
+        capsys.readouterr()
+        partial = str(tmp_path / "partial.run")
+        assert run(config, "rerank", "--mode", "maxsimcos", "--output", partial) == 0
+        assert "1 kept their candidate ranking" in capsys.readouterr().out
+        got, before = load_run(partial), load_run(full)
+        cands = load_run(os.path.join(workdir, "candidates.run"))
+        assert got["q03"].entries == cands["q03"].entries
+        assert {q: r.entries for q, r in got.items() if q != "q03"} == {
+            q: r.entries for q, r in before.items() if q != "q03"
+        }
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
@@ -181,15 +203,31 @@ class TestPipeline:
         assert err.startswith("error:") and "build-index" in err
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
-    def test_unreadable_index_names_build_index(self, pipeline, tmp_path, capsys, damage):
+    @pytest.mark.parametrize(
+        "artifact,argv,kind,stage",
+        [
+            pytest.param("index.npz", ("retrieve",), "index", "build-index", id="index"),
+            pytest.param("stores/passage.npz", ("train-entity-ranker",), "embedding store",
+                         "synth-embed", id="store"),
+            pytest.param("entity_head.npz", ("rank-entities",), "entity head",
+                         "train-entity-ranker", id="entity_head"),
+            pytest.param("entity_ranking.npz", ("rerank",), "entity ranking", "rank-entities",
+                         id="entity_ranking"),
+            pytest.param("dreq_fold0.ckpt", ("rerank",), "checkpoint", "train-dreq", id="checkpoint"),
+        ],
+    )
+    def test_unreadable_artifact_names_its_stage(
+        self, pipeline, tmp_path, capsys, damage, artifact, argv, kind, stage
+    ):
         config, workdir = pipeline
-        data = open(os.path.join(workdir, "index.npz"), "rb").read()
         broken = tmp_path / "broken"
-        broken.mkdir()
-        (broken / "index.npz").write_bytes(data[: len(data) // 2] if damage == "truncate" else b"{}\n")
-        assert main(["--config", config, "--workdir", str(broken), "retrieve"]) == 1
+        shutil.copytree(workdir, broken)
+        data = (broken / artifact).read_bytes()
+        (broken / artifact).write_bytes(data[: len(data) // 2] if damage == "truncate" else b"{}\n")
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(broken), *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "unreadable index" in err and "build-index" in err
+        assert err.startswith("error:") and f"unreadable {kind}" in err and f"`dreq {stage}`" in err
 
     def test_query_without_terms_gets_zero_score_padding(self, pipeline, tmp_path, monkeypatch):
         config, workdir = pipeline
@@ -201,6 +239,7 @@ class TestPipeline:
         monkeypatch.setenv("DREQ_QUERIES", str(queries))
         assert main([*argv, "build-index"]) == 0
         assert main([*argv, "retrieve"]) == 0
+        assert main([*argv, "qpp"]) == 0
         got = load_run(str(fresh / "candidates.run"))
         doc_ids = sorted(json.loads(line)["doc_id"] for line in open(os.path.join(TOY, "corpus.jsonl")))
         assert [(e.doc_id, e.score) for e in got["qempty"].entries] == [(d, 0.0) for d in doc_ids[:30]]
@@ -208,6 +247,9 @@ class TestPipeline:
         assert {q: r.entries for q, r in got.items() if q != "qempty"} == {
             q: r.entries for q, r in normal.items()
         }
+        rows = dict(line.split("\t", 1) for line in open(fresh / "wig.tsv").read().splitlines()[1:])
+        assert sorted(rows) == sorted([*normal, "qempty"])
+        assert rows["qempty"].startswith("0.000000\t")
 
 
 class TestIndexArtifact:
@@ -240,7 +282,7 @@ class TestIndexArtifact:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         # same settings, two fresh work directories
         (tmp_path / "ca").mkdir(exist_ok=True)
         (tmp_path / "cb").mkdir(exist_ok=True)
@@ -248,23 +290,34 @@ class TestDeterminism:
         config_b = write_config(tmp_path / "cb", tmp_path / "runB")
         run_pipeline(config_a)
         run_pipeline(config_b)
-        for rel in (
+
+        def assert_identical(names):
+            for rel in names:
+                a = open(tmp_path / "runA" / rel, "rb").read()
+                b = open(tmp_path / "runB" / rel, "rb").read()
+                assert a == b, f"{rel} differs between identical runs"
+
+        assert_identical([
             "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
-            "stores/query_entity.vec",
-            "entity_head.txt",
-            "entity_ranking.tsv",
+            "stores/query.npz",
+            "stores/entity.npz",
+            "stores/passage.npz",
+            "stores/query_entity.npz",
+            "entity_head.npz",
+            "entity_ranking.npz",
             "dreq.run",
             "dreq_fold0.ckpt",
             "dreq_fold4.ckpt",
             "dreq_train_log.tsv",
             "eval_dreq.tsv",
             "wig.tsv",
-        ):
-            a = open(tmp_path / "runA" / rel, "rb").read()
-            b = open(tmp_path / "runB" / rel, "rb").read()
-            assert a == b, f"{rel} differs between identical runs"
+        ])
+        # fine-tuning adds one tuned entity store per fold
+        monkeypatch.setenv("DREQ_FINETUNE_ENTITY_EMBEDDINGS", "true")
+        assert run(config_a, "train-dreq") == 0 and run(config_b, "train-dreq") == 0
+        assert_identical([f"stores/entity_tuned_fold{i}.npz" for i in range(5)] + ["dreq_fold0.ckpt"])
 
 
 class TestConfigResolution:

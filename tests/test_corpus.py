@@ -40,7 +40,10 @@ class TestLoadCorpus:
         path = write_corpus(tmp_path, [make_doc("d1", ["a"]), make_doc("d2", ["b"])])
         store = load_corpus(path)
         assert len(store) == 2
-        assert store.doc("d1").entity_ids() == ["a"]
+        doc = store.doc("d1")
+        assert doc.entity_ids() == ["a"]
+        assert "sentences" not in vars(doc)  # split on first use only
+        assert doc.sentences == split_sentences(doc.text) == ["s0 ends.", "s1 ends.", "s2 ends."]
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = write_corpus(tmp_path, [make_doc("d1", []), make_doc("d1", [])])
@@ -115,7 +118,7 @@ class TestQueriesAndQrels:
 def doc_with_sentences(n):
     sentences = [f"sentence {i}." for i in range(n)]
     text = " ".join(sentences)
-    return Document(doc_id="d", text=text, sentences=split_sentences(text), mentions=[])
+    return Document(doc_id="d", text=text, mentions=[])
 
 
 class TestSegmentation:
@@ -132,7 +135,7 @@ class TestSegmentation:
         assert [p.sentence_range for p in passages] == [(0, 10)]
 
     def test_empty_doc_empty_list(self):
-        doc = Document(doc_id="d", text="", sentences=[], mentions=[])
+        doc = Document(doc_id="d", text="", mentions=[])
         assert segment_passages(doc, SegmenterConfig()) == []
 
     @given(
@@ -166,7 +169,7 @@ def doc_with_entities(doc_id, entity_ids):
 
     for eid in entity_ids:
         mentions.append(EntityMention(eid, "one", 0, 3, 1.0))
-    return Document(doc_id=doc_id, text=text, sentences=[text], mentions=mentions)
+    return Document(doc_id=doc_id, text=text, mentions=mentions)
 
 
 class TestPooling:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dreq import _npz
 from dreq.embeddings import (
     DimsConfig,
     EmbeddingStore,
@@ -17,35 +18,62 @@ from dreq.embeddings import (
 from dreq.model import DreqModel, _forward
 
 
+def write_store_arrays(path, ids, vectors, space="x"):
+    """A store file with the given members, as `save_store` lays them out."""
+    blob, offsets = _npz.pack_strings(ids)
+    space = np.frombuffer(space.encode(), dtype=np.uint8)
+    _npz.write(str(path), {"space": space, "ids": blob, "id_offsets": offsets, "vectors": vectors})
+
+
 class TestStoreRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
         store = EmbeddingStore("test", 4)
         rng = np.random.default_rng(3)
         store.add("a", rng.standard_normal(4))
         store.add("b", rng.standard_normal(4) * 1e-13)
-        path = str(tmp_path / "s.vec")
+        store.add("tail\x00 naïve", rng.standard_normal(4))
+        path = str(tmp_path / "s.npz")
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.space == "test" and loaded.dim == 4
-        for key in ("a", "b"):
+        assert loaded.ids() == store.ids()
+        for key in store.ids():
             assert np.array_equal(loaded.get(key), store.get(key))
+        again = str(tmp_path / "again.npz")
+        save_store(loaded, again)
+        assert open(path, "rb").read() == open(again, "rb").read()
 
     def test_empty_store_valid(self, tmp_path):
         store = EmbeddingStore("empty", 3)
-        path = str(tmp_path / "s.vec")
+        path = str(tmp_path / "s.npz")
         save_store(store, path)
-        assert len(load_store(path)) == 0
+        loaded = load_store(path)
+        assert len(loaded) == 0 and loaded.dim == 3
 
-    def test_wrong_dim_line_names_id(self, tmp_path):
-        path = tmp_path / "s.vec"
-        path.write_text("#space=x dim=4\nbadid\t1.0 2.0 3.0\n")
-        with pytest.raises(ValueError, match="badid"):
-            load_store(str(path))
+    def test_id_count_must_match_rows(self, tmp_path):
+        path = tmp_path / "s.npz"
+        for ids in (["a"], ["a", "b", "c"]):
+            write_store_arrays(path, ids, np.zeros((2, 4)))
+            with pytest.raises(ValueError, match=rf"{len(ids)} ids for a float64 \(2, 4\)"):
+                load_store(str(path))
 
     def test_duplicate_id_rejected(self, tmp_path):
-        path = tmp_path / "s.vec"
-        path.write_text("#space=x dim=2\na\t1 2\na\t3 4\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        path = tmp_path / "s.npz"
+        write_store_arrays(path, ["a", "b", "a"], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            load_store(str(path))
+
+    def test_non_finite_row_names_id(self, tmp_path):
+        path = tmp_path / "s.npz"
+        write_store_arrays(path, ["a", "bad"], np.array([[1.0, 2.0], [3.0, np.inf]]))
+        with pytest.raises(ValueError, match="non-finite .* 'bad'"):
+            load_store(str(path))
+
+    def test_other_artifact_names_synth_embed(self, tmp_path):
+        path = tmp_path / "s.npz"
+        _npz.write(str(path), {"w1": np.zeros(2), "b1": np.array(0.0)})
+        expected = "not a dreq embedding store of this version; rerun `dreq synth-embed`"
+        with pytest.raises(ValueError, match=expected):
             load_store(str(path))
 
     def test_add_validates(self):

@@ -12,12 +12,12 @@ from dreq.entity_ranking import (
     entity_ranking_to_run,
     geeer_entity_rank,
     load_entity_head,
-    load_entity_rankings_tsv,
+    load_entity_rankings,
     rank_entities,
     save_entity_head,
+    save_entity_rankings,
     score_entity,
     train_entity_head,
-    write_entity_rankings_tsv,
 )
 from dreq.retrieval import Bm25Params, bm25_score, build_index
 from dreq.training import TrainConfig
@@ -275,30 +275,30 @@ class TestGeeerEntityRank:
 class TestSerialization:
     def test_head_round_trip(self, tmp_path):
         head = EntityHead(w1=np.random.default_rng(1).standard_normal(5), b1=-0.75)
-        path = str(tmp_path / "head.txt")
+        path = str(tmp_path / "head.npz")
         save_entity_head(head, path)
         loaded = load_entity_head(path)
         assert np.array_equal(loaded.w1, head.w1)
         assert loaded.b1 == head.b1
 
-    def test_rankings_tsv_round_trip(self, tmp_path):
+    def test_rankings_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         rankings = {
             qid: EntityRanking.from_raw_scores(
-                qid, [(f"e{i}", float(rng.standard_normal())) for i in range(7)]
+                qid, [(f"e{i}", float(rng.standard_normal())) for i in range(n)]
             )
-            for qid in ("q1", "q2")
+            for qid, n in (("q2", 7), ("q1", 1), ("q tail\x00", 3))
         }
-        path = str(tmp_path / "er.tsv")
-        write_entity_rankings_tsv(rankings, path)
-        loaded = load_entity_rankings_tsv(path)
+        path = str(tmp_path / "er.npz")
+        save_entity_rankings(rankings, path)
+        loaded = load_entity_rankings(path)
+        assert list(loaded) == sorted(rankings)
         for qid, ranking in rankings.items():
-            got = loaded[qid]
-            assert [e.entity_id for e in got.entries] == [e.entity_id for e in ranking.entries]
-            for a, b in zip(got.entries, ranking.entries):
-                assert a.raw_score == b.raw_score
-                assert a.prob == b.prob
-                assert a.rank == b.rank
+            assert loaded[qid].query_id == qid
+            assert loaded[qid].entries == ranking.entries  # floats bit for bit
+        again = str(tmp_path / "again.npz")
+        save_entity_rankings(loaded, again)
+        assert open(path, "rb").read() == open(again, "rb").read()
 
     def test_run_view_orders_by_prob(self):
         ranking = EntityRanking.from_raw_scores("q", [("a", 0.1), ("b", 2.0), ("c", -1.0)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreq.corpus import Document, EntityMention, SegmenterConfig, segment_passages, split_sentences
+from dreq.corpus import Document, EntityMention, SegmenterConfig, segment_passages
 from dreq.embeddings import DimsConfig, EmbeddingStore, passage_key, sigmoid
 from dreq.entity_ranking import EntityRanking
 from dreq.model import (
@@ -26,7 +26,7 @@ from dreq.training import DreqBatch, dreq_logits
 
 def doc_with(doc_id: str, entity_ids: list[str], text: str = "one sentence.") -> Document:
     mentions = [EntityMention(e, "one", 0, 3, 1.0) for e in entity_ids]
-    return Document(doc_id, text, split_sentences(text), mentions)
+    return Document(doc_id, text, mentions)
 
 
 def ranking_of(*scored) -> EntityRanking:

@@ -4,7 +4,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dreq import _porter
 from dreq.corpus import CorpusStore, Document
@@ -26,7 +26,7 @@ from dreq.retrieval import (
 def corpus_of(texts: dict[str, str]) -> CorpusStore:
     store = CorpusStore()
     for doc_id, text in texts.items():
-        store.documents[doc_id] = Document(doc_id, text, [text], [])
+        store.documents[doc_id] = Document(doc_id, text, [])
     return store
 
 
@@ -241,7 +241,9 @@ class TestRm3:
 
 
 def _oracle_order(index, weighted_terms, params):
-    """Independent exhaustive scorer: per-document sum over weighted terms."""
+    """Independent exhaustive scorer: per-document sum over weighted terms,
+    each term adding (weight * idf) * tfc, the documented arithmetic, so
+    scores that tie in exact arithmetic round as the program's do."""
     tfs = tf_table(index)
     dfs = Counter(term for term, _ in tfs)
     scores = {}
@@ -254,9 +256,10 @@ def _oracle_order(index, weighted_terms, params):
                 continue
             df = dfs[term]
             idf = math.log(1 + (index.doc_count - df + 0.5) / (df + 0.5))
-            s += weight * idf * tf * (params.k1 + 1) / (
+            tfc = tf * (params.k1 + 1) / (
                 tf + params.k1 * (1 - params.b + params.b * dl / index.avg_doc_length)
             )
+            s += weight * idf * tfc
         scores[doc_id] = s
     return [d for d, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
 
@@ -287,6 +290,7 @@ class TestRetrieve:
             )
 
     @given(st.integers(0, 2**32 - 1))
+    @example(seed=276950)  # d00 and d02 tie in exact arithmetic and round apart
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_oracle(self, seed):
         import random

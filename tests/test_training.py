@@ -311,9 +311,7 @@ class TestEntitySumBatch:
             others = [e.entity_id for e in data.entity_rankings[qid].entries]
             others = [e for e in others if e != doc.entity_ids()[0]][: int(di) % 4]
             extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
-            data.corpus.documents[doc_id] = Document(
-                doc_id, doc.text, doc.sentences, doc.mentions + extra
-            )
+            data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
         examples = build_doc_examples(qrels, data.candidates, seed=3)
         table = train_feature_table(data, examples)
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=3)
@@ -349,7 +347,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
     passage_store = EmbeddingStore("passage", dims.n)
     rankings = {}
     candidates = {}
-    from dreq.corpus import Document, EntityMention, split_sentences
+    from dreq.corpus import Document, EntityMention
 
     for qi in range(n_queries):
         qid = f"q{qi}"
@@ -365,9 +363,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
             vec = u if relevant else rng.standard_normal(dims.m) * 0.2
             entity_store.add(eid, vec)
             text = "some sentence."
-            corpus.documents[doc_id] = Document(
-                doc_id, text, split_sentences(text), [EntityMention(eid, "s", 0, 1, 1.0)]
-            )
+            corpus.documents[doc_id] = Document(doc_id, text, [EntityMention(eid, "s", 0, 1, 1.0)])
             passage_store.add(f"{doc_id}::0", rng.standard_normal(dims.n) * 0.1)
             qrels.add(qid, doc_id, 1 if relevant else 0)
             scored.append((doc_id, float(docs_per_query - di)))
@@ -398,9 +394,7 @@ class TestTrainDreq:
             seed=seed,
             finetune_entity_embeddings=finetune,
         )
-        template = DreqModel.init(
-            dims, WeightingMode.PROBABILITY, seed=seed, finetune_entity_embeddings=finetune
-        )
+        template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=seed)
         return train_dreq(template, examples, plan, data, cfg)
 
     def test_out_of_fold_covers_all_queries_once(self):
