@@ -99,6 +99,7 @@ from .training import (
     build_doc_examples,
     make_folds,
     train_dreq,
+    train_feature_table,
     write_training_log,
 )
 
@@ -497,6 +498,7 @@ def cmd_rank_entities(settings: Settings) -> None:
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
     queries = {q.query_id: q for q in load_queries(settings.path("queries"))}
     rankings: dict[str, EntityRanking] = {}
+    bm25_only = 0
 
     desc_index = None
     if mode in ("bm25", "geeer"):
@@ -527,9 +529,15 @@ def cmd_rank_entities(settings: Settings) -> None:
         links = load_query_links(settings.path("query_links"))
         lam = settings.get_float("geeer.lambda")
         for qid in sorted(pooled):
-            bm25_scores = {}
             if desc_index is not None:
-                bm25_scores = {e.entity_id: e.raw_score for e in bm25_ranking(qid).entries}
+                sparse = bm25_ranking(qid)
+            else:  # no descriptions: every entity's BM25 is 0
+                sparse = EntityRanking.from_raw_scores(qid, [(e, 0.0) for e in pooled[qid]])
+            if not any(eid in stores["entity"] for eid, _ in links.get(qid, [])):
+                rankings[qid] = sparse  # no query entity to compare with: BM25 alone
+                bm25_only += 1
+                continue
+            bm25_scores = {e.entity_id: e.raw_score for e in sparse.entries}
             rankings[qid] = geeer_entity_rank(
                 links.get(qid, []), pooled[qid], stores["entity"], bm25_scores, lam, query_id=qid
             )
@@ -550,7 +558,10 @@ def cmd_rank_entities(settings: Settings) -> None:
         settings, "rank-entities", {"pooled": "pooled_entities.tsv", "mode": mode},
         {"rankings": rankings_path, "run": run_path}, t0,
     )
-    print(f"ranked entities ({mode}) for {len(rankings)} queries -> {rankings_path}")
+    print(
+        f"ranked entities ({mode}) for {len(rankings)} queries, "
+        f"{bm25_only} by BM25 alone -> {rankings_path}"
+    )
 
 
 def _train_data(settings: Settings, corpus, stores, rankings, cands) -> TrainData:
@@ -589,7 +600,9 @@ def cmd_train_dreq(settings: Settings) -> None:
         seed=seed,
         use_entities=settings.get_bool("use_entities"),
     )
-    result = train_dreq(template, examples, folds, _train_data(settings, corpus, stores, rankings, cands), cfg)
+    data = _train_data(settings, corpus, stores, rankings, cands)
+    table = train_feature_table(data, examples)
+    result = train_dreq(template, examples, folds, data, cfg, table)
 
     outputs = {"folds": folds_path}
     for outcome in result.fold_outcomes:
@@ -615,8 +628,8 @@ def cmd_train_dreq(settings: Settings) -> None:
     outputs.update({"run": run_path, "log": log_path})
     write_manifest(settings, "train-dreq", {"candidates": "candidates.run"}, outputs, t0)
     print(
-        f"trained {len(result.fold_outcomes)} folds on {len(examples)} examples; "
-        f"out-of-fold run -> {run_path}"
+        f"trained {len(result.fold_outcomes)} folds on {len(examples)} examples "
+        f"({table.empty_text_docs} documents without text); out-of-fold run -> {run_path}"
     )
 
 
@@ -648,7 +661,7 @@ def cmd_rerank(settings: Settings) -> None:
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     queries = load_queries(settings.path("queries"))
-    kept = 0
+    kept = empty_text = 0
 
     if mode == "maxsimcos":
         stores = _load_stores(settings)
@@ -672,6 +685,7 @@ def cmd_rerank(settings: Settings) -> None:
         models = _rerank_models(settings, qids)
         docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids())
         table = build_feature_table(docs, stores["entity"], stores["passage"], settings.segmenter())
+        empty_text = table.empty_text_docs
         rankings = {
             qid: rerank(models[qid], stores["query"].get(qid), cands[qid], table, entity_rankings[qid])
             for qid in qids
@@ -682,7 +696,10 @@ def cmd_rerank(settings: Settings) -> None:
     with atomic_path(out) as tmp:
         write_run((rankings[qid] for qid in sorted(rankings)), tmp, tag=f"rerank-{mode}")
     write_manifest(settings, "rerank", {"candidates": "candidates.run", "mode": mode}, {"run": out}, t0)
-    print(f"reranked {len(rankings)} queries ({mode}), {kept} kept their candidate ranking -> {out}")
+    print(
+        f"reranked {len(rankings)} queries ({mode}), {kept} kept their candidate ranking, "
+        f"{empty_text} documents without text -> {out}"
+    )
 
 
 def cmd_evaluate(settings: Settings) -> None:
@@ -805,7 +822,7 @@ def cmd_ablate(settings: Settings) -> None:
     write_manifest(settings, "ablate", {"candidates": "candidates.run"}, outputs, t0)
     with open(out, "r", encoding="utf-8") as f:
         sys.stdout.write(f.read())
-    print(f"ablation table -> {out}")
+    print(f"ablation table ({outcome.empty_text_docs} documents without text) -> {out}")
 
 
 # --- argument parsing -------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Per query, a document's logit w3 . [q, d, q+d, q-d, q*d] + b3, with
 d = W2 [v_t; v_e] + b2, is linear in its text vector v_t (mean of passage
-embeddings) and entity vector v_e (weighted sum of linked entity
-embeddings), so training and serving score arrays of rows through one
-forward pass (`_forward`). `build_feature_table`, run once per CLI stage,
+embeddings, 0 for a document without sentences) and entity vector v_e
+(weighted sum of linked entity embeddings), so training and serving score
+arrays of rows X = [v_t; v_e] (`_features`) through one forward pass
+(`_forward`). `build_feature_table`, run once per CLI stage,
 `train_dreq` call or ablation sweep, holds the text vectors, a CSR map doc ->
 entity rows and the entity table (swapped per fold when fine-tuning).
 Per-document sums add left to right from zero, as `v = v + w * E[e]` does
@@ -108,17 +109,6 @@ class DreqModel:
             dims=dims,
         )
 
-    def copy(self) -> "DreqModel":
-        return DreqModel(
-            W2=self.W2.copy(),
-            b2=self.b2.copy(),
-            w3=self.w3.copy(),
-            b3=self.b3,
-            mode=self.mode,
-            use_entities=self.use_entities,
-            dims=self.dims,
-        )
-
 
 def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarray:
     """Arithmetic mean of the passage embeddings."""
@@ -144,7 +134,8 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 class FeatureTable:
     """Query-independent document features shared by training and serving:
     doc i has text vector text[i] and links the entity rows
-    entity_index[indptr[i]:indptr[i+1]]; `entities` rows follow `entity_ids`."""
+    entity_index[indptr[i]:indptr[i+1]]; `entities` rows follow `entity_ids`.
+    `empty_text_docs` docs have no sentences; their text vector is 0."""
 
     doc_ids: list[str]
     text: np.ndarray  # (docs, n)
@@ -152,6 +143,7 @@ class FeatureTable:
     entity_index: np.ndarray  # (links,)
     entity_ids: list[str]
     entities: np.ndarray  # (entities, m)
+    empty_text_docs: int
 
     def __post_init__(self) -> None:
         self.doc_row = {d: i for i, d in enumerate(self.doc_ids)}
@@ -206,16 +198,18 @@ def build_feature_table(
     passage_store: EmbeddingStore,
     seg: SegmenterConfig = SegmenterConfig(),
 ) -> FeatureTable:
-    """Feature table over `docs` (repeats skipped) and all of `entity_store`."""
+    """Feature table over `docs` (repeats skipped) and all of `entity_store`.
+    A doc without sentences gets text vector 0, so only its entities score it."""
     docs = list({doc.doc_id: doc for doc in docs}.values())
     entity_ids = entity_store.ids()
     entity_row = {e: i for i, e in enumerate(entity_ids)}
     text, index, indptr = [], [], [0]
     for doc in docs:
         passages = segment_passages(doc, seg)
-        if not passages:
-            raise ValueError(f"document {doc.doc_id!r} has no sentences to segment")
-        text.append(text_centric_embedding(passages, passage_store))
+        if passages:
+            text.append(text_centric_embedding(passages, passage_store))
+        else:
+            text.append(np.zeros(passage_store.dim))
         unembedded = [e for e in doc.entity_ids() if e not in entity_row]
         if unembedded:
             raise KeyError(f"entity {unembedded[0]!r} of doc {doc.doc_id!r} has no embedding")
@@ -228,6 +222,7 @@ def build_feature_table(
         entity_index=np.array(index, dtype=np.intp),
         entity_ids=entity_ids,
         entities=np.array([entity_store.get(e) for e in entity_ids]).reshape(-1, entity_store.dim),
+        empty_text_docs=sum(1 for doc in docs if not doc.sentences),
     )
 
 
@@ -236,15 +231,19 @@ def _entity_vectors(links: np.ndarray, weights: np.ndarray, entities: np.ndarray
     return _row_sums(weights[:, :, None] * entities[links])
 
 
-def _forward(
-    model: DreqModel, Q: np.ndarray, Vt: np.ndarray, Ve: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scorer on a block of rows: X = [Vt, Ve], D = X W2^T + b2,
-    F = [Q, D, Q+D, Q-D, Q*D]; returns X, F and the logits F w3 + b3."""
-    X = np.hstack([Vt, Ve])
+def _features(
+    text: np.ndarray, links: np.ndarray, weights: np.ndarray, entities: np.ndarray
+) -> np.ndarray:
+    """(rows, n + m) scorer inputs X = [Vt, Ve] of rows with text vectors `text`."""
+    return np.concatenate((text, _entity_vectors(links, weights, entities)), axis=1)
+
+
+def _forward(model: DreqModel, Q: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scorer on a block of rows with inputs X = [Vt, Ve]: D = X W2^T + b2,
+    F = [Q, D, Q+D, Q-D, Q*D]; returns F and the logits F w3 + b3."""
     D = X @ model.W2.T + model.b2
-    F = np.hstack([Q, D, Q + D, Q - D, Q * D])
-    return X, F, F @ model.w3 + model.b3
+    F = np.concatenate((Q, D, Q + D, Q - D, Q * D), axis=1)
+    return F, F @ model.w3 + model.b3
 
 
 def rerank(
@@ -268,9 +267,9 @@ def rerank(
     logits = np.empty(len(rows))
     for lo in range(0, len(rows), BLOCK_ROWS):
         block = slice(lo, lo + BLOCK_ROWS)
-        Ve = _entity_vectors(links[block], weights[block], table.entities)
-        Q = np.broadcast_to(q_vec, (Ve.shape[0], q_vec.shape[0]))
-        logits[block] = _forward(model, Q, table.text[rows[block]], Ve)[2]
+        X = _features(table.text[rows[block]], links[block], weights[block], table.entities)
+        Q = np.broadcast_to(q_vec, (X.shape[0], q_vec.shape[0]))
+        logits[block] = _forward(model, Q, X)[1]
     return Ranking.from_scores(candidates.query_id, zip(doc_ids, logits.tolist()))
 
 

@@ -130,6 +130,7 @@ class AblationResult:
     candidate_report: MetricsReport
     variant_reports: dict[str, MetricsReport]
     variant_runs: dict[str, dict[str, Ranking]]
+    empty_text_docs: int  # of the shared feature table: scored with text vector 0
 
 
 def ablation_sweep(
@@ -154,7 +155,7 @@ def ablation_sweep(
         result = train_dreq(template, examples, folds, data, cfg, table)
         runs[name] = result.reranked
         reports[name] = evaluate_run(result.reranked, qrels, tag=name)
-    return AblationResult(candidate_report, reports, runs)
+    return AblationResult(candidate_report, reports, runs, table.empty_text_docs)
 
 
 def run_planted_ablation(

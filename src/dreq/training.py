@@ -3,10 +3,18 @@ Adam optimization, and analytic gradients through the scorer's forward pass.
 
 Training and serving share one forward (`model._forward`) and one feature
 table (`train_feature_table`, built once per `train_dreq` call or ablation
-sweep): the examples are gathered from it into one `DreqBatch` of arrays,
-and each minibatch is a row gather from that. A row's entity-centric
-vector is the left-to-right sum of its weighted entity rows, the same
-arithmetic `model.rerank` uses; no (rows, |entities|) weight matrix is formed.
+sweep). `train_dreq` computes the scorer inputs X = [Vt, Ve] of every
+example once per call into one `DreqBatch`, and each minibatch is a row
+gather from that. A row's entity-centric vector Ve is the left-to-right sum
+of its weighted entity rows, the same arithmetic `model.rerank` uses, and
+row by row, so precomputing it changes no bit; no (rows, |entities|) weight
+matrix is formed. With entity fine-tuning the table moves every step, so
+`dreq_loss_and_grads` sums each minibatch's Ve again.
+
+A fold trains W2, b2, w3 and b3 as views into one float64 vector
+(`_scorer_views`), and its gradient comes in the same layout, so each Adam
+step updates one key. Adam is elementwise, so this trains the same bits as
+one key per parameter.
 
 The entity ranking is frozen while the document scorer trains, so the
 per-document entity weights are constants and the gradient of the loss
@@ -26,11 +34,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusStore, Qrels, SegmenterConfig
-from .embeddings import EmbeddingStore, sigmoid
+from .embeddings import DimsConfig, EmbeddingStore, sigmoid
 from .model import (
     DreqModel,
     FeatureTable,
-    _entity_vectors,
+    _features,
     _forward,
     build_feature_table,
     rerank,
@@ -231,8 +239,9 @@ def adam_step(
         g = grads[key]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
-        m = state.m.setdefault(key, np.zeros_like(p))
-        v = state.v.setdefault(key, np.zeros_like(p))
+        if key not in state.m:
+            state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[key], state.v[key]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
@@ -246,24 +255,35 @@ def adam_step(
 
 @dataclass
 class DreqBatch:
-    """Stacked example rows: query embeddings, text-centric vectors, entity
-    links and weights as `FeatureTable.entity_weights` lays them out, labels."""
+    """Stacked example rows: query embeddings, scorer inputs X = [Vt, Ve]
+    (text- and entity-centric vectors), the entity links and weights that Ve
+    sums, as `FeatureTable.entity_weights` lays them out (None once Ve is
+    final: in training without fine-tuning), and labels."""
 
     Q: np.ndarray  # (B, p)
-    Vt: np.ndarray  # (B, n)
-    links: np.ndarray  # (B, L)
-    weights: np.ndarray  # (B, L)
+    X: np.ndarray  # (B, n + m)
+    links: np.ndarray | None  # (B, L)
+    weights: np.ndarray | None  # (B, L)
     y: np.ndarray  # (B,)
 
 
-def _batch_forward(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray):
-    """X, F and logits of `model._forward`, the pass `model.rerank` scores with."""
-    Ve = _entity_vectors(batch.links, batch.weights, entity_table)
-    return _forward(model, batch.Q, batch.Vt, Ve)
+def _scorer_views(flat: np.ndarray, dims: DimsConfig) -> dict[str, np.ndarray]:
+    """W2, b2, w3 and b3 as views into one vector that holds them in that
+    order: the layout of the trainer's parameters and of their gradient."""
+    p, width = dims.p, dims.m + dims.n
+    W2, b2, w3, b3 = np.split(flat, np.cumsum([p * width, p, 5 * p]))
+    return {"W2": W2.reshape(p, width), "b2": b2, "w3": w3, "b3": b3}
+
+
+def _with_entities(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
+    """The batch's X with Ve summed again from `entity_table`."""
+    return _features(batch.X[:, : model.dims.n], batch.links, batch.weights, entity_table)
 
 
 def dreq_logits(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
-    return _batch_forward(model, batch, entity_table)[2]
+    """Logits of the batch's rows, Ve summed from `entity_table`, through
+    `model._forward`, the pass `model.rerank` scores with."""
+    return _forward(model, batch.Q, _with_entities(model, batch, entity_table))[1]
 
 
 def dreq_loss(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> float:
@@ -278,20 +298,27 @@ def dreq_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BCE over the batch and its analytic gradients.
 
-    Returns gradients for W2, b2, w3, b3 and, when `finetune_entities`,
-    the full entity table (rows not hit by the batch get zero gradient).
+    Returns the gradient of W2, b2, w3 and b3 as one vector laid out as
+    `_scorer_views` reads it ("scorer") and, when `finetune_entities`, of the
+    full entity table ("entities"; rows not hit by the batch get zero
+    gradient). Without fine-tuning, batch.X is taken as is: its Ve was summed
+    from `entity_table`; with it, Ve is summed again from `entity_table`.
+    The loss and dz are `bce_loss` and `bce_dlogits` sharing one (1 - 2y) z.
     The gradient assumes probabilities away from the clamp bounds.
     """
     p_dim = model.dims.p
     n_dim = model.dims.n
-    B = batch.y.shape[0]
+    y = batch.y
+    B = y.shape[0]
 
-    X, F, z = _batch_forward(model, batch, entity_table)
-    loss = bce_loss(z, batch.y)
+    X = _with_entities(model, batch, entity_table) if finetune_entities else batch.X
+    F, z = _forward(model, batch.Q, X)
+    signed = (1.0 - 2.0 * y) * z
+    loss = float(np.mean(np.minimum(_softplus(signed), _LOSS_CAP)))
 
-    dz = bce_dlogits(z, batch.y) / B  # (B,)
+    dz = (sigmoid(z) - y) * (signed < _LOSS_CAP) / B  # (B,)
     dw3 = F.T @ dz
-    db3 = np.array([np.sum(dz)])
+    db3 = np.sum(dz)
     a2 = model.w3[p_dim : 2 * p_dim]
     a3 = model.w3[2 * p_dim : 3 * p_dim]
     a4 = model.w3[3 * p_dim : 4 * p_dim]
@@ -299,7 +326,7 @@ def dreq_loss_and_grads(
     dD = dz[:, None] * ((a2 + a3 - a4)[None, :] + a5[None, :] * batch.Q)  # (B, p)
     dW2 = dD.T @ X
     db2 = dD.sum(axis=0)
-    grads = {"W2": dW2, "b2": db2, "w3": dw3, "b3": db3}
+    grads = {"scorer": np.concatenate((dW2.ravel(), db2, dw3, (db3,)))}
     if finetune_entities:
         dVe = dD @ model.W2[:, n_dim:]  # (B, m)
         dE = np.zeros_like(entity_table)
@@ -310,7 +337,7 @@ def dreq_loss_and_grads(
 
 def _take(batch: DreqBatch, idx: np.ndarray) -> DreqBatch:
     """The rows `idx` of `batch`, in that order."""
-    return DreqBatch(**{name: value[idx] for name, value in vars(batch).items()})
+    return DreqBatch(**{k: None if v is None else v[idx] for k, v in vars(batch).items()})
 
 
 # --- end-to-end trainer --------------------------------------------------------
@@ -374,7 +401,7 @@ def _example_batch(
         Q=np.array([data.query_store.get(ex.query_id) for ex in examples]).reshape(
             len(rows), data.query_store.dim
         ),
-        Vt=table.text[rows],
+        X=_features(table.text[rows], links, weights, table.entities),
         links=links,
         weights=weights,
         y=np.array([ex.label for ex in examples], dtype=np.float64),
@@ -408,24 +435,23 @@ def train_dreq(
             data.query_store.get(qid)
 
     finetune = cfg.finetune_entity_embeddings and template.use_entities
+    if not finetune:  # Ve is final: a minibatch gathers Q, X and y only
+        all_rows = replace(all_rows, links=None, weights=None)
     outcomes: list[FoldOutcome] = []
     log_rows: list[tuple[int, int, float]] = []
     merged: dict[str, Ranking] = {}
 
     for fold_index, fold in enumerate(folds.folds):
-        model = template.copy()
+        scorer = np.concatenate((template.W2.ravel(), template.b2, template.w3, (template.b3,)))
+        views = _scorer_views(scorer, template.dims)
+        model = replace(template, W2=views["W2"], b2=views["b2"], w3=views["w3"])
         entities = table.entities.copy()
         train_qids = set(fold.train)
         fold_rows = np.array([i for i, q in enumerate(query_ids) if q in train_qids], np.intp)
         if not fold_rows.size:
             raise ValueError(f"fold {fold_index} has no training examples")
 
-        params: dict[str, np.ndarray] = {
-            "W2": model.W2,
-            "b2": model.b2,
-            "w3": model.w3,
-            "b3": np.array([model.b3]),
-        }
+        params = {"scorer": scorer}
         if finetune:
             params["entities"] = entities
         state = AdamState()
@@ -442,7 +468,7 @@ def train_dreq(
                 batch = _take(all_rows, idx)
                 loss, grads = dreq_loss_and_grads(model, batch, entities, finetune)
                 adam_step(params, grads, state, cfg)
-                model.b3 = float(params["b3"][0])
+                model.b3 = float(scorer[-1])
                 total_loss += loss * len(idx)
             epoch_loss = total_loss / len(fold_rows)
             epoch_losses.append(epoch_loss)

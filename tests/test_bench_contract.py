@@ -51,7 +51,7 @@ def test_every_metric_target_resolves(layers):
 
 
 def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
-    calls = {"rerank": [], "dreq_loss_and_grads": []}
+    calls = {"rerank": [], "dreq_loss_and_grads": [], "adam_step": []}
     for name, seen in calls.items():
         original = getattr(training, name)
 
@@ -78,6 +78,9 @@ def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
         assert isinstance(args[0], DreqModel)
         assert dataclasses.is_dataclass(args[1])
         assert layers.PROBES["training.dreq_loss_and_grads"](args, kwargs, out)["bytes"] > 0
+    # one optimiser step per minibatch, so training.batches, adam_step_s and
+    # epoch_ms_p50 count the same steps from one change to the next
+    assert len(calls["adam_step"]) == len(calls["dreq_loss_and_grads"])
 
 
 def test_first_stage_probes_read_the_csr_index(layers):

@@ -1,11 +1,13 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dreq.cli import Settings, load_config_file, load_index, main, save_index
+from dreq.entity_ranking import load_entity_rankings
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.training import FoldPlan
 
@@ -140,6 +142,71 @@ class TestPipeline:
         assert {q: r.entries for q, r in got.items() if q != "q03"} == {
             q: r.entries for q, r in before.items() if q != "q03"
         }
+
+    def test_geeer_ranks_query_without_entities_by_bm25(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode"]
+        before = {}
+        for mode in ("geeer", "bm25"):
+            assert main([*argv, mode]) == 0
+            before[mode] = load_entity_rankings(str(work / "entity_ranking.npz"))
+        links = tmp_path / "query_links.tsv"
+        toy = (Path(TOY) / "query_links.tsv").read_text().splitlines(keepends=True)
+        links.write_text("".join(line for line in toy if not line.startswith("q03\t")))
+        monkeypatch.setenv("DREQ_QUERY_LINKS", str(links))
+        capsys.readouterr()
+        assert main([*argv, "geeer"]) == 0
+        assert "1 by BM25 alone" in capsys.readouterr().out
+        got = load_entity_rankings(str(work / "entity_ranking.npz"))
+        assert got["q03"].entries == before["bm25"]["q03"].entries
+        assert {q: r.entries for q, r in got.items() if q != "q03"} == {
+            q: r.entries for q, r in before["geeer"].items() if q != "q03"
+        }
+        # without descriptions, the query's entities all score BM25 0
+        catalog = tmp_path / "entities.jsonl"
+        catalog.write_text("".join(
+            json.dumps({"entity_id": json.loads(line)["entity_id"]}) + "\n"
+            for line in (Path(TOY) / "entities.jsonl").read_text().splitlines()
+        ))
+        monkeypatch.setenv("DREQ_ENTITY_CATALOG", str(catalog))
+        assert main([*argv, "geeer"]) == 0
+        got = load_entity_rankings(str(work / "entity_ranking.npz"))
+        assert {e.raw_score for e in got["q03"].entries} == {0.0}
+        assert len(got["q03"]) == len(before["geeer"]["q03"])
+
+    def test_candidate_without_text_scores_by_its_entities(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        toy = (Path(TOY) / "corpus.jsonl").read_text()
+        corpus.write_text(toy + json.dumps({"doc_id": "dempty", "text": "", "entities": []}) + "\n")
+        work = tmp_path / "work"
+        config = write_config(tmp_path, work, corpus=str(corpus))
+        run_pipeline(config)
+        ckpt = str(work / "dreq_fold0.ckpt")
+        argv = ("rerank", "--mode", "dreq", "--checkpoint", ckpt, "--output")
+        assert run(config, *argv, str(tmp_path / "base.run")) == 0
+        # the empty document takes the place of q01's last candidate
+        cands = work / "candidates.run"
+        lines = cands.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if line.startswith("q01 "))
+        fields = lines[last].split(" ")
+        lines[last] = " ".join(fields[:2] + ["dempty"] + fields[3:])
+        cands.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(config, *argv, str(tmp_path / "empty.run")) == 0
+        assert "1 documents without text" in capsys.readouterr().out
+        got, base = load_run(str(tmp_path / "empty.run")), load_run(str(tmp_path / "base.run"))
+        assert "dempty" in got["q01"].doc_ids()
+        assert {q: r.entries for q, r in got.items() if q != "q01"} == {
+            q: r.entries for q, r in base.items() if q != "q01"
+        }
+        for stage in ("train-dreq", "ablate"):
+            assert run(config, stage) == 0
+            assert "(1 documents without text)" in capsys.readouterr().out
+        assert "dempty" in load_run(str(work / "dreq.run"))["q01"].doc_ids()
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline

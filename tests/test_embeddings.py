@@ -137,7 +137,7 @@ def linear(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     model = DreqModel(
         W2=W, b2=b, w3=np.zeros(5 * p), b3=0.0, dims=DimsConfig(k=1, m=c - 1, n=1, p=p)
     )
-    _, F, _ = _forward(model, np.zeros((1, p)), x[None, :1], x[None, 1:])
+    F, _ = _forward(model, np.zeros((1, p)), x[None, :])
     return F[0, p : 2 * p]
 
 

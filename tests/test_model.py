@@ -104,7 +104,7 @@ def entity_vector(weights, store: EmbeddingStore) -> np.ndarray:
 def fused(model, v_t, v_e) -> np.ndarray:
     """The fused document vector d = W2 [v_t; v_e] + b2 of one row."""
     p = model.dims.p
-    _, F, _ = _forward(model, np.zeros((1, p)), v_t[None, :], v_e[None, :])
+    F, _ = _forward(model, np.zeros((1, p)), np.concatenate([v_t, v_e])[None, :])
     return F[0, p : 2 * p]
 
 
@@ -113,7 +113,7 @@ def interactions(q, d_q):
     p = q.shape[0]
     model = tiny_model(p=p)
     model.b2 = d_q  # W2 = 0, so the fused vector is b2
-    _, F, _ = _forward(model, q[None, :], np.zeros((1, 2)), np.zeros((1, 2)))
+    F, _ = _forward(model, q[None, :], np.zeros((1, 4)))
     return F[0, 2 * p : 3 * p], F[0, 3 * p : 4 * p], F[0, 4 * p :]
 
 
@@ -348,7 +348,7 @@ class TestHybridAndInteractions:
     def test_dim_mismatch(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            _forward(model, np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)))
+            _forward(model, np.ones((1, 3)), np.ones((1, 4)))
 
 
 class TestScoreDocument:
@@ -551,7 +551,7 @@ class TestBatchedMatchesReference:
             links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
         batch = DreqBatch(
             Q=np.tile(q, (len(rows), 1)),
-            Vt=table.text[rows],
+            X=np.hstack([table.text[rows], _entity_vectors(links, weights, table.entities)]),
             links=links,
             weights=weights,
             y=np.zeros(len(rows)),

@@ -1,0 +1,17 @@
+"""The paper's qualitative claim on planted worlds: weighting a document's
+entities by their ranking probability beats uniform weights, no entities,
+and the candidate ranking. Reciprocal-rank weights are not compared: on
+these worlds they score level with probabilities."""
+
+from dreq.pipeline import PLANTED_TRAIN, run_planted_ablation
+from dreq.synthetic import PlantedConfig
+
+# 3-seed held-out nDCG@20 measured at 0.562 (dreq) vs 0.460 / 0.415 / 0.405;
+# the smallest per-seed gap is 0.053
+MARGIN = 0.05
+
+
+def test_probability_weighted_entities_beat_the_baselines():
+    ndcg = run_planted_ablation(PlantedConfig(), PLANTED_TRAIN, [1, 2, 3])
+    for baseline in ("candidates", "uniform", "no_entity"):
+        assert ndcg["dreq"] - ndcg[baseline] >= MARGIN, (baseline, ndcg)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from dreq.corpus import CorpusStore, Qrels
 from dreq.embeddings import DimsConfig, EmbeddingStore
 from dreq.entity_ranking import EntityRanking
 from dreq.corpus import Document, EntityMention
-from dreq.model import DreqModel, WeightingMode, _entity_vectors
+from dreq.model import BLOCK_ROWS, DreqModel, WeightingMode, _entity_vectors
+from dreq.pipeline import VARIANTS
 from dreq.retrieval import Ranking
 from dreq.training import (
     AdamState,
@@ -16,6 +18,7 @@ from dreq.training import (
     TrainConfig,
     TrainData,
     adam_step,
+    bce_dlogits,
     bce_loss,
     build_doc_examples,
     build_entity_examples,
@@ -26,6 +29,7 @@ from dreq.training import (
     train_dreq,
     train_feature_table,
     _example_batch,
+    _scorer_views,
     _take,
 )
 
@@ -198,7 +202,8 @@ class TestAdam:
             adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(), self.cfg())
 
 
-def random_batch(rng, dims: DimsConfig, n_entities: int, batch: int) -> DreqBatch:
+def random_batch(rng, dims: DimsConfig, table: np.ndarray, batch: int) -> DreqBatch:
+    n_entities = len(table)
     links = np.zeros((batch, n_entities), dtype=np.intp)
     weights = np.zeros((batch, n_entities))
     for i in range(batch):
@@ -207,7 +212,7 @@ def random_batch(rng, dims: DimsConfig, n_entities: int, batch: int) -> DreqBatc
         weights[i, : len(picked)] = rng.uniform(0.05, 1.0, size=len(picked))
     return DreqBatch(
         Q=rng.standard_normal((batch, dims.p)),
-        Vt=rng.standard_normal((batch, dims.n)),
+        X=np.hstack([rng.standard_normal((batch, dims.n)), _entity_vectors(links, weights, table)]),
         links=links,
         weights=weights,
         y=rng.integers(0, 2, size=batch).astype(float),
@@ -252,6 +257,10 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / denom
 
 
+def grads_entities(model, batch, table):
+    return dreq_loss_and_grads(model, batch, table, finetune_entities=True)[1]["entities"]
+
+
 class TestDreqGradients:
     def test_analytic_matches_finite_differences(self):
         dims = DimsConfig(3, 3, 3, 3)
@@ -259,35 +268,37 @@ class TestDreqGradients:
         for _ in range(10):
             model = random_model(rng, dims)
             table = rng.standard_normal((4, dims.m))
-            batch = random_batch(rng, dims, 4, batch=5)
-            _, grads = dreq_loss_and_grads(model, batch, table, finetune_entities=True)
+            batch = random_batch(rng, dims, table, batch=5)
+            for finetune in (True, False):
+                loss_value, grads = dreq_loss_and_grads(model, batch, table, finetune)
+                assert loss_value == dreq_loss(model, batch, table)
+                scorer = _scorer_views(grads["scorer"], dims)
 
-            def loss():
-                return dreq_loss(model, batch, table)
+                def loss():
+                    return dreq_loss(model, batch, table)
 
-            assert rel_err(grads["W2"], fd_gradient(loss, model.W2)) < 1e-4
-            assert rel_err(grads["b2"], fd_gradient(loss, model.b2)) < 1e-4
-            assert rel_err(grads["w3"], fd_gradient(loss, model.w3)) < 1e-4
-            assert rel_err(grads["entities"], fd_gradient(loss, table)) < 1e-4
-            b3 = np.array([model.b3])
+                assert rel_err(scorer["W2"], fd_gradient(loss, model.W2)) < 1e-4
+                assert rel_err(scorer["b2"], fd_gradient(loss, model.b2)) < 1e-4
+                assert rel_err(scorer["w3"], fd_gradient(loss, model.w3)) < 1e-4
+                b3 = np.array([model.b3])
 
-            def loss_b3():
-                model.b3 = float(b3[0])
-                return dreq_loss(model, batch, table)
+                def loss_b3():
+                    model.b3 = float(b3[0])
+                    return dreq_loss(model, batch, table)
 
-            assert rel_err(grads["b3"], fd_gradient(loss_b3, b3)) < 1e-4
+                assert rel_err(scorer["b3"], fd_gradient(loss_b3, b3)) < 1e-4
+            assert rel_err(grads_entities(model, batch, table), fd_gradient(loss, table)) < 1e-4
 
     def test_no_entity_batch_gradient_to_entities_is_zero(self):
         dims = DimsConfig(3, 3, 3, 3)
         rng = np.random.default_rng(7)
         model = random_model(rng, dims)
         table = rng.standard_normal((4, dims.m))
-        batch = random_batch(rng, dims, 4, batch=4)
+        batch = random_batch(rng, dims, table, batch=4)
         # use_entities=False gives every row an empty link list
         batch.links = batch.links[:, :0]
         batch.weights = batch.weights[:, :0]
-        _, grads = dreq_loss_and_grads(model, batch, table, finetune_entities=True)
-        assert np.array_equal(grads["entities"], np.zeros_like(table))
+        assert np.array_equal(grads_entities(model, batch, table), np.zeros_like(table))
 
 
 class TestEntitySumBatch:
@@ -299,26 +310,21 @@ class TestEntitySumBatch:
         rng = np.random.default_rng(seed)
         dims = DimsConfig(3, 5, 3, 3)
         table = rng.standard_normal((9, dims.m))
-        batch = random_batch(rng, dims, 9, batch=rows)
-        Ve = _entity_vectors(batch.links, batch.weights, table)
+        batch = random_batch(rng, dims, table, batch=rows)
+        Ve = batch.X[:, dims.n :]
         assert np.allclose(Ve, dense_weights(batch, 9) @ table, rtol=0, atol=1e-12)
 
     def test_training_batches_gather_each_examples_row(self):
         dims, data, qrels = make_train_world()
-        # link documents to 1-4 of their query's entities, own entity first
-        for doc_id, doc in list(data.corpus.documents.items()):
-            qid, di = doc_id.split("_d")
-            others = [e.entity_id for e in data.entity_rankings[qid].entries]
-            others = [e for e in others if e != doc.entity_ids()[0]][: int(di) % 4]
-            extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
-            data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
+        link_more_entities(data)
         examples = build_doc_examples(qrels, data.candidates, seed=3)
         table = train_feature_table(data, examples)
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=3)
         all_rows = _example_batch(template, examples, data, table)
         for idx in np.array_split(np.random.default_rng(0).permutation(len(examples)), 4):
             batch = _take(all_rows, idx)
-            Ve = _entity_vectors(batch.links, batch.weights, table.entities)
+            Ve = batch.X[:, dims.n :]
+            assert np.array_equal(Ve, _entity_vectors(batch.links, batch.weights, table.entities))
             dense = dense_weights(batch, len(table.entities)) @ table.entities
             assert np.allclose(Ve, dense, rtol=0, atol=1e-12)
             for row, i in enumerate(idx):
@@ -332,6 +338,7 @@ class TestEntitySumBatch:
                 assert batch.weights[row, :linked].tolist() == [p / sum(probs) for p in probs]
                 assert not batch.weights[row, linked:].any()
                 assert np.array_equal(batch.Q[row], data.query_store.get(ex.query_id))
+                assert np.array_equal(batch.X[row, : dims.n], table.text[table.doc_row[ex.item_id]])
                 assert batch.y[row] == ex.label
 
 
@@ -441,3 +448,200 @@ class TestTrainDreq:
         cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=1)
         with pytest.raises(KeyError, match="q3"):
             train_dreq(template, examples, plan, data, cfg)
+
+
+# --- the trainer against a plain reference ------------------------------------
+
+
+def reference_adam_step(params, grads, state, cfg):
+    """Per-key Adam with fresh moments looked up on every step."""
+    state.step += 1
+    bc1 = 1.0 - cfg.beta1**state.step
+    bc2 = 1.0 - cfg.beta2**state.step
+    for key, p in params.items():
+        g = grads[key]
+        m = state.m.setdefault(key, np.zeros_like(p))
+        v = state.v.setdefault(key, np.zeros_like(p))
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+def reference_forward(model, Q, Vt, links, weights, entities):
+    """X, F and logits, v_e summed from the entity table on every call."""
+    X = np.hstack([Vt, _entity_vectors(links, weights, entities)])
+    D = X @ model.W2.T + model.b2
+    F = np.hstack([Q, D, Q + D, Q - D, Q * D])
+    return X, F, F @ model.w3 + model.b3
+
+
+def reference_loss_and_grads(model, rows, entities, finetune):
+    Q, Vt, links, weights, y = rows
+    X, F, z = reference_forward(model, Q, Vt, links, weights, entities)
+    dz = bce_dlogits(z, y) / len(y)
+    p = model.dims.p
+    a2, a3, a4, a5 = (model.w3[i * p : (i + 1) * p] for i in range(1, 5))
+    dD = dz[:, None] * ((a2 + a3 - a4)[None, :] + a5[None, :] * Q)
+    grads = {"W2": dD.T @ X, "b2": dD.sum(axis=0), "w3": F.T @ dz, "b3": np.array([np.sum(dz)])}
+    if finetune:
+        dVe = dD @ model.W2[:, model.dims.n :]
+        grads["entities"] = np.zeros_like(entities)
+        np.add.at(grads["entities"], links, weights[:, :, None] * dVe[:, None, :])
+    return bce_loss(z, y), grads
+
+
+def reference_rerank(model, q_vec, candidates, table, ranking):
+    doc_ids = candidates.doc_ids()
+    rows = table.rows(doc_ids)
+    if model.use_entities:
+        links, weights = table.entity_weights(ranking, model.mode, rows)
+    else:
+        links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
+    logits = np.empty(len(rows))
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        Q = np.broadcast_to(q_vec, (len(rows[block]), q_vec.shape[0]))
+        logits[block] = reference_forward(
+            model, Q, table.text[rows[block]], links[block], weights[block], table.entities
+        )[2]
+    return Ranking.from_scores(candidates.query_id, zip(doc_ids, logits.tolist()))
+
+
+def reference_train(template, examples, folds, data, cfg):
+    """Per fold: (W2, b2, w3, b3, tuned entity table), plus log rows and the
+    out-of-fold rankings, with four Adam keys, v_e summed per minibatch and
+    `bce_loss` / `bce_dlogits`."""
+    table = train_feature_table(data, examples)
+    rows = table.rows(ex.item_id for ex in examples)
+    width = int((table.indptr[rows + 1] - table.indptr[rows]).max(initial=0))
+    links = np.zeros((len(rows), width if template.use_entities else 0), dtype=np.intp)
+    weights = np.zeros(links.shape)
+    for qid in sorted({ex.query_id for ex in examples}) if template.use_entities else ():
+        idx = [i for i, ex in enumerate(examples) if ex.query_id == qid]
+        ranking = data.entity_rankings[qid]
+        part_links, part_weights = table.entity_weights(ranking, template.mode, rows[idx])
+        links[idx, : part_links.shape[1]] = part_links
+        weights[idx, : part_weights.shape[1]] = part_weights
+    columns = (
+        np.array([data.query_store.get(ex.query_id) for ex in examples]),
+        table.text[rows],
+        links,
+        weights,
+        np.array([ex.label for ex in examples], dtype=np.float64),
+    )
+    finetune = cfg.finetune_entity_embeddings and template.use_entities
+    folds_out, log_rows, reranked = [], [], {}
+    for fold_index, fold in enumerate(folds.folds):
+        model = replace(
+            template, W2=template.W2.copy(), b2=template.b2.copy(), w3=template.w3.copy()
+        )
+        entities = table.entities.copy()
+        train_qids = set(fold.train)
+        fold_rows = np.array([i for i, ex in enumerate(examples) if ex.query_id in train_qids])
+        params = {"W2": model.W2, "b2": model.b2, "w3": model.w3, "b3": np.array([model.b3])}
+        if finetune:
+            params["entities"] = entities
+        state = AdamState()
+        rng = np.random.default_rng([cfg.seed, fold_index])
+        best, stall = float("inf"), 0
+        for epoch in range(cfg.epochs):
+            perm = fold_rows[rng.permutation(len(fold_rows))]
+            total_loss = 0.0
+            for start in range(0, len(perm), cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                loss, grads = reference_loss_and_grads(
+                    model, [c[idx] for c in columns], entities, finetune
+                )
+                reference_adam_step(params, grads, state, cfg)
+                model.b3 = float(params["b3"][0])
+                total_loss += loss * len(idx)
+            epoch_loss = total_loss / len(fold_rows)
+            log_rows.append((fold_index, epoch, epoch_loss))
+            stall = stall + 1 if best - epoch_loss < cfg.early_stop_delta else 0
+            best = min(best, epoch_loss)
+            if stall >= cfg.early_stop_patience:
+                break
+        fold_table = replace(table, entities=entities)
+        for qid in fold.test:
+            reranked[qid] = reference_rerank(
+                model, data.query_store.get(qid), data.candidates[qid], fold_table,
+                data.entity_rankings[qid],
+            )
+        folds_out.append((model.W2, model.b2, model.w3, model.b3, entities))
+    return folds_out, log_rows, reranked
+
+
+def link_more_entities(data):
+    """Link each document to 1-4 of its query's entities, own entity first."""
+    for doc_id, doc in list(data.corpus.documents.items()):
+        qid, di = doc_id.split("_d")
+        others = [e.entity_id for e in data.entity_rankings[qid].entries]
+        others = [e for e in others if e != doc.entity_ids()[0]][: int(di) % 4]
+        extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
+        data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
+
+
+class TestTrainerMatchesReference:
+    """`train_dreq` against `reference_train`, bit for bit."""
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_bit_identical(self, variant, finetune):
+        dims, data, qrels = make_train_world(n_queries=7, docs_per_query=8, seed=4)
+        link_more_entities(data)
+        examples = build_doc_examples(qrels, data.candidates, seed=4)
+        folds = make_folds(sorted(data.candidates), k=5, seed=4)
+        mode, use_entities = VARIANTS[variant]
+        template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+        cfg = TrainConfig(
+            learning_rate=0.05, batch_size=3, epochs=6, seed=4, finetune_entity_embeddings=finetune
+        )
+        result = train_dreq(template, examples, folds, data, cfg)
+        expected_folds, expected_log, expected_runs = reference_train(
+            template, examples, folds, data, cfg
+        )
+
+        assert result.log_rows == expected_log
+        for outcome, (W2, b2, w3, b3, entities) in zip(result.fold_outcomes, expected_folds):
+            assert np.array_equal(outcome.model.W2, W2)
+            assert np.array_equal(outcome.model.b2, b2)
+            assert np.array_equal(outcome.model.w3, w3)
+            assert outcome.model.b3 == b3
+            tuned = np.array([outcome.entity_store.get(e) for e in data.entity_store.ids()])
+            assert np.array_equal(tuned, entities)
+        assert result.reranked.keys() == expected_runs.keys()
+        for qid, ranking in expected_runs.items():
+            got = [(e.doc_id, e.score) for e in result.reranked[qid].entries]
+            assert got == [(e.doc_id, e.score) for e in ranking.entries]
+        if finetune and use_entities:  # the fine-tuned tables above moved
+            original = np.array([data.entity_store.get(e) for e in data.entity_store.ids()])
+            assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
+
+
+class TestFlatAdam:
+    """One key over a flat vector steps each element as per-key steps do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+        steps=st.integers(1, 12),
+        seed=st.integers(0, 2**31 - 1),
+        lr=st.sampled_from([1e-5, 0.03, 0.5]),
+    )
+    def test_flat_key_equals_per_key_views(self, sizes, steps, seed, lr):
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, seed=0)
+        flat = rng.standard_normal(sum(sizes))
+        views = np.split(flat.copy(), np.cumsum(sizes)[:-1])
+        per_key = {f"k{i}": v for i, v in enumerate(views)}
+        flat_state, key_state = AdamState(), AdamState()
+        for _ in range(steps):
+            g = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-6, 3)
+            adam_step({"flat": flat}, {"flat": g}, flat_state, cfg)
+            parts = np.split(g, np.cumsum(sizes)[:-1])
+            reference_adam_step(per_key, dict(zip(per_key, parts)), key_state, cfg)
+        assert np.array_equal(flat, np.concatenate(views))
+        assert np.array_equal(flat_state.m["flat"], np.concatenate(list(key_state.m.values())))
+        assert np.array_equal(flat_state.v["flat"], np.concatenate(list(key_state.v.values())))
