@@ -197,11 +197,8 @@ def softmax(x) -> np.ndarray:
 def sigmoid(x):
     """Numerically stable logistic function, elementwise on arrays."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -9,7 +9,7 @@ as relevance probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,13 +71,6 @@ class EntityRanking:
 
     query_id: str
     entries: list[EntityRankingEntry]
-    _prob: dict[str, float] = field(default_factory=dict, repr=False)
-    _rank: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._prob:
-            self._prob = {e.entity_id: e.prob for e in self.entries}
-            self._rank = {e.entity_id: e.rank for e in self.entries}
 
     @classmethod
     def from_raw_scores(
@@ -97,17 +90,8 @@ class EntityRanking:
         ]
         return cls(query_id, entries)
 
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._prob
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def prob_of(self, entity_id: str) -> float:
-        return self._prob[entity_id]
-
-    def rank_of(self, entity_id: str) -> int:
-        return self._rank[entity_id]
 
 
 def score_entity(head: EntityHead, enc: np.ndarray) -> float:

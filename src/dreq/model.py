@@ -13,6 +13,12 @@ Per-document sums add left to right from zero, as `v = v + w * E[e]` does
 are bit-identical to a per-document loop; fusion and projection are matrix
 products, equal to per-document ones up to rounding. `rerank` scores
 `BLOCK_ROWS` candidates at a time to bound its temporaries at any depth.
+
+The trainer runs its folds in lockstep through the same functions: a
+`DreqModel` whose parameters, and the rows and entity tables it scores, carry
+a leading fold axis. `_forward`, `_features` and `_entity_vectors` broadcast
+over it, and for each fold compute exactly what the 2-D call on that fold's
+slice computes, so serving (2-D) and training share one forward.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ class DreqModel:
     """Trainable reranker parameters.
 
     W2: (p, m+n) fusion matrix, b2: (p,) fusion bias,
-    w3: (5p,) scoring projection, b3: scalar scoring bias.
+    w3: (5p,) scoring projection, b3: scalar scoring bias. The trainer's
+    model gives each a leading fold axis, b3 then being a (folds,) array.
     """
 
     W2: np.ndarray
@@ -72,17 +79,13 @@ class DreqModel:
 
     def __post_init__(self) -> None:
         d = self.dims
-        if self.W2.shape != (d.p, d.m + d.n):
-            raise ValueError(f"W2 shape {self.W2.shape} != ({d.p}, {d.m + d.n})")
-        if self.b2.shape != (d.p,):
-            raise ValueError(f"b2 shape {self.b2.shape} != ({d.p},)")
-        if self.w3.shape != (5 * d.p,):
-            raise ValueError(f"w3 shape {self.w3.shape} != ({5 * d.p},)")
-        for arr in (self.W2, self.b2, self.w3):
+        lead = np.shape(self.b3)  # (folds,) for folds trained in lockstep
+        for name, shape in (("W2", (d.p, d.m + d.n)), ("b2", (d.p,)), ("w3", (5 * d.p,))):
+            if getattr(self, name).shape != lead + shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {lead + shape}")
+        for arr in (self.W2, self.b2, self.w3, self.b3):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model parameters")
-        if not np.isfinite(self.b3):
-            raise ValueError("non-finite model parameters")
 
     @classmethod
     def init(
@@ -121,12 +124,13 @@ def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarra
     return total / len(keys)
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 1, added column by column from zero: per row the
+def _row_sums(x: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Sum over `axis`, added slice by slice from zero: per row the
     left-to-right order of `v = v + x_j` (numpy's reductions reassociate)."""
-    out = np.zeros(x.shape[:1] + x.shape[2:])
-    for j in range(x.shape[1]):
-        out += x[:, j]
+    x = np.moveaxis(x, axis, 0)
+    out = np.zeros(x.shape[1:])
+    for part in x:
+        out += part
     return out
 
 
@@ -226,24 +230,36 @@ def build_feature_table(
     )
 
 
+def _stacked_links(links: np.ndarray, n_entities: int) -> np.ndarray:
+    """`links` (..., rows, L) of per-fold tables (..., n_entities, m) as rows
+    of those tables stacked into one (-1, m) table."""
+    folds = int(np.prod(links.shape[:-2]))
+    return links + (np.arange(folds) * n_entities).reshape(links.shape[:-2] + (1, 1))
+
+
 def _entity_vectors(links: np.ndarray, weights: np.ndarray, entities: np.ndarray) -> np.ndarray:
-    """(rows, m) entity-centric vectors: per row, the sum of w * E[link]."""
-    return _row_sums(weights[:, :, None] * entities[links])
+    """(..., rows, m) entity-centric vectors: per row, the sum of w * E[link].
+    Leading axes (folds) of `links` and `weights` match those of `entities`:
+    each fold reads its own table."""
+    table = entities.reshape(-1, entities.shape[-1])
+    return _row_sums(weights[..., None] * table[_stacked_links(links, entities.shape[-2])], -2)
 
 
 def _features(
     text: np.ndarray, links: np.ndarray, weights: np.ndarray, entities: np.ndarray
 ) -> np.ndarray:
-    """(rows, n + m) scorer inputs X = [Vt, Ve] of rows with text vectors `text`."""
-    return np.concatenate((text, _entity_vectors(links, weights, entities)), axis=1)
+    """(..., rows, n + m) scorer inputs X = [Vt, Ve] of rows with text vectors `text`."""
+    return np.concatenate((text, _entity_vectors(links, weights, entities)), axis=-1)
 
 
 def _forward(model: DreqModel, Q: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scorer on a block of rows with inputs X = [Vt, Ve]: D = X W2^T + b2,
-    F = [Q, D, Q+D, Q-D, Q*D]; returns F and the logits F w3 + b3."""
-    D = X @ model.W2.T + model.b2
-    F = np.concatenate((Q, D, Q + D, Q - D, Q * D), axis=1)
-    return F, F @ model.w3 + model.b3
+    F = [Q, D, Q+D, Q-D, Q*D]; returns F and the logits F w3 + b3. A leading
+    fold axis on the parameters, Q and X scores each fold's block with its own
+    parameters; per fold, the products and sums are those of the 2-D case."""
+    D = X @ np.swapaxes(model.W2, -1, -2) + model.b2[..., None, :]
+    F = np.concatenate((Q, D, Q + D, Q - D, Q * D), axis=-1)
+    return F, (F @ model.w3[..., None])[..., 0] + np.asarray(model.b3)[..., None]
 
 
 def rerank(

@@ -8,20 +8,28 @@ example once per call into one `DreqBatch`, and each minibatch is a row
 gather from that. A row's entity-centric vector Ve is the left-to-right sum
 of its weighted entity rows, the same arithmetic `model.rerank` uses, and
 row by row, so precomputing it changes no bit; no (rows, |entities|) weight
-matrix is formed. With entity fine-tuning the table moves every step, so
-`dreq_loss_and_grads` sums each minibatch's Ve again.
+matrix is formed. With entity fine-tuning the tables move every step, so
+`dreq_loss_and_grads` sums each minibatch's Ve again from its fold's table.
 
-A fold trains W2, b2, w3 and b3 as views into one float64 vector
-(`_scorer_views`), and its gradient comes in the same layout, so each Adam
-step updates one key. Adam is elementwise, so this trains the same bits as
-one key per parameter.
+The folds train in lockstep. Their parameters are the rows of one (folds, P)
+float64 matrix, W2, b2, w3 and b3 being views into it (`_scorer_views`);
+with fine-tuning each fold also owns a slice of one (folds, entities, m)
+table. At each step every fold still training takes its next minibatch,
+as it would alone: its own generator draws one permutation per epoch, and
+it keeps its own epoch loss and early stopping. The folds whose minibatches
+have the same row count are stacked on a leading fold axis and take one
+`dreq_loss_and_grads` call and one `adam_step` on their rows, so a step
+costs a few numpy calls for all folds instead of for each. Per fold, every
+stacked product, row sum and mean is the 2-D operation on that fold's
+slice, and Adam is elementwise, with one step count shared by the live
+folds: training gives the bits of one fold after another. Log rows come out
+in fold order.
 
 The entity ranking is frozen while the document scorer trains, so the
 per-document entity weights are constants and the gradient of the loss
 w.r.t. an entity embedding is the weight-scaled gradient w.r.t. the
-entity-centric document vector, scattered onto the entity table.
+entity-centric document vector, scattered onto the fold's entity table.
 """
-
 from __future__ import annotations
 
 import json
@@ -40,6 +48,7 @@ from .model import (
     FeatureTable,
     _features,
     _forward,
+    _stacked_links,
     build_feature_table,
     rerank,
 )
@@ -217,6 +226,9 @@ def bce_dlogits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Per-key first and second moments, shaped like the params, and the step
+    count that sets the bias correction."""
+
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -227,8 +239,14 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     cfg: TrainConfig,
+    rows: slice | np.ndarray = slice(None),
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard Adam update with bias correction; mutates params in place."""
+    """Standard Adam update with bias correction; mutates params in place.
+
+    Only `rows` of each param's leading axis (and of its moments) step, and
+    `grads` holds just those rows: the lockstep trainer steps a group of
+    folds at a time. Each call advances `state.step`.
+    """
     if set(params) != set(grads):
         raise ValueError(f"params/grads keys differ: {sorted(params)} vs {sorted(grads)}")
     state.step += 1
@@ -237,16 +255,18 @@ def adam_step(
     bc2 = 1.0 - cfg.beta2**t
     for key, p in params.items():
         g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
         if key not in state.m:
             state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m[key], state.v[key]
+        m, v = state.m[key][rows], state.v[key][rows]  # copies when rows is an index array
+        if g.shape != m.shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape {m.shape} for {key!r}")
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        if isinstance(rows, np.ndarray):
+            state.m[key][rows], state.v[key][rows] = m, v
+        p[rows] -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     return params, state
 
 
@@ -258,26 +278,28 @@ class DreqBatch:
     """Stacked example rows: query embeddings, scorer inputs X = [Vt, Ve]
     (text- and entity-centric vectors), the entity links and weights that Ve
     sums, as `FeatureTable.entity_weights` lays them out (None once Ve is
-    final: in training without fine-tuning), and labels."""
+    final: in training without fine-tuning), and labels. In the trainer's
+    minibatches every field has a leading fold axis: one row block per fold."""
 
-    Q: np.ndarray  # (B, p)
-    X: np.ndarray  # (B, n + m)
-    links: np.ndarray | None  # (B, L)
-    weights: np.ndarray | None  # (B, L)
-    y: np.ndarray  # (B,)
+    Q: np.ndarray  # (..., B, p)
+    X: np.ndarray  # (..., B, n + m)
+    links: np.ndarray | None  # (..., B, L)
+    weights: np.ndarray | None  # (..., B, L)
+    y: np.ndarray  # (..., B)
 
 
 def _scorer_views(flat: np.ndarray, dims: DimsConfig) -> dict[str, np.ndarray]:
-    """W2, b2, w3 and b3 as views into one vector that holds them in that
-    order: the layout of the trainer's parameters and of their gradient."""
+    """W2, b2, w3 and b3 as views into the last axis of `flat`, which holds
+    them in that order: the layout of the trainer's (folds, P) parameters and
+    of their gradient. Leading axes carry over; b3 loses its last axis."""
     p, width = dims.p, dims.m + dims.n
-    W2, b2, w3, b3 = np.split(flat, np.cumsum([p * width, p, 5 * p]))
-    return {"W2": W2.reshape(p, width), "b2": b2, "w3": w3, "b3": b3}
+    W2, b2, w3, b3 = np.split(flat, np.cumsum([p * width, p, 5 * p]), axis=-1)
+    return {"W2": W2.reshape(flat.shape[:-1] + (p, width)), "b2": b2, "w3": w3, "b3": b3[..., 0]}
 
 
 def _with_entities(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
     """The batch's X with Ve summed again from `entity_table`."""
-    return _features(batch.X[:, : model.dims.n], batch.links, batch.weights, entity_table)
+    return _features(batch.X[..., : model.dims.n], batch.links, batch.weights, entity_table)
 
 
 def dreq_logits(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
@@ -286,57 +308,58 @@ def dreq_logits(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) ->
     return _forward(model, batch.Q, _with_entities(model, batch, entity_table))[1]
 
 
-def dreq_loss(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> float:
-    return bce_loss(dreq_logits(model, batch, entity_table), batch.y)
-
-
 def dreq_loss_and_grads(
     model: DreqModel,
     batch: DreqBatch,
     entity_table: np.ndarray,
     finetune_entities: bool = False,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Mean BCE over the batch and its analytic gradients.
 
-    Returns the gradient of W2, b2, w3 and b3 as one vector laid out as
-    `_scorer_views` reads it ("scorer") and, when `finetune_entities`, of the
-    full entity table ("entities"; rows not hit by the batch get zero
-    gradient). Without fine-tuning, batch.X is taken as is: its Ve was summed
-    from `entity_table`; with it, Ve is summed again from `entity_table`.
-    The loss and dz are `bce_loss` and `bce_dlogits` sharing one (1 - 2y) z.
-    The gradient assumes probabilities away from the clamp bounds.
+    `model`, `batch` and `entity_table` share their leading axes: with a
+    fold axis, fold f's parameters score fold f's rows, and the loss and
+    each gradient get that axis too. Returns the gradient of W2, b2, w3 and
+    b3 as (..., P) laid out as `_scorer_views` reads it ("scorer") and, when
+    `finetune_entities`, of the full entity table ("entities"; rows not hit
+    by the batch get zero gradient). Without fine-tuning, batch.X is taken
+    as is: its Ve was summed from `entity_table`; with it, Ve is summed
+    again from `entity_table`. The loss and dz are `bce_loss` and
+    `bce_dlogits` sharing one (1 - 2y) z. The gradient assumes
+    probabilities away from the clamp bounds.
     """
     p_dim = model.dims.p
     n_dim = model.dims.n
     y = batch.y
-    B = y.shape[0]
 
     X = _with_entities(model, batch, entity_table) if finetune_entities else batch.X
     F, z = _forward(model, batch.Q, X)
     signed = (1.0 - 2.0 * y) * z
-    loss = float(np.mean(np.minimum(_softplus(signed), _LOSS_CAP)))
+    loss = np.mean(np.minimum(_softplus(signed), _LOSS_CAP), axis=-1)
 
-    dz = (sigmoid(z) - y) * (signed < _LOSS_CAP) / B  # (B,)
-    dw3 = F.T @ dz
-    db3 = np.sum(dz)
-    a2 = model.w3[p_dim : 2 * p_dim]
-    a3 = model.w3[2 * p_dim : 3 * p_dim]
-    a4 = model.w3[3 * p_dim : 4 * p_dim]
-    a5 = model.w3[4 * p_dim : 5 * p_dim]
-    dD = dz[:, None] * ((a2 + a3 - a4)[None, :] + a5[None, :] * batch.Q)  # (B, p)
-    dW2 = dD.T @ X
-    db2 = dD.sum(axis=0)
-    grads = {"scorer": np.concatenate((dW2.ravel(), db2, dw3, (db3,)))}
+    dz = (sigmoid(z) - y) * (signed < _LOSS_CAP) / y.shape[-1]  # (..., B)
+    dw3 = (np.swapaxes(F, -1, -2) @ dz[..., None])[..., 0]
+    db3 = dz.sum(axis=-1)
+    a2, a3, a4, a5 = (model.w3[..., None, i * p_dim : (i + 1) * p_dim] for i in range(1, 5))
+    dD = dz[..., None] * ((a2 + a3 - a4) + a5 * batch.Q)  # (..., B, p)
+    dW2 = np.swapaxes(dD, -1, -2) @ X
+    db2 = dD.sum(axis=-2)
+    dW2 = dW2.reshape(y.shape[:-1] + (-1,))
+    grads = {"scorer": np.concatenate((dW2, db2, dw3, db3[..., None]), axis=-1)}
     if finetune_entities:
-        dVe = dD @ model.W2[:, n_dim:]  # (B, m)
+        dVe = dD @ model.W2[..., n_dim:]  # (..., B, m)
         dE = np.zeros_like(entity_table)
-        np.add.at(dE, batch.links, batch.weights[:, :, None] * dVe[:, None, :])
+        np.add.at(
+            dE.reshape(-1, dE.shape[-1]),
+            _stacked_links(batch.links, dE.shape[-2]),
+            batch.weights[..., None] * dVe[..., None, :],
+        )
         grads["entities"] = dE
     return loss, grads
 
 
 def _take(batch: DreqBatch, idx: np.ndarray) -> DreqBatch:
-    """The rows `idx` of `batch`, in that order."""
+    """The rows `idx` of `batch`, in that order; a (folds, B) `idx` gives
+    one minibatch per fold on a leading fold axis."""
     return DreqBatch(**{k: None if v is None else v[idx] for k, v in vars(batch).items()})
 
 
@@ -408,6 +431,46 @@ def _example_batch(
     )
 
 
+@dataclass
+class _FoldRun:
+    """One fold's walk through its own epochs: a permutation of its training
+    rows per epoch from its own generator, cut into minibatches in order."""
+
+    rows: np.ndarray
+    rng: np.random.Generator
+    perm: np.ndarray | None = None  # this epoch's order, drawn at its first minibatch
+    start: int = 0
+    total_loss: float = 0.0
+    best: float = float("inf")
+    stall: int = 0
+    epoch_losses: list[float] = field(default_factory=list)
+
+    def next_batch(self, batch_size: int) -> np.ndarray:
+        if self.start == 0:
+            self.perm = self.rows[self.rng.permutation(len(self.rows))]
+        return self.perm[self.start : self.start + batch_size]
+
+    def advance(self, cfg: TrainConfig) -> bool:
+        """Move past the minibatch just trained; False once the fold stops."""
+        self.start += cfg.batch_size
+        if self.start < len(self.rows):
+            return True
+        epoch_loss = self.total_loss / len(self.rows)
+        self.epoch_losses.append(epoch_loss)
+        self.stall = self.stall + 1 if self.best - epoch_loss < cfg.early_stop_delta else 0
+        self.best = min(self.best, epoch_loss)
+        self.start, self.total_loss = 0, 0.0
+        return len(self.epoch_losses) < cfg.epochs and self.stall < cfg.early_stop_patience
+
+
+def _fold_index(group: list[int]) -> slice | np.ndarray:
+    """Rows of the fold axis for `group` (ascending): a slice, so arrays
+    indexed with it are views, when the folds are consecutive."""
+    if group[-1] - group[0] == len(group) - 1:
+        return slice(group[0], group[-1] + 1)
+    return np.array(group, dtype=np.intp)
+
+
 def train_dreq(
     template: DreqModel,
     examples: Sequence[TrainingExample],
@@ -418,11 +481,14 @@ def train_dreq(
 ) -> TrainResult:
     """Per-fold training of the document scorer with out-of-fold reranking.
 
-    Each fold copies the template parameters, trains on its training
+    Every fold starts from the template parameters, trains on its training
     queries' examples, then reranks the candidate lists of its test
-    queries. When entity fine-tuning is on, the fold owns a mutable copy
-    of the entity table and the gradient of one embedding is the sum of
-    its weight-scaled fusion gradients. `table` defaults to
+    queries. The folds train in lockstep: at each step every fold still
+    training takes its next minibatch, and the folds whose minibatches have
+    the same row count take one stacked forward, backward and Adam step
+    (see the module docstring). When entity fine-tuning is on, each fold
+    owns a copy of the entity table and the gradient of one embedding is
+    the sum of its weight-scaled fusion gradients. `table` defaults to
     `train_feature_table(data, examples)`.
     """
     if table is None:
@@ -437,57 +503,61 @@ def train_dreq(
     finetune = cfg.finetune_entity_embeddings and template.use_entities
     if not finetune:  # Ve is final: a minibatch gathers Q, X and y only
         all_rows = replace(all_rows, links=None, weights=None)
-    outcomes: list[FoldOutcome] = []
-    log_rows: list[tuple[int, int, float]] = []
-    merged: dict[str, Ranking] = {}
-
+    runs: list[_FoldRun] = []
     for fold_index, fold in enumerate(folds.folds):
-        scorer = np.concatenate((template.W2.ravel(), template.b2, template.w3, (template.b3,)))
-        views = _scorer_views(scorer, template.dims)
-        model = replace(template, W2=views["W2"], b2=views["b2"], w3=views["w3"])
-        entities = table.entities.copy()
         train_qids = set(fold.train)
         fold_rows = np.array([i for i, q in enumerate(query_ids) if q in train_qids], np.intp)
         if not fold_rows.size:
             raise ValueError(f"fold {fold_index} has no training examples")
+        runs.append(_FoldRun(fold_rows, np.random.default_rng([cfg.seed, fold_index])))
 
-        params = {"scorer": scorer}
-        if finetune:
-            params["entities"] = entities
-        state = AdamState()
-        rng = np.random.default_rng([cfg.seed, fold_index])
+    flat = np.concatenate((template.W2.ravel(), template.b2, template.w3, (template.b3,)))
+    params = {"scorer": np.tile(flat, (len(runs), 1))}
+    views = _scorer_views(params["scorer"], template.dims)
+    entities = table.entities  # read only when fine-tuning
+    if finetune:
+        entities = params["entities"] = np.tile(table.entities, (len(runs), 1, 1))
+    state = AdamState()
+    models: dict[tuple[int, ...], DreqModel] = {}  # per fold group, over views of params
 
-        best = float("inf")
-        stall = 0
-        epoch_losses: list[float] = []
-        for epoch in range(cfg.epochs):
-            perm = fold_rows[rng.permutation(len(fold_rows))]
-            total_loss = 0.0
-            for start in range(0, len(perm), cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                batch = _take(all_rows, idx)
-                loss, grads = dreq_loss_and_grads(model, batch, entities, finetune)
-                adam_step(params, grads, state, cfg)
-                model.b3 = float(scorer[-1])
-                total_loss += loss * len(idx)
-            epoch_loss = total_loss / len(fold_rows)
-            epoch_losses.append(epoch_loss)
-            log_rows.append((fold_index, epoch, epoch_loss))
-            if best - epoch_loss < cfg.early_stop_delta:
-                stall += 1
-            else:
-                stall = 0
-            best = min(best, epoch_loss)
-            if stall >= cfg.early_stop_patience:
-                break
+    live = list(range(len(runs))) if cfg.epochs > 0 else []
+    while live:
+        groups: dict[int, list[int]] = {}
+        batches = {f: runs[f].next_batch(cfg.batch_size) for f in live}
+        for f in live:
+            groups.setdefault(len(batches[f]), []).append(f)
+        step = state.step
+        for size, group in groups.items():
+            at = _fold_index(group)
+            model = models.get(tuple(group))
+            if model is None:
+                model = replace(template, **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")})
+                if isinstance(at, slice):  # an index array would copy the parameters
+                    models[tuple(group)] = model
+            batch = _take(all_rows, np.stack([batches[f] for f in group]))
+            tables = entities[at] if finetune else entities
+            loss, grads = dreq_loss_and_grads(model, batch, tables, finetune)
+            state.step = step  # every size group takes this step's bias correction
+            adam_step(params, grads, state, cfg, at)
+            for f, value in zip(group, loss.tolist()):
+                runs[f].total_loss += value * size
+        live = [f for f in live if runs[f].advance(cfg)]
 
+    outcomes: list[FoldOutcome] = []
+    merged: dict[str, Ranking] = {}
+    for fold_index, (fold, run) in enumerate(zip(folds.folds, runs)):
+        model = replace(
+            template,
+            **{k: views[k][fold_index].copy() for k in ("W2", "b2", "w3")},
+            b3=float(views["b3"][fold_index]),
+        )
         fold_table = table
         tuned = data.entity_store
         if finetune:
-            fold_table = replace(table, entities=entities)
+            fold_table = replace(table, entities=entities[fold_index])
             tuned = EmbeddingStore(space=data.entity_store.space, dim=data.entity_store.dim)
             for i, eid in enumerate(table.entity_ids):
-                tuned.add(eid, entities[i].copy())
+                tuned.add(eid, entities[fold_index, i].copy())
 
         test_rankings: dict[str, Ranking] = {}
         for qid in fold.test:
@@ -507,10 +577,11 @@ def train_dreq(
                 model=model,
                 entity_store=tuned,
                 test_rankings=test_rankings,
-                epoch_losses=epoch_losses,
+                epoch_losses=run.epoch_losses,
             )
         )
 
+    log_rows = [(o.fold_index, e, loss) for o in outcomes for e, loss in enumerate(o.epoch_losses)]
     return TrainResult(fold_outcomes=outcomes, reranked=merged, log_rows=log_rows)
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import sys
 
@@ -78,8 +79,15 @@ def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
         assert isinstance(args[0], DreqModel)
         assert dataclasses.is_dataclass(args[1])
         assert layers.PROBES["training.dreq_loss_and_grads"](args, kwargs, out)["bytes"] > 0
-    # one optimiser step per minibatch, so training.batches, adam_step_s and
-    # epoch_ms_p50 count the same steps from one change to the next
+        # folds train in lockstep: each call stacks one minibatch per fold
+        assert args[1].y.ndim == 2 and args[1].Q.ndim == 3
+    # every fold trains each of its minibatches once per epoch, none dropped
+    rows = [sum(ex.query_id in set(f.train) for ex in examples) for f in folds.folds]
+    epochs = [len(o.epoch_losses) for o in result.fold_outcomes]
+    stacked = sum(args[1].y.shape[0] for args, _, _ in calls["dreq_loss_and_grads"])
+    assert stacked == sum(e * math.ceil(n / cfg.batch_size) for n, e in zip(rows, epochs))
+    # one optimiser step per stacked call, so training.batches and
+    # adam_step_s count the same steps
     assert len(calls["adam_step"]) == len(calls["dreq_loss_and_grads"])
 
 

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dreq import _npz
 from dreq.embeddings import (
@@ -233,6 +234,27 @@ class TestSigmoid:
     def test_extremes_stable(self):
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9),
+            elements=st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, 709.0, -745.0, 1e308, -1e308, 1e-300]),
+        )
+    )
+    def test_matches_masked_two_branch_form(self, x):
+        """One exp of -|x| gives the bits of exp(-x) / exp(x) taken per branch."""
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        got = sigmoid(x)
+        if x.ndim == 0:
+            assert isinstance(got, float)
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_dims_config_validation():

@@ -73,10 +73,11 @@ class TestRankEntities:
         store = encoding_store_for("q", {"e1": 1.0, "e2": 2.0, "e3": 3.0})
         ranking = rank_entities(PROBE, "q", ["e1", "e2", "e3"], store)
         probs = softmax([1.0, 2.0, 3.0])
-        assert ranking.prob_of("e1") == pytest.approx(probs[0], abs=1e-12)
-        assert ranking.prob_of("e3") == pytest.approx(probs[2], abs=1e-12)
-        assert ranking.rank_of("e3") == 1
-        assert ranking.rank_of("e1") == 3
+        entry = {e.entity_id: e for e in ranking.entries}
+        assert entry["e1"].prob == pytest.approx(probs[0], abs=1e-12)
+        assert entry["e3"].prob == pytest.approx(probs[2], abs=1e-12)
+        assert entry["e3"].rank == 1
+        assert entry["e1"].rank == 3
 
     def test_missing_encoding_names_pair(self):
         store = encoding_store_for("q", {"a": 1.0})
@@ -183,7 +184,8 @@ class TestBm25EntityRank:
     def test_missing_description_scores_zero(self):
         index, _ = self.catalog_index()
         ranking = bm25_entity_rank("bear", ["bear", "undescribed"], index)
-        assert ranking.prob_of("undescribed") < ranking.prob_of("bear")
+        prob = {e.entity_id: e.prob for e in ranking.entries}
+        assert prob["undescribed"] < prob["bear"]
         raw = {e.entity_id: e.raw_score for e in ranking.entries}
         assert raw["undescribed"] == 0.0
 
@@ -318,6 +320,7 @@ def test_shift_invariance_of_probs_and_ranks(raws, shift):
     ids = [f"e{i}" for i in range(len(raws))]
     base = EntityRanking.from_raw_scores("q", list(zip(ids, raws)))
     shifted = EntityRanking.from_raw_scores("q", [(e, r + shift) for e, r in zip(ids, raws)])
-    for e in ids:
-        assert shifted.prob_of(e) == pytest.approx(base.prob_of(e), abs=1e-9)
-        assert shifted.rank_of(e) == base.rank_of(e)
+    for a, b in zip(shifted.entries, base.entries):
+        assert a.entity_id == b.entity_id
+        assert a.prob == pytest.approx(b.prob, abs=1e-9)
+        assert a.rank == b.rank

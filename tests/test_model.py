@@ -46,11 +46,12 @@ def store_with(dim: int, **vectors) -> EmbeddingStore:
 def reference_weights(doc, ranking, mode):
     """Per-document entity weights as a loop over the doc's entities."""
     entity_ids = doc.entity_ids()
+    entry = {e.entity_id: e for e in ranking.entries}
     if mode == WeightingMode.UNIFORM:
         return [(e, 1.0) for e in entity_ids]
     if mode == WeightingMode.RECIPROCAL_RANK:
-        return [(e, 1.0 / ranking.rank_of(e)) for e in entity_ids]
-    probs = [ranking.prob_of(e) for e in entity_ids]
+        return [(e, 1.0 / entry[e].rank) for e in entity_ids]
+    probs = [entry[e].prob for e in entity_ids]
     total = sum(probs)
     return [(e, p / total) for e, p in zip(entity_ids, probs)]
 
@@ -166,7 +167,8 @@ class TestEntityWeights:
     def test_underflowing_probabilities_use_raw_scores(self):
         # exp(-800) underflows: both of the doc's probabilities are exactly 0
         ranking = ranking_of(("top", 0.0), ("a", -800.0), ("b", -801.0))
-        assert ranking.prob_of("a") == ranking.prob_of("b") == 0.0
+        prob = {e.entity_id: e.prob for e in ranking.entries}
+        assert prob["a"] == prob["b"] == 0.0
         weights = weights_of(doc_with("d", ["a", "b"]), ranking, WeightingMode.PROBABILITY)
         values = np.array([w for _, w in weights])
         assert np.all(np.isfinite(values))

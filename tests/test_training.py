@@ -23,7 +23,6 @@ from dreq.training import (
     build_doc_examples,
     build_entity_examples,
     dreq_logits,
-    dreq_loss,
     dreq_loss_and_grads,
     make_folds,
     train_dreq,
@@ -271,11 +270,11 @@ class TestDreqGradients:
             batch = random_batch(rng, dims, table, batch=5)
             for finetune in (True, False):
                 loss_value, grads = dreq_loss_and_grads(model, batch, table, finetune)
-                assert loss_value == dreq_loss(model, batch, table)
+                assert loss_value == bce_loss(dreq_logits(model, batch, table), batch.y)
                 scorer = _scorer_views(grads["scorer"], dims)
 
                 def loss():
-                    return dreq_loss(model, batch, table)
+                    return bce_loss(dreq_logits(model, batch, table), batch.y)
 
                 assert rel_err(scorer["W2"], fd_gradient(loss, model.W2)) < 1e-4
                 assert rel_err(scorer["b2"], fd_gradient(loss, model.b2)) < 1e-4
@@ -284,7 +283,7 @@ class TestDreqGradients:
 
                 def loss_b3():
                     model.b3 = float(b3[0])
-                    return dreq_loss(model, batch, table)
+                    return bce_loss(dreq_logits(model, batch, table), batch.y)
 
                 assert rel_err(scorer["b3"], fd_gradient(loss_b3, b3)) < 1e-4
             assert rel_err(grads_entities(model, batch, table), fd_gradient(loss, table)) < 1e-4
@@ -331,7 +330,8 @@ class TestEntitySumBatch:
                 ex = examples[i]
                 doc = data.corpus.doc(ex.item_id)
                 ranking = data.entity_rankings[ex.query_id]
-                probs = [ranking.prob_of(e) for e in doc.entity_ids()]
+                prob = {e.entity_id: e.prob for e in ranking.entries}
+                probs = [prob[e] for e in doc.entity_ids()]
                 linked = len(probs)
                 got = batch.links[row, :linked]
                 assert [table.entity_ids[j] for j in got] == doc.entity_ids()
@@ -583,41 +583,96 @@ def link_more_entities(data):
         data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
 
 
+def assert_matches_reference(template, examples, folds, data, cfg):
+    """`train_dreq` equals `reference_train` bit for bit; returns its result."""
+    result = train_dreq(template, examples, folds, data, cfg)
+    expected_folds, expected_log, expected_runs = reference_train(
+        template, examples, folds, data, cfg
+    )
+
+    assert result.log_rows == expected_log
+    for outcome, (W2, b2, w3, b3, entities) in zip(result.fold_outcomes, expected_folds):
+        assert np.array_equal(outcome.model.W2, W2)
+        assert np.array_equal(outcome.model.b2, b2)
+        assert np.array_equal(outcome.model.w3, w3)
+        assert outcome.model.b3 == b3
+        tuned = np.array([outcome.entity_store.get(e) for e in data.entity_store.ids()])
+        assert np.array_equal(tuned, entities)
+    assert result.reranked.keys() == expected_runs.keys()
+    for qid, ranking in expected_runs.items():
+        got = [(e.doc_id, e.score) for e in result.reranked[qid].entries]
+        assert got == [(e.doc_id, e.score) for e in ranking.entries]
+    if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
+        original = np.array([data.entity_store.get(e) for e in data.entity_store.ids()])
+        assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
+    return result
+
+
+def reference_world():
+    dims, data, qrels = make_train_world(n_queries=7, docs_per_query=8, seed=4)
+    link_more_entities(data)
+    examples = build_doc_examples(qrels, data.candidates, seed=4)
+    folds = make_folds(sorted(data.candidates), k=5, seed=4)
+    return dims, data, examples, folds
+
+
 class TestTrainerMatchesReference:
     """`train_dreq` against `reference_train`, bit for bit."""
 
     @pytest.mark.parametrize("finetune", [False, True])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_bit_identical(self, variant, finetune):
-        dims, data, qrels = make_train_world(n_queries=7, docs_per_query=8, seed=4)
-        link_more_entities(data)
-        examples = build_doc_examples(qrels, data.candidates, seed=4)
-        folds = make_folds(sorted(data.candidates), k=5, seed=4)
+        dims, data, examples, folds = reference_world()
         mode, use_entities = VARIANTS[variant]
         template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=3, epochs=6, seed=4, finetune_entity_embeddings=finetune
         )
-        result = train_dreq(template, examples, folds, data, cfg)
-        expected_folds, expected_log, expected_runs = reference_train(
-            template, examples, folds, data, cfg
-        )
+        assert_matches_reference(template, examples, folds, data, cfg)
 
-        assert result.log_rows == expected_log
-        for outcome, (W2, b2, w3, b3, entities) in zip(result.fold_outcomes, expected_folds):
-            assert np.array_equal(outcome.model.W2, W2)
-            assert np.array_equal(outcome.model.b2, b2)
-            assert np.array_equal(outcome.model.w3, w3)
-            assert outcome.model.b3 == b3
-            tuned = np.array([outcome.entity_store.get(e) for e in data.entity_store.ids()])
-            assert np.array_equal(tuned, entities)
-        assert result.reranked.keys() == expected_runs.keys()
-        for qid, ranking in expected_runs.items():
-            got = [(e.doc_id, e.score) for e in result.reranked[qid].entries]
-            assert got == [(e.doc_id, e.score) for e in ranking.entries]
-        if finetune and use_entities:  # the fine-tuned tables above moved
-            original = np.array([data.entity_store.get(e) for e in data.entity_store.ids()])
-            assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        finetune=st.booleans(),
+        batch=st.sampled_from(["one", "ragged", "whole"]),
+        epochs=st.integers(1, 6),
+        patience=st.integers(1, 3),
+        delta=st.sampled_from([1e-5, 0.02, 0.1]),
+    )
+    def test_ragged_lockstep(self, variant, finetune, batch, epochs, patience, delta):
+        """Folds whose minibatch counts, last-minibatch sizes and stopping
+        epochs differ, so that fold groups split and shrink mid-training."""
+        dims, data, examples, folds = reference_world()
+        sizes = [sum(ex.query_id in set(f.train) for ex in examples) for f in folds.folds]
+        assert len(set(sizes)) > 1
+        batch_size = {
+            "one": 1,
+            "ragged": next(b for b in range(2, max(sizes)) if all(n % b for n in sizes)),
+            "whole": max(sizes) + 1,
+        }[batch]
+        mode, use_entities = VARIANTS[variant]
+        template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+        cfg = TrainConfig(
+            learning_rate=0.05,
+            batch_size=batch_size,
+            epochs=epochs,
+            seed=4,
+            finetune_entity_embeddings=finetune,
+            early_stop_delta=delta,
+            early_stop_patience=patience,
+        )
+        assert_matches_reference(template, examples, folds, data, cfg)
+
+    @pytest.mark.parametrize("batch_size, delta", [(1, 0.02), (7, 1e-5), (49, 1e-5)])
+    def test_folds_stop_at_different_epochs(self, batch_size, delta):
+        """Each batch size the ragged test draws stops folds apart somewhere
+        in its space (7 divides neither 40 nor 48 rows, 49 exceeds both)."""
+        dims, data, examples, folds = reference_world()
+        template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=4)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=6, seed=4,
+                          early_stop_delta=delta, early_stop_patience=1)
+        result = assert_matches_reference(template, examples, folds, data, cfg)
+        assert len({len(o.epoch_losses) for o in result.fold_outcomes}) > 1
 
 
 class TestFlatAdam:
