@@ -202,9 +202,6 @@ class Settings:
             return False
         raise CliError(f"config key {key!r} is not a boolean: {v!r}")
 
-    def path(self, key: str) -> str:
-        return self.get(key)
-
     @property
     def workdir(self) -> str:
         return self.get("workdir")
@@ -357,14 +354,15 @@ def load_query_links(path: str) -> dict[str, list[tuple[str, float]]]:
 
 def _load_corpus(settings: Settings):
     catalog = settings.values.get("entity_catalog")
-    return load_corpus(settings.path("corpus"), catalog_path=catalog)
+    return load_corpus(settings.get("corpus"), catalog_path=catalog)
 
 
-def _load_stores(settings: Settings) -> dict[str, EmbeddingStore]:
-    return {
-        name: load_store(require_artifact(store_path(settings.workdir, name), "synth-embed"))
-        for name in STORE_NAMES
-    }
+def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
+    """The stores `names` (of `STORE_NAMES`), in that order: only those the stage reads."""
+    return [
+        load_store(require_artifact(store_path(settings.workdir, name), "synth-embed"))
+        for name in names
+    ]
 
 
 def _candidates(settings: Settings):
@@ -388,7 +386,7 @@ def cmd_build_index(settings: Settings) -> None:
     with atomic_path(index_path) as tmp:
         save_index(index, tmp)
     write_manifest(
-        settings, "build-index", {"corpus": settings.path("corpus")}, {"index": index_path}, t0
+        settings, "build-index", {"corpus": settings.get("corpus")}, {"index": index_path}, t0
     )
     print(f"indexed {index.doc_count} documents -> {index_path}")
 
@@ -396,7 +394,7 @@ def cmd_build_index(settings: Settings) -> None:
 def cmd_retrieve(settings: Settings) -> None:
     t0 = time.time()
     index = load_index(require_artifact(settings.workpath("index.npz"), "build-index"))
-    queries = load_queries(settings.path("queries"))
+    queries = load_queries(settings.get("queries"))
     k = settings.get_int("retrieve.k")
     mode = settings.get("retrieve.mode")
     cands = candidate_rankings(
@@ -410,7 +408,7 @@ def cmd_retrieve(settings: Settings) -> None:
     out = settings.workpath("candidates.run")
     with atomic_path(out) as tmp:
         write_run((cands[q.query_id] for q in queries), tmp, tag=f"{mode}")
-    write_manifest(settings, "retrieve", {"queries": settings.path("queries")}, {"run": out}, t0)
+    write_manifest(settings, "retrieve", {"queries": settings.get("queries")}, {"run": out}, t0)
     print(f"retrieved top-{k} ({mode}) for {len(queries)} queries -> {out}")
 
 
@@ -418,7 +416,7 @@ def cmd_pool_entities(settings: Settings) -> None:
     t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.path("qrels")) if "qrels" in settings.values else None
+    qrels = load_qrels(settings.get("qrels")) if "qrels" in settings.values else None
     pooled = pooled_entities_map(corpus, cands, qrels)
     out = settings.workpath("pooled_entities.tsv")
     with atomic_path(out) as tmp:
@@ -431,28 +429,25 @@ def cmd_pool_entities(settings: Settings) -> None:
 def cmd_synth_embed(settings: Settings) -> None:
     t0 = time.time()
     corpus = _load_corpus(settings)
-    queries = load_queries(settings.path("queries"))
+    queries = load_queries(settings.get("queries"))
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
     dims = settings.dims()
     seed = settings.get_int("seed")
     seg = settings.segmenter()
 
-    query_store = EmbeddingStore("query", dims.p)
-    for q in queries:
-        query_store.add(q.query_id, synthetic_embed("query", q.query_id, dims.p, seed))
-    entity_store = EmbeddingStore("entity", dims.m)
-    for eid in corpus.entities:
-        entity_store.add(eid, synthetic_embed("entity", eid, dims.m, seed))
-    passage_store = EmbeddingStore("passage", dims.n)
-    for doc in corpus.documents.values():
-        for p in segment_passages(doc, seg):
-            key = passage_key(p.doc_id, p.index)
-            passage_store.add(key, synthetic_embed("passage", key, dims.n, seed))
-    encoding_store = EmbeddingStore("query_entity", dims.k)
-    for qid in sorted(pooled):
-        for eid in pooled[qid]:
-            key = query_entity_key(qid, eid)
-            encoding_store.add(key, synthetic_embed("query_entity", key, dims.k, seed))
+    def embedded(space: str, dim: int, keys) -> EmbeddingStore:
+        rows = ((key, synthetic_embed(space, key, dim, seed)) for key in keys)
+        return EmbeddingStore.from_rows(space, dim, rows)
+
+    query_store = embedded("query", dims.p, (q.query_id for q in queries))
+    entity_store = embedded("entity", dims.m, corpus.entities)
+    passage_store = embedded("passage", dims.n, (
+        passage_key(p.doc_id, p.index)
+        for doc in corpus.documents.values() for p in segment_passages(doc, seg)
+    ))
+    encoding_store = embedded("query_entity", dims.k, (
+        query_entity_key(qid, eid) for qid in sorted(pooled) for eid in pooled[qid]
+    ))
 
     outputs = {}
     for name, store in zip(STORE_NAMES, (query_store, entity_store, passage_store, encoding_store)):
@@ -471,10 +466,10 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.path("qrels"))
-    stores = _load_stores(settings)
+    qrels = load_qrels(settings.get("qrels"))
+    (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(corpus, cands, qrels)
-    examples = build_entity_encoding_examples(labels, stores["query_entity"], settings.get_int("seed"))
+    examples = build_entity_encoding_examples(labels, encodings, settings.get_int("seed"))
     if not examples:
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
@@ -486,7 +481,7 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     with atomic_path(log_path) as tmp:
         write_training_log(log_rows, tmp)
     write_manifest(
-        settings, "train-entity-ranker", {"qrels": settings.path("qrels")},
+        settings, "train-entity-ranker", {"qrels": settings.get("qrels")},
         {"head": head_path, "log": log_path}, t0,
     )
     print(f"trained entity head on {len(examples)} examples -> {head_path}")
@@ -496,7 +491,7 @@ def cmd_rank_entities(settings: Settings) -> None:
     t0 = time.time()
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
-    queries = {q.query_id: q for q in load_queries(settings.path("queries"))}
+    queries = {q.query_id: q for q in load_queries(settings.get("queries"))}
     rankings: dict[str, EntityRanking] = {}
     bm25_only = 0
 
@@ -517,29 +512,29 @@ def cmd_rank_entities(settings: Settings) -> None:
         )
 
     if mode == "learned":
-        stores = _load_stores(settings)
+        (encodings,) = _load_stores(settings, "query_entity")
         head = load_entity_head(
             require_artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         )
-        rankings = entity_rankings_map(head, pooled, stores["query_entity"])
+        rankings = entity_rankings_map(head, pooled, encodings)
     elif mode == "bm25":
         rankings = {qid: bm25_ranking(qid) for qid in sorted(pooled)}
     elif mode == "geeer":
-        stores = _load_stores(settings)
-        links = load_query_links(settings.path("query_links"))
+        (entity_store,) = _load_stores(settings, "entity")
+        links = load_query_links(settings.get("query_links"))
         lam = settings.get_float("geeer.lambda")
         for qid in sorted(pooled):
             if desc_index is not None:
                 sparse = bm25_ranking(qid)
             else:  # no descriptions: every entity's BM25 is 0
                 sparse = EntityRanking.from_raw_scores(qid, [(e, 0.0) for e in pooled[qid]])
-            if not any(eid in stores["entity"] for eid, _ in links.get(qid, [])):
+            if not any(eid in entity_store for eid, _ in links.get(qid, [])):
                 rankings[qid] = sparse  # no query entity to compare with: BM25 alone
                 bm25_only += 1
                 continue
             bm25_scores = {e.entity_id: e.raw_score for e in sparse.entries}
             rankings[qid] = geeer_entity_rank(
-                links.get(qid, []), pooled[qid], stores["entity"], bm25_scores, lam, query_id=qid
+                links.get(qid, []), pooled[qid], entity_store, bm25_scores, lam, query_id=qid
             )
     else:
         raise CliError(f"unknown entity ranking mode {mode!r}")
@@ -564,32 +559,27 @@ def cmd_rank_entities(settings: Settings) -> None:
     )
 
 
-def _train_data(settings: Settings, corpus, stores, rankings, cands) -> TrainData:
-    return TrainData(
-        corpus=corpus,
-        query_store=stores["query"],
-        entity_store=stores["entity"],
-        passage_store=stores["passage"],
-        entity_rankings=rankings,
-        candidates=cands,
-        seg=settings.segmenter(),
-    )
-
-
-def cmd_train_dreq(settings: Settings) -> None:
-    t0 = time.time()
+def _training_inputs(settings: Settings):
+    """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
+    TrainData, TrainConfig)."""
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.path("qrels"))
-    stores = _load_stores(settings)
+    qrels = load_qrels(settings.get("qrels"))
+    stores = _load_stores(settings, "query", "entity", "passage")
     rankings = _entity_rankings(settings)
     seed = settings.get_int("seed")
     cfg = settings.train_config()
-
     examples = build_doc_examples(qrels, cands, seed)
     if not examples:
         raise CliError("no document training examples (check qrels coverage)")
     folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
+    data = TrainData(corpus, *stores, rankings, cands, settings.segmenter())
+    return qrels, examples, folds, data, cfg
+
+
+def cmd_train_dreq(settings: Settings) -> None:
+    t0 = time.time()
+    _, examples, folds, data, cfg = _training_inputs(settings)
     folds_path = settings.workpath("folds.json")
     with atomic_path(folds_path) as tmp:
         folds.save(tmp)
@@ -597,10 +587,9 @@ def cmd_train_dreq(settings: Settings) -> None:
     template = DreqModel.init(
         settings.dims(),
         mode=WeightingMode(settings.get("weighting.mode")),
-        seed=seed,
+        seed=settings.get_int("seed"),
         use_entities=settings.get_bool("use_entities"),
     )
-    data = _train_data(settings, corpus, stores, rankings, cands)
     table = train_feature_table(data, examples)
     result = train_dreq(template, examples, folds, data, cfg, table)
 
@@ -660,34 +649,36 @@ def cmd_rerank(settings: Settings) -> None:
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
-    queries = load_queries(settings.path("queries"))
+    queries = load_queries(settings.get("queries"))
     kept = empty_text = 0
 
     if mode == "maxsimcos":
-        stores = _load_stores(settings)
-        links = load_query_links(settings.path("query_links"))
+        (entity_store,) = _load_stores(settings, "entity")
+        links = load_query_links(settings.get("query_links"))
         rankings = {}
         for q in queries:
             if q.query_id not in cands:
                 continue
-            qlinks = [eid for eid, _ in links.get(q.query_id, []) if eid in stores["entity"]]
+            qlinks = [eid for eid, _ in links.get(q.query_id, []) if eid in entity_store]
             if not qlinks:  # no query entity to compare with
                 rankings[q.query_id] = cands[q.query_id]
                 kept += 1
                 continue
             rankings[q.query_id] = maxsimcos_rerank(
-                qlinks, cands[q.query_id], corpus.documents, stores["entity"]
+                qlinks, cands[q.query_id], corpus.documents, entity_store
             )
     elif mode == "dreq":
-        stores = _load_stores(settings)
+        query_store, entity_store, passage_store = _load_stores(
+            settings, "query", "entity", "passage"
+        )
         entity_rankings = _entity_rankings(settings)
         qids = [q.query_id for q in queries if q.query_id in cands]
         models = _rerank_models(settings, qids)
         docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids())
-        table = build_feature_table(docs, stores["entity"], stores["passage"], settings.segmenter())
+        table = build_feature_table(docs, entity_store, passage_store, settings.segmenter())
         empty_text = table.empty_text_docs
         rankings = {
-            qid: rerank(models[qid], stores["query"].get(qid), cands[qid], table, entity_rankings[qid])
+            qid: rerank(models[qid], query_store.get(qid), cands[qid], table, entity_rankings[qid])
             for qid in qids
         }
     else:
@@ -704,7 +695,7 @@ def cmd_rerank(settings: Settings) -> None:
 
 def cmd_evaluate(settings: Settings) -> None:
     t0 = time.time()
-    qrels = load_qrels(settings.path("qrels"))
+    qrels = load_qrels(settings.get("qrels"))
     run_path = settings.args.run or settings.workpath("dreq.run")
     rankings = load_run(require_artifact(run_path, "train-dreq (or retrieve/rerank)"))
     tag = settings.args.tag or os.path.splitext(os.path.basename(run_path))[0]
@@ -727,7 +718,7 @@ def cmd_evaluate(settings: Settings) -> None:
 
 def cmd_qpp(settings: Settings) -> None:
     t0 = time.time()
-    queries = load_queries(settings.path("queries"))
+    queries = load_queries(settings.get("queries"))
     cands = _candidates(settings)
     k = settings.get_int("wig.k")
     tok = settings.tokenizer()
@@ -750,7 +741,7 @@ def cmd_qpp(settings: Settings) -> None:
 
 def cmd_difficulty(settings: Settings) -> None:
     t0 = time.time()
-    qrels = load_qrels(settings.path("qrels"))
+    qrels = load_qrels(settings.get("qrels"))
     baseline = load_run(require_artifact(settings.args.baseline_run, "retrieve"))
     system = load_run(require_artifact(settings.args.system_run, "train-dreq or rerank"))
     ndcg_k = settings.get_int("eval.ndcg_k")
@@ -786,19 +777,11 @@ def cmd_difficulty(settings: Settings) -> None:
 
 def cmd_ablate(settings: Settings) -> None:
     t0 = time.time()
-    corpus = _load_corpus(settings)
-    cands = _candidates(settings)
-    qrels = load_qrels(settings.path("qrels"))
-    stores = _load_stores(settings)
-    rankings = _entity_rankings(settings)
-    seed = settings.get_int("seed")
-    cfg = settings.train_config()
-    examples = build_doc_examples(qrels, cands, seed)
-    folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
-    data = _train_data(settings, corpus, stores, rankings, cands)
+    qrels, examples, folds, data, cfg = _training_inputs(settings)
     variants = list(VARIANTS)
     outcome = ablation_sweep(
-        variants, settings.dims(), examples, folds, data, cfg, qrels, init_seed=seed
+        variants, settings.dims(), examples, folds, data, cfg, qrels,
+        init_seed=settings.get_int("seed"),
     )
     out = settings.workpath("ablate.tsv")
     ndcg_k = settings.get_int("eval.ndcg_k")

@@ -1,16 +1,20 @@
 """Fixed-dimension embedding stores and small numeric helpers.
 
-Stores hold float64 vectors keyed by string id, one store per embedding
-space (entities, passages, queries, query-conditioned entity encodings).
-A deterministic hash-seeded embedder stands in for neural encoders at
-desk scale.
+A store holds the vectors of one embedding space (entities, passages,
+queries, query-conditioned entity encodings): its ids and one float64
+(len(ids), dim) matrix whose row i is the vector of ids[i], with a row index
+built once. The constructor is the one place a store's contents are checked;
+a store is made once from its (id, vector) pairs (`from_rows`). Readers
+gather rows with `take` or use the matrix itself, and the file holds those
+two arrays as they are. A deterministic hash-seeded embedder stands in for
+neural encoders at desk scale.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -58,47 +62,68 @@ def query_entity_key(query_id: str, entity_id: str) -> str:
     return f"{query_id}::{entity_id}"
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingStore:
-    """Immutable-after-load map id -> vector, all sharing one dimension."""
+    """Row i of the (len(ids), dim) float64 matrix `vectors` is the vector of
+    `ids[i]`; `row` maps an id to its row."""
 
     space: str
-    dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    ids: list[str]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"store dim must be >= 1, got {self.dim}")
+        self.ids = list(self.ids)
+        v = self.vectors = np.asarray(self.vectors)
+        if v.dtype != np.float64 or v.ndim != 2 or len(v) != len(self.ids):
+            raise ValueError(
+                f"store '{self.space}': {len(self.ids)} ids for a {v.dtype} {v.shape} matrix"
+            )
+        if v.shape[1] < 1:
+            raise ValueError(f"store '{self.space}': dim must be >= 1, got {v.shape[1]}")
+        self.row = {key: i for i, key in enumerate(self.ids)}
+        if len(self.row) < len(self.ids):
+            duplicate = next(key for i, key in enumerate(self.ids) if self.row[key] != i)
+            raise ValueError(f"duplicate id {duplicate!r} in store '{self.space}'")
+        non_finite = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if non_finite.size:
+            bad = self.ids[non_finite[0]]
+            raise ValueError(f"non-finite components in vector for id {bad!r} in store '{self.space}'")
+
+    @classmethod
+    def from_rows(
+        cls, space: str, dim: int, rows: Iterable[tuple[str, np.ndarray]]
+    ) -> EmbeddingStore:
+        """The store of the (id, vector) pairs `rows`, in their order."""
+        rows = list(rows)
+        vectors = np.array([vec for _, vec in rows]).reshape(len(rows), dim)
+        return cls(space, [key for key, _ in rows], vectors)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ids)
 
     def __contains__(self, key: str) -> bool:
-        return key in self.vectors
+        return key in self.row
 
-    def ids(self) -> list[str]:
-        return list(self.vectors.keys())
+    def _rows(self, keys: Iterable[str]) -> list[int]:
+        try:
+            return [self.row[key] for key in keys]
+        except KeyError as e:
+            raise KeyError(f"id {e.args[0]!r} not found in store '{self.space}'") from None
 
-    def add(self, key: str, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(
-                f"store '{self.space}' expects dim {self.dim}, got shape {vec.shape} for id {key!r}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite components in vector for id {key!r}")
-        if key in self.vectors:
-            raise ValueError(f"duplicate id {key!r} in store '{self.space}'")
-        self.vectors[key] = vec
+    def take(self, keys: Iterable[str]) -> np.ndarray:
+        """(len(keys), dim) rows of `keys`, in order, gathered in one call."""
+        return self.vectors[np.array(self._rows(keys), dtype=np.intp)]
 
     def get(self, key: str) -> np.ndarray:
-        try:
-            return self.vectors[key]
-        except KeyError:
-            raise KeyError(f"id {key!r} not found in store '{self.space}'") from None
+        """The row of `key`, a view of `vectors`."""
+        return self.vectors[self._rows((key,))[0]]
 
 
-#: the stores every stage that scores reads, in a work directory's `stores/`
+#: the stores `synth-embed` writes to a work directory's `stores/`
 STORE_NAMES = ("query", "entity", "passage", "query_entity")
 
 
@@ -109,31 +134,27 @@ def store_path(workdir: str, name: str) -> str:
 
 def save_store(store: EmbeddingStore, path: str) -> None:
     """Write the store's space, ids and (len, dim) vector matrix."""
-    ids, id_offsets = _npz.pack_strings(store.ids())
+    ids, id_offsets = _npz.pack_strings(store.ids)
     _npz.write(path, {
         "space": np.frombuffer(store.space.encode("utf-8"), dtype=np.uint8),
         "ids": ids,
         "id_offsets": id_offsets,
-        "vectors": np.array(list(store.vectors.values())).reshape(len(store), store.dim),
+        "vectors": store.vectors,
     })
 
 
 def load_store(path: str) -> EmbeddingStore:
-    """Load a store written by :func:`save_store`; its rows are views of one matrix."""
+    """Load a store written by :func:`save_store`; its vectors are the file's matrix."""
     names = ("space", "ids", "id_offsets", "vectors")
     arrays = _npz.read(path, names, "embedding store", "synth-embed")
-    ids = _npz.unpack_strings(arrays["ids"], arrays["id_offsets"])
-    vectors = arrays["vectors"]
-    if vectors.dtype != np.float64 or vectors.ndim != 2 or len(vectors) != len(ids):
-        raise ValueError(f"{path}: {len(ids)} ids for a {vectors.dtype} {vectors.shape} matrix")
-    duplicates = [key for key, count in Counter(ids).items() if count > 1]
-    if duplicates:
-        raise ValueError(f"{path}: duplicate id {duplicates[0]!r}")
-    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if non_finite.size:
-        raise ValueError(f"{path}: non-finite components in vector for id {ids[non_finite[0]]!r}")
-    space = arrays["space"].tobytes().decode("utf-8")
-    return EmbeddingStore(space, vectors.shape[1], dict(zip(ids, vectors)))
+    try:
+        return EmbeddingStore(
+            arrays["space"].tobytes().decode("utf-8"),
+            _npz.unpack_strings(arrays["ids"], arrays["id_offsets"]),
+            arrays["vectors"],
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}; rerun `dreq synth-embed`") from e
 
 
 # --- deterministic synthetic embedder ---------------------------------------

@@ -5,12 +5,13 @@ d = W2 [v_t; v_e] + b2, is linear in its text vector v_t (mean of passage
 embeddings, 0 for a document without sentences) and entity vector v_e
 (weighted sum of linked entity embeddings), so training and serving score
 arrays of rows X = [v_t; v_e] (`_features`) through one forward pass
-(`_forward`). `build_feature_table`, run once per CLI stage,
-`train_dreq` call or ablation sweep, holds the text vectors, a CSR map doc ->
-entity rows and the entity table (swapped per fold when fine-tuning).
-Per-document sums add left to right from zero, as `v = v + w * E[e]` does
-(`_row_sums`; numpy's reductions reassociate), so entity weights and v_e
-are bit-identical to a per-document loop; fusion and projection are matrix
+(`_forward`). `build_feature_table`, run once per CLI stage, `train_dreq`
+call or ablation sweep, holds the text vectors, a CSR map doc -> entity rows
+and the entity store itself, whose matrix is the entity table (a fine-tuned
+fold swaps in its own store). Per-document sums, over passages for v_t and
+over links for entity weights and v_e, add left to right from zero, as
+`v = v + x` does (`_row_sums`; numpy's reductions reassociate), so they are
+bit-identical to a per-document loop; fusion and projection are matrix
 products, equal to per-document ones up to rounding. `rerank` scores
 `BLOCK_ROWS` candidates at a time to bound its temporaries at any depth.
 
@@ -19,6 +20,10 @@ The trainer runs its folds in lockstep through the same functions: a
 a leading fold axis. `_forward`, `_features` and `_entity_vectors` broadcast
 over it, and for each fold compute exactly what the 2-D call on that fold's
 slice computes, so serving (2-D) and training share one forward.
+
+The `maxsimcos` baseline scores each distinct linked entity against the
+query entities once, with `cosine`: its `np.dot` gives the bits of a
+per-pair loop, which a matrix product does not.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import _npz
 from .corpus import Document, SegmenterConfig, segment_passages
-from .embeddings import DimsConfig, EmbeddingStore, passage_key
+from .embeddings import DimsConfig, EmbeddingStore, cosine, passage_key
 from .retrieval import Ranking
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,10 +123,7 @@ def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarra
     keys = [passage_key(p.doc_id, p.index) for p in passages]
     if not keys:
         raise ValueError("text_centric_embedding requires at least one passage")
-    total = np.zeros(passage_store.dim)
-    for key in keys:
-        total = total + passage_store.get(key)
-    return total / len(keys)
+    return _row_sums(passage_store.take(keys), axis=0) / len(keys)
 
 
 def _row_sums(x: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -137,21 +139,25 @@ def _row_sums(x: np.ndarray, axis: int = 1) -> np.ndarray:
 @dataclass
 class FeatureTable:
     """Query-independent document features shared by training and serving:
-    doc i has text vector text[i] and links the entity rows
-    entity_index[indptr[i]:indptr[i+1]]; `entities` rows follow `entity_ids`.
-    `empty_text_docs` docs have no sentences; their text vector is 0."""
+    doc i has text vector text[i] and links the rows
+    entity_index[indptr[i]:indptr[i+1]] of the entity store's matrix
+    `entities`. `empty_text_docs` docs have no sentences; their text vector
+    is 0."""
 
     doc_ids: list[str]
     text: np.ndarray  # (docs, n)
     indptr: np.ndarray  # (docs + 1,)
     entity_index: np.ndarray  # (links,)
-    entity_ids: list[str]
-    entities: np.ndarray  # (entities, m)
+    entity_store: EmbeddingStore
     empty_text_docs: int
 
     def __post_init__(self) -> None:
         self.doc_row = {d: i for i, d in enumerate(self.doc_ids)}
-        self.entity_row = {e: i for i, e in enumerate(self.entity_ids)}
+
+    @property
+    def entities(self) -> np.ndarray:
+        """(entities, m) entity table, the store's own matrix."""
+        return self.entity_store.vectors
 
     def rows(self, doc_ids: Iterable[str]) -> np.ndarray:
         try:
@@ -172,15 +178,16 @@ class FeatureTable:
         linked = cols < counts[:, None]
         at = np.minimum(starts[:, None] + cols, len(self.entity_index) - 1)
         links = np.where(linked, self.entity_index[at], 0)
-        prob, raw, rank = np.full((3, len(self.entity_ids)), np.nan)
+        store = self.entity_store
+        prob, raw, rank = np.full((3, len(store)), np.nan)
         for e in ranking.entries:
-            if e.entity_id in self.entity_row:
-                r = self.entity_row[e.entity_id]
+            if e.entity_id in store.row:
+                r = store.row[e.entity_id]
                 prob[r], raw[r], rank[r] = e.prob, e.raw_score, e.rank
         absent = np.argwhere(linked & np.isnan(prob[links]))
         if absent.size:
             i, j = absent[0]
-            raise KeyError(f"entity {self.entity_ids[links[i, j]]!r} of doc {self.doc_ids[rows[i]]!r} "
+            raise KeyError(f"entity {store.ids[links[i, j]]!r} of doc {self.doc_ids[rows[i]]!r} "
                            f"missing from the entity ranking for query {ranking.query_id!r}")
         if mode == WeightingMode.UNIFORM:
             return links, linked.astype(np.float64)
@@ -205,8 +212,7 @@ def build_feature_table(
     """Feature table over `docs` (repeats skipped) and all of `entity_store`.
     A doc without sentences gets text vector 0, so only its entities score it."""
     docs = list({doc.doc_id: doc for doc in docs}.values())
-    entity_ids = entity_store.ids()
-    entity_row = {e: i for i, e in enumerate(entity_ids)}
+    entity_row = entity_store.row
     text, index, indptr = [], [], [0]
     for doc in docs:
         passages = segment_passages(doc, seg)
@@ -224,8 +230,7 @@ def build_feature_table(
         text=np.array(text).reshape(-1, passage_store.dim),
         indptr=np.array(indptr, dtype=np.intp),
         entity_index=np.array(index, dtype=np.intp),
-        entity_ids=entity_ids,
-        entities=np.array([entity_store.get(e) for e in entity_ids]).reshape(-1, entity_store.dim),
+        entity_store=entity_store,
         empty_text_docs=sum(1 for doc in docs if not doc.sentences),
     )
 
@@ -297,26 +302,21 @@ def maxsimcos_rerank(
 ) -> Ranking:
     """Unsupervised baseline: a document scores the maximum cosine between
     any query entity embedding and any of its own entity embeddings.
-    Documents without usable entities score -inf and sort last.
+    Documents without usable entities score -inf and sort last. Each distinct
+    linked entity is scored against the query entities once.
     """
-    from .embeddings import cosine
-
     query_vecs = [entity_store.get(e) for e in query_entity_ids if e in entity_store]
     if not query_vecs:
         raise ValueError("maxsimcos requires at least one linked query entity with an embedding")
+    best: dict[str, float] = {}
     scored = []
     for entry in candidates.entries:
-        doc = docs[entry.doc_id]
-        best = float("-inf")
-        for eid in doc.entity_ids():
-            if eid not in entity_store:
-                continue
-            dvec = entity_store.get(eid)
-            for qvec in query_vecs:
-                c = cosine(qvec, dvec)
-                if c > best:
-                    best = c
-        scored.append((entry.doc_id, best))
+        linked = [e for e in docs[entry.doc_id].entity_ids() if e in entity_store]
+        for eid in linked:
+            if eid not in best:
+                vec = entity_store.get(eid)
+                best[eid] = max(cosine(qvec, vec) for qvec in query_vecs)
+        scored.append((entry.doc_id, max((best[e] for e in linked), default=float("-inf"))))
     return Ranking.from_scores(candidates.query_id, scored)
 
 

@@ -190,16 +190,10 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     seg = SegmenterConfig()
 
     # --- aligned embedding stores ---------------------------------------
-    query_store = EmbeddingStore("query", dims.p)
-    entity_store = EmbeddingStore("entity", dims.m)
-    passage_store = EmbeddingStore("passage", dims.n)
-    encoding_store = EmbeddingStore("query_entity", dims.k)
-
     topic_vec = {
         q.query_id: synthetic_embed("topic", q.query_id, dims.p, cfg.seed) for q in queries
     }
-    for q in queries:
-        query_store.add(q.query_id, topic_vec[q.query_id])
+    query_store = EmbeddingStore.from_rows("query", dims.p, topic_vec.items())
 
     def to_space(u: np.ndarray, space: str, dim: int) -> np.ndarray:
         # fixed random projection when the target space has a different dim
@@ -215,6 +209,7 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     for qid, ents in planted.items():
         for e in ents:
             planted_of[e] = qid
+    entity_rows = []
     for eid in all_entities:
         if eid in planted_of:
             base = to_space(topic_vec[planted_of[eid]], "entity", dims.m)
@@ -223,10 +218,12 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
             vec = vec / np.linalg.norm(vec)
         else:
             vec = synthetic_embed("ent", eid, dims.m, cfg.seed)
-        entity_store.add(eid, vec)
+        entity_rows.append((eid, vec))
+    entity_store = EmbeddingStore.from_rows("entity", dims.m, entity_rows)
 
     # topical documents (relevant and keyword-stuffed alike) share their
     # query's text direction, so text alone cannot tell them apart
+    passage_rows = []
     for doc in corpus.documents.values():
         topic_qid = doc_topic.get(doc.doc_id)
         for p in segment_passages(doc, seg):
@@ -238,9 +235,11 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
                 base = to_space(topic_vec[topic_qid], "passage", dims.n)
                 vec = cfg.passage_signal * base + cfg.passage_noise * noise_vec
                 vec = vec / np.linalg.norm(vec)
-            passage_store.add(key, vec)
+            passage_rows.append((key, vec))
+    passage_store = EmbeddingStore.from_rows("passage", dims.n, passage_rows)
 
     base_dir = synthetic_embed("encdir", "base", dims.k, cfg.seed)
+    encoding_rows = []
     for q in queries:
         qid = q.query_id
         planted_set = set(planted[qid])
@@ -249,7 +248,8 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
             sign = 1.0 if eid in planted_set else -1.0
             noise_vec = synthetic_embed("enc", key, dims.k, cfg.seed)
             vec = sign * cfg.encoding_signal * base_dir + cfg.encoding_noise * noise_vec
-            encoding_store.add(key, vec / np.linalg.norm(vec))
+            encoding_rows.append((key, vec / np.linalg.norm(vec)))
+    encoding_store = EmbeddingStore.from_rows("query_entity", dims.k, encoding_rows)
 
     # imperfect query-side entity links: most planted entities plus one stray
     query_links: dict[str, list[tuple[str, float]]] = {}

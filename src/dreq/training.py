@@ -421,9 +421,7 @@ def _example_batch(
         links[idx, : part_links.shape[1]] = part_links
         weights[idx, : part_weights.shape[1]] = part_weights
     return DreqBatch(
-        Q=np.array([data.query_store.get(ex.query_id) for ex in examples]).reshape(
-            len(rows), data.query_store.dim
-        ),
+        Q=data.query_store.take(ex.query_id for ex in examples),
         X=_features(table.text[rows], links, weights, table.entities),
         links=links,
         weights=weights,
@@ -496,9 +494,7 @@ def train_dreq(
     all_rows = _example_batch(template, examples, data, table)
     query_ids = [ex.query_id for ex in examples]
     # fail fast if any test query lacks what reranking will need
-    for fold in folds.folds:
-        for qid in fold.test:
-            data.query_store.get(qid)
+    data.query_store.take(qid for fold in folds.folds for qid in fold.test)
 
     finetune = cfg.finetune_entity_embeddings and template.use_entities
     if not finetune:  # Ve is final: a minibatch gathers Q, X and y only
@@ -552,12 +548,9 @@ def train_dreq(
             b3=float(views["b3"][fold_index]),
         )
         fold_table = table
-        tuned = data.entity_store
-        if finetune:
-            fold_table = replace(table, entities=entities[fold_index])
-            tuned = EmbeddingStore(space=data.entity_store.space, dim=data.entity_store.dim)
-            for i, eid in enumerate(table.entity_ids):
-                tuned.add(eid, entities[fold_index, i].copy())
+        if finetune:  # the tuned table is this fold's feature-table entities and its saved store
+            space, ids = table.entity_store.space, table.entity_store.ids
+            fold_table = replace(table, entity_store=EmbeddingStore(space, ids, entities[fold_index]))
 
         test_rankings: dict[str, Ranking] = {}
         for qid in fold.test:
@@ -575,7 +568,7 @@ def train_dreq(
             FoldOutcome(
                 fold_index=fold_index,
                 model=model,
-                entity_store=tuned,
+                entity_store=fold_table.entity_store,
                 test_rankings=test_rankings,
                 epoch_losses=run.epoch_losses,
             )

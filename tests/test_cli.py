@@ -208,6 +208,22 @@ class TestPipeline:
             assert "(1 documents without text)" in capsys.readouterr().out
         assert "dempty" in load_run(str(work / "dreq.run"))["q01"].doc_ids()
 
+    def test_no_positive_judgement_stops_training_stages(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        qrels = tmp_path / "qrels.txt"
+        toy = (Path(TOY) / "qrels.txt").read_text().splitlines()
+        qrels.write_text("".join(" ".join(line.split()[:3] + ["0"]) + "\n" for line in toy))
+        monkeypatch.setenv("DREQ_QRELS", str(qrels))
+        for stage in ("train-dreq", "ablate"):
+            capsys.readouterr()
+            assert main(["--config", config, "--workdir", str(work), stage]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: no document training examples (check qrels coverage)\n", stage
+
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
         out = os.path.join(workdir, "rr_mode.run")
@@ -274,7 +290,7 @@ class TestPipeline:
         "artifact,argv,kind,stage",
         [
             pytest.param("index.npz", ("retrieve",), "index", "build-index", id="index"),
-            pytest.param("stores/passage.npz", ("train-entity-ranker",), "embedding store",
+            pytest.param("stores/query_entity.npz", ("train-entity-ranker",), "embedding store",
                          "synth-embed", id="store"),
             pytest.param("entity_head.npz", ("rank-entities",), "entity head",
                          "train-entity-ranker", id="entity_head"),
@@ -385,6 +401,10 @@ class TestDeterminism:
         monkeypatch.setenv("DREQ_FINETUNE_ENTITY_EMBEDDINGS", "true")
         assert run(config_a, "train-dreq") == 0 and run(config_b, "train-dreq") == 0
         assert_identical([f"stores/entity_tuned_fold{i}.npz" for i in range(5)] + ["dreq_fold0.ckpt"])
+        # the other two readers of the entity store
+        for argv in (("rerank", "--mode", "maxsimcos"), ("rank-entities", "--mode", "geeer")):
+            assert run(config_a, *argv) == 0 and run(config_b, *argv) == 0
+        assert_identical(["rerank_maxsimcos.run", "entity_ranking.npz"])
 
 
 class TestConfigResolution:

@@ -28,28 +28,53 @@ def write_store_arrays(path, ids, vectors, space="x"):
 
 class TestStoreRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
-        store = EmbeddingStore("test", 4)
         rng = np.random.default_rng(3)
-        store.add("a", rng.standard_normal(4))
-        store.add("b", rng.standard_normal(4) * 1e-13)
-        store.add("tail\x00 naïve", rng.standard_normal(4))
+        vectors = rng.standard_normal((3, 4)) * np.array([[1.0], [1e-13], [1.0]])
+        store = EmbeddingStore("test", ["a", "b", "tail\x00 naïve"], vectors)
         path = str(tmp_path / "s.npz")
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.space == "test" and loaded.dim == 4
-        assert loaded.ids() == store.ids()
-        for key in store.ids():
+        assert loaded.ids == store.ids
+        assert np.array_equal(loaded.vectors, store.vectors)
+        for key in store.ids:
             assert np.array_equal(loaded.get(key), store.get(key))
         again = str(tmp_path / "again.npz")
         save_store(loaded, again)
         assert open(path, "rb").read() == open(again, "rb").read()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "with space", "naïve", "東京", "tail\x00", "\x00", " "])
+            | st.text(max_size=6),
+            unique=True,
+            max_size=6,
+        ),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_round_trip_hypothesis(self, tmp_path_factory, ids, dim, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        vectors = data.draw(hnp.arrays(np.float64, (len(ids), dim), elements=finite))
+        store = EmbeddingStore("space ü", ids, vectors)
+        tmp = tmp_path_factory.mktemp("store")
+        path, again = str(tmp / "s.npz"), str(tmp / "again.npz")
+        save_store(store, path)
+        loaded = load_store(path)
+        assert loaded.space == store.space and loaded.ids == ids
+        assert loaded.vectors.shape == (len(ids), dim)
+        assert loaded.vectors.tobytes() == vectors.tobytes()  # bit-exact, -0.0 included
+        save_store(loaded, again)
+        assert open(path, "rb").read() == open(again, "rb").read()
+
     def test_empty_store_valid(self, tmp_path):
-        store = EmbeddingStore("empty", 3)
+        store = EmbeddingStore("empty", [], np.zeros((0, 3)))
         path = str(tmp_path / "s.npz")
         save_store(store, path)
         loaded = load_store(path)
         assert len(loaded) == 0 and loaded.dim == 3
+        assert loaded.take([]).shape == (0, 3)
 
     def test_id_count_must_match_rows(self, tmp_path):
         path = tmp_path / "s.npz"
@@ -67,7 +92,7 @@ class TestStoreRoundTrip:
     def test_non_finite_row_names_id(self, tmp_path):
         path = tmp_path / "s.npz"
         write_store_arrays(path, ["a", "bad"], np.array([[1.0, 2.0], [3.0, np.inf]]))
-        with pytest.raises(ValueError, match="non-finite .* 'bad'"):
+        with pytest.raises(ValueError, match=rf"^{path}: .*non-finite .* 'bad'.*`dreq synth-embed`$"):
             load_store(str(path))
 
     def test_other_artifact_names_synth_embed(self, tmp_path):
@@ -78,12 +103,45 @@ class TestStoreRoundTrip:
             load_store(str(path))
 
     def test_add_validates(self):
-        store = EmbeddingStore("x", 2)
+        """`from_rows`, which stores are made with instead of adding rows one
+        at a time, rejects a row of another dim and a repeated id."""
         with pytest.raises(ValueError):
-            store.add("a", np.zeros(3))
-        store.add("a", np.zeros(2))
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("a", np.zeros(2))
+            EmbeddingStore.from_rows("x", 2, [("a", np.zeros(3))])
+        with pytest.raises(ValueError, match="duplicate id 'a' in store 'x'"):
+            EmbeddingStore.from_rows("x", 2, [("a", np.zeros(2)), ("a", np.zeros(2))])
+
+
+class TestStoreConstructor:
+    @pytest.mark.parametrize(
+        "ids,vectors,message",
+        [
+            (["a"], np.zeros((1, 2), dtype=np.float32), r"1 ids for a float32 \(1, 2\)"),
+            (["a", "b"], np.zeros(2), r"2 ids for a float64 \(2,\)"),
+            (["a", "b"], np.zeros((3, 2)), r"2 ids for a float64 \(3, 2\)"),
+            (["a"], np.zeros((1, 2, 1)), r"1 ids for a float64 \(1, 2, 1\)"),
+            (["a", "b"], np.zeros((2, 0)), "dim must be >= 1, got 0"),
+            (["a", "b", "c", "b", "a"], np.zeros((5, 2)), "duplicate id 'a' in store 'x'"),
+            (["a", "nan", "c"], np.array([[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]),
+             "non-finite components in vector for id 'nan'"),
+            (["a", "ninf"], np.array([[1.0, 2.0], [1.0, -np.inf]]),
+             "non-finite components in vector for id 'ninf'"),
+        ],
+        ids=["dtype", "one-d", "rows", "three-d", "dim-zero", "duplicate", "nan", "neg-inf"],
+    )
+    def test_rejects(self, ids, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingStore("x", ids, vectors)
+
+    def test_take_gathers_rows_in_order(self):
+        vectors = np.arange(8, dtype=np.float64).reshape(4, 2)
+        store = EmbeddingStore("x", ["a", "b", "c", "d"], vectors)
+        assert np.array_equal(store.take(["c", "a", "c"]), vectors[[2, 0, 2]])
+        assert np.array_equal(store.get("d"), vectors[3])
+        assert "b" in store and "z" not in store and len(store) == 4
+        with pytest.raises(KeyError, match="id 'z' not found in store 'x'"):
+            store.take(["a", "z"])
+        with pytest.raises(KeyError, match="id 'z' not found in store 'x'"):
+            store.get("z")
 
 
 class TestSyntheticEmbed:

@@ -45,12 +45,12 @@ class TestScoreEntity:
 
 def encoding_store_for(query_id, raw_by_entity, k=3):
     """Encodings engineered so a fixed probe head reproduces given scores."""
-    store = EmbeddingStore("query_entity", k)
+    rows = []
     for eid, raw in raw_by_entity.items():
         vec = np.zeros(k)
         vec[0] = raw
-        store.add(query_entity_key(query_id, eid), vec)
-    return store
+        rows.append((query_entity_key(query_id, eid), vec))
+    return EmbeddingStore.from_rows("query_entity", k, rows)
 
 
 PROBE = EntityHead(w1=np.array([1.0, 0.0, 0.0]), b1=0.0)
@@ -211,12 +211,8 @@ class TestBm25EntityRank:
 
 class TestGeeerEntityRank:
     def store(self):
-        store = EmbeddingStore("entity", 2)
-        store.add("qe", np.array([1.0, 0.0]))
-        store.add("match", np.array([1.0, 0.0]))
-        store.add("ortho", np.array([0.0, 1.0]))
-        store.add("mix", np.array([1.0, 1.0]) / math.sqrt(2))
-        return store
+        vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0 / math.sqrt(2)] * 2])
+        return EmbeddingStore("entity", ["qe", "match", "ortho", "mix"], vectors)
 
     def test_identical_entity_emb_score_one(self):
         store = self.store()

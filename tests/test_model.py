@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreq.corpus import Document, EntityMention, SegmenterConfig, segment_passages
-from dreq.embeddings import DimsConfig, EmbeddingStore, passage_key, sigmoid
+from dreq.embeddings import DimsConfig, EmbeddingStore, cosine, passage_key, sigmoid
 from dreq.entity_ranking import EntityRanking
 from dreq.model import (
     BLOCK_ROWS,
@@ -34,10 +34,8 @@ def ranking_of(*scored) -> EntityRanking:
 
 
 def store_with(dim: int, **vectors) -> EmbeddingStore:
-    store = EmbeddingStore("test", dim)
-    for key, vec in vectors.items():
-        store.add(key, np.asarray(vec, dtype=np.float64))
-    return store
+    rows = [(key, np.asarray(vec, dtype=np.float64)) for key, vec in vectors.items()]
+    return EmbeddingStore.from_rows("test", dim, rows)
 
 
 # --- the per-document scorer, kept as the reference for the batched path ------
@@ -76,11 +74,9 @@ def reference_logit(model, q, doc, ranking, entity_store, passage_store, seg=Seg
 
 
 def text_store_for(docs, dim: int = 2) -> EmbeddingStore:
-    store = EmbeddingStore("passage", dim)
-    for doc in docs:
-        for p in segment_passages(doc, SegmenterConfig()):
-            store.add(passage_key(p.doc_id, p.index), np.ones(dim))
-    return store
+    passages = [p for doc in docs for p in segment_passages(doc, SegmenterConfig())]
+    rows = [(passage_key(p.doc_id, p.index), np.ones(dim)) for p in passages]
+    return EmbeddingStore.from_rows("passage", dim, rows)
 
 
 def weights_of(doc, ranking, mode, entity_store=None):
@@ -90,16 +86,14 @@ def weights_of(doc, ranking, mode, entity_store=None):
     table = build_feature_table([doc], entity_store, text_store_for([doc]))
     links, weights = table.entity_weights(ranking, mode, table.rows([doc.doc_id]))
     assert links.shape == weights.shape == (1, len(doc.entity_ids()))
-    return [(table.entity_ids[i], float(w)) for i, w in zip(links[0], weights[0])]
+    return [(table.entity_store.ids[i], float(w)) for i, w in zip(links[0], weights[0])]
 
 
 def entity_vector(weights, store: EmbeddingStore) -> np.ndarray:
     """One document's entity-centric vector through the batched segment sum."""
-    ids = store.ids()
-    links = np.array([[ids.index(e) for e, _ in weights]], dtype=np.intp)
-    entities = np.array([store.get(e) for e in ids]).reshape(len(ids), store.dim)
+    links = np.array([[store.row[e] for e, _ in weights]], dtype=np.intp)
     w = np.array([[w for _, w in weights]], dtype=np.float64)
-    return _entity_vectors(links, w, entities)[0]
+    return _entity_vectors(links, w, store.vectors)[0]
 
 
 def fused(model, v_t, v_e) -> np.ndarray:
@@ -425,16 +419,16 @@ class TestRerank:
     def build(self, n_docs=6, seed=0):
         rng = np.random.default_rng(seed)
         docs = {}
-        entity_store = EmbeddingStore("e", 2)
-        passage_store = EmbeddingStore("p", 2)
-        scored = []
+        entity_rows, passage_rows, scored = [], [], []
         for i in range(n_docs):
             doc_id = f"d{i}"
             eid = f"e{i}"
             docs[doc_id] = doc_with(doc_id, [eid], text="sent one.")
-            entity_store.add(eid, rng.standard_normal(2))
-            passage_store.add(f"{doc_id}::0", rng.standard_normal(2))
+            entity_rows.append((eid, rng.standard_normal(2)))
+            passage_rows.append((f"{doc_id}::0", rng.standard_normal(2)))
             scored.append((doc_id, float(n_docs - i)))
+        entity_store = EmbeddingStore.from_rows("e", 2, entity_rows)
+        passage_store = EmbeddingStore.from_rows("p", 2, passage_rows)
         ranking = EntityRanking.from_raw_scores(
             "q", [(f"e{i}", float(rng.standard_normal())) for i in range(n_docs)]
         )
@@ -486,18 +480,18 @@ class TestRerank:
 def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
     """Docs with 0..6 linked entities (some with none), one query's ranking."""
     rng = np.random.default_rng(seed)
-    entity_store = EmbeddingStore("entity", dims.m)
-    for i in range(n_entities):
-        entity_store.add(f"e{i}", rng.standard_normal(dims.m))
-    passage_store = EmbeddingStore("passage", dims.n)
-    docs = []
+    entity_store = EmbeddingStore.from_rows(
+        "entity", dims.m, [(f"e{i}", rng.standard_normal(dims.m)) for i in range(n_entities)]
+    )
+    passage_rows, docs = [], []
     for i in range(n_docs):
         text = " ".join(f"s{j}." for j in range(int(rng.integers(1, 14))))
         linked = list(rng.choice(n_entities, size=int(rng.integers(0, 7)), replace=True))
         doc = doc_with(f"d{i:04d}", [f"e{j}" for j in linked], text=text)
         for p in segment_passages(doc, SegmenterConfig()):
-            passage_store.add(passage_key(p.doc_id, p.index), rng.standard_normal(dims.n))
+            passage_rows.append((passage_key(p.doc_id, p.index), rng.standard_normal(dims.n)))
         docs.append(doc)
+    passage_store = EmbeddingStore.from_rows("passage", dims.n, passage_rows)
     ranking = EntityRanking.from_raw_scores(
         "q", [(f"e{i}", float(rng.normal(0.0, 4.0))) for i in range(n_entities)]
     )
@@ -563,6 +557,86 @@ class TestBatchedMatchesReference:
             assert abs(logit - reference_logit(model, q, doc, ranking, es, ps)) <= 1e-12
 
 
+class TestFeatureTableStore:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_text_equals_per_passage_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        seg = SegmenterConfig(window=2, stride=1)  # up to 19 passages a doc
+        docs = []
+        for i in range(30):
+            text = " ".join(f"s{j}." for j in range(int(rng.integers(1, 21))))
+            docs.append(doc_with(f"d{i}", [], text))
+        passages = [p for doc in docs for p in segment_passages(doc, seg)]
+        scales = 10.0 ** rng.integers(-8, 8, size=len(passages))  # mixed magnitudes round
+        vectors = rng.standard_normal((len(passages), 5)) * scales[:, None]
+        ps = EmbeddingStore("passage", [passage_key(p.doc_id, p.index) for p in passages], vectors)
+        table = build_feature_table(docs, store_with(1), ps, seg)
+        for doc, row in zip(docs, table.text):
+            passages = segment_passages(doc, seg)
+            total = np.zeros(5)
+            for p in passages:
+                total = total + ps.get(passage_key(p.doc_id, p.index))
+            assert row.tobytes() == (total / len(passages)).tobytes()
+
+    def test_entity_matrix_is_the_stores(self):
+        _, _, docs, _, es, ps = random_world(5, 10, DimsConfig(2, 3, 4, 3))
+        table = build_feature_table(docs, es, ps)
+        assert table.entity_store is es
+        assert np.shares_memory(table.entities, es.vectors)
+
+
+def reference_maxsimcos(query_entity_ids, candidates, docs, entity_store) -> Ranking:
+    """maxsimcos as a loop over documents x linked entities x query entities."""
+    query_vecs = [entity_store.get(e) for e in query_entity_ids if e in entity_store]
+    scored = []
+    for entry in candidates.entries:
+        best = float("-inf")
+        for eid in docs[entry.doc_id].entity_ids():
+            if eid not in entity_store:
+                continue
+            dvec = entity_store.get(eid)
+            for qvec in query_vecs:
+                c = cosine(qvec, dvec)
+                if c > best:
+                    best = c
+        scored.append((entry.doc_id, best))
+    return Ranking.from_scores(candidates.query_id, scored)
+
+
+class TestMaxSimCosMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+    def test_bit_identical(self, seed, n_query):
+        rng = np.random.default_rng(seed)
+        names = [f"e{i}" for i in range(6)]
+        vectors = {name: rng.standard_normal(3) for name in names}
+        # parallel to "q0": both tie docs score exactly 1.0
+        vectors.update(q0=np.array([1.0, 0.0, 0.0]), par1=np.array([3.0, 0.0, 0.0]),
+                       par2=np.array([0.5, 0.0, 0.0]))
+        store = store_with(3, **vectors)
+        pick = names + ["unembedded", "missing"]
+        docs = {
+            "tie_b": doc_with("tie_b", ["par1"]),
+            "tie_a": doc_with("tie_a", ["e0", "par2"]),
+            "none": doc_with("none", []),
+            "only_unembedded": doc_with("only_unembedded", ["missing"]),
+        }
+        for i in range(12):  # repeats and unembedded links among them
+            linked = [pick[j] for j in rng.integers(0, len(pick), size=int(rng.integers(0, 7)))]
+            docs[f"d{i}"] = doc_with(f"d{i}", linked)
+        cands = Ranking.from_scores("q", [(d, float(-i)) for i, d in enumerate(docs)])
+        query = ["q0", "unembedded"] + [names[j] for j in rng.integers(0, 6, size=n_query - 1)]
+        got = maxsimcos_rerank(query, cands, docs, store)
+        want = reference_maxsimcos(query, cands, docs, store)
+        assert [(e.doc_id, e.score.hex()) for e in got.entries] == [
+            (e.doc_id, e.score.hex()) for e in want.entries
+        ]
+        at = {e.doc_id: (i, e.score) for i, e in enumerate(got.entries)}
+        assert at["tie_a"][1] == at["tie_b"][1] == 1.0 and at["tie_a"][0] < at["tie_b"][0]
+        assert got.doc_ids()[-2:] == ["none", "only_unembedded"]
+
+
 class TestMaxSimCos:
     def test_doc_containing_query_entity_scores_one(self):
         entity_store = store_with(2, qe=[1.0, 0.0], other=[0.0, 1.0])
@@ -580,8 +654,6 @@ class TestMaxSimCos:
         assert out.entries[0].score == pytest.approx(0.0, abs=1e-12)
 
     def test_max_over_pair_grid(self):
-        from dreq.embeddings import cosine
-
         rng = np.random.default_rng(17)
         vecs = {name: rng.standard_normal(3) for name in ("qa", "qb", "da", "db")}
         entity_store = store_with(3, **vecs)

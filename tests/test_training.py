@@ -334,7 +334,7 @@ class TestEntitySumBatch:
                 probs = [prob[e] for e in doc.entity_ids()]
                 linked = len(probs)
                 got = batch.links[row, :linked]
-                assert [table.entity_ids[j] for j in got] == doc.entity_ids()
+                assert [table.entity_store.ids[j] for j in got] == doc.entity_ids()
                 assert batch.weights[row, :linked].tolist() == [p / sum(probs) for p in probs]
                 assert not batch.weights[row, linked:].any()
                 assert np.array_equal(batch.Q[row], data.query_store.get(ex.query_id))
@@ -349,9 +349,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
     dims = DimsConfig(4, 4, 4, 4)
     corpus = CorpusStore()
     qrels = Qrels()
-    query_store = EmbeddingStore("query", dims.p)
-    entity_store = EmbeddingStore("entity", dims.m)
-    passage_store = EmbeddingStore("passage", dims.n)
+    query_rows, entity_rows, passage_rows = [], [], []
     rankings = {}
     candidates = {}
     from dreq.corpus import Document, EntityMention
@@ -360,7 +358,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         qid = f"q{qi}"
         u = rng.standard_normal(dims.p)
         u /= np.linalg.norm(u)
-        query_store.add(qid, u)
+        query_rows.append((qid, u))
         scored = []
         raw = []
         for di in range(docs_per_query):
@@ -368,10 +366,10 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
             eid = f"{qid}_e{di}"
             relevant = di < docs_per_query // 2
             vec = u if relevant else rng.standard_normal(dims.m) * 0.2
-            entity_store.add(eid, vec)
+            entity_rows.append((eid, vec))
             text = "some sentence."
             corpus.documents[doc_id] = Document(doc_id, text, [EntityMention(eid, "s", 0, 1, 1.0)])
-            passage_store.add(f"{doc_id}::0", rng.standard_normal(dims.n) * 0.1)
+            passage_rows.append((f"{doc_id}::0", rng.standard_normal(dims.n) * 0.1))
             qrels.add(qid, doc_id, 1 if relevant else 0)
             scored.append((doc_id, float(docs_per_query - di)))
             raw.append((eid, 1.0 if relevant else -1.0))
@@ -379,9 +377,9 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         rankings[qid] = EntityRanking.from_raw_scores(qid, raw)
     data = TrainData(
         corpus=corpus,
-        query_store=query_store,
-        entity_store=entity_store,
-        passage_store=passage_store,
+        query_store=EmbeddingStore.from_rows("query", dims.p, query_rows),
+        entity_store=EmbeddingStore.from_rows("entity", dims.m, entity_rows),
+        passage_store=EmbeddingStore.from_rows("passage", dims.n, passage_rows),
         entity_rankings=rankings,
         candidates=candidates,
         seg=__import__("dreq.corpus", fromlist=["SegmenterConfig"]).SegmenterConfig(),
@@ -427,23 +425,22 @@ class TestTrainDreq:
 
     def test_finetune_changes_entity_store_copy_only(self):
         dims, data, qrels = make_train_world()
-        before = {k: v.copy() for k, v in data.entity_store.vectors.items()}
+        before = data.entity_store.vectors.copy()
         result = self.run_once(finetune=True)
         # original store untouched
-        for k, v in before.items():
-            assert np.array_equal(data.entity_store.vectors[k], v)
+        assert np.array_equal(data.entity_store.vectors, before)
         moved = 0
         for outcome in result.fold_outcomes:
-            for k in before:
-                if not np.array_equal(outcome.entity_store.get(k), before[k]):
-                    moved += 1
+            assert outcome.entity_store.ids == data.entity_store.ids
+            moved += int((outcome.entity_store.vectors != before).any(axis=1).sum())
         assert moved > 0
 
     def test_missing_query_embedding_fails_before_training(self):
         dims, data, qrels = make_train_world()
         examples = build_doc_examples(qrels, data.candidates, seed=1)
         plan = make_folds(sorted(data.candidates), k=5, seed=1)
-        del data.query_store.vectors["q3"]
+        kept = [qid for qid in data.query_store.ids if qid != "q3"]
+        data.query_store = EmbeddingStore("query", kept, data.query_store.take(kept))
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=1)
         cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=1)
         with pytest.raises(KeyError, match="q3"):
@@ -563,7 +560,8 @@ def reference_train(template, examples, folds, data, cfg):
             best = min(best, epoch_loss)
             if stall >= cfg.early_stop_patience:
                 break
-        fold_table = replace(table, entities=entities)
+        tuned = EmbeddingStore("entity", table.entity_store.ids, entities)
+        fold_table = replace(table, entity_store=tuned)
         for qid in fold.test:
             reranked[qid] = reference_rerank(
                 model, data.query_store.get(qid), data.candidates[qid], fold_table,
@@ -596,14 +594,13 @@ def assert_matches_reference(template, examples, folds, data, cfg):
         assert np.array_equal(outcome.model.b2, b2)
         assert np.array_equal(outcome.model.w3, w3)
         assert outcome.model.b3 == b3
-        tuned = np.array([outcome.entity_store.get(e) for e in data.entity_store.ids()])
-        assert np.array_equal(tuned, entities)
+        assert np.array_equal(outcome.entity_store.take(data.entity_store.ids), entities)
     assert result.reranked.keys() == expected_runs.keys()
     for qid, ranking in expected_runs.items():
         got = [(e.doc_id, e.score) for e in result.reranked[qid].entries]
         assert got == [(e.doc_id, e.score) for e in ranking.entries]
     if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
-        original = np.array([data.entity_store.get(e) for e in data.entity_store.ids()])
+        original = data.entity_store.vectors
         assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
     return result
 
