@@ -12,6 +12,12 @@ and `dreq_fold{i}.ckpt`. An unreadable one is an `error:` line naming the
 stage to rerun. What people read stays text: run files, the eval, ablate,
 wig and difficulty TSVs, training logs, `folds.json`,
 `pooled_entities.tsv` and the manifests.
+
+Each stage runs in its own process, so start-up is paid nine times on the
+user's path. This module loads only the first-stage modules (`corpus`,
+`retrieval`) up front; a stage imports the rest of what it runs inside its
+`cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
+or training code.
 """
 
 from __future__ import annotations
@@ -23,65 +29,12 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _npz
-from .corpus import (
-    SegmenterConfig,
-    load_corpus,
-    load_qrels,
-    load_queries,
-    segment_passages,
-)
-from .embeddings import (
-    STORE_NAMES,
-    DimsConfig,
-    EmbeddingStore,
-    load_store,
-    query_entity_key,
-    passage_key,
-    save_store,
-    store_path,
-    synthetic_embed,
-)
-from .entity_ranking import (
-    EntityRanking,
-    bm25_entity_rank,
-    entity_ranking_to_run,
-    geeer_entity_rank,
-    load_entity_head,
-    load_entity_rankings,
-    save_entity_head,
-    save_entity_rankings,
-    train_entity_head,
-)
-from .evaluation import (
-    build_difficulty_report,
-    evaluate_run,
-    wig,
-    wig_terciles,
-    write_difficulty_report,
-    write_metrics_report,
-)
-from .model import (
-    DreqModel,
-    WeightingMode,
-    build_feature_table,
-    load_checkpoint,
-    maxsimcos_rerank,
-    rerank,
-    save_checkpoint,
-)
-from .pipeline import (
-    VARIANTS,
-    ablation_sweep,
-    build_entity_encoding_examples,
-    candidate_rankings,
-    entity_labels_map,
-    entity_rankings_map,
-    pooled_entities_map,
-)
+from .corpus import SegmenterConfig, load_corpus, load_qrels, load_queries
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
@@ -92,16 +45,12 @@ from .retrieval import (
     tokenize,
     write_run,
 )
-from .training import (
-    FoldPlan,
-    TrainConfig,
-    TrainData,
-    build_doc_examples,
-    make_folds,
-    train_dreq,
-    train_feature_table,
-    write_training_log,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .embeddings import DimsConfig, EmbeddingStore
+    from .entity_ranking import EntityRanking
+    from .model import DreqModel
+    from .training import TrainConfig
 
 ENV_PREFIX = "DREQ_"
 
@@ -214,6 +163,8 @@ class Settings:
 
     # typed bundles -----------------------------------------------------
     def dims(self) -> DimsConfig:
+        from .embeddings import DimsConfig
+
         return DimsConfig(
             k=self.get_int("dims.k"),
             m=self.get_int("dims.m"),
@@ -240,6 +191,8 @@ class Settings:
         )
 
     def train_config(self) -> TrainConfig:
+        from .training import TrainConfig
+
         return TrainConfig(
             learning_rate=self.get_float("train.learning_rate"),
             batch_size=self.get_int("train.batch_size"),
@@ -359,6 +312,8 @@ def _load_corpus(settings: Settings):
 
 def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
     """The stores `names` (of `STORE_NAMES`), in that order: only those the stage reads."""
+    from .embeddings import load_store, store_path
+
     return [
         load_store(require_artifact(store_path(settings.workdir, name), "synth-embed"))
         for name in names
@@ -371,6 +326,8 @@ def _candidates(settings: Settings):
 
 
 def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
+    from .entity_ranking import load_entity_rankings
+
     path = require_artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
     return load_entity_rankings(path)
 
@@ -392,6 +349,8 @@ def cmd_build_index(settings: Settings) -> None:
 
 
 def cmd_retrieve(settings: Settings) -> None:
+    from .pipeline import candidate_rankings
+
     t0 = time.time()
     index = load_index(require_artifact(settings.workpath("index.npz"), "build-index"))
     queries = load_queries(settings.get("queries"))
@@ -413,6 +372,8 @@ def cmd_retrieve(settings: Settings) -> None:
 
 
 def cmd_pool_entities(settings: Settings) -> None:
+    from .pipeline import pooled_entities_map
+
     t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
@@ -427,6 +388,16 @@ def cmd_pool_entities(settings: Settings) -> None:
 
 
 def cmd_synth_embed(settings: Settings) -> None:
+    from .embeddings import (
+        STORE_NAMES,
+        EmbeddingStore,
+        passage_key,
+        query_entity_key,
+        save_store,
+        store_path,
+        synthetic_embed,
+    )
+
     t0 = time.time()
     corpus = _load_corpus(settings)
     queries = load_queries(settings.get("queries"))
@@ -442,8 +413,9 @@ def cmd_synth_embed(settings: Settings) -> None:
     query_store = embedded("query", dims.p, (q.query_id for q in queries))
     entity_store = embedded("entity", dims.m, corpus.entities)
     passage_store = embedded("passage", dims.n, (
-        passage_key(p.doc_id, p.index)
-        for doc in corpus.documents.values() for p in segment_passages(doc, seg)
+        passage_key(doc.doc_id, i)
+        for doc in corpus.documents.values()
+        for i in range(seg.passage_count(len(doc.sentences)))
     ))
     encoding_store = embedded("query_entity", dims.k, (
         query_entity_key(qid, eid) for qid in sorted(pooled) for eid in pooled[qid]
@@ -463,6 +435,10 @@ def cmd_synth_embed(settings: Settings) -> None:
 
 
 def cmd_train_entity_ranker(settings: Settings) -> None:
+    from .entity_ranking import save_entity_head, train_entity_head
+    from .pipeline import build_entity_encoding_examples, entity_labels_map
+    from .training import write_training_log
+
     t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
@@ -488,6 +464,16 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
 
 
 def cmd_rank_entities(settings: Settings) -> None:
+    from .entity_ranking import (
+        EntityRanking,
+        bm25_entity_rank,
+        entity_ranking_to_run,
+        geeer_entity_rank,
+        load_entity_head,
+        save_entity_rankings,
+    )
+    from .pipeline import entity_rankings_map
+
     t0 = time.time()
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
@@ -562,6 +548,8 @@ def cmd_rank_entities(settings: Settings) -> None:
 def _training_inputs(settings: Settings):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
     TrainData, TrainConfig)."""
+    from .training import TrainData, build_doc_examples, make_folds
+
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     qrels = load_qrels(settings.get("qrels"))
@@ -578,6 +566,10 @@ def _training_inputs(settings: Settings):
 
 
 def cmd_train_dreq(settings: Settings) -> None:
+    from .embeddings import save_store, store_path
+    from .model import DreqModel, save_checkpoint
+    from .training import train_dreq, train_feature_table, write_training_log
+
     t0 = time.time()
     _, examples, folds, data, cfg = _training_inputs(settings)
     folds_path = settings.workpath("folds.json")
@@ -586,7 +578,7 @@ def cmd_train_dreq(settings: Settings) -> None:
 
     template = DreqModel.init(
         settings.dims(),
-        mode=WeightingMode(settings.get("weighting.mode")),
+        mode=settings.get("weighting.mode"),
         seed=settings.get_int("seed"),
         use_entities=settings.get_bool("use_entities"),
     )
@@ -625,8 +617,12 @@ def cmd_train_dreq(settings: Settings) -> None:
 def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
     """The model that scores each query: `--checkpoint` for every query, else
     the checkpoint of the fold whose test set holds it (out of fold)."""
+    from .model import WeightingMode, load_checkpoint
+
     ckpt = settings.args.checkpoint
     if not ckpt:
+        from .training import FoldPlan
+
         plan = FoldPlan.load(require_artifact(settings.workpath("folds.json"), "train-dreq"))
         fold_of = {qid: i for i, fold in enumerate(plan.folds) for qid in fold.test}
         unplanned = [qid for qid in qids if qid not in fold_of]
@@ -644,6 +640,8 @@ def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
 
 
 def cmd_rerank(settings: Settings) -> None:
+    from .model import build_feature_table, maxsimcos_rerank, rerank
+
     t0 = time.time()
     mode = settings.args.mode
     corpus = _load_corpus(settings)
@@ -674,7 +672,7 @@ def cmd_rerank(settings: Settings) -> None:
         entity_rankings = _entity_rankings(settings)
         qids = [q.query_id for q in queries if q.query_id in cands]
         models = _rerank_models(settings, qids)
-        docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids())
+        docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids)
         table = build_feature_table(docs, entity_store, passage_store, settings.segmenter())
         empty_text = table.empty_text_docs
         rankings = {
@@ -694,6 +692,8 @@ def cmd_rerank(settings: Settings) -> None:
 
 
 def cmd_evaluate(settings: Settings) -> None:
+    from .evaluation import evaluate_run, write_metrics_report
+
     t0 = time.time()
     qrels = load_qrels(settings.get("qrels"))
     run_path = settings.args.run or settings.workpath("dreq.run")
@@ -717,6 +717,8 @@ def cmd_evaluate(settings: Settings) -> None:
 
 
 def cmd_qpp(settings: Settings) -> None:
+    from .evaluation import wig, wig_terciles
+
     t0 = time.time()
     queries = load_queries(settings.get("queries"))
     cands = _candidates(settings)
@@ -740,6 +742,8 @@ def cmd_qpp(settings: Settings) -> None:
 
 
 def cmd_difficulty(settings: Settings) -> None:
+    from .evaluation import build_difficulty_report, evaluate_run, write_difficulty_report
+
     t0 = time.time()
     qrels = load_qrels(settings.get("qrels"))
     baseline = load_run(require_artifact(settings.args.baseline_run, "retrieve"))
@@ -776,6 +780,8 @@ def cmd_difficulty(settings: Settings) -> None:
 
 
 def cmd_ablate(settings: Settings) -> None:
+    from .pipeline import VARIANTS, ablation_sweep
+
     t0 = time.time()
     qrels, examples, folds, data, cfg = _training_inputs(settings)
     variants = list(VARIANTS)
@@ -811,6 +817,19 @@ def cmd_ablate(settings: Settings) -> None:
 # --- argument parsing -------------------------------------------------------------
 
 
+class _WeightingModes:
+    """`rerank --weighting` choices: the `WeightingMode` values, looked up
+    only when argparse checks or prints them, so parsing loads no model code."""
+
+    def __iter__(self):
+        from .model import WeightingMode
+
+        return iter([m.value for m in WeightingMode])
+
+    def __contains__(self, value: object) -> bool:
+        return value in list(self)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dreq",
@@ -831,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank")
     p.add_argument("--mode", choices=["dreq", "maxsimcos"], default="dreq")
     p.add_argument("--checkpoint")
-    p.add_argument("--weighting", choices=[m.value for m in WeightingMode])
+    # set once the action exists: add_argument itself would list the choices
+    p.add_argument("--weighting").choices = _WeightingModes()
     p.add_argument("--no-entities", action="store_true")
     p.add_argument("--output")
     p = sub.add_parser("evaluate")

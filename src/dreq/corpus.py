@@ -9,6 +9,13 @@ Corpus JSONL, one document per line:
 Entity catalog JSONL:   {"entity_id": str, "description": str}
 Queries TSV:            query_id <TAB> text
 Qrels (TREC):           qid 0 docid grade   (whitespace-separated)
+
+Mentions are `EntityMention` named tuples, checked against their text as
+they load (span inside the text, confidence in [0, 1]). A document's
+distinct linked entity ids, in first-mention order, are computed once, on
+first use (`Document.entity_ids`), and pooling and label transfer work on
+those ids with one dict operation per document, not per mention. A
+document's sentences are likewise split once, on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "EntityMention",
@@ -47,8 +55,7 @@ def split_sentences(text: str) -> list[str]:
     return [piece for piece in _SENTENCE_BREAK.split(text) if piece.strip()]
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     entity_id: str
     surface: str
     start: int
@@ -73,12 +80,10 @@ class Document:
         """`split_sentences(text)`, split on first use."""
         return split_sentences(self.text)
 
-    def entity_ids(self) -> list[str]:
-        """Distinct linked entities in first-mention order."""
-        seen: dict[str, None] = {}
-        for m in self.mentions:
-            seen.setdefault(m.entity_id, None)
-        return list(seen.keys())
+    @cached_property
+    def entity_ids(self) -> tuple[str, ...]:
+        """Distinct linked entities in first-mention order, found on first use."""
+        return tuple(dict.fromkeys(m.entity_id for m in self.mentions))
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,12 @@ class SegmenterConfig:
         if not 1 <= self.stride <= self.window:
             raise ValueError(f"stride must be in [1, window], got {self.stride}")
 
+    def passage_count(self, sentences: int) -> int:
+        """How many passages `segment_passages` cuts from `sentences` sentences."""
+        if sentences <= self.window:
+            return min(sentences, 1)
+        return -(-(sentences - self.window) // self.stride) + 1
+
 
 @dataclass
 class CorpusStore:
@@ -159,22 +170,15 @@ class CorpusStore:
 
 
 def _parse_mention(raw: dict, doc_id: str, text_len: int) -> EntityMention:
-    mention = EntityMention(
-        entity_id=str(raw["entity_id"]),
-        surface=str(raw.get("mention", "")),
-        start=int(raw["start"]),
-        end=int(raw["end"]),
-        confidence=float(raw.get("confidence", 1.0)),
-    )
-    if not 0 <= mention.start < mention.end:
-        raise ValueError(f"doc {doc_id!r}: mention span [{mention.start}, {mention.end}) invalid")
-    if mention.end > text_len:
-        raise ValueError(
-            f"doc {doc_id!r}: mention end {mention.end} beyond text length {text_len}"
-        )
-    if not 0.0 <= mention.confidence <= 1.0:
-        raise ValueError(f"doc {doc_id!r}: confidence {mention.confidence} outside [0, 1]")
-    return mention
+    start, end = int(raw["start"]), int(raw["end"])
+    confidence = float(raw.get("confidence", 1.0))
+    if not 0 <= start < end:
+        raise ValueError(f"doc {doc_id!r}: mention span [{start}, {end}) invalid")
+    if end > text_len:
+        raise ValueError(f"doc {doc_id!r}: mention end {end} beyond text length {text_len}")
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"doc {doc_id!r}: confidence {confidence} outside [0, 1]")
+    return EntityMention(str(raw["entity_id"]), str(raw.get("mention", "")), start, end, confidence)
 
 
 def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
@@ -205,8 +209,9 @@ def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
             mentions = [_parse_mention(m, doc_id, len(text)) for m in raw.get("entities", [])]
             doc = Document(doc_id=doc_id, text=text, mentions=mentions)
             store.documents[doc_id] = doc
-            for m in mentions:
-                store.entities.setdefault(m.entity_id, EntityRecord(m.entity_id))
+            for entity_id in doc.entity_ids:
+                if entity_id not in store.entities:
+                    store.entities[entity_id] = EntityRecord(entity_id)
     if catalog_path is not None:
         for record in load_entity_catalog(catalog_path).values():
             store.entities[record.entity_id] = record
@@ -308,11 +313,7 @@ def segment_passages(doc: Document, cfg: SegmenterConfig) -> list[Passage]:
 
 def pool_entities(candidates: Iterable[Document]) -> list[str]:
     """Union of linked entity ids over candidates, in first-seen order."""
-    pooled: dict[str, None] = {}
-    for doc in candidates:
-        for m in doc.mentions:
-            pooled.setdefault(m.entity_id, None)
-    return list(pooled.keys())
+    return list(dict.fromkeys(chain.from_iterable(doc.entity_ids for doc in candidates)))
 
 
 def transfer_labels(qrels: Qrels, query_id: str, candidates: list[Document]) -> dict[str, int]:
@@ -322,12 +323,9 @@ def transfer_labels(qrels: Qrels, query_id: str, candidates: list[Document]) -> 
     grade >= 1, and 0 if it appears only in grade-0 or unjudged candidates.
     The keyset equals pool_entities(candidates), in the same order.
     """
-    labels: dict[str, int] = {}
+    labels = dict.fromkeys(pool_entities(candidates), 0)
+    grades = qrels.grades.get(query_id, {})
     for doc in candidates:
-        relevant = qrels.grade(query_id, doc.doc_id) >= 1
-        for entity_id in doc.entity_ids():
-            if relevant:
-                labels[entity_id] = 1
-            else:
-                labels.setdefault(entity_id, 0)
+        if grades.get(doc.doc_id, 0) >= 1:
+            labels.update(dict.fromkeys(doc.entity_ids, 1))
     return labels

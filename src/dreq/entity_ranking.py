@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _npz
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
-from .retrieval import Bm25Params, InvertedIndex, Ranking, RunEntry, _score_all, tokenize
+from .retrieval import Bm25Params, InvertedIndex, Ranking, _score_all, tokenize
 from .training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
 
 __all__ = [
@@ -233,8 +233,10 @@ def geeer_entity_rank(
 
 def entity_ranking_to_run(ranking: EntityRanking) -> Ranking:
     """TREC-run view with entity_id in the docid column and prob as score."""
-    entries = [RunEntry(e.entity_id, e.prob, e.rank) for e in ranking.entries]
-    return Ranking(ranking.query_id, entries)
+    entries = ranking.entries
+    return Ranking(
+        ranking.query_id, [e.entity_id for e in entries], np.array([e.prob for e in entries])
+    )
 
 
 _RANKING_ARRAYS = (

@@ -43,23 +43,21 @@ def precision_at_k(ranking: Ranking, qrels: Qrels, k: int = 20) -> float:
     """|relevant in top-k| / k; short rankings count missing slots as misses."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hits = sum(
-        1 for e in ranking.entries[:k] if qrels.grade(ranking.query_id, e.doc_id) >= 1
-    )
-    return hits / k
+    grades = qrels.grades.get(ranking.query_id, {})
+    return sum(1 for d in ranking.doc_ids[:k] if grades.get(d, 0) >= 1) / k
 
 
 def ndcg_at_k(ranking: Ranking, qrels: Qrels, k: int = 20) -> float:
     """Exponential-gain nDCG; 0 when the query has no relevant documents."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    per_query = qrels.grades.get(ranking.query_id, {})
-    ideal_grades = sorted((g for g in per_query.values() if g > 0), reverse=True)[:k]
+    grades = qrels.grades.get(ranking.query_id, {})
+    ideal_grades = sorted((g for g in grades.values() if g > 0), reverse=True)[:k]
     if not ideal_grades:
         return 0.0
     dcg = 0.0
-    for i, e in enumerate(ranking.entries[:k]):
-        g = qrels.grade(ranking.query_id, e.doc_id)
+    for i, d in enumerate(ranking.doc_ids[:k]):
+        g = grades.get(d, 0)
         if g > 0:
             dcg += (2.0**g - 1.0) / math.log2(i + 2)
     idcg = sum((2.0**g - 1.0) / math.log2(i + 2) for i, g in enumerate(ideal_grades))
@@ -72,10 +70,11 @@ def average_precision(ranking: Ranking, qrels: Qrels) -> float:
     r_total = len(qrels.relevant_docs(ranking.query_id))
     if r_total == 0:
         return 0.0
+    grades = qrels.grades.get(ranking.query_id, {})
     hits = 0
     acc = 0.0
-    for i, e in enumerate(ranking.entries, start=1):
-        if qrels.grade(ranking.query_id, e.doc_id) >= 1:
+    for i, d in enumerate(ranking.doc_ids, start=1):
+        if grades.get(d, 0) >= 1:
             hits += 1
             acc += hits / i
     return acc / r_total
@@ -88,8 +87,7 @@ def recall_at_k(ranking: Ranking, qrels: Qrels, k: int = 1000) -> float:
     relevant = set(qrels.relevant_docs(ranking.query_id))
     if not relevant:
         return 0.0
-    hits = sum(1 for e in ranking.entries[:k] if e.doc_id in relevant)
-    return hits / len(relevant)
+    return sum(1 for d in ranking.doc_ids[:k] if d in relevant) / len(relevant)
 
 
 @dataclass
@@ -267,9 +265,9 @@ def wig(
         raise ValueError("query has no terms")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(candidates.entries):
-        raise ValueError(f"k={k} exceeds candidate depth {len(candidates.entries)}")
-    scores = [e.score for e in candidates.entries]
+    if k > len(candidates):
+        raise ValueError(f"k={k} exceeds candidate depth {len(candidates)}")
+    scores = candidates.scores.tolist()
     mean_all = sum(scores) / len(scores)
     top = scores[:k]
     return (1.0 / math.sqrt(len(terms))) * (sum(s - mean_all for s in top) / k)

@@ -8,11 +8,14 @@ arrays of rows X = [v_t; v_e] (`_features`) through one forward pass
 (`_forward`). `build_feature_table`, run once per CLI stage, `train_dreq`
 call or ablation sweep, holds the text vectors, a CSR map doc -> entity rows
 and the entity store itself, whose matrix is the entity table (a fine-tuned
-fold swaps in its own store). Per-document sums, over passages for v_t and
+fold swaps in its own store). The table never forms passage text: a
+document's passage count follows from its sentence count, and all passage
+rows come from one `take`. Per-document sums, over passages for v_t and
 over links for entity weights and v_e, add left to right from zero, as
-`v = v + x` does (`_row_sums`; numpy's reductions reassociate), so they are
-bit-identical to a per-document loop; fusion and projection are matrix
-products, equal to per-document ones up to rounding. `rerank` scores
+`v = v + x` does (`_row_sums`, or position by position over all documents
+for v_t; numpy's reductions reassociate), so they are bit-identical to a
+per-document loop; fusion and projection are matrix products, equal to
+per-document ones up to rounding. `rerank` scores
 `BLOCK_ROWS` candidates at a time to bound its temporaries at any depth.
 
 The trainer runs its folds in lockstep through the same functions: a
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import _npz
-from .corpus import Document, SegmenterConfig, segment_passages
+from .corpus import Document, SegmenterConfig
 from .embeddings import DimsConfig, EmbeddingStore, cosine, passage_key
 from .retrieval import Ranking
 
@@ -48,7 +51,6 @@ __all__ = [
     "DreqModel",
     "FeatureTable",
     "build_feature_table",
-    "text_centric_embedding",
     "rerank",
     "maxsimcos_rerank",
     "save_checkpoint",
@@ -83,6 +85,7 @@ class DreqModel:
     dims: DimsConfig = field(default_factory=DimsConfig)
 
     def __post_init__(self) -> None:
+        self.mode = WeightingMode(self.mode)
         d = self.dims
         lead = np.shape(self.b3)  # (folds,) for folds trained in lockstep
         for name, shape in (("W2", (d.p, d.m + d.n)), ("b2", (d.p,)), ("w3", (5 * d.p,))):
@@ -116,14 +119,6 @@ class DreqModel:
             use_entities=use_entities,
             dims=dims,
         )
-
-
-def text_centric_embedding(passages, passage_store: EmbeddingStore) -> np.ndarray:
-    """Arithmetic mean of the passage embeddings."""
-    keys = [passage_key(p.doc_id, p.index) for p in passages]
-    if not keys:
-        raise ValueError("text_centric_embedding requires at least one passage")
-    return _row_sums(passage_store.take(keys), axis=0) / len(keys)
 
 
 def _row_sums(x: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -210,28 +205,37 @@ def build_feature_table(
     seg: SegmenterConfig = SegmenterConfig(),
 ) -> FeatureTable:
     """Feature table over `docs` (repeats skipped) and all of `entity_store`.
-    A doc without sentences gets text vector 0, so only its entities score it."""
+    A doc's text vector is the mean of its passages' rows, gathered in one
+    `take` and added position by position from zero, as `_row_sums` adds;
+    a doc without sentences gets text vector 0, so only its entities score it."""
     docs = list({doc.doc_id: doc for doc in docs}.values())
+    counts = np.array([seg.passage_count(len(doc.sentences)) for doc in docs], dtype=np.intp)
+    passages = passage_store.take(
+        passage_key(doc.doc_id, i) for doc, n in zip(docs, counts.tolist()) for i in range(n)
+    )
+    starts = np.cumsum(counts) - counts
+    text = np.zeros((len(docs), passage_store.dim))
+    for i in range(int(counts.max(initial=0))):
+        has = np.flatnonzero(counts > i)
+        text[has] += passages[starts[has] + i]
+    has = counts > 0
+    text[has] /= counts[has, None]
+
     entity_row = entity_store.row
-    text, index, indptr = [], [], [0]
+    index, indptr = [], [0]
     for doc in docs:
-        passages = segment_passages(doc, seg)
-        if passages:
-            text.append(text_centric_embedding(passages, passage_store))
-        else:
-            text.append(np.zeros(passage_store.dim))
-        unembedded = [e for e in doc.entity_ids() if e not in entity_row]
+        unembedded = [e for e in doc.entity_ids if e not in entity_row]
         if unembedded:
             raise KeyError(f"entity {unembedded[0]!r} of doc {doc.doc_id!r} has no embedding")
-        index.extend(entity_row[e] for e in doc.entity_ids())
+        index.extend(entity_row[e] for e in doc.entity_ids)
         indptr.append(len(index))
     return FeatureTable(
         doc_ids=[doc.doc_id for doc in docs],
-        text=np.array(text).reshape(-1, passage_store.dim),
+        text=text,
         indptr=np.array(indptr, dtype=np.intp),
         entity_index=np.array(index, dtype=np.intp),
         entity_store=entity_store,
-        empty_text_docs=sum(1 for doc in docs if not doc.sentences),
+        empty_text_docs=int(np.count_nonzero(counts == 0)),
     )
 
 
@@ -277,10 +281,9 @@ def rerank(
     """Reorder candidates by model logit (desc, doc_id asc on ties); every
     candidate must be in `table`. Without use_entities, v_e = 0 and the
     entity ranking is not read."""
-    if not candidates.entries:
+    if not len(candidates):
         raise ValueError(f"empty candidate list for query {candidates.query_id!r}")
-    doc_ids = candidates.doc_ids()
-    rows = table.rows(doc_ids)
+    rows = table.rows(candidates.doc_ids)
     if model.use_entities:
         links, weights = table.entity_weights(ranking, model.mode, rows)
     else:
@@ -291,7 +294,7 @@ def rerank(
         X = _features(table.text[rows[block]], links[block], weights[block], table.entities)
         Q = np.broadcast_to(q_vec, (X.shape[0], q_vec.shape[0]))
         logits[block] = _forward(model, Q, X)[1]
-    return Ranking.from_scores(candidates.query_id, zip(doc_ids, logits.tolist()))
+    return Ranking.from_scores(candidates.query_id, candidates.doc_ids, logits)
 
 
 def maxsimcos_rerank(
@@ -309,15 +312,15 @@ def maxsimcos_rerank(
     if not query_vecs:
         raise ValueError("maxsimcos requires at least one linked query entity with an embedding")
     best: dict[str, float] = {}
-    scored = []
-    for entry in candidates.entries:
-        linked = [e for e in docs[entry.doc_id].entity_ids() if e in entity_store]
+    scores = []
+    for doc_id in candidates.doc_ids:
+        linked = [e for e in docs[doc_id].entity_ids if e in entity_store]
         for eid in linked:
             if eid not in best:
                 vec = entity_store.get(eid)
                 best[eid] = max(cosine(qvec, vec) for qvec in query_vecs)
-        scored.append((entry.doc_id, max((best[e] for e in linked), default=float("-inf"))))
-    return Ranking.from_scores(candidates.query_id, scored)
+        scores.append(max((best[e] for e in linked), default=float("-inf")))
+    return Ranking.from_scores(candidates.query_id, candidates.doc_ids, scores)
 
 
 # --- checkpoint serialization -------------------------------------------------

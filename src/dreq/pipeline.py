@@ -6,25 +6,17 @@ transfer, the entity-ranking stage, and cross-validated ablation sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .corpus import CorpusStore, Qrels, Query, transfer_labels
-from .embeddings import DimsConfig, EmbeddingStore, query_entity_key
-from .entity_ranking import EntityHead, EntityRanking, rank_entities, train_entity_head
-from .evaluation import MetricsReport, evaluate_run
-from .model import DreqModel, WeightingMode
+from .corpus import CorpusStore, Qrels, Query, pool_entities, transfer_labels
 from .retrieval import Bm25Params, InvertedIndex, Ranking, Rm3Params, retrieve
-from .synthetic import PlantedConfig, generate_planted_world
-from .training import (
-    FoldPlan,
-    TrainConfig,
-    TrainData,
-    TrainingExample,
-    build_doc_examples,
-    build_entity_examples,
-    make_folds,
-    train_dreq,
-    train_feature_table,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .embeddings import DimsConfig, EmbeddingStore
+    from .entity_ranking import EntityHead, EntityRanking
+    from .evaluation import MetricsReport
+    from .synthetic import PlantedConfig
+    from .training import FoldPlan, TrainConfig, TrainData, TrainingExample
 
 __all__ = [
     "VARIANTS",
@@ -39,17 +31,14 @@ __all__ = [
     "run_planted_ablation",
 ]
 
-# variant name -> (weighting mode, use_entities)
-VARIANTS: dict[str, tuple[WeightingMode, bool]] = {
-    "dreq": (WeightingMode.PROBABILITY, True),
-    "uniform": (WeightingMode.UNIFORM, True),
-    "reciprocal_rank": (WeightingMode.RECIPROCAL_RANK, True),
-    "no_entity": (WeightingMode.PROBABILITY, False),
+# variant name -> (weighting mode value, use_entities); by value, so that
+# `candidate_rankings` (the retrieve stage) loads no model code
+VARIANTS: dict[str, tuple[str, bool]] = {
+    "dreq": ("probability", True),
+    "uniform": ("uniform", True),
+    "reciprocal_rank": ("reciprocal_rank", True),
+    "no_entity": ("probability", False),
 }
-
-#: training settings that converge on the desk-scale planted worlds
-#: (the paper-default learning rate is sized for BERT fine-tuning)
-PLANTED_TRAIN = TrainConfig(learning_rate=0.03, batch_size=20, epochs=30)
 
 
 def candidate_rankings(
@@ -73,9 +62,9 @@ def pooling_docs(
     """Candidate documents plus, when qrels are given, any judged-relevant
     documents present in the corpus, so training positives always have
     ranked entities. Order: candidates by rank, then extra positives."""
-    docs = [corpus.doc(d) for d in candidates.doc_ids()]
+    docs = [corpus.doc(d) for d in candidates.doc_ids]
     if qrels is not None:
-        seen = set(candidates.doc_ids())
+        seen = set(candidates.doc_ids)
         for doc_id in qrels.relevant_docs(candidates.query_id):
             if doc_id not in seen and doc_id in corpus.documents:
                 docs.append(corpus.doc(doc_id))
@@ -85,8 +74,6 @@ def pooling_docs(
 def pooled_entities_map(
     corpus: CorpusStore, candidates: dict[str, Ranking], qrels: Qrels | None = None
 ) -> dict[str, list[str]]:
-    from .corpus import pool_entities
-
     return {
         qid: pool_entities(pooling_docs(corpus, ranking, qrels))
         for qid, ranking in candidates.items()
@@ -108,6 +95,9 @@ def build_entity_encoding_examples(
     seed: int,
 ) -> list[tuple]:
     """Balanced (encoding, label) pairs across all queries."""
+    from .embeddings import query_entity_key
+    from .training import build_entity_examples
+
     pairs = []
     for qid in sorted(labels_map):
         for ex in build_entity_examples(labels_map[qid], qid, seed):
@@ -119,6 +109,8 @@ def build_entity_encoding_examples(
 def entity_rankings_map(
     head: EntityHead, pooled: dict[str, list[str]], encoding_store: EmbeddingStore
 ) -> dict[str, EntityRanking]:
+    from .entity_ranking import rank_entities
+
     return {
         qid: rank_entities(head, qid, entities, encoding_store)
         for qid, entities in pooled.items()
@@ -145,6 +137,10 @@ def ablation_sweep(
 ) -> AblationResult:
     """Train and evaluate each weighting variant with the same folds,
     examples, entity rankings, and feature table; evaluate the candidates alongside."""
+    from .evaluation import evaluate_run
+    from .model import DreqModel
+    from .training import train_dreq, train_feature_table
+
     candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates")
     table = train_feature_table(data, examples)
     reports: dict[str, MetricsReport] = {}
@@ -170,7 +166,10 @@ def run_planted_ablation(
 
     Returns {"candidates": ..., variant: ...} means over the seeds.
     """
+    from .entity_ranking import train_entity_head
     from .retrieval import build_index
+    from .synthetic import generate_planted_world
+    from .training import TrainData, build_doc_examples, make_folds
 
     totals = {name: 0.0 for name in list(variants) + ["candidates"]}
     for seed in seeds:

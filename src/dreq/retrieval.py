@@ -1,4 +1,5 @@
-"""Inverted index, BM25 scoring, RM3 expansion, and candidate retrieval.
+"""Inverted index, BM25 scoring, RM3 expansion, candidate retrieval and
+run files.
 
 BM25 uses the Lucene-style formulation
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
@@ -24,14 +25,19 @@ the per-document formula's `(weight * idf) * tfc`. Each term's `tfc` is computed
 postings slice with the scalar expression's operation order, so array
 scores equal the per-document formula bit for bit.
 
-Ties are always broken score-descending, doc_id-ascending, so run files
-are stable across executions. The top k comes from a partition at the k-th
-best score; every document tied with it is kept and the survivors are
-sorted by (score desc, doc_id asc), so the k-th place goes to the right
-doc_id. Documents that match no query term score 0 and pad the ranking in
-doc_id order.
-"""
+A `Ranking` is one query's documents as two parallel columns: `doc_ids`
+(a list of str) and `scores` (a float64 array). A document's rank is its
+position plus one; no per-document record exists. Run files are read into
+and written from these columns, one query at a time.
 
+Ties are always broken score-descending, doc_id-ascending (Python string
+order), so run files are stable across executions; `-0.0` and `0.0` tie.
+`Ranking.from_scores` is one `np.lexsort` over (doc_id rank, -score). The
+top k comes from a partition at the k-th best score; every document tied
+with it is kept and the survivors are sorted by (score desc, doc_id asc),
+so the k-th place goes to the right doc_id. Documents that match no query
+term score 0 and pad the ranking in doc_id order.
+"""
 from __future__ import annotations
 
 import math
@@ -52,7 +58,6 @@ __all__ = [
     "tokenize",
     "Bm25Params",
     "Rm3Params",
-    "RunEntry",
     "Ranking",
     "InvertedIndex",
     "PostingsView",
@@ -76,8 +81,10 @@ class TokenizerConfig:
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Split on non-alphanumeric characters, lowercase, optionally stem."""
     tokens = _TOKEN_RE.findall(text)
-    if cfg.lowercase:
-        tokens = [t.lower() for t in tokens]
+    if cfg.lowercase and tokens:
+        # one call for all tokens: they hold no whitespace, lower() makes none,
+        # and a space bounds the final-sigma context as a token's end does
+        tokens = " ".join(tokens).lower().split(" ")
     if cfg.stem:
         tokens = [_porter.stem(t) for t in tokens]
     return tokens
@@ -108,35 +115,35 @@ class Rm3Params:
             raise ValueError(f"original_weight must be in [0, 1], got {self.original_weight}")
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    doc_id: str
-    score: float
-    rank: int
+def _id_ranks(ids: list[str]) -> np.ndarray:
+    """Each id's position in sorted (Python string) order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    return rank
 
 
-@dataclass
+@dataclass(eq=False)
 class Ranking:
-    """Per-query ordered document list: scores non-increasing, ranks 1-based."""
+    """One query's documents in rank order: `doc_ids[i]` has rank i + 1 and
+    score `scores[i]` (float64); scores are non-increasing."""
 
     query_id: str
-    entries: list[RunEntry]
+    doc_ids: list[str]
+    scores: np.ndarray
 
     @classmethod
-    def from_scores(cls, query_id: str, scored: Iterable[tuple[str, float]]) -> "Ranking":
-        """Sort (doc_id, score) pairs score-desc / doc_id-asc and assign ranks."""
-        pairs = list(scored)
-        if len({d for d, _ in pairs}) != len(pairs):
+    def from_scores(cls, query_id: str, doc_ids: Iterable[str], scores) -> "Ranking":
+        """Sort documents score-desc / doc_id-asc; ids must be distinct."""
+        doc_ids = list(doc_ids)
+        scores = np.asarray(scores, dtype=np.float64)
+        if len(set(doc_ids)) != len(doc_ids):
             raise ValueError(f"duplicate doc_ids in ranking for query {query_id!r}")
-        pairs.sort(key=lambda item: (-item[1], item[0]))
-        entries = [RunEntry(d, float(s), i + 1) for i, (d, s) in enumerate(pairs)]
-        return cls(query_id, entries)
-
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
+        order = np.lexsort((_id_ranks(doc_ids), -scores))
+        return cls(query_id, [doc_ids[i] for i in order.tolist()], scores[order])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.doc_ids)
 
 
 class PostingsView(Mapping):
@@ -189,10 +196,7 @@ class InvertedIndex:
     @cached_property
     def doc_rank(self) -> np.ndarray:
         """Each document's position in doc_id order (the tie-break key)."""
-        order = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
-        rank = np.empty(self.doc_count, dtype=np.int64)
-        rank[order] = np.arange(self.doc_count)
-        return rank
+        return _id_ranks(self.doc_ids)
 
     @cached_property
     def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,24 +387,24 @@ def retrieve(
 
     scores = _score_all(index, weighted.items(), bm25)
     top = _top_k(index, scores, np.arange(index.doc_count), k)
-    entries = [
-        RunEntry(index.doc_ids[i], s, r)
-        for r, (i, s) in enumerate(zip(top.tolist(), scores[top].tolist()), start=1)
-    ]
-    return Ranking(query_id, entries)
+    return Ranking(query_id, [index.doc_ids[i] for i in top.tolist()], scores[top])
 
 
 def write_run(rankings: Iterable[Ranking], path: str, tag: str = "dreq") -> None:
     """Write TREC run lines `qid Q0 docid rank score tag` (score to 6 dp)."""
     with open(path, "w", encoding="utf-8") as f:
-        for ranking in rankings:
-            for e in ranking.entries:
-                f.write(f"{ranking.query_id} Q0 {e.doc_id} {e.rank} {e.score:.6f} {tag}\n")
+        for r in rankings:
+            q = r.query_id
+            f.write("".join(
+                f"{q} Q0 {d} {rank} {s:.6f} {tag}\n"
+                for rank, (d, s) in enumerate(zip(r.doc_ids, r.scores.tolist()), start=1)
+            ))
 
 
 def load_run(path: str) -> dict[str, Ranking]:
-    """Load a TREC run file into per-query rankings (file order preserved)."""
-    per_query: dict[str, list[RunEntry]] = {}
+    """Load a TREC run file into per-query rankings (queries in file order).
+    A query's ranks must run 1..n, and no document may appear twice in it."""
+    per_query: dict[str, tuple[list[str], list[int], list[float], set[str]]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             parts = line.split()
@@ -408,18 +412,25 @@ def load_run(path: str) -> dict[str, Ranking]:
                 continue
             if len(parts) != 6:
                 raise ValueError(f"{path}:{line_no}: expected 6 columns, got {len(parts)}")
-            qid, _, doc_id, rank_str, score_str, _tag = parts
+            qid, _, doc_id, rank, score, _tag = parts
+            columns = per_query.get(qid)
+            if columns is None:
+                columns = per_query[qid] = ([], [], [], set())
+            docs, ranks, scores, seen = columns
+            if doc_id in seen:
+                raise ValueError(f"{path}:{line_no}: doc {doc_id!r} repeated for query {qid!r}")
+            seen.add(doc_id)
             try:
-                rank = int(rank_str)
-                score = float(score_str)
+                ranks.append(int(rank))
+                scores.append(float(score))
             except ValueError as e:
                 raise ValueError(f"{path}:{line_no}: bad rank/score") from e
-            per_query.setdefault(qid, []).append(RunEntry(doc_id, score, rank))
+            docs.append(doc_id)
     rankings: dict[str, Ranking] = {}
-    for qid, entries in per_query.items():
-        entries.sort(key=lambda e: e.rank)
-        for i, e in enumerate(entries, start=1):
-            if e.rank != i:
-                raise ValueError(f"{path}: ranks for query {qid!r} not contiguous from 1")
-        rankings[qid] = Ranking(qid, entries)
+    for qid, (docs, ranks, scores, _) in per_query.items():
+        ranks = np.array(ranks)
+        order = np.argsort(ranks, kind="stable")
+        if not np.array_equal(ranks[order], np.arange(1, len(ranks) + 1)):
+            raise ValueError(f"{path}: ranks for query {qid!r} not contiguous from 1")
+        rankings[qid] = Ranking(qid, [docs[i] for i in order.tolist()], np.array(scores)[order])
     return rankings

@@ -59,6 +59,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "TrainingExample",
     "TrainConfig",
+    "PLANTED_TRAIN",
     "Fold",
     "FoldPlan",
     "make_folds",
@@ -106,6 +107,11 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+#: training settings that converge on the desk-scale planted worlds
+#: (the paper-default learning rate is sized for BERT fine-tuning)
+PLANTED_TRAIN = TrainConfig(learning_rate=0.03, batch_size=20, epochs=30)
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def build_doc_examples(
         if not positives:
             logger.warning("query %s has no judged-relevant documents; skipped", query_id)
             continue
-        pool = [d for d in candidates[query_id].doc_ids() if qrels.grade(query_id, d) == 0]
+        pool = [d for d in candidates[query_id].doc_ids if qrels.grade(query_id, d) == 0]
         rng.shuffle(pool)
         negatives = pool[: len(positives)]
         examples.extend(TrainingExample(query_id, d, 1) for d in positives)
@@ -398,7 +404,7 @@ class TrainResult:
 
 def train_feature_table(data: TrainData, examples: Sequence[TrainingExample]) -> FeatureTable:
     """Feature table over every candidate and example document."""
-    doc_ids = [d for qid in sorted(data.candidates) for d in data.candidates[qid].doc_ids()]
+    doc_ids = [d for qid in sorted(data.candidates) for d in data.candidates[qid].doc_ids]
     docs = (data.corpus.doc(d) for d in doc_ids + [ex.item_id for ex in examples])
     return build_feature_table(docs, data.entity_store, data.passage_store, data.seg)
 

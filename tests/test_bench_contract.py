@@ -14,8 +14,9 @@ import sys
 import pytest
 
 from dreq import training
-from dreq.corpus import load_corpus
-from dreq.model import DreqModel, WeightingMode
+from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
+from dreq.model import DreqModel, WeightingMode, rerank
+from dreq.pipeline import pooled_entities_map, pooling_docs
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from test_training import make_train_world
@@ -101,3 +102,28 @@ def test_first_stage_probes_read_the_csr_index(layers):
     assert layers.PROBES["retrieval.retrieve"]((index, "topic01a topic01b"), {"k": 30}, ranking) == {
         "docs": 30
     }
+
+
+def test_ranking_and_document_probes_read_the_columns(layers):
+    """The retrieve, rerank and pooling probes read `len(ranking)` and
+    `doc.mentions` of the array-backed `Ranking` and the mention tuples."""
+    corpus = load_corpus(os.path.join(TOY, "corpus.jsonl"))
+    qrels = load_qrels(os.path.join(TOY, "qrels.txt"))
+    ranking = retrieve(build_index(corpus), "topic01a topic01b", k=30, query_id="q01")
+    assert layers.PROBES["retrieval.retrieve"]((), {}, ranking) == {"docs": len(ranking.doc_ids)}
+
+    docs = pooling_docs(corpus, ranking, qrels)
+    probed = layers.PROBES["pipeline.pooling_docs"]((corpus, ranking, qrels), {}, docs)
+    assert probed == {"no_entities": sum(1 for doc in docs if not doc.entity_ids)}
+    assert all(isinstance(m, EntityMention) for doc in docs for m in doc.mentions)
+    pooled = pooled_entities_map(corpus, {"q01": ranking}, qrels)
+    assert layers.PROBES["pipeline.pooled_entities_map"]((), {}, pooled) == {
+        "pooled": [len(pool_entities(docs))]
+    }
+
+    dims, data, _ = make_train_world()
+    model = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=2)
+    table = training.train_feature_table(data, [])
+    cands = data.candidates["q0"]
+    reranked = rerank(model, data.query_store.get("q0"), cands, table, data.entity_rankings["q0"])
+    assert layers.PROBES["model.rerank"]((), {}, reranked) == {"docs": len(cands.doc_ids)}

@@ -1,6 +1,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,12 @@ from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.training import FoldPlan
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def pairs(ranking) -> list[tuple[str, float]]:
+    """(doc_id, score) in rank order."""
+    return list(zip(ranking.doc_ids, ranking.scores.tolist()))
 
 
 def write_config(tmp_path, workdir, **extra) -> str:
@@ -138,9 +147,9 @@ class TestPipeline:
         assert "1 kept their candidate ranking" in capsys.readouterr().out
         got, before = load_run(partial), load_run(full)
         cands = load_run(os.path.join(workdir, "candidates.run"))
-        assert got["q03"].entries == cands["q03"].entries
-        assert {q: r.entries for q, r in got.items() if q != "q03"} == {
-            q: r.entries for q, r in before.items() if q != "q03"
+        assert pairs(got["q03"]) == pairs(cands["q03"])
+        assert {q: pairs(r) for q, r in got.items() if q != "q03"} == {
+            q: pairs(r) for q, r in before.items() if q != "q03"
         }
 
     def test_geeer_ranks_query_without_entities_by_bm25(
@@ -199,14 +208,14 @@ class TestPipeline:
         assert run(config, *argv, str(tmp_path / "empty.run")) == 0
         assert "1 documents without text" in capsys.readouterr().out
         got, base = load_run(str(tmp_path / "empty.run")), load_run(str(tmp_path / "base.run"))
-        assert "dempty" in got["q01"].doc_ids()
-        assert {q: r.entries for q, r in got.items() if q != "q01"} == {
-            q: r.entries for q, r in base.items() if q != "q01"
+        assert "dempty" in got["q01"].doc_ids
+        assert {q: pairs(r) for q, r in got.items() if q != "q01"} == {
+            q: pairs(r) for q, r in base.items() if q != "q01"
         }
         for stage in ("train-dreq", "ablate"):
             assert run(config, stage) == 0
             assert "(1 documents without text)" in capsys.readouterr().out
-        assert "dempty" in load_run(str(work / "dreq.run"))["q01"].doc_ids()
+        assert "dempty" in load_run(str(work / "dreq.run"))["q01"].doc_ids
 
     def test_no_positive_judgement_stops_training_stages(
         self, pipeline, tmp_path, monkeypatch, capsys
@@ -257,12 +266,12 @@ class TestPipeline:
             assert run(config, "rerank", "--checkpoint", ckpt, "--output", out) == 0
             per_fold.append(load_run(out))
             for qid in fold.test:
-                assert routed[qid].entries == per_fold[i][qid].entries, qid
+                assert pairs(routed[qid]) == pairs(per_fold[i][qid]), qid
         # fold 0's model alone would have scored other folds' queries differently
-        assert any(routed[q].entries != per_fold[0][q].entries for q in routed)
+        assert any(pairs(routed[q]) != pairs(per_fold[0][q]) for q in routed)
         # and the routed run is train-dreq's own out-of-fold run
         oof = load_run(os.path.join(workdir, "dreq.run"))
-        assert {q: r.entries for q, r in routed.items()} == {q: r.entries for q, r in oof.items()}
+        assert {q: pairs(r) for q, r in routed.items()} == {q: pairs(r) for q, r in oof.items()}
 
     def test_evaluate_unknown_qids_listed(self, pipeline, tmp_path):
         config, workdir = pipeline
@@ -325,14 +334,76 @@ class TestPipeline:
         assert main([*argv, "qpp"]) == 0
         got = load_run(str(fresh / "candidates.run"))
         doc_ids = sorted(json.loads(line)["doc_id"] for line in open(os.path.join(TOY, "corpus.jsonl")))
-        assert [(e.doc_id, e.score) for e in got["qempty"].entries] == [(d, 0.0) for d in doc_ids[:30]]
+        assert pairs(got["qempty"]) == [(d, 0.0) for d in doc_ids[:30]]
         normal = load_run(os.path.join(workdir, "candidates.run"))
-        assert {q: r.entries for q, r in got.items() if q != "qempty"} == {
-            q: r.entries for q, r in normal.items()
+        assert {q: pairs(r) for q, r in got.items() if q != "qempty"} == {
+            q: pairs(r) for q, r in normal.items()
         }
         rows = dict(line.split("\t", 1) for line in open(fresh / "wig.tsv").read().splitlines()[1:])
         assert sorted(rows) == sorted([*normal, "qempty"])
         assert rows["qempty"].startswith("0.000000\t")
+
+
+class TestRunFileInput:
+    def test_evaluate_rejects_a_document_repeated_in_a_query(self, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d3 1\n")
+        config = write_config(tmp_path, tmp_path / "work", qrels=str(qrels),
+                              **{"eval.ndcg_k": "3", "eval.recall_k": "3"})
+        repeated = tmp_path / "repeated.run"
+        repeated.write_text("q1 Q0 d1 1 3.0 t\nq1 Q0 d1 2 2.0 t\nq1 Q0 d2 3 1.0 t\n")
+        capsys.readouterr()
+        assert run(config, "evaluate", "--run", str(repeated)) == 1
+        assert capsys.readouterr().err == f"error: {repeated}:2: doc 'd1' repeated for query 'q1'\n"
+        # counted once, d1 is one of the two relevant documents
+        once = tmp_path / "once.run"
+        once.write_text("q1 Q0 d1 1 3.0 t\nq1 Q0 d2 2 1.0 t\n")
+        assert run(config, "evaluate", "--run", str(once)) == 0
+        out = capsys.readouterr().out
+        for line in ("once\tmap\t0.5000", "once\tndcg@3\t0.6131", "once\trecall@3\t0.5000"):
+            assert line in out.splitlines()
+
+
+class TestStartup:
+    def test_first_stages_load_no_model_code(self, tmp_path):
+        """`import dreq.cli` loads the first-stage modules only, and
+        build-index, retrieve and evaluate add only what they run."""
+        config = write_config(tmp_path, tmp_path / "work")
+        script = textwrap.dedent("""
+            import json, sys
+            import dreq.cli
+            def loaded():
+                return sorted(m for m in sys.modules if m.startswith("dreq"))
+            seen = {"import": loaded()}
+            run = sys.argv[2]
+            for argv in (["build-index"], ["retrieve"], ["evaluate", "--run", run]):
+                assert dreq.cli.main(["--config", sys.argv[1], *argv]) == 0, argv
+                seen[argv[0]] = loaded()
+            print(json.dumps(seen))
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script, config, str(tmp_path / "work" / "candidates.run")],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        ).stdout
+        seen = json.loads(out.splitlines()[-1])
+        first = ["dreq", "dreq._npz", "dreq._porter", "dreq.cli", "dreq.corpus", "dreq.retrieval"]
+        assert seen["import"] == seen["build-index"] == first
+        assert seen["retrieve"] == sorted(first + ["dreq.pipeline"])
+        assert seen["evaluate"] == sorted(first + ["dreq.evaluation", "dreq.pipeline"])
+        heavy = {"dreq.training", "dreq.model", "dreq.entity_ranking", "dreq.synthetic"}
+        assert not heavy & set(seen["evaluate"])
+
+    def test_weighting_choices_are_the_weighting_modes(self, capsys):
+        from dreq.model import WeightingMode
+
+        with pytest.raises(SystemExit) as exc:
+            main(["rerank", "--weighting", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus' (choose from " + ", ".join(
+            repr(m.value) for m in WeightingMode
+        ) + ")" in err
+        assert "{" + ",".join(m.value for m in WeightingMode) + "}" in err
 
 
 class TestIndexArtifact:
@@ -356,9 +427,9 @@ class TestIndexArtifact:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert loaded.avg_doc_length == index.avg_doc_length
         for query in ("alpha", "beta gamma"):
-            assert retrieve(loaded, query, k=5, mode="bm25_rm3").entries == retrieve(
-                index, query, k=5, mode="bm25_rm3"
-            ).entries
+            assert pairs(retrieve(loaded, query, k=5, mode="bm25_rm3")) == pairs(
+                retrieve(index, query, k=5, mode="bm25_rm3")
+            )
         again = str(tmp_path / "again.npz")
         save_index(loaded, again)
         assert open(path, "rb").read() == open(again, "rb").read()

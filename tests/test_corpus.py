@@ -41,7 +41,7 @@ class TestLoadCorpus:
         store = load_corpus(path)
         assert len(store) == 2
         doc = store.doc("d1")
-        assert doc.entity_ids() == ["a"]
+        assert doc.entity_ids == ("a",)
         assert "sentences" not in vars(doc)  # split on first use only
         assert doc.sentences == split_sentences(doc.text) == ["s0 ends.", "s1 ends.", "s2 ends."]
 
@@ -137,6 +137,7 @@ class TestSegmentation:
     def test_empty_doc_empty_list(self):
         doc = Document(doc_id="d", text="", mentions=[])
         assert segment_passages(doc, SegmenterConfig()) == []
+        assert SegmenterConfig().passage_count(0) == 0
 
     @given(
         n=st.integers(min_value=1, max_value=60),
@@ -146,6 +147,7 @@ class TestSegmentation:
     def test_windows_cover_every_sentence(self, n, window, stride_frac):
         stride = min(stride_frac, window)
         passages = segment_passages(doc_with_sentences(n), SegmenterConfig(window, stride))
+        assert len(passages) == SegmenterConfig(window, stride).passage_count(n)
         covered = set()
         for p in passages:
             covered.update(range(*p.sentence_range))
@@ -215,3 +217,40 @@ class TestTransferLabels:
         docs = [doc_with_entities(f"d{i}", ents) for i, ents in enumerate(entity_lists)]
         labels = transfer_labels(self.qrels(), "q1", docs)
         assert list(labels.keys()) == pool_entities(docs)
+
+
+def reference_labels(qrels, query_id, docs):
+    """Label transfer as a walk over every mention of every document."""
+    labels = {}
+    for doc in docs:
+        relevant = qrels.grade(query_id, doc.doc_id) >= 1
+        for m in doc.mentions:
+            if relevant:
+                labels[m.entity_id] = 1
+            else:
+                labels.setdefault(m.entity_id, 0)
+    return labels
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 2, None]), st.lists(st.sampled_from("abcdef"), max_size=6)),
+        max_size=8,
+    )
+)
+def test_pooling_and_labels_match_a_per_mention_walk(docs_spec):
+    """Repeated mentions, relevant, judged-0 and unjudged documents: the
+    per-document pooling and label transfer give the keys, order and labels
+    of a walk over every mention."""
+    qrels = Qrels()
+    docs = []
+    for i, (grade, entity_ids) in enumerate(docs_spec):
+        if grade is not None:
+            qrels.add("q1", f"d{i}", grade)
+        docs.append(doc_with_entities(f"d{i}", entity_ids))
+    expected = reference_labels(qrels, "q1", docs)
+    got = transfer_labels(qrels, "q1", docs)
+    assert list(got.items()) == list(expected.items())
+    assert pool_entities(docs) == list(expected)
+    for doc in docs:
+        assert doc.entity_ids == tuple(dict.fromkeys(m.entity_id for m in doc.mentions))

@@ -301,8 +301,8 @@ class TestSerialization:
     def test_run_view_orders_by_prob(self):
         ranking = EntityRanking.from_raw_scores("q", [("a", 0.1), ("b", 2.0), ("c", -1.0)])
         run = entity_ranking_to_run(ranking)
-        assert run.doc_ids() == ["b", "a", "c"]
-        scores = [e.score for e in run.entries]
+        assert run.doc_ids == ["b", "a", "c"]
+        scores = run.scores.tolist()
         assert scores == sorted(scores, reverse=True)
 
 

@@ -34,7 +34,7 @@ def make_qrels(qid, grades: dict[str, int]) -> Qrels:
 
 
 def ranking_from(qid, doc_ids) -> Ranking:
-    return Ranking.from_scores(qid, [(d, float(len(doc_ids) - i)) for i, d in enumerate(doc_ids)])
+    return Ranking.from_scores(qid, doc_ids, [float(len(doc_ids) - i) for i in range(len(doc_ids))])
 
 
 class TestPrecision:
@@ -247,7 +247,7 @@ class TestPairedTTest:
 
 class TestWig:
     def ranking(self, scores):
-        return Ranking.from_scores("q", [(f"d{i}", s) for i, s in enumerate(scores)])
+        return Ranking.from_scores("q", [f"d{i}" for i in range(len(scores))], scores)
 
     def test_flat_scores_zero(self):
         r = self.ranking([2.0] * 10)

@@ -18,7 +18,6 @@ from dreq.model import (
     maxsimcos_rerank,
     rerank,
     save_checkpoint,
-    text_centric_embedding,
 )
 from dreq.retrieval import Ranking
 from dreq.training import DreqBatch, dreq_logits
@@ -43,7 +42,7 @@ def store_with(dim: int, **vectors) -> EmbeddingStore:
 
 def reference_weights(doc, ranking, mode):
     """Per-document entity weights as a loop over the doc's entities."""
-    entity_ids = doc.entity_ids()
+    entity_ids = doc.entity_ids
     entry = {e.entity_id: e for e in ranking.entries}
     if mode == WeightingMode.UNIFORM:
         return [(e, 1.0) for e in entity_ids]
@@ -82,10 +81,10 @@ def text_store_for(docs, dim: int = 2) -> EmbeddingStore:
 def weights_of(doc, ranking, mode, entity_store=None):
     """A document's (entity_id, weight) pairs as the feature table forms them."""
     if entity_store is None:
-        entity_store = store_with(1, **{e: [1.0] for e in doc.entity_ids()})
+        entity_store = store_with(1, **{e: [1.0] for e in doc.entity_ids})
     table = build_feature_table([doc], entity_store, text_store_for([doc]))
     links, weights = table.entity_weights(ranking, mode, table.rows([doc.doc_id]))
-    assert links.shape == weights.shape == (1, len(doc.entity_ids()))
+    assert links.shape == weights.shape == (1, len(doc.entity_ids))
     return [(table.entity_store.ids[i], float(w)) for i, w in zip(links[0], weights[0])]
 
 
@@ -114,9 +113,7 @@ def interactions(q, d_q):
 
 def score_of(model, q, doc, ranking, es, ps) -> float:
     table = build_feature_table([doc], es, ps)
-    return rerank(model, q, Ranking.from_scores("q", [(doc.doc_id, 0.0)]), table, ranking).entries[
-        0
-    ].score
+    return rerank(model, q, Ranking.from_scores("q", [doc.doc_id], [0.0]), table, ranking).scores[0]
 
 
 class TestEntityWeights:
@@ -249,38 +246,32 @@ class TestEntityCentricEmbedding:
 
 
 class TestTextCentricEmbedding:
-    def seg(self):
-        return SegmenterConfig(window=1, stride=1)
+    """A document's text vector in the feature table: the mean of its passages."""
+
+    def text_vector(self, doc, store):
+        seg = SegmenterConfig(window=1, stride=1)
+        return build_feature_table([doc], store_with(1), store, seg).text[0]
 
     def test_single_passage_verbatim(self):
-        from dreq.corpus import segment_passages
-
         doc = doc_with("d", [], text="only sentence.")
         store = store_with(2, **{"d::0": [0.4, 0.6]})
-        passages = segment_passages(doc, self.seg())
-        assert np.array_equal(text_centric_embedding(passages, store), [0.4, 0.6])
+        assert np.array_equal(self.text_vector(doc, store), [0.4, 0.6])
 
     def test_opposite_vectors_average_to_zero(self):
-        from dreq.corpus import segment_passages
-
         doc = doc_with("d", [], text="one. two.")
         store = store_with(2, **{"d::0": [1.0, -2.0], "d::1": [-1.0, 2.0]})
-        passages = segment_passages(doc, self.seg())
-        assert np.allclose(text_centric_embedding(passages, store), [0.0, 0.0], atol=1e-15)
+        assert np.allclose(self.text_vector(doc, store), [0.0, 0.0], atol=1e-15)
 
     def test_component_mean(self):
-        from dreq.corpus import segment_passages
-
         rng = np.random.default_rng(11)
         vecs = rng.standard_normal((3, 2))
         doc = doc_with("d", [], text="one. two. three.")
         store = store_with(2, **{f"d::{i}": vecs[i] for i in range(3)})
-        out = text_centric_embedding(segment_passages(doc, self.seg()), store)
-        assert np.allclose(out, vecs.mean(axis=0), atol=1e-12)
+        assert np.allclose(self.text_vector(doc, store), vecs.mean(axis=0), atol=1e-12)
 
-    def test_no_passages_rejected(self):
-        with pytest.raises(ValueError):
-            text_centric_embedding([], store_with(2))
+    def test_no_passages_give_zero(self):
+        doc = doc_with("d", [], text="")
+        assert np.array_equal(self.text_vector(doc, store_with(2)), [0.0, 0.0])
 
 
 def tiny_model(p=2, m=2, n=2, mode=WeightingMode.PROBABILITY, **kw) -> DreqModel:
@@ -432,7 +423,7 @@ class TestRerank:
         ranking = EntityRanking.from_raw_scores(
             "q", [(f"e{i}", float(rng.standard_normal())) for i in range(n_docs)]
         )
-        candidates = Ranking.from_scores("q", scored)
+        candidates = Ranking.from_scores("q", *zip(*scored))
         model = DreqModel.init(DimsConfig(2, 2, 2, 2), seed=3)
         q = rng.standard_normal(2)
         return model, q, candidates, docs, ranking, entity_store, passage_store
@@ -443,22 +434,22 @@ class TestRerank:
     def test_output_is_permutation(self):
         model, q, cands, docs, ranking, es, ps = self.build()
         out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
-        assert sorted(out.doc_ids()) == sorted(cands.doc_ids())
+        assert sorted(out.doc_ids) == sorted(cands.doc_ids)
         assert len(out) == len(cands)
 
     def test_single_candidate_unchanged(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=1)
         out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
-        assert out.doc_ids() == cands.doc_ids()
+        assert out.doc_ids == cands.doc_ids
 
     def test_order_matches_exhaustive_scoring(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=10)
         out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
         logits = {
-            d: reference_logit(model, q, docs[d], ranking, es, ps) for d in cands.doc_ids()
+            d: reference_logit(model, q, docs[d], ranking, es, ps) for d in cands.doc_ids
         }
         expected = [d for d, _ in sorted(logits.items(), key=lambda kv: (-kv[1], kv[0]))]
-        assert out.doc_ids() == expected
+        assert out.doc_ids == expected
 
     def test_candidate_outside_table_named(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=3)
@@ -473,8 +464,8 @@ class TestRerank:
             "q", [("e0", 0.0), ("e1", -800.0), ("e2", -805.0), ("e3", -900.0)]
         )
         out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
-        assert sorted(out.doc_ids()) == sorted(cands.doc_ids())
-        assert all(math.isfinite(e.score) for e in out.entries)
+        assert sorted(out.doc_ids) == sorted(cands.doc_ids)
+        assert np.isfinite(out.scores).all()
 
 
 def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
@@ -519,14 +510,14 @@ class TestBatchedMatchesReference:
         dims = DimsConfig(2, 3, 4, 3)
         model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
         model.mode, model.use_entities = mode, use_entities
-        cands = Ranking.from_scores("q", [(d.doc_id, float(-i)) for i, d in enumerate(docs)])
+        cands = Ranking.from_scores("q", [d.doc_id for d in docs], [float(-i) for i in range(len(docs))])
         out = rerank(model, q, cands, build_feature_table(docs, es, ps), ranking)
         expected = {d.doc_id: reference_logit(model, q, d, ranking, es, ps) for d in docs}
-        got = {e.doc_id: e.score for e in out.entries}
+        got = dict(zip(out.doc_ids, out.scores.tolist()))
         assert got.keys() == expected.keys()
         for doc_id, logit in expected.items():
             assert abs(got[doc_id] - logit) <= 1e-12
-        assert out.doc_ids() == [d for d, _ in sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))]
+        assert out.doc_ids == [d for d, _ in sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -562,10 +553,11 @@ class TestFeatureTableStore:
     @given(st.integers(0, 2**31 - 1))
     def test_text_equals_per_passage_loop(self, seed):
         rng = np.random.default_rng(seed)
-        seg = SegmenterConfig(window=2, stride=1)  # up to 19 passages a doc
+        window = int(rng.integers(1, 4))
+        seg = SegmenterConfig(window, int(rng.integers(1, window + 1)))  # up to 20 passages a doc
         docs = []
-        for i in range(30):
-            text = " ".join(f"s{j}." for j in range(int(rng.integers(1, 21))))
+        for i in range(30):  # some documents without sentences
+            text = " ".join(f"s{j}." for j in range(int(rng.integers(0, 21))))
             docs.append(doc_with(f"d{i}", [], text))
         passages = [p for doc in docs for p in segment_passages(doc, seg)]
         scales = 10.0 ** rng.integers(-8, 8, size=len(passages))  # mixed magnitudes round
@@ -577,7 +569,8 @@ class TestFeatureTableStore:
             total = np.zeros(5)
             for p in passages:
                 total = total + ps.get(passage_key(p.doc_id, p.index))
-            assert row.tobytes() == (total / len(passages)).tobytes()
+            assert row.tobytes() == (total / max(len(passages), 1)).tobytes()
+        assert table.empty_text_docs == sum(1 for doc in docs if not doc.text)
 
     def test_entity_matrix_is_the_stores(self):
         _, _, docs, _, es, ps = random_world(5, 10, DimsConfig(2, 3, 4, 3))
@@ -589,10 +582,10 @@ class TestFeatureTableStore:
 def reference_maxsimcos(query_entity_ids, candidates, docs, entity_store) -> Ranking:
     """maxsimcos as a loop over documents x linked entities x query entities."""
     query_vecs = [entity_store.get(e) for e in query_entity_ids if e in entity_store]
-    scored = []
-    for entry in candidates.entries:
+    scores = []
+    for doc_id in candidates.doc_ids:
         best = float("-inf")
-        for eid in docs[entry.doc_id].entity_ids():
+        for eid in docs[doc_id].entity_ids:
             if eid not in entity_store:
                 continue
             dvec = entity_store.get(eid)
@@ -600,8 +593,8 @@ def reference_maxsimcos(query_entity_ids, candidates, docs, entity_store) -> Ran
                 c = cosine(qvec, dvec)
                 if c > best:
                     best = c
-        scored.append((entry.doc_id, best))
-    return Ranking.from_scores(candidates.query_id, scored)
+        scores.append(best)
+    return Ranking.from_scores(candidates.query_id, candidates.doc_ids, scores)
 
 
 class TestMaxSimCosMatchesReference:
@@ -625,58 +618,57 @@ class TestMaxSimCosMatchesReference:
         for i in range(12):  # repeats and unembedded links among them
             linked = [pick[j] for j in rng.integers(0, len(pick), size=int(rng.integers(0, 7)))]
             docs[f"d{i}"] = doc_with(f"d{i}", linked)
-        cands = Ranking.from_scores("q", [(d, float(-i)) for i, d in enumerate(docs)])
+        cands = Ranking.from_scores("q", list(docs), [float(-i) for i in range(len(docs))])
         query = ["q0", "unembedded"] + [names[j] for j in rng.integers(0, 6, size=n_query - 1)]
         got = maxsimcos_rerank(query, cands, docs, store)
         want = reference_maxsimcos(query, cands, docs, store)
-        assert [(e.doc_id, e.score.hex()) for e in got.entries] == [
-            (e.doc_id, e.score.hex()) for e in want.entries
-        ]
-        at = {e.doc_id: (i, e.score) for i, e in enumerate(got.entries)}
+        assert got.doc_ids == want.doc_ids
+        assert [s.hex() for s in got.scores.tolist()] == [s.hex() for s in want.scores.tolist()]
+        at = {d: (i, s) for i, (d, s) in enumerate(zip(got.doc_ids, got.scores.tolist()))}
         assert at["tie_a"][1] == at["tie_b"][1] == 1.0 and at["tie_a"][0] < at["tie_b"][0]
-        assert got.doc_ids()[-2:] == ["none", "only_unembedded"]
+        assert got.doc_ids[-2:] == ["none", "only_unembedded"]
 
 
 class TestMaxSimCos:
     def test_doc_containing_query_entity_scores_one(self):
         entity_store = store_with(2, qe=[1.0, 0.0], other=[0.0, 1.0])
         docs = {"d1": doc_with("d1", ["qe"]), "d2": doc_with("d2", ["other"])}
-        cands = Ranking.from_scores("q", [("d1", 1.0), ("d2", 0.9)])
+        cands = Ranking.from_scores("q", ["d1", "d2"], [1.0, 0.9])
         out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
-        assert out.entries[0].doc_id == "d1"
-        assert out.entries[0].score == pytest.approx(1.0, abs=1e-12)
+        assert out.doc_ids[0] == "d1"
+        assert out.scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_scores_zero(self):
         entity_store = store_with(2, qe=[1.0, 0.0], de=[0.0, 1.0])
         docs = {"d1": doc_with("d1", ["de"])}
-        cands = Ranking.from_scores("q", [("d1", 1.0)])
+        cands = Ranking.from_scores("q", ["d1"], [1.0])
         out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
-        assert out.entries[0].score == pytest.approx(0.0, abs=1e-12)
+        assert out.scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_over_pair_grid(self):
         rng = np.random.default_rng(17)
         vecs = {name: rng.standard_normal(3) for name in ("qa", "qb", "da", "db")}
         entity_store = store_with(3, **vecs)
         docs = {"d1": doc_with("d1", ["da", "db"])}
-        cands = Ranking.from_scores("q", [("d1", 1.0)])
+        cands = Ranking.from_scores("q", ["d1"], [1.0])
         out = maxsimcos_rerank(["qa", "qb"], cands, docs, entity_store)
         expected = max(
             cosine(vecs[q], vecs[d]) for q in ("qa", "qb") for d in ("da", "db")
         )
-        assert out.entries[0].score == pytest.approx(expected, abs=1e-12)
+        assert out.scores[0] == pytest.approx(expected, abs=1e-12)
 
     def test_doc_without_entities_sorts_last(self):
         entity_store = store_with(2, qe=[1.0, 0.0], de=[0.5, 0.5])
         docs = {"d1": doc_with("d1", []), "d2": doc_with("d2", ["de"])}
-        cands = Ranking.from_scores("q", [("d1", 5.0), ("d2", 1.0)])
+        cands = Ranking.from_scores("q", ["d1", "d2"], [5.0, 1.0])
         out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
-        assert out.doc_ids() == ["d2", "d1"]
-        assert out.entries[1].score == float("-inf")
+        assert out.doc_ids == ["d2", "d1"]
+        assert out.scores[1] == float("-inf")
 
     def test_query_without_entities_rejected(self):
         entity_store = store_with(2, de=[0.5, 0.5])
         docs = {"d1": doc_with("d1", ["de"])}
-        cands = Ranking.from_scores("q", [("d1", 1.0)])
+        cands = Ranking.from_scores("q", ["d1"], [1.0])
         with pytest.raises(ValueError):
             maxsimcos_rerank([], cands, docs, entity_store)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from collections.abc import Mapping
 
@@ -21,6 +22,14 @@ from dreq.retrieval import (
     tokenize,
     write_run,
 )
+
+
+def triples(ranking: Ranking) -> list[tuple[str, float, int]]:
+    """(doc_id, score, rank) per position of `ranking`."""
+    return [
+        (d, s, rank)
+        for rank, (d, s) in enumerate(zip(ranking.doc_ids, ranking.scores.tolist()), start=1)
+    ]
 
 
 def corpus_of(texts: dict[str, str]) -> CorpusStore:
@@ -273,7 +282,7 @@ class TestRetrieve:
     def test_tie_broken_by_doc_id(self):
         index = build_index(corpus_of({"db": "t", "da": "t"}))
         ranking = retrieve(index, "t", k=2, mode="bm25")
-        assert ranking.doc_ids() == ["da", "db"]
+        assert ranking.doc_ids == ["da", "db"]
 
     def test_k_validation(self):
         index = build_index(corpus_of({"d1": "a"}))
@@ -285,8 +294,8 @@ class TestRetrieve:
         index = build_index(corpus_of(texts))
         full = retrieve(index, "common term1", k=8, mode="bm25")
         for k in range(1, 8):
-            assert retrieve(index, "common term1", k=k, mode="bm25").doc_ids() == (
-                full.doc_ids()[:k]
+            assert retrieve(index, "common term1", k=k, mode="bm25").doc_ids == (
+                full.doc_ids[:k]
             )
 
     @given(st.integers(0, 2**32 - 1))
@@ -310,12 +319,12 @@ class TestRetrieve:
         for t in terms:
             weighted[t] = weighted.get(t, 0.0) + 1.0
         got = retrieve(index, list(terms), k=n_docs, mode="bm25", bm25=params)
-        assert got.doc_ids() == _oracle_order(index, weighted, params)
+        assert got.doc_ids == _oracle_order(index, weighted, params)
 
         rm3 = Rm3Params(fb_docs=3, fb_terms=5)
         expanded = rm3_expand(index, list(terms), rm3, params)
         got_rm3 = retrieve(index, list(terms), k=n_docs, mode="bm25_rm3", rm3=rm3, bm25=params)
-        assert got_rm3.doc_ids() == _oracle_order(index, expanded, params)
+        assert got_rm3.doc_ids == _oracle_order(index, expanded, params)
 
 
 # --- a plain per-document reference, built from the texts alone -----------------
@@ -420,7 +429,7 @@ class TestArrayPathMatchesReference:
         matched = sum(1 for s in reference_scores(texts, model.items(), params).values() if s > 0)
         k = max(1, matched + k_offset)
         got = retrieve(index, list(terms), k=k, mode=mode, bm25=params, rm3=rm3)
-        assert [(e.doc_id, e.score, e.rank) for e in got.entries] == reference_ranking(
+        assert triples(got) == reference_ranking(
             texts, model.items(), k, params
         )
 
@@ -436,9 +445,9 @@ class TestArrayPathMatchesReference:
         texts = {"d5": "t t", "d4": "t x", "d2": "t x", "d3": "t x", "d1": "x x", "d0": "y"}
         index = build_index(texts)
         got = retrieve(index, "t", k=3, mode="bm25")
-        assert got.doc_ids() == ["d5", "d2", "d3"]
-        assert got.entries[1].score == got.entries[2].score
-        assert [(e.doc_id, e.score, e.rank) for e in got.entries] == reference_ranking(
+        assert got.doc_ids == ["d5", "d2", "d3"]
+        assert got.scores[1] == got.scores[2]
+        assert triples(got) == reference_ranking(
             texts, [("t", 1.0)], 3, Bm25Params()
         )
 
@@ -446,35 +455,131 @@ class TestArrayPathMatchesReference:
         index = build_index({"b": "x", "a": "y", "c": "x y"})
         for mode in ("bm25", "bm25_rm3"):
             got = retrieve(index, "?!", k=2, mode=mode)
-            assert [(e.doc_id, e.score, e.rank) for e in got.entries] == [("a", 0.0, 1), ("b", 0.0, 2)]
+            assert triples(got) == [("a", 0.0, 1), ("b", 0.0, 2)]
         assert rm3_expand(index, []) == {}
 
 
 class TestRankingAndRunIO:
     def test_from_scores_sorts_and_ranks(self):
-        r = Ranking.from_scores("q", [("d2", 0.5), ("d1", 0.9), ("d3", 0.5)])
-        assert r.doc_ids() == ["d1", "d2", "d3"]
-        assert [e.rank for e in r.entries] == [1, 2, 3]
+        r = Ranking.from_scores("q", ["d2", "d1", "d3"], [0.5, 0.9, 0.5])
+        assert triples(r) == [("d1", 0.9, 1), ("d2", 0.5, 2), ("d3", 0.5, 3)]
+        assert r.scores.dtype == np.float64
 
     def test_duplicate_doc_rejected(self):
         with pytest.raises(ValueError):
-            Ranking.from_scores("q", [("d1", 1.0), ("d1", 0.5)])
+            Ranking.from_scores("q", ["d1", "d1"], [1.0, 0.5])
 
     def test_run_round_trip(self, tmp_path):
         rankings = [
-            Ranking.from_scores("q1", [("d1", 2.25), ("d2", 1.5)]),
-            Ranking.from_scores("q2", [("d3", 0.125)]),
+            Ranking.from_scores("q1", ["d1", "d2"], [2.25, 1.5]),
+            Ranking.from_scores("q2", ["d3"], [0.125]),
         ]
         path = str(tmp_path / "out.run")
         write_run(rankings, path, tag="test")
         line = open(path).readline().rstrip("\n")
         assert line == "q1 Q0 d1 1 2.250000 test"
         loaded = load_run(path)
-        assert loaded["q1"].doc_ids() == ["d1", "d2"]
-        assert loaded["q2"].entries[0].score == pytest.approx(0.125)
+        assert loaded["q1"].doc_ids == ["d1", "d2"]
+        assert loaded["q2"].scores[0] == pytest.approx(0.125)
 
     def test_load_rejects_non_contiguous_ranks(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 3 0.5 t\n")
         with pytest.raises(ValueError, match="contiguous"):
             load_run(str(path))
+
+    def test_load_sorts_ranks_given_out_of_order(self, tmp_path):
+        path = tmp_path / "shuffled.run"
+        path.write_text("q1 Q0 d2 2 0.5 t\nq2 Q0 d9 1 3.0 t\nq1 Q0 d1 1 1.0 t\n")
+        loaded = load_run(str(path))
+        assert list(loaded) == ["q1", "q2"]
+        assert triples(loaded["q1"]) == [("d1", 1.0, 1), ("d2", 0.5, 2)]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5\n", r":2: expected 6 columns, got 5"),
+            ("q1 Q0 d1 one 1.0 t\n", r":1: bad rank/score"),
+            ("q1 Q0 d1 1 1.0 t\n\nq1 Q0 d2 2 high t\n", r":3: bad rank/score"),
+            ("q1 Q0 d1 1 1.0 t\nq2 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t\n",
+             r":3: doc 'd1' repeated for query 'q1'"),
+        ],
+        ids=["columns", "rank", "score", "repeated-doc"],
+    )
+    def test_load_errors_name_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.run"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + message):
+            load_run(str(path))
+
+
+# whitespace splits the columns of a run file, so ids hold none
+RUN_IDS = st.text(
+    st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6
+).filter(lambda s: not any(c.isspace() for c in s))
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0**-30]),  # ties, signed zeros
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+class TestRankingOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(RUN_IDS, SCORES), unique_by=lambda t: t[0], max_size=40))
+    def test_from_scores_matches_python_sort(self, pairs):
+        ranking = Ranking.from_scores("q", [d for d, _ in pairs], [s for _, s in pairs])
+        expected = sorted(pairs, key=lambda t: (-t[1], t[0]))
+        assert ranking.doc_ids == [d for d, _ in expected]
+        assert [s.hex() for s in ranking.scores.tolist()] == [float(s).hex() for _, s in expected]
+        assert len(ranking) == len(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            RUN_IDS,
+            st.lists(st.tuples(RUN_IDS, st.floats(-1e6, 1e6)), unique_by=lambda t: t[0],
+                     min_size=1, max_size=12),
+            max_size=4,
+        )
+    )
+    def test_write_then_load_round_trips(self, tmp_path_factory, per_query):
+        rankings = [
+            Ranking.from_scores(qid, [d for d, _ in pairs], [s for _, s in pairs])
+            for qid, pairs in per_query.items()
+        ]
+        path = str(tmp_path_factory.mktemp("run") / "x.run")
+        write_run(rankings, path, tag="t")
+        loaded = load_run(path)
+        assert list(loaded) == list(per_query)
+        for ranking in rankings:
+            got = loaded[ranking.query_id]
+            assert got.query_id == ranking.query_id
+            assert got.doc_ids == ranking.doc_ids
+            assert got.scores.tolist() == [float(f"{s:.6f}") for s in ranking.scores.tolist()]
+
+
+def reference_tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
+    """Tokens lowercased one at a time."""
+    tokens = re.findall(r"[^\W_]+", text)
+    if cfg.lowercase:
+        tokens = [t.lower() for t in tokens]
+    if cfg.stem:
+        tokens = [_porter.stem(t) for t in tokens]
+    return tokens
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(
+        st.one_of(
+            st.sampled_from(list("İßΣσςΑΒaZ _-.'̇ͅʰǅﬃ1")),  # case-special letters
+            st.characters(),
+        ),
+        max_size=30,
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+def test_tokenize_lowercases_like_a_per_token_loop(text, lowercase, stem):
+    cfg = TokenizerConfig(lowercase=lowercase, stem=stem)
+    assert tokenize(text, cfg) == reference_tokenize(text, cfg)

@@ -75,7 +75,7 @@ class TestMakeFolds:
 
 
 def candidates_for(qid, doc_ids):
-    return Ranking.from_scores(qid, [(d, float(len(doc_ids) - i)) for i, d in enumerate(doc_ids)])
+    return Ranking.from_scores(qid, doc_ids, [float(len(doc_ids) - i) for i in range(len(doc_ids))])
 
 
 class TestBuildDocExamples:
@@ -331,10 +331,10 @@ class TestEntitySumBatch:
                 doc = data.corpus.doc(ex.item_id)
                 ranking = data.entity_rankings[ex.query_id]
                 prob = {e.entity_id: e.prob for e in ranking.entries}
-                probs = [prob[e] for e in doc.entity_ids()]
+                probs = [prob[e] for e in doc.entity_ids]
                 linked = len(probs)
                 got = batch.links[row, :linked]
-                assert [table.entity_store.ids[j] for j in got] == doc.entity_ids()
+                assert tuple(table.entity_store.ids[j] for j in got) == doc.entity_ids
                 assert batch.weights[row, :linked].tolist() == [p / sum(probs) for p in probs]
                 assert not batch.weights[row, linked:].any()
                 assert np.array_equal(batch.Q[row], data.query_store.get(ex.query_id))
@@ -359,7 +359,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         u = rng.standard_normal(dims.p)
         u /= np.linalg.norm(u)
         query_rows.append((qid, u))
-        scored = []
+        doc_ids, scores = [], []
         raw = []
         for di in range(docs_per_query):
             doc_id = f"{qid}_d{di}"
@@ -371,9 +371,10 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
             corpus.documents[doc_id] = Document(doc_id, text, [EntityMention(eid, "s", 0, 1, 1.0)])
             passage_rows.append((f"{doc_id}::0", rng.standard_normal(dims.n) * 0.1))
             qrels.add(qid, doc_id, 1 if relevant else 0)
-            scored.append((doc_id, float(docs_per_query - di)))
+            doc_ids.append(doc_id)
+            scores.append(float(docs_per_query - di))
             raw.append((eid, 1.0 if relevant else -1.0))
-        candidates[qid] = Ranking.from_scores(qid, scored)
+        candidates[qid] = Ranking.from_scores(qid, doc_ids, scores)
         rankings[qid] = EntityRanking.from_raw_scores(qid, raw)
     data = TrainData(
         corpus=corpus,
@@ -418,10 +419,8 @@ class TestTrainDreq:
             assert np.array_equal(oa.model.w3, ob.model.w3)
             assert oa.model.b3 == ob.model.b3
         for qid in a.reranked:
-            assert a.reranked[qid].doc_ids() == b.reranked[qid].doc_ids()
-            assert [e.score for e in a.reranked[qid].entries] == [
-                e.score for e in b.reranked[qid].entries
-            ]
+            assert a.reranked[qid].doc_ids == b.reranked[qid].doc_ids
+            assert a.reranked[qid].scores.tolist() == b.reranked[qid].scores.tolist()
 
     def test_finetune_changes_entity_store_copy_only(self):
         dims, data, qrels = make_train_world()
@@ -490,8 +489,7 @@ def reference_loss_and_grads(model, rows, entities, finetune):
 
 
 def reference_rerank(model, q_vec, candidates, table, ranking):
-    doc_ids = candidates.doc_ids()
-    rows = table.rows(doc_ids)
+    rows = table.rows(candidates.doc_ids)
     if model.use_entities:
         links, weights = table.entity_weights(ranking, model.mode, rows)
     else:
@@ -503,7 +501,7 @@ def reference_rerank(model, q_vec, candidates, table, ranking):
         logits[block] = reference_forward(
             model, Q, table.text[rows[block]], links[block], weights[block], table.entities
         )[2]
-    return Ranking.from_scores(candidates.query_id, zip(doc_ids, logits.tolist()))
+    return Ranking.from_scores(candidates.query_id, candidates.doc_ids, logits)
 
 
 def reference_train(template, examples, folds, data, cfg):
@@ -576,7 +574,7 @@ def link_more_entities(data):
     for doc_id, doc in list(data.corpus.documents.items()):
         qid, di = doc_id.split("_d")
         others = [e.entity_id for e in data.entity_rankings[qid].entries]
-        others = [e for e in others if e != doc.entity_ids()[0]][: int(di) % 4]
+        others = [e for e in others if e != doc.entity_ids[0]][: int(di) % 4]
         extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
         data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
 
@@ -597,8 +595,9 @@ def assert_matches_reference(template, examples, folds, data, cfg):
         assert np.array_equal(outcome.entity_store.take(data.entity_store.ids), entities)
     assert result.reranked.keys() == expected_runs.keys()
     for qid, ranking in expected_runs.items():
-        got = [(e.doc_id, e.score) for e in result.reranked[qid].entries]
-        assert got == [(e.doc_id, e.score) for e in ranking.entries]
+        got = result.reranked[qid]
+        assert got.doc_ids == ranking.doc_ids
+        assert got.scores.tolist() == ranking.scores.tolist()
     if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
         original = data.entity_store.vectors
         assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
