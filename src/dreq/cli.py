@@ -38,6 +38,7 @@ from .corpus import SegmenterConfig, load_corpus, load_qrels, load_queries
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
+    Ranking,
     Rm3Params,
     TokenizerConfig,
     build_index,
@@ -201,6 +202,10 @@ class Settings:
             finetune_entity_embeddings=self.get_bool("finetune_entity_embeddings"),
         )
 
+    def cutoffs(self) -> dict[str, int]:
+        """The `evaluate_run` cutoffs: prec_k, ndcg_k and recall_k."""
+        return {k: self.get_int(f"eval.{k}") for k in ("prec_k", "ndcg_k", "recall_k")}
+
 
 @contextmanager
 def atomic_path(final: str):
@@ -289,6 +294,7 @@ def load_pooled(path: str) -> dict[str, list[str]]:
 
 
 def load_query_links(path: str) -> dict[str, list[tuple[str, float]]]:
+    """query_id -> [(entity_id, confidence)]; a confidence must be a finite number."""
     links: dict[str, list[tuple[str, float]]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -298,7 +304,13 @@ def load_query_links(path: str) -> dict[str, list[tuple[str, float]]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CliError(f"{path}:{line_no}: expected 'qid<TAB>entity<TAB>confidence'")
-            links.setdefault(parts[0], []).append((parts[1], float(parts[2])))
+            try:
+                confidence = float(parts[2])
+            except ValueError:  # reported below, as a non-finite one is
+                confidence = float("nan")
+            if not np.isfinite(confidence):
+                raise CliError(f"{path}:{line_no}: confidence {parts[2]!r} is not a finite number")
+            links.setdefault(parts[0], []).append((parts[1], confidence))
     return links
 
 
@@ -445,11 +457,11 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     qrels = load_qrels(settings.get("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(corpus, cands, qrels)
-    examples = build_entity_encoding_examples(labels, encodings, settings.get_int("seed"))
-    if not examples:
+    X, y = build_entity_encoding_examples(labels, encodings, settings.get_int("seed"))
+    if not len(y):
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
-    head = train_entity_head(examples, settings.train_config(), log_rows=log_rows)
+    head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
     head_path = settings.workpath("entity_head.npz")
     with atomic_path(head_path) as tmp:
         save_entity_head(head, tmp)
@@ -460,14 +472,13 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
         settings, "train-entity-ranker", {"qrels": settings.get("qrels")},
         {"head": head_path, "log": log_path}, t0,
     )
-    print(f"trained entity head on {len(examples)} examples -> {head_path}")
+    print(f"trained entity head on {len(y)} examples -> {head_path}")
 
 
 def cmd_rank_entities(settings: Settings) -> None:
     from .entity_ranking import (
         EntityRanking,
         bm25_entity_rank,
-        entity_ranking_to_run,
         geeer_entity_rank,
         load_entity_head,
         save_entity_rankings,
@@ -513,12 +524,13 @@ def cmd_rank_entities(settings: Settings) -> None:
             if desc_index is not None:
                 sparse = bm25_ranking(qid)
             else:  # no descriptions: every entity's BM25 is 0
-                sparse = EntityRanking.from_raw_scores(qid, [(e, 0.0) for e in pooled[qid]])
+                zeros = np.zeros(len(pooled[qid]))
+                sparse = EntityRanking.from_raw_scores(qid, pooled[qid], zeros)
             if not any(eid in entity_store for eid, _ in links.get(qid, [])):
                 rankings[qid] = sparse  # no query entity to compare with: BM25 alone
                 bm25_only += 1
                 continue
-            bm25_scores = {e.entity_id: e.raw_score for e in sparse.entries}
+            bm25_scores = dict(zip(sparse.entity_ids, sparse.raw_scores.tolist()))
             rankings[qid] = geeer_entity_rank(
                 links.get(qid, []), pooled[qid], entity_store, bm25_scores, lam, query_id=qid
             )
@@ -530,11 +542,8 @@ def cmd_rank_entities(settings: Settings) -> None:
         save_entity_rankings(rankings, tmp)
     run_path = settings.workpath("entity_ranking.run")
     with atomic_path(run_path) as tmp:
-        write_run(
-            (entity_ranking_to_run(rankings[qid]) for qid in sorted(rankings)),
-            tmp,
-            tag=f"entities-{mode}",
-        )
+        runs = [Ranking(qid, r.entity_ids, r.probs) for qid, r in sorted(rankings.items())]
+        write_run(runs, tmp, tag=f"entities-{mode}")  # probabilities as run scores
     write_manifest(
         settings, "rank-entities", {"pooled": "pooled_entities.tsv", "mode": mode},
         {"rankings": rankings_path, "run": run_path}, t0,
@@ -699,14 +708,7 @@ def cmd_evaluate(settings: Settings) -> None:
     run_path = settings.args.run or settings.workpath("dreq.run")
     rankings = load_run(require_artifact(run_path, "train-dreq (or retrieve/rerank)"))
     tag = settings.args.tag or os.path.splitext(os.path.basename(run_path))[0]
-    report = evaluate_run(
-        rankings,
-        qrels,
-        tag=tag,
-        prec_k=settings.get_int("eval.prec_k"),
-        ndcg_k=settings.get_int("eval.ndcg_k"),
-        recall_k=settings.get_int("eval.recall_k"),
-    )
+    report = evaluate_run(rankings, qrels, tag=tag, **settings.cutoffs())
     out = settings.workpath(f"eval_{tag}.tsv")
     with atomic_path(out) as tmp:
         write_metrics_report(report, tmp)
@@ -787,18 +789,17 @@ def cmd_ablate(settings: Settings) -> None:
     variants = list(VARIANTS)
     outcome = ablation_sweep(
         variants, settings.dims(), examples, folds, data, cfg, qrels,
-        init_seed=settings.get_int("seed"),
+        init_seed=settings.get_int("seed"), **settings.cutoffs(),
     )
     out = settings.workpath("ablate.tsv")
-    ndcg_k = settings.get_int("eval.ndcg_k")
+    metrics = list(outcome.candidate_report.per_query)  # map, ndcg@k, p@k, recall@k
 
     def table_row(name: str, means: dict[str, float]) -> str:
-        cols = (means["map"], means[f"ndcg@{ndcg_k}"], means["p@20"], means["recall@1000"])
-        return name + "".join(f"\t{v:.4f}" for v in cols) + "\n"
+        return name + "".join(f"\t{means[m]:.4f}" for m in metrics) + "\n"
 
     with atomic_path(out) as tmp:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write(f"system\tmap\tndcg@{ndcg_k}\tp@20\trecall@1000\n")
+            f.write("\t".join(["system", *metrics]) + "\n")
             f.write(table_row("candidates", outcome.candidate_report.means))
             for name in variants:
                 f.write(table_row(name, outcome.variant_reports[name].means))

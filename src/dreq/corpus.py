@@ -110,15 +110,9 @@ class Qrels:
         """Grade of the pair; unjudged pairs grade 0."""
         return self.grades.get(query_id, {}).get(doc_id, 0)
 
-    def is_judged(self, query_id: str, doc_id: str) -> bool:
-        return doc_id in self.grades.get(query_id, {})
-
     def relevant_docs(self, query_id: str) -> list[str]:
         """Doc ids judged with grade >= 1, in judgment order."""
         return [d for d, g in self.grades.get(query_id, {}).items() if g >= 1]
-
-    def query_ids(self) -> list[str]:
-        return list(self.grades.keys())
 
 
 @dataclass(frozen=True)

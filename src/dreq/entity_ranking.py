@@ -5,6 +5,14 @@ query-conditioned entity encodings, BM25 over catalog descriptions, and
 an embedding-similarity score interpolated with BM25. Raw scores are
 softmax-normalized over the full pooled set, so the resulting values act
 as relevance probabilities.
+
+An `EntityRanking` is columns, as a document `Ranking` is: the entity ids
+in rank order (rank = position + 1) beside float64 raw scores and
+probabilities. The softmax is taken in pooled order; the rank order is the
+shared `Ranking.order` lexsort (raw desc, entity_id asc). The head scores a
+query's encodings with one gather and one `np.vecdot` (the bits of a
+per-entity `w1 @ enc + b1`) and trains on `(X, y)` arrays with the
+document trainer's epoch walk and early stop, `training._FoldRun`.
 """
 
 from __future__ import annotations
@@ -17,20 +25,17 @@ import numpy as np
 from . import _npz
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
 from .retrieval import Bm25Params, InvertedIndex, Ranking, _score_all, tokenize
-from .training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
+from .training import AdamState, TrainConfig, _FoldRun, adam_step, bce_dlogits, bce_loss
 
 __all__ = [
     "EntityHead",
-    "EntityRankingEntry",
     "EntityRanking",
-    "score_entity",
     "rank_entities",
     "train_entity_head",
     "bm25_entity_rank",
     "geeer_entity_rank",
     "save_entity_head",
     "load_entity_head",
-    "entity_ranking_to_run",
     "save_entity_rankings",
     "load_entity_rankings",
 ]
@@ -56,49 +61,32 @@ class EntityHead:
         return cls(w1=rng.uniform(-a, a, size=(k,)), b1=0.0)
 
 
-@dataclass(frozen=True)
-class EntityRankingEntry:
-    entity_id: str
-    raw_score: float
-    prob: float
-    rank: int
-
-
-@dataclass
+@dataclass(eq=False)
 class EntityRanking:
-    """Pooled entities sorted raw-score desc / entity_id asc, with softmax
-    probabilities over the full pooled set."""
+    """One query's pooled entities in rank order: `entity_ids[i]` has rank
+    i + 1, raw score `raw_scores[i]` and probability `probs[i]` (float64)."""
 
     query_id: str
-    entries: list[EntityRankingEntry]
+    entity_ids: list[str]
+    raw_scores: np.ndarray
+    probs: np.ndarray
 
     @classmethod
     def from_raw_scores(
-        cls, query_id: str, scored: Sequence[tuple[str, float]]
+        cls, query_id: str, entity_ids: Sequence[str], raw_scores
     ) -> "EntityRanking":
-        if not scored:
+        """Softmax over the pooled set in its given order, then sort raw-score
+        desc / entity_id asc; ids must be distinct."""
+        entity_ids = list(entity_ids)
+        if not entity_ids:
             raise ValueError(f"no entities to rank for query {query_id!r}")
-        if len({e for e, _ in scored}) != len(scored):
-            raise ValueError(f"duplicate entity ids in ranking for query {query_id!r}")
-        probs = softmax([s for _, s in scored])
-        triples = sorted(
-            ((eid, float(raw), float(p)) for (eid, raw), p in zip(scored, probs)),
-            key=lambda t: (-t[1], t[0]),
-        )
-        entries = [
-            EntityRankingEntry(eid, raw, p, i + 1) for i, (eid, raw, p) in enumerate(triples)
-        ]
-        return cls(query_id, entries)
+        raw = np.asarray(raw_scores, dtype=np.float64)
+        probs = softmax(raw)
+        order = Ranking.order(query_id, entity_ids, raw)
+        return cls(query_id, [entity_ids[i] for i in order.tolist()], raw[order], probs[order])
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-def score_entity(head: EntityHead, enc: np.ndarray) -> float:
-    """Raw relevance score of one encoded entity."""
-    if enc.shape != head.w1.shape:
-        raise ValueError(f"encoding shape {enc.shape} != head shape {head.w1.shape}")
-    return float(head.w1 @ enc + head.b1)
+        return len(self.entity_ids)
 
 
 def rank_entities(
@@ -108,58 +96,38 @@ def rank_entities(
     encoding_store: EmbeddingStore,
 ) -> EntityRanking:
     """Score every pooled entity with the head and softmax-normalize."""
-    scored = []
-    for entity_id in pooled:
-        key = query_entity_key(query_id, entity_id)
-        if key not in encoding_store:
-            raise KeyError(
-                f"no query-conditioned encoding for (query {query_id!r}, entity {entity_id!r})"
-            )
-        scored.append((entity_id, score_entity(head, encoding_store.get(key))))
-    return EntityRanking.from_raw_scores(query_id, scored)
+    if encoding_store.dim != len(head.w1):
+        raise ValueError(f"encoding dim {encoding_store.dim} != head dim {len(head.w1)}")
+    encodings = encoding_store.take(query_entity_key(query_id, e) for e in pooled)
+    return EntityRanking.from_raw_scores(query_id, pooled, np.vecdot(encodings, head.w1) + head.b1)
 
 
 def train_entity_head(
-    examples: Sequence[tuple[np.ndarray, int]],
+    X: np.ndarray,
+    y: np.ndarray,
     cfg: TrainConfig,
     log_rows: list | None = None,
 ) -> EntityHead:
-    """Adam-optimized BCE fit of the linear head; deterministic given seed."""
-    if not examples:
+    """Adam-optimized BCE fit of the linear head on encodings X (n, k) and
+    {0, 1} labels y (n,); deterministic given seed."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if not len(y):
         raise ValueError("cannot train an entity head on zero examples")
-    X = np.stack([np.asarray(enc, dtype=np.float64) for enc, _ in examples])
-    y = np.array([label for _, label in examples], dtype=np.float64)
-    k = X.shape[1]
-
-    head = EntityHead.init(k, seed=cfg.seed)
+    head = EntityHead.init(X.shape[1], seed=cfg.seed)
     params = {"w1": head.w1, "b1": np.array([head.b1])}
     state = AdamState()
-    rng = np.random.default_rng(cfg.seed)
-
-    best = float("inf")
-    stall = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(examples))
-        total = 0.0
-        for start in range(0, len(examples), cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            Xb, yb = X[idx], y[idx]
-            z = Xb @ params["w1"] + params["b1"][0]
-            loss = bce_loss(z, yb)
-            dz = bce_dlogits(z, yb) / len(idx)
-            grads = {"w1": Xb.T @ dz, "b1": np.array([np.sum(dz)])}
-            adam_step(params, grads, state, cfg)
-            total += loss * len(idx)
-        epoch_loss = total / len(examples)
-        if log_rows is not None:
-            log_rows.append((0, epoch, epoch_loss))
-        if best - epoch_loss < cfg.early_stop_delta:
-            stall += 1
-        else:
-            stall = 0
-        best = min(best, epoch_loss)
-        if stall >= cfg.early_stop_patience:
-            break
+    run = _FoldRun(np.arange(len(y)), np.random.default_rng(cfg.seed))
+    going = cfg.epochs > 0
+    while going:
+        idx = run.next_batch(cfg.batch_size)
+        Xb, yb = X[idx], y[idx]
+        z = Xb @ params["w1"] + params["b1"][0]
+        dz = bce_dlogits(z, yb) / len(idx)
+        adam_step(params, {"w1": Xb.T @ dz, "b1": np.array([np.sum(dz)])}, state, cfg)
+        run.total_loss += bce_loss(z, yb) * len(idx)
+        going = run.advance(cfg)
+    if log_rows is not None:
+        log_rows.extend((0, epoch, loss) for epoch, loss in enumerate(run.epoch_losses))
     head.b1 = float(params["b1"][0])
     return head
 
@@ -180,10 +148,8 @@ def bm25_entity_rank(
     terms = tokenize(query, description_index.tokenizer) if isinstance(query, str) else query
     scores = _score_all(description_index, ((t, 1.0) for t in terms), bm25)
     position = description_index.doc_position
-    scored = [
-        (eid, float(scores[position[eid]]) if eid in position else 0.0) for eid in pooled
-    ]
-    return EntityRanking.from_raw_scores(query_id, scored)
+    raw = [scores[position[eid]] if eid in position else 0.0 for eid in pooled]
+    return EntityRanking.from_raw_scores(query_id, pooled, raw)
 
 
 def _minmax(values: Sequence[float]) -> list[float]:
@@ -219,25 +185,11 @@ def geeer_entity_rank(
         vec = entity_store.get(entity_id)
         emb_scores.append(sum(conf * cosine(vec, qv) for qv, conf in query_vecs))
         sparse_scores.append(float(bm25_scores.get(entity_id, 0.0)))
-    mm_emb = _minmax(emb_scores)
-    mm_sparse = _minmax(sparse_scores)
-    scored = [
-        (eid, lam * s + (1.0 - lam) * e)
-        for eid, s, e in zip(pooled, mm_sparse, mm_emb)
-    ]
-    return EntityRanking.from_raw_scores(query_id, scored)
+    raw = [lam * s + (1.0 - lam) * e for s, e in zip(_minmax(sparse_scores), _minmax(emb_scores))]
+    return EntityRanking.from_raw_scores(query_id, pooled, raw)
 
 
 # --- serialization --------------------------------------------------------------
-
-
-def entity_ranking_to_run(ranking: EntityRanking) -> Ranking:
-    """TREC-run view with entity_id in the docid column and prob as score."""
-    entries = ranking.entries
-    return Ranking(
-        ranking.query_id, [e.entity_id for e in entries], np.array([e.prob for e in entries])
-    )
-
 
 _RANKING_ARRAYS = (
     "query_ids", "query_id_offsets", "entity_ids", "entity_id_offsets", "raw_score", "prob", "rank"
@@ -246,34 +198,42 @@ _RANKING_ARRAYS = (
 
 def save_entity_rankings(rankings: Mapping[str, EntityRanking], path: str) -> None:
     """Full-precision rankings for downstream stages (the TREC export rounds
-    scores to 6 decimals): one row per entry, queries sorted, entries in
-    rank order."""
-    rows = [(qid, e) for qid in sorted(rankings) for e in rankings[qid].entries]
-    query_ids, query_id_offsets = _npz.pack_strings([qid for qid, _ in rows])
-    entity_ids, entity_id_offsets = _npz.pack_strings([e.entity_id for _, e in rows])
+    scores to 6 decimals): one row per entity, queries sorted, entities in
+    rank order with their rank."""
+    qids = sorted(rankings)
+    ordered = [rankings[qid] for qid in qids]
+    row_qids = [qid for qid in qids for _ in rankings[qid].entity_ids]
+    query_ids, query_id_offsets = _npz.pack_strings(row_qids)
+    entity_ids, entity_id_offsets = _npz.pack_strings([e for r in ordered for e in r.entity_ids])
+    empty = np.empty(0)  # the float64 column of zero queries
     _npz.write(path, {
         "query_ids": query_ids,
         "query_id_offsets": query_id_offsets,
         "entity_ids": entity_ids,
         "entity_id_offsets": entity_id_offsets,
-        "raw_score": np.array([e.raw_score for _, e in rows]),
-        "prob": np.array([e.prob for _, e in rows]),
-        "rank": np.array([e.rank for _, e in rows]),
+        "raw_score": np.concatenate([empty] + [r.raw_scores for r in ordered]),
+        "prob": np.concatenate([empty] + [r.probs for r in ordered]),
+        "rank": np.array([rank for r in ordered for rank in range(1, len(r) + 1)]),
     })
 
 
 def load_entity_rankings(path: str) -> dict[str, EntityRanking]:
+    """Rankings written by `save_entity_rankings`: a query's rows must be
+    consecutive and ranked 1..n."""
     arrays = _npz.read(path, _RANKING_ARRAYS, "entity ranking", "rank-entities")
-    per_query: dict[str, list[EntityRankingEntry]] = {}
-    for qid, *entry in zip(
-        _npz.unpack_strings(arrays["query_ids"], arrays["query_id_offsets"]),
-        _npz.unpack_strings(arrays["entity_ids"], arrays["entity_id_offsets"]),
-        arrays["raw_score"].tolist(),
-        arrays["prob"].tolist(),
-        arrays["rank"].tolist(),
-    ):
-        per_query.setdefault(qid, []).append(EntityRankingEntry(*entry))
-    return {qid: EntityRanking(qid, entries) for qid, entries in per_query.items()}
+    qids = _npz.unpack_strings(arrays["query_ids"], arrays["query_id_offsets"])
+    eids = _npz.unpack_strings(arrays["entity_ids"], arrays["entity_id_offsets"])
+    bounds = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]] + [len(qids)]
+    rankings: dict[str, EntityRanking] = {}
+    for a, b in zip(bounds, bounds[1:]):
+        qid = qids[a]
+        if qid in rankings or not np.array_equal(arrays["rank"][a:b], np.arange(1, b - a + 1)):
+            raise ValueError(
+                f"{path}: the ranks of query {qid!r} are not 1..n in one block; "
+                "rerun `dreq rank-entities`"
+            )
+        rankings[qid] = EntityRanking(qid, eids[a:b], arrays["raw_score"][a:b], arrays["prob"][a:b])
+    return rankings
 
 
 def save_entity_head(head: EntityHead, path: str) -> None:

@@ -174,11 +174,11 @@ class FeatureTable:
         at = np.minimum(starts[:, None] + cols, len(self.entity_index) - 1)
         links = np.where(linked, self.entity_index[at], 0)
         store = self.entity_store
-        prob, raw, rank = np.full((3, len(store)), np.nan)
-        for e in ranking.entries:
-            if e.entity_id in store.row:
-                r = store.row[e.entity_id]
-                prob[r], raw[r], rank[r] = e.prob, e.raw_score, e.rank
+        store_rows = np.array([store.row.get(e, -1) for e in ranking.entity_ids], dtype=np.intp)
+        known = store_rows >= 0
+        prob, raw, rank = columns = np.full((3, len(store)), np.nan)
+        ranked = np.stack((ranking.probs, ranking.raw_scores, np.arange(1.0, len(known) + 1)))
+        columns[:, store_rows[known]] = ranked[:, known]
         absent = np.argwhere(linked & np.isnan(prob[links]))
         if absent.size:
             i, j = absent[0]

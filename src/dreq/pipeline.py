@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .corpus import CorpusStore, Qrels, Query, pool_entities, transfer_labels
 from .retrieval import Bm25Params, InvertedIndex, Ranking, Rm3Params, retrieve
 
@@ -93,17 +95,17 @@ def build_entity_encoding_examples(
     labels_map: dict[str, dict[str, int]],
     encoding_store: EmbeddingStore,
     seed: int,
-) -> list[tuple]:
-    """Balanced (encoding, label) pairs across all queries."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced examples across all queries, queries sorted: their encodings
+    X (n, k), gathered in one `take`, and float64 labels y (n,)."""
     from .embeddings import query_entity_key
     from .training import build_entity_examples
 
-    pairs = []
-    for qid in sorted(labels_map):
-        for ex in build_entity_examples(labels_map[qid], qid, seed):
-            enc = encoding_store.get(query_entity_key(ex.query_id, ex.item_id))
-            pairs.append((enc, ex.label))
-    return pairs
+    examples = [
+        ex for qid in sorted(labels_map) for ex in build_entity_examples(labels_map[qid], qid, seed)
+    ]
+    X = encoding_store.take(query_entity_key(ex.query_id, ex.item_id) for ex in examples)
+    return X, np.array([ex.label for ex in examples], dtype=np.float64)
 
 
 def entity_rankings_map(
@@ -134,14 +136,16 @@ def ablation_sweep(
     cfg: TrainConfig,
     qrels: Qrels,
     init_seed: int = 0,
+    **cutoffs: int,
 ) -> AblationResult:
     """Train and evaluate each weighting variant with the same folds,
-    examples, entity rankings, and feature table; evaluate the candidates alongside."""
+    examples, entity rankings, and feature table; evaluate the candidates
+    alongside. `cutoffs` (prec_k, ndcg_k, recall_k) go to `evaluate_run`."""
     from .evaluation import evaluate_run
     from .model import DreqModel
     from .training import train_dreq, train_feature_table
 
-    candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates")
+    candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates", **cutoffs)
     table = train_feature_table(data, examples)
     reports: dict[str, MetricsReport] = {}
     runs: dict[str, dict[str, Ranking]] = {}
@@ -150,7 +154,7 @@ def ablation_sweep(
         template = DreqModel.init(dims, mode=mode, seed=init_seed, use_entities=use_entities)
         result = train_dreq(template, examples, folds, data, cfg, table)
         runs[name] = result.reranked
-        reports[name] = evaluate_run(result.reranked, qrels, tag=name)
+        reports[name] = evaluate_run(result.reranked, qrels, tag=name, **cutoffs)
     return AblationResult(candidate_report, reports, runs, table.empty_text_docs)
 
 
@@ -178,9 +182,9 @@ def run_planted_ablation(
         cands = candidate_rankings(index, world.queries, k=retrieve_k, mode="bm25_rm3")
         pooled = pooled_entities_map(world.corpus, cands, world.qrels)
         labels = entity_labels_map(world.corpus, cands, world.qrels)
-        enc_examples = build_entity_encoding_examples(labels, world.encoding_store, seed)
+        X, y = build_entity_encoding_examples(labels, world.encoding_store, seed)
         head_cfg = replace(train_cfg, seed=seed)
-        head = train_entity_head(enc_examples, head_cfg)
+        head = train_entity_head(X, y, head_cfg)
         rankings = entity_rankings_map(head, pooled, world.encoding_store)
 
         examples = build_doc_examples(world.qrels, cands, seed)

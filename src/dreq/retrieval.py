@@ -137,10 +137,16 @@ class Ranking:
         """Sort documents score-desc / doc_id-asc; ids must be distinct."""
         doc_ids = list(doc_ids)
         scores = np.asarray(scores, dtype=np.float64)
-        if len(set(doc_ids)) != len(doc_ids):
-            raise ValueError(f"duplicate doc_ids in ranking for query {query_id!r}")
-        order = np.lexsort((_id_ranks(doc_ids), -scores))
+        order = cls.order(query_id, doc_ids, scores)
         return cls(query_id, [doc_ids[i] for i in order.tolist()], scores[order])
+
+    @staticmethod
+    def order(query_id: str, ids: list[str], scores: np.ndarray) -> np.ndarray:
+        """Positions of `ids` in rank order: score desc, id asc (the sort of
+        document and entity rankings alike); ids must be distinct."""
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate ids in ranking for query {query_id!r}")
+        return np.lexsort((_id_ranks(ids), -scores))
 
     def __len__(self) -> int:
         return len(self.doc_ids)

@@ -438,7 +438,8 @@ def _example_batch(
 @dataclass
 class _FoldRun:
     """One fold's walk through its own epochs: a permutation of its training
-    rows per epoch from its own generator, cut into minibatches in order."""
+    rows per epoch from its own generator, cut into minibatches in order.
+    The entity head trains on one such walk over all its examples."""
 
     rows: np.ndarray
     rng: np.random.Generator

@@ -11,12 +11,15 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from dreq import training
 from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
+from dreq.embeddings import EmbeddingStore, query_entity_key
+from dreq.entity_ranking import train_entity_head
 from dreq.model import DreqModel, WeightingMode, rerank
-from dreq.pipeline import pooled_entities_map, pooling_docs
+from dreq.pipeline import build_entity_encoding_examples, pooled_entities_map, pooling_docs
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from test_training import make_train_world
@@ -127,3 +130,17 @@ def test_ranking_and_document_probes_read_the_columns(layers):
     cands = data.candidates["q0"]
     reranked = rerank(model, data.query_store.get("q0"), cands, table, data.entity_rankings["q0"])
     assert layers.PROBES["model.rerank"]((), {}, reranked) == {"docs": len(cands.doc_ids)}
+
+
+def test_entity_head_probe_reads_the_example_count(layers):
+    """`train_entity_head(X, y, cfg, ...)` takes the examples as arrays; the
+    probe reads the example count as the length of its first argument."""
+    labels = {"q1": {"a": 1, "b": 0, "c": 0}, "q2": {"d": 1, "e": 1, "f": 0, "g": 0, "h": 0}}
+    rng = np.random.default_rng(0)
+    keys = [query_entity_key(qid, eid) for qid in labels for eid in labels[qid]]
+    store = EmbeddingStore.from_rows("query_entity", 3, ((k, rng.standard_normal(3)) for k in keys))
+    X, y = build_entity_encoding_examples(labels, store, seed=1)
+    args = (X, y, TrainConfig(learning_rate=0.05, batch_size=4, epochs=2))
+    head = train_entity_head(*args)
+    assert X.shape == (6, 3) and y.tolist() == [1, 0, 1, 1, 0, 0]
+    assert layers.PROBES["entity_ranking.train_entity_head"](args, {}, head) == {"examples": 6}

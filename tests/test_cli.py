@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dreq.cli import Settings, load_config_file, load_index, main, save_index
+from dreq.cli import (
+    CliError,
+    Settings,
+    load_config_file,
+    load_index,
+    load_query_links,
+    main,
+    save_index,
+)
 from dreq.entity_ranking import load_entity_rankings
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.training import FoldPlan
@@ -21,6 +29,11 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 def pairs(ranking) -> list[tuple[str, float]]:
     """(doc_id, score) in rank order."""
     return list(zip(ranking.doc_ids, ranking.scores.tolist()))
+
+
+def columns(ranking) -> tuple:
+    """An entity ranking's ids and its raw-score and probability bits."""
+    return ranking.entity_ids, ranking.raw_scores.tobytes(), ranking.probs.tobytes()
 
 
 def write_config(tmp_path, workdir, **extra) -> str:
@@ -171,9 +184,9 @@ class TestPipeline:
         assert main([*argv, "geeer"]) == 0
         assert "1 by BM25 alone" in capsys.readouterr().out
         got = load_entity_rankings(str(work / "entity_ranking.npz"))
-        assert got["q03"].entries == before["bm25"]["q03"].entries
-        assert {q: r.entries for q, r in got.items() if q != "q03"} == {
-            q: r.entries for q, r in before["geeer"].items() if q != "q03"
+        assert columns(got["q03"]) == columns(before["bm25"]["q03"])
+        assert {q: columns(r) for q, r in got.items() if q != "q03"} == {
+            q: columns(r) for q, r in before["geeer"].items() if q != "q03"
         }
         # without descriptions, the query's entities all score BM25 0
         catalog = tmp_path / "entities.jsonl"
@@ -184,7 +197,7 @@ class TestPipeline:
         monkeypatch.setenv("DREQ_ENTITY_CATALOG", str(catalog))
         assert main([*argv, "geeer"]) == 0
         got = load_entity_rankings(str(work / "entity_ranking.npz"))
-        assert {e.raw_score for e in got["q03"].entries} == {0.0}
+        assert set(got["q03"].raw_scores.tolist()) == {0.0}
         assert len(got["q03"]) == len(before["geeer"]["q03"])
 
     def test_candidate_without_text_scores_by_its_entities(self, tmp_path, capsys):
@@ -216,6 +229,46 @@ class TestPipeline:
             assert run(config, stage) == 0
             assert "(1 documents without text)" in capsys.readouterr().out
         assert "dempty" in load_run(str(work / "dreq.run"))["q01"].doc_ids
+
+    def test_ablate_reads_the_eval_cutoffs(self, pipeline, tmp_path, monkeypatch, capsys):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work)]
+        assert main([*argv, "ablate"]) == 0
+        header = (work / "ablate.tsv").read_text().splitlines()[0]
+        assert header == "system\tmap\tndcg@20\tp@20\trecall@1000"
+        for name, value in (("NDCG_K", "10"), ("PREC_K", "5"), ("RECALL_K", "30")):
+            monkeypatch.setenv(f"DREQ_EVAL_{name}", value)
+        assert main([*argv, "ablate"]) == 0
+        table = [line.split("\t") for line in (work / "ablate.tsv").read_text().splitlines()]
+        assert table[0] == ["system", "map", "ndcg@10", "p@5", "recall@30"]
+        assert [row[0] for row in table[1:]] == ["candidates", "dreq", "uniform",
+                                                 "reciprocal_rank", "no_entity"]
+        # the candidates row holds `evaluate`'s means at the same cutoffs
+        capsys.readouterr()
+        assert main([*argv, "evaluate", "--run", str(work / "candidates.run")]) == 0
+        means = dict(line.split("\t")[1:] for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("candidates\t"))
+        assert table[1] == ["candidates", *(means[m] for m in table[0][1:])]
+
+    def test_geeer_rejects_a_non_finite_confidence(self, pipeline, tmp_path, monkeypatch, capsys):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        links = tmp_path / "query_links.tsv"
+        toy = (Path(TOY) / "query_links.tsv").read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(toy) if line.startswith("q01\t"))
+        toy[at] = "\t".join(toy[at].split("\t")[:2] + ["nan\n"])
+        links.write_text("".join(toy))
+        monkeypatch.setenv("DREQ_QUERY_LINKS", str(links))
+        before = (work / "entity_ranking.npz").read_bytes()
+        capsys.readouterr()
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode", "geeer"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {links}:{at + 1}: confidence 'nan' is not a finite number\n"
+        assert (work / "entity_ranking.npz").read_bytes() == before
 
     def test_no_positive_judgement_stops_training_stages(
         self, pipeline, tmp_path, monkeypatch, capsys
@@ -342,6 +395,22 @@ class TestPipeline:
         rows = dict(line.split("\t", 1) for line in open(fresh / "wig.tsv").read().splitlines()[1:])
         assert sorted(rows) == sorted([*normal, "qempty"])
         assert rows["qempty"].startswith("0.000000\t")
+
+
+class TestQueryLinks:
+    @pytest.mark.parametrize("confidence", ["high", "", "nan", "inf", "-inf"])
+    def test_bad_confidence_names_its_line(self, tmp_path, confidence):
+        path = tmp_path / "links.tsv"
+        path.write_text(f"q01\te1\t0.9\n\nq01\te2\t{confidence}\n")
+        with pytest.raises(CliError) as exc:
+            load_query_links(str(path))
+        assert str(exc.value) == f"{path}:3: confidence {confidence!r} is not a finite number"
+
+    def test_confidences_parse_in_file_order(self, tmp_path):
+        path = tmp_path / "links.tsv"
+        path.write_text("q01\te1\t0.9\nq02\te3\t1\nq01\te2\t-0.5\n")
+        expected = {"q01": [("e1", 0.9), ("e2", -0.5)], "q02": [("e3", 1.0)]}
+        assert load_query_links(str(path)) == expected
 
 
 class TestRunFileInput:

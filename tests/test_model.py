@@ -29,7 +29,7 @@ def doc_with(doc_id: str, entity_ids: list[str], text: str = "one sentence.") ->
 
 
 def ranking_of(*scored) -> EntityRanking:
-    return EntityRanking.from_raw_scores("q", list(scored))
+    return EntityRanking.from_raw_scores("q", [e for e, _ in scored], [s for _, s in scored])
 
 
 def store_with(dim: int, **vectors) -> EmbeddingStore:
@@ -43,12 +43,12 @@ def store_with(dim: int, **vectors) -> EmbeddingStore:
 def reference_weights(doc, ranking, mode):
     """Per-document entity weights as a loop over the doc's entities."""
     entity_ids = doc.entity_ids
-    entry = {e.entity_id: e for e in ranking.entries}
     if mode == WeightingMode.UNIFORM:
         return [(e, 1.0) for e in entity_ids]
     if mode == WeightingMode.RECIPROCAL_RANK:
-        return [(e, 1.0 / entry[e].rank) for e in entity_ids]
-    probs = [entry[e].prob for e in entity_ids]
+        return [(e, 1.0 / (ranking.entity_ids.index(e) + 1)) for e in entity_ids]
+    prob = dict(zip(ranking.entity_ids, ranking.probs.tolist()))
+    probs = [prob[e] for e in entity_ids]
     total = sum(probs)
     return [(e, p / total) for e, p in zip(entity_ids, probs)]
 
@@ -158,7 +158,7 @@ class TestEntityWeights:
     def test_underflowing_probabilities_use_raw_scores(self):
         # exp(-800) underflows: both of the doc's probabilities are exactly 0
         ranking = ranking_of(("top", 0.0), ("a", -800.0), ("b", -801.0))
-        prob = {e.entity_id: e.prob for e in ranking.entries}
+        prob = dict(zip(ranking.entity_ids, ranking.probs.tolist()))
         assert prob["a"] == prob["b"] == 0.0
         weights = weights_of(doc_with("d", ["a", "b"]), ranking, WeightingMode.PROBABILITY)
         values = np.array([w for _, w in weights])
@@ -421,7 +421,7 @@ class TestRerank:
         entity_store = EmbeddingStore.from_rows("e", 2, entity_rows)
         passage_store = EmbeddingStore.from_rows("p", 2, passage_rows)
         ranking = EntityRanking.from_raw_scores(
-            "q", [(f"e{i}", float(rng.standard_normal())) for i in range(n_docs)]
+            "q", [f"e{i}" for i in range(n_docs)], rng.standard_normal(n_docs)
         )
         candidates = Ranking.from_scores("q", *zip(*scored))
         model = DreqModel.init(DimsConfig(2, 2, 2, 2), seed=3)
@@ -461,7 +461,7 @@ class TestRerank:
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=4)
         # e1..e3 sit ~800 raw-score units below e0: their probabilities are 0
         ranking = EntityRanking.from_raw_scores(
-            "q", [("e0", 0.0), ("e1", -800.0), ("e2", -805.0), ("e3", -900.0)]
+            "q", ["e0", "e1", "e2", "e3"], [0.0, -800.0, -805.0, -900.0]
         )
         out = rerank(model, q, cands, self.table(docs, es, ps), ranking)
         assert sorted(out.doc_ids) == sorted(cands.doc_ids)
@@ -484,7 +484,7 @@ def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
         docs.append(doc)
     passage_store = EmbeddingStore.from_rows("passage", dims.n, passage_rows)
     ranking = EntityRanking.from_raw_scores(
-        "q", [(f"e{i}", float(rng.normal(0.0, 4.0))) for i in range(n_entities)]
+        "q", [f"e{i}" for i in range(n_entities)], rng.normal(0.0, 4.0, n_entities)
     )
     model = DreqModel(
         W2=rng.standard_normal((dims.p, dims.m + dims.n)),

@@ -330,7 +330,7 @@ class TestEntitySumBatch:
                 ex = examples[i]
                 doc = data.corpus.doc(ex.item_id)
                 ranking = data.entity_rankings[ex.query_id]
-                prob = {e.entity_id: e.prob for e in ranking.entries}
+                prob = dict(zip(ranking.entity_ids, ranking.probs.tolist()))
                 probs = [prob[e] for e in doc.entity_ids]
                 linked = len(probs)
                 got = batch.links[row, :linked]
@@ -360,7 +360,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         u /= np.linalg.norm(u)
         query_rows.append((qid, u))
         doc_ids, scores = [], []
-        raw = []
+        entity_ids, raw = [], []
         for di in range(docs_per_query):
             doc_id = f"{qid}_d{di}"
             eid = f"{qid}_e{di}"
@@ -373,9 +373,10 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
             qrels.add(qid, doc_id, 1 if relevant else 0)
             doc_ids.append(doc_id)
             scores.append(float(docs_per_query - di))
-            raw.append((eid, 1.0 if relevant else -1.0))
+            entity_ids.append(eid)
+            raw.append(1.0 if relevant else -1.0)
         candidates[qid] = Ranking.from_scores(qid, doc_ids, scores)
-        rankings[qid] = EntityRanking.from_raw_scores(qid, raw)
+        rankings[qid] = EntityRanking.from_raw_scores(qid, entity_ids, raw)
     data = TrainData(
         corpus=corpus,
         query_store=EmbeddingStore.from_rows("query", dims.p, query_rows),
@@ -573,7 +574,7 @@ def link_more_entities(data):
     """Link each document to 1-4 of its query's entities, own entity first."""
     for doc_id, doc in list(data.corpus.documents.items()):
         qid, di = doc_id.split("_d")
-        others = [e.entity_id for e in data.entity_rankings[qid].entries]
+        others = data.entity_rankings[qid].entity_ids
         others = [e for e in others if e != doc.entity_ids[0]][: int(di) % 4]
         extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
         data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
