@@ -349,9 +349,12 @@ def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
 
 def cmd_build_index(settings: Settings) -> None:
     t0 = time.time()
-    corpus = _load_corpus(settings)
+    # only the texts outlive the store, so the parsed mentions are freed
+    # before the index is built
+    texts = _load_corpus(settings).texts()
     index_path = settings.workpath("index.npz")
-    index = build_index(corpus, settings.tokenizer())
+    index = build_index(texts, settings.tokenizer())
+    del texts
     with atomic_path(index_path) as tmp:
         save_index(index, tmp)
     write_manifest(

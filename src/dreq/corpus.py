@@ -11,11 +11,16 @@ Queries TSV:            query_id <TAB> text
 Qrels (TREC):           qid 0 docid grade   (whitespace-separated)
 
 Mentions are `EntityMention` named tuples, checked against their text as
-they load (span inside the text, confidence in [0, 1]). A document's
-distinct linked entity ids, in first-mention order, are computed once, on
-first use (`Document.entity_ids`), and pooling and label transfer work on
-those ids with one dict operation per document, not per mention. A
-document's sentences are likewise split once, on first use.
+they load (string ids, integer span inside the text, confidence a number
+in [0, 1]); a malformed line is a ValueError naming `path:line`. A corpus
+repeats a few values across many mentions, so `load_corpus` keeps one
+object per distinct value: each field (entity id, surface, offset,
+confidence) has its own memo, so a value is shared only within its field
+and type, and a confidence is shared only with a bit-equal one (zeros keep
+their sign). A document's distinct linked entity ids, in first-mention
+order, are computed as it loads (`Document.entity_ids`), and pooling and
+label transfer work on those ids with one dict operation per document, not
+per mention. A document's sentences are split once, on first use.
 """
 
 from __future__ import annotations
@@ -162,28 +167,76 @@ class CorpusStore:
     def doc_ids(self) -> list[str]:
         return list(self.documents.keys())
 
+    def texts(self) -> dict[str, str]:
+        """doc_id -> text, in corpus order: all that an index reads."""
+        return {doc_id: doc.text for doc_id, doc in self.documents.items()}
 
-def _parse_mention(raw: dict, doc_id: str, text_len: int) -> EntityMention:
-    start, end = int(raw["start"]), int(raw["end"])
-    confidence = float(raw.get("confidence", 1.0))
-    if not 0 <= start < end:
-        raise ValueError(f"doc {doc_id!r}: mention span [{start}, {end}) invalid")
-    if end > text_len:
-        raise ValueError(f"doc {doc_id!r}: mention end {end} beyond text length {text_len}")
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"doc {doc_id!r}: confidence {confidence} outside [0, 1]")
-    return EntityMention(str(raw["entity_id"]), str(raw.get("mention", "")), start, end, confidence)
+
+def _read_document(
+    raw, ids: dict, surfaces: dict, offsets: dict, confidences: dict
+) -> Document:
+    """One parsed corpus line as a `Document`; a malformed one is a
+    ValueError without location. Each mention field's value is looked up in
+    that field's memo, so equal values share one object. Zero confidences
+    bypass their memo: `-0.0 == 0.0`, and a memo would drop the sign."""
+    if type(raw) is not dict:
+        raise ValueError("expected a JSON object")
+    try:
+        doc_id = str(raw["doc_id"])
+        text = str(raw["text"])
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
+    raw_mentions = raw.get("entities", [])
+    if type(raw_mentions) is not list:
+        raise ValueError(f"doc {doc_id!r}: entities must be a list, got {raw_mentions!r}")
+    text_len = len(text)
+    mentions = []
+    for m in raw_mentions:
+        if type(m) is not dict:
+            raise ValueError(f"doc {doc_id!r}: mention {m!r} is not an object")
+        try:
+            entity_id, start, end = m["entity_id"], m["start"], m["end"]
+        except KeyError as e:
+            raise ValueError(f"doc {doc_id!r}: mention missing field {e}") from None
+        surface = m.get("mention", "")
+        confidence = m.get("confidence", 1.0)
+        if type(entity_id) is not str or type(surface) is not str:
+            raise ValueError(
+                f"doc {doc_id!r}: mention entity_id {entity_id!r} and mention {surface!r}"
+                " must be strings"
+            )
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(f"doc {doc_id!r}: mention span [{start!r}, {end!r}) must be integers")
+        if not 0 <= start < end:
+            raise ValueError(f"doc {doc_id!r}: mention span [{start}, {end}) invalid")
+        if end > text_len:
+            raise ValueError(f"doc {doc_id!r}: mention end {end} beyond text length {text_len}")
+        if type(confidence) is not float:
+            if type(confidence) is not int:
+                raise ValueError(f"doc {doc_id!r}: confidence {confidence!r} is not a number")
+            confidence = float(confidence)
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"doc {doc_id!r}: confidence {confidence} outside [0, 1]")
+        mentions.append(EntityMention(
+            ids.setdefault(entity_id, entity_id),
+            surfaces.setdefault(surface, surface),
+            offsets.setdefault(start, start),
+            offsets.setdefault(end, end),
+            confidences.setdefault(confidence, confidence) if confidence else confidence,
+        ))
+    return Document(doc_id, text, mentions)
 
 
 def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
     """Load a JSONL corpus.
 
-    Rejects duplicate doc_ids and mention spans outside the text. When
-    `catalog_path` is given its descriptions are merged into the store's
-    entity table; entities mentioned but absent from the catalog get an
-    empty-description record.
+    Rejects malformed lines, duplicate doc_ids and mention spans outside the
+    text, each with `path:line`. When `catalog_path` is given its
+    descriptions are merged into the store's entity table; entities
+    mentioned but absent from the catalog get an empty-description record.
     """
     store = CorpusStore()
+    memos: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -194,15 +247,12 @@ def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
             try:
-                doc_id = str(raw["doc_id"])
-                text = str(raw["text"])
-            except KeyError as e:
-                raise ValueError(f"{path}:{line_no}: missing field {e}") from e
-            if doc_id in store.documents:
-                raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
-            mentions = [_parse_mention(m, doc_id, len(text)) for m in raw.get("entities", [])]
-            doc = Document(doc_id=doc_id, text=text, mentions=mentions)
-            store.documents[doc_id] = doc
+                doc = _read_document(raw, *memos)
+            except ValueError as e:
+                raise ValueError(f"{path}:{line_no}: {e}") from None
+            if doc.doc_id in store.documents:
+                raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
+            store.documents[doc.doc_id] = doc
             for entity_id in doc.entity_ids:
                 if entity_id not in store.entities:
                     store.entities[entity_id] = EntityRecord(entity_id)
@@ -222,9 +272,15 @@ def load_entity_catalog(path: str) -> dict[str, EntityRecord]:
                 continue
             try:
                 raw = json.loads(line)
-                entity_id = str(raw["entity_id"])
-                description = str(raw.get("description", ""))
-            except (json.JSONDecodeError, KeyError) as e:
+                if type(raw) is not dict:
+                    raise ValueError("expected a JSON object")
+                entity_id = raw["entity_id"]
+                description = raw.get("description", "")
+                if type(entity_id) is not str or type(description) is not str:
+                    raise ValueError(
+                        f"entity_id {entity_id!r} and description {description!r} must be strings"
+                    )
+            except (ValueError, KeyError) as e:
                 raise ValueError(f"{path}:{line_no}: malformed catalog line: {e}") from e
             if entity_id in catalog:
                 raise ValueError(f"{path}:{line_no}: duplicate entity_id {entity_id!r}")

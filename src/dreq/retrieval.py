@@ -17,6 +17,13 @@ and never stored: the term -> id dict, each document's rank in doc_id
 order, and a doc -> term forward CSR, so that RM3 reads only the feedback
 documents' own rows instead of the whole vocabulary.
 
+`build_index` reads only document texts. It gives each token its term id,
+widens the ids once into one int64 array and turns that array in place
+into (term, doc) keys `term * N + doc`, sorts it in place, and counts runs
+of equal keys: a run is one posting, its length the tf. Beside the keys, the
+only temporaries as long as the token stream are the int32 document ids
+added into them and a bool mask of run starts.
+
 Scoring adds one term at a time into a float64 array over all documents.
 BM25 impacts are deliberately not precomputed into the index: `Bm25Params`
 is a runtime setting, not a property of the artifact, and a stored
@@ -28,7 +35,8 @@ scores equal the per-document formula bit for bit.
 A `Ranking` is one query's documents as two parallel columns: `doc_ids`
 (a list of str) and `scores` (a float64 array). A document's rank is its
 position plus one; no per-document record exists. Run files are read into
-and written from these columns, one query at a time.
+and written from these columns, one query at a time; `load_run` keeps one
+`str` per distinct doc id of the file, however many queries rank it.
 
 Ties are always broken score-descending, doc_id-ascending (Python string
 order), so run files are stable across executions; `-0.0` and `0.0` tie.
@@ -228,16 +236,11 @@ def build_index(
     tokenizer: TokenizerConfig = TokenizerConfig(),
 ) -> InvertedIndex:
     """Index a corpus (or any id -> text mapping, e.g. entity descriptions)."""
-    if isinstance(corpus, CorpusStore):
-        texts: Mapping[str, str] = {d.doc_id: d.text for d in corpus.documents.values()}
-    else:
-        texts = corpus
+    texts = corpus.texts() if isinstance(corpus, CorpusStore) else corpus
     if not texts:
         raise ValueError("cannot build an index over an empty corpus")
 
-    # an id per token (a new term takes the next id: first-occurrence order),
-    # then one sort of (term, doc) keys yields term-major postings with
-    # ascending docs, and each key's count is its tf
+    # an id per token (a new term takes the next id: first-occurrence order)
     term_id: defaultdict[str, int] = defaultdict()
     term_id.default_factory = term_id.__len__
     token_ids, doc_lengths = array("i"), array("q")
@@ -246,15 +249,29 @@ def build_index(
         token_ids.extend(map(term_id.__getitem__, tokens))
         doc_lengths.append(len(tokens))
     n = len(texts)
-    token_docs = np.repeat(np.arange(n, dtype=np.int64), np.array(doc_lengths))
-    keys, tfs = np.unique(np.array(token_ids, dtype=np.int64) * n + token_docs, return_counts=True)
+    doc_lengths = np.array(doc_lengths, dtype=np.int64)
+    # keys `term * n + doc`, built and sorted in place: a run of equal keys
+    # is one posting, its length the tf
+    keys = np.frombuffer(token_ids, dtype=np.int32).astype(np.int64)
+    del token_ids
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int32), doc_lengths)
+    keys.sort()
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    del run_start
+    tfs = np.diff(starts, append=len(keys)).astype(np.int32)
+    keys = keys[starts]
+    del starts
     return InvertedIndex(
         terms=list(term_id),
         indptr=_indptr(keys // n, len(term_id)),
         docs=(keys % n).astype(np.int32),
-        tfs=tfs.astype(np.int32),
+        tfs=tfs,
         doc_ids=list(texts),
-        doc_lengths=np.array(doc_lengths, dtype=np.int64),
+        doc_lengths=doc_lengths,
         tokenizer=tokenizer,
     )
 
@@ -409,8 +426,10 @@ def write_run(rankings: Iterable[Ranking], path: str, tag: str = "dreq") -> None
 
 def load_run(path: str) -> dict[str, Ranking]:
     """Load a TREC run file into per-query rankings (queries in file order).
-    A query's ranks must run 1..n, and no document may appear twice in it."""
+    A query's ranks must run 1..n, and no document may appear twice in it.
+    A doc id repeated across queries is one `str` object."""
     per_query: dict[str, tuple[list[str], list[int], list[float], set[str]]] = {}
+    doc_memo: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             parts = line.split()
@@ -425,6 +444,7 @@ def load_run(path: str) -> dict[str, Ranking]:
             docs, ranks, scores, seen = columns
             if doc_id in seen:
                 raise ValueError(f"{path}:{line_no}: doc {doc_id!r} repeated for query {qid!r}")
+            doc_id = doc_memo.setdefault(doc_id, doc_id)
             seen.add(doc_id)
             try:
                 ranks.append(int(rank))

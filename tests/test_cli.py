@@ -413,6 +413,67 @@ class TestQueryLinks:
         assert load_query_links(str(path)) == expected
 
 
+MENTION = {"entity_id": "e1", "mention": "a", "start": 0, "end": 1, "confidence": 0.5}
+
+
+def bad_mention(**fields):
+    """A one-mention toy document whose mention has `fields` (None drops one)."""
+    mention = {k: v for k, v in {**MENTION, **fields}.items() if v is not None}
+    return json.dumps({"doc_id": "dbad", "text": "a b", "entities": [mention]})
+
+
+class TestMalformedInputLines:
+    """`build-index` on the toy world with one bad line appended: an
+    `error: path:line: ...` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            (json.dumps({"doc_id": "dbad", "text": "a", "entities": None}),
+             "doc 'dbad': entities must be a list, got None"),
+            (json.dumps({"doc_id": "dbad", "text": "a", "entities": ["e1"]}),
+             "doc 'dbad': mention 'e1' is not an object"),
+            ("[1, 2]", "expected a JSON object"),
+            (bad_mention(start=None), "doc 'dbad': mention missing field 'start'"),
+            (bad_mention(entity_id=None), "doc 'dbad': mention missing field 'entity_id'"),
+            (bad_mention(start="x"), "doc 'dbad': mention span ['x', 1) must be integers"),
+            (bad_mention(start=0.5), "doc 'dbad': mention span [0.5, 1) must be integers"),
+            (bad_mention(confidence="x"), "doc 'dbad': confidence 'x' is not a number"),
+        ],
+        ids=["entities-null", "string-mention", "not-an-object", "no-start", "no-entity-id",
+             "string-start", "fractional-start", "string-confidence"],
+    )
+    def test_corpus_line(self, tmp_path, capsys, line, message):
+        corpus = tmp_path / "corpus.jsonl"
+        toy = (Path(TOY) / "corpus.jsonl").read_text()
+        corpus.write_text(toy + line + "\n")
+        config = write_config(tmp_path, tmp_path / "work", corpus=str(corpus))
+        capsys.readouterr()
+        assert run(config, "build-index") == 1
+        line_no = len(toy.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {corpus}:{line_no}: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("[1]", "expected a JSON object"),
+            ('"x"', "expected a JSON object"),
+            ('{"entity_id": null}', "entity_id None and description '' must be strings"),
+        ],
+        ids=["list", "string", "null-entity-id"],
+    )
+    def test_catalog_line(self, tmp_path, capsys, line, message):
+        catalog = tmp_path / "entities.jsonl"
+        toy = (Path(TOY) / "entities.jsonl").read_text()
+        catalog.write_text(toy + line + "\n")
+        config = write_config(tmp_path, tmp_path / "work", entity_catalog=str(catalog))
+        capsys.readouterr()
+        assert run(config, "build-index") == 1
+        line_no = len(toy.splitlines()) + 1
+        expected = f"error: {catalog}:{line_no}: malformed catalog line: {message}\n"
+        assert capsys.readouterr().err == expected
+
+
 class TestRunFileInput:
     def test_evaluate_rejects_a_document_repeated_in_a_query(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"

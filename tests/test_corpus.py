@@ -1,10 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dreq.corpus import (
+    CorpusStore,
     Document,
+    EntityMention,
+    EntityRecord,
     Qrels,
     SegmenterConfig,
     load_corpus,
@@ -254,3 +257,117 @@ def test_pooling_and_labels_match_a_per_mention_walk(docs_spec):
     assert pool_entities(docs) == list(expected)
     for doc in docs:
         assert doc.entity_ids == tuple(dict.fromkeys(m.entity_id for m in doc.mentions))
+
+
+def reference_load_corpus(path, catalog_path=None):
+    """The loader before value sharing: one `int`/`float`/`str` conversion,
+    so one new object, per mention field."""
+    store = CorpusStore()
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            if not line.strip():
+                continue
+            raw = json.loads(line)
+            doc_id, text = str(raw["doc_id"]), str(raw["text"])
+            mentions = []
+            for m in raw.get("entities", []):
+                start, end = int(m["start"]), int(m["end"])
+                confidence = float(m.get("confidence", 1.0))
+                assert 0 <= start < end <= len(text) and 0.0 <= confidence <= 1.0
+                mentions.append(EntityMention(
+                    str(m["entity_id"]), str(m.get("mention", "")), start, end, confidence
+                ))
+            store.documents[doc_id] = Document(doc_id, text, mentions)
+            for entity_id in store.documents[doc_id].entity_ids:
+                store.entities.setdefault(entity_id, EntityRecord(entity_id))
+    if catalog_path is not None:
+        for record in load_entity_catalog(catalog_path).values():
+            store.entities[record.entity_id] = record
+    return store
+
+
+def mention_bits(m):
+    """A mention with its field types and its confidence's exact bits."""
+    return (m.entity_id, m.surface, m.start, m.end, type(m.start), type(m.end),
+            type(m.confidence), m.confidence.hex())
+
+
+def store_bits(store):
+    return (
+        [(d.doc_id, d.text, d.entity_ids, [mention_bits(m) for m in d.mentions])
+         for d in store.documents.values()],
+        [(e.entity_id, e.description) for e in store.entities.values()],
+    )
+
+
+@st.composite
+def corpus_lines(draw):
+    """Valid corpus documents: mention fields drawn from few values, so they
+    repeat within and across documents, with int and float confidences."""
+    docs = []
+    for i in range(draw(st.integers(1, 5))):
+        text = draw(st.text(st.sampled_from(list("ab é.Σ")), max_size=400))
+        mentions = []
+        for _ in range(draw(st.integers(0, 6)) if text else 0):
+            start = draw(st.integers(0, len(text) - 1))
+            mention = {
+                "entity_id": draw(st.sampled_from(["e1", "e2", "é3"])),
+                "start": start,
+                "end": draw(st.integers(start + 1, len(text))),
+            }
+            if draw(st.booleans()):
+                mention["mention"] = draw(st.sampled_from(["", "a", "ab"]))
+            if draw(st.booleans()):
+                mention["confidence"] = draw(
+                    st.sampled_from([0, 1, 0.0, -0.0, 1.0, 0.5, 0.25])
+                    | st.floats(0.0, 1.0)
+                )
+            mentions.append(mention)
+        doc = {"doc_id": f"d{i}", "text": text}
+        if mentions or draw(st.booleans()):
+            doc["entities"] = mentions
+        docs.append(doc)
+    return docs
+
+
+class TestLoadCorpusSharing:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_lines(), st.booleans())
+    def test_matches_the_loader_without_sharing(self, tmp_path_factory, docs, with_catalog):
+        tmp = tmp_path_factory.mktemp("corpus")
+        path = write_corpus(tmp, docs)
+        catalog = None
+        if with_catalog:
+            catalog = tmp / "catalog.jsonl"
+            catalog.write_text(json.dumps({"entity_id": "e2", "description": "two"}) + "\n")
+            catalog = str(catalog)
+        assert store_bits(load_corpus(path, catalog)) == store_bits(
+            reference_load_corpus(path, catalog)
+        )
+
+    def test_equal_values_are_one_object_of_their_own_type(self, tmp_path):
+        text = "x" * 400
+        first = [
+            {"entity_id": "e1", "mention": "ex one", "start": 1, "end": 300, "confidence": 1},
+            {"entity_id": "e2", "mention": "xx", "start": 300, "end": 301, "confidence": 0.0},
+        ]
+        second = [
+            {"entity_id": "e1", "mention": "ex one", "start": 300, "end": 400, "confidence": 1.0},
+            {"entity_id": "e1", "mention": "x", "start": 0, "end": 1, "confidence": -0.0},
+        ]
+        path = write_corpus(tmp_path, [
+            {"doc_id": "d1", "text": text, "entities": first},
+            {"doc_id": "d2", "text": text, "entities": second},
+        ])
+        store = load_corpus(path)
+        a, b = store.doc("d1").mentions
+        c, d = store.doc("d2").mentions
+        assert a.entity_id is c.entity_id is d.entity_id is store.entities["e1"].entity_id
+        assert a.surface is c.surface
+        assert a.end is b.start is c.start
+        assert a.confidence is c.confidence  # the int 1 was read as the float 1.0
+        assert {type(x) for m in (a, b, c, d) for x in (m.start, m.end)} == {int}
+        assert {type(m.confidence) for m in (a, b, c, d)} == {float}
+        assert (a.confidence.hex(), b.confidence.hex(), d.confidence.hex()) == (
+            "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0"
+        )

@@ -583,3 +583,79 @@ def reference_tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> l
 def test_tokenize_lowercases_like_a_per_token_loop(text, lowercase, stem):
     cfg = TokenizerConfig(lowercase=lowercase, stem=stem)
     assert tokenize(text, cfg) == reference_tokenize(text, cfg)
+
+
+def unique_build_index(texts, tokenizer=TokenizerConfig()):
+    """The index built by one `np.unique` over fresh int64 (term, doc) key
+    arrays: the formulation the in-place key sort replaced."""
+    term_id, token_ids, doc_lengths = {}, [], []
+    for text in texts.values():
+        tokens = tokenize(text, tokenizer)
+        token_ids.extend(term_id.setdefault(t, len(term_id)) for t in tokens)
+        doc_lengths.append(len(tokens))
+    n = len(texts)
+    token_docs = np.repeat(np.arange(n, dtype=np.int64), np.array(doc_lengths))
+    keys, tfs = np.unique(np.array(token_ids, dtype=np.int64) * n + token_docs, return_counts=True)
+    indptr = np.zeros(len(term_id) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(term_id)), out=indptr[1:])
+    return {
+        "terms": list(term_id),
+        "indptr": indptr,
+        "docs": (keys % n).astype(np.int32),
+        "tfs": tfs.astype(np.int32),
+        "doc_ids": list(texts),
+        "doc_lengths": np.array(doc_lengths, dtype=np.int64),
+    }
+
+
+INDEX_TEXTS = st.text(st.sampled_from(list("ab cé Σσ.ßİ")), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("dxy", min_size=1, max_size=3), INDEX_TEXTS, min_size=1, max_size=8))
+@example({"d": ""})
+@example({"d": "", "e": "?!"})
+@example({"d": "a a a a"})
+@example({"d": "é b", "e": "", "f": "b b é"})
+def test_build_index_matches_np_unique_formulation(texts):
+    got = build_index(texts)
+    expected = unique_build_index(texts)
+    assert got.terms == expected["terms"]
+    assert got.doc_ids == expected["doc_ids"]
+    for name in ("indptr", "docs", "tfs", "doc_lengths"):
+        array, reference = getattr(got, name), expected[name]
+        assert array.dtype == reference.dtype, name
+        assert array.tobytes() == reference.tobytes(), name
+
+
+def reference_load_run(path):
+    """A run file parsed line by line into per-query (doc, rank, score)
+    columns sorted by rank, with no shared doc id objects."""
+    per_query = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            if line.split():
+                qid, _, doc_id, rank, score, _ = line.split()
+                per_query.setdefault(qid, []).append((int(rank), doc_id, float(score)))
+    return {
+        qid: ([d for _, d, _ in sorted(rows)], np.array([s for _, _, s in sorted(rows)]))
+        for qid, rows in per_query.items()
+    }
+
+
+def test_load_run_shares_a_doc_id_repeated_across_queries(tmp_path):
+    path = tmp_path / "x.run"
+    path.write_text(
+        "q2 Q0 d7 2 0.5 t\nq2 Q0 d1 1 1.5 t\nq1 Q0 d1 1 -0.0 t\n\nq1 Q0 d2 2 -1 t\n"
+        "q3 Q0 d7 1 2.25 t\n"
+    )
+    loaded = load_run(str(path))
+    expected = reference_load_run(str(path))
+    assert list(loaded) == list(expected) == ["q2", "q1", "q3"]
+    for qid, (doc_ids, scores) in expected.items():
+        assert loaded[qid].query_id == qid
+        assert loaded[qid].doc_ids == doc_ids
+        assert loaded[qid].scores.dtype == scores.dtype
+        assert loaded[qid].scores.tobytes() == scores.tobytes()
+    assert loaded["q2"].doc_ids[0] is loaded["q1"].doc_ids[0]  # d1
+    assert loaded["q2"].doc_ids[1] is loaded["q3"].doc_ids[0]  # d7
