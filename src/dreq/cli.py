@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _npz
-from .corpus import SegmenterConfig, load_corpus, load_qrels, load_queries
+from .corpus import SegmenterConfig, load_corpus, load_entity_catalog, load_qrels, load_queries
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
@@ -410,7 +410,7 @@ def cmd_synth_embed(settings: Settings) -> None:
         query_entity_key,
         save_store,
         store_path,
-        synthetic_embed,
+        synthetic_embed_rows,
     )
 
     t0 = time.time()
@@ -422,8 +422,8 @@ def cmd_synth_embed(settings: Settings) -> None:
     seg = settings.segmenter()
 
     def embedded(space: str, dim: int, keys) -> EmbeddingStore:
-        rows = ((key, synthetic_embed(space, key, dim, seed)) for key in keys)
-        return EmbeddingStore.from_rows(space, dim, rows)
+        keys = list(keys)
+        return EmbeddingStore(space, keys, synthetic_embed_rows(space, keys, dim, seed))
 
     query_store = embedded("query", dims.p, (q.query_id for q in queries))
     entity_store = embedded("entity", dims.m, corpus.entities)
@@ -497,10 +497,11 @@ def cmd_rank_entities(settings: Settings) -> None:
 
     desc_index = None
     if mode in ("bm25", "geeer"):
-        corpus = _load_corpus(settings)
-        descriptions = {
-            eid: rec.description for eid, rec in corpus.entities.items() if rec.description
-        }
+        # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
+        # and tf, so the order of the indexed descriptions changes no score
+        catalog = settings.values.get("entity_catalog")
+        records = load_entity_catalog(catalog).values() if catalog is not None else ()
+        descriptions = {rec.entity_id: rec.description for rec in records if rec.description}
         if descriptions:
             desc_index = build_index(descriptions, settings.tokenizer())
         elif mode == "bm25":

@@ -4,17 +4,23 @@ A store holds the vectors of one embedding space (entities, passages,
 queries, query-conditioned entity encodings): its ids and one float64
 (len(ids), dim) matrix whose row i is the vector of ids[i], with a row index
 built once. The constructor is the one place a store's contents are checked;
-a store is made once from its (id, vector) pairs (`from_rows`). Readers
-gather rows with `take` or use the matrix itself, and the file holds those
-two arrays as they are. A deterministic hash-seeded embedder stands in for
-neural encoders at desk scale.
+a store is made once, from its ids and matrix or from its (id, vector) pairs
+(`from_rows`). Readers gather rows with `take` or use the matrix itself, and
+the file holds those two arrays as they are.
+
+A deterministic hash-seeded embedder stands in for neural encoders at desk
+scale. `synthetic_embed_rows` embeds a whole store's keys in one call: the
+FNV-1a-64 hash of every key and the SplitMix64 words drawn from it are uint64
+array arithmetic, and each row is normalized by its own `np.linalg.norm` call
+(`unit_rows`), so a row's bits do not depend on the keys embedded with it.
+`synthetic_embed` is its one-row case.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +34,8 @@ __all__ = [
     "load_store",
     "save_store",
     "synthetic_embed",
+    "synthetic_embed_rows",
+    "unit_rows",
     "softmax",
     "sigmoid",
     "cosine",
@@ -159,47 +167,61 @@ def load_store(path: str) -> EmbeddingStore:
 
 # --- deterministic synthetic embedder ---------------------------------------
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x00000100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x00000100000001B3)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
+def _fnv1a64(keys: list[bytes]) -> np.ndarray:
+    """FNV-1a-64 of each byte string, as a uint64 array: one pass over the
+    byte columns of all keys at once, each row stopping at its own length."""
+    lens = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    width = int(lens.max(initial=0))
+    data = np.zeros((len(keys), width), dtype=np.uint8)
+    data[np.arange(width) < lens[:, None]] = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    h = np.full(len(keys), _FNV_OFFSET)
+    for j in range(width):
+        h = np.where(j < lens, (h ^ data[:, j]) * _FNV_PRIME, h)
     return h
 
 
-def _splitmix64_stream(seed: int, count: int) -> list[int]:
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z = z ^ (z >> 31)
-        out.append(z)
-    return out
+def _splitmix64(seeds: np.ndarray, count: int) -> np.ndarray:
+    """(len(seeds), count) uint64: the first `count` SplitMix64 words from each seed."""
+    z = seeds[:, None] + _GOLDEN * np.arange(1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-def synthetic_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
-    """Deterministic unit vector derived from (namespace, id, seed).
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its own `np.linalg.norm`, one call per row, so a
+    row's bits do not depend on the rows beside it."""
+    return rows / np.array([np.linalg.norm(row) for row in rows]).reshape(-1, 1)
 
-    Hashes `namespace \\x1f id \\x1f seed` with FNV-1a-64, draws `dim`
-    SplitMix64 words, maps the top 53 bits of each into [-1, 1), then
-    L2-normalizes. Identical on every platform.
+
+def synthetic_embed_rows(namespace: str, ids: Sequence[str], dim: int, seed: int) -> np.ndarray:
+    """(len(ids), dim) deterministic unit vectors; row i is derived from
+    (namespace, ids[i], seed).
+
+    Hashes `namespace \\x1f id \\x1f seed` (UTF-8) with FNV-1a-64, draws
+    `dim` SplitMix64 words from the hash, maps the top 53 bits of each into
+    [-1, 1), then L2-normalizes the row. All rows are hashed and drawn in
+    uint64 array arithmetic, so a row is the same whichever ids come with
+    it, on every platform.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    key = "\x1f".join([namespace, id, str(seed)]).encode("utf-8")
-    h = _fnv1a64(key)
-    words = _splitmix64_stream(h, dim)
-    comps = np.array([(w >> 11) / 2.0**53 * 2.0 - 1.0 for w in words], dtype=np.float64)
-    norm = float(np.linalg.norm(comps))
-    return comps / norm
+    prefix, suffix = namespace + "\x1f", "\x1f" + str(seed)
+    keys = [(prefix + id + suffix).encode("utf-8") for id in ids]
+    words = _splitmix64(_fnv1a64(keys), dim)
+    return unit_rows((words >> np.uint64(11)) / 2.0**53 * 2.0 - 1.0)
+
+
+def synthetic_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
+    """The one-row case of :func:`synthetic_embed_rows`."""
+    return synthetic_embed_rows(namespace, (id,), dim, seed)[0]
 
 
 # --- dense kernels -----------------------------------------------------------

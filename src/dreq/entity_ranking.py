@@ -141,7 +141,7 @@ def bm25_entity_rank(
 ) -> EntityRanking:
     """Sparse alternative: BM25 of the query against catalog descriptions,
     one scoring pass over the description index per query (each query term
-    occurrence adds once, as in `bm25_score`).
+    occurrence adds once, as `retrieve` scores a query without RM3).
 
     Entities without an indexed description score 0.
     """

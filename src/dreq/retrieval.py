@@ -70,7 +70,6 @@ __all__ = [
     "InvertedIndex",
     "PostingsView",
     "build_index",
-    "bm25_score",
     "rm3_expand",
     "retrieve",
     "write_run",
@@ -297,20 +296,6 @@ def _score_all(
         tfc = tf * (params.k1 + 1.0) / (tf + norm)
         scores[docs] += (weight * _idf(index.doc_count, hi - lo)) * tfc
     return scores
-
-
-def bm25_score(
-    index: InvertedIndex,
-    query_terms: list[str],
-    doc_id: str,
-    params: Bm25Params = Bm25Params(),
-) -> float:
-    """BM25 score of one document: every query term occurrence adds once;
-    terms absent from the doc contribute 0."""
-    i = index.doc_position.get(doc_id)
-    if i is None:
-        raise KeyError(f"doc_id {doc_id!r} not in index")
-    return float(_score_all(index, ((t, 1.0) for t in query_terms), params)[i])
 
 
 def _top_k(index: InvertedIndex, scores: np.ndarray, docs: np.ndarray, k: int) -> np.ndarray:

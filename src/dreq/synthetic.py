@@ -5,6 +5,16 @@ it mentions one of them. Keyword-stuffed distractor documents outscore
 the relevant ones under BM25, while the aligned embedding stores carry
 the entity signal, so entity-aware reranking has real headroom over the
 candidate ordering. Embeddings are deterministic functions of (seed, id).
+
+Each store is embedded with one `synthetic_embed_rows` call, and the
+alignment sums are elementwise over the whole matrix, with each row
+normalized on its own, so every vector has the bits of the same arithmetic
+done one key at a time. Passage keys come from `SegmenterConfig.passage_count`
+of each document's sentences. One `random.Random(seed)` draws all the text,
+so a seed gives the same files, byte for byte, on every run.
+
+`write_world_files` formats each corpus line itself (`_corpus_line`); a line
+is byte-equal to `json.dumps` of the document's object with `sort_keys=True`.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -24,7 +36,6 @@ from .corpus import (
     Qrels,
     Query,
     SegmenterConfig,
-    segment_passages,
 )
 from .embeddings import (
     STORE_NAMES,
@@ -35,6 +46,8 @@ from .embeddings import (
     save_store,
     store_path,
     synthetic_embed,
+    synthetic_embed_rows,
+    unit_rows,
 )
 
 __all__ = ["PlantedConfig", "SyntheticWorld", "generate_planted_world", "write_world_files"]
@@ -93,36 +106,31 @@ def _compose_doc(
 ) -> Document:
     """Assemble text from filler plus content tokens plus one mention token
     per entity, recording character spans for the mentions."""
-    slots: list[tuple[str, str | None]] = [(rng.choice(filler), None) for _ in range(n_filler)]
+    tokens = [rng.choice(filler) for _ in range(n_filler)]
+    linked: list[str | None] = [None] * n_filler  # the entity a token mentions
     for tok in content_tokens:
-        slots.insert(rng.randrange(len(slots) + 1), (tok, None))
+        at = rng.randrange(len(tokens) + 1)
+        tokens.insert(at, tok)
+        linked.insert(at, None)
     for eid in entity_ids:
-        slots.insert(rng.randrange(len(slots) + 1), (eid, eid))
+        at = rng.randrange(len(tokens) + 1)
+        tokens.insert(at, eid)
+        linked.insert(at, eid)
 
-    pieces: list[str] = []
+    sentences = [
+        " ".join(tokens[i : i + sentence_len]) for i in range(0, len(tokens), sentence_len)
+    ]
+    text = "".join([sentence + ". " for sentence in sentences]).rstrip()
+    # token i starts after the i tokens before it, each followed by a space,
+    # and after one period per sentence finished before it
+    offsets = [0, *accumulate(len(tok) + 1 for tok in tokens)]
     mentions: list[EntityMention] = []
-    pos = 0
-    for i, (tok, eid) in enumerate(slots):
+    for i, eid in enumerate(linked):
         if eid is not None:
+            start = offsets[i] + i // sentence_len
             mentions.append(
-                EntityMention(
-                    entity_id=eid,
-                    surface=tok,
-                    start=pos,
-                    end=pos + len(tok),
-                    confidence=round(rng.uniform(0.6, 1.0), 3),
-                )
+                EntityMention(eid, eid, start, start + len(eid), round(rng.uniform(0.6, 1.0), 3))
             )
-        pieces.append(tok)
-        pos += len(tok)
-        end_of_sentence = (i + 1) % sentence_len == 0 or i == len(slots) - 1
-        if end_of_sentence:
-            pieces.append(". ")
-            pos += 2
-        else:
-            pieces.append(" ")
-            pos += 1
-    text = "".join(pieces).rstrip()
     return Document(doc_id=doc_id, text=text, mentions=mentions)
 
 
@@ -190,66 +198,59 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     seg = SegmenterConfig()
 
     # --- aligned embedding stores ---------------------------------------
-    topic_vec = {
-        q.query_id: synthetic_embed("topic", q.query_id, dims.p, cfg.seed) for q in queries
-    }
-    query_store = EmbeddingStore.from_rows("query", dims.p, topic_vec.items())
+    # One synthetic_embed_rows call per store. The sums below are elementwise
+    # and unit_rows normalizes each row on its own, so every row has the bits
+    # of the same arithmetic done one vector at a time.
+    qids = [q.query_id for q in queries]
+    topic_of = {qid: i for i, qid in enumerate(qids)}  # query -> row of `topics`
+    topics = synthetic_embed_rows("topic", qids, dims.p, cfg.seed)
+    query_store = EmbeddingStore("query", qids, topics)
 
-    def to_space(u: np.ndarray, space: str, dim: int) -> np.ndarray:
-        # fixed random projection when the target space has a different dim
-        if dim == u.shape[0]:
-            return u
-        P = np.stack(
-            [synthetic_embed(f"proj_{space}", f"row{i}", u.shape[0], cfg.seed) for i in range(dim)]
-        )
-        v = P @ u
-        return v / np.linalg.norm(v)
+    def to_space(space: str, dim: int) -> np.ndarray:
+        # the topic rows under a fixed random projection when the target
+        # space has a different dim
+        if dim == dims.p:
+            return topics
+        P = synthetic_embed_rows(f"proj_{space}", [f"row{i}" for i in range(dim)], dims.p, cfg.seed)
+        return unit_rows(np.array([P @ u for u in topics]).reshape(len(qids), dim))
 
-    planted_of: dict[str, str] = {}
-    for qid, ents in planted.items():
-        for e in ents:
-            planted_of[e] = qid
-    entity_rows = []
-    for eid in all_entities:
-        if eid in planted_of:
-            base = to_space(topic_vec[planted_of[eid]], "entity", dims.m)
-            noise_vec = synthetic_embed("entnoise", eid, dims.m, cfg.seed)
-            vec = base + cfg.entity_noise * noise_vec
-            vec = vec / np.linalg.norm(vec)
-        else:
-            vec = synthetic_embed("ent", eid, dims.m, cfg.seed)
-        entity_rows.append((eid, vec))
-    entity_store = EmbeddingStore.from_rows("entity", dims.m, entity_rows)
+    planted_of = {e: topic_of[qid] for qid, ents in planted.items() for e in ents}
+    is_planted = np.array([eid in planted_of for eid in all_entities], dtype=bool)
+    planted_ids = [eid for eid in all_entities if eid in planted_of]
+    entity_vectors = np.empty((len(all_entities), dims.m))
+    entity_vectors[~is_planted] = synthetic_embed_rows(
+        "ent", [eid for eid in all_entities if eid not in planted_of], dims.m, cfg.seed
+    )
+    entity_vectors[is_planted] = unit_rows(
+        to_space("entity", dims.m)[[planted_of[eid] for eid in planted_ids]]
+        + cfg.entity_noise * synthetic_embed_rows("entnoise", planted_ids, dims.m, cfg.seed)
+    )
+    entity_store = EmbeddingStore("entity", all_entities, entity_vectors)
 
     # topical documents (relevant and keyword-stuffed alike) share their
     # query's text direction, so text alone cannot tell them apart
-    passage_rows = []
+    passage_keys: list[str] = []
+    passage_topic: list[int] = []  # row of the passage's query in `topics`, -1 for none
     for doc in corpus.documents.values():
-        topic_qid = doc_topic.get(doc.doc_id)
-        for p in segment_passages(doc, seg):
-            key = passage_key(p.doc_id, p.index)
-            noise_vec = synthetic_embed("passage", key, dims.n, cfg.seed)
-            if topic_qid is None:
-                vec = noise_vec
-            else:
-                base = to_space(topic_vec[topic_qid], "passage", dims.n)
-                vec = cfg.passage_signal * base + cfg.passage_noise * noise_vec
-                vec = vec / np.linalg.norm(vec)
-            passage_rows.append((key, vec))
-    passage_store = EmbeddingStore.from_rows("passage", dims.n, passage_rows)
+        count = seg.passage_count(len(doc.sentences))
+        passage_keys += [passage_key(doc.doc_id, i) for i in range(count)]
+        passage_topic += [topic_of.get(doc_topic.get(doc.doc_id), -1)] * count
+    passage_vectors = synthetic_embed_rows("passage", passage_keys, dims.n, cfg.seed)
+    rows = np.array(passage_topic, dtype=np.intp)
+    topical = rows >= 0
+    passage_vectors[topical] = unit_rows(
+        cfg.passage_signal * to_space("passage", dims.n)[rows[topical]]
+        + cfg.passage_noise * passage_vectors[topical]
+    )
+    passage_store = EmbeddingStore("passage", passage_keys, passage_vectors)
 
     base_dir = synthetic_embed("encdir", "base", dims.k, cfg.seed)
-    encoding_rows = []
-    for q in queries:
-        qid = q.query_id
-        planted_set = set(planted[qid])
-        for eid in all_entities:
-            key = query_entity_key(qid, eid)
-            sign = 1.0 if eid in planted_set else -1.0
-            noise_vec = synthetic_embed("enc", key, dims.k, cfg.seed)
-            vec = sign * cfg.encoding_signal * base_dir + cfg.encoding_noise * noise_vec
-            encoding_rows.append((key, vec / np.linalg.norm(vec)))
-    encoding_store = EmbeddingStore.from_rows("query_entity", dims.k, encoding_rows)
+    encoding_keys = [query_entity_key(qid, eid) for qid in qids for eid in all_entities]
+    signs = np.array([1.0 if eid in planted[qid] else -1.0 for qid in qids for eid in all_entities])
+    encoding_store = EmbeddingStore("query_entity", encoding_keys, unit_rows(
+        (signs * cfg.encoding_signal)[:, None] * base_dir
+        + cfg.encoding_noise * synthetic_embed_rows("enc", encoding_keys, dims.k, cfg.seed)
+    ))
 
     # imperfect query-side entity links: most planted entities plus one stray
     query_links: dict[str, list[tuple[str, float]]] = {}
@@ -273,6 +274,24 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     )
 
 
+def _corpus_line(doc: Document) -> str:
+    """The document's corpus line: the bytes of `json.dumps(..., sort_keys=True)`
+    of its {"doc_id", "entities", "text"} object, plus a newline. Strings
+    are escaped by the encoder json.dumps uses, and confidences and offsets
+    (int or float, never bool) are written with `repr`, as json.dumps writes
+    them."""
+    mentions = ", ".join([
+        f'{{"confidence": {m.confidence!r}, "end": {m.end!r}, '
+        f'"entity_id": {_json_str(m.entity_id)}, "mention": {_json_str(m.surface)}, '
+        f'"start": {m.start!r}}}'
+        for m in doc.mentions
+    ])
+    return (
+        f'{{"doc_id": {_json_str(doc.doc_id)}, "entities": [{mentions}], '
+        f'"text": {_json_str(doc.text)}}}\n'
+    )
+
+
 def write_world_files(world: SyntheticWorld, out_dir: str, stores: bool = True) -> dict[str, str]:
     """Write the world as pipeline input files; returns name -> path."""
     os.makedirs(out_dir, exist_ok=True)
@@ -284,27 +303,7 @@ def write_world_files(world: SyntheticWorld, out_dir: str, stores: bool = True) 
         "query_links": os.path.join(out_dir, "query_links.tsv"),
     }
     with open(paths["corpus"], "w", encoding="utf-8") as f:
-        for doc in world.corpus.documents.values():
-            f.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "text": doc.text,
-                        "entities": [
-                            {
-                                "entity_id": m.entity_id,
-                                "mention": m.surface,
-                                "start": m.start,
-                                "end": m.end,
-                                "confidence": m.confidence,
-                            }
-                            for m in doc.mentions
-                        ],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        f.writelines(map(_corpus_line, world.corpus.documents.values()))
     with open(paths["entities"], "w", encoding="utf-8") as f:
         for record in world.corpus.entities.values():
             f.write(

@@ -308,12 +308,6 @@ def _with_entities(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray)
     return _features(batch.X[..., : model.dims.n], batch.links, batch.weights, entity_table)
 
 
-def dreq_logits(model: DreqModel, batch: DreqBatch, entity_table: np.ndarray) -> np.ndarray:
-    """Logits of the batch's rows, Ve summed from `entity_table`, through
-    `model._forward`, the pass `model.rerank` scores with."""
-    return _forward(model, batch.Q, _with_entities(model, batch, entity_table))[1]
-
-
 def dreq_loss_and_grads(
     model: DreqModel,
     batch: DreqBatch,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -18,6 +19,7 @@ from dreq.cli import (
     main,
     save_index,
 )
+from dreq.corpus import load_corpus, load_entity_catalog
 from dreq.entity_ranking import load_entity_rankings
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.training import FoldPlan
@@ -112,6 +114,19 @@ class TestPipeline:
         ):
             assert os.path.exists(os.path.join(workdir, name)), name
 
+    def test_synth_embed_stores_keep_their_bytes(self, pipeline):
+        # sha256 of each store file, pinned when every key was embedded alone
+        _, workdir = pipeline
+        pinned = {
+            "query": "41a1ddd8e9f0325c74594134a88856a1e4db4731de7b6882c91314a23afd970f",
+            "entity": "2b933ed6e0469f6951c7ce0e092564891558a13f66bd36259c79210a7d468889",
+            "passage": "cc46736869e2cca6f67aa72b4aed41c5211285f248bb1a2192f4629ad2c60cde",
+            "query_entity": "3cae51c64689d3b5adffdebb28aec5f8b6c3e8cf4b84bcf722db58c8af071ff9",
+        }
+        for name, digest in pinned.items():
+            data = Path(workdir, "stores", f"{name}.npz").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_manifests_written(self, pipeline):
         _, workdir = pipeline
         manifest = json.load(open(os.path.join(workdir, "manifests", "retrieve.json")))
@@ -199,6 +214,34 @@ class TestPipeline:
         got = load_entity_rankings(str(work / "entity_ranking.npz"))
         assert set(got["q03"].raw_scores.tolist()) == {0.0}
         assert len(got["q03"]) == len(before["geeer"]["q03"])
+
+    def test_description_modes_rank_as_with_descriptions_from_the_corpus(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        # rank-entities reads the catalog alone; a catalog written in the
+        # corpus's entity order (first mention, then catalog-only entities)
+        # indexes the descriptions as loading the corpus used to
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        toy_catalog = os.path.join(TOY, "entities.jsonl")
+        corpus = load_corpus(os.path.join(TOY, "corpus.jsonl"), toy_catalog)
+        from_corpus = [(e, r.description) for e, r in corpus.entities.items() if r.description]
+        from_catalog = [(e, r.description) for e, r in load_entity_catalog(toy_catalog).items()]
+        assert from_corpus != from_catalog and sorted(from_corpus) == sorted(from_catalog)
+        corpus_order = tmp_path / "entities.jsonl"
+        corpus_order.write_text("".join(
+            json.dumps({"entity_id": e, "description": d}) + "\n" for e, d in from_corpus
+        ))
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode"]
+        for mode in ("bm25", "geeer"):
+            written = []
+            for catalog in (toy_catalog, str(corpus_order)):
+                monkeypatch.setenv("DREQ_ENTITY_CATALOG", catalog)
+                assert main([*argv, mode]) == 0
+                names = ("entity_ranking.npz", "entity_ranking.run")
+                written.append([(work / name).read_bytes() for name in names])
+            assert written[0] == written[1], mode
 
     def test_candidate_without_text_scores_by_its_entities(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -15,6 +15,7 @@ from dreq.embeddings import (
     sigmoid,
     softmax,
     synthetic_embed,
+    synthetic_embed_rows,
 )
 from dreq.model import DreqModel, _forward
 
@@ -168,17 +169,16 @@ class TestSyntheticEmbed:
         assert not np.array_equal(base, synthetic_embed("a", "x", 8, 2))
 
     def test_hash_chain_reference_vectors(self):
-        # FNV-1a-64 and SplitMix64 against published test vectors
-        from dreq.embeddings import _fnv1a64, _splitmix64_stream
+        # FNV-1a-64 and SplitMix64 against published test vectors, through
+        # the array code every store is embedded with and the per-key loops
+        from dreq.embeddings import _fnv1a64, _splitmix64
 
-        assert _fnv1a64(b"") == 0xCBF29CE484222325
-        assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert _fnv1a64(b"foobar") == 0x85944171F73967E8
-        assert _splitmix64_stream(1234567, 3) == [
-            6457827717110365317,
-            3203168211198807973,
-            9817491932198370423,
-        ]
+        fnv = {b"": 0xCBF29CE484222325, b"a": 0xAF63DC4C8601EC8C, b"foobar": 0x85944171F73967E8}
+        assert _fnv1a64(list(fnv)).tolist() == list(fnv.values())
+        assert [reference_fnv1a64(key) for key in fnv] == list(fnv.values())
+        splitmix = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+        assert _splitmix64(np.array([1234567], dtype=np.uint64), 3).tolist() == [splitmix]
+        assert reference_splitmix64(1234567, 3) == splitmix
 
     def test_known_pinned_value(self):
         # frozen so cross-platform drift in the full chain is caught
@@ -188,6 +188,59 @@ class TestSyntheticEmbed:
             [0.4423607627975827, 0.4370266275816743, -0.5742657010601484, 0.5324881096396665],
             atol=1e-15,
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        namespace=st.text(max_size=6),
+        ids=st.lists(st.text(st.sampled_from("ab\x1f:é€\U0001f600\x00"), max_size=12)),
+        dim=st.integers(1, 64),
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 2**64, 2**64 + 1])),
+    )
+    def test_rows_equal_the_per_key_loop_bit_for_bit(self, namespace, ids, dim, seed):
+        rows = synthetic_embed_rows(namespace, ids, dim, seed)
+        assert rows.shape == (len(ids), dim) and rows.dtype == np.float64
+        expected = [reference_embed(namespace, key, dim, seed) for key in ids]
+        assert rows.tobytes() == np.array(expected).reshape(len(ids), dim).tobytes()
+        if ids:
+            one = synthetic_embed(namespace, ids[-1], dim, seed)
+            assert one.tobytes() == expected[-1].tobytes()
+
+    def test_rows_validate_dim(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            synthetic_embed_rows("ns", ["a"], 0, 1)
+
+
+# --- the per-key embedder, one Python integer at a time -------------------------
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def reference_fnv1a64(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x00000100000001B3) & _MASK64
+    return h
+
+
+def reference_splitmix64(seed: int, count: int) -> list[int]:
+    state = seed & _MASK64
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
+    """The embedder as one key's loop: hash, draw, map to [-1, 1), normalize."""
+    key = "\x1f".join([namespace, id, str(seed)]).encode("utf-8")
+    words = reference_splitmix64(reference_fnv1a64(key), dim)
+    comps = np.array([(w >> 11) / 2.0**53 * 2.0 - 1.0 for w in words], dtype=np.float64)
+    return comps / float(np.linalg.norm(comps))
 
 
 def linear(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:

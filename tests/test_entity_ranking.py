@@ -19,8 +19,17 @@ from dreq.entity_ranking import (
     save_entity_rankings,
     train_entity_head,
 )
-from dreq.retrieval import Bm25Params, bm25_score, build_index
+from dreq.retrieval import Bm25Params, _score_all, build_index
 from dreq.training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
+
+
+def bm25_score(index, query_terms, doc_id, params=Bm25Params()) -> float:
+    """Reference: one document's BM25 through the scorer retrieval uses; every
+    query term occurrence adds once, terms absent from the doc add 0."""
+    i = index.doc_position.get(doc_id)
+    if i is None:
+        raise KeyError(f"doc_id {doc_id!r} not in index")
+    return float(_score_all(index, ((t, 1.0) for t in query_terms), params)[i])
 
 
 def ranked(*scored) -> EntityRanking:

@@ -20,7 +20,13 @@ from dreq.model import (
     save_checkpoint,
 )
 from dreq.retrieval import Ranking
-from dreq.training import DreqBatch, dreq_logits
+from dreq.training import DreqBatch, _with_entities
+
+
+def dreq_logits(model, batch, entity_table):
+    """Reference: the batch's logits, Ve summed again from `entity_table`,
+    through `model._forward`, the pass `rerank` scores with."""
+    return _forward(model, batch.Q, _with_entities(model, batch, entity_table))[1]
 
 
 def doc_with(doc_id: str, entity_ids: list[str], text: str = "one sentence.") -> Document:

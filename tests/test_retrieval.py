@@ -14,7 +14,7 @@ from dreq.retrieval import (
     Ranking,
     Rm3Params,
     TokenizerConfig,
-    bm25_score,
+    _score_all,
     build_index,
     load_run,
     retrieve,
@@ -22,6 +22,15 @@ from dreq.retrieval import (
     tokenize,
     write_run,
 )
+
+
+def bm25_score(index, query_terms, doc_id, params=Bm25Params()) -> float:
+    """Reference: one document's BM25 through the scorer retrieval uses; every
+    query term occurrence adds once, terms absent from the doc add 0."""
+    i = index.doc_position.get(doc_id)
+    if i is None:
+        raise KeyError(f"doc_id {doc_id!r} not in index")
+    return float(_score_all(index, ((t, 1.0) for t in query_terms), params)[i])
 
 
 def triples(ranking: Ranking) -> list[tuple[str, float, int]]:

@@ -1,4 +1,17 @@
-from dreq.synthetic import PlantedConfig, generate_planted_world
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from dreq.corpus import Document, EntityMention, _read_document, load_corpus
+from dreq.embeddings import DimsConfig
+from dreq.synthetic import PlantedConfig, _corpus_line, generate_planted_world, write_world_files
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_planted_descriptions_name_their_own_query_past_99_queries():
@@ -18,3 +31,111 @@ def test_planted_descriptions_name_their_own_query_past_99_queries():
         for eid in entities:
             assert world.corpus.entities[eid].description == f"about {text_of[qid]}"
     assert world.corpus.entities["eq105p1"].description == "about topic105a topic105b topic105c"
+
+
+# --- golden files: the generator keeps its bytes --------------------------------
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_toy_script_rewrites_the_committed_toy_world(tmp_path):
+    script = ROOT / "scripts" / "make_toy_corpus.py"
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path)], check=True,
+                   capture_output=True)
+    toy = ROOT / "data" / "toy"
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(toy))
+    for name in os.listdir(toy):
+        assert (tmp_path / name).read_bytes() == (toy / name).read_bytes(), name
+
+
+def test_default_world_files_keep_their_bytes(tmp_path):
+    # sha256 of every file of the seed-1 default world, stores included,
+    # pinned when every vector was embedded one key at a time
+    paths = write_world_files(generate_planted_world(PlantedConfig(seed=1)), str(tmp_path))
+    assert {name: sha256(path) for name, path in paths.items()} == {
+        "corpus": "6ef68e66582827e37d479b2edd2c725728b61533ead15330acc5bb4ceb2b0e69",
+        "entities": "50d73aea783e6df2a3757d8d1214b13c64a9bcc25b3588110b3010660076a7b0",
+        "qrels": "753bbb5b2af15f3c454f682be340d2ca4e0cc694e2c621bbbe386335401bc01e",
+        "queries": "a5f65c975ffc97517c1413b005d097f35dfaa037a3e5fbcc9d8b53c070ad92f3",
+        "query_links": "8fb790108a898c3fecb05eed617abc5261c57e38402b6a686a7e268c64dffeaf",
+        "store_query": "52a0e51218c7f6858d5862392e27240e024b60db6f0423e8e8272055532fb070",
+        "store_entity": "e972a3da4502eefa6f6e320c49160123d29fa01fa8ec50ef70a16ce060658785",
+        "store_passage": "21ca972cee692b597d4e3c8023f19d6e52dde9c5d30e42a9eb50b27c1d6b0fc3",
+        "store_query_entity": "6e17a262cb026285be52c197534d5fa0cf9c67b592f4106ff7ef1b6cbde2f7b9",
+    }
+
+
+
+def test_projected_world_stores_keep_their_bytes(tmp_path):
+    # entity, passage and encoding dims differ from the query dim, so the
+    # topic rows reach the entity and passage spaces through a projection
+    cfg = PlantedConfig(seed=2, n_docs=120, n_queries=6, dims=DimsConfig(5, 12, 24, 16))
+    paths = write_world_files(generate_planted_world(cfg), str(tmp_path))
+    assert {name: sha256(path) for name, path in paths.items() if name.startswith("store_")} == {
+        "store_query": "19447525aa72370cbdeb3c0b2247ddc3c7ede982d161f9d5c8116e8384dd3f98",
+        "store_entity": "57c34b154fa064f2cc60a1baaa03fcf342eed50ec6b0a2c594d00a8e80ae50b9",
+        "store_passage": "6c9ed1a694633eb9851abad21c53c8bcb5ac3b7f7889e0f55cd4f0fd6b6d5068",
+        "store_query_entity": "d176e3e009b8f1f911cd9e4bdc1fda1fc7a8df7f81e980e8c9b4c5e0bb30cfb9",
+    }
+
+# --- the corpus-line writer against json.dumps ----------------------------------
+
+TRICKY = st.text(alphabet=st.sampled_from('ab "\\/\x00\x1f\x7f\n\té€ \U0001f600'), max_size=10)
+
+
+@st.composite
+def loadable_documents(draw):
+    """Documents whose lines `load_corpus` accepts: string fields, integer
+    spans inside the text and int or float confidences in [0, 1]."""
+    text = draw(st.text(min_size=1, max_size=30) | TRICKY.filter(bool))
+    confidence = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([-0.0, 0.0, 1.0, 0.1, 1e-300, 5e-324]),
+        st.integers(0, 1),
+    )
+    mentions = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, len(text)))
+        mentions.append(EntityMention(draw(TRICKY), draw(TRICKY), start, end, draw(confidence)))
+    return Document(draw(TRICKY), text, mentions)
+
+
+def reference_line(doc: Document) -> str:
+    return json.dumps(
+        {
+            "doc_id": doc.doc_id,
+            "text": doc.text,
+            "entities": [
+                {"entity_id": m.entity_id, "mention": m.surface, "start": m.start,
+                 "end": m.end, "confidence": m.confidence}
+                for m in doc.mentions
+            ],
+        },
+        sort_keys=True,
+    ) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(loadable_documents())
+def test_corpus_line_is_json_dumps_with_sorted_keys(doc):
+    line = _corpus_line(doc)
+    assert line == reference_line(doc)
+    assert line.isascii() and line.count("\n") == 1
+    loaded = _read_document(json.loads(line), {}, {}, {}, {})
+    assert (loaded.doc_id, loaded.text, loaded.mentions) == (doc.doc_id, doc.text, doc.mentions)
+
+
+def test_written_corpus_loads_back(tmp_path):
+    doc = Document("d\"1", "Ünïcode \\ \"quoted\"\x00.", [
+        EntityMention("e/1", "Ünïcode", 0, 7, -0.0),
+        EntityMention("e ", "quoted", 11, 17, 1),
+    ])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_corpus_line(doc), encoding="utf-8")
+    (loaded,) = load_corpus(str(path)).documents.values()
+    assert (loaded.doc_id, loaded.text) == (doc.doc_id, doc.text)
+    assert [tuple(m) for m in loaded.mentions] == [tuple(m) for m in doc.mentions]
+    assert str(loaded.mentions[0].confidence) == "-0.0"

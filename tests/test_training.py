@@ -9,7 +9,7 @@ from dreq.corpus import CorpusStore, Qrels
 from dreq.embeddings import DimsConfig, EmbeddingStore
 from dreq.entity_ranking import EntityRanking
 from dreq.corpus import Document, EntityMention
-from dreq.model import BLOCK_ROWS, DreqModel, WeightingMode, _entity_vectors
+from dreq.model import BLOCK_ROWS, DreqModel, WeightingMode, _entity_vectors, _forward
 from dreq.pipeline import VARIANTS
 from dreq.retrieval import Ranking
 from dreq.training import (
@@ -22,15 +22,21 @@ from dreq.training import (
     bce_loss,
     build_doc_examples,
     build_entity_examples,
-    dreq_logits,
     dreq_loss_and_grads,
     make_folds,
     train_dreq,
     train_feature_table,
     _example_batch,
     _scorer_views,
+    _with_entities,
     _take,
 )
+
+
+def dreq_logits(model, batch, entity_table):
+    """Reference: the batch's logits, Ve summed again from `entity_table`,
+    through `model._forward`, the pass `rerank` scores with."""
+    return _forward(model, batch.Q, _with_entities(model, batch, entity_table))[1]
 
 
 class TestMakeFolds:
