@@ -17,10 +17,13 @@ repeats a few values across many mentions, so `load_corpus` keeps one
 object per distinct value: each field (entity id, surface, offset,
 confidence) has its own memo, so a value is shared only within its field
 and type, and a confidence is shared only with a bit-equal one (zeros keep
-their sign). A document's distinct linked entity ids, in first-mention
-order, are computed as it loads (`Document.entity_ids`), and pooling and
-label transfer work on those ids with one dict operation per document, not
-per mention. A document's sentences are split once, on first use.
+their sign). Each document's distinct linked entity ids, in first-mention
+order, are filled in from its memoized mentions as it loads
+(`Document.entity_ids`), and pooling and label transfer work on those ids
+with one dict operation per document, not per mention. The entity-id memo
+holds every linked id in first-mention order over the corpus, so the
+store's entity table is built from it in one pass. A document's sentences
+are split once, on first use.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "Document",
     "Query",
     "Qrels",
-    "Passage",
     "SegmenterConfig",
     "CorpusStore",
     "split_sentences",
@@ -46,7 +48,6 @@ __all__ = [
     "load_entity_catalog",
     "load_queries",
     "load_qrels",
-    "segment_passages",
     "pool_entities",
     "transfer_labels",
 ]
@@ -87,7 +88,8 @@ class Document:
 
     @cached_property
     def entity_ids(self) -> tuple[str, ...]:
-        """Distinct linked entities in first-mention order, found on first use."""
+        """Distinct linked entities in first-mention order: filled in by
+        `load_corpus` as it reads the document, found on first use otherwise."""
         return tuple(dict.fromkeys(m.entity_id for m in self.mentions))
 
 
@@ -121,14 +123,6 @@ class Qrels:
 
 
 @dataclass(frozen=True)
-class Passage:
-    doc_id: str
-    index: int
-    sentence_range: tuple[int, int]
-    text: str
-
-
-@dataclass(frozen=True)
 class SegmenterConfig:
     """Sliding window of `window` sentences advanced by `stride` sentences."""
 
@@ -142,7 +136,10 @@ class SegmenterConfig:
             raise ValueError(f"stride must be in [1, window], got {self.stride}")
 
     def passage_count(self, sentences: int) -> int:
-        """How many passages `segment_passages` cuts from `sentences` sentences."""
+        """How many passages a document of `sentences` sentences has: windows
+        start at sentence 0, stride, 2*stride, ... and each covers up to
+        `window` sentences; the first window that reaches the last sentence
+        is the last one."""
         if sentences <= self.window:
             return min(sentences, 1)
         return -(-(sentences - self.window) // self.stride) + 1
@@ -224,7 +221,9 @@ def _read_document(
             offsets.setdefault(end, end),
             confidences.setdefault(confidence, confidence) if confidence else confidence,
         ))
-    return Document(doc_id, text, mentions)
+    doc = Document(doc_id, text, mentions)
+    doc.entity_ids = tuple(dict.fromkeys([m[0] for m in mentions]))
+    return doc
 
 
 def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
@@ -236,7 +235,8 @@ def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
     mentioned but absent from the catalog get an empty-description record.
     """
     store = CorpusStore()
-    memos: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+    ids: dict[str, str] = {}  # every linked entity id, in first-mention order
+    memos = (ids, {}, {}, {})
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -253,9 +253,7 @@ def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
             if doc.doc_id in store.documents:
                 raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
             store.documents[doc.doc_id] = doc
-            for entity_id in doc.entity_ids:
-                if entity_id not in store.entities:
-                    store.entities[entity_id] = EntityRecord(entity_id)
+    store.entities = {entity_id: EntityRecord(entity_id) for entity_id in ids}
     if catalog_path is not None:
         for record in load_entity_catalog(catalog_path).values():
             store.entities[record.entity_id] = record
@@ -331,34 +329,6 @@ def load_qrels(path: str) -> Qrels:
             except ValueError as e:
                 raise ValueError(f"{path}:{line_no}: {e}") from e
     return qrels
-
-
-def segment_passages(doc: Document, cfg: SegmenterConfig) -> list[Passage]:
-    """Slide a `cfg.window`-sentence window by `cfg.stride` sentences.
-
-    Windows start at 0, stride, 2*stride, ...; each covers
-    [start, min(start + window, n)). Emission stops with the first window
-    whose end reaches the document's last sentence (that window included).
-    """
-    n = len(doc.sentences)
-    passages: list[Passage] = []
-    start = 0
-    index = 0
-    while start < n:
-        end = min(start + cfg.window, n)
-        passages.append(
-            Passage(
-                doc_id=doc.doc_id,
-                index=index,
-                sentence_range=(start, end),
-                text=" ".join(doc.sentences[start:end]),
-            )
-        )
-        if end >= n:
-            break
-        start += cfg.stride
-        index += 1
-    return passages
 
 
 def pool_entities(candidates: Iterable[Document]) -> list[str]:

@@ -3,10 +3,9 @@
 A store holds the vectors of one embedding space (entities, passages,
 queries, query-conditioned entity encodings): its ids and one float64
 (len(ids), dim) matrix whose row i is the vector of ids[i], with a row index
-built once. The constructor is the one place a store's contents are checked;
-a store is made once, from its ids and matrix or from its (id, vector) pairs
-(`from_rows`). Readers gather rows with `take` or use the matrix itself, and
-the file holds those two arrays as they are.
+built once. The constructor, which takes the ids and the matrix, is the one
+place a store's contents are checked. Readers gather rows with `take` or use
+the matrix itself, and the file holds those two arrays as they are.
 
 A deterministic hash-seeded embedder stands in for neural encoders at desk
 scale. `synthetic_embed_rows` embeds a whole store's keys in one call: the
@@ -96,15 +95,6 @@ class EmbeddingStore:
         if non_finite.size:
             bad = self.ids[non_finite[0]]
             raise ValueError(f"non-finite components in vector for id {bad!r} in store '{self.space}'")
-
-    @classmethod
-    def from_rows(
-        cls, space: str, dim: int, rows: Iterable[tuple[str, np.ndarray]]
-    ) -> EmbeddingStore:
-        """The store of the (id, vector) pairs `rows`, in their order."""
-        rows = list(rows)
-        vectors = np.array([vec for _, vec in rows]).reshape(len(rows), dim)
-        return cls(space, [key for key, _ in rows], vectors)
 
     @property
     def dim(self) -> int:

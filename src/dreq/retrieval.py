@@ -78,6 +78,16 @@ __all__ = [
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# per `lowercase` value: each ASCII code to itself for [A-Za-z0-9] (lowered
+# when lowercasing) and to a space for every other ASCII character
+_ASCII_TABLES = {
+    lowercase: {
+        c: (chr(c).lower() if lowercase else chr(c)) if chr(c).isalnum() else " "
+        for c in range(128)
+    }
+    for lowercase in (False, True)
+}
+
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -86,12 +96,23 @@ class TokenizerConfig:
 
 
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Split on non-alphanumeric characters, lowercase, optionally stem."""
-    tokens = _TOKEN_RE.findall(text)
-    if cfg.lowercase and tokens:
-        # one call for all tokens: they hold no whitespace, lower() makes none,
-        # and a space bounds the final-sigma context as a token's end does
-        tokens = " ".join(tokens).lower().split(" ")
+    r"""Split on non-alphanumeric characters, lowercase, optionally stem.
+
+    Tokens are the runs of `[^\W_]` (letters and digits, not `_`). ASCII
+    text (`text.isascii()`) is tokenized by one `str.translate` that keeps
+    `[A-Za-z0-9]`, lowered when lowercasing, and turns every other character
+    into a space, then `split()`: on ASCII, `[^\W_]` is exactly
+    `[A-Za-z0-9]` and `str.lower` lowers only `A-Z`, so the tokens are those
+    of the regex path that all other text takes.
+    """
+    if text.isascii():
+        tokens = text.translate(_ASCII_TABLES[cfg.lowercase]).split()
+    else:
+        tokens = _TOKEN_RE.findall(text)
+        if cfg.lowercase and tokens:
+            # one call for all tokens: they hold no whitespace, lower() makes none,
+            # and a space bounds the final-sigma context as a token's end does
+            tokens = " ".join(tokens).lower().split(" ")
     if cfg.stem:
         tokens = [_porter.stem(t) for t in tokens]
     return tokens
@@ -213,9 +234,16 @@ class InvertedIndex:
 
     @cached_property
     def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Doc -> term CSR `(indptr, term ids, tfs)`; a row's term ids ascend."""
+        """Doc -> term CSR `(indptr, term ids, tfs)`; a row's term ids ascend.
+        Postings are put in that order by one argsort of their int64 keys
+        `doc * len(terms) + term`; no two postings share a key, so the order
+        does not depend on the sort's stability."""
         term_of = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.indptr))
-        order = np.argsort(self.docs, kind="stable")
+        keys = self.docs.astype(np.int64)
+        keys *= len(self.terms)
+        keys += term_of
+        order = np.argsort(keys)
+        del keys
         return _indptr(self.docs, self.doc_count), term_of[order], self.tfs[order]
 
     @property

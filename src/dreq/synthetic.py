@@ -10,8 +10,9 @@ Each store is embedded with one `synthetic_embed_rows` call, and the
 alignment sums are elementwise over the whole matrix, with each row
 normalized on its own, so every vector has the bits of the same arithmetic
 done one key at a time. Passage keys come from `SegmenterConfig.passage_count`
-of each document's sentences. One `random.Random(seed)` draws all the text,
-so a seed gives the same files, byte for byte, on every run.
+of the number of sentences `_compose_doc` built for each document; no text is
+split again. One `random.Random(seed)` draws all the text, so a seed gives
+the same files, byte for byte, on every run.
 
 `write_world_files` formats each corpus line itself (`_corpus_line`); a line
 is byte-equal to `json.dumps` of the document's object with `sort_keys=True`.
@@ -103,9 +104,10 @@ def _compose_doc(
     filler: list[str],
     n_filler: int = 32,
     sentence_len: int = 8,
-) -> Document:
+) -> tuple[Document, int]:
     """Assemble text from filler plus content tokens plus one mention token
-    per entity, recording character spans for the mentions."""
+    per entity, recording character spans for the mentions. Returns the
+    document and its number of sentences."""
     tokens = [rng.choice(filler) for _ in range(n_filler)]
     linked: list[str | None] = [None] * n_filler  # the entity a token mentions
     for tok in content_tokens:
@@ -131,7 +133,7 @@ def _compose_doc(
             mentions.append(
                 EntityMention(eid, eid, start, start + len(eid), round(rng.uniform(0.6, 1.0), 3))
             )
-    return Document(doc_id=doc_id, text=text, mentions=mentions)
+    return Document(doc_id=doc_id, text=text, mentions=mentions), len(sentences)
 
 
 def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
@@ -153,6 +155,7 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     corpus = CorpusStore()
     qrels = Qrels()
     doc_topic: dict[str, str] = {}  # topical (relevant or distractor) doc -> query
+    doc_sentences: list[int] = []  # sentences per document, in corpus order
     doc_counter = 0
 
     def next_doc_id() -> str:
@@ -169,24 +172,29 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
             own = rng.sample(planted[qid], rng.choice([1, 2]))
             noise = rng.sample(noise_entities, rng.randint(lo, hi))
             # one topic-word occurrence: weak lexical match only
-            doc = _compose_doc(doc_id, rng, [rng.choice(topic_words[qid])], own + noise, filler)
+            doc, sentences = _compose_doc(
+                doc_id, rng, [rng.choice(topic_words[qid])], own + noise, filler
+            )
             corpus.documents[doc_id] = doc
+            doc_sentences.append(sentences)
             doc_topic[doc_id] = qid
             qrels.add(qid, doc_id, 2 if j % 3 == 0 else 1)
         for _ in range(cfg.distractors_per_query):
             doc_id = next_doc_id()
             stuffing = [rng.choice(topic_words[qid]) for _ in range(rng.randint(4, 7))]
             noise = rng.sample(noise_entities, rng.randint(lo, hi))
-            doc = _compose_doc(doc_id, rng, stuffing, noise, filler)
+            doc, sentences = _compose_doc(doc_id, rng, stuffing, noise, filler)
             corpus.documents[doc_id] = doc
+            doc_sentences.append(sentences)
             doc_topic[doc_id] = qid
             qrels.add(qid, doc_id, 0)
 
     while doc_counter < cfg.n_docs:
         doc_id = next_doc_id()
         noise = rng.sample(noise_entities, rng.randint(lo, hi))
-        doc = _compose_doc(doc_id, rng, [], noise, filler)
+        doc, sentences = _compose_doc(doc_id, rng, [], noise, filler)
         corpus.documents[doc_id] = doc
+        doc_sentences.append(sentences)
 
     for qid in sorted(planted):
         for eid in planted[qid]:
@@ -231,8 +239,8 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     # query's text direction, so text alone cannot tell them apart
     passage_keys: list[str] = []
     passage_topic: list[int] = []  # row of the passage's query in `topics`, -1 for none
-    for doc in corpus.documents.values():
-        count = seg.passage_count(len(doc.sentences))
+    for doc, sentences in zip(corpus.documents.values(), doc_sentences):
+        count = seg.passage_count(sentences)
         passage_keys += [passage_key(doc.doc_id, i) for i in range(count)]
         passage_topic += [topic_of.get(doc_topic.get(doc.doc_id), -1)] * count
     passage_vectors = synthetic_embed_rows("passage", passage_keys, dims.n, cfg.seed)

@@ -16,12 +16,13 @@ import pytest
 
 from dreq import training
 from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
-from dreq.embeddings import EmbeddingStore, query_entity_key
+from dreq.embeddings import query_entity_key
 from dreq.entity_ranking import train_entity_head
 from dreq.model import DreqModel, WeightingMode, rerank
 from dreq.pipeline import build_entity_encoding_examples, pooled_entities_map, pooling_docs
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
+from helpers import store_from_rows
 from test_training import make_train_world
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "dreqbench")
@@ -138,7 +139,7 @@ def test_entity_head_probe_reads_the_example_count(layers):
     labels = {"q1": {"a": 1, "b": 0, "c": 0}, "q2": {"d": 1, "e": 1, "f": 0, "g": 0, "h": 0}}
     rng = np.random.default_rng(0)
     keys = [query_entity_key(qid, eid) for qid in labels for eid in labels[qid]]
-    store = EmbeddingStore.from_rows("query_entity", 3, ((k, rng.standard_normal(3)) for k in keys))
+    store = store_from_rows("query_entity", 3, ((k, rng.standard_normal(3)) for k in keys))
     X, y = build_entity_encoding_examples(labels, store, seed=1)
     args = (X, y, TrainConfig(learning_rate=0.05, batch_size=4, epochs=2))
     head = train_entity_head(*args)

@@ -22,6 +22,7 @@ from dreq.cli import (
 from dreq.corpus import load_corpus, load_entity_catalog
 from dreq.entity_ranking import load_entity_rankings
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
+from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
 from dreq.training import FoldPlan
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
@@ -606,6 +607,29 @@ class TestIndexArtifact:
         again = str(tmp_path / "again.npz")
         save_index(loaded, again)
         assert open(path, "rb").read() == open(again, "rb").read()
+
+    def test_planted_world_index_and_candidates_keep_their_bytes(self, tmp_path):
+        # sha256 pinned when tokens came from the regex alone and the forward
+        # index from a stable argsort of the posting documents; the filler
+        # vocabulary gives ~3k terms over 300 documents
+        world = generate_planted_world(
+            PlantedConfig(n_docs=300, n_queries=6, seed=5, filler_vocab=3000)
+        )
+        paths = write_world_files(world, str(tmp_path / "world"), stores=False)
+        config = write_config(
+            tmp_path, tmp_path / "work", corpus=paths["corpus"],
+            entity_catalog=paths["entities"], queries=paths["queries"], qrels=paths["qrels"],
+            **{"retrieve.k": "100", "retrieve.mode": "bm25_rm3"},
+        )
+        assert run(config, "build-index") == 0 and run(config, "retrieve") == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
+            for name in ("index.npz", "candidates.run")
+        }
+        assert digests == {
+            "index.npz": "3c2ab04763191656544ebfd3e9df5a07286a4700fa660a7d365ab8b20c7e2f6a",
+            "candidates.run": "798a71ad9134294129b0182616cd0e297b95b75b7c3e3f92d0975ebe3ed1228d",
+        }
 
 
 class TestDeterminism:

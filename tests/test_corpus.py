@@ -15,10 +15,10 @@ from dreq.corpus import (
     load_qrels,
     load_queries,
     pool_entities,
-    segment_passages,
     split_sentences,
     transfer_labels,
 )
+from helpers import segment_passages
 
 
 def make_doc(doc_id, entity_ids, n_sentences=3):
@@ -311,7 +311,7 @@ def corpus_lines(draw):
         for _ in range(draw(st.integers(0, 6)) if text else 0):
             start = draw(st.integers(0, len(text) - 1))
             mention = {
-                "entity_id": draw(st.sampled_from(["e1", "e2", "é3"])),
+                "entity_id": draw(st.sampled_from(["e1", "e2", "é3", "e4", ""])),
                 "start": start,
                 "end": draw(st.integers(start + 1, len(text))),
             }
@@ -334,16 +334,22 @@ class TestLoadCorpusSharing:
     @settings(max_examples=200, deadline=None)
     @given(corpus_lines(), st.booleans())
     def test_matches_the_loader_without_sharing(self, tmp_path_factory, docs, with_catalog):
+        """Mentions, each document's entity ids and the entity table (ids,
+        order, descriptions) equal those of a per-document walk over
+        `Document.entity_ids` found on first use."""
         tmp = tmp_path_factory.mktemp("corpus")
         path = write_corpus(tmp, docs)
         catalog = None
-        if with_catalog:
+        if with_catalog:  # one entity the corpus may mention, one it never does
             catalog = tmp / "catalog.jsonl"
-            catalog.write_text(json.dumps({"entity_id": "e2", "description": "two"}) + "\n")
+            catalog.write_text("".join(
+                json.dumps({"entity_id": e, "description": d}) + "\n"
+                for e, d in (("e9", "nine"), ("e2", "two"))
+            ))
             catalog = str(catalog)
-        assert store_bits(load_corpus(path, catalog)) == store_bits(
-            reference_load_corpus(path, catalog)
-        )
+        store = load_corpus(path, catalog)
+        assert store_bits(store) == store_bits(reference_load_corpus(path, catalog))
+        assert all("entity_ids" in vars(doc) for doc in store.documents.values())
 
     def test_equal_values_are_one_object_of_their_own_type(self, tmp_path):
         text = "x" * 400

@@ -18,6 +18,7 @@ from dreq.embeddings import (
     synthetic_embed_rows,
 )
 from dreq.model import DreqModel, _forward
+from helpers import store_from_rows
 
 
 def write_store_arrays(path, ids, vectors, space="x"):
@@ -104,12 +105,12 @@ class TestStoreRoundTrip:
             load_store(str(path))
 
     def test_add_validates(self):
-        """`from_rows`, which stores are made with instead of adding rows one
-        at a time, rejects a row of another dim and a repeated id."""
+        """A store made from (id, vector) pairs rejects a row of another dim
+        and a repeated id."""
         with pytest.raises(ValueError):
-            EmbeddingStore.from_rows("x", 2, [("a", np.zeros(3))])
+            store_from_rows("x", 2, [("a", np.zeros(3))])
         with pytest.raises(ValueError, match="duplicate id 'a' in store 'x'"):
-            EmbeddingStore.from_rows("x", 2, [("a", np.zeros(2)), ("a", np.zeros(2))])
+            store_from_rows("x", 2, [("a", np.zeros(2)), ("a", np.zeros(2))])
 
 
 class TestStoreConstructor:

@@ -21,6 +21,7 @@ from dreq.entity_ranking import (
 )
 from dreq.retrieval import Bm25Params, _score_all, build_index
 from dreq.training import AdamState, TrainConfig, adam_step, bce_dlogits, bce_loss
+from helpers import store_from_rows
 
 
 def bm25_score(index, query_terms, doc_id, params=Bm25Params()) -> float:
@@ -45,7 +46,7 @@ def column(ranking: EntityRanking, name: str) -> dict[str, float]:
 def head_score(head: EntityHead, enc) -> float:
     """The head's raw score of one encoding, through `rank_entities`."""
     enc = np.asarray(enc, dtype=np.float64)
-    store = EmbeddingStore.from_rows("query_entity", len(enc), [(query_entity_key("q", "e"), enc)])
+    store = store_from_rows("query_entity", len(enc), [(query_entity_key("q", "e"), enc)])
     return float(rank_entities(head, "q", ["e"], store).raw_scores[0])
 
 
@@ -76,7 +77,7 @@ def encoding_store_for(query_id, raw_by_entity, k=3):
         vec = np.zeros(k)
         vec[0] = raw
         rows.append((query_entity_key(query_id, eid), vec))
-    return EmbeddingStore.from_rows("query_entity", k, rows)
+    return store_from_rows("query_entity", k, rows)
 
 
 PROBE = EntityHead(w1=np.array([1.0, 0.0, 0.0]), b1=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreq.corpus import Document, EntityMention, SegmenterConfig, segment_passages
+from dreq.corpus import Document, EntityMention, SegmenterConfig
 from dreq.embeddings import DimsConfig, EmbeddingStore, cosine, passage_key, sigmoid
 from dreq.entity_ranking import EntityRanking
 from dreq.model import (
@@ -21,6 +21,7 @@ from dreq.model import (
 )
 from dreq.retrieval import Ranking
 from dreq.training import DreqBatch, _with_entities
+from helpers import segment_passages, store_from_rows
 
 
 def dreq_logits(model, batch, entity_table):
@@ -40,7 +41,7 @@ def ranking_of(*scored) -> EntityRanking:
 
 def store_with(dim: int, **vectors) -> EmbeddingStore:
     rows = [(key, np.asarray(vec, dtype=np.float64)) for key, vec in vectors.items()]
-    return EmbeddingStore.from_rows("test", dim, rows)
+    return store_from_rows("test", dim, rows)
 
 
 # --- the per-document scorer, kept as the reference for the batched path ------
@@ -81,7 +82,7 @@ def reference_logit(model, q, doc, ranking, entity_store, passage_store, seg=Seg
 def text_store_for(docs, dim: int = 2) -> EmbeddingStore:
     passages = [p for doc in docs for p in segment_passages(doc, SegmenterConfig())]
     rows = [(passage_key(p.doc_id, p.index), np.ones(dim)) for p in passages]
-    return EmbeddingStore.from_rows("passage", dim, rows)
+    return store_from_rows("passage", dim, rows)
 
 
 def weights_of(doc, ranking, mode, entity_store=None):
@@ -424,8 +425,8 @@ class TestRerank:
             entity_rows.append((eid, rng.standard_normal(2)))
             passage_rows.append((f"{doc_id}::0", rng.standard_normal(2)))
             scored.append((doc_id, float(n_docs - i)))
-        entity_store = EmbeddingStore.from_rows("e", 2, entity_rows)
-        passage_store = EmbeddingStore.from_rows("p", 2, passage_rows)
+        entity_store = store_from_rows("e", 2, entity_rows)
+        passage_store = store_from_rows("p", 2, passage_rows)
         ranking = EntityRanking.from_raw_scores(
             "q", [f"e{i}" for i in range(n_docs)], rng.standard_normal(n_docs)
         )
@@ -477,7 +478,7 @@ class TestRerank:
 def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
     """Docs with 0..6 linked entities (some with none), one query's ranking."""
     rng = np.random.default_rng(seed)
-    entity_store = EmbeddingStore.from_rows(
+    entity_store = store_from_rows(
         "entity", dims.m, [(f"e{i}", rng.standard_normal(dims.m)) for i in range(n_entities)]
     )
     passage_rows, docs = [], []
@@ -488,7 +489,7 @@ def random_world(seed: int, n_docs: int, dims: DimsConfig, n_entities: int = 7):
         for p in segment_passages(doc, SegmenterConfig()):
             passage_rows.append((passage_key(p.doc_id, p.index), rng.standard_normal(dims.n)))
         docs.append(doc)
-    passage_store = EmbeddingStore.from_rows("passage", dims.n, passage_rows)
+    passage_store = store_from_rows("passage", dims.n, passage_rows)
     ranking = EntityRanking.from_raw_scores(
         "q", [f"e{i}" for i in range(n_entities)], rng.normal(0.0, 4.0, n_entities)
     )

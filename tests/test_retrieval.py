@@ -594,6 +594,42 @@ def test_tokenize_lowercases_like_a_per_token_loop(text, lowercase, stem):
     assert tokenize(text, cfg) == reference_tokenize(text, cfg)
 
 
+def regex_tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:
+    """The tokenizer with one path for all text: the regex, then one
+    `lower()` over the joined tokens."""
+    tokens = re.findall(r"[^\W_]+", text)
+    if cfg.lowercase and tokens:
+        tokens = " ".join(tokens).lower().split(" ")
+    if cfg.stem:
+        tokens = [_porter.stem(t) for t in tokens]
+    return tokens
+
+
+# letters, digits, `_`, punctuation, tabs and control characters
+ASCII_CHARS = list("aZz09_ -.,'\t\n\r\x00\x1f\x7f")
+# letters whose case mapping is special: İ (lowers to two code points), ſ
+# (long s, uppercases to S) and Σ/σ/ς (final sigma)
+SPECIAL_CHARS = list("İſΣσςé")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(st.sampled_from(ASCII_CHARS), max_size=40)
+    | st.text(st.sampled_from(ASCII_CHARS + SPECIAL_CHARS), max_size=40)
+    | st.text(st.characters(max_codepoint=127), max_size=40)
+    | st.text(max_size=40),
+    st.booleans(),
+    st.booleans(),
+)
+@example("", True, False)
+@example("Black_Bear\tATTACKS, 2004!\x00x", True, False)
+@example("Black_Bear\tATTACKS, 2004!\x00x", False, True)
+@example("İſΣ ΣΣ σς_x", True, False)
+def test_tokenize_matches_the_regex_path(text, lowercase, stem):
+    cfg = TokenizerConfig(lowercase=lowercase, stem=stem)
+    assert tokenize(text, cfg) == regex_tokenize(text, cfg)
+
+
 def unique_build_index(texts, tokenizer=TokenizerConfig()):
     """The index built by one `np.unique` over fresh int64 (term, doc) key
     arrays: the formulation the in-place key sort replaced."""
@@ -635,6 +671,29 @@ def test_build_index_matches_np_unique_formulation(texts):
         array, reference = getattr(got, name), expected[name]
         assert array.dtype == reference.dtype, name
         assert array.tobytes() == reference.tobytes(), name
+
+
+def stable_forward(index):
+    """The doc -> term CSR from a stable argsort of the posting documents."""
+    term_of = np.repeat(np.arange(len(index.terms), dtype=np.int32), np.diff(index.indptr))
+    order = np.argsort(index.docs, kind="stable")
+    indptr = np.zeros(index.doc_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index.docs, minlength=index.doc_count), out=indptr[1:])
+    return indptr, term_of[order], index.tfs[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("dxy", min_size=1, max_size=3), INDEX_TEXTS, min_size=1, max_size=8))
+@example({"d": ""})
+@example({"d": "", "e": "?!"})
+@example({"d": "a a a a"})
+@example({"d": "a", "e": "", "f": "a a"})
+@example({"d": "é b", "e": "", "f": "b b é"})
+def test_forward_matches_a_stable_argsort(texts):
+    index = build_index(texts)
+    for got, expected in zip(index.forward, stable_forward(index), strict=True):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def reference_load_run(path):

@@ -5,9 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreq.corpus import Document, EntityMention, _read_document, load_corpus
+from dreq.corpus import (
+    Document,
+    EntityMention,
+    SegmenterConfig,
+    _read_document,
+    load_corpus,
+    split_sentences,
+)
 from dreq.embeddings import DimsConfig
 from dreq.synthetic import PlantedConfig, _corpus_line, generate_planted_world, write_world_files
 
@@ -31,6 +39,27 @@ def test_planted_descriptions_name_their_own_query_past_99_queries():
         for eid in entities:
             assert world.corpus.entities[eid].description == f"about {text_of[qid]}"
     assert world.corpus.entities["eq105p1"].description == "about topic105a topic105b topic105c"
+
+
+@pytest.mark.parametrize("cfg", [
+    PlantedConfig(seed=1),
+    PlantedConfig(seed=2),
+    PlantedConfig(seed=3, n_docs=120, n_queries=6, filler_vocab=20),
+    # the benchmark's M world: 20,000 documents over a 100k-word filler vocabulary
+    PlantedConfig(seed=4, n_docs=20000, n_queries=40, filler_vocab=100000),
+], ids=["default-1", "default-2", "small", "m"])
+def test_passages_are_counted_from_the_split_sentences(cfg, monkeypatch):
+    counted = []
+    passage_count = SegmenterConfig.passage_count
+
+    def spy(self, sentences):
+        counted.append(sentences)
+        return passage_count(self, sentences)
+
+    monkeypatch.setattr(SegmenterConfig, "passage_count", spy)
+    world = generate_planted_world(cfg)
+    assert counted == [len(split_sentences(doc.text)) for doc in world.corpus.documents.values()]
+    assert all("sentences" not in vars(doc) for doc in world.corpus.documents.values())
 
 
 # --- golden files: the generator keeps its bytes --------------------------------

@@ -31,6 +31,7 @@ from dreq.training import (
     _with_entities,
     _take,
 )
+from helpers import store_from_rows
 
 
 def dreq_logits(model, batch, entity_table):
@@ -385,9 +386,9 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         rankings[qid] = EntityRanking.from_raw_scores(qid, entity_ids, raw)
     data = TrainData(
         corpus=corpus,
-        query_store=EmbeddingStore.from_rows("query", dims.p, query_rows),
-        entity_store=EmbeddingStore.from_rows("entity", dims.m, entity_rows),
-        passage_store=EmbeddingStore.from_rows("passage", dims.n, passage_rows),
+        query_store=store_from_rows("query", dims.p, query_rows),
+        entity_store=store_from_rows("entity", dims.m, entity_rows),
+        passage_store=store_from_rows("passage", dims.n, passage_rows),
         entity_rankings=rankings,
         candidates=candidates,
         seg=__import__("dreq.corpus", fromlist=["SegmenterConfig"]).SegmenterConfig(),
