@@ -34,7 +34,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _npz
-from .corpus import SegmenterConfig, load_corpus, load_entity_catalog, load_qrels, load_queries
+from .corpus import (
+    SegmenterConfig,
+    load_corpus,
+    load_entity_catalog,
+    load_qrels,
+    load_queries,
+    split_sentences,
+)
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
@@ -430,7 +437,7 @@ def cmd_synth_embed(settings: Settings) -> None:
     passage_store = embedded("passage", dims.n, (
         passage_key(doc.doc_id, i)
         for doc in corpus.documents.values()
-        for i in range(seg.passage_count(len(doc.sentences)))
+        for i in range(seg.passage_count(len(split_sentences(doc.text))))
     ))
     encoding_store = embedded("query_entity", dims.k, (
         query_entity_key(qid, eid) for qid in sorted(pooled) for eid in pooled[qid]
@@ -596,10 +603,11 @@ def cmd_train_dreq(settings: Settings) -> None:
         use_entities=settings.get_bool("use_entities"),
     )
     table = train_feature_table(data, examples)
-    result = train_dreq(template, examples, folds, data, cfg, table)
+    result = train_dreq([template], examples, folds, data, cfg, table)
+    (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
 
     outputs = {"folds": folds_path}
-    for outcome in result.fold_outcomes:
+    for outcome in outcomes:
         ckpt = settings.workpath(f"dreq_fold{outcome.fold_index}.ckpt")
         with atomic_path(ckpt) as tmp:
             save_checkpoint(outcome.model, tmp)
@@ -612,7 +620,7 @@ def cmd_train_dreq(settings: Settings) -> None:
     run_path = settings.workpath("dreq.run")
     with atomic_path(run_path) as tmp:
         write_run(
-            (result.reranked[qid] for qid in sorted(result.reranked)),
+            (reranked[qid] for qid in sorted(reranked)),
             tmp,
             tag=settings.get("run.tag"),
         )
@@ -622,7 +630,7 @@ def cmd_train_dreq(settings: Settings) -> None:
     outputs.update({"run": run_path, "log": log_path})
     write_manifest(settings, "train-dreq", {"candidates": "candidates.run"}, outputs, t0)
     print(
-        f"trained {len(result.fold_outcomes)} folds on {len(examples)} examples "
+        f"trained {len(outcomes)} folds on {len(examples)} examples "
         f"({table.empty_text_docs} documents without text); out-of-fold run -> {run_path}"
     )
 

@@ -22,8 +22,9 @@ order, are filled in from its memoized mentions as it loads
 (`Document.entity_ids`), and pooling and label transfer work on those ids
 with one dict operation per document, not per mention. The entity-id memo
 holds every linked id in first-mention order over the corpus, so the
-store's entity table is built from it in one pass. A document's sentences
-are split once, on first use.
+store's entity table is built from it in one pass. A document keeps no
+split of its sentences: the stages that need one only count them, with
+`split_sentences`.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class Document:
     doc_id: str
     text: str
     mentions: list[EntityMention] = field(default_factory=list)
-
-    @cached_property
-    def sentences(self) -> list[str]:
-        """`split_sentences(text)`, split on first use."""
-        return split_sentences(self.text)
 
     @cached_property
     def entity_ids(self) -> tuple[str, ...]:

@@ -5,10 +5,10 @@ d = W2 [v_t; v_e] + b2, is linear in its text vector v_t (mean of passage
 embeddings, 0 for a document without sentences) and entity vector v_e
 (weighted sum of linked entity embeddings), so training and serving score
 arrays of rows X = [v_t; v_e] (`_features`) through one forward pass
-(`_forward`). `build_feature_table`, run once per CLI stage, `train_dreq`
-call or ablation sweep, holds the text vectors, a CSR map doc -> entity rows
-and the entity store itself, whose matrix is the entity table (a fine-tuned
-fold swaps in its own store). The table never forms passage text: a
+(`_forward`). `build_feature_table`, run once per CLI stage or `train_dreq`
+call, holds the text vectors, a CSR map doc -> entity rows and the entity
+store itself, whose matrix is the entity table (a fine-tuned run swaps in
+its own store). The table never forms passage text: a
 document's passage count follows from its sentence count, and all passage
 rows come from one `take`. Per-document sums, over passages for v_t and
 over links for entity weights and v_e, add left to right from zero, as
@@ -18,11 +18,12 @@ per-document loop; fusion and projection are matrix products, equal to
 per-document ones up to rounding. `rerank` scores
 `BLOCK_ROWS` candidates at a time to bound its temporaries at any depth.
 
-The trainer runs its folds in lockstep through the same functions: a
-`DreqModel` whose parameters, and the rows and entity tables it scores, carry
-a leading fold axis. `_forward`, `_features` and `_entity_vectors` broadcast
-over it, and for each fold compute exactly what the 2-D call on that fold's
-slice computes, so serving (2-D) and training share one forward.
+The trainer runs its (template, fold) runs in lockstep through the same
+functions: a `DreqModel` whose parameters, and the rows and entity tables it
+scores, carry a leading run axis. `_forward`, `_features` and
+`_entity_vectors` broadcast over it, and for each run compute exactly what
+the 2-D call on that run's slice computes, so serving (2-D) and training
+share one forward.
 
 The `maxsimcos` baseline scores each distinct linked entity against the
 query entities once, with `cosine`: its `np.dot` gives the bits of a
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import _npz
-from .corpus import Document, SegmenterConfig
+from .corpus import Document, SegmenterConfig, split_sentences
 from .embeddings import DimsConfig, EmbeddingStore, cosine, passage_key
 from .retrieval import Ranking
 
@@ -73,7 +74,7 @@ class DreqModel:
 
     W2: (p, m+n) fusion matrix, b2: (p,) fusion bias,
     w3: (5p,) scoring projection, b3: scalar scoring bias. The trainer's
-    model gives each a leading fold axis, b3 then being a (folds,) array.
+    model gives each a leading run axis, b3 then being a (runs,) array.
     """
 
     W2: np.ndarray
@@ -87,7 +88,7 @@ class DreqModel:
     def __post_init__(self) -> None:
         self.mode = WeightingMode(self.mode)
         d = self.dims
-        lead = np.shape(self.b3)  # (folds,) for folds trained in lockstep
+        lead = np.shape(self.b3)  # (runs,) for runs trained in lockstep
         for name, shape in (("W2", (d.p, d.m + d.n)), ("b2", (d.p,)), ("w3", (5 * d.p,))):
             if getattr(self, name).shape != lead + shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {lead + shape}")
@@ -209,7 +210,9 @@ def build_feature_table(
     `take` and added position by position from zero, as `_row_sums` adds;
     a doc without sentences gets text vector 0, so only its entities score it."""
     docs = list({doc.doc_id: doc for doc in docs}.values())
-    counts = np.array([seg.passage_count(len(doc.sentences)) for doc in docs], dtype=np.intp)
+    counts = np.array(
+        [seg.passage_count(len(split_sentences(doc.text))) for doc in docs], dtype=np.intp
+    )
     passages = passage_store.take(
         passage_key(doc.doc_id, i) for doc, n in zip(docs, counts.tolist()) for i in range(n)
     )
@@ -240,16 +243,16 @@ def build_feature_table(
 
 
 def _stacked_links(links: np.ndarray, n_entities: int) -> np.ndarray:
-    """`links` (..., rows, L) of per-fold tables (..., n_entities, m) as rows
+    """`links` (..., rows, L) of per-run tables (..., n_entities, m) as rows
     of those tables stacked into one (-1, m) table."""
-    folds = int(np.prod(links.shape[:-2]))
-    return links + (np.arange(folds) * n_entities).reshape(links.shape[:-2] + (1, 1))
+    runs = int(np.prod(links.shape[:-2]))
+    return links + (np.arange(runs) * n_entities).reshape(links.shape[:-2] + (1, 1))
 
 
 def _entity_vectors(links: np.ndarray, weights: np.ndarray, entities: np.ndarray) -> np.ndarray:
     """(..., rows, m) entity-centric vectors: per row, the sum of w * E[link].
-    Leading axes (folds) of `links` and `weights` match those of `entities`:
-    each fold reads its own table."""
+    Leading axes (runs) of `links` and `weights` match those of `entities`:
+    each run reads its own table."""
     table = entities.reshape(-1, entities.shape[-1])
     return _row_sums(weights[..., None] * table[_stacked_links(links, entities.shape[-2])], -2)
 
@@ -264,8 +267,8 @@ def _features(
 def _forward(model: DreqModel, Q: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scorer on a block of rows with inputs X = [Vt, Ve]: D = X W2^T + b2,
     F = [Q, D, Q+D, Q-D, Q*D]; returns F and the logits F w3 + b3. A leading
-    fold axis on the parameters, Q and X scores each fold's block with its own
-    parameters; per fold, the products and sums are those of the 2-D case."""
+    run axis on the parameters, Q and X scores each run's block with its own
+    parameters; per run, the products and sums are those of the 2-D case."""
     D = X @ np.swapaxes(model.W2, -1, -2) + model.b2[..., None, :]
     F = np.concatenate((Q, D, Q + D, Q - D, Q * D), axis=-1)
     return F, (F @ model.w3[..., None])[..., 0] + np.asarray(model.b3)[..., None]

@@ -140,21 +140,22 @@ def ablation_sweep(
 ) -> AblationResult:
     """Train and evaluate each weighting variant with the same folds,
     examples, entity rankings, and feature table; evaluate the candidates
-    alongside. `cutoffs` (prec_k, ndcg_k, recall_k) go to `evaluate_run`."""
+    alongside. One `train_dreq` call trains every (variant, fold) run on one
+    leading run axis, with Ve built once per variant and one Adam step count.
+    `cutoffs` (prec_k, ndcg_k, recall_k) go to `evaluate_run`."""
     from .evaluation import evaluate_run
     from .model import DreqModel
     from .training import train_dreq, train_feature_table
 
     candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates", **cutoffs)
     table = train_feature_table(data, examples)
-    reports: dict[str, MetricsReport] = {}
-    runs: dict[str, dict[str, Ranking]] = {}
-    for name in variants:
-        mode, use_entities = VARIANTS[name]
-        template = DreqModel.init(dims, mode=mode, seed=init_seed, use_entities=use_entities)
-        result = train_dreq(template, examples, folds, data, cfg, table)
-        runs[name] = result.reranked
-        reports[name] = evaluate_run(result.reranked, qrels, tag=name, **cutoffs)
+    templates = [
+        DreqModel.init(dims, mode=mode, seed=init_seed, use_entities=use_entities)
+        for mode, use_entities in (VARIANTS[name] for name in variants)
+    ]
+    result = train_dreq(templates, examples, folds, data, cfg, table)
+    runs = dict(zip(variants, result.reranked))
+    reports = {name: evaluate_run(run, qrels, tag=name, **cutoffs) for name, run in runs.items()}
     return AblationResult(candidate_report, reports, runs, table.empty_text_docs)
 
 

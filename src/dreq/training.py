@@ -2,33 +2,39 @@
 Adam optimization, and analytic gradients through the scorer's forward pass.
 
 Training and serving share one forward (`model._forward`) and one feature
-table (`train_feature_table`, built once per `train_dreq` call or ablation
-sweep). `train_dreq` computes the scorer inputs X = [Vt, Ve] of every
-example once per call into one `DreqBatch`, and each minibatch is a row
+table (`train_feature_table`, built once per `train_dreq` call). One call
+trains one or more templates, such as an ablation's weighting variants, on
+the same examples and folds. It computes the scorer inputs X = [Vt, Ve] of
+every example once per template into one `DreqBatch`, whose X carries a
+leading template axis while Q and y are shared, and each minibatch is a row
 gather from that. A row's entity-centric vector Ve is the left-to-right sum
 of its weighted entity rows, the same arithmetic `model.rerank` uses, and
 row by row, so precomputing it changes no bit; no (rows, |entities|) weight
 matrix is formed. With entity fine-tuning the tables move every step, so
-`dreq_loss_and_grads` sums each minibatch's Ve again from its fold's table.
+`dreq_loss_and_grads` sums each minibatch's Ve again from its run's table.
 
-The folds train in lockstep. Their parameters are the rows of one (folds, P)
-float64 matrix, W2, b2, w3 and b3 being views into it (`_scorer_views`);
-with fine-tuning each fold also owns a slice of one (folds, entities, m)
-table. At each step every fold still training takes its next minibatch,
-as it would alone: its own generator draws one permutation per epoch, and
-it keeps its own epoch loss and early stopping. The folds whose minibatches
-have the same row count are stacked on a leading fold axis and take one
+A run is one (template, fold) pair, and all runs train in lockstep on one
+leading run axis. Their parameters are the rows of one (runs, P) float64
+matrix, W2, b2, w3 and b3 being views into it (`_scorer_views`); with
+fine-tuning each run also owns a slice of one (runs, entities, m) table (a
+template without entities links nothing, so its slice gets zero gradient
+and keeps its bits). At each step every run still training takes its next
+minibatch, as it would alone: its fold's generator draws one permutation
+per epoch, so the runs of one fold walk the same rows, and each run keeps
+its own epoch loss and early stopping. The runs whose minibatches have the
+same row count are stacked on the run axis and take one
 `dreq_loss_and_grads` call and one `adam_step` on their rows, so a step
-costs a few numpy calls for all folds instead of for each. Per fold, every
-stacked product, row sum and mean is the 2-D operation on that fold's
+costs a few numpy calls for all runs instead of for each. Per run, every
+stacked product, row sum and mean is the 2-D operation on that run's
 slice, and Adam is elementwise, with one step count shared by the live
-folds: training gives the bits of one fold after another. Log rows come out
-in fold order.
+runs: a run's k-th minibatch is the k-th step, as it is alone, so training
+gives the bits of one run after another. Log rows come out template by
+template, each in fold order.
 
 The entity ranking is frozen while the document scorer trains, so the
 per-document entity weights are constants and the gradient of the loss
 w.r.t. an entity embedding is the weight-scaled gradient w.r.t. the
-entity-centric document vector, scattered onto the fold's entity table.
+entity-centric document vector, scattered onto the run's entity table.
 """
 from __future__ import annotations
 
@@ -46,6 +52,7 @@ from .embeddings import DimsConfig, EmbeddingStore, sigmoid
 from .model import (
     DreqModel,
     FeatureTable,
+    _entity_vectors,
     _features,
     _forward,
     _stacked_links,
@@ -284,8 +291,10 @@ class DreqBatch:
     """Stacked example rows: query embeddings, scorer inputs X = [Vt, Ve]
     (text- and entity-centric vectors), the entity links and weights that Ve
     sums, as `FeatureTable.entity_weights` lays them out (None once Ve is
-    final: in training without fine-tuning), and labels. In the trainer's
-    minibatches every field has a leading fold axis: one row block per fold."""
+    final: in training without fine-tuning), and labels. The trainer's
+    example batch gives X, links and weights a leading template axis and
+    shares Q and y; in its minibatches every field has a leading run axis:
+    one row block per run."""
 
     Q: np.ndarray  # (..., B, p)
     X: np.ndarray  # (..., B, n + m)
@@ -296,7 +305,7 @@ class DreqBatch:
 
 def _scorer_views(flat: np.ndarray, dims: DimsConfig) -> dict[str, np.ndarray]:
     """W2, b2, w3 and b3 as views into the last axis of `flat`, which holds
-    them in that order: the layout of the trainer's (folds, P) parameters and
+    them in that order: the layout of the trainer's (runs, P) parameters and
     of their gradient. Leading axes carry over; b3 loses its last axis."""
     p, width = dims.p, dims.m + dims.n
     W2, b2, w3, b3 = np.split(flat, np.cumsum([p * width, p, 5 * p]), axis=-1)
@@ -317,7 +326,7 @@ def dreq_loss_and_grads(
     """Mean BCE over the batch and its analytic gradients.
 
     `model`, `batch` and `entity_table` share their leading axes: with a
-    fold axis, fold f's parameters score fold f's rows, and the loss and
+    run axis, run r's parameters score run r's rows, and the loss and
     each gradient get that axis too. Returns the gradient of W2, b2, w3 and
     b3 as (..., P) laid out as `_scorer_views` reads it ("scorer") and, when
     `finetune_entities`, of the full entity table ("entities"; rows not hit
@@ -357,10 +366,18 @@ def dreq_loss_and_grads(
     return loss, grads
 
 
-def _take(batch: DreqBatch, idx: np.ndarray) -> DreqBatch:
-    """The rows `idx` of `batch`, in that order; a (folds, B) `idx` gives
-    one minibatch per fold on a leading fold axis."""
-    return DreqBatch(**{k: None if v is None else v[idx] for k, v in vars(batch).items()})
+def _take(batch: DreqBatch, templates: np.ndarray, idx: np.ndarray) -> DreqBatch:
+    """One minibatch per run on a leading run axis from the example batch:
+    run r gets the rows idx[r], in that order, of Q and y and of template
+    templates[r]'s X, links and weights."""
+    at = templates[:, None]
+    return DreqBatch(
+        Q=batch.Q[idx],
+        X=batch.X[at, idx],
+        links=None if batch.links is None else batch.links[at, idx],
+        weights=None if batch.weights is None else batch.weights[at, idx],
+        y=batch.y[idx],
+    )
 
 
 # --- end-to-end trainer --------------------------------------------------------
@@ -391,8 +408,11 @@ class FoldOutcome:
 
 @dataclass
 class TrainResult:
-    fold_outcomes: list[FoldOutcome]
-    reranked: dict[str, Ranking]
+    """Per template, in the order trained: its folds' outcomes and its merged
+    out-of-fold rankings; and the log rows of every run, template by template."""
+
+    fold_outcomes: list[list[FoldOutcome]]
+    reranked: list[dict[str, Ranking]]
     log_rows: list[tuple[int, int, float]]  # (fold, epoch, loss)
 
 
@@ -404,36 +424,50 @@ def train_feature_table(data: TrainData, examples: Sequence[TrainingExample]) ->
 
 
 def _example_batch(
-    model: DreqModel, examples: Sequence[TrainingExample], data: TrainData, table: FeatureTable
+    templates: Sequence[DreqModel],
+    examples: Sequence[TrainingExample],
+    data: TrainData,
+    table: FeatureTable,
+    finetune: bool,
 ) -> DreqBatch:
-    """All examples as one batch, in example order; entity weights are
-    formed per query, over that query's example documents."""
+    """All examples as one batch, in example order, with X per template on a
+    leading axis, and links and weights too when `finetune`. Entity weights
+    are formed per query, over that query's example documents, in the
+    template's mode; a template without entities links nothing, so its
+    weights and its Ve are 0."""
     rows = table.rows(ex.item_id for ex in examples)
     width = int((table.indptr[rows + 1] - table.indptr[rows]).max(initial=0))
-    links = np.zeros((len(rows), width if model.use_entities else 0), dtype=np.intp)
+    links = np.zeros((len(templates), len(rows), width), dtype=np.intp)
     weights = np.zeros(links.shape)
     by_query: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
         by_query.setdefault(ex.query_id, []).append(i)
-    for qid, idx in by_query.items() if model.use_entities else ():
-        ranking = data.entity_rankings[qid]
-        part_links, part_weights = table.entity_weights(ranking, model.mode, rows[idx])
-        links[idx, : part_links.shape[1]] = part_links
-        weights[idx, : part_weights.shape[1]] = part_weights
+    n = table.text.shape[1]
+    X = np.zeros((len(templates), len(rows), n + table.entities.shape[1]))
+    X[..., :n] = table.text[rows]
+    for t, template in enumerate(templates):
+        if not template.use_entities:
+            continue
+        for qid, idx in by_query.items():
+            ranking = data.entity_rankings[qid]
+            part_links, part_weights = table.entity_weights(ranking, template.mode, rows[idx])
+            links[t, idx, : part_links.shape[1]] = part_links
+            weights[t, idx, : part_weights.shape[1]] = part_weights
+        X[t, :, n:] = _entity_vectors(links[t], weights[t], table.entities)
     return DreqBatch(
         Q=data.query_store.take(ex.query_id for ex in examples),
-        X=_features(table.text[rows], links, weights, table.entities),
-        links=links,
-        weights=weights,
+        X=X,
+        links=links if finetune else None,
+        weights=weights if finetune else None,
         y=np.array([ex.label for ex in examples], dtype=np.float64),
     )
 
 
 @dataclass
 class _FoldRun:
-    """One fold's walk through its own epochs: a permutation of its training
-    rows per epoch from its own generator, cut into minibatches in order.
-    The entity head trains on one such walk over all its examples."""
+    """One run's walk through its own epochs: a permutation of its fold's
+    training rows per epoch from its own generator, cut into minibatches in
+    order. The entity head trains on one such walk over all its examples."""
 
     rows: np.ndarray
     rng: np.random.Generator
@@ -450,7 +484,7 @@ class _FoldRun:
         return self.perm[self.start : self.start + batch_size]
 
     def advance(self, cfg: TrainConfig) -> bool:
-        """Move past the minibatch just trained; False once the fold stops."""
+        """Move past the minibatch just trained; False once the run stops."""
         self.start += cfg.batch_size
         if self.start < len(self.rows):
             return True
@@ -462,99 +496,113 @@ class _FoldRun:
         return len(self.epoch_losses) < cfg.epochs and self.stall < cfg.early_stop_patience
 
 
-def _fold_index(group: list[int]) -> slice | np.ndarray:
-    """Rows of the fold axis for `group` (ascending): a slice, so arrays
-    indexed with it are views, when the folds are consecutive."""
+def _run_index(group: list[int]) -> slice | np.ndarray:
+    """Rows of the run axis for `group` (ascending): a slice, so arrays
+    indexed with it are views, when the runs are consecutive."""
     if group[-1] - group[0] == len(group) - 1:
         return slice(group[0], group[-1] + 1)
     return np.array(group, dtype=np.intp)
 
 
 def train_dreq(
-    template: DreqModel,
+    templates: Sequence[DreqModel],
     examples: Sequence[TrainingExample],
     folds: FoldPlan,
     data: TrainData,
     cfg: TrainConfig,
     table: FeatureTable | None = None,
 ) -> TrainResult:
-    """Per-fold training of the document scorer with out-of-fold reranking.
+    """Per-fold training of the document scorer of each template, with
+    out-of-fold reranking.
 
-    Every fold starts from the template parameters, trains on its training
-    queries' examples, then reranks the candidate lists of its test
-    queries. The folds train in lockstep: at each step every fold still
-    training takes its next minibatch, and the folds whose minibatches have
-    the same row count take one stacked forward, backward and Adam step
-    (see the module docstring). When entity fine-tuning is on, each fold
-    owns a copy of the entity table and the gradient of one embedding is
-    the sum of its weight-scaled fusion gradients. `table` defaults to
-    `train_feature_table(data, examples)`.
+    Each (template, fold) run starts from its template's parameters, trains
+    on its fold's training queries' examples, then reranks the candidate
+    lists of the fold's test queries in its template's weighting mode. All
+    runs train in lockstep on one leading run axis, with Ve built once per
+    template and one Adam step count: at each step every run still training
+    takes its next minibatch, and the runs whose minibatches have the same
+    row count take one stacked forward, backward and Adam step (see the
+    module docstring). When entity fine-tuning is on, each run owns a copy
+    of the entity table and the gradient of one embedding is the sum of its
+    weight-scaled fusion gradients. The templates share their dims. `table`
+    defaults to `train_feature_table(data, examples)`.
     """
+    if len({t.dims for t in templates}) != 1:
+        raise ValueError("train_dreq needs one or more templates with the same dims")
     if table is None:
         table = train_feature_table(data, examples)
-    all_rows = _example_batch(template, examples, data, table)
+    finetune = cfg.finetune_entity_embeddings and any(t.use_entities for t in templates)
+    all_rows = _example_batch(templates, examples, data, table, finetune)
     query_ids = [ex.query_id for ex in examples]
     # fail fast if any test query lacks what reranking will need
     data.query_store.take(qid for fold in folds.folds for qid in fold.test)
 
-    finetune = cfg.finetune_entity_embeddings and template.use_entities
-    if not finetune:  # Ve is final: a minibatch gathers Q, X and y only
-        all_rows = replace(all_rows, links=None, weights=None)
-    runs: list[_FoldRun] = []
+    fold_rows: list[np.ndarray] = []
     for fold_index, fold in enumerate(folds.folds):
         train_qids = set(fold.train)
-        fold_rows = np.array([i for i, q in enumerate(query_ids) if q in train_qids], np.intp)
-        if not fold_rows.size:
+        rows = np.array([i for i, q in enumerate(query_ids) if q in train_qids], np.intp)
+        if not rows.size:
             raise ValueError(f"fold {fold_index} has no training examples")
-        runs.append(_FoldRun(fold_rows, np.random.default_rng([cfg.seed, fold_index])))
+        fold_rows.append(rows)
+    # run r is fold r // len(templates) of template r % len(templates), so the
+    # runs of one fold, which take minibatches of one size, are consecutive
+    runs = [
+        _FoldRun(rows, np.random.default_rng([cfg.seed, fold_index]))
+        for fold_index, rows in enumerate(fold_rows)
+        for _ in templates
+    ]
+    run_template = np.tile(np.arange(len(templates)), len(fold_rows))
 
-    flat = np.concatenate((template.W2.ravel(), template.b2, template.w3, (template.b3,)))
-    params = {"scorer": np.tile(flat, (len(runs), 1))}
-    views = _scorer_views(params["scorer"], template.dims)
+    flat = np.stack([np.concatenate((t.W2.ravel(), t.b2, t.w3, (t.b3,))) for t in templates])
+    params = {"scorer": np.tile(flat, (len(fold_rows), 1))}
+    views = _scorer_views(params["scorer"], templates[0].dims)
     entities = table.entities  # read only when fine-tuning
     if finetune:
         entities = params["entities"] = np.tile(table.entities, (len(runs), 1, 1))
     state = AdamState()
-    models: dict[tuple[int, ...], DreqModel] = {}  # per fold group, over views of params
+    # per run group, over views of params; its mode and use_entities go
+    # unread, as each run's batch already holds its entity weights
+    models: dict[tuple[int, ...], DreqModel] = {}
 
     live = list(range(len(runs))) if cfg.epochs > 0 else []
     while live:
         groups: dict[int, list[int]] = {}
-        batches = {f: runs[f].next_batch(cfg.batch_size) for f in live}
-        for f in live:
-            groups.setdefault(len(batches[f]), []).append(f)
+        batches = {r: runs[r].next_batch(cfg.batch_size) for r in live}
+        for r in live:
+            groups.setdefault(len(batches[r]), []).append(r)
         step = state.step
         for size, group in groups.items():
-            at = _fold_index(group)
+            at = _run_index(group)
             model = models.get(tuple(group))
             if model is None:
-                model = replace(template, **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")})
+                model = replace(templates[0], **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")})
                 if isinstance(at, slice):  # an index array would copy the parameters
                     models[tuple(group)] = model
-            batch = _take(all_rows, np.stack([batches[f] for f in group]))
+            batch = _take(all_rows, run_template[at], np.array([batches[r] for r in group]))
             tables = entities[at] if finetune else entities
             loss, grads = dreq_loss_and_grads(model, batch, tables, finetune)
             state.step = step  # every size group takes this step's bias correction
             adam_step(params, grads, state, cfg, at)
-            for f, value in zip(group, loss.tolist()):
-                runs[f].total_loss += value * size
-        live = [f for f in live if runs[f].advance(cfg)]
+            for r, value in zip(group, loss.tolist()):
+                runs[r].total_loss += value * size
+        live = [r for r in live if runs[r].advance(cfg)]
 
-    outcomes: list[FoldOutcome] = []
-    merged: dict[str, Ranking] = {}
-    for fold_index, (fold, run) in enumerate(zip(folds.folds, runs)):
+    outcomes: list[list[FoldOutcome]] = [[] for _ in templates]
+    reranked: list[dict[str, Ranking]] = [{} for _ in templates]
+    for r, run in enumerate(runs):
+        fold_index, t = divmod(r, len(templates))
         model = replace(
-            template,
-            **{k: views[k][fold_index].copy() for k in ("W2", "b2", "w3")},
-            b3=float(views["b3"][fold_index]),
+            templates[t],
+            **{k: views[k][r].copy() for k in ("W2", "b2", "w3")},
+            b3=float(views["b3"][r]),
         )
         fold_table = table
-        if finetune:  # the tuned table is this fold's feature-table entities and its saved store
+        if finetune:  # the tuned table is this run's feature-table entities and its saved store
             space, ids = table.entity_store.space, table.entity_store.ids
-            fold_table = replace(table, entity_store=EmbeddingStore(space, ids, entities[fold_index]))
+            fold_table = replace(table, entity_store=EmbeddingStore(space, ids, entities[r]))
 
         test_rankings: dict[str, Ranking] = {}
-        for qid in fold.test:
+        for qid in folds.folds[fold_index].test:
             if qid not in data.candidates:
                 continue
             test_rankings[qid] = rerank(
@@ -564,8 +612,8 @@ def train_dreq(
                 fold_table,
                 data.entity_rankings[qid],
             )
-        merged.update(test_rankings)
-        outcomes.append(
+        reranked[t].update(test_rankings)
+        outcomes[t].append(
             FoldOutcome(
                 fold_index=fold_index,
                 model=model,
@@ -575,8 +623,13 @@ def train_dreq(
             )
         )
 
-    log_rows = [(o.fold_index, e, loss) for o in outcomes for e, loss in enumerate(o.epoch_losses)]
-    return TrainResult(fold_outcomes=outcomes, reranked=merged, log_rows=log_rows)
+    log_rows = [
+        (o.fold_index, e, loss)
+        for per_template in outcomes
+        for o in per_template
+        for e, loss in enumerate(o.epoch_losses)
+    ]
+    return TrainResult(fold_outcomes=outcomes, reranked=reranked, log_rows=log_rows)
 
 
 def write_training_log(log_rows, path: str) -> None:

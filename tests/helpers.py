@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from dreq.corpus import Document, SegmenterConfig
+from dreq.corpus import Document, SegmenterConfig, split_sentences
 from dreq.embeddings import EmbeddingStore
 
 
@@ -31,7 +31,8 @@ def segment_passages(doc: Document, cfg: SegmenterConfig) -> list[Passage]:
     [start, min(start + window, n)). Emission stops with the first window
     whose end reaches the document's last sentence (that window included).
     """
-    n = len(doc.sentences)
+    sentences = split_sentences(doc.text)
+    n = len(sentences)
     passages: list[Passage] = []
     start = 0
     index = 0
@@ -42,7 +43,7 @@ def segment_passages(doc: Document, cfg: SegmenterConfig) -> list[Passage]:
                 doc_id=doc.doc_id,
                 index=index,
                 sentence_range=(start, end),
-                text=" ".join(doc.sentences[start:end]),
+                text=" ".join(sentences[start:end]),
             )
         )
         if end >= n:

@@ -19,7 +19,13 @@ from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
 from dreq.embeddings import query_entity_key
 from dreq.entity_ranking import train_entity_head
 from dreq.model import DreqModel, WeightingMode, rerank
-from dreq.pipeline import build_entity_encoding_examples, pooled_entities_map, pooling_docs
+from dreq.pipeline import (
+    VARIANTS,
+    ablation_sweep,
+    build_entity_encoding_examples,
+    pooled_entities_map,
+    pooling_docs,
+)
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from helpers import store_from_rows
@@ -72,7 +78,7 @@ def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
     folds = make_folds(sorted(data.candidates), k=5, seed=2)
     template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=2)
     cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=2)
-    result = training.train_dreq(template, examples, folds, data, cfg)
+    result = training.train_dreq([template], examples, folds, data, cfg)
 
     assert layers.PROBES["training.train_dreq"]((), {}, result)["fold_epochs"] == [2] * 5
     assert len(calls["rerank"]) == len(data.candidates)
@@ -88,12 +94,38 @@ def test_train_dreq_calls_what_the_probes_read(layers, monkeypatch):
         assert args[1].y.ndim == 2 and args[1].Q.ndim == 3
     # every fold trains each of its minibatches once per epoch, none dropped
     rows = [sum(ex.query_id in set(f.train) for ex in examples) for f in folds.folds]
-    epochs = [len(o.epoch_losses) for o in result.fold_outcomes]
+    epochs = [len(o.epoch_losses) for o in result.fold_outcomes[0]]
     stacked = sum(args[1].y.shape[0] for args, _, _ in calls["dreq_loss_and_grads"])
     assert stacked == sum(e * math.ceil(n / cfg.batch_size) for n, e in zip(rows, epochs))
     # one optimiser step per stacked call, so training.batches and
     # adam_step_s count the same steps
     assert len(calls["adam_step"]) == len(calls["dreq_loss_and_grads"])
+
+
+def test_ablation_sweep_trains_once_and_the_probe_reads_every_run(layers, monkeypatch):
+    """`s_ablate` needs a `training.train_dreq` span under the sweep, and the
+    probe reads one log row per epoch of every (variant, fold) run."""
+    results = []
+
+    def spy(*args, _original=training.train_dreq, **kwargs):
+        results.append(_original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "train_dreq", spy)
+    dims, data, qrels = make_train_world()
+    examples = build_doc_examples(qrels, data.candidates, seed=2)
+    folds = make_folds(sorted(data.candidates), k=5, seed=2)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=1, epochs=6, seed=2, early_stop_patience=1)
+    outcome = ablation_sweep(list(VARIANTS), dims, examples, folds, data, cfg, qrels, init_seed=2)
+
+    (result,) = results
+    assert list(outcome.variant_runs) == list(VARIANTS)
+    fold_epochs = layers.PROBES["training.train_dreq"]((), {}, result)["fold_epochs"]
+    assert len(fold_epochs) == len(folds.folds)
+    epochs = [len(o.epoch_losses) for outs in result.fold_outcomes for o in outs]
+    assert len(epochs) == len(VARIANTS) * len(folds.folds)
+    assert len(set(epochs)) > 1  # runs stopped apart, and each counts its own epochs
+    assert sum(fold_epochs) == sum(epochs)
 
 
 def test_first_stage_probes_read_the_csr_index(layers):

@@ -21,6 +21,7 @@ from dreq.cli import (
 )
 from dreq.corpus import load_corpus, load_entity_catalog
 from dreq.entity_ranking import load_entity_rankings
+from dreq.pipeline import VARIANTS
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
 from dreq.training import FoldPlan
@@ -630,6 +631,59 @@ class TestIndexArtifact:
             "index.npz": "3c2ab04763191656544ebfd3e9df5a07286a4700fa660a7d365ab8b20c7e2f6a",
             "candidates.run": "798a71ad9134294129b0182616cd0e297b95b75b7c3e3f92d0975ebe3ed1228d",
         }
+
+
+class TestTrainingArtifacts:
+    @pytest.mark.parametrize("finetune", ["false", "true"])
+    def test_planted_world_training_outputs_keep_their_bytes(self, tmp_path, finetune):
+        # sha256 pinned when `ablate` trained its variants one `train_dreq`
+        # call after another; at this learning rate some runs stop early,
+        # at epochs that differ between the variants' runs of one fold
+        world = generate_planted_world(PlantedConfig(n_docs=300, n_queries=10, seed=6))
+        work = tmp_path / "work"
+        paths = write_world_files(world, str(work))
+        config = write_config(
+            tmp_path, work, corpus=paths["corpus"], entity_catalog=paths["entities"],
+            queries=paths["queries"], qrels=paths["qrels"], query_links=paths["query_links"],
+            finetune_entity_embeddings=finetune, seed="6",
+            **{f"dims.{d}": "16" for d in "kmnp"},
+            **{"retrieve.k": "30", "train.learning_rate": "0.1", "train.epochs": "30"},
+        )
+        for stage in STAGES[:3] + STAGES[4:7] + [("ablate",)]:
+            assert run(config, *stage) == 0, stage
+        names = ["ablate.tsv", *(f"ablate_{v}.run" for v in VARIANTS)]
+        names += [f"dreq_fold{i}.ckpt" for i in range(5)] + ["dreq_train_log.tsv", "dreq.run"]
+        digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in names}
+        assert digests == {
+            "false": {
+                "ablate.tsv": "0cd882976c59e8b612d652be0921bc8bd1b113b8301cb4781b0694e300fc46aa",
+                "ablate_dreq.run": "f8532c14061a78ab5d206a2f603b573f036c104df0944b7628292af087d834c2",
+                "ablate_uniform.run": "cb877347c3c1468c8cf318796986389cab9f90c44595a7eda4996ab75327d106",
+                "ablate_reciprocal_rank.run": "0ebce1bd93a881b5f2211915481707e9e3bea796687877cf2549fc541d7594c5",
+                "ablate_no_entity.run": "897accfc691bf48b41c897dfa46c568bec376727e8048cca18f4115b9900a7c5",
+                "dreq_fold0.ckpt": "95783b8222bb35b765379789429375f9861f4ac58dd308fb61088b7bdc130079",
+                "dreq_fold1.ckpt": "d0918f396432d5320e486947783bdefadae9b2aca99feb8b82b8680f3daf9603",
+                "dreq_fold2.ckpt": "d58c29261f7024ef59d9087f3d0351bf79d7c0ad5de538aabd3de5617e03daa6",
+                "dreq_fold3.ckpt": "e5a684667060682f5be28eacdc9c47c8fa41b1f4fdf18d303a34c5ac11307e48",
+                "dreq_fold4.ckpt": "990eb8d75ba153a873c675467758bc2954527a22f123f2159780bee4ce1db634",
+                "dreq_train_log.tsv": "d2dd1ac9f658005307abf146017293188cd34f418800fb48d68ade185643e49e",
+                "dreq.run": "6860628eb67abcfa949fb8150d3cb194b6850e3a78e19ae52c38655f87b70c63",
+            },
+            "true": {
+                "ablate.tsv": "26101def8e517c8cf17153078920b1a4ced8444e590c12e9aea43c7d86b9a637",
+                "ablate_dreq.run": "b60d644f4643dbee14a0faca0ef8fad06a291192a362cfa572d2ce57b1c8c586",
+                "ablate_uniform.run": "339b5b6bc00a78eed2e177968b903d646c33bdfd4c3e52a5e0d1f8b8c751a810",
+                "ablate_reciprocal_rank.run": "16ae98952618b851f68b8a990e978408a8b9a9039d65670e0c275d6f82c0cba0",
+                "ablate_no_entity.run": "897accfc691bf48b41c897dfa46c568bec376727e8048cca18f4115b9900a7c5",
+                "dreq_fold0.ckpt": "1f4a2c0689465dd23f16fa90334a93e2d6ef07fcff5a7fa8b5139ad5d8364602",
+                "dreq_fold1.ckpt": "5189f6db97272b24f2098f796e8820562aba0173dc734ae6b3fa95a9155dd316",
+                "dreq_fold2.ckpt": "580873e7e64daff334501b6d44c09ed621338e185a34f5975c111a9fed3a4cb1",
+                "dreq_fold3.ckpt": "107ebd617a37b15cfcd49599e7af6838031749e84e6fc9e0e6581c998b774243",
+                "dreq_fold4.ckpt": "c0dff008e2a717b3fb18646f063fa55a4ef7ca43a35f59fd9a384beedbde4c5d",
+                "dreq_train_log.tsv": "5c83901322040c97a2d2983f622b7db3255f136ab8ff8db93566eff742989cd4",
+                "dreq.run": "a1175c6e5926b5ea047b4c674cc4694f766a5c6fca7b28259884e04e57e0224a",
+            },
+        }[finetune]
 
 
 class TestDeterminism:

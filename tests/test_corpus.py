@@ -45,8 +45,7 @@ class TestLoadCorpus:
         assert len(store) == 2
         doc = store.doc("d1")
         assert doc.entity_ids == ("a",)
-        assert "sentences" not in vars(doc)  # split on first use only
-        assert doc.sentences == split_sentences(doc.text) == ["s0 ends.", "s1 ends.", "s2 ends."]
+        assert split_sentences(doc.text) == ["s0 ends.", "s1 ends.", "s2 ends."]
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = write_corpus(tmp_path, [make_doc("d1", []), make_doc("d1", [])])

@@ -326,9 +326,10 @@ class TestEntitySumBatch:
         examples = build_doc_examples(qrels, data.candidates, seed=3)
         table = train_feature_table(data, examples)
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=3)
-        all_rows = _example_batch(template, examples, data, table)
+        all_rows = _example_batch([template], examples, data, table, finetune=True)
         for idx in np.array_split(np.random.default_rng(0).permutation(len(examples)), 4):
-            batch = _take(all_rows, idx)
+            stacked = _take(all_rows, np.zeros(1, np.intp), idx[None])
+            batch = DreqBatch(**{k: v[0] for k, v in vars(stacked).items()})  # the one run
             Ve = batch.X[:, dims.n :]
             assert np.array_equal(Ve, _entity_vectors(batch.links, batch.weights, table.entities))
             dense = dense_weights(batch, len(table.entities)) @ table.entities
@@ -409,35 +410,37 @@ class TestTrainDreq:
             finetune_entity_embeddings=finetune,
         )
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=seed)
-        return train_dreq(template, examples, plan, data, cfg)
+        result = train_dreq([template], examples, plan, data, cfg)
+        (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
+        return outcomes, reranked
 
     def test_out_of_fold_covers_all_queries_once(self):
-        result = self.run_once()
-        assert sorted(result.reranked) == [f"q{i}" for i in range(6)]
+        _, reranked = self.run_once()
+        assert sorted(reranked) == [f"q{i}" for i in range(6)]
 
     def test_training_reduces_loss(self):
-        result = self.run_once()
-        for outcome in result.fold_outcomes:
+        outcomes, _ = self.run_once()
+        for outcome in outcomes:
             assert outcome.epoch_losses[-1] < outcome.epoch_losses[0]
 
     def test_bit_identical_across_runs(self):
-        a, b = self.run_once(), self.run_once()
-        for oa, ob in zip(a.fold_outcomes, b.fold_outcomes):
+        (outcomes_a, a), (outcomes_b, b) = self.run_once(), self.run_once()
+        for oa, ob in zip(outcomes_a, outcomes_b):
             assert np.array_equal(oa.model.W2, ob.model.W2)
             assert np.array_equal(oa.model.w3, ob.model.w3)
             assert oa.model.b3 == ob.model.b3
-        for qid in a.reranked:
-            assert a.reranked[qid].doc_ids == b.reranked[qid].doc_ids
-            assert a.reranked[qid].scores.tolist() == b.reranked[qid].scores.tolist()
+        for qid in a:
+            assert a[qid].doc_ids == b[qid].doc_ids
+            assert a[qid].scores.tolist() == b[qid].scores.tolist()
 
     def test_finetune_changes_entity_store_copy_only(self):
         dims, data, qrels = make_train_world()
         before = data.entity_store.vectors.copy()
-        result = self.run_once(finetune=True)
+        outcomes, _ = self.run_once(finetune=True)
         # original store untouched
         assert np.array_equal(data.entity_store.vectors, before)
         moved = 0
-        for outcome in result.fold_outcomes:
+        for outcome in outcomes:
             assert outcome.entity_store.ids == data.entity_store.ids
             moved += int((outcome.entity_store.vectors != before).any(axis=1).sum())
         assert moved > 0
@@ -451,7 +454,7 @@ class TestTrainDreq:
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=1)
         cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=1)
         with pytest.raises(KeyError, match="q3"):
-            train_dreq(template, examples, plan, data, cfg)
+            train_dreq([template], examples, plan, data, cfg)
 
 
 # --- the trainer against a plain reference ------------------------------------
@@ -587,28 +590,37 @@ def link_more_entities(data):
         data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
 
 
-def assert_matches_reference(template, examples, folds, data, cfg):
-    """`train_dreq` equals `reference_train` bit for bit; returns its result."""
-    result = train_dreq(template, examples, folds, data, cfg)
-    expected_folds, expected_log, expected_runs = reference_train(
-        template, examples, folds, data, cfg
-    )
-
-    assert result.log_rows == expected_log
-    for outcome, (W2, b2, w3, b3, entities) in zip(result.fold_outcomes, expected_folds):
-        assert np.array_equal(outcome.model.W2, W2)
-        assert np.array_equal(outcome.model.b2, b2)
-        assert np.array_equal(outcome.model.w3, w3)
-        assert outcome.model.b3 == b3
-        assert np.array_equal(outcome.entity_store.take(data.entity_store.ids), entities)
-    assert result.reranked.keys() == expected_runs.keys()
-    for qid, ranking in expected_runs.items():
-        got = result.reranked[qid]
-        assert got.doc_ids == ranking.doc_ids
-        assert got.scores.tolist() == ranking.scores.tolist()
-    if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
-        original = data.entity_store.vectors
-        assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
+def assert_matches_reference(templates, examples, folds, data, cfg):
+    """`train_dreq` on `templates` gives each template, bit for bit, what
+    `reference_train` gives that template alone; returns its result."""
+    result = train_dreq(templates, examples, folds, data, cfg)
+    assert len(result.fold_outcomes) == len(result.reranked) == len(templates)
+    all_log_rows = []
+    for template, outcomes, reranked in zip(templates, result.fold_outcomes, result.reranked):
+        expected_folds, expected_log, expected_runs = reference_train(
+            template, examples, folds, data, cfg
+        )
+        log_rows = [
+            (o.fold_index, e, loss) for o in outcomes for e, loss in enumerate(o.epoch_losses)
+        ]
+        assert log_rows == expected_log
+        all_log_rows += log_rows
+        assert len(outcomes) == len(expected_folds)
+        for outcome, (W2, b2, w3, b3, entities) in zip(outcomes, expected_folds):
+            assert np.array_equal(outcome.model.W2, W2)
+            assert np.array_equal(outcome.model.b2, b2)
+            assert np.array_equal(outcome.model.w3, w3)
+            assert outcome.model.b3 == b3
+            assert np.array_equal(outcome.entity_store.take(data.entity_store.ids), entities)
+        assert reranked.keys() == expected_runs.keys()
+        for qid, ranking in expected_runs.items():
+            got = reranked[qid]
+            assert got.doc_ids == ranking.doc_ids
+            assert got.scores.tolist() == ranking.scores.tolist()
+        if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
+            original = data.entity_store.vectors
+            assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
+    assert result.log_rows == all_log_rows
     return result
 
 
@@ -618,6 +630,37 @@ def reference_world():
     examples = build_doc_examples(qrels, data.candidates, seed=4)
     folds = make_folds(sorted(data.candidates), k=5, seed=4)
     return dims, data, examples, folds
+
+
+def lockstep_config(examples, folds, finetune, batch, epochs, patience, delta):
+    """Settings under which folds' minibatch counts, last-minibatch sizes and
+    stopping epochs can differ: "one" row, a "ragged" size that divides no
+    fold's row count, or the "whole" of the largest fold in one minibatch."""
+    sizes = [sum(ex.query_id in set(f.train) for ex in examples) for f in folds.folds]
+    assert len(set(sizes)) > 1
+    batch_size = {
+        "one": 1,
+        "ragged": next(b for b in range(2, max(sizes)) if all(n % b for n in sizes)),
+        "whole": max(sizes) + 1,
+    }[batch]
+    return TrainConfig(
+        learning_rate=0.05,
+        batch_size=batch_size,
+        epochs=epochs,
+        seed=4,
+        finetune_entity_embeddings=finetune,
+        early_stop_delta=delta,
+        early_stop_patience=patience,
+    )
+
+
+LOCKSTEP_DRAWS = dict(
+    finetune=st.booleans(),
+    batch=st.sampled_from(["one", "ragged", "whole"]),
+    epochs=st.integers(1, 6),
+    patience=st.integers(1, 3),
+    delta=st.sampled_from([1e-5, 0.02, 0.1]),
+)
 
 
 class TestTrainerMatchesReference:
@@ -632,40 +675,34 @@ class TestTrainerMatchesReference:
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=3, epochs=6, seed=4, finetune_entity_embeddings=finetune
         )
-        assert_matches_reference(template, examples, folds, data, cfg)
+        assert_matches_reference([template], examples, folds, data, cfg)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        variant=st.sampled_from(sorted(VARIANTS)),
-        finetune=st.booleans(),
-        batch=st.sampled_from(["one", "ragged", "whole"]),
-        epochs=st.integers(1, 6),
-        patience=st.integers(1, 3),
-        delta=st.sampled_from([1e-5, 0.02, 0.1]),
-    )
+    @given(variant=st.sampled_from(sorted(VARIANTS)), **LOCKSTEP_DRAWS)
     def test_ragged_lockstep(self, variant, finetune, batch, epochs, patience, delta):
         """Folds whose minibatch counts, last-minibatch sizes and stopping
         epochs differ, so that fold groups split and shrink mid-training."""
         dims, data, examples, folds = reference_world()
-        sizes = [sum(ex.query_id in set(f.train) for ex in examples) for f in folds.folds]
-        assert len(set(sizes)) > 1
-        batch_size = {
-            "one": 1,
-            "ragged": next(b for b in range(2, max(sizes)) if all(n % b for n in sizes)),
-            "whole": max(sizes) + 1,
-        }[batch]
+        cfg = lockstep_config(examples, folds, finetune, batch, epochs, patience, delta)
         mode, use_entities = VARIANTS[variant]
         template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
-        cfg = TrainConfig(
-            learning_rate=0.05,
-            batch_size=batch_size,
-            epochs=epochs,
-            seed=4,
-            finetune_entity_embeddings=finetune,
-            early_stop_delta=delta,
-            early_stop_patience=patience,
-        )
-        assert_matches_reference(template, examples, folds, data, cfg)
+        assert_matches_reference([template], examples, folds, data, cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(sorted(VARIANTS)), count=st.integers(1, 4), **LOCKSTEP_DRAWS)
+    def test_stacked_templates_match_each_alone(
+        self, order, count, finetune, batch, epochs, patience, delta
+    ):
+        """1-4 of the variants, in any order, in one call: the runs of a
+        template with entities and of one without share the run axis, the
+        fine-tuned tables and the step count, and stop at their own epochs."""
+        dims, data, examples, folds = reference_world()
+        cfg = lockstep_config(examples, folds, finetune, batch, epochs, patience, delta)
+        templates = [
+            DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+            for mode, use_entities in (VARIANTS[name] for name in order[:count])
+        ]
+        assert_matches_reference(templates, examples, folds, data, cfg)
 
     @pytest.mark.parametrize("batch_size, delta", [(1, 0.02), (7, 1e-5), (49, 1e-5)])
     def test_folds_stop_at_different_epochs(self, batch_size, delta):
@@ -675,8 +712,21 @@ class TestTrainerMatchesReference:
         template = DreqModel.init(dims, WeightingMode.PROBABILITY, seed=4)
         cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=6, seed=4,
                           early_stop_delta=delta, early_stop_patience=1)
-        result = assert_matches_reference(template, examples, folds, data, cfg)
-        assert len({len(o.epoch_losses) for o in result.fold_outcomes}) > 1
+        result = assert_matches_reference([template], examples, folds, data, cfg)
+        assert len({len(o.epoch_losses) for o in result.fold_outcomes[0]}) > 1
+
+    def test_templates_stop_at_different_epochs(self):
+        """The stacked draws reach runs of one fold that stop apart across
+        templates: here every variant stops its folds at its own epochs."""
+        dims, data, examples, folds = reference_world()
+        cfg = lockstep_config(examples, folds, False, "one", 6, 1, 1e-5)
+        templates = [
+            DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+            for mode, use_entities in VARIANTS.values()
+        ]
+        result = assert_matches_reference(templates, examples, folds, data, cfg)
+        stops = {tuple(len(o.epoch_losses) for o in outs) for outs in result.fold_outcomes}
+        assert len(stops) == len(templates)
 
 
 class TestFlatAdam:
