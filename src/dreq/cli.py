@@ -17,7 +17,9 @@ Each stage runs in its own process, so start-up is paid nine times on the
 user's path. This module loads only the first-stage modules (`corpus`,
 `retrieval`) up front; a stage imports the rest of what it runs inside its
 `cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
-or training code.
+or training code. `build-index` loads the corpus with `mentions=False`: its
+lines and mentions are checked as in every other stage, but only the texts
+are kept.
 """
 
 from __future__ import annotations
@@ -324,9 +326,9 @@ def load_query_links(path: str) -> dict[str, list[tuple[str, float]]]:
 # --- shared loading --------------------------------------------------------------
 
 
-def _load_corpus(settings: Settings):
+def _load_corpus(settings: Settings, mentions: bool = True):
     catalog = settings.values.get("entity_catalog")
-    return load_corpus(settings.get("corpus"), catalog_path=catalog)
+    return load_corpus(settings.get("corpus"), catalog_path=catalog, mentions=mentions)
 
 
 def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
@@ -356,9 +358,8 @@ def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
 
 def cmd_build_index(settings: Settings) -> None:
     t0 = time.time()
-    # only the texts outlive the store, so the parsed mentions are freed
-    # before the index is built
-    texts = _load_corpus(settings).texts()
+    # the index reads only the texts: every mention is checked, none is built
+    texts = _load_corpus(settings, mentions=False).texts()
     index_path = settings.workpath("index.npz")
     index = build_index(texts, settings.tokenizer())
     del texts

@@ -25,6 +25,11 @@ holds every linked id in first-mention order over the corpus, so the
 store's entity table is built from it in one pass. A document keeps no
 split of its sentences: the stages that need one only count them, with
 `split_sentences`.
+
+`load_corpus(..., mentions=False)` checks every line and every mention the
+same way, with the same errors, and builds nothing from them: each document
+keeps only its id and text, and the entity table only the catalog's
+records. `build-index`, which reads only the texts, is the one caller.
 """
 
 from __future__ import annotations
@@ -165,13 +170,13 @@ class CorpusStore:
         return {doc_id: doc.text for doc_id, doc in self.documents.items()}
 
 
-def _read_document(
-    raw, ids: dict, surfaces: dict, offsets: dict, confidences: dict
-) -> Document:
+def _read_document(raw, *memos: dict) -> Document:
     """One parsed corpus line as a `Document`; a malformed one is a
-    ValueError without location. Each mention field's value is looked up in
-    that field's memo, so equal values share one object. Zero confidences
-    bypass their memo: `-0.0 == 0.0`, and a memo would drop the sign."""
+    ValueError without location. With the four `memos` (entity id, surface,
+    offset, confidence) each mention field's value is looked up in that
+    field's memo, so equal values share one object. Zero confidences bypass
+    their memo: `-0.0 == 0.0`, and a memo would drop the sign. With no memos
+    the mentions are checked alike and none is built."""
     if type(raw) is not dict:
         raise ValueError("expected a JSON object")
     try:
@@ -184,6 +189,8 @@ def _read_document(
         raise ValueError(f"doc {doc_id!r}: entities must be a list, got {raw_mentions!r}")
     text_len = len(text)
     mentions = []
+    if memos:
+        ids, surfaces, offsets, confidences = memos
     for m in raw_mentions:
         if type(m) is not dict:
             raise ValueError(f"doc {doc_id!r}: mention {m!r} is not an object")
@@ -210,6 +217,8 @@ def _read_document(
             confidence = float(confidence)
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"doc {doc_id!r}: confidence {confidence} outside [0, 1]")
+        if not memos:
+            continue
         mentions.append(EntityMention(
             ids.setdefault(entity_id, entity_id),
             surfaces.setdefault(surface, surface),
@@ -218,21 +227,28 @@ def _read_document(
             confidences.setdefault(confidence, confidence) if confidence else confidence,
         ))
     doc = Document(doc_id, text, mentions)
-    doc.entity_ids = tuple(dict.fromkeys([m[0] for m in mentions]))
+    if memos:
+        doc.entity_ids = tuple(dict.fromkeys([m[0] for m in mentions]))
     return doc
 
 
-def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
+def load_corpus(
+    path: str, catalog_path: str | None = None, *, mentions: bool = True
+) -> CorpusStore:
     """Load a JSONL corpus.
 
     Rejects malformed lines, duplicate doc_ids and mention spans outside the
     text, each with `path:line`. When `catalog_path` is given its
     descriptions are merged into the store's entity table; entities
     mentioned but absent from the catalog get an empty-description record.
+
+    With `mentions=False` every line and mention is checked as above, but
+    no mention is kept: documents have empty `mentions`, and the entity
+    table holds only the catalog's records. Only `build-index` loads so.
     """
     store = CorpusStore()
     ids: dict[str, str] = {}  # every linked entity id, in first-mention order
-    memos = (ids, {}, {}, {})
+    memos = (ids, {}, {}, {}) if mentions else ()
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()

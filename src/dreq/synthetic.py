@@ -12,7 +12,9 @@ normalized on its own, so every vector has the bits of the same arithmetic
 done one key at a time. Passage keys come from `SegmenterConfig.passage_count`
 of the number of sentences `_compose_doc` built for each document; no text is
 split again. One `random.Random(seed)` draws all the text, so a seed gives
-the same files, byte for byte, on every run.
+the same files, byte for byte, on every run. The stores draw nothing from it,
+so each is built on its first read (`SyntheticWorld`): a world written with
+`stores=False` embeds no vector.
 
 `write_world_files` formats each corpus line itself (`_corpus_line`); a line
 is byte-equal to `json.dumps` of the document's object with `sort_keys=True`.
@@ -24,6 +26,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -74,6 +77,9 @@ class PlantedConfig:
     passage_noise: float = 0.7
 
     def __post_init__(self) -> None:
+        if self.planted_per_query < 2:
+            # each relevant document mentions one or two of its query's planted entities
+            raise ValueError(f"planted_per_query must be >= 2, got {self.planted_per_query}")
         budget = self.n_queries * (self.relevant_per_query + self.distractors_per_query)
         if budget > self.n_docs:
             raise ValueError(
@@ -83,17 +89,100 @@ class PlantedConfig:
 
 @dataclass
 class SyntheticWorld:
+    """A planted world. Its four embedding stores are built on first read
+    from the fields below; they draw no random values, so when they are
+    built changes no bit of them or of the world's files."""
+
     corpus: CorpusStore
     queries: list[Query]
     qrels: Qrels
-    dims: DimsConfig
     seg: SegmenterConfig
-    query_store: EmbeddingStore
-    entity_store: EmbeddingStore
-    passage_store: EmbeddingStore
-    encoding_store: EmbeddingStore
     planted: dict[str, list[str]]  # query_id -> planted entity ids
     query_links: dict[str, list[tuple[str, float]]]  # query_id -> (entity, confidence)
+    cfg: PlantedConfig
+    doc_topic: dict[str, str]  # topical (relevant or distractor) doc -> query
+    passage_counts: list[int]  # passages per document, in corpus order
+
+    @property
+    def dims(self) -> DimsConfig:
+        return self.cfg.dims
+
+    # --- aligned embedding stores ---------------------------------------
+    # One synthetic_embed_rows call per store. The sums below are elementwise
+    # and unit_rows normalizes each row on its own, so every row has the bits
+    # of the same arithmetic done one vector at a time.
+
+    @cached_property
+    def query_store(self) -> EmbeddingStore:
+        """One topic direction per query: the rows the other stores align to."""
+        qids = [q.query_id for q in self.queries]
+        topics = synthetic_embed_rows("topic", qids, self.dims.p, self.cfg.seed)
+        return EmbeddingStore("query", qids, topics)
+
+    def _to_space(self, space: str, dim: int) -> np.ndarray:
+        """The topic rows under a fixed random projection when the target
+        space has a different dim."""
+        topics, p = self.query_store.vectors, self.dims.p
+        if dim == p:
+            return topics
+        P = synthetic_embed_rows(f"proj_{space}", [f"row{i}" for i in range(dim)], p, self.cfg.seed)
+        return unit_rows(np.array([P @ u for u in topics]).reshape(len(topics), dim))
+
+    @cached_property
+    def entity_store(self) -> EmbeddingStore:
+        """Planted entities lie near their query's topic; the rest are random."""
+        cfg, m = self.cfg, self.dims.m
+        topic_of = self.query_store.row
+        all_entities = list(self.corpus.entities)
+        planted_of = {e: topic_of[qid] for qid, ents in self.planted.items() for e in ents}
+        is_planted = np.array([eid in planted_of for eid in all_entities], dtype=bool)
+        planted_ids = [eid for eid in all_entities if eid in planted_of]
+        vectors = np.empty((len(all_entities), m))
+        vectors[~is_planted] = synthetic_embed_rows(
+            "ent", [eid for eid in all_entities if eid not in planted_of], m, cfg.seed
+        )
+        vectors[is_planted] = unit_rows(
+            self._to_space("entity", m)[[planted_of[eid] for eid in planted_ids]]
+            + cfg.entity_noise * synthetic_embed_rows("entnoise", planted_ids, m, cfg.seed)
+        )
+        return EmbeddingStore("entity", all_entities, vectors)
+
+    @cached_property
+    def passage_store(self) -> EmbeddingStore:
+        """Topical documents (relevant and keyword-stuffed alike) share their
+        query's text direction, so text alone cannot tell them apart."""
+        cfg, n = self.cfg, self.dims.n
+        topic_of = self.query_store.row
+        keys: list[str] = []
+        topic: list[int] = []  # row of the passage's query in the query store, -1 for none
+        for doc_id, count in zip(self.corpus.documents, self.passage_counts):
+            keys += [passage_key(doc_id, i) for i in range(count)]
+            topic += [topic_of.get(self.doc_topic.get(doc_id), -1)] * count
+        vectors = synthetic_embed_rows("passage", keys, n, cfg.seed)
+        rows = np.array(topic, dtype=np.intp)
+        topical = rows >= 0
+        vectors[topical] = unit_rows(
+            cfg.passage_signal * self._to_space("passage", n)[rows[topical]]
+            + cfg.passage_noise * vectors[topical]
+        )
+        return EmbeddingStore("passage", keys, vectors)
+
+    @cached_property
+    def encoding_store(self) -> EmbeddingStore:
+        """(query, entity) encodings: planted pairs point along one base
+        direction, all others against it."""
+        cfg, k = self.cfg, self.dims.k
+        qids = self.query_store.ids
+        all_entities = list(self.corpus.entities)
+        base_dir = synthetic_embed("encdir", "base", k, cfg.seed)
+        keys = [query_entity_key(qid, eid) for qid in qids for eid in all_entities]
+        signs = np.array(
+            [1.0 if eid in self.planted[qid] else -1.0 for qid in qids for eid in all_entities]
+        )
+        return EmbeddingStore("query_entity", keys, unit_rows(
+            (signs * cfg.encoding_signal)[:, None] * base_dir
+            + cfg.encoding_noise * synthetic_embed_rows("enc", keys, k, cfg.seed)
+        ))
 
 
 def _compose_doc(
@@ -138,7 +227,6 @@ def _compose_doc(
 
 def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     rng = random.Random(cfg.seed)
-    dims = cfg.dims
     filler = [f"w{i:03d}" for i in range(cfg.filler_vocab)]
     noise_entities = [f"enoise{i:03d}" for i in range(cfg.noise_entities)]
 
@@ -201,64 +289,9 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
             corpus.entities[eid] = EntityRecord(eid, f"about {' '.join(topic_words[qid])}")
     for eid in noise_entities:
         corpus.entities[eid] = EntityRecord(eid, " ".join(rng.sample(filler, 6)))
-    all_entities = list(corpus.entities)
 
     seg = SegmenterConfig()
-
-    # --- aligned embedding stores ---------------------------------------
-    # One synthetic_embed_rows call per store. The sums below are elementwise
-    # and unit_rows normalizes each row on its own, so every row has the bits
-    # of the same arithmetic done one vector at a time.
-    qids = [q.query_id for q in queries]
-    topic_of = {qid: i for i, qid in enumerate(qids)}  # query -> row of `topics`
-    topics = synthetic_embed_rows("topic", qids, dims.p, cfg.seed)
-    query_store = EmbeddingStore("query", qids, topics)
-
-    def to_space(space: str, dim: int) -> np.ndarray:
-        # the topic rows under a fixed random projection when the target
-        # space has a different dim
-        if dim == dims.p:
-            return topics
-        P = synthetic_embed_rows(f"proj_{space}", [f"row{i}" for i in range(dim)], dims.p, cfg.seed)
-        return unit_rows(np.array([P @ u for u in topics]).reshape(len(qids), dim))
-
-    planted_of = {e: topic_of[qid] for qid, ents in planted.items() for e in ents}
-    is_planted = np.array([eid in planted_of for eid in all_entities], dtype=bool)
-    planted_ids = [eid for eid in all_entities if eid in planted_of]
-    entity_vectors = np.empty((len(all_entities), dims.m))
-    entity_vectors[~is_planted] = synthetic_embed_rows(
-        "ent", [eid for eid in all_entities if eid not in planted_of], dims.m, cfg.seed
-    )
-    entity_vectors[is_planted] = unit_rows(
-        to_space("entity", dims.m)[[planted_of[eid] for eid in planted_ids]]
-        + cfg.entity_noise * synthetic_embed_rows("entnoise", planted_ids, dims.m, cfg.seed)
-    )
-    entity_store = EmbeddingStore("entity", all_entities, entity_vectors)
-
-    # topical documents (relevant and keyword-stuffed alike) share their
-    # query's text direction, so text alone cannot tell them apart
-    passage_keys: list[str] = []
-    passage_topic: list[int] = []  # row of the passage's query in `topics`, -1 for none
-    for doc, sentences in zip(corpus.documents.values(), doc_sentences):
-        count = seg.passage_count(sentences)
-        passage_keys += [passage_key(doc.doc_id, i) for i in range(count)]
-        passage_topic += [topic_of.get(doc_topic.get(doc.doc_id), -1)] * count
-    passage_vectors = synthetic_embed_rows("passage", passage_keys, dims.n, cfg.seed)
-    rows = np.array(passage_topic, dtype=np.intp)
-    topical = rows >= 0
-    passage_vectors[topical] = unit_rows(
-        cfg.passage_signal * to_space("passage", dims.n)[rows[topical]]
-        + cfg.passage_noise * passage_vectors[topical]
-    )
-    passage_store = EmbeddingStore("passage", passage_keys, passage_vectors)
-
-    base_dir = synthetic_embed("encdir", "base", dims.k, cfg.seed)
-    encoding_keys = [query_entity_key(qid, eid) for qid in qids for eid in all_entities]
-    signs = np.array([1.0 if eid in planted[qid] else -1.0 for qid in qids for eid in all_entities])
-    encoding_store = EmbeddingStore("query_entity", encoding_keys, unit_rows(
-        (signs * cfg.encoding_signal)[:, None] * base_dir
-        + cfg.encoding_noise * synthetic_embed_rows("enc", encoding_keys, dims.k, cfg.seed)
-    ))
+    passage_counts = [seg.passage_count(sentences) for sentences in doc_sentences]
 
     # imperfect query-side entity links: most planted entities plus one stray
     query_links: dict[str, list[tuple[str, float]]] = {}
@@ -271,14 +304,12 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
         corpus=corpus,
         queries=queries,
         qrels=qrels,
-        dims=dims,
         seg=seg,
-        query_store=query_store,
-        entity_store=entity_store,
-        passage_store=passage_store,
-        encoding_store=encoding_store,
         planted=planted,
         query_links=query_links,
+        cfg=cfg,
+        doc_topic=doc_topic,
+        passage_counts=passage_counts,
     )
 
 

@@ -3,9 +3,13 @@
 `segment_passages` cuts a document into the sentence windows whose number
 `SegmenterConfig.passage_count` gives and whose keys a passage store holds.
 `store_from_rows` makes an `EmbeddingStore` from (id, vector) pairs.
+`MALFORMED_CORPUS_LINES` are corpus lines `load_corpus` rejects, each with
+its message.
 """
 
 from __future__ import annotations
+
+import json
 
 from dataclasses import dataclass
 from typing import Iterable
@@ -58,3 +62,29 @@ def store_from_rows(space: str, dim: int, rows: Iterable[tuple[str, np.ndarray]]
     rows = list(rows)
     vectors = np.array([vec for _, vec in rows]).reshape(len(rows), dim)
     return EmbeddingStore(space, [key for key, _ in rows], vectors)
+
+
+_MENTION = {"entity_id": "e1", "mention": "a", "start": 0, "end": 1, "confidence": 0.5}
+
+
+def _bad_mention(**fields) -> str:
+    """A one-mention document line whose mention has `fields` (None drops one)."""
+    mention = {k: v for k, v in {**_MENTION, **fields}.items() if v is not None}
+    return json.dumps({"doc_id": "dbad", "text": "a b", "entities": [mention]})
+
+
+# id -> (corpus line, the message load_corpus gives after its `path:line: `)
+MALFORMED_CORPUS_LINES = {
+    "entities-null": (json.dumps({"doc_id": "dbad", "text": "a", "entities": None}),
+                      "doc 'dbad': entities must be a list, got None"),
+    "string-mention": (json.dumps({"doc_id": "dbad", "text": "a", "entities": ["e1"]}),
+                       "doc 'dbad': mention 'e1' is not an object"),
+    "not-an-object": ("[1, 2]", "expected a JSON object"),
+    "no-start": (_bad_mention(start=None), "doc 'dbad': mention missing field 'start'"),
+    "no-entity-id": (_bad_mention(entity_id=None), "doc 'dbad': mention missing field 'entity_id'"),
+    "string-start": (_bad_mention(start="x"), "doc 'dbad': mention span ['x', 1) must be integers"),
+    "fractional-start": (_bad_mention(start=0.5),
+                         "doc 'dbad': mention span [0.5, 1) must be integers"),
+    "string-confidence": (_bad_mention(confidence="x"),
+                          "doc 'dbad': confidence 'x' is not a number"),
+}

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from dreq import training
+from dreq import corpus as corpus_module, training
 from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
 from dreq.embeddings import query_entity_key
 from dreq.entity_ranking import train_entity_head
@@ -29,6 +30,7 @@ from dreq.pipeline import (
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from helpers import store_from_rows
+from test_cli import run, write_config
 from test_training import make_train_world
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "dreqbench")
@@ -138,6 +140,37 @@ def test_first_stage_probes_read_the_csr_index(layers):
     assert layers.PROBES["retrieval.retrieve"]((index, "topic01a topic01b"), {"k": 30}, ranking) == {
         "docs": 30
     }
+
+
+def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_path, monkeypatch):
+    """`cli.load_corpus_calls` finds the one `corpus.load_corpus` span of
+    `build-index`; that load checks the corpus but makes no `EntityMention`,
+    while the full load makes one per mention."""
+    made = []
+
+    class Counted(EntityMention):
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(corpus_module, "EntityMention", Counted)
+    config = write_config(tmp_path, tmp_path / "work")
+    tracer = layers.Tracer(layers.PROBES)
+    tracer.install()
+    try:
+        tracer.stage = "build-index"
+        assert run(config, "build-index") == 0
+    finally:
+        tracer.uninstall()
+    metric = next(m for m in layers.METRICS if m.name == "cli.load_corpus_calls")
+    assert metric.value(layers.Trace(tracer, {}, 0, 0.0, {})) == 1.0
+    assert made == []
+
+    path = os.path.join(TOY, "corpus.jsonl")
+    with open(path, encoding="utf-8") as f:
+        mentions = sum(len(json.loads(line)["entities"]) for line in f)
+    load_corpus(path)
+    assert len(made) == mentions > 0
 
 
 def test_ranking_and_document_probes_read_the_columns(layers):

@@ -25,6 +25,7 @@ from dreq.pipeline import VARIANTS
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
 from dreq.training import FoldPlan
+from helpers import MALFORMED_CORPUS_LINES
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -458,35 +459,12 @@ class TestQueryLinks:
         assert load_query_links(str(path)) == expected
 
 
-MENTION = {"entity_id": "e1", "mention": "a", "start": 0, "end": 1, "confidence": 0.5}
-
-
-def bad_mention(**fields):
-    """A one-mention toy document whose mention has `fields` (None drops one)."""
-    mention = {k: v for k, v in {**MENTION, **fields}.items() if v is not None}
-    return json.dumps({"doc_id": "dbad", "text": "a b", "entities": [mention]})
-
-
 class TestMalformedInputLines:
     """`build-index` on the toy world with one bad line appended: an
     `error: path:line: ...` line, never a traceback."""
 
     @pytest.mark.parametrize(
-        ("line", "message"),
-        [
-            (json.dumps({"doc_id": "dbad", "text": "a", "entities": None}),
-             "doc 'dbad': entities must be a list, got None"),
-            (json.dumps({"doc_id": "dbad", "text": "a", "entities": ["e1"]}),
-             "doc 'dbad': mention 'e1' is not an object"),
-            ("[1, 2]", "expected a JSON object"),
-            (bad_mention(start=None), "doc 'dbad': mention missing field 'start'"),
-            (bad_mention(entity_id=None), "doc 'dbad': mention missing field 'entity_id'"),
-            (bad_mention(start="x"), "doc 'dbad': mention span ['x', 1) must be integers"),
-            (bad_mention(start=0.5), "doc 'dbad': mention span [0.5, 1) must be integers"),
-            (bad_mention(confidence="x"), "doc 'dbad': confidence 'x' is not a number"),
-        ],
-        ids=["entities-null", "string-mention", "not-an-object", "no-start", "no-entity-id",
-             "string-start", "fractional-start", "string-confidence"],
+        ("line", "message"), list(MALFORMED_CORPUS_LINES.values()), ids=list(MALFORMED_CORPUS_LINES)
     )
     def test_corpus_line(self, tmp_path, capsys, line, message):
         corpus = tmp_path / "corpus.jsonl"

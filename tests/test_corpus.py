@@ -18,7 +18,7 @@ from dreq.corpus import (
     split_sentences,
     transfer_labels,
 )
-from helpers import segment_passages
+from helpers import MALFORMED_CORPUS_LINES, segment_passages
 
 
 def make_doc(doc_id, entity_ids, n_sentences=3):
@@ -376,3 +376,56 @@ class TestLoadCorpusSharing:
         assert (a.confidence.hex(), b.confidence.hex(), d.confidence.hex()) == (
             "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0"
         )
+
+
+# lines every corpus rejects, each with its message after `path:line: `, or
+# None where only the location is checked
+REJECTED_LINES = [
+    *MALFORMED_CORPUS_LINES.values(),
+    (json.dumps({"doc_id": "dbad", "text": "a b", "entities": [
+        {"entity_id": "e1", "start": 1, "end": 4}]}),
+     "doc 'dbad': mention end 4 beyond text length 3"),
+    (json.dumps({"doc_id": "dbad", "text": "a b", "entities": [
+        {"entity_id": "e1", "start": 0, "end": 1, "confidence": 1.5}]}),
+     "doc 'dbad': confidence 1.5 outside [0, 1]"),
+    (json.dumps({"doc_id": "d0", "text": "again"}), "duplicate doc_id 'd0'"),
+    ('{"doc_id": "dbad", "text": ', None),
+]
+
+
+class TestLoadCorpusWithoutMentions:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_lines(), st.none() | st.sampled_from(REJECTED_LINES))
+    def test_checks_alike_and_keeps_the_texts(self, tmp_path_factory, docs, rejected):
+        """`mentions=False` rejects a line with the same error as the full
+        load, and otherwise keeps the same texts in the same order, with no
+        mention and no entity record."""
+        path = write_corpus(tmp_path_factory.mktemp("corpus"), docs)
+        if rejected is not None:
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(rejected[0] + "\n")
+        outcomes = []
+        for mentions in (True, False):
+            try:
+                store = load_corpus(path, mentions=mentions)
+            except ValueError as e:
+                outcomes.append(str(e))
+            else:
+                outcomes.append(list(store.texts().items()))
+        assert outcomes[0] == outcomes[1]
+        if rejected is None:
+            assert [doc.mentions for doc in store.documents.values()] == [[]] * len(docs)
+            assert store.entities == {}
+        else:
+            message = rejected[1]
+            where = f"{path}:{len(docs) + 1}: "
+            assert outcomes[0].startswith(where)
+            assert message is None or outcomes[0] == where + message
+
+    def test_keeps_the_catalog_records(self, tmp_path):
+        path = write_corpus(tmp_path, [make_doc("d1", ["e1", "e2"])])
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text(json.dumps({"entity_id": "e9", "description": "nine"}) + "\n")
+        store = load_corpus(path, str(catalog), mentions=False)
+        assert store.entities == {"e9": EntityRecord("e9", "nine")}
+        assert store.texts() == {"d1": make_doc("d1", [])["text"]}

@@ -41,6 +41,13 @@ def test_planted_descriptions_name_their_own_query_past_99_queries():
     assert world.corpus.entities["eq105p1"].description == "about topic105a topic105b topic105c"
 
 
+@pytest.mark.parametrize("planted", [1, 0, -1])
+def test_fewer_than_two_planted_entities_per_query_is_rejected(planted):
+    # a relevant document mentions one or two of its query's planted entities
+    with pytest.raises(ValueError, match=f"planted_per_query must be >= 2, got {planted}"):
+        PlantedConfig(planted_per_query=planted)
+
+
 @pytest.mark.parametrize("cfg", [
     PlantedConfig(seed=1),
     PlantedConfig(seed=2),
@@ -95,6 +102,15 @@ def test_default_world_files_keep_their_bytes(tmp_path):
         "store_query_entity": "6e17a262cb026285be52c197534d5fa0cf9c67b592f4106ff7ef1b6cbde2f7b9",
     }
 
+
+
+def test_stores_are_built_only_when_read(tmp_path):
+    world = generate_planted_world(PlantedConfig(seed=1, n_docs=120, n_queries=6))
+    names = ["query_store", "entity_store", "passage_store", "encoding_store"]
+    write_world_files(world, str(tmp_path), stores=False)
+    assert [name for name in names if name in vars(world)] == []
+    assert world.passage_store is world.passage_store
+    assert [name for name in names if name in vars(world)] == ["query_store", "passage_store"]
 
 
 def test_projected_world_stores_keep_their_bytes(tmp_path):
