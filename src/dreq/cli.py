@@ -2,8 +2,10 @@
 
 Stages communicate through files in a work directory, so every step is
 re-runnable and inspectable. Settings resolve as CLI flag > DREQ_*
-environment variable > config file > default; outputs are written
-atomically (temp file + rename) and each stage records a manifest.
+environment variable > config file > default. A `cmd_*` function runs one
+stage: it writes each output atomically (temp file + rename, `_save`) and
+returns the stage's (inputs, outputs); `main` times it and writes its
+manifest, `manifests/<stage>.json`.
 
 Numbers one stage hands to the next are arrays in one deterministic `.npz`
 format (`dreq._npz`): `index.npz`, `stores/<name>.npz` (and the fine-tuned
@@ -30,7 +32,6 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -148,10 +149,17 @@ class Settings:
         raise CliError(f"missing required config key {key!r} (config file or {ENV_PREFIX}* env)")
 
     def get_int(self, key: str) -> int:
-        return int(self.get(key))
+        return self._parse(key, int, "an integer")
 
     def get_float(self, key: str) -> float:
-        return float(self.get(key))
+        return self._parse(key, float, "a number")
+
+    def _parse(self, key: str, kind, what: str):
+        v = self.get(key)
+        try:
+            return kind(v)
+        except ValueError:
+            raise CliError(f"config key {key!r} is not {what}: {v!r}") from None
 
     def get_bool(self, key: str) -> bool:
         v = self.get(key).lower()
@@ -216,18 +224,24 @@ class Settings:
         return {k: self.get_int(f"eval.{k}") for k in ("prec_k", "ndcg_k", "recall_k")}
 
 
-@contextmanager
-def atomic_path(final: str):
-    """Yield a temp path; rename onto `final` only if the body succeeds."""
-    os.makedirs(os.path.dirname(final) or ".", exist_ok=True)
-    tmp = final + ".tmp"
+def _save(path: str, write, *args, **kw) -> str:
+    """`write(*args, tmp, **kw)`, then rename `tmp` onto `path` only if the
+    write succeeded; returns `path`."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
     try:
-        yield tmp
-        os.replace(tmp, final)
+        write(*args, tmp, **kw)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def require_artifact(path: str, produced_by: str) -> str:
@@ -245,11 +259,8 @@ def write_manifest(settings: Settings, stage: str, inputs: dict, outputs: dict, 
         "outputs": outputs,
         "seconds": round(time.time() - t0, 3),
     }
-    final = settings.workpath(os.path.join("manifests", f"{stage}.json"))
-    with atomic_path(final) as tmp:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _save(settings.workpath(os.path.join("manifests", f"{stage}.json")), _write_text, text)
 
 
 # --- artifact I/O ----------------------------------------------------------------
@@ -356,25 +367,19 @@ def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_build_index(settings: Settings) -> None:
-    t0 = time.time()
+def cmd_build_index(settings: Settings) -> tuple[dict, dict]:
     # the index reads only the texts: every mention is checked, none is built
     texts = _load_corpus(settings, mentions=False).texts()
-    index_path = settings.workpath("index.npz")
     index = build_index(texts, settings.tokenizer())
     del texts
-    with atomic_path(index_path) as tmp:
-        save_index(index, tmp)
-    write_manifest(
-        settings, "build-index", {"corpus": settings.get("corpus")}, {"index": index_path}, t0
-    )
+    index_path = _save(settings.workpath("index.npz"), save_index, index)
     print(f"indexed {index.doc_count} documents -> {index_path}")
+    return {"corpus": settings.get("corpus")}, {"index": index_path}
 
 
-def cmd_retrieve(settings: Settings) -> None:
+def cmd_retrieve(settings: Settings) -> tuple[dict, dict]:
     from .pipeline import candidate_rankings
 
-    t0 = time.time()
     index = load_index(require_artifact(settings.workpath("index.npz"), "build-index"))
     queries = load_queries(settings.get("queries"))
     k = settings.get_int("retrieve.k")
@@ -387,30 +392,26 @@ def cmd_retrieve(settings: Settings) -> None:
         bm25=settings.bm25(),
         rm3=settings.rm3(),
     )
-    out = settings.workpath("candidates.run")
-    with atomic_path(out) as tmp:
-        write_run((cands[q.query_id] for q in queries), tmp, tag=f"{mode}")
-    write_manifest(settings, "retrieve", {"queries": settings.get("queries")}, {"run": out}, t0)
+    runs = (cands[q.query_id] for q in queries)
+    out = _save(settings.workpath("candidates.run"), write_run, runs, tag=f"{mode}")
     print(f"retrieved top-{k} ({mode}) for {len(queries)} queries -> {out}")
+    return {"queries": settings.get("queries")}, {"run": out}
 
 
-def cmd_pool_entities(settings: Settings) -> None:
+def cmd_pool_entities(settings: Settings) -> tuple[dict, dict]:
     from .pipeline import pooled_entities_map
 
-    t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     qrels = load_qrels(settings.get("qrels")) if "qrels" in settings.values else None
     pooled = pooled_entities_map(corpus, cands, qrels)
-    out = settings.workpath("pooled_entities.tsv")
-    with atomic_path(out) as tmp:
-        write_pooled(pooled, tmp)
-    write_manifest(settings, "pool-entities", {"candidates": "candidates.run"}, {"pooled": out}, t0)
+    out = _save(settings.workpath("pooled_entities.tsv"), write_pooled, pooled)
     total = sum(len(v) for v in pooled.values())
     print(f"pooled {total} (query, entity) pairs over {len(pooled)} queries -> {out}")
+    return {"candidates": "candidates.run"}, {"pooled": out}
 
 
-def cmd_synth_embed(settings: Settings) -> None:
+def cmd_synth_embed(settings: Settings) -> tuple[dict, dict]:
     from .embeddings import (
         STORE_NAMES,
         EmbeddingStore,
@@ -421,7 +422,6 @@ def cmd_synth_embed(settings: Settings) -> None:
         synthetic_embed_rows,
     )
 
-    t0 = time.time()
     corpus = _load_corpus(settings)
     queries = load_queries(settings.get("queries"))
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
@@ -444,25 +444,23 @@ def cmd_synth_embed(settings: Settings) -> None:
         query_entity_key(qid, eid) for qid in sorted(pooled) for eid in pooled[qid]
     ))
 
-    outputs = {}
-    for name, store in zip(STORE_NAMES, (query_store, entity_store, passage_store, encoding_store)):
-        out = store_path(settings.workdir, name)
-        with atomic_path(out) as tmp:
-            save_store(store, tmp)
-        outputs[name] = out
-    write_manifest(settings, "synth-embed", {"pooled": "pooled_entities.tsv"}, outputs, t0)
+    stores = (query_store, entity_store, passage_store, encoding_store)
+    outputs = {
+        name: _save(store_path(settings.workdir, name), save_store, store)
+        for name, store in zip(STORE_NAMES, stores)
+    }
     print(
         f"materialized stores: query={len(query_store)} entity={len(entity_store)} "
         f"passage={len(passage_store)} query_entity={len(encoding_store)}"
     )
+    return {"pooled": "pooled_entities.tsv"}, outputs
 
 
-def cmd_train_entity_ranker(settings: Settings) -> None:
+def cmd_train_entity_ranker(settings: Settings) -> tuple[dict, dict]:
     from .entity_ranking import save_entity_head, train_entity_head
     from .pipeline import build_entity_encoding_examples, entity_labels_map
     from .training import write_training_log
 
-    t0 = time.time()
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     qrels = load_qrels(settings.get("qrels"))
@@ -473,20 +471,13 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
     head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
-    head_path = settings.workpath("entity_head.npz")
-    with atomic_path(head_path) as tmp:
-        save_entity_head(head, tmp)
-    log_path = settings.workpath("entity_train_log.tsv")
-    with atomic_path(log_path) as tmp:
-        write_training_log(log_rows, tmp)
-    write_manifest(
-        settings, "train-entity-ranker", {"qrels": settings.get("qrels")},
-        {"head": head_path, "log": log_path}, t0,
-    )
+    head_path = _save(settings.workpath("entity_head.npz"), save_entity_head, head)
+    log_path = _save(settings.workpath("entity_train_log.tsv"), write_training_log, log_rows)
     print(f"trained entity head on {len(y)} examples -> {head_path}")
+    return {"qrels": settings.get("qrels")}, {"head": head_path, "log": log_path}
 
 
-def cmd_rank_entities(settings: Settings) -> None:
+def cmd_rank_entities(settings: Settings) -> tuple[dict, dict]:
     from .entity_ranking import (
         EntityRanking,
         bm25_entity_rank,
@@ -496,7 +487,6 @@ def cmd_rank_entities(settings: Settings) -> None:
     )
     from .pipeline import entity_rankings_map
 
-    t0 = time.time()
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
     pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
     queries = {q.query_id: q for q in load_queries(settings.get("queries"))}
@@ -549,21 +539,17 @@ def cmd_rank_entities(settings: Settings) -> None:
     else:
         raise CliError(f"unknown entity ranking mode {mode!r}")
 
-    rankings_path = settings.workpath("entity_ranking.npz")
-    with atomic_path(rankings_path) as tmp:
-        save_entity_rankings(rankings, tmp)
-    run_path = settings.workpath("entity_ranking.run")
-    with atomic_path(run_path) as tmp:
-        runs = [Ranking(qid, r.entity_ids, r.probs) for qid, r in sorted(rankings.items())]
-        write_run(runs, tmp, tag=f"entities-{mode}")  # probabilities as run scores
-    write_manifest(
-        settings, "rank-entities", {"pooled": "pooled_entities.tsv", "mode": mode},
-        {"rankings": rankings_path, "run": run_path}, t0,
-    )
+    rankings_path = _save(settings.workpath("entity_ranking.npz"), save_entity_rankings, rankings)
+    # probabilities as run scores
+    runs = [Ranking(qid, r.entity_ids, r.probs) for qid, r in sorted(rankings.items())]
+    tag = f"entities-{mode}"
+    run_path = _save(settings.workpath("entity_ranking.run"), write_run, runs, tag=tag)
     print(
         f"ranked entities ({mode}) for {len(rankings)} queries, "
         f"{bm25_only} by BM25 alone -> {rankings_path}"
     )
+    inputs = {"pooled": "pooled_entities.tsv", "mode": mode}
+    return inputs, {"rankings": rankings_path, "run": run_path}
 
 
 def _training_inputs(settings: Settings):
@@ -586,16 +572,13 @@ def _training_inputs(settings: Settings):
     return qrels, examples, folds, data, cfg
 
 
-def cmd_train_dreq(settings: Settings) -> None:
+def cmd_train_dreq(settings: Settings) -> tuple[dict, dict]:
     from .embeddings import save_store, store_path
     from .model import DreqModel, save_checkpoint
     from .training import train_dreq, train_feature_table, write_training_log
 
-    t0 = time.time()
     _, examples, folds, data, cfg = _training_inputs(settings)
-    folds_path = settings.workpath("folds.json")
-    with atomic_path(folds_path) as tmp:
-        folds.save(tmp)
+    outputs = {"folds": _save(settings.workpath("folds.json"), folds.save)}
 
     template = DreqModel.init(
         settings.dims(),
@@ -607,33 +590,22 @@ def cmd_train_dreq(settings: Settings) -> None:
     result = train_dreq([template], examples, folds, data, cfg, table)
     (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
 
-    outputs = {"folds": folds_path}
     for outcome in outcomes:
-        ckpt = settings.workpath(f"dreq_fold{outcome.fold_index}.ckpt")
-        with atomic_path(ckpt) as tmp:
-            save_checkpoint(outcome.model, tmp)
-        outputs[f"fold{outcome.fold_index}"] = ckpt
+        i = outcome.fold_index
+        ckpt = settings.workpath(f"dreq_fold{i}.ckpt")
+        outputs[f"fold{i}"] = _save(ckpt, save_checkpoint, outcome.model)
         if cfg.finetune_entity_embeddings:
-            tuned = store_path(settings.workdir, f"entity_tuned_fold{outcome.fold_index}")
-            with atomic_path(tuned) as tmp:
-                save_store(outcome.entity_store, tmp)
-            outputs[f"entity_tuned_fold{outcome.fold_index}"] = tuned
-    run_path = settings.workpath("dreq.run")
-    with atomic_path(run_path) as tmp:
-        write_run(
-            (reranked[qid] for qid in sorted(reranked)),
-            tmp,
-            tag=settings.get("run.tag"),
-        )
-    log_path = settings.workpath("dreq_train_log.tsv")
-    with atomic_path(log_path) as tmp:
-        write_training_log(result.log_rows, tmp)
+            tuned = store_path(settings.workdir, f"entity_tuned_fold{i}")
+            outputs[f"entity_tuned_fold{i}"] = _save(tuned, save_store, outcome.entity_store)
+    runs = (reranked[qid] for qid in sorted(reranked))
+    run_path = _save(settings.workpath("dreq.run"), write_run, runs, tag=settings.get("run.tag"))
+    log_path = _save(settings.workpath("dreq_train_log.tsv"), write_training_log, result.log_rows)
     outputs.update({"run": run_path, "log": log_path})
-    write_manifest(settings, "train-dreq", {"candidates": "candidates.run"}, outputs, t0)
     print(
         f"trained {len(outcomes)} folds on {len(examples)} examples "
         f"({table.empty_text_docs} documents without text); out-of-fold run -> {run_path}"
     )
+    return {"candidates": "candidates.run"}, outputs
 
 
 def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
@@ -661,10 +633,9 @@ def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
     return {qid: models[p] for qid, p in paths.items()}
 
 
-def cmd_rerank(settings: Settings) -> None:
+def cmd_rerank(settings: Settings) -> tuple[dict, dict]:
     from .model import build_feature_table, maxsimcos_rerank, rerank
 
-    t0 = time.time()
     mode = settings.args.mode
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
@@ -704,37 +675,32 @@ def cmd_rerank(settings: Settings) -> None:
     else:
         raise CliError(f"unknown rerank mode {mode!r}")
 
-    with atomic_path(out) as tmp:
-        write_run((rankings[qid] for qid in sorted(rankings)), tmp, tag=f"rerank-{mode}")
-    write_manifest(settings, "rerank", {"candidates": "candidates.run", "mode": mode}, {"run": out}, t0)
+    _save(out, write_run, (rankings[qid] for qid in sorted(rankings)), tag=f"rerank-{mode}")
     print(
         f"reranked {len(rankings)} queries ({mode}), {kept} kept their candidate ranking, "
         f"{empty_text} documents without text -> {out}"
     )
+    return {"candidates": "candidates.run", "mode": mode}, {"run": out}
 
 
-def cmd_evaluate(settings: Settings) -> None:
+def cmd_evaluate(settings: Settings) -> tuple[dict, dict]:
     from .evaluation import evaluate_run, write_metrics_report
 
-    t0 = time.time()
     qrels = load_qrels(settings.get("qrels"))
     run_path = settings.args.run or settings.workpath("dreq.run")
     rankings = load_run(require_artifact(run_path, "train-dreq (or retrieve/rerank)"))
     tag = settings.args.tag or os.path.splitext(os.path.basename(run_path))[0]
     report = evaluate_run(rankings, qrels, tag=tag, **settings.cutoffs())
-    out = settings.workpath(f"eval_{tag}.tsv")
-    with atomic_path(out) as tmp:
-        write_metrics_report(report, tmp)
-    write_manifest(settings, "evaluate", {"run": run_path}, {"report": out}, t0)
+    out = _save(settings.workpath(f"eval_{tag}.tsv"), write_metrics_report, report)
     for metric, value in report.means.items():
         print(f"{tag}\t{metric}\t{value:.4f}")
     print(f"report -> {out}")
+    return {"run": run_path}, {"report": out}
 
 
-def cmd_qpp(settings: Settings) -> None:
+def cmd_qpp(settings: Settings) -> tuple[dict, dict]:
     from .evaluation import wig, wig_terciles
 
-    t0 = time.time()
     queries = load_queries(settings.get("queries"))
     cands = _candidates(settings)
     k = settings.get_int("wig.k")
@@ -746,20 +712,17 @@ def cmd_qpp(settings: Settings) -> None:
             # a query without terms retrieved only zero-score padding
             scores[q.query_id] = wig(terms, cands[q.query_id], k=k) if terms else 0.0
     terciles = wig_terciles(scores) if len(scores) >= 3 else {}
-    out = settings.workpath("wig.tsv")
-    with atomic_path(out) as tmp:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write("query_id\twig\ttercile\n")
-            for qid in sorted(scores):
-                f.write(f"{qid}\t{scores[qid]:.6f}\t{terciles.get(qid, '-')}\n")
-    write_manifest(settings, "qpp", {"candidates": "candidates.run"}, {"wig": out}, t0)
+    text = "query_id\twig\ttercile\n" + "".join(
+        f"{qid}\t{scores[qid]:.6f}\t{terciles.get(qid, '-')}\n" for qid in sorted(scores)
+    )
+    out = _save(settings.workpath("wig.tsv"), _write_text, text)
     print(f"WIG@{k} for {len(scores)} queries -> {out}")
+    return {"candidates": "candidates.run"}, {"wig": out}
 
 
-def cmd_difficulty(settings: Settings) -> None:
+def cmd_difficulty(settings: Settings) -> tuple[dict, dict]:
     from .evaluation import build_difficulty_report, evaluate_run, write_difficulty_report
 
-    t0 = time.time()
     qrels = load_qrels(settings.get("qrels"))
     baseline = load_run(require_artifact(settings.args.baseline_run, "retrieve"))
     system = load_run(require_artifact(settings.args.system_run, "train-dreq or rerank"))
@@ -783,49 +746,36 @@ def cmd_difficulty(settings: Settings) -> None:
         if set(wig_scores) != set(base_metric):
             wig_scores = None
     report = build_difficulty_report(base_metric, sys_metric, wig_scores)
-    out = settings.workpath("difficulty.tsv")
-    with atomic_path(out) as tmp:
-        write_difficulty_report(report, tmp)
-    write_manifest(
-        settings, "difficulty",
-        {"baseline": settings.args.baseline_run, "system": settings.args.system_run},
-        {"report": out}, t0,
-    )
+    out = _save(settings.workpath("difficulty.tsv"), write_difficulty_report, report)
     print(f"helped={report.helped} hurt={report.hurt} unchanged={report.unchanged} -> {out}")
+    inputs = {"baseline": settings.args.baseline_run, "system": settings.args.system_run}
+    return inputs, {"report": out}
 
 
-def cmd_ablate(settings: Settings) -> None:
+def cmd_ablate(settings: Settings) -> tuple[dict, dict]:
     from .pipeline import VARIANTS, ablation_sweep
 
-    t0 = time.time()
     qrels, examples, folds, data, cfg = _training_inputs(settings)
     variants = list(VARIANTS)
     outcome = ablation_sweep(
         variants, settings.dims(), examples, folds, data, cfg, qrels,
         init_seed=settings.get_int("seed"), **settings.cutoffs(),
     )
-    out = settings.workpath("ablate.tsv")
     metrics = list(outcome.candidate_report.per_query)  # map, ndcg@k, p@k, recall@k
-
-    def table_row(name: str, means: dict[str, float]) -> str:
-        return name + "".join(f"\t{means[m]:.4f}" for m in metrics) + "\n"
-
-    with atomic_path(out) as tmp:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write("\t".join(["system", *metrics]) + "\n")
-            f.write(table_row("candidates", outcome.candidate_report.means))
-            for name in variants:
-                f.write(table_row(name, outcome.variant_reports[name].means))
+    rows = [("candidates", outcome.candidate_report.means)]
+    rows += [(name, outcome.variant_reports[name].means) for name in variants]
+    table = "\t".join(["system", *metrics]) + "\n" + "".join(
+        name + "".join(f"\t{means[m]:.4f}" for m in metrics) + "\n" for name, means in rows
+    )
+    out = _save(settings.workpath("ablate.tsv"), _write_text, table)
     outputs = {"table": out}
     for name, run in outcome.variant_runs.items():
-        run_path = settings.workpath(f"ablate_{name}.run")
-        with atomic_path(run_path) as tmp:
-            write_run((run[qid] for qid in sorted(run)), tmp, tag=f"ablate-{name}")
-        outputs[name] = run_path
-    write_manifest(settings, "ablate", {"candidates": "candidates.run"}, outputs, t0)
-    with open(out, "r", encoding="utf-8") as f:
-        sys.stdout.write(f.read())
+        runs = (run[qid] for qid in sorted(run))
+        path = settings.workpath(f"ablate_{name}.run")
+        outputs[name] = _save(path, write_run, runs, tag=f"ablate-{name}")
+    sys.stdout.write(table)
     print(f"ablation table ({outcome.empty_text_docs} documents without text) -> {out}")
+    return {"candidates": "candidates.run"}, outputs
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -899,8 +849,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = Settings(args)
-        _COMMANDS[args.command](settings)
-    except (CliError, FileNotFoundError, ValueError, KeyError) as e:
+        t0 = time.time()
+        inputs, outputs = _COMMANDS[args.command](settings)
+        write_manifest(settings, args.command, inputs, outputs, t0)
+    except (CliError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -1,6 +1,7 @@
-"""End-to-end orchestration helpers shared by the CLI and experiments:
-candidate retrieval over a query set, per-query entity pooling and label
-transfer, the entity-ranking stage, and cross-validated ablation sweeps.
+"""Orchestration helpers of the CLI stages: candidate retrieval over a query
+set, per-query entity pooling and label transfer, the entity-ranking stage,
+and cross-validated ablation sweeps. `run_planted_ablation`, which the
+claim test runs, drives the CLI stages themselves on planted worlds.
 """
 
 from __future__ import annotations
@@ -160,50 +161,47 @@ def ablation_sweep(
 
 
 def run_planted_ablation(
-    planted: PlantedConfig,
-    train_cfg: TrainConfig,
-    seeds: list[int],
-    variants: list[str] = ("dreq", "uniform", "no_entity"),
-    retrieve_k: int = 100,
-    n_folds: int = 5,
+    planted: PlantedConfig, train_cfg: TrainConfig, seeds: list[int]
 ) -> dict[str, float]:
-    """Seed-averaged held-out nDCG@20 per variant on planted worlds.
+    """Seed-averaged held-out nDCG@20 on planted worlds, by the CLI stages.
 
-    Returns {"candidates": ..., variant: ...} means over the seeds.
+    Each seed's world is written as input files to a temporary work
+    directory, with one config (its dims, `retrieve.k = 100`, the seed and
+    `train_cfg`'s values), and `build-index`, `retrieve`, `pool-entities`,
+    `train-entity-ranker`, `rank-entities` and `ablate` run on it in process,
+    as `dreq` runs them. Returns {"candidates": ..., variant: ...}: the means
+    over the seeds of the `ndcg@20` column of `ablate.tsv`.
     """
-    from .entity_ranking import train_entity_head
-    from .retrieval import build_index
-    from .synthetic import generate_planted_world
-    from .training import TrainData, build_doc_examples, make_folds
+    import os
+    import tempfile
 
-    totals = {name: 0.0 for name in list(variants) + ["candidates"]}
+    from .cli import main
+    from .synthetic import generate_planted_world, write_world_files
+
+    stages = ("build-index", "retrieve", "pool-entities", "train-entity-ranker",
+              "rank-entities", "ablate")
+    totals: dict[str, float] = {}
     for seed in seeds:
         world = generate_planted_world(replace(planted, seed=seed))
-        index = build_index(world.corpus)
-        cands = candidate_rankings(index, world.queries, k=retrieve_k, mode="bm25_rm3")
-        pooled = pooled_entities_map(world.corpus, cands, world.qrels)
-        labels = entity_labels_map(world.corpus, cands, world.qrels)
-        X, y = build_entity_encoding_examples(labels, world.encoding_store, seed)
-        head_cfg = replace(train_cfg, seed=seed)
-        head = train_entity_head(X, y, head_cfg)
-        rankings = entity_rankings_map(head, pooled, world.encoding_store)
-
-        examples = build_doc_examples(world.qrels, cands, seed)
-        folds = make_folds([q.query_id for q in world.queries], k=n_folds, seed=seed)
-        data = TrainData(
-            corpus=world.corpus,
-            query_store=world.query_store,
-            entity_store=world.entity_store,
-            passage_store=world.passage_store,
-            entity_rankings=rankings,
-            candidates=cands,
-            seg=world.seg,
-        )
-        outcome = ablation_sweep(
-            list(variants), world.dims, examples, folds, data, head_cfg, world.qrels,
-            init_seed=seed,
-        )
-        totals["candidates"] += outcome.candidate_report.means["ndcg@20"]
-        for name in variants:
-            totals[name] += outcome.variant_reports[name].means["ndcg@20"]
+        with tempfile.TemporaryDirectory() as work:
+            paths = write_world_files(world, work)
+            settings = {
+                "corpus": paths["corpus"], "entity_catalog": paths["entities"],
+                "queries": paths["queries"], "qrels": paths["qrels"], "workdir": work,
+                "seed": seed, "retrieve.k": 100, "train.learning_rate": train_cfg.learning_rate,
+                "train.batch_size": train_cfg.batch_size, "train.epochs": train_cfg.epochs,
+                "finetune_entity_embeddings": train_cfg.finetune_entity_embeddings,
+                **{f"dims.{d}": getattr(world.dims, d) for d in "kmnp"},
+            }
+            config = os.path.join(work, "dreq.conf")
+            with open(config, "w", encoding="utf-8") as f:
+                f.writelines(f"{key} = {value}\n" for key, value in settings.items())
+            for stage in stages:
+                if main(["--config", config, stage]) != 0:
+                    raise RuntimeError(f"`dreq {stage}` failed on the seed-{seed} world")
+            with open(os.path.join(work, "ablate.tsv"), encoding="utf-8") as f:
+                header, *rows = (line.rstrip("\n").split("\t") for line in f)
+        column = header.index("ndcg@20")
+        for row in rows:
+            totals[row[0]] = totals.get(row[0], 0.0) + float(row[column])
     return {name: total / len(seeds) for name, total in totals.items()}

@@ -150,6 +150,8 @@ def make_folds(query_ids: Sequence[str], k: int = 5, seed: int = 13) -> FoldPlan
     Test sets partition the query set; a query never appears in its own
     fold's training data.
     """
+    if k < 2:  # one fold would train on no query
+        raise ValueError(f"need at least 2 folds, got k={k}")
     ids = sorted(set(query_ids))
     if len(ids) != len(list(query_ids)):
         raise ValueError("duplicate query_ids in fold input")

@@ -132,10 +132,32 @@ class TestPipeline:
 
     def test_manifests_written(self, pipeline):
         _, workdir = pipeline
-        manifest = json.load(open(os.path.join(workdir, "manifests", "retrieve.json")))
-        assert manifest["stage"] == "retrieve"
-        assert len(manifest["config_digest"]) == 64
-        assert manifest["seed"] == 7
+        for stage, *_ in STAGES:
+            manifest = json.load(open(os.path.join(workdir, "manifests", f"{stage}.json")))
+            assert manifest["stage"] == stage
+            assert len(manifest["config_digest"]) == 64
+            assert manifest["seed"] == 7
+            assert manifest["outputs"], stage
+            for path in manifest["outputs"].values():
+                assert os.path.isfile(path), (stage, path)
+
+    def test_failed_write_leaves_no_output_and_no_manifest(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        work.mkdir()
+        shutil.copy(os.path.join(workdir, "index.npz"), work / "index.npz")
+
+        def write_half_then_fail(rankings, path, tag):
+            Path(path).write_text("q01 Q0 d1 1 1.0 half\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("dreq.cli.write_run", write_half_then_fail)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), "retrieve"]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert sorted(os.listdir(work)) == ["index.npz"]
 
     def test_run_file_format(self, pipeline):
         _, workdir = pipeline
@@ -332,6 +354,22 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err == "error: no document training examples (check qrels coverage)\n", stage
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_fewer_than_two_folds_stop_training_stages(
+        self, pipeline, tmp_path, monkeypatch, capsys, k
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_FOLDS_K", k)
+        for stage in ("train-dreq", "ablate"):
+            before = {name: (work / name).read_bytes() for name in ("dreq.run", "folds.json")}
+            capsys.readouterr()
+            assert main(["--config", config, "--workdir", str(work), stage]) == 1
+            assert capsys.readouterr().err == f"error: need at least 2 folds, got k={k}\n"
+            assert {name: (work / name).read_bytes() for name in before} == before
+            assert not (work / "ablate.tsv").exists()
+
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
         out = os.path.join(workdir, "rr_mode.run")
@@ -495,6 +533,22 @@ class TestMalformedInputLines:
         line_no = len(toy.splitlines()) + 1
         expected = f"error: {catalog}:{line_no}: malformed catalog line: {message}\n"
         assert capsys.readouterr().err == expected
+
+
+class TestDirectoryPaths:
+    @pytest.mark.parametrize("where", ["env", "config"])
+    def test_a_directory_for_a_file_is_an_error_line(self, tmp_path, monkeypatch, capsys, where):
+        config = write_config(tmp_path, tmp_path / "work")
+        argv = ["--config", config, "build-index"]
+        if where == "env":
+            monkeypatch.setenv("DREQ_CORPUS", str(tmp_path))
+        else:
+            argv[1] = str(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+        assert not (tmp_path / "work").exists()
 
 
 class TestRunFileInput:
@@ -751,6 +805,22 @@ class TestConfigResolution:
             f.write("wig.k = 10\n")
         d2 = Settings(args).config_digest()
         assert d1 != d2
+
+    @pytest.mark.parametrize(
+        ("variable", "value", "key", "kind"),
+        [("RETRIEVE_K", "abc", "retrieve.k", "an integer"),
+         ("RETRIEVE_K", "2.5", "retrieve.k", "an integer"),
+         ("BM25_K1", "high", "bm25.k1", "a number")],
+    )
+    def test_a_malformed_number_names_its_key(
+        self, pipeline, tmp_path, monkeypatch, capsys, variable, value, key, kind
+    ):
+        config, workdir = pipeline
+        shutil.copy(os.path.join(workdir, "index.npz"), tmp_path / "index.npz")
+        monkeypatch.setenv(f"DREQ_{variable}", value)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(tmp_path), "retrieve"]) == 1
+        assert capsys.readouterr().err == f"error: config key {key!r} is not {kind}: {value!r}\n"
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -63,6 +63,11 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             make_folds(["q1", "q2"], k=5, seed=1)
 
+    @pytest.mark.parametrize("k", [0, 1, -3])
+    def test_fewer_than_two_folds(self, k):
+        with pytest.raises(ValueError, match=f"got k={k}$"):
+            make_folds([f"q{i}" for i in range(6)], k=k, seed=1)
+
     def test_round_trip(self, tmp_path):
         plan = make_folds([f"q{i}" for i in range(7)], k=5, seed=2)
         path = str(tmp_path / "folds.json")
