@@ -3,9 +3,18 @@
 Stages communicate through files in a work directory, so every step is
 re-runnable and inspectable. Settings resolve as CLI flag > DREQ_*
 environment variable > config file > default. A `cmd_*` function runs one
-stage: it writes each output atomically (temp file + rename, `_save`) and
-returns the stage's (inputs, outputs); `main` times it and writes its
-manifest, `manifests/<stage>.json`.
+stage and opens every file through its `Settings`, which records it:
+`input` a file named by a config key (corpus, entity_catalog, queries, qrels,
+query_links) under that key; `artifact` a work-dir or flag-named file, once
+it is found to exist (else an `error:` line names the stage that writes it);
+`save` each output, written atomically (temp file + rename). A work-dir file
+is keyed by its path relative to the work dir, any other by its path. `main`
+then writes the stage's manifest from that record: `stage`, `flags` (the
+stage's own arguments), `config_digest` (sha256 of the config file),
+`seed`, `inputs` and `outputs` (key -> the path opened) and `seconds`. It
+is `manifests/<stage>.json`, but `evaluate-<tag>.json` and
+`rerank-<output file stem>.json` for the two stages whose output is named
+per run.
 
 Numbers one stage hands to the next are arrays in one deterministic `.npz`
 format (`dreq._npz`): `index.npz`, `stores/<name>.npz` (and the fine-tuned
@@ -60,7 +69,7 @@ from .retrieval import (
 if TYPE_CHECKING:  # pragma: no cover
     from .embeddings import DimsConfig, EmbeddingStore
     from .entity_ranking import EntityRanking
-    from .model import DreqModel
+    from .model import DreqModel, FeatureTable
     from .training import TrainConfig
 
 ENV_PREFIX = "DREQ_"
@@ -119,9 +128,14 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 class Settings:
-    """Layered configuration with typed accessors."""
+    """Layered configuration with typed accessors, and the record of the files
+    a stage reads (`inputs`) and writes (`outputs`), keyed as `main` writes
+    them to the manifest (the module docstring)."""
 
     def __init__(self, args: argparse.Namespace):
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
+        self.manifest_name = getattr(args, "command", None)
         self.values = dict(_DEFAULTS)
         self.config_path = getattr(args, "config", None)
         self.config_bytes = b""
@@ -176,6 +190,40 @@ class Settings:
     def workpath(self, name: str) -> str:
         return os.path.join(self.workdir, name)
 
+    def _key(self, path: str) -> str:
+        rel = os.path.relpath(path, self.workdir)
+        return path if rel == os.pardir or rel.startswith(os.pardir + os.sep) else rel
+
+    def input(self, key: str, optional: bool = False) -> str | None:
+        """The file named by config key `key` (None if `optional` and unset),
+        recorded under that key."""
+        if optional and key not in self.values:
+            return None
+        self.inputs[key] = self.get(key)
+        return self.inputs[key]
+
+    def artifact(self, path: str, produced_by: str) -> str:
+        """`path`, recorded; an error naming the stage that writes it if missing."""
+        if not os.path.exists(path):
+            raise CliError(f"missing artifact {path!r}; run `dreq {produced_by}` first")
+        self.inputs[self._key(path)] = path
+        return path
+
+    def save(self, path: str, write, *args, **kw) -> str:
+        """`write(*args, tmp, **kw)`, then rename `tmp` onto `path` only if the
+        write succeeded; records and returns `path`."""
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = path + ".tmp"
+        try:
+            write(*args, tmp, **kw)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        self.outputs[self._key(path)] = path
+        return path
+
     def config_digest(self) -> str:
         return hashlib.sha256(self.config_bytes).hexdigest()
 
@@ -224,43 +272,26 @@ class Settings:
         return {k: self.get_int(f"eval.{k}") for k in ("prec_k", "ndcg_k", "recall_k")}
 
 
-def _save(path: str, write, *args, **kw) -> str:
-    """`write(*args, tmp, **kw)`, then rename `tmp` onto `path` only if the
-    write succeeded; returns `path`."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        write(*args, tmp, **kw)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
 def _write_text(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
-def require_artifact(path: str, produced_by: str) -> str:
-    if not os.path.exists(path):
-        raise CliError(f"missing artifact {path!r}; run `dreq {produced_by}` first")
-    return path
-
-
-def write_manifest(settings: Settings, stage: str, inputs: dict, outputs: dict, t0: float) -> None:
+def write_manifest(settings: Settings, t0: float) -> None:
+    args = vars(settings.args)
+    flags = {k: v for k, v in args.items() if k not in ("command", "config", "seed", "workdir")}
     manifest = {
-        "stage": stage,
+        "stage": args["command"],
+        "flags": flags,
         "config_digest": settings.config_digest(),
         "seed": settings.get_int("seed"),
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": settings.inputs,
+        "outputs": settings.outputs,
         "seconds": round(time.time() - t0, 3),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _save(settings.workpath(os.path.join("manifests", f"{stage}.json")), _write_text, text)
+    path = settings.workpath(os.path.join("manifests", f"{settings.manifest_name}.json"))
+    settings.save(path, _write_text, text)
 
 
 # --- artifact I/O ----------------------------------------------------------------
@@ -303,43 +334,55 @@ def write_pooled(pooled: dict[str, list[str]], path: str) -> None:
 
 def load_pooled(path: str) -> dict[str, list[str]]:
     pooled: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            qid, eid = line.split("\t")
-            pooled.setdefault(qid, []).append(eid)
+    for _, (qid, eid) in _tsv_rows(path, "qid<TAB>entity"):
+        pooled.setdefault(qid, []).append(eid)
     return pooled
 
 
 def load_query_links(path: str) -> dict[str, list[tuple[str, float]]]:
     """query_id -> [(entity_id, confidence)]; a confidence must be a finite number."""
     links: dict[str, list[tuple[str, float]]] = {}
+    for where, (qid, eid, confidence) in _tsv_rows(path, "qid<TAB>entity<TAB>confidence"):
+        links.setdefault(qid, []).append((eid, _finite(confidence, f"{where}: confidence")))
+    return links
+
+
+def load_wig(path: str) -> dict[str, float]:
+    """query_id -> WIG score, from the `qpp` table; a score must be a finite number."""
+    rows = _tsv_rows(path, "query_id<TAB>wig<TAB>tercile", header=True)
+    return {qid: _finite(score, f"{where}: wig") for where, (qid, score, _) in rows}
+
+
+def _tsv_rows(path: str, layout: str, header: bool = False):
+    """("path:line", fields) of each non-blank line (after the header line);
+    a line with another field count than `layout` is an error naming it."""
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if not line or (header and line_no == 1):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise CliError(f"{path}:{line_no}: expected 'qid<TAB>entity<TAB>confidence'")
-            try:
-                confidence = float(parts[2])
-            except ValueError:  # reported below, as a non-finite one is
-                confidence = float("nan")
-            if not np.isfinite(confidence):
-                raise CliError(f"{path}:{line_no}: confidence {parts[2]!r} is not a finite number")
-            links.setdefault(parts[0], []).append((parts[1], confidence))
-    return links
+            if len(parts) != layout.count("<TAB>") + 1:
+                raise CliError(f"{path}:{line_no}: expected {layout!r}")
+            yield f"{path}:{line_no}", parts
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # reported below, as a non-finite one is
+        value = float("nan")
+    if not np.isfinite(value):
+        raise CliError(f"{what} {text!r} is not a finite number")
+    return value
 
 
 # --- shared loading --------------------------------------------------------------
 
 
 def _load_corpus(settings: Settings, mentions: bool = True):
-    catalog = settings.values.get("entity_catalog")
-    return load_corpus(settings.get("corpus"), catalog_path=catalog, mentions=mentions)
+    catalog = settings.input("entity_catalog", optional=True)
+    return load_corpus(settings.input("corpus"), catalog_path=catalog, mentions=mentions)
 
 
 def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
@@ -347,84 +390,71 @@ def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
     from .embeddings import load_store, store_path
 
     return [
-        load_store(require_artifact(store_path(settings.workdir, name), "synth-embed"))
+        load_store(settings.artifact(store_path(settings.workdir, name), "synth-embed"))
         for name in names
     ]
 
 
 def _candidates(settings: Settings):
-    path = require_artifact(settings.workpath("candidates.run"), "retrieve")
-    return load_run(path)
+    return load_run(settings.artifact(settings.workpath("candidates.run"), "retrieve"))
+
+
+def _pooled(settings: Settings) -> dict[str, list[str]]:
+    return load_pooled(settings.artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
 
 
 def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
     from .entity_ranking import load_entity_rankings
 
-    path = require_artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
+    path = settings.artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
     return load_entity_rankings(path)
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_build_index(settings: Settings) -> tuple[dict, dict]:
+def cmd_build_index(settings: Settings) -> None:
     # the index reads only the texts: every mention is checked, none is built
     texts = _load_corpus(settings, mentions=False).texts()
     index = build_index(texts, settings.tokenizer())
     del texts
-    index_path = _save(settings.workpath("index.npz"), save_index, index)
+    index_path = settings.save(settings.workpath("index.npz"), save_index, index)
     print(f"indexed {index.doc_count} documents -> {index_path}")
-    return {"corpus": settings.get("corpus")}, {"index": index_path}
 
 
-def cmd_retrieve(settings: Settings) -> tuple[dict, dict]:
+def cmd_retrieve(settings: Settings) -> None:
     from .pipeline import candidate_rankings
 
-    index = load_index(require_artifact(settings.workpath("index.npz"), "build-index"))
-    queries = load_queries(settings.get("queries"))
+    index = load_index(settings.artifact(settings.workpath("index.npz"), "build-index"))
+    queries = load_queries(settings.input("queries"))
     k = settings.get_int("retrieve.k")
     mode = settings.get("retrieve.mode")
-    cands = candidate_rankings(
-        index,
-        queries,
-        k=k,
-        mode=mode,
-        bm25=settings.bm25(),
-        rm3=settings.rm3(),
-    )
+    cands = candidate_rankings(index, queries, k=k, mode=mode, bm25=settings.bm25(),
+                               rm3=settings.rm3())
     runs = (cands[q.query_id] for q in queries)
-    out = _save(settings.workpath("candidates.run"), write_run, runs, tag=f"{mode}")
+    out = settings.save(settings.workpath("candidates.run"), write_run, runs, tag=f"{mode}")
     print(f"retrieved top-{k} ({mode}) for {len(queries)} queries -> {out}")
-    return {"queries": settings.get("queries")}, {"run": out}
 
 
-def cmd_pool_entities(settings: Settings) -> tuple[dict, dict]:
+def cmd_pool_entities(settings: Settings) -> None:
     from .pipeline import pooled_entities_map
 
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.get("qrels")) if "qrels" in settings.values else None
-    pooled = pooled_entities_map(corpus, cands, qrels)
-    out = _save(settings.workpath("pooled_entities.tsv"), write_pooled, pooled)
+    qrels = settings.input("qrels", optional=True)
+    pooled = pooled_entities_map(corpus, cands, None if qrels is None else load_qrels(qrels))
+    out = settings.save(settings.workpath("pooled_entities.tsv"), write_pooled, pooled)
     total = sum(len(v) for v in pooled.values())
     print(f"pooled {total} (query, entity) pairs over {len(pooled)} queries -> {out}")
-    return {"candidates": "candidates.run"}, {"pooled": out}
 
 
-def cmd_synth_embed(settings: Settings) -> tuple[dict, dict]:
-    from .embeddings import (
-        STORE_NAMES,
-        EmbeddingStore,
-        passage_key,
-        query_entity_key,
-        save_store,
-        store_path,
-        synthetic_embed_rows,
-    )
+def cmd_synth_embed(settings: Settings) -> None:
+    from .embeddings import (STORE_NAMES, EmbeddingStore, passage_key, query_entity_key,
+                             save_store, store_path, synthetic_embed_rows)
 
     corpus = _load_corpus(settings)
-    queries = load_queries(settings.get("queries"))
-    pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
+    queries = load_queries(settings.input("queries"))
+    pooled = _pooled(settings)
     dims = settings.dims()
     seed = settings.get_int("seed")
     seg = settings.segmenter()
@@ -445,25 +475,22 @@ def cmd_synth_embed(settings: Settings) -> tuple[dict, dict]:
     ))
 
     stores = (query_store, entity_store, passage_store, encoding_store)
-    outputs = {
-        name: _save(store_path(settings.workdir, name), save_store, store)
-        for name, store in zip(STORE_NAMES, stores)
-    }
+    for name, store in zip(STORE_NAMES, stores):
+        settings.save(store_path(settings.workdir, name), save_store, store)
     print(
         f"materialized stores: query={len(query_store)} entity={len(entity_store)} "
         f"passage={len(passage_store)} query_entity={len(encoding_store)}"
     )
-    return {"pooled": "pooled_entities.tsv"}, outputs
 
 
-def cmd_train_entity_ranker(settings: Settings) -> tuple[dict, dict]:
+def cmd_train_entity_ranker(settings: Settings) -> None:
     from .entity_ranking import save_entity_head, train_entity_head
     from .pipeline import build_entity_encoding_examples, entity_labels_map
     from .training import write_training_log
 
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.get("qrels"))
+    qrels = load_qrels(settings.input("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(corpus, cands, qrels)
     X, y = build_entity_encoding_examples(labels, encodings, settings.get_int("seed"))
@@ -471,25 +498,19 @@ def cmd_train_entity_ranker(settings: Settings) -> tuple[dict, dict]:
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
     head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
-    head_path = _save(settings.workpath("entity_head.npz"), save_entity_head, head)
-    log_path = _save(settings.workpath("entity_train_log.tsv"), write_training_log, log_rows)
+    head_path = settings.save(settings.workpath("entity_head.npz"), save_entity_head, head)
+    settings.save(settings.workpath("entity_train_log.tsv"), write_training_log, log_rows)
     print(f"trained entity head on {len(y)} examples -> {head_path}")
-    return {"qrels": settings.get("qrels")}, {"head": head_path, "log": log_path}
 
 
-def cmd_rank_entities(settings: Settings) -> tuple[dict, dict]:
-    from .entity_ranking import (
-        EntityRanking,
-        bm25_entity_rank,
-        geeer_entity_rank,
-        load_entity_head,
-        save_entity_rankings,
-    )
+def cmd_rank_entities(settings: Settings) -> None:
+    from .entity_ranking import (EntityRanking, bm25_entity_rank, geeer_entity_rank,
+                                 load_entity_head, save_entity_rankings)
     from .pipeline import entity_rankings_map
 
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
-    pooled = load_pooled(require_artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
-    queries = {q.query_id: q for q in load_queries(settings.get("queries"))}
+    pooled = _pooled(settings)
+    queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
     rankings: dict[str, EntityRanking] = {}
     bm25_only = 0
 
@@ -497,7 +518,7 @@ def cmd_rank_entities(settings: Settings) -> tuple[dict, dict]:
     if mode in ("bm25", "geeer"):
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
-        catalog = settings.values.get("entity_catalog")
+        catalog = settings.input("entity_catalog", optional=True)
         records = load_entity_catalog(catalog).values() if catalog is not None else ()
         descriptions = {rec.entity_id: rec.description for rec in records if rec.description}
         if descriptions:
@@ -506,21 +527,18 @@ def cmd_rank_entities(settings: Settings) -> tuple[dict, dict]:
             raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
 
     def bm25_ranking(qid: str) -> EntityRanking:
-        return bm25_entity_rank(
-            queries[qid].text, pooled[qid], desc_index, settings.bm25(), query_id=qid
-        )
+        return bm25_entity_rank(queries[qid].text, pooled[qid], desc_index, settings.bm25(), qid)
 
     if mode == "learned":
         (encodings,) = _load_stores(settings, "query_entity")
-        head = load_entity_head(
-            require_artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
-        )
+        path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
+        head = load_entity_head(path)
         rankings = entity_rankings_map(head, pooled, encodings)
     elif mode == "bm25":
         rankings = {qid: bm25_ranking(qid) for qid in sorted(pooled)}
     elif mode == "geeer":
         (entity_store,) = _load_stores(settings, "entity")
-        links = load_query_links(settings.get("query_links"))
+        links = load_query_links(settings.input("query_links"))
         lam = settings.get_float("geeer.lambda")
         for qid in sorted(pooled):
             if desc_index is not None:
@@ -539,17 +557,12 @@ def cmd_rank_entities(settings: Settings) -> tuple[dict, dict]:
     else:
         raise CliError(f"unknown entity ranking mode {mode!r}")
 
-    rankings_path = _save(settings.workpath("entity_ranking.npz"), save_entity_rankings, rankings)
+    path = settings.save(settings.workpath("entity_ranking.npz"), save_entity_rankings, rankings)
     # probabilities as run scores
     runs = [Ranking(qid, r.entity_ids, r.probs) for qid, r in sorted(rankings.items())]
-    tag = f"entities-{mode}"
-    run_path = _save(settings.workpath("entity_ranking.run"), write_run, runs, tag=tag)
-    print(
-        f"ranked entities ({mode}) for {len(rankings)} queries, "
-        f"{bm25_only} by BM25 alone -> {rankings_path}"
-    )
-    inputs = {"pooled": "pooled_entities.tsv", "mode": mode}
-    return inputs, {"rankings": rankings_path, "run": run_path}
+    settings.save(settings.workpath("entity_ranking.run"), write_run, runs, tag=f"entities-{mode}")
+    print(f"ranked entities ({mode}) for {len(rankings)} queries, "
+          f"{bm25_only} by BM25 alone -> {path}")
 
 
 def _training_inputs(settings: Settings):
@@ -559,7 +572,7 @@ def _training_inputs(settings: Settings):
 
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
-    qrels = load_qrels(settings.get("qrels"))
+    qrels = load_qrels(settings.input("qrels"))
     stores = _load_stores(settings, "query", "entity", "passage")
     rankings = _entity_rankings(settings)
     seed = settings.get_int("seed")
@@ -572,18 +585,16 @@ def _training_inputs(settings: Settings):
     return qrels, examples, folds, data, cfg
 
 
-def cmd_train_dreq(settings: Settings) -> tuple[dict, dict]:
+def cmd_train_dreq(settings: Settings) -> None:
     from .embeddings import save_store, store_path
     from .model import DreqModel, save_checkpoint
     from .training import train_dreq, train_feature_table, write_training_log
 
     _, examples, folds, data, cfg = _training_inputs(settings)
-    outputs = {"folds": _save(settings.workpath("folds.json"), folds.save)}
+    settings.save(settings.workpath("folds.json"), folds.save)
 
     template = DreqModel.init(
-        settings.dims(),
-        mode=settings.get("weighting.mode"),
-        seed=settings.get_int("seed"),
+        settings.dims(), mode=settings.get("weighting.mode"), seed=settings.get_int("seed"),
         use_entities=settings.get_bool("use_entities"),
     )
     table = train_feature_table(data, examples)
@@ -592,60 +603,76 @@ def cmd_train_dreq(settings: Settings) -> tuple[dict, dict]:
 
     for outcome in outcomes:
         i = outcome.fold_index
-        ckpt = settings.workpath(f"dreq_fold{i}.ckpt")
-        outputs[f"fold{i}"] = _save(ckpt, save_checkpoint, outcome.model)
+        settings.save(settings.workpath(f"dreq_fold{i}.ckpt"), save_checkpoint, outcome.model)
         if cfg.finetune_entity_embeddings:
             tuned = store_path(settings.workdir, f"entity_tuned_fold{i}")
-            outputs[f"entity_tuned_fold{i}"] = _save(tuned, save_store, outcome.entity_store)
+            settings.save(tuned, save_store, outcome.entity_store)
     runs = (reranked[qid] for qid in sorted(reranked))
-    run_path = _save(settings.workpath("dreq.run"), write_run, runs, tag=settings.get("run.tag"))
-    log_path = _save(settings.workpath("dreq_train_log.tsv"), write_training_log, result.log_rows)
-    outputs.update({"run": run_path, "log": log_path})
+    out = settings.save(settings.workpath("dreq.run"), write_run, runs, tag=settings.get("run.tag"))
+    settings.save(settings.workpath("dreq_train_log.tsv"), write_training_log, result.log_rows)
     print(
         f"trained {len(outcomes)} folds on {len(examples)} examples "
-        f"({table.empty_text_docs} documents without text); out-of-fold run -> {run_path}"
+        f"({table.empty_text_docs} documents without text); out-of-fold run -> {out}"
     )
-    return {"candidates": "candidates.run"}, outputs
 
 
-def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, DreqModel]:
-    """The model that scores each query: `--checkpoint` for every query, else
-    the checkpoint of the fold whose test set holds it (out of fold)."""
+def _rerank_scorers(
+    settings: Settings, qids: list[str], table: FeatureTable
+) -> dict[str, tuple[DreqModel, FeatureTable]]:
+    """The model and feature table that score each query: `--checkpoint` and
+    `table` for every query, else the checkpoint of the fold whose test set
+    holds it (out of fold), with that fold's tuned entity table when
+    `finetune_entity_embeddings` is on."""
+    from dataclasses import replace
+
+    from .embeddings import load_store, store_path
     from .model import WeightingMode, load_checkpoint
 
     ckpt = settings.args.checkpoint
+    fold_of: dict[str, int | None] = dict.fromkeys(qids)  # --checkpoint: no fold
     if not ckpt:
         from .training import FoldPlan
 
-        plan = FoldPlan.load(require_artifact(settings.workpath("folds.json"), "train-dreq"))
+        plan = FoldPlan.load(settings.artifact(settings.workpath("folds.json"), "train-dreq"))
         fold_of = {qid: i for i, fold in enumerate(plan.folds) for qid in fold.test}
         unplanned = [qid for qid in qids if qid not in fold_of]
         if unplanned:
             raise CliError(f"queries {unplanned[:5]} are in no test fold of folds.json; "
                            "rerun `dreq train-dreq` or pass --checkpoint")
-    paths = {qid: ckpt or settings.workpath(f"dreq_fold{fold_of[qid]}.ckpt") for qid in qids}
-    models = {p: load_checkpoint(require_artifact(p, "train-dreq")) for p in dict.fromkeys(paths.values())}
-    for model in models.values():
+    tuned = not ckpt and settings.get_bool("finetune_entity_embeddings")
+    scorers = {}
+    for i in dict.fromkeys(fold_of[qid] for qid in qids):
+        path = ckpt or settings.workpath(f"dreq_fold{i}.ckpt")
+        model = load_checkpoint(settings.artifact(path, "train-dreq"))
         if settings.args.weighting:
             model.mode = WeightingMode(settings.args.weighting)
         if settings.args.no_entities:
             model.use_entities = False
-    return {qid: models[p] for qid, p in paths.items()}
+        fold_table = table
+        if tuned:
+            path = store_path(settings.workdir, f"entity_tuned_fold{i}")
+            store = load_store(settings.artifact(path, "train-dreq"))
+            if store.ids != table.entity_store.ids:
+                raise CliError(f"{path}: not the entity store's ids; rerun `dreq train-dreq`")
+            fold_table = replace(table, entity_store=store)
+        scorers[i] = model, fold_table
+    return {qid: scorers[fold_of[qid]] for qid in qids}
 
 
-def cmd_rerank(settings: Settings) -> tuple[dict, dict]:
+def cmd_rerank(settings: Settings) -> None:
     from .model import build_feature_table, maxsimcos_rerank, rerank
 
     mode = settings.args.mode
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
-    queries = load_queries(settings.get("queries"))
+    settings.manifest_name = f"rerank-{os.path.splitext(os.path.basename(out))[0]}"
+    queries = load_queries(settings.input("queries"))
     kept = empty_text = 0
 
     if mode == "maxsimcos":
         (entity_store,) = _load_stores(settings, "entity")
-        links = load_query_links(settings.get("query_links"))
+        links = load_query_links(settings.input("query_links"))
         rankings = {}
         for q in queries:
             if q.query_id not in cands:
@@ -655,53 +682,51 @@ def cmd_rerank(settings: Settings) -> tuple[dict, dict]:
                 rankings[q.query_id] = cands[q.query_id]
                 kept += 1
                 continue
-            rankings[q.query_id] = maxsimcos_rerank(
-                qlinks, cands[q.query_id], corpus.documents, entity_store
-            )
+            rankings[q.query_id] = maxsimcos_rerank(qlinks, cands[q.query_id], corpus.documents,
+                                                    entity_store)
     elif mode == "dreq":
         query_store, entity_store, passage_store = _load_stores(
             settings, "query", "entity", "passage"
         )
         entity_rankings = _entity_rankings(settings)
         qids = [q.query_id for q in queries if q.query_id in cands]
-        models = _rerank_models(settings, qids)
         docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids)
         table = build_feature_table(docs, entity_store, passage_store, settings.segmenter())
         empty_text = table.empty_text_docs
+        scorers = _rerank_scorers(settings, qids, table)
         rankings = {
-            qid: rerank(models[qid], query_store.get(qid), cands[qid], table, entity_rankings[qid])
-            for qid in qids
+            qid: rerank(model, query_store.get(qid), cands[qid], fold_table, entity_rankings[qid])
+            for qid, (model, fold_table) in scorers.items()
         }
     else:
         raise CliError(f"unknown rerank mode {mode!r}")
 
-    _save(out, write_run, (rankings[qid] for qid in sorted(rankings)), tag=f"rerank-{mode}")
+    settings.save(out, write_run, (rankings[qid] for qid in sorted(rankings)), tag=f"rerank-{mode}")
     print(
         f"reranked {len(rankings)} queries ({mode}), {kept} kept their candidate ranking, "
         f"{empty_text} documents without text -> {out}"
     )
-    return {"candidates": "candidates.run", "mode": mode}, {"run": out}
 
 
-def cmd_evaluate(settings: Settings) -> tuple[dict, dict]:
+def cmd_evaluate(settings: Settings) -> None:
     from .evaluation import evaluate_run, write_metrics_report
 
-    qrels = load_qrels(settings.get("qrels"))
+    qrels = load_qrels(settings.input("qrels"))
     run_path = settings.args.run or settings.workpath("dreq.run")
-    rankings = load_run(require_artifact(run_path, "train-dreq (or retrieve/rerank)"))
+    rankings = load_run(settings.artifact(run_path, "train-dreq (or retrieve/rerank)"))
     tag = settings.args.tag or os.path.splitext(os.path.basename(run_path))[0]
+    settings.manifest_name = f"evaluate-{tag}"
     report = evaluate_run(rankings, qrels, tag=tag, **settings.cutoffs())
-    out = _save(settings.workpath(f"eval_{tag}.tsv"), write_metrics_report, report)
+    out = settings.save(settings.workpath(f"eval_{tag}.tsv"), write_metrics_report, report)
     for metric, value in report.means.items():
         print(f"{tag}\t{metric}\t{value:.4f}")
     print(f"report -> {out}")
-    return {"run": run_path}, {"report": out}
 
 
-def cmd_qpp(settings: Settings) -> tuple[dict, dict]:
+def cmd_qpp(settings: Settings) -> None:
     from .evaluation import wig, wig_terciles
 
-    queries = load_queries(settings.get("queries"))
+    queries = load_queries(settings.input("queries"))
     cands = _candidates(settings)
     k = settings.get_int("wig.k")
     tok = settings.tokenizer()
@@ -715,17 +740,16 @@ def cmd_qpp(settings: Settings) -> tuple[dict, dict]:
     text = "query_id\twig\ttercile\n" + "".join(
         f"{qid}\t{scores[qid]:.6f}\t{terciles.get(qid, '-')}\n" for qid in sorted(scores)
     )
-    out = _save(settings.workpath("wig.tsv"), _write_text, text)
+    out = settings.save(settings.workpath("wig.tsv"), _write_text, text)
     print(f"WIG@{k} for {len(scores)} queries -> {out}")
-    return {"candidates": "candidates.run"}, {"wig": out}
 
 
-def cmd_difficulty(settings: Settings) -> tuple[dict, dict]:
+def cmd_difficulty(settings: Settings) -> None:
     from .evaluation import build_difficulty_report, evaluate_run, write_difficulty_report
 
-    qrels = load_qrels(settings.get("qrels"))
-    baseline = load_run(require_artifact(settings.args.baseline_run, "retrieve"))
-    system = load_run(require_artifact(settings.args.system_run, "train-dreq or rerank"))
+    qrels = load_qrels(settings.input("qrels"))
+    baseline = load_run(settings.artifact(settings.args.baseline_run, "retrieve"))
+    system = load_run(settings.artifact(settings.args.system_run, "train-dreq or rerank"))
     ndcg_k = settings.get_int("eval.ndcg_k")
     base_report = evaluate_run(baseline, qrels, tag="baseline", ndcg_k=ndcg_k)
     sys_report = evaluate_run(system, qrels, tag="system", ndcg_k=ndcg_k)
@@ -736,23 +760,16 @@ def cmd_difficulty(settings: Settings) -> tuple[dict, dict]:
     wig_scores = None
     wig_path = settings.args.wig or settings.workpath("wig.tsv")
     if os.path.exists(wig_path):
-        wig_scores = {}
-        with open(wig_path, "r", encoding="utf-8") as f:
-            f.readline()
-            for line in f:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) >= 2 and parts[0] in base_metric:
-                    wig_scores[parts[0]] = float(parts[1])
+        wig_scores = load_wig(settings.artifact(wig_path, "qpp"))
+        wig_scores = {q: s for q, s in wig_scores.items() if q in base_metric}
         if set(wig_scores) != set(base_metric):
             wig_scores = None
     report = build_difficulty_report(base_metric, sys_metric, wig_scores)
-    out = _save(settings.workpath("difficulty.tsv"), write_difficulty_report, report)
+    out = settings.save(settings.workpath("difficulty.tsv"), write_difficulty_report, report)
     print(f"helped={report.helped} hurt={report.hurt} unchanged={report.unchanged} -> {out}")
-    inputs = {"baseline": settings.args.baseline_run, "system": settings.args.system_run}
-    return inputs, {"report": out}
 
 
-def cmd_ablate(settings: Settings) -> tuple[dict, dict]:
+def cmd_ablate(settings: Settings) -> None:
     from .pipeline import VARIANTS, ablation_sweep
 
     qrels, examples, folds, data, cfg = _training_inputs(settings)
@@ -767,15 +784,13 @@ def cmd_ablate(settings: Settings) -> tuple[dict, dict]:
     table = "\t".join(["system", *metrics]) + "\n" + "".join(
         name + "".join(f"\t{means[m]:.4f}" for m in metrics) + "\n" for name, means in rows
     )
-    out = _save(settings.workpath("ablate.tsv"), _write_text, table)
-    outputs = {"table": out}
+    out = settings.save(settings.workpath("ablate.tsv"), _write_text, table)
     for name, run in outcome.variant_runs.items():
         runs = (run[qid] for qid in sorted(run))
         path = settings.workpath(f"ablate_{name}.run")
-        outputs[name] = _save(path, write_run, runs, tag=f"ablate-{name}")
+        settings.save(path, write_run, runs, tag=f"ablate-{name}")
     sys.stdout.write(table)
     print(f"ablation table ({outcome.empty_text_docs} documents without text) -> {out}")
-    return {"candidates": "candidates.run"}, outputs
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -804,43 +819,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in (
-        "build-index", "retrieve", "pool-entities", "synth-embed",
-        "train-entity-ranker", "train-dreq", "qpp", "ablate",
-    ):
-        sub.add_parser(name)
-    p = sub.add_parser("rank-entities")
-    p.add_argument("--mode", choices=["learned", "bm25", "geeer"])
-    p = sub.add_parser("rerank")
-    p.add_argument("--mode", choices=["dreq", "maxsimcos"], default="dreq")
-    p.add_argument("--checkpoint")
+    p = {name: sub.add_parser(name) for name in _COMMANDS}
+    p["rank-entities"].add_argument("--mode", choices=["learned", "bm25", "geeer"])
+    p["rerank"].add_argument("--mode", choices=["dreq", "maxsimcos"], default="dreq")
+    p["rerank"].add_argument("--checkpoint")
     # set once the action exists: add_argument itself would list the choices
-    p.add_argument("--weighting").choices = _WeightingModes()
-    p.add_argument("--no-entities", action="store_true")
-    p.add_argument("--output")
-    p = sub.add_parser("evaluate")
-    p.add_argument("--run")
-    p.add_argument("--tag")
-    p = sub.add_parser("difficulty")
-    p.add_argument("--baseline-run", required=True)
-    p.add_argument("--system-run", required=True)
-    p.add_argument("--wig")
+    p["rerank"].add_argument("--weighting").choices = _WeightingModes()
+    p["rerank"].add_argument("--no-entities", action="store_true")
+    p["rerank"].add_argument("--output")
+    p["evaluate"].add_argument("--run")
+    p["evaluate"].add_argument("--tag")
+    p["difficulty"].add_argument("--baseline-run", required=True)
+    p["difficulty"].add_argument("--system-run", required=True)
+    p["difficulty"].add_argument("--wig")
     return parser
 
 
+# stage name -> its `cmd_*` function, in pipeline order (the order defined)
 _COMMANDS = {
-    "build-index": cmd_build_index,
-    "retrieve": cmd_retrieve,
-    "pool-entities": cmd_pool_entities,
-    "synth-embed": cmd_synth_embed,
-    "train-entity-ranker": cmd_train_entity_ranker,
-    "rank-entities": cmd_rank_entities,
-    "train-dreq": cmd_train_dreq,
-    "rerank": cmd_rerank,
-    "evaluate": cmd_evaluate,
-    "qpp": cmd_qpp,
-    "difficulty": cmd_difficulty,
-    "ablate": cmd_ablate,
+    name[4:].replace("_", "-"): fn for name, fn in globals().items() if name.startswith("cmd_")
 }
 
 
@@ -850,8 +847,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = Settings(args)
         t0 = time.time()
-        inputs, outputs = _COMMANDS[args.command](settings)
-        write_manifest(settings, args.command, inputs, outputs, t0)
+        _COMMANDS[args.command](settings)
+        write_manifest(settings, t0)
     except (CliError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

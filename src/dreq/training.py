@@ -404,7 +404,6 @@ class FoldOutcome:
     fold_index: int
     model: DreqModel
     entity_store: EmbeddingStore
-    test_rankings: dict[str, Ranking]
     epoch_losses: list[float]
 
 
@@ -603,24 +602,21 @@ def train_dreq(
             space, ids = table.entity_store.space, table.entity_store.ids
             fold_table = replace(table, entity_store=EmbeddingStore(space, ids, entities[r]))
 
-        test_rankings: dict[str, Ranking] = {}
         for qid in folds.folds[fold_index].test:
             if qid not in data.candidates:
                 continue
-            test_rankings[qid] = rerank(
+            reranked[t][qid] = rerank(
                 model,
                 data.query_store.get(qid),
                 data.candidates[qid],
                 fold_table,
                 data.entity_rankings[qid],
             )
-        reranked[t].update(test_rankings)
         outcomes[t].append(
             FoldOutcome(
                 fold_index=fold_index,
                 model=model,
                 entity_store=fold_table.entity_store,
-                test_rankings=test_rankings,
                 epoch_losses=run.epoch_losses,
             )
         )

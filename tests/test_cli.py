@@ -133,7 +133,9 @@ class TestPipeline:
     def test_manifests_written(self, pipeline):
         _, workdir = pipeline
         for stage, *_ in STAGES:
-            manifest = json.load(open(os.path.join(workdir, "manifests", f"{stage}.json")))
+            # evaluate's manifest is named after its tag, dreq.run's stem by default
+            name = "evaluate-dreq" if stage == "evaluate" else stage
+            manifest = json.load(open(os.path.join(workdir, "manifests", f"{name}.json")))
             assert manifest["stage"] == stage
             assert len(manifest["config_digest"]) == 64
             assert manifest["seed"] == 7
@@ -391,24 +393,36 @@ class TestPipeline:
         )
         assert os.path.exists(out)
 
-    def test_rerank_scores_each_query_with_its_test_fold_model(self, pipeline):
+    def test_rerank_scores_each_query_with_its_test_fold_model(
+        self, pipeline, tmp_path, monkeypatch
+    ):
         config, workdir = pipeline
-        assert run(config, "rerank", "--mode", "dreq") == 0
-        routed = load_run(os.path.join(workdir, "rerank_dreq.run"))
-        plan = FoldPlan.load(os.path.join(workdir, "folds.json"))
-        per_fold = []
-        for i, fold in enumerate(plan.folds):
-            out = os.path.join(workdir, f"rerank_fold{i}.run")
-            ckpt = os.path.join(workdir, f"dreq_fold{i}.ckpt")
-            assert run(config, "rerank", "--checkpoint", ckpt, "--output", out) == 0
-            per_fold.append(load_run(out))
-            for qid in fold.test:
-                assert pairs(routed[qid]) == pairs(per_fold[i][qid]), qid
-        # fold 0's model alone would have scored other folds' queries differently
-        assert any(pairs(routed[q]) != pairs(per_fold[0][q]) for q in routed)
-        # and the routed run is train-dreq's own out-of-fold run
-        oof = load_run(os.path.join(workdir, "dreq.run"))
-        assert {q: pairs(r) for q, r in routed.items()} == {q: pairs(r) for q, r in oof.items()}
+        for finetune in ("false", "true"):
+            work = tmp_path / f"finetune-{finetune}"
+            shutil.copytree(workdir, work)
+            argv = ["--config", config, "--workdir", str(work)]
+            monkeypatch.setenv("DREQ_FINETUNE_ENTITY_EMBEDDINGS", finetune)
+            if finetune == "true":  # tuned entity tables, stores/entity_tuned_fold{i}.npz
+                assert main([*argv, "train-dreq"]) == 0
+            assert main([*argv, "rerank", "--mode", "dreq"]) == 0
+            routed = load_run(str(work / "rerank_dreq.run"))
+            plan = FoldPlan.load(str(work / "folds.json"))
+            per_fold = []
+            for i, fold in enumerate(plan.folds):
+                out = str(work / f"rerank_fold{i}.run")
+                ckpt = str(work / f"dreq_fold{i}.ckpt")
+                assert main([*argv, "rerank", "--checkpoint", ckpt, "--output", out]) == 0
+                per_fold.append(load_run(out))
+                # a checkpoint records no fold: --checkpoint scores with the base entity table
+                same = [pairs(routed[qid]) == pairs(per_fold[i][qid]) for qid in fold.test]
+                assert all(same) if finetune == "false" else not all(same), (finetune, i)
+            # fold 0's model alone would have scored other folds' queries differently
+            assert any(pairs(routed[q]) != pairs(per_fold[0][q]) for q in routed)
+            # and the routed run is train-dreq's own out-of-fold run
+            oof = load_run(str(work / "dreq.run"))
+            assert {q: pairs(r) for q, r in routed.items()} == {
+                q: pairs(r) for q, r in oof.items()
+            }, finetune
 
     def test_evaluate_unknown_qids_listed(self, pipeline, tmp_path):
         config, workdir = pipeline
@@ -481,6 +495,106 @@ class TestPipeline:
         assert rows["qempty"].startswith("0.000000\t")
 
 
+class TestManifests:
+    # the toy chain, then each mode of the stages that read by mode, and the
+    # stages off the chain
+    AUDITED = [
+        *STAGES,
+        ("rerank", "--mode", "dreq"),
+        ("rerank", "--mode", "maxsimcos"),
+        ("difficulty", "--baseline-run", "{work}/candidates.run",
+         "--system-run", "{work}/dreq.run"),
+        ("ablate",),
+        ("rank-entities", "--mode", "bm25"),
+        ("rank-entities", "--mode", "geeer"),
+    ]
+    CONFIG_KEYS = {"corpus", "entity_catalog", "queries", "qrels", "query_links"}
+
+    def test_inputs_and_outputs_are_the_files_each_stage_opened(self, tmp_path):
+        """Every stage in one process with an audit hook on `open` and on
+        `os.replace`: the manifest lists exactly the files the stage read
+        (the config file aside) and the files it renamed into place."""
+        toy = tmp_path / "toy"
+        shutil.copytree(TOY, toy)
+        work = tmp_path / "work"
+        config = write_config(
+            tmp_path, work, corpus=toy / "corpus.jsonl", entity_catalog=toy / "entities.jsonl",
+            queries=toy / "queries.tsv", qrels=toy / "qrels.txt",
+            query_links=toy / "query_links.tsv",
+        )
+        stages = [[arg.format(work=work) for arg in argv] for argv in self.AUDITED]
+        script = textwrap.dedent("""
+            import json, sys
+            import dreq.cli
+            events = []
+            def hook(event, args):
+                if event == "open" and isinstance(args[0], str):
+                    events.append(("open", args[0], args[1]))
+                elif event == "os.rename":
+                    events.append(("rename", args[1], None))
+            sys.addaudithook(hook)
+            seen = []
+            for argv in json.loads(sys.argv[2]):
+                events.clear()
+                assert dreq.cli.main(["--config", sys.argv[1], *argv]) == 0, argv
+                got = list(events)
+                (path,) = [p for kind, p, _ in got if kind == "rename" and "manifests" in p]
+                with open(path, encoding="utf-8") as f:
+                    seen.append({"events": got, "path": path, "manifest": json.load(f)})
+            print(json.dumps(seen))
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script, config, json.dumps(stages)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        ).stdout
+        seen = json.loads(out.splitlines()[-1])
+        real = os.path.realpath
+        root = real(tmp_path) + os.sep
+        for argv, stage in zip(stages, seen):
+            opened = [(kind, real(p), mode) for kind, p, mode in stage["events"]
+                      if real(p).startswith(root)]
+            reads = {p for kind, p, mode in opened if kind == "open" and mode in ("r", "rb")}
+            writes = {p for kind, p, mode in opened if kind == "rename"} - {real(stage["path"])}
+            # every file a stage writes goes through `Settings.save`'s temp file
+            assert all(p.endswith(".tmp") for kind, p, mode in opened
+                       if kind == "open" and mode not in ("r", "rb")), argv
+            manifest = stage["manifest"]
+            assert manifest["stage"] == argv[0]
+            assert {real(p) for p in manifest["inputs"].values()} == reads - {real(config)}, argv
+            assert {real(p) for p in manifest["outputs"].values()} == writes, argv
+            for key, path in [*manifest["inputs"].items(), *manifest["outputs"].items()]:
+                assert key in self.CONFIG_KEYS or key == os.path.relpath(path, work), argv
+        counts = {" ".join(a): len(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
+        # corpus and catalog; and, with the candidates, qrels, three stores and
+        # the entity ranking; and, with the queries, folds.json and five checkpoints
+        assert counts["build-index"] == 2
+        assert counts["train-dreq"] == counts["ablate"] == 8
+        assert counts["rerank --mode dreq"] == 14
+
+    def test_a_stage_that_names_its_output_per_run_keeps_a_manifest_per_output(
+        self, pipeline, tmp_path
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work)]
+        expected = {}
+        for tag in ("a", "b"):
+            assert main([*argv, "evaluate", "--tag", tag]) == 0
+            expected[f"evaluate-{tag}"] = {f"eval_{tag}.tsv": str(work / f"eval_{tag}.tsv")}
+        for name in ("x", "y"):
+            out = str(tmp_path / f"{name}.run")
+            assert main([*argv, "rerank", "--mode", "maxsimcos", "--output", out]) == 0
+            expected[f"rerank-{name}"] = {out: out}
+        assert main([*argv, "rerank", "--mode", "maxsimcos"]) == 0
+        expected["rerank-rerank_maxsimcos"] = {
+            "rerank_maxsimcos.run": str(work / "rerank_maxsimcos.run")
+        }
+        for name, outputs in expected.items():
+            manifest = json.loads((work / "manifests" / f"{name}.json").read_text())
+            assert manifest["outputs"] == outputs, name
+
+
 class TestQueryLinks:
     @pytest.mark.parametrize("confidence", ["high", "", "nan", "inf", "-inf"])
     def test_bad_confidence_names_its_line(self, tmp_path, confidence):
@@ -498,7 +612,7 @@ class TestQueryLinks:
 
 
 class TestMalformedInputLines:
-    """`build-index` on the toy world with one bad line appended: an
+    """An input file or a text artifact with one bad line appended: an
     `error: path:line: ...` line, never a traceback."""
 
     @pytest.mark.parametrize(
@@ -533,6 +647,37 @@ class TestMalformedInputLines:
         line_no = len(toy.splitlines()) + 1
         expected = f"error: {catalog}:{line_no}: malformed catalog line: {message}\n"
         assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        ("artifact", "line", "message"),
+        [
+            ("pooled_entities.tsv", "q01", "expected 'qid<TAB>entity'"),
+            ("pooled_entities.tsv", "q01\te1\textra", "expected 'qid<TAB>entity'"),
+            ("wig.tsv", "q01\tabc\t1", "wig 'abc' is not a finite number"),
+            ("wig.tsv", "q01\tnan\t1", "wig 'nan' is not a finite number"),
+            ("wig.tsv", "q01\t0.5", "expected 'query_id<TAB>wig<TAB>tercile'"),
+        ],
+        ids=["pooled-one-field", "pooled-three-fields", "wig-word", "wig-nan", "wig-two-fields"],
+    )
+    def test_artifact_line(self, pipeline, tmp_path, capsys, artifact, line, message):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        text = (work / artifact).read_text()
+        (work / artifact).write_text(text + line + "\n")
+        if artifact == "wig.tsv":
+            stage, out = ["difficulty", "--baseline-run", str(work / "candidates.run"),
+                          "--system-run", str(work / "dreq.run")], "difficulty.tsv"
+        else:
+            stage, out = ["rank-entities", "--mode", "bm25"], "entity_ranking.npz"
+        before = (work / out).read_bytes() if (work / out).exists() else None
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), *stage]) == 1
+        line_no = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {work / artifact}:{line_no}: {message}\n"
+        assert ((work / out).read_bytes() if (work / out).exists() else None) == before
+        assert not (work / "manifests").exists()
 
 
 class TestDirectoryPaths:
