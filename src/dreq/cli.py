@@ -155,11 +155,9 @@ class Settings:
                 self.values[flag] = str(v)
         self.args = args
 
-    def get(self, key: str, default: str | None = None) -> str:
+    def get(self, key: str) -> str:
         if key in self.values:
             return self.values[key]
-        if default is not None:
-            return default
         raise CliError(f"missing required config key {key!r} (config file or {ENV_PREFIX}* env)")
 
     def get_int(self, key: str) -> int:
@@ -660,6 +658,7 @@ def _rerank_scorers(
 
 
 def cmd_rerank(settings: Settings) -> None:
+    from .entity_ranking import _query_ranking
     from .model import build_feature_table, maxsimcos_rerank, rerank
 
     mode = settings.args.mode
@@ -695,7 +694,8 @@ def cmd_rerank(settings: Settings) -> None:
         empty_text = table.empty_text_docs
         scorers = _rerank_scorers(settings, qids, table)
         rankings = {
-            qid: rerank(model, query_store.get(qid), cands[qid], fold_table, entity_rankings[qid])
+            qid: rerank(model, query_store.get(qid), cands[qid], fold_table,
+                        _query_ranking(entity_rankings, qid))
             for qid, (model, fold_table) in scorers.items()
         }
     else:

@@ -162,9 +162,6 @@ class CorpusStore:
         except KeyError:
             raise KeyError(f"doc_id {doc_id!r} not in corpus") from None
 
-    def doc_ids(self) -> list[str]:
-        return list(self.documents.keys())
-
     def texts(self) -> dict[str, str]:
         """doc_id -> text, in corpus order: all that an index reads."""
         return {doc_id: doc.text for doc_id, doc in self.documents.items()}

@@ -12,7 +12,6 @@ scale. `synthetic_embed_rows` embeds a whole store's keys in one call: the
 FNV-1a-64 hash of every key and the SplitMix64 words drawn from it are uint64
 array arithmetic, and each row is normalized by its own `np.linalg.norm` call
 (`unit_rows`), so a row's bits do not depend on the keys embedded with it.
-`synthetic_embed` is its one-row case.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "store_path",
     "load_store",
     "save_store",
-    "synthetic_embed",
     "synthetic_embed_rows",
     "unit_rows",
     "softmax",
@@ -207,11 +205,6 @@ def synthetic_embed_rows(namespace: str, ids: Sequence[str], dim: int, seed: int
     keys = [(prefix + id + suffix).encode("utf-8") for id in ids]
     words = _splitmix64(_fnv1a64(keys), dim)
     return unit_rows((words >> np.uint64(11)) / 2.0**53 * 2.0 - 1.0)
-
-
-def synthetic_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
-    """The one-row case of :func:`synthetic_embed_rows`."""
-    return synthetic_embed_rows(namespace, (id,), dim, seed)[0]
 
 
 # --- dense kernels -----------------------------------------------------------

@@ -89,6 +89,13 @@ class EntityRanking:
         return len(self.entity_ids)
 
 
+def _query_ranking(rankings: Mapping[str, EntityRanking], query_id: str) -> EntityRanking:
+    """`query_id`'s ranking; a query absent from `rankings` ranks no entities."""
+    if query_id in rankings:
+        return rankings[query_id]
+    return EntityRanking(query_id, [], np.empty(0), np.empty(0))
+
+
 def rank_entities(
     head: EntityHead,
     query_id: str,
@@ -172,6 +179,8 @@ def geeer_entity_rank(
     normalized per query and interpolated with min-max BM25 at `lam`.
     Constant score lists normalize to 0.5.
     """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"geeer lambda must be in [0, 1], got {lam}")
     usable = [(eid, conf) for eid, conf in query_mentions if eid in entity_store]
     if not usable:
         raise ValueError(
@@ -219,8 +228,11 @@ def save_entity_rankings(rankings: Mapping[str, EntityRanking], path: str) -> No
 
 def load_entity_rankings(path: str) -> dict[str, EntityRanking]:
     """Rankings written by `save_entity_rankings`: a query's rows must be
-    consecutive and ranked 1..n."""
+    consecutive and ranked 1..n, and every score and probability finite."""
     arrays = _npz.read(path, _RANKING_ARRAYS, "entity ranking", "rank-entities")
+    for column in ("raw_score", "prob"):
+        if not np.isfinite(arrays[column]).all():
+            raise ValueError(f"{path}: non-finite {column}; rerun `dreq rank-entities`")
     qids = _npz.unpack_strings(arrays["query_ids"], arrays["query_id_offsets"])
     eids = _npz.unpack_strings(arrays["entity_ids"], arrays["entity_id_offsets"])
     bounds = [i for i in range(len(qids)) if i == 0 or qids[i] != qids[i - 1]] + [len(qids)]

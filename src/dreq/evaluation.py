@@ -1,17 +1,15 @@
-"""IR metrics, paired significance testing, and query-difficulty analysis.
+"""IR metrics and query-difficulty analysis.
 
 nDCG uses exponential gains (2^grade - 1) with a log2(rank + 1) discount,
 matching the trec_eval ndcg_cut convention; queries without relevant
-documents score 0. The Student-t CDF for the paired test is evaluated via
-a continued-fraction regularized incomplete beta, so no statistics
-dependency is needed.
+documents score 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .corpus import Qrels
 from .retrieval import Ranking, TokenizerConfig, tokenize
@@ -24,10 +22,6 @@ __all__ = [
     "MetricsReport",
     "evaluate_run",
     "write_metrics_report",
-    "TTestResult",
-    "paired_t_test",
-    "student_t_two_tailed_p",
-    "regularized_incomplete_beta",
     "wig",
     "wig_terciles",
     "queries_helped",
@@ -101,7 +95,6 @@ class MetricsReport:
             self.means = {
                 metric: sum(values.values()) / len(values)
                 for metric, values in self.per_query.items()
-                if values
             }
 
 
@@ -115,8 +108,10 @@ def evaluate_run(
 ) -> MetricsReport:
     """MAP, nDCG@k, P@k, Recall@k per query plus arithmetic means.
 
-    Every run query must be judged; unknown query ids are an error.
+    An empty run and a run query absent from the qrels are errors.
     """
+    if not rankings:
+        raise ValueError(f"run {tag!r} has no rankings")
     unknown = sorted(q for q in rankings if q not in qrels.grades)
     if unknown:
         raise ValueError(f"run references query ids absent from qrels: {unknown}")
@@ -143,106 +138,6 @@ def write_metrics_report(report: MetricsReport, path: str) -> None:
             for qid in sorted(report.per_query[metric]):
                 f.write(f"{metric}\t{qid}\t{report.per_query[metric][qid]:.6f}\n")
             f.write(f"{metric}\tALL\t{report.means[metric]:.6f}\n")
-
-
-# --- paired significance test ---------------------------------------------------
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) to ~1e-15 relative accuracy for a, b > 0 and x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def student_t_two_tailed_p(t: float, df: int) -> float:
-    """Two-tailed p-value of a Student-t statistic."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-
-
-@dataclass(frozen=True)
-class TTestResult:
-    t: float
-    p: float
-    significant: bool
-
-
-def paired_t_test(
-    per_query_a: Sequence[float], per_query_b: Sequence[float], alpha: float = 0.05
-) -> TTestResult:
-    """Paired t-test on aligned per-query values.
-
-    Zero-variance differences (including identical systems) are degenerate:
-    the statistic is undefined and the result reports not significant with
-    t = p = nan.
-    """
-    if len(per_query_a) != len(per_query_b):
-        raise ValueError(
-            f"length mismatch: {len(per_query_a)} vs {len(per_query_b)} per-query values"
-        )
-    n = len(per_query_a)
-    if n < 2:
-        raise ValueError(f"need at least 2 paired values, got {n}")
-    d = [a - b for a, b in zip(per_query_a, per_query_b)]
-    mean = sum(d) / n
-    var = sum((x - mean) ** 2 for x in d) / (n - 1)
-    if var == 0.0:
-        return TTestResult(t=float("nan"), p=float("nan"), significant=False)
-    t = mean / math.sqrt(var / n)
-    p = student_t_two_tailed_p(t, n - 1)
-    return TTestResult(t=t, p=p, significant=p < alpha)
 
 
 # --- query performance prediction and difficulty analysis -----------------------

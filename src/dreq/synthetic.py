@@ -49,7 +49,6 @@ from .embeddings import (
     query_entity_key,
     save_store,
     store_path,
-    synthetic_embed,
     synthetic_embed_rows,
     unit_rows,
 )
@@ -174,7 +173,7 @@ class SyntheticWorld:
         cfg, k = self.cfg, self.dims.k
         qids = self.query_store.ids
         all_entities = list(self.corpus.entities)
-        base_dir = synthetic_embed("encdir", "base", k, cfg.seed)
+        base_dir = synthetic_embed_rows("encdir", ["base"], k, cfg.seed)[0]
         keys = [query_entity_key(qid, eid) for qid in qids for eid in all_entities]
         signs = np.array(
             [1.0 if eid in self.planted[qid] else -1.0 for qid in qids for eid in all_entities]

@@ -436,6 +436,8 @@ def _example_batch(
     are formed per query, over that query's example documents, in the
     template's mode; a template without entities links nothing, so its
     weights and its Ve are 0."""
+    from .entity_ranking import _query_ranking  # entity_ranking imports this module
+
     rows = table.rows(ex.item_id for ex in examples)
     width = int((table.indptr[rows + 1] - table.indptr[rows]).max(initial=0))
     links = np.zeros((len(templates), len(rows), width), dtype=np.intp)
@@ -450,7 +452,7 @@ def _example_batch(
         if not template.use_entities:
             continue
         for qid, idx in by_query.items():
-            ranking = data.entity_rankings[qid]
+            ranking = _query_ranking(data.entity_rankings, qid)
             part_links, part_weights = table.entity_weights(ranking, template.mode, rows[idx])
             links[t, idx, : part_links.shape[1]] = part_links
             weights[t, idx, : part_weights.shape[1]] = part_weights
@@ -528,6 +530,8 @@ def train_dreq(
     weight-scaled fusion gradients. The templates share their dims. `table`
     defaults to `train_feature_table(data, examples)`.
     """
+    from .entity_ranking import _query_ranking
+
     if len({t.dims for t in templates}) != 1:
         raise ValueError("train_dreq needs one or more templates with the same dims")
     if table is None:
@@ -610,7 +614,7 @@ def train_dreq(
                 data.query_store.get(qid),
                 data.candidates[qid],
                 fold_table,
-                data.entity_rankings[qid],
+                _query_ranking(data.entity_rankings, qid),
             )
         outcomes[t].append(
             FoldOutcome(

@@ -3,6 +3,7 @@
 `segment_passages` cuts a document into the sentence windows whose number
 `SegmenterConfig.passage_count` gives and whose keys a passage store holds.
 `store_from_rows` makes an `EmbeddingStore` from (id, vector) pairs.
+`synthetic_embed` is the one-row case of `synthetic_embed_rows`.
 `MALFORMED_CORPUS_LINES` are corpus lines `load_corpus` rejects, each with
 its message.
 """
@@ -17,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from dreq.corpus import Document, SegmenterConfig, split_sentences
-from dreq.embeddings import EmbeddingStore
+from dreq.embeddings import EmbeddingStore, synthetic_embed_rows
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,11 @@ def store_from_rows(space: str, dim: int, rows: Iterable[tuple[str, np.ndarray]]
     rows = list(rows)
     vectors = np.array([vec for _, vec in rows]).reshape(len(rows), dim)
     return EmbeddingStore(space, [key for key, _ in rows], vectors)
+
+
+def synthetic_embed(namespace: str, id: str, dim: int, seed: int) -> np.ndarray:
+    """The one-row case of `synthetic_embed_rows`."""
+    return synthetic_embed_rows(namespace, (id,), dim, seed)[0]
 
 
 _MENTION = {"entity_id": "e1", "mention": "a", "start": 0, "end": 1, "confidence": 0.5}

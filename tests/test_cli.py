@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from dreq.cli import (
     save_index,
 )
 from dreq.corpus import load_corpus, load_entity_catalog
-from dreq.entity_ranking import load_entity_rankings
+from dreq.entity_ranking import load_entity_rankings, save_entity_rankings
 from dreq.pipeline import VARIANTS
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
@@ -339,6 +340,89 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == f"error: {links}:{at + 1}: confidence 'nan' is not a finite number\n"
         assert (work / "entity_ranking.npz").read_bytes() == before
+
+    @pytest.mark.parametrize("lam", ["nan", "2", "-0.5"])
+    def test_geeer_rejects_a_lambda_outside_the_unit_interval(
+        self, pipeline, tmp_path, monkeypatch, capsys, lam
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_GEEER_LAMBDA", lam)
+        outputs = ("entity_ranking.npz", "entity_ranking.run")
+        before = {name: (work / name).read_bytes() for name in outputs}
+        capsys.readouterr()
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode", "geeer"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: geeer lambda must be in [0, 1], got {float(lam)}\n"
+        assert {name: (work / name).read_bytes() for name in outputs} == before
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("column", ["raw_score", "prob"])
+    def test_a_non_finite_entity_ranking_stops_the_stages_that_read_it(
+        self, pipeline, tmp_path, capsys, column, value
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        path = work / "entity_ranking.npz"
+        rankings = load_entity_rankings(str(path))
+        ranking = rankings["q01"]
+        {"raw_score": ranking.raw_scores, "prob": ranking.probs}[column][1] = value
+        save_entity_rankings(rankings, str(path))
+        outputs = ("dreq.run", "ablate.tsv", "rerank_dreq.run")
+        for stage in (("train-dreq",), ("ablate",), ("rerank", "--mode", "dreq")):
+            capsys.readouterr()
+            assert main(["--config", config, "--workdir", str(work), *stage]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {path}: non-finite {column}; rerun `dreq rank-entities`\n", stage
+        assert sorted(name for name in outputs if (work / name).exists()) == ["dreq.run"]
+        assert (work / "dreq.run").read_bytes() == Path(workdir, "dreq.run").read_bytes()
+
+    def test_queries_without_ranked_entities_score_their_documents_without_entities(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({**json.loads(line), "entities": []}) + "\n"
+            for line in (Path(TOY) / "corpus.jsonl").read_text().splitlines()
+        ))
+        work = tmp_path / "work"
+        config = write_config(tmp_path, work, corpus=str(corpus))
+        chain = [("build-index",), ("retrieve",), ("pool-entities",), ("synth-embed",),
+                 ("rank-entities", "--mode", "bm25"), ("train-dreq",), ("ablate",),
+                 ("rerank", "--mode", "dreq")]
+        for stage in chain:
+            assert run(config, *stage) == 0, stage
+        assert load_entity_rankings(str(work / "entity_ranking.npz")) == {}
+        cands = load_run(str(work / "candidates.run"))
+        runs = {name: load_run(str(work / f"ablate_{name}.run")) for name in VARIANTS}
+        for name, got in runs.items():
+            assert sorted(got) == sorted(cands), name
+            assert {q: pairs(r) for q, r in got.items()} == {
+                q: pairs(r) for q, r in runs["no_entity"].items()
+            }, name
+
+    def test_a_linked_document_of_a_query_missing_from_the_entity_ranking_is_an_error(
+        self, pipeline, tmp_path, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        pooled = work / "pooled_entities.tsv"
+        lines = pooled.read_text().splitlines(keepends=True)
+        pooled.write_text("".join(line for line in lines if not line.startswith("q00\t")))
+        argv = ["--config", config, "--workdir", str(work)]
+        assert main([*argv, "rank-entities"]) == 0
+        assert "q00" not in load_entity_rankings(str(work / "entity_ranking.npz"))
+        missing = re.compile(
+            r"error: \"entity '\w+' of doc '\w+' missing from the entity ranking for query 'q00'\"\n"
+        )
+        for stage in (("train-dreq",), ("ablate",), ("rerank", "--mode", "dreq")):
+            capsys.readouterr()
+            assert main([*argv, *stage]) == 1
+            err = capsys.readouterr().err
+            assert missing.fullmatch(err), (stage, err)
 
     def test_no_positive_judgement_stops_training_stages(
         self, pipeline, tmp_path, monkeypatch, capsys
@@ -714,6 +798,16 @@ class TestRunFileInput:
         out = capsys.readouterr().out
         for line in ("once\tmap\t0.5000", "once\tndcg@3\t0.6131", "once\trecall@3\t0.5000"):
             assert line in out.splitlines()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_evaluate_rejects_a_run_without_rankings(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, tmp_path / "work")
+        empty = tmp_path / "empty.run"
+        empty.write_text(text)
+        capsys.readouterr()
+        assert run(config, "evaluate", "--run", str(empty)) == 1
+        assert capsys.readouterr().err == "error: run 'empty' has no rankings\n"
+        assert not (tmp_path / "work" / "eval_empty.tsv").exists()
 
 
 class TestStartup:

@@ -14,11 +14,10 @@ from dreq.embeddings import (
     save_store,
     sigmoid,
     softmax,
-    synthetic_embed,
     synthetic_embed_rows,
 )
 from dreq.model import DreqModel, _forward
-from helpers import store_from_rows
+from helpers import store_from_rows, synthetic_embed
 
 
 def write_store_arrays(path, ids, vectors, space="x"):

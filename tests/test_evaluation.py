@@ -1,10 +1,7 @@
 import math
 import random
-import statistics
 
-import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dreq.corpus import Qrels
 from dreq.evaluation import (
@@ -13,12 +10,9 @@ from dreq.evaluation import (
     difficulty_bins,
     evaluate_run,
     ndcg_at_k,
-    paired_t_test,
     precision_at_k,
     queries_helped,
     recall_at_k,
-    regularized_incomplete_beta,
-    student_t_two_tailed_p,
     wig,
     wig_terciles,
     write_metrics_report,
@@ -193,56 +187,6 @@ class TestEvaluateRun:
         lines = open(path).read().splitlines()
         assert lines[0] == "metric\tquery_id\tvalue"
         assert any(line.startswith("map\tALL\t") for line in lines)
-
-
-class TestPairedTTest:
-    def test_identical_systems_not_significant(self):
-        res = paired_t_test([0.5, 0.6, 0.7], [0.5, 0.6, 0.7])
-        assert not res.significant
-        assert math.isnan(res.t)
-
-    def test_constant_difference_degenerate(self):
-        res = paired_t_test([1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0])
-        assert not res.significant
-
-    def test_worked_example(self):
-        d = [0.1, 0.2, -0.05, 0.15, 0.1]
-        res = paired_t_test(d, [0.0] * 5)
-        expected_t = statistics.mean(d) / (statistics.stdev(d) / math.sqrt(5))
-        assert res.t == pytest.approx(expected_t, abs=1e-6)
-        assert res.t == pytest.approx(2.4, abs=0.01)
-        assert res.p == pytest.approx(0.0751, abs=1e-3)
-        assert not res.significant
-
-    def test_antisymmetry(self):
-        rng = random.Random(5)
-        a = [rng.random() for _ in range(12)]
-        b = [rng.random() for _ in range(12)]
-        ab, ba = paired_t_test(a, b), paired_t_test(b, a)
-        assert ab.t == pytest.approx(-ba.t, abs=1e-12)
-        assert ab.p == pytest.approx(ba.p, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            paired_t_test([1.0], [1.0, 2.0])
-
-    @given(st.floats(0.05, 8.0), st.integers(1, 40))
-    @settings(max_examples=40, deadline=None)
-    def test_p_matches_numerical_integration(self, t, df):
-        pdf = lambda x: (
-            mpmath.gamma((df + 1) / 2)
-            / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
-            * (1 + x**2 / df) ** (-(df + 1) / 2)
-        )
-        expected = float(2 * mpmath.quad(pdf, [t, mpmath.inf]))
-        assert student_t_two_tailed_p(t, df) == pytest.approx(expected, abs=1e-10)
-
-    def test_incomplete_beta_bounds(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-        x = regularized_incomplete_beta(2.0, 3.0, 0.5)
-        expected = float(mpmath.betainc(2, 3, 0, 0.5, regularized=True))
-        assert x == pytest.approx(expected, abs=1e-12)
 
 
 class TestWig:
