@@ -47,6 +47,7 @@ import numpy as np
 
 from . import _npz
 from .corpus import (
+    Qrels,
     SegmenterConfig,
     load_corpus,
     load_entity_catalog,
@@ -154,6 +155,10 @@ class Settings:
             if v is not None:
                 self.values[flag] = str(v)
         self.args = args
+        # every stage's manifest records the seed, and numpy takes no negative one
+        self.seed = self.get_int("seed")
+        if self.seed < 0:
+            raise CliError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
 
     def get(self, key: str) -> str:
         if key in self.values:
@@ -261,7 +266,7 @@ class Settings:
             learning_rate=self.get_float("train.learning_rate"),
             batch_size=self.get_int("train.batch_size"),
             epochs=self.get_int("train.epochs"),
-            seed=self.get_int("seed"),
+            seed=self.seed,
             finetune_entity_embeddings=self.get_bool("finetune_entity_embeddings"),
         )
 
@@ -282,7 +287,7 @@ def write_manifest(settings: Settings, t0: float) -> None:
         "stage": args["command"],
         "flags": flags,
         "config_digest": settings.config_digest(),
-        "seed": settings.get_int("seed"),
+        "seed": settings.seed,
         "inputs": settings.inputs,
         "outputs": settings.outputs,
         "seconds": round(time.time() - t0, 3),
@@ -454,7 +459,7 @@ def cmd_synth_embed(settings: Settings) -> None:
     queries = load_queries(settings.input("queries"))
     pooled = _pooled(settings)
     dims = settings.dims()
-    seed = settings.get_int("seed")
+    seed = settings.seed
     seg = settings.segmenter()
 
     def embedded(space: str, dim: int, keys) -> EmbeddingStore:
@@ -491,7 +496,7 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     qrels = load_qrels(settings.input("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(corpus, cands, qrels)
-    X, y = build_entity_encoding_examples(labels, encodings, settings.get_int("seed"))
+    X, y = build_entity_encoding_examples(labels, encodings, settings.seed)
     if not len(y):
         raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
@@ -502,8 +507,8 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
 
 
 def cmd_rank_entities(settings: Settings) -> None:
-    from .entity_ranking import (EntityRanking, bm25_entity_rank, geeer_entity_rank,
-                                 load_entity_head, save_entity_rankings)
+    from .entity_ranking import (EntityRanking, _unit_lambda, bm25_entity_rank,
+                                 geeer_entity_rank, load_entity_head, save_entity_rankings)
     from .pipeline import entity_rankings_map
 
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
@@ -537,7 +542,8 @@ def cmd_rank_entities(settings: Settings) -> None:
     elif mode == "geeer":
         (entity_store,) = _load_stores(settings, "entity")
         links = load_query_links(settings.input("query_links"))
-        lam = settings.get_float("geeer.lambda")
+        # checked here too: a query that links no entity never reaches geeer_entity_rank
+        lam = _unit_lambda(settings.get_float("geeer.lambda"))
         for qid in sorted(pooled):
             if desc_index is not None:
                 sparse = bm25_ranking(qid)
@@ -565,7 +571,8 @@ def cmd_rank_entities(settings: Settings) -> None:
 
 def _training_inputs(settings: Settings):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
-    TrainData, TrainConfig)."""
+    TrainData, TrainConfig, the number of judged-relevant documents of the
+    candidate queries that are not in the corpus)."""
     from .training import TrainData, build_doc_examples, make_folds
 
     corpus = _load_corpus(settings)
@@ -573,14 +580,21 @@ def _training_inputs(settings: Settings):
     qrels = load_qrels(settings.input("qrels"))
     stores = _load_stores(settings, "query", "entity", "passage")
     rankings = _entity_rankings(settings)
-    seed = settings.get_int("seed")
+    seed = settings.seed
     cfg = settings.train_config()
-    examples = build_doc_examples(qrels, cands, seed)
+    # a judged-relevant document outside the corpus has nothing to score, so
+    # it is no positive, as `pooling_docs` pools no entity from it
+    in_corpus = Qrels({
+        qid: {d: grade for d, grade in per_query.items() if d in corpus.documents}
+        for qid, per_query in qrels.grades.items()
+    })
+    unknown = sum(d not in corpus.documents for qid in cands for d in qrels.relevant_docs(qid))
+    examples = build_doc_examples(in_corpus, cands, seed)
     if not examples:
         raise CliError("no document training examples (check qrels coverage)")
     folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
     data = TrainData(corpus, *stores, rankings, cands, settings.segmenter())
-    return qrels, examples, folds, data, cfg
+    return qrels, examples, folds, data, cfg, unknown
 
 
 def cmd_train_dreq(settings: Settings) -> None:
@@ -588,17 +602,16 @@ def cmd_train_dreq(settings: Settings) -> None:
     from .model import DreqModel, save_checkpoint
     from .training import train_dreq, train_feature_table, write_training_log
 
-    _, examples, folds, data, cfg = _training_inputs(settings)
-    settings.save(settings.workpath("folds.json"), folds.save)
-
+    _, examples, folds, data, cfg, unknown = _training_inputs(settings)
     template = DreqModel.init(
-        settings.dims(), mode=settings.get("weighting.mode"), seed=settings.get_int("seed"),
+        settings.dims(), mode=settings.get("weighting.mode"), seed=settings.seed,
         use_entities=settings.get_bool("use_entities"),
     )
     table = train_feature_table(data, examples)
     result = train_dreq([template], examples, folds, data, cfg, table)
     (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
 
+    settings.save(settings.workpath("folds.json"), folds.save)
     for outcome in outcomes:
         i = outcome.fold_index
         settings.save(settings.workpath(f"dreq_fold{i}.ckpt"), save_checkpoint, outcome.model)
@@ -610,7 +623,8 @@ def cmd_train_dreq(settings: Settings) -> None:
     settings.save(settings.workpath("dreq_train_log.tsv"), write_training_log, result.log_rows)
     print(
         f"trained {len(outcomes)} folds on {len(examples)} examples "
-        f"({table.empty_text_docs} documents without text); out-of-fold run -> {out}"
+        f"({table.empty_text_docs} documents without text), {unknown} judged-relevant "
+        f"documents not in the corpus skipped; out-of-fold run -> {out}"
     )
 
 
@@ -772,11 +786,11 @@ def cmd_difficulty(settings: Settings) -> None:
 def cmd_ablate(settings: Settings) -> None:
     from .pipeline import VARIANTS, ablation_sweep
 
-    qrels, examples, folds, data, cfg = _training_inputs(settings)
+    qrels, examples, folds, data, cfg, unknown = _training_inputs(settings)
     variants = list(VARIANTS)
     outcome = ablation_sweep(
         variants, settings.dims(), examples, folds, data, cfg, qrels,
-        init_seed=settings.get_int("seed"), **settings.cutoffs(),
+        init_seed=settings.seed, **settings.cutoffs(),
     )
     metrics = list(outcome.candidate_report.per_query)  # map, ndcg@k, p@k, recall@k
     rows = [("candidates", outcome.candidate_report.means)]
@@ -790,7 +804,8 @@ def cmd_ablate(settings: Settings) -> None:
         path = settings.workpath(f"ablate_{name}.run")
         settings.save(path, write_run, runs, tag=f"ablate-{name}")
     sys.stdout.write(table)
-    print(f"ablation table ({outcome.empty_text_docs} documents without text) -> {out}")
+    print(f"ablation table ({outcome.empty_text_docs} documents without text), {unknown} "
+          f"judged-relevant documents not in the corpus skipped -> {out}")
 
 
 # --- argument parsing -------------------------------------------------------------

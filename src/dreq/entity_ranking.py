@@ -25,7 +25,8 @@ import numpy as np
 from . import _npz
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
 from .retrieval import Bm25Params, InvertedIndex, Ranking, _score_all, tokenize
-from .training import AdamState, TrainConfig, _FoldRun, adam_step, bce_dlogits, bce_loss
+from .training import (AdamState, TrainConfig, _FoldRun, _require_finite_fit, adam_step,
+                       bce_dlogits, bce_loss)
 
 __all__ = [
     "EntityHead",
@@ -133,6 +134,7 @@ def train_entity_head(
         adam_step(params, {"w1": Xb.T @ dz, "b1": np.array([np.sum(dz)])}, state, cfg)
         run.total_loss += bce_loss(z, yb) * len(idx)
         going = run.advance(cfg)
+    _require_finite_fit("entity head", cfg, *params.values())
     if log_rows is not None:
         log_rows.extend((0, epoch, loss) for epoch, loss in enumerate(run.epoch_losses))
     head.b1 = float(params["b1"][0])
@@ -166,6 +168,13 @@ def _minmax(values: Sequence[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
+def _unit_lambda(lam: float) -> float:
+    """`lam`, if it is a GEEER interpolation weight: in [0, 1], NaN not."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"geeer lambda must be in [0, 1], got {lam}")
+    return lam
+
+
 def geeer_entity_rank(
     query_mentions: Sequence[tuple[str, float]],
     pooled: Sequence[str],
@@ -179,8 +188,7 @@ def geeer_entity_rank(
     normalized per query and interpolated with min-max BM25 at `lam`.
     Constant score lists normalize to 0.5.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"geeer lambda must be in [0, 1], got {lam}")
+    _unit_lambda(lam)
     usable = [(eid, conf) for eid, conf in query_mentions if eid in entity_store]
     if not usable:
         raise ValueError(

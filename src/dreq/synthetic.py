@@ -16,6 +16,16 @@ the same files, byte for byte, on every run. The stores draw nothing from it,
 so each is built on its first read (`SyntheticWorld`): a world written with
 `stores=False` embeds no vector.
 
+`_compose_doc` makes most of the draws, so it writes out what the
+`random.Random` methods compute, on the same stream: `choice(seq)` and
+`randrange(n)` take `k = n.bit_length()` bits from `getrandbits` and draw
+again while `r >= n` (`Random._randbelow`), and `uniform(a, b)` is
+`a + (b - a) * random()`. In `tests/test_synthetic.py`,
+`test_filler_draws_are_random_choice`, `test_insert_positions_are_random_randrange`
+and `test_confidences_are_random_uniform` hold each draw to its method (values
+and generator state), and `test_compose_doc_matches_the_reference` holds the
+function to a copy written with the methods.
+
 `write_world_files` formats each corpus line itself (`_corpus_line`); a line
 is byte-equal to `json.dumps` of the document's object with `sort_keys=True`.
 """
@@ -26,7 +36,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -54,6 +64,9 @@ from .embeddings import (
 )
 
 __all__ = ["PlantedConfig", "SyntheticWorld", "generate_planted_world", "write_world_files"]
+
+# EntityMention(*fields) without the Python-level __new__ of a NamedTuple
+_mention = partial(tuple.__new__, EntityMention)
 
 
 @dataclass(frozen=True)
@@ -195,33 +208,42 @@ def _compose_doc(
 ) -> tuple[Document, int]:
     """Assemble text from filler plus content tokens plus one mention token
     per entity, recording character spans for the mentions. Returns the
-    document and its number of sentences."""
-    tokens = [rng.choice(filler) for _ in range(n_filler)]
+    document and its number of sentences. Each draw is `rng.choice`,
+    `rng.randrange` or `rng.uniform` written out (see the module docstring)."""
+    getrandbits = rng.getrandbits
+    n = len(filler)
+    k = n.bit_length()
+    tokens = []
+    for _ in range(n_filler):  # rng.choice(filler)
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        tokens.append(filler[r])
     linked: list[str | None] = [None] * n_filler  # the entity a token mentions
-    for tok in content_tokens:
-        at = rng.randrange(len(tokens) + 1)
-        tokens.insert(at, tok)
-        linked.insert(at, None)
-    for eid in entity_ids:
-        at = rng.randrange(len(tokens) + 1)
-        tokens.insert(at, eid)
-        linked.insert(at, eid)
+    for tok, eid in [(tok, None) for tok in content_tokens] + [(eid, eid) for eid in entity_ids]:
+        n = len(tokens) + 1  # rng.randrange(len(tokens) + 1)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        tokens.insert(r, tok)
+        linked.insert(r, eid)
 
-    sentences = [
+    n_sentences = -(-len(tokens) // sentence_len)
+    text = ". ".join([
         " ".join(tokens[i : i + sentence_len]) for i in range(0, len(tokens), sentence_len)
-    ]
-    text = "".join([sentence + ". " for sentence in sentences]).rstrip()
-    # token i starts after the i tokens before it, each followed by a space,
-    # and after one period per sentence finished before it
-    offsets = [0, *accumulate(len(tok) + 1 for tok in tokens)]
-    mentions: list[EntityMention] = []
+    ]) + "."
+    # token i starts after the i tokens before it (offsets[i] characters),
+    # each followed by a space, and after one period per sentence finished before it
+    offsets = list(accumulate(map(len, tokens), initial=0))
+    random_ = rng.random
+    mentions = []
     for i, eid in enumerate(linked):
         if eid is not None:
-            start = offsets[i] + i // sentence_len
-            mentions.append(
-                EntityMention(eid, eid, start, start + len(eid), round(rng.uniform(0.6, 1.0), 3))
-            )
-    return Document(doc_id=doc_id, text=text, mentions=mentions), len(sentences)
+            start = offsets[i] + i + i // sentence_len
+            confidence = round(0.6 + (1.0 - 0.6) * random_(), 3)  # rng.uniform(0.6, 1.0)
+            mentions.append(_mention((eid, eid, start, start + len(eid), confidence)))
+    return Document(doc_id=doc_id, text=text, mentions=mentions), n_sentences
 
 
 def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
@@ -312,20 +334,25 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
     )
 
 
-def _corpus_line(doc: Document) -> str:
+def _corpus_line(doc: Document, fragments: dict[tuple[str, str], str] | None = None) -> str:
     """The document's corpus line: the bytes of `json.dumps(..., sort_keys=True)`
     of its {"doc_id", "entities", "text"} object, plus a newline. Strings
     are escaped by the encoder json.dumps uses, and confidences and offsets
     (int or float, never bool) are written with `repr`, as json.dumps writes
-    them."""
-    mentions = ", ".join([
-        f'{{"confidence": {m.confidence!r}, "end": {m.end!r}, '
-        f'"entity_id": {_json_str(m.entity_id)}, "mention": {_json_str(m.surface)}, '
-        f'"start": {m.start!r}}}'
-        for m in doc.mentions
-    ])
+    them. `fragments` keeps each (entity id, surface) pair's escaped text for
+    the lines that follow."""
+    if fragments is None:
+        fragments = {}
+    mentions = []
+    for eid, surface, start, end, confidence in doc.mentions:
+        fragment = fragments.get((eid, surface))
+        if fragment is None:
+            fragment = fragments[eid, surface] = (
+                f'"entity_id": {_json_str(eid)}, "mention": {_json_str(surface)}, "start": '
+            )
+        mentions.append(f'{{"confidence": {confidence!r}, "end": {end!r}, {fragment}{start!r}}}')
     return (
-        f'{{"doc_id": {_json_str(doc.doc_id)}, "entities": [{mentions}], '
+        f'{{"doc_id": {_json_str(doc.doc_id)}, "entities": [{", ".join(mentions)}], '
         f'"text": {_json_str(doc.text)}}}\n'
     )
 
@@ -341,7 +368,8 @@ def write_world_files(world: SyntheticWorld, out_dir: str, stores: bool = True) 
         "query_links": os.path.join(out_dir, "query_links.tsv"),
     }
     with open(paths["corpus"], "w", encoding="utf-8") as f:
-        f.writelines(map(_corpus_line, world.corpus.documents.values()))
+        fragments: dict[tuple[str, str], str] = {}
+        f.writelines(_corpus_line(doc, fragments) for doc in world.corpus.documents.values())
     with open(paths["entities"], "w", encoding="utf-8") as f:
         for record in world.corpus.entities.values():
             f.write(

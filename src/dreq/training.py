@@ -110,8 +110,10 @@ class TrainConfig:
     early_stop_patience: int = 3
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # NaN is not
+            raise ValueError(
+                f"train.learning_rate must be a positive finite number, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -283,6 +285,16 @@ def adam_step(
             state.m[key][rows], state.v[key][rows] = m, v
         p[rows] -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     return params, state
+
+
+def _require_finite_fit(what: str, cfg: TrainConfig, *params: np.ndarray) -> None:
+    """Stop a fit whose parameters left the finite numbers: once one is
+    inf or NaN, every later step keeps it so."""
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError(
+            f"the {what} fit diverged to non-finite parameters at "
+            f"train.learning_rate = {cfg.learning_rate}; lower it"
+        )
 
 
 # --- batched scoring path used by the trainer ---------------------------------
@@ -591,6 +603,7 @@ def train_dreq(
             for r, value in zip(group, loss.tolist()):
                 runs[r].total_loss += value * size
         live = [r for r in live if runs[r].advance(cfg)]
+    _require_finite_fit("document scorer", cfg, *params.values())
 
     outcomes: list[list[FoldOutcome]] = [[] for _ in templates]
     reranked: list[dict[str, Ranking]] = [{} for _ in templates]

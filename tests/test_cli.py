@@ -65,6 +65,14 @@ def write_config(tmp_path, workdir, **extra) -> str:
     return str(path)
 
 
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under `root`, by its relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in Path(root).rglob("*") if path.is_file()
+    }
+
+
 def run(config, *argv) -> int:
     return main(["--config", config, *argv])
 
@@ -357,6 +365,23 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: geeer lambda must be in [0, 1], got {float(lam)}\n"
         assert {name: (work / name).read_bytes() for name in outputs} == before
 
+    def test_geeer_checks_its_lambda_when_no_query_links_an_entity(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        links = tmp_path / "query_links.tsv"
+        links.write_text("")
+        monkeypatch.setenv("DREQ_QUERY_LINKS", str(links))
+        monkeypatch.setenv("DREQ_GEEER_LAMBDA", "nan")
+        before = tree_bytes(work)
+        capsys.readouterr()
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode", "geeer"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: geeer lambda must be in [0, 1], got nan\n"
+        assert tree_bytes(work) == before
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("column", ["raw_score", "prob"])
     def test_a_non_finite_entity_ranking_stops_the_stages_that_read_it(
@@ -440,6 +465,32 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err == "error: no document training examples (check qrels coverage)\n", stage
 
+    def test_a_judged_document_outside_the_corpus_is_no_training_positive(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text((Path(TOY) / "qrels.txt").read_text() + "q01 0 dXXXX 2\n")
+        outputs = {}
+        for name, judged in (("toy", None), ("outside", qrels)):
+            work = tmp_path / name
+            shutil.copytree(workdir, work)
+            if judged is not None:
+                monkeypatch.setenv("DREQ_QRELS", str(judged))
+            for stage in ("train-dreq", "ablate"):
+                capsys.readouterr()
+                assert main(["--config", config, "--workdir", str(work), stage]) == 0, stage
+                skipped = "1" if judged is not None else "0"
+                assert f", {skipped} judged-relevant documents not in the corpus skipped" in (
+                    capsys.readouterr().out
+                ), stage
+            outputs[name] = {
+                path: data for path, data in tree_bytes(work).items()
+                if path.endswith((".run", ".ckpt")) or path == "folds.json"
+            }
+        assert outputs["outside"] == outputs["toy"]
+        assert {"dreq.run", "dreq_fold0.ckpt", "ablate_dreq.run"} <= set(outputs["toy"])
+
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_fewer_than_two_folds_stop_training_stages(
         self, pipeline, tmp_path, monkeypatch, capsys, k
@@ -455,6 +506,30 @@ class TestPipeline:
             assert capsys.readouterr().err == f"error: need at least 2 folds, got k={k}\n"
             assert {name: (work / name).read_bytes() for name in before} == before
             assert not (work / "ablate.tsv").exists()
+
+    @pytest.mark.parametrize(("rate", "message"), [
+        ("nan", "train.learning_rate must be a positive finite number, got nan"),
+        ("inf", "train.learning_rate must be a positive finite number, got inf"),
+        ("1e308", r"the (entity head|document scorer) fit diverged to non-finite parameters "
+                  r"at train.learning_rate = 1e\+308; lower it"),
+    ], ids=["nan", "inf", "diverging"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_learning_rate_without_a_finite_fit_stops_the_trainers(
+        self, pipeline, tmp_path, monkeypatch, capsys, rate, message
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_TRAIN_LEARNING_RATE", rate)
+        before = tree_bytes(work)
+        for stage in ("train-entity-ranker", "train-dreq", "ablate"):
+            capsys.readouterr()
+            assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, (stage, err)
+            assert re.fullmatch(f"error: {message}", err.splitlines()[-1]), (stage, err)
+            assert tree_bytes(work) == before, stage
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
@@ -1030,6 +1105,19 @@ class TestConfigResolution:
         monkeypatch.setenv("DREQ_SEED", "55")
         settings = Settings(args)
         assert settings.get_int("seed") == 123
+
+    @pytest.mark.parametrize("given", ["flag", "env", "file"])
+    def test_a_negative_seed_names_its_key(self, tmp_path, monkeypatch, capsys, given):
+        work = tmp_path / "work"
+        config = write_config(tmp_path, work, **({"seed": "-1"} if given == "file" else {}))
+        argv = ["--config", config, *(["--seed", "-1"] if given == "flag" else []), "build-index"]
+        if given == "env":
+            monkeypatch.setenv("DREQ_SEED", "-1")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'seed' must be a non-negative integer, got -1\n"
+        )
+        assert not work.exists()
 
     def test_digest_tracks_config_bytes(self, tmp_path):
         config_a = write_config(tmp_path, tmp_path / "w")

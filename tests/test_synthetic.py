@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dreq.corpus import (
     Document,
@@ -17,7 +19,13 @@ from dreq.corpus import (
     split_sentences,
 )
 from dreq.embeddings import DimsConfig
-from dreq.synthetic import PlantedConfig, _corpus_line, generate_planted_world, write_world_files
+from dreq.synthetic import (
+    PlantedConfig,
+    _compose_doc,
+    _corpus_line,
+    generate_planted_world,
+    write_world_files,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +132,142 @@ def test_projected_world_stores_keep_their_bytes(tmp_path):
         "store_passage": "6c9ed1a694633eb9851abad21c53c8bcb5ac3b7f7889e0f55cd4f0fd6b6d5068",
         "store_query_entity": "d176e3e009b8f1f911cd9e4bdc1fda1fc7a8df7f81e980e8c9b4c5e0bb30cfb9",
     }
+
+
+def test_large_vocabulary_world_files_keep_their_bytes(tmp_path):
+    # sha256 of every file of a small world over a 100k-word filler vocabulary,
+    # whose filler draws take 17 bits and are redrawn about a quarter of the
+    # time, pinned when each draw was a `random.Random.choice` call
+    cfg = PlantedConfig(seed=3, n_docs=120, n_queries=6, filler_vocab=100000)
+    paths = write_world_files(generate_planted_world(cfg), str(tmp_path))
+    assert {name: sha256(path) for name, path in paths.items()} == {
+        "corpus": "beab76e162ca1548266798f31ae51f2e06578c6ca56f2f943f44eac48e20bc7b",
+        "entities": "48beaf4885f120e0219e6bb3150178154ef74f75fea6b3f858e59003069e1dfa",
+        "queries": "0d1b9e8a0354bccc1101fc8fcdc04eb1785c40caedb6cda1b963a9b8159d17c5",
+        "qrels": "46e7780831460fc42c5a1eff6d26765c8ebf12b8260beaa70380b3a10d21dc82",
+        "query_links": "189f3282a3913926641febb2eb983c31140fa3d2b1fa8ce92c53ad76e2035d79",
+        "store_query": "f4949066ab85320272f9e9e9197984fd06573f48460f9f257f184f346dd1fe28",
+        "store_entity": "04c034884aedd0b111cd28efee05c16a2651ed6286f376bd386cb6801b90daed",
+        "store_passage": "0490007e1a7ec8ba940c4660753757dfdf222ba71778290d3723ee1720938742",
+        "store_query_entity": "62af98ce57fdf4905930618edd97696ab96bb0a210654d4751a3de057a6a6c66",
+    }
+
+
+# --- the inlined draws of _compose_doc against the random.Random methods -----------
+
+# bounds of 1 and 2, the default 150-word vocabulary (8 bits), and the
+# 16- and 17-bit bounds around the benchmark's 100k-word vocabulary, each
+# drawn with two seeds on top of the generated examples
+BOUNDS = [1, 2, 150, 2**16, 100_000, 2**17]
+
+
+def at_every_bound(test):
+    for n in BOUNDS:
+        for seed in (0, 7):
+            test = example(seed=seed, n=n)(test)
+    return test
+
+
+def text_tokens(doc: Document) -> list[str]:
+    return doc.text.removesuffix(".").replace(". ", " ").split(" ")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 300))
+@at_every_bound
+def test_filler_draws_are_random_choice(seed, n):
+    filler = [f"w{i}" for i in range(n)]
+    rng, twin = random.Random(seed), random.Random(seed)
+    doc, _ = _compose_doc("d", rng, [], [], filler, n_filler=5)
+    assert text_tokens(doc) == [twin.choice(filler) for _ in range(5)]
+    assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 300))
+@at_every_bound
+def test_insert_positions_are_random_randrange(seed, n):
+    # n - 1 filler tokens from a one-word vocabulary, so the one inserted
+    # token's position is the first draw with bound n
+    rng, twin = random.Random(seed), random.Random(seed)
+    doc, _ = _compose_doc("d", rng, ["x"], [], ["w"], n_filler=n - 1)
+    for _ in range(n - 1):
+        twin.choice(["w"])
+    assert text_tokens(doc).index("x") == twin.randrange(n)
+    assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n_entities=st.integers(1, 4))
+def test_confidences_are_random_uniform(seed, n_entities):
+    entity_ids = [f"e{j}" for j in range(n_entities)]
+    rng, twin = random.Random(seed), random.Random(seed)
+    doc, _ = _compose_doc("d", rng, [], entity_ids, ["w"], n_filler=1)
+    twin.choice(["w"])
+    for j in range(n_entities):
+        twin.randrange(j + 2)
+    assert [m.confidence for m in doc.mentions] == [
+        round(twin.uniform(0.6, 1.0), 3) for _ in range(n_entities)
+    ]
+    assert rng.getstate() == twin.getstate()
+
+
+def reference_compose_doc(doc_id, rng, content_tokens, entity_ids, filler, n_filler=32,
+                          sentence_len=8):
+    """`_compose_doc` as it was written with `rng.choice`, `rng.randrange`
+    and `rng.uniform`."""
+    tokens = [rng.choice(filler) for _ in range(n_filler)]
+    linked = [None] * n_filler
+    for tok in content_tokens:
+        at = rng.randrange(len(tokens) + 1)
+        tokens.insert(at, tok)
+        linked.insert(at, None)
+    for eid in entity_ids:
+        at = rng.randrange(len(tokens) + 1)
+        tokens.insert(at, eid)
+        linked.insert(at, eid)
+
+    sentences = [
+        " ".join(tokens[i : i + sentence_len]) for i in range(0, len(tokens), sentence_len)
+    ]
+    text = "".join([sentence + ". " for sentence in sentences]).rstrip()
+    offsets = [0, *accumulate(len(tok) + 1 for tok in tokens)]
+    mentions = []
+    for i, eid in enumerate(linked):
+        if eid is not None:
+            start = offsets[i] + i // sentence_len
+            mentions.append(
+                EntityMention(eid, eid, start, start + len(eid), round(rng.uniform(0.6, 1.0), 3))
+            )
+    return Document(doc_id=doc_id, text=text, mentions=mentions), len(sentences)
+
+
+WORDS = st.text(alphabet="abé€1", min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    filler=st.lists(WORDS, min_size=1, max_size=40),
+    content=st.lists(WORDS, max_size=8),
+    entity_ids=st.lists(WORDS, max_size=12),
+    n_filler=st.integers(1, 40),
+    sentence_len=st.integers(1, 10),
+)
+def test_compose_doc_matches_the_reference(seed, filler, content, entity_ids, n_filler,
+                                           sentence_len):
+    rng, twin = random.Random(seed), random.Random(seed)
+    doc, sentences = _compose_doc("d", rng, content, entity_ids, filler, n_filler, sentence_len)
+    want, want_sentences = reference_compose_doc(
+        "d", twin, content, entity_ids, filler, n_filler, sentence_len
+    )
+    assert (doc.doc_id, doc.text, sentences) == (want.doc_id, want.text, want_sentences)
+    assert doc.mentions == want.mentions
+    assert all(type(m) is EntityMention for m in doc.mentions)
+    for m, w in zip(doc.mentions, want.mentions):
+        assert (m.start, m.end, repr(m.confidence)) == (w.start, w.end, repr(w.confidence))
+    assert rng.getstate() == twin.getstate()
+
 
 # --- the corpus-line writer against json.dumps ----------------------------------
 

@@ -212,6 +212,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(), self.cfg())
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1e-5])
+    def test_a_learning_rate_that_is_no_positive_finite_number_is_rejected(self, lr):
+        with pytest.raises(ValueError, match=rf"^train\.learning_rate must be a positive "
+                                             rf"finite number, got {lr}$"):
+            self.cfg(lr)
+
 
 def random_batch(rng, dims: DimsConfig, table: np.ndarray, batch: int) -> DreqBatch:
     n_entities = len(table)
