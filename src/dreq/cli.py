@@ -2,7 +2,8 @@
 
 Stages communicate through files in a work directory, so every step is
 re-runnable and inspectable. Settings resolve as CLI flag > DREQ_*
-environment variable > config file > default. A `cmd_*` function runs one
+environment variable > config file > default; a config-file key or a
+DREQ_* variable that names no setting is an error. A `cmd_*` function runs one
 stage and opens every file through its `Settings`, which records it:
 `input` a file named by a config key (corpus, entity_catalog, queries, qrels,
 query_links) under that key; `artifact` a work-dir or flag-named file, once
@@ -94,7 +95,6 @@ _DEFAULTS = {
     "entity.mode": "learned",
     "geeer.lambda": "0.5",
     "weighting.mode": "probability",
-    "use_entities": "true",
     "finetune_entity_embeddings": "false",
     "train.learning_rate": "1e-5",
     "train.batch_size": "20",
@@ -107,6 +107,7 @@ _DEFAULTS = {
     "run.tag": "dreq",
     "seed": "13",
 }
+_INPUT_KEYS = ("corpus", "entity_catalog", "queries", "qrels", "query_links")  # no default
 
 
 class CliError(Exception):
@@ -144,12 +145,16 @@ class Settings:
             with open(self.config_path, "rb") as f:
                 self.config_bytes = f.read()
             self.values.update(load_config_file(self.config_path))
-        for key in set(self.values) | {
-            "corpus", "entity_catalog", "queries", "qrels", "query_links"
-        }:
-            env_key = ENV_PREFIX + key.upper().replace(".", "_")
-            if env_key in os.environ:
-                self.values[key] = os.environ[env_key]
+        env = {ENV_PREFIX + key.upper().replace(".", "_"): key
+               for key in (*_DEFAULTS, *_INPUT_KEYS)}
+        unknown = [f"config key {key!r}" for key in self.values if key not in env.values()]
+        unknown += [f"environment variable {name}" for name in os.environ
+                    if name.startswith(ENV_PREFIX) and name not in env]
+        if unknown:
+            raise CliError(f"{unknown[0]} names no setting")
+        for name, key in env.items():
+            if name in os.environ:
+                self.values[key] = os.environ[name]
         for flag in ("seed", "workdir"):
             v = getattr(args, flag, None)
             if v is not None:
@@ -599,14 +604,15 @@ def _training_inputs(settings: Settings):
 
 def cmd_train_dreq(settings: Settings) -> None:
     from .embeddings import save_store, store_path
-    from .model import DreqModel, save_checkpoint
+    from .model import DreqModel, WeightingMode, save_checkpoint
     from .training import train_dreq, train_feature_table, write_training_log
 
+    mode, modes = settings.get("weighting.mode"), [m.value for m in WeightingMode]
+    if mode not in modes:
+        allowed = ", ".join(modes)
+        raise CliError(f"config key 'weighting.mode' must be one of {allowed}, got {mode!r}")
     _, examples, folds, data, cfg, unknown = _training_inputs(settings)
-    template = DreqModel.init(
-        settings.dims(), mode=settings.get("weighting.mode"), seed=settings.seed,
-        use_entities=settings.get_bool("use_entities"),
-    )
+    template = DreqModel.init(settings.dims(), mode=mode, seed=settings.seed)
     table = train_feature_table(data, examples)
     result = train_dreq([template], examples, folds, data, cfg, table)
     (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
@@ -658,8 +664,6 @@ def _rerank_scorers(
         model = load_checkpoint(settings.artifact(path, "train-dreq"))
         if settings.args.weighting:
             model.mode = WeightingMode(settings.args.weighting)
-        if settings.args.no_entities:
-            model.use_entities = False
         fold_table = table
         if tuned:
             path = store_path(settings.workdir, f"entity_tuned_fold{i}")
@@ -840,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     p["rerank"].add_argument("--checkpoint")
     # set once the action exists: add_argument itself would list the choices
     p["rerank"].add_argument("--weighting").choices = _WeightingModes()
-    p["rerank"].add_argument("--no-entities", action="store_true")
     p["rerank"].add_argument("--output")
     p["evaluate"].add_argument("--run")
     p["evaluate"].add_argument("--tag")

@@ -126,14 +126,15 @@ def train_entity_head(
     state = AdamState()
     run = _FoldRun(np.arange(len(y)), np.random.default_rng(cfg.seed))
     going = cfg.epochs > 0
-    while going:
-        idx = run.next_batch(cfg.batch_size)
-        Xb, yb = X[idx], y[idx]
-        z = Xb @ params["w1"] + params["b1"][0]
-        dz = bce_dlogits(z, yb) / len(idx)
-        adam_step(params, {"w1": Xb.T @ dz, "b1": np.array([np.sum(dz)])}, state, cfg)
-        run.total_loss += bce_loss(z, yb) * len(idx)
-        going = run.advance(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_require_finite_fit` reports
+        while going:
+            idx = run.next_batch(cfg.batch_size)
+            Xb, yb = X[idx], y[idx]
+            z = Xb @ params["w1"] + params["b1"][0]
+            dz = bce_dlogits(z, yb) / len(idx)
+            adam_step(params, {"w1": Xb.T @ dz, "b1": np.array([np.sum(dz)])}, state, cfg)
+            run.total_loss += bce_loss(z, yb) * len(idx)
+            going = run.advance(cfg)
     _require_finite_fit("entity head", cfg, *params.values())
     if log_rows is not None:
         log_rows.extend((0, epoch, loss) for epoch, loss in enumerate(run.epoch_losses))

@@ -168,23 +168,22 @@ def wig(
     return (1.0 / math.sqrt(len(terms))) * (sum(s - mean_all for s in top) / k)
 
 
+def _even_split(items: list[str], groups: int) -> list[list[str]]:
+    """`items` cut in order into `groups` runs whose lengths differ by at
+    most one, the longer ones first (empty runs when there are fewer items)."""
+    base, rem = divmod(len(items), groups)
+    starts = [i * base + min(i, rem) for i in range(groups + 1)]
+    return [items[a:b] for a, b in zip(starts, starts[1:])]
+
+
 def wig_terciles(wig_scores: Mapping[str, float]) -> dict[str, str]:
     """Split queries into easy / medium / hard by descending WIG; remainders
     go to the earlier groups."""
     if len(wig_scores) < 3:
         raise ValueError(f"need at least 3 queries, got {len(wig_scores)}")
     ordered = sorted(wig_scores, key=lambda q: (-wig_scores[q], q))
-    n = len(ordered)
-    base, rem = divmod(n, 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
-    labels = ["easy", "medium", "hard"]
-    out: dict[str, str] = {}
-    pos = 0
-    for size, label in zip(sizes, labels):
-        for qid in ordered[pos : pos + size]:
-            out[qid] = label
-        pos += size
-    return out
+    groups = _even_split(ordered, 3)
+    return {qid: label for label, group in zip(("easy", "medium", "hard"), groups) for qid in group}
 
 
 def queries_helped(
@@ -233,25 +232,16 @@ def difficulty_bins(
     if not baseline:
         raise ValueError("empty query set")
     ordered = sorted(baseline, key=lambda q: (baseline[q], q))
-    n = len(ordered)
-    base, rem = divmod(n, n_bins)
-    bins: list[DifficultyBin] = []
-    pos = 0
-    for i in range(n_bins):
-        size = base + (1 if i < rem else 0)
-        qids = tuple(ordered[pos : pos + size])
-        pos += size
-        if not qids:
-            continue
-        bins.append(
-            DifficultyBin(
-                index=i,
-                query_ids=qids,
-                baseline_mean=sum(baseline[q] for q in qids) / len(qids),
-                system_mean=sum(system[q] for q in qids) / len(qids),
-            )
+    return [
+        DifficultyBin(
+            index=i,
+            query_ids=tuple(qids),
+            baseline_mean=sum(baseline[q] for q in qids) / len(qids),
+            system_mean=sum(system[q] for q in qids) / len(qids),
         )
-    return bins
+        for i, qids in enumerate(_even_split(ordered, n_bins))
+        if qids
+    ]
 
 
 def build_difficulty_report(

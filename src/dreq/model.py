@@ -66,6 +66,7 @@ class WeightingMode(str, Enum):
     PROBABILITY = "probability"
     UNIFORM = "uniform"
     RECIPROCAL_RANK = "reciprocal_rank"
+    NONE = "none"  # no entities: v_e = 0
 
 
 @dataclass
@@ -82,7 +83,6 @@ class DreqModel:
     w3: np.ndarray
     b3: float
     mode: WeightingMode = WeightingMode.PROBABILITY
-    use_entities: bool = True
     dims: DimsConfig = field(default_factory=DimsConfig)
 
     def __post_init__(self) -> None:
@@ -102,7 +102,6 @@ class DreqModel:
         dims: DimsConfig,
         mode: WeightingMode = WeightingMode.PROBABILITY,
         seed: int = 0,
-        use_entities: bool = True,
     ) -> "DreqModel":
         """Seeded uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out))."""
         rng = np.random.default_rng(seed)
@@ -117,7 +116,6 @@ class DreqModel:
             w3=w3,
             b3=0.0,
             mode=mode,
-            use_entities=use_entities,
             dims=dims,
         )
 
@@ -167,7 +165,10 @@ class FeatureTable:
         """(links, weights) of the docs at `rows`, both (rows, most links of a
         doc): row i is doc i's entity rows in mention order, padded with 0s.
         probability: prob_e / the doc's sum of probs (a softmax of raw scores
-        where all of them underflow); uniform: 1; reciprocal_rank: 1 / rank."""
+        where all of them underflow); uniform: 1; reciprocal_rank: 1 / rank;
+        none: no links (zero width), and `ranking` is not read."""
+        if mode == WeightingMode.NONE:
+            return np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         cols = np.arange(int(counts.max(initial=0)))
@@ -282,15 +283,12 @@ def rerank(
     ranking: "EntityRanking",
 ) -> Ranking:
     """Reorder candidates by model logit (desc, doc_id asc on ties); every
-    candidate must be in `table`. Without use_entities, v_e = 0 and the
-    entity ranking is not read."""
+    candidate must be in `table`. In mode none, v_e = 0 and the entity
+    ranking is not read."""
     if not len(candidates):
         raise ValueError(f"empty candidate list for query {candidates.query_id!r}")
     rows = table.rows(candidates.doc_ids)
-    if model.use_entities:
-        links, weights = table.entity_weights(ranking, model.mode, rows)
-    else:
-        links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
+    links, weights = table.entity_weights(ranking, model.mode, rows)
     logits = np.empty(len(rows))
     for lo in range(0, len(rows), BLOCK_ROWS):
         block = slice(lo, lo + BLOCK_ROWS)
@@ -328,15 +326,19 @@ def maxsimcos_rerank(
 
 # --- checkpoint serialization -------------------------------------------------
 
+# mode none is saved as mode probability with `use_entities` false, and any
+# checkpoint with `use_entities` false loads in mode none
 _CHECKPOINT_ARRAYS = ("dims", "mode", "use_entities", "W2", "b2", "w3", "b3")
 
 
 def save_checkpoint(model: DreqModel, path: str) -> None:
     d = model.dims
+    use_entities = model.mode != WeightingMode.NONE
+    mode = model.mode if use_entities else WeightingMode.PROBABILITY
     _npz.write(path, {
         "dims": np.array([d.k, d.m, d.n, d.p]),
-        "mode": np.frombuffer(model.mode.value.encode("utf-8"), dtype=np.uint8),
-        "use_entities": np.array(model.use_entities),
+        "mode": np.frombuffer(mode.value.encode("utf-8"), dtype=np.uint8),
+        "use_entities": np.array(use_entities),
         "W2": model.W2,
         "b2": model.b2,
         "w3": model.w3,
@@ -347,12 +349,12 @@ def save_checkpoint(model: DreqModel, path: str) -> None:
 def load_checkpoint(path: str) -> DreqModel:
     arrays = _npz.read(path, _CHECKPOINT_ARRAYS, "checkpoint", "train-dreq")
     k, m, n, p = arrays["dims"].tolist()
+    mode = arrays["mode"].tobytes().decode("utf-8")
     return DreqModel(
         W2=arrays["W2"],
         b2=arrays["b2"],
         w3=arrays["w3"],
         b3=float(arrays["b3"]),
-        mode=WeightingMode(arrays["mode"].tobytes().decode("utf-8")),
-        use_entities=bool(arrays["use_entities"]),
+        mode=WeightingMode(mode) if arrays["use_entities"] else WeightingMode.NONE,
         dims=DimsConfig(k=k, m=m, n=n, p=p),
     )

@@ -34,13 +34,13 @@ __all__ = [
     "run_planted_ablation",
 ]
 
-# variant name -> (weighting mode value, use_entities); by value, so that
+# variant name -> weighting mode value; by value, so that
 # `candidate_rankings` (the retrieve stage) loads no model code
-VARIANTS: dict[str, tuple[str, bool]] = {
-    "dreq": ("probability", True),
-    "uniform": ("uniform", True),
-    "reciprocal_rank": ("reciprocal_rank", True),
-    "no_entity": ("probability", False),
+VARIANTS: dict[str, str] = {
+    "dreq": "probability",
+    "uniform": "uniform",
+    "reciprocal_rank": "reciprocal_rank",
+    "no_entity": "none",
 }
 
 
@@ -139,21 +139,17 @@ def ablation_sweep(
     init_seed: int = 0,
     **cutoffs: int,
 ) -> AblationResult:
-    """Train and evaluate each weighting variant with the same folds,
-    examples, entity rankings, and feature table; evaluate the candidates
-    alongside. One `train_dreq` call trains every (variant, fold) run on one
-    leading run axis, with Ve built once per variant and one Adam step count.
-    `cutoffs` (prec_k, ndcg_k, recall_k) go to `evaluate_run`."""
+    """Train, in one `train_dreq` call, and evaluate each weighting variant
+    (a `VARIANTS` name) with the same folds, examples, entity rankings, and
+    feature table; evaluate the candidates alongside. `cutoffs` (prec_k,
+    ndcg_k, recall_k) go to `evaluate_run`."""
     from .evaluation import evaluate_run
     from .model import DreqModel
     from .training import train_dreq, train_feature_table
 
     candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates", **cutoffs)
     table = train_feature_table(data, examples)
-    templates = [
-        DreqModel.init(dims, mode=mode, seed=init_seed, use_entities=use_entities)
-        for mode, use_entities in (VARIANTS[name] for name in variants)
-    ]
+    templates = [DreqModel.init(dims, mode=VARIANTS[name], seed=init_seed) for name in variants]
     result = train_dreq(templates, examples, folds, data, cfg, table)
     runs = dict(zip(variants, result.reranked))
     reports = {name: evaluate_run(run, qrels, tag=name, **cutoffs) for name, run in runs.items()}

@@ -2,34 +2,25 @@
 Adam optimization, and analytic gradients through the scorer's forward pass.
 
 Training and serving share one forward (`model._forward`) and one feature
-table (`train_feature_table`, built once per `train_dreq` call). One call
-trains one or more templates, such as an ablation's weighting variants, on
-the same examples and folds. It computes the scorer inputs X = [Vt, Ve] of
-every example once per template into one `DreqBatch`, whose X carries a
-leading template axis while Q and y are shared, and each minibatch is a row
-gather from that. A row's entity-centric vector Ve is the left-to-right sum
-of its weighted entity rows, the same arithmetic `model.rerank` uses, and
-row by row, so precomputing it changes no bit; no (rows, |entities|) weight
-matrix is formed. With entity fine-tuning the tables move every step, so
+table (`train_feature_table`). A row's entity-centric vector Ve is the
+left-to-right sum of its weighted entity rows, the same arithmetic
+`model.rerank` uses, and row by row, so precomputing it once per template
+(`_example_batch`) changes no bit; no (rows, |entities|) weight matrix is
+formed. With entity fine-tuning the tables move every step, so
 `dreq_loss_and_grads` sums each minibatch's Ve again from its run's table.
 
-A run is one (template, fold) pair, and all runs train in lockstep on one
-leading run axis. Their parameters are the rows of one (runs, P) float64
-matrix, W2, b2, w3 and b3 being views into it (`_scorer_views`); with
-fine-tuning each run also owns a slice of one (runs, entities, m) table (a
-template without entities links nothing, so its slice gets zero gradient
-and keeps its bits). At each step every run still training takes its next
-minibatch, as it would alone: its fold's generator draws one permutation
+A run is one (template, fold) pair of `train_dreq`. Their parameters are
+the rows of one (runs, P) float64 matrix, W2, b2, w3 and b3 being views
+into it (`_scorer_views`); with fine-tuning each run also owns a slice of
+one (runs, entities, m) table (a template in mode none links nothing, so
+its slice gets zero gradient and keeps its bits). Each run takes its
+minibatches as it would alone: its fold's generator draws one permutation
 per epoch, so the runs of one fold walk the same rows, and each run keeps
-its own epoch loss and early stopping. The runs whose minibatches have the
-same row count are stacked on the run axis and take one
-`dreq_loss_and_grads` call and one `adam_step` on their rows, so a step
-costs a few numpy calls for all runs instead of for each. Per run, every
-stacked product, row sum and mean is the 2-D operation on that run's
-slice, and Adam is elementwise, with one step count shared by the live
-runs: a run's k-th minibatch is the k-th step, as it is alone, so training
-gives the bits of one run after another. Log rows come out template by
-template, each in fold order.
+its own epoch loss and early stopping. Per run, every stacked product, row
+sum and mean is the 2-D operation on that run's slice, and Adam is
+elementwise, with one step count shared by the live runs: a run's k-th
+minibatch is the k-th step, as it is alone, so training in lockstep gives
+the bits of one run after another.
 
 The entity ranking is frozen while the document scorer trains, so the
 per-document entity weights are constants and the gradient of the loss
@@ -52,6 +43,7 @@ from .embeddings import DimsConfig, EmbeddingStore, sigmoid
 from .model import (
     DreqModel,
     FeatureTable,
+    WeightingMode,
     _entity_vectors,
     _features,
     _forward,
@@ -446,8 +438,8 @@ def _example_batch(
     """All examples as one batch, in example order, with X per template on a
     leading axis, and links and weights too when `finetune`. Entity weights
     are formed per query, over that query's example documents, in the
-    template's mode; a template without entities links nothing, so its
-    weights and its Ve are 0."""
+    template's mode; a template in mode none links nothing, so its weights
+    and its Ve are 0."""
     from .entity_ranking import _query_ranking  # entity_ranking imports this module
 
     rows = table.rows(ex.item_id for ex in examples)
@@ -461,7 +453,7 @@ def _example_batch(
     X = np.zeros((len(templates), len(rows), n + table.entities.shape[1]))
     X[..., :n] = table.text[rows]
     for t, template in enumerate(templates):
-        if not template.use_entities:
+        if template.mode == WeightingMode.NONE:
             continue
         for qid, idx in by_query.items():
             ranking = _query_ranking(data.entity_rankings, qid)
@@ -537,10 +529,11 @@ def train_dreq(
     template and one Adam step count: at each step every run still training
     takes its next minibatch, and the runs whose minibatches have the same
     row count take one stacked forward, backward and Adam step (see the
-    module docstring). When entity fine-tuning is on, each run owns a copy
-    of the entity table and the gradient of one embedding is the sum of its
-    weight-scaled fusion gradients. The templates share their dims. `table`
-    defaults to `train_feature_table(data, examples)`.
+    module docstring). When entity fine-tuning is on and some template's
+    mode is not none, each run owns a copy of the entity table and the
+    gradient of one embedding is the sum of its weight-scaled fusion
+    gradients. The templates share their dims. `table` defaults to
+    `train_feature_table(data, examples)`.
     """
     from .entity_ranking import _query_ranking
 
@@ -548,7 +541,9 @@ def train_dreq(
         raise ValueError("train_dreq needs one or more templates with the same dims")
     if table is None:
         table = train_feature_table(data, examples)
-    finetune = cfg.finetune_entity_embeddings and any(t.use_entities for t in templates)
+    finetune = cfg.finetune_entity_embeddings and any(
+        t.mode != WeightingMode.NONE for t in templates
+    )
     all_rows = _example_batch(templates, examples, data, table, finetune)
     query_ids = [ex.query_id for ex in examples]
     # fail fast if any test query lacks what reranking will need
@@ -577,32 +572,36 @@ def train_dreq(
     if finetune:
         entities = params["entities"] = np.tile(table.entities, (len(runs), 1, 1))
     state = AdamState()
-    # per run group, over views of params; its mode and use_entities go
-    # unread, as each run's batch already holds its entity weights
+    # per run group, over views of params; its mode goes unread, as each
+    # run's batch already holds its entity weights
     models: dict[tuple[int, ...], DreqModel] = {}
 
     live = list(range(len(runs))) if cfg.epochs > 0 else []
-    while live:
-        groups: dict[int, list[int]] = {}
-        batches = {r: runs[r].next_batch(cfg.batch_size) for r in live}
-        for r in live:
-            groups.setdefault(len(batches[r]), []).append(r)
-        step = state.step
-        for size, group in groups.items():
-            at = _run_index(group)
-            model = models.get(tuple(group))
-            if model is None:
-                model = replace(templates[0], **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")})
-                if isinstance(at, slice):  # an index array would copy the parameters
-                    models[tuple(group)] = model
-            batch = _take(all_rows, run_template[at], np.array([batches[r] for r in group]))
-            tables = entities[at] if finetune else entities
-            loss, grads = dreq_loss_and_grads(model, batch, tables, finetune)
-            state.step = step  # every size group takes this step's bias correction
-            adam_step(params, grads, state, cfg, at)
-            for r, value in zip(group, loss.tolist()):
-                runs[r].total_loss += value * size
-        live = [r for r in live if runs[r].advance(cfg)]
+    # a diverging fit is reported once, below, not by numpy at every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            groups: dict[int, list[int]] = {}
+            batches = {r: runs[r].next_batch(cfg.batch_size) for r in live}
+            for r in live:
+                groups.setdefault(len(batches[r]), []).append(r)
+            step = state.step
+            for size, group in groups.items():
+                at = _run_index(group)
+                model = models.get(tuple(group))
+                if model is None:
+                    model = replace(
+                        templates[0], **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")}
+                    )
+                    if isinstance(at, slice):  # an index array would copy the parameters
+                        models[tuple(group)] = model
+                batch = _take(all_rows, run_template[at], np.array([batches[r] for r in group]))
+                tables = entities[at] if finetune else entities
+                loss, grads = dreq_loss_and_grads(model, batch, tables, finetune)
+                state.step = step  # every size group takes this step's bias correction
+                adam_step(params, grads, state, cfg, at)
+                for r, value in zip(group, loss.tolist()):
+                    runs[r].total_loss += value * size
+            live = [r for r in live if runs[r].advance(cfg)]
     _require_finite_fit("document scorer", cfg, *params.values())
 
     outcomes: list[list[FoldOutcome]] = [[] for _ in templates]

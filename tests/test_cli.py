@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -513,8 +514,6 @@ class TestPipeline:
         ("1e308", r"the (entity head|document scorer) fit diverged to non-finite parameters "
                   r"at train.learning_rate = 1e\+308; lower it"),
     ], ids=["nan", "inf", "diverging"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_a_learning_rate_without_a_finite_fit_stops_the_trainers(
         self, pipeline, tmp_path, monkeypatch, capsys, rate, message
     ):
@@ -525,32 +524,75 @@ class TestPipeline:
         before = tree_bytes(work)
         for stage in ("train-entity-ranker", "train-dreq", "ablate"):
             capsys.readouterr()
-            assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
+            # a warning would reach the user's stderr ahead of the error line
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
+            assert [str(w.message) for w in caught] == [], stage
             err = capsys.readouterr().err
-            assert err.count("error:") == 1, (stage, err)
-            assert re.fullmatch(f"error: {message}", err.splitlines()[-1]), (stage, err)
+            assert re.fullmatch(f"error: {message}\n", err), (stage, err)
             assert tree_bytes(work) == before, stage
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
-        out = os.path.join(workdir, "rr_mode.run")
-        assert (
-            run(
-                config,
-                "rerank",
-                "--mode",
-                "dreq",
-                "--checkpoint",
-                os.path.join(workdir, "dreq_fold0.ckpt"),
-                "--weighting",
-                "reciprocal_rank",
-                "--no-entities",
-                "--output",
-                out,
-            )
-            == 0
+        for weighting in ("probability", "uniform", "reciprocal_rank", "none"):
+            out = os.path.join(workdir, f"rr_{weighting}.run")
+            assert (
+                run(
+                    config,
+                    "rerank",
+                    "--mode",
+                    "dreq",
+                    "--checkpoint",
+                    os.path.join(workdir, "dreq_fold0.ckpt"),
+                    "--weighting",
+                    weighting,
+                    "--output",
+                    out,
+                )
+                == 0
+            ), weighting
+            assert os.path.exists(out)
+
+    def test_weighting_none_gives_the_runs_and_checkpoints_entities_off_gave(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        # sha256 pinned with the `use_entities = false` setting and the
+        # `rerank --no-entities` flag that `none` replaced
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work)]
+
+        def digest(name):
+            return hashlib.sha256((work / name).read_bytes()).hexdigest()
+
+        # the probability checkpoints of the default chain, scored without entities
+        assert main([*argv, "rerank", "--weighting", "none", "--output", str(work / "a.run")]) == 0
+        assert digest("a.run") == (
+            "b8e885efb607dc4c9191b25636f221c0fbd28fcc1ecdfb1d1c7f3af497bd754b"
         )
-        assert os.path.exists(out)
+        monkeypatch.setenv("DREQ_WEIGHTING_MODE", "none")
+        for stage in ("train-dreq", "ablate"):
+            assert main([*argv, stage]) == 0, stage
+        assert main([*argv, "rerank", "--weighting", "none", "--output", str(work / "b.run")]) == 0
+        names = [f"dreq_fold{i}.ckpt" for i in range(5)] + ["dreq.run", "ablate_no_entity.run"]
+        assert {name: digest(name) for name in names + ["b.run"]} == {
+            "dreq_fold0.ckpt": "16c54845902d7c62b1c5bec9f761edc22f6e5cf57aa80d6973237fcf8572d13f",
+            "dreq_fold1.ckpt": "9d11753d94d2a027a0bcc465c95454a9d3ef141a43765c0bb1083cc843f1f21c",
+            "dreq_fold2.ckpt": "f530c54f1ea022e8fe9d474ee2407fa84d235ede514129dfd46ec40ce6e3f47c",
+            "dreq_fold3.ckpt": "ff627a9dec59c8ddb903a5246c8a193eae8fbdc9ff1a87d5659935a19a1ccac4",
+            "dreq_fold4.ckpt": "a049048953c3a0364eb82d1a3a93a0e15a224f4b74edf791d6db56ab8c162d0e",
+            "dreq.run": "0f7cd9e0f477996a1b638510d849bd03cc739a7c3f885870bc83ab531157a142",
+            "ablate_no_entity.run": "c2ea1aa285139a9bb0d6fb879343036eeb3ea8cc311904c7993b033016bd458c",
+            "b.run": "a013f3d01afdd240a0c3147bb2daa75089e49f186795e6840c65bda30373551f",
+        }
+        # `--weighting` sets the mode of a checkpoint saved in mode none too
+        assert main([*argv, "rerank", "--output", str(work / "c.run")]) == 0
+        assert digest("c.run") == digest("b.run")
+        assert main([*argv, "rerank", "--weighting", "uniform", "--output",
+                     str(work / "d.run")]) == 0
+        assert digest("d.run") != digest("b.run")
 
     def test_rerank_scores_each_query_with_its_test_fold_model(
         self, pipeline, tmp_path, monkeypatch
@@ -1148,6 +1190,37 @@ class TestConfigResolution:
         capsys.readouterr()
         assert main(["--config", config, "--workdir", str(tmp_path), "retrieve"]) == 1
         assert capsys.readouterr().err == f"error: config key {key!r} is not {kind}: {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["train.epoch", "use_entity", "use_entities"])
+    @pytest.mark.parametrize("given", ["file", "env"])
+    def test_a_setting_name_that_names_no_key_is_an_error_line(
+        self, tmp_path, monkeypatch, capsys, given, key
+    ):
+        work = tmp_path / "work"
+        config = write_config(tmp_path, work, **({key: "false"} if given == "file" else {}))
+        variable = "DREQ_" + key.upper().replace(".", "_")
+        if given == "env":
+            monkeypatch.setenv(variable, "false")
+        assert main(["--config", config, "build-index"]) == 1
+        named = {"file": f"config key {key!r}", "env": f"environment variable {variable}"}
+        assert capsys.readouterr().err == f"error: {named[given]} names no setting\n"
+        assert not work.exists()
+
+    @pytest.mark.parametrize("given", ["file", "env"])
+    def test_an_invalid_weighting_mode_names_its_key_and_values(
+        self, tmp_path, monkeypatch, capsys, given
+    ):
+        work = tmp_path / "work"
+        extra = {"weighting.mode": "bogus"} if given == "file" else {}
+        config = write_config(tmp_path, work, **extra)
+        if given == "env":
+            monkeypatch.setenv("DREQ_WEIGHTING_MODE", "bogus")
+        assert main(["--config", config, "train-dreq"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'weighting.mode' must be one of probability, uniform, "
+            "reciprocal_rank, none, got 'bogus'\n"
+        )
+        assert not work.exists()
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dreq import _npz
 from dreq.corpus import Document, EntityMention, SegmenterConfig
 from dreq.embeddings import DimsConfig, EmbeddingStore, cosine, passage_key, sigmoid
 from dreq.entity_ranking import EntityRanking
@@ -50,6 +51,8 @@ def store_with(dim: int, **vectors) -> EmbeddingStore:
 def reference_weights(doc, ranking, mode):
     """Per-document entity weights as a loop over the doc's entities."""
     entity_ids = doc.entity_ids
+    if mode == WeightingMode.NONE:
+        return []
     if mode == WeightingMode.UNIFORM:
         return [(e, 1.0) for e in entity_ids]
     if mode == WeightingMode.RECIPROCAL_RANK:
@@ -68,9 +71,8 @@ def reference_logit(model, q, doc, ranking, entity_store, passage_store, seg=Seg
         v_t = v_t + passage_store.get(passage_key(p.doc_id, p.index))
     v_t = v_t / len(passages)
     v_e = np.zeros(model.dims.m)
-    if model.use_entities:
-        for e, w in reference_weights(doc, ranking, model.mode):
-            v_e = v_e + w * entity_store.get(e)
+    for e, w in reference_weights(doc, ranking, model.mode):
+        v_e = v_e + w * entity_store.get(e)
     d = model.W2 @ np.concatenate([v_t, v_e]) + model.b2
     f = np.concatenate([q, d, q + d, q - d, q * d])
     return float(model.w3 @ f + model.b3)
@@ -91,7 +93,8 @@ def weights_of(doc, ranking, mode, entity_store=None):
         entity_store = store_with(1, **{e: [1.0] for e in doc.entity_ids})
     table = build_feature_table([doc], entity_store, text_store_for([doc]))
     links, weights = table.entity_weights(ranking, mode, table.rows([doc.doc_id]))
-    assert links.shape == weights.shape == (1, len(doc.entity_ids))
+    width = 0 if mode == WeightingMode.NONE else len(doc.entity_ids)
+    assert links.shape == weights.shape == (1, width)
     return [(table.entity_store.ids[i], float(w)) for i, w in zip(links[0], weights[0])]
 
 
@@ -398,7 +401,7 @@ class TestScoreDocument:
 
     def test_no_entity_ablation_ignores_entity_store(self):
         model, q, doc, ranking, es, ps = self.build_world()
-        model.use_entities = False
+        model.mode = WeightingMode.NONE
         base = score_of(model, q, doc, ranking, es, ps)
         perturbed = store_with(2, e1=[999.0, -999.0], e2=[123.0, 321.0])
         again = score_of(model, q, doc, ranking, perturbed, ps)
@@ -511,12 +514,11 @@ class TestBatchedMatchesReference:
         seed=st.integers(0, 2**31 - 1),
         n_docs=st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
         mode=st.sampled_from(list(WeightingMode)),
-        use_entities=st.booleans(),
     )
-    def test_rerank(self, seed, n_docs, mode, use_entities):
+    def test_rerank(self, seed, n_docs, mode):
         dims = DimsConfig(2, 3, 4, 3)
         model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
-        model.mode, model.use_entities = mode, use_entities
+        model.mode = mode
         cands = Ranking.from_scores("q", [d.doc_id for d in docs], [float(-i) for i in range(len(docs))])
         out = rerank(model, q, cands, build_feature_table(docs, es, ps), ranking)
         expected = {d.doc_id: reference_logit(model, q, d, ranking, es, ps) for d in docs}
@@ -531,18 +533,14 @@ class TestBatchedMatchesReference:
         seed=st.integers(0, 2**31 - 1),
         n_docs=st.integers(1, 40),
         mode=st.sampled_from(list(WeightingMode)),
-        use_entities=st.booleans(),
     )
-    def test_dreq_logits(self, seed, n_docs, mode, use_entities):
+    def test_dreq_logits(self, seed, n_docs, mode):
         dims = DimsConfig(2, 3, 4, 3)
         model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
-        model.mode, model.use_entities = mode, use_entities
+        model.mode = mode
         table = build_feature_table(docs, es, ps)
         rows = table.rows(d.doc_id for d in docs)
-        if use_entities:
-            links, weights = table.entity_weights(ranking, mode, rows)
-        else:
-            links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
+        links, weights = table.entity_weights(ranking, mode, rows)
         batch = DreqBatch(
             Q=np.tile(q, (len(rows), 1)),
             X=np.hstack([table.text[rows], _entity_vectors(links, weights, table.entities)]),
@@ -682,12 +680,10 @@ class TestMaxSimCos:
 
 class TestCheckpoint:
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_round_trip_bit_exact(self, seed):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(WeightingMode)))
+    def test_round_trip_bit_exact(self, seed, mode):
         dims = DimsConfig(3, 4, 2, 3)
-        model = DreqModel.init(
-            dims, mode=WeightingMode.RECIPROCAL_RANK, seed=seed, use_entities=False
-        )
+        model = DreqModel.init(dims, mode=mode, seed=seed)
         model.b3 = float(np.random.default_rng(seed).standard_normal())
         import tempfile, os
 
@@ -695,13 +691,29 @@ class TestCheckpoint:
             path = os.path.join(td, "m.ckpt")
             save_checkpoint(model, path)
             loaded = load_checkpoint(path)
+            with np.load(path) as npz:
+                stored = dict(npz)
         assert np.array_equal(loaded.W2, model.W2)
         assert np.array_equal(loaded.b2, model.b2)
         assert np.array_equal(loaded.w3, model.w3)
         assert loaded.b3 == model.b3
         assert loaded.mode == model.mode
-        assert loaded.use_entities == model.use_entities
         assert loaded.dims == model.dims
+        # the file keeps its format: mode none is stored as probability with
+        # `use_entities` false
+        none = mode == WeightingMode.NONE
+        assert stored["mode"].tobytes().decode() == ("probability" if none else mode.value)
+        assert bool(stored["use_entities"]) is not none
+
+    @pytest.mark.parametrize("mode", [m for m in WeightingMode if m != WeightingMode.NONE])
+    def test_a_checkpoint_without_entities_loads_in_mode_none(self, tmp_path, mode):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(DreqModel.init(DimsConfig(3, 4, 2, 3), mode=mode, seed=1), path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays["use_entities"] = np.array(False)
+        _npz.write(path, arrays)
+        assert load_checkpoint(path).mode == WeightingMode.NONE
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

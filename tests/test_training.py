@@ -312,7 +312,7 @@ class TestDreqGradients:
         model = random_model(rng, dims)
         table = rng.standard_normal((4, dims.m))
         batch = random_batch(rng, dims, table, batch=4)
-        # use_entities=False gives every row an empty link list
+        # mode none gives every row an empty link list
         batch.links = batch.links[:, :0]
         batch.weights = batch.weights[:, :0]
         assert np.array_equal(grads_entities(model, batch, table), np.zeros_like(table))
@@ -512,7 +512,7 @@ def reference_loss_and_grads(model, rows, entities, finetune):
 
 def reference_rerank(model, q_vec, candidates, table, ranking):
     rows = table.rows(candidates.doc_ids)
-    if model.use_entities:
+    if model.mode != WeightingMode.NONE:
         links, weights = table.entity_weights(ranking, model.mode, rows)
     else:
         links, weights = np.zeros((len(rows), 0), np.intp), np.zeros((len(rows), 0))
@@ -533,9 +533,10 @@ def reference_train(template, examples, folds, data, cfg):
     table = train_feature_table(data, examples)
     rows = table.rows(ex.item_id for ex in examples)
     width = int((table.indptr[rows + 1] - table.indptr[rows]).max(initial=0))
-    links = np.zeros((len(rows), width if template.use_entities else 0), dtype=np.intp)
+    uses_entities = template.mode != WeightingMode.NONE
+    links = np.zeros((len(rows), width if uses_entities else 0), dtype=np.intp)
     weights = np.zeros(links.shape)
-    for qid in sorted({ex.query_id for ex in examples}) if template.use_entities else ():
+    for qid in sorted({ex.query_id for ex in examples}) if uses_entities else ():
         idx = [i for i, ex in enumerate(examples) if ex.query_id == qid]
         ranking = data.entity_rankings[qid]
         part_links, part_weights = table.entity_weights(ranking, template.mode, rows[idx])
@@ -548,7 +549,7 @@ def reference_train(template, examples, folds, data, cfg):
         weights,
         np.array([ex.label for ex in examples], dtype=np.float64),
     )
-    finetune = cfg.finetune_entity_embeddings and template.use_entities
+    finetune = cfg.finetune_entity_embeddings and uses_entities
     folds_out, log_rows, reranked = [], [], {}
     for fold_index, fold in enumerate(folds.folds):
         model = replace(
@@ -628,7 +629,8 @@ def assert_matches_reference(templates, examples, folds, data, cfg):
             got = reranked[qid]
             assert got.doc_ids == ranking.doc_ids
             assert got.scores.tolist() == ranking.scores.tolist()
-        if cfg.finetune_entity_embeddings and template.use_entities:  # the tuned tables moved
+        if cfg.finetune_entity_embeddings and template.mode != WeightingMode.NONE:
+            # the tuned tables moved
             original = data.entity_store.vectors
             assert any(not np.array_equal(fold[4], original) for fold in expected_folds)
     assert result.log_rows == all_log_rows
@@ -681,8 +683,7 @@ class TestTrainerMatchesReference:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_bit_identical(self, variant, finetune):
         dims, data, examples, folds = reference_world()
-        mode, use_entities = VARIANTS[variant]
-        template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+        template = DreqModel.init(dims, VARIANTS[variant], seed=4)
         cfg = TrainConfig(
             learning_rate=0.05, batch_size=3, epochs=6, seed=4, finetune_entity_embeddings=finetune
         )
@@ -695,8 +696,7 @@ class TestTrainerMatchesReference:
         epochs differ, so that fold groups split and shrink mid-training."""
         dims, data, examples, folds = reference_world()
         cfg = lockstep_config(examples, folds, finetune, batch, epochs, patience, delta)
-        mode, use_entities = VARIANTS[variant]
-        template = DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
+        template = DreqModel.init(dims, VARIANTS[variant], seed=4)
         assert_matches_reference([template], examples, folds, data, cfg)
 
     @settings(max_examples=30, deadline=None)
@@ -709,10 +709,7 @@ class TestTrainerMatchesReference:
         fine-tuned tables and the step count, and stop at their own epochs."""
         dims, data, examples, folds = reference_world()
         cfg = lockstep_config(examples, folds, finetune, batch, epochs, patience, delta)
-        templates = [
-            DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
-            for mode, use_entities in (VARIANTS[name] for name in order[:count])
-        ]
+        templates = [DreqModel.init(dims, VARIANTS[name], seed=4) for name in order[:count]]
         assert_matches_reference(templates, examples, folds, data, cfg)
 
     @pytest.mark.parametrize("batch_size, delta", [(1, 0.02), (7, 1e-5), (49, 1e-5)])
@@ -731,10 +728,7 @@ class TestTrainerMatchesReference:
         templates: here every variant stops its folds at its own epochs."""
         dims, data, examples, folds = reference_world()
         cfg = lockstep_config(examples, folds, False, "one", 6, 1, 1e-5)
-        templates = [
-            DreqModel.init(dims, mode, seed=4, use_entities=use_entities)
-            for mode, use_entities in VARIANTS.values()
-        ]
+        templates = [DreqModel.init(dims, mode, seed=4) for mode in VARIANTS.values()]
         result = assert_matches_reference(templates, examples, folds, data, cfg)
         stops = {tuple(len(o.epoch_losses) for o in outs) for outs in result.fold_outcomes}
         assert len(stops) == len(templates)
