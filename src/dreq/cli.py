@@ -64,11 +64,12 @@ from .retrieval import (
     TokenizerConfig,
     build_index,
     load_run,
-    tokenize,
     write_run,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
     from .embeddings import DimsConfig, EmbeddingStore
     from .entity_ranking import EntityRanking
     from .model import DreqModel, FeatureTable
@@ -411,9 +412,13 @@ def _pooled(settings: Settings) -> dict[str, list[str]]:
     return load_pooled(settings.artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
 
 
-def _entity_rankings(settings: Settings) -> dict[str, EntityRanking]:
+def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, EntityRanking]:
+    """The entity ranking, read only if some weighting mode of `modes` weights
+    entities: mode none reads none."""
     from .entity_ranking import load_entity_rankings
 
+    if all(mode == "none" for mode in modes):
+        return {}
     path = settings.artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
     return load_entity_rankings(path)
 
@@ -502,8 +507,6 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(corpus, cands, qrels)
     X, y = build_entity_encoding_examples(labels, encodings, settings.seed)
-    if not len(y):
-        raise CliError("no entity training examples (are any candidates judged relevant?)")
     log_rows: list = []
     head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
     head_path = settings.save(settings.workpath("entity_head.npz"), save_entity_head, head)
@@ -512,57 +515,44 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
 
 
 def cmd_rank_entities(settings: Settings) -> None:
-    from .entity_ranking import (EntityRanking, _unit_lambda, bm25_entity_rank,
-                                 geeer_entity_rank, load_entity_head, save_entity_rankings)
+    from .entity_ranking import (_unit_lambda, bm25_entity_rank, geeer_entity_rank,
+                                 load_entity_head, save_entity_rankings)
     from .pipeline import entity_rankings_map
 
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
     pooled = _pooled(settings)
     queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
-    rankings: dict[str, EntityRanking] = {}
     bm25_only = 0
 
-    desc_index = None
-    if mode in ("bm25", "geeer"):
+    if mode == "learned":
+        (encodings,) = _load_stores(settings, "query_entity")
+        path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
+        rankings = entity_rankings_map(load_entity_head(path), pooled, encodings)
+    elif mode in ("bm25", "geeer"):
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
         catalog = settings.input("entity_catalog", optional=True)
         records = load_entity_catalog(catalog).values() if catalog is not None else ()
         descriptions = {rec.entity_id: rec.description for rec in records if rec.description}
-        if descriptions:
-            desc_index = build_index(descriptions, settings.tokenizer())
-        elif mode == "bm25":
+        if mode == "bm25" and not descriptions:
             raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
-
-    def bm25_ranking(qid: str) -> EntityRanking:
-        return bm25_entity_rank(queries[qid].text, pooled[qid], desc_index, settings.bm25(), qid)
-
-    if mode == "learned":
-        (encodings,) = _load_stores(settings, "query_entity")
-        path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
-        head = load_entity_head(path)
-        rankings = entity_rankings_map(head, pooled, encodings)
-    elif mode == "bm25":
-        rankings = {qid: bm25_ranking(qid) for qid in sorted(pooled)}
-    elif mode == "geeer":
-        (entity_store,) = _load_stores(settings, "entity")
-        links = load_query_links(settings.input("query_links"))
-        # checked here too: a query that links no entity never reaches geeer_entity_rank
-        lam = _unit_lambda(settings.get_float("geeer.lambda"))
-        for qid in sorted(pooled):
-            if desc_index is not None:
-                sparse = bm25_ranking(qid)
-            else:  # no descriptions: every entity's BM25 is 0
-                zeros = np.zeros(len(pooled[qid]))
-                sparse = EntityRanking.from_raw_scores(qid, pooled[qid], zeros)
-            if not any(eid in entity_store for eid, _ in links.get(qid, [])):
-                rankings[qid] = sparse  # no query entity to compare with: BM25 alone
-                bm25_only += 1
-                continue
-            bm25_scores = dict(zip(sparse.entity_ids, sparse.raw_scores.tolist()))
-            rankings[qid] = geeer_entity_rank(
-                links.get(qid, []), pooled[qid], entity_store, bm25_scores, lam, query_id=qid
-            )
+        desc_index = build_index(descriptions, settings.tokenizer()) if descriptions else None
+        bm25 = settings.bm25()
+        rankings = {qid: bm25_entity_rank(queries[qid].text, pooled[qid], desc_index, bm25, qid)
+                    for qid in sorted(pooled)}
+        if mode == "geeer":
+            (entity_store,) = _load_stores(settings, "entity")
+            links = load_query_links(settings.input("query_links"))
+            # checked here too: with no query pooled, geeer_entity_rank never runs
+            lam = _unit_lambda(settings.get_float("geeer.lambda"))
+            for qid, sparse in rankings.items():
+                bm25_scores = dict(zip(sparse.entity_ids, sparse.raw_scores.tolist()))
+                ranked = geeer_entity_rank(links.get(qid, []), pooled[qid], entity_store,
+                                           bm25_scores, lam, query_id=qid)
+                if ranked is None:  # no query entity to compare with: BM25 alone
+                    bm25_only += 1
+                else:
+                    rankings[qid] = ranked
     else:
         raise CliError(f"unknown entity ranking mode {mode!r}")
 
@@ -574,17 +564,18 @@ def cmd_rank_entities(settings: Settings) -> None:
           f"{bm25_only} by BM25 alone -> {path}")
 
 
-def _training_inputs(settings: Settings):
+def _training_inputs(settings: Settings, modes: Iterable[str]):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
     TrainData, TrainConfig, the number of judged-relevant documents of the
-    candidate queries that are not in the corpus)."""
+    candidate queries that are not in the corpus). The TrainData holds the
+    entity ranking only if some weighting mode of `modes` weights entities."""
     from .training import TrainData, build_doc_examples, make_folds
 
     corpus = _load_corpus(settings)
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
     stores = _load_stores(settings, "query", "entity", "passage")
-    rankings = _entity_rankings(settings)
+    rankings = _entity_rankings(settings, modes)
     seed = settings.seed
     cfg = settings.train_config()
     # a judged-relevant document outside the corpus has nothing to score, so
@@ -611,7 +602,7 @@ def cmd_train_dreq(settings: Settings) -> None:
     if mode not in modes:
         allowed = ", ".join(modes)
         raise CliError(f"config key 'weighting.mode' must be one of {allowed}, got {mode!r}")
-    _, examples, folds, data, cfg, unknown = _training_inputs(settings)
+    _, examples, folds, data, cfg, unknown = _training_inputs(settings, [mode])
     template = DreqModel.init(settings.dims(), mode=mode, seed=settings.seed)
     table = train_feature_table(data, examples)
     result = train_dreq([template], examples, folds, data, cfg, table)
@@ -694,23 +685,22 @@ def cmd_rerank(settings: Settings) -> None:
         for q in queries:
             if q.query_id not in cands:
                 continue
-            qlinks = [eid for eid, _ in links.get(q.query_id, []) if eid in entity_store]
-            if not qlinks:  # no query entity to compare with
-                rankings[q.query_id] = cands[q.query_id]
+            qlinks = [eid for eid, _ in links.get(q.query_id, [])]
+            ranked = maxsimcos_rerank(qlinks, cands[q.query_id], corpus.documents, entity_store)
+            if ranked is None:  # no query entity to compare with
+                ranked = cands[q.query_id]
                 kept += 1
-                continue
-            rankings[q.query_id] = maxsimcos_rerank(qlinks, cands[q.query_id], corpus.documents,
-                                                    entity_store)
+            rankings[q.query_id] = ranked
     elif mode == "dreq":
         query_store, entity_store, passage_store = _load_stores(
             settings, "query", "entity", "passage"
         )
-        entity_rankings = _entity_rankings(settings)
         qids = [q.query_id for q in queries if q.query_id in cands]
         docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids)
         table = build_feature_table(docs, entity_store, passage_store, settings.segmenter())
         empty_text = table.empty_text_docs
         scorers = _rerank_scorers(settings, qids, table)
+        entity_rankings = _entity_rankings(settings, [model.mode for model, _ in scorers.values()])
         rankings = {
             qid: rerank(model, query_store.get(qid), cands[qid], fold_table,
                         _query_ranking(entity_rankings, qid))
@@ -727,6 +717,8 @@ def cmd_rerank(settings: Settings) -> None:
 
 
 def cmd_evaluate(settings: Settings) -> None:
+    """A run query without judgments in the qrels is an `error:` line that
+    lists it (trec_eval would skip it), as is an empty run."""
     from .evaluation import evaluate_run, write_metrics_report
 
     qrels = load_qrels(settings.input("qrels"))
@@ -748,13 +740,9 @@ def cmd_qpp(settings: Settings) -> None:
     cands = _candidates(settings)
     k = settings.get_int("wig.k")
     tok = settings.tokenizer()
-    scores = {}
-    for q in queries:
-        if q.query_id in cands:
-            terms = tokenize(q.text, tok)
-            # a query without terms retrieved only zero-score padding
-            scores[q.query_id] = wig(terms, cands[q.query_id], k=k) if terms else 0.0
-    terciles = wig_terciles(scores) if len(scores) >= 3 else {}
+    scores = {q.query_id: wig(q.text, cands[q.query_id], k=k, tokenizer=tok)
+              for q in queries if q.query_id in cands}
+    terciles = wig_terciles(scores)
     text = "query_id\twig\ttercile\n" + "".join(
         f"{qid}\t{scores[qid]:.6f}\t{terciles.get(qid, '-')}\n" for qid in sorted(scores)
     )
@@ -790,7 +778,7 @@ def cmd_difficulty(settings: Settings) -> None:
 def cmd_ablate(settings: Settings) -> None:
     from .pipeline import VARIANTS, ablation_sweep
 
-    qrels, examples, folds, data, cfg, unknown = _training_inputs(settings)
+    qrels, examples, folds, data, cfg, unknown = _training_inputs(settings, VARIANTS.values())
     variants = list(VARIANTS)
     outcome = ablation_sweep(
         variants, settings.dims(), examples, folds, data, cfg, qrels,

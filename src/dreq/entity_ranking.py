@@ -117,10 +117,11 @@ def train_entity_head(
     log_rows: list | None = None,
 ) -> EntityHead:
     """Adam-optimized BCE fit of the linear head on encodings X (n, k) and
-    {0, 1} labels y (n,); deterministic given seed."""
+    {0, 1} labels y (n,); deterministic given seed. Zero examples are an
+    error."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if not len(y):
-        raise ValueError("cannot train an entity head on zero examples")
+        raise ValueError("no entity training examples (are any candidates judged relevant?)")
     head = EntityHead.init(X.shape[1], seed=cfg.seed)
     params = {"w1": head.w1, "b1": np.array([head.b1])}
     state = AdamState()
@@ -145,7 +146,7 @@ def train_entity_head(
 def bm25_entity_rank(
     query: str | list[str],
     pooled: Sequence[str],
-    description_index: InvertedIndex,
+    description_index: InvertedIndex | None,
     bm25: Bm25Params = Bm25Params(),
     query_id: str = "",
 ) -> EntityRanking:
@@ -153,12 +154,15 @@ def bm25_entity_rank(
     one scoring pass over the description index per query (each query term
     occurrence adds once, as `retrieve` scores a query without RM3).
 
-    Entities without an indexed description score 0.
+    Entities without an indexed description score 0, and so does every
+    entity when `description_index` is None (a catalog without descriptions).
     """
-    terms = tokenize(query, description_index.tokenizer) if isinstance(query, str) else query
-    scores = _score_all(description_index, ((t, 1.0) for t in terms), bm25)
-    position = description_index.doc_position
-    raw = [scores[position[eid]] if eid in position else 0.0 for eid in pooled]
+    raw = np.zeros(len(pooled))
+    if description_index is not None:
+        terms = tokenize(query, description_index.tokenizer) if isinstance(query, str) else query
+        scores = _score_all(description_index, ((t, 1.0) for t in terms), bm25)
+        position = description_index.doc_position
+        raw = [scores[position[eid]] if eid in position else 0.0 for eid in pooled]
     return EntityRanking.from_raw_scores(query_id, pooled, raw)
 
 
@@ -183,20 +187,19 @@ def geeer_entity_rank(
     bm25_scores: Mapping[str, float],
     lam: float = 0.5,
     query_id: str = "",
-) -> EntityRanking:
+) -> EntityRanking | None:
     """Embedding alternative: each pooled entity scores the confidence-
     weighted sum of cosines to the query's linked entities, min-max
     normalized per query and interpolated with min-max BM25 at `lam`.
-    Constant score lists normalize to 0.5.
+    Constant score lists normalize to 0.5. None when no linked entity has
+    an embedding (nothing to compare with); a `lam` outside [0, 1] is an
+    error, checked first.
     """
     _unit_lambda(lam)
-    usable = [(eid, conf) for eid, conf in query_mentions if eid in entity_store]
-    if not usable:
-        raise ValueError(
-            f"query {query_id!r} has no linked entities with embeddings; "
-            "embedding-based entity ranking is inapplicable"
-        )
-    query_vecs = [(entity_store.get(eid), conf) for eid, conf in usable]
+    query_vecs = [(entity_store.get(eid), conf) for eid, conf in query_mentions
+                  if eid in entity_store]
+    if not query_vecs:
+        return None
     emb_scores = []
     sparse_scores = []
     for entity_id in pooled:

@@ -153,11 +153,12 @@ def wig(
 
     (1/sqrt(|q|)) * (1/k) * sum over the top-k of (score - mean score of
     the full candidate list). The corpus-wide term of the original
-    formulation is approximated by the candidate-list mean.
+    formulation is approximated by the candidate-list mean. A query without
+    terms scores 0.0 (it retrieved only zero-score padding), whatever `k`.
     """
     terms = tokenize(query, tokenizer) if isinstance(query, str) else list(query)
     if not terms:
-        raise ValueError("query has no terms")
+        return 0.0
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(candidates):
@@ -178,9 +179,9 @@ def _even_split(items: list[str], groups: int) -> list[list[str]]:
 
 def wig_terciles(wig_scores: Mapping[str, float]) -> dict[str, str]:
     """Split queries into easy / medium / hard by descending WIG; remainders
-    go to the earlier groups."""
+    go to the earlier groups. Fewer than 3 queries get no tercile: {}."""
     if len(wig_scores) < 3:
-        raise ValueError(f"need at least 3 queries, got {len(wig_scores)}")
+        return {}
     ordered = sorted(wig_scores, key=lambda q: (-wig_scores[q], q))
     groups = _even_split(ordered, 3)
     return {qid: label for label, group in zip(("easy", "medium", "hard"), groups) for qid in group}

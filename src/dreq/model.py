@@ -303,15 +303,16 @@ def maxsimcos_rerank(
     candidates: Ranking,
     docs,
     entity_store: EmbeddingStore,
-) -> Ranking:
+) -> Ranking | None:
     """Unsupervised baseline: a document scores the maximum cosine between
     any query entity embedding and any of its own entity embeddings.
     Documents without usable entities score -inf and sort last. Each distinct
-    linked entity is scored against the query entities once.
+    linked entity is scored against the query entities once. None when no
+    query entity has an embedding: there is nothing to compare with.
     """
     query_vecs = [entity_store.get(e) for e in query_entity_ids if e in entity_store]
     if not query_vecs:
-        raise ValueError("maxsimcos requires at least one linked query entity with an embedding")
+        return None
     best: dict[str, float] = {}
     scores = []
     for doc_id in candidates.doc_ids:

@@ -1,12 +1,11 @@
 """Orchestration helpers of the CLI stages: candidate retrieval over a query
 set, per-query entity pooling and label transfer, the entity-ranking stage,
-and cross-validated ablation sweeps. `run_planted_ablation`, which the
-claim test runs, drives the CLI stages themselves on planted worlds.
+and cross-validated ablation sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .embeddings import DimsConfig, EmbeddingStore
     from .entity_ranking import EntityHead, EntityRanking
     from .evaluation import MetricsReport
-    from .synthetic import PlantedConfig
     from .training import FoldPlan, TrainConfig, TrainData, TrainingExample
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "entity_rankings_map",
     "AblationResult",
     "ablation_sweep",
-    "run_planted_ablation",
 ]
 
 # variant name -> weighting mode value; by value, so that
@@ -154,50 +151,3 @@ def ablation_sweep(
     runs = dict(zip(variants, result.reranked))
     reports = {name: evaluate_run(run, qrels, tag=name, **cutoffs) for name, run in runs.items()}
     return AblationResult(candidate_report, reports, runs, table.empty_text_docs)
-
-
-def run_planted_ablation(
-    planted: PlantedConfig, train_cfg: TrainConfig, seeds: list[int]
-) -> dict[str, float]:
-    """Seed-averaged held-out nDCG@20 on planted worlds, by the CLI stages.
-
-    Each seed's world is written as input files to a temporary work
-    directory, with one config (its dims, `retrieve.k = 100`, the seed and
-    `train_cfg`'s values), and `build-index`, `retrieve`, `pool-entities`,
-    `train-entity-ranker`, `rank-entities` and `ablate` run on it in process,
-    as `dreq` runs them. Returns {"candidates": ..., variant: ...}: the means
-    over the seeds of the `ndcg@20` column of `ablate.tsv`.
-    """
-    import os
-    import tempfile
-
-    from .cli import main
-    from .synthetic import generate_planted_world, write_world_files
-
-    stages = ("build-index", "retrieve", "pool-entities", "train-entity-ranker",
-              "rank-entities", "ablate")
-    totals: dict[str, float] = {}
-    for seed in seeds:
-        world = generate_planted_world(replace(planted, seed=seed))
-        with tempfile.TemporaryDirectory() as work:
-            paths = write_world_files(world, work)
-            settings = {
-                "corpus": paths["corpus"], "entity_catalog": paths["entities"],
-                "queries": paths["queries"], "qrels": paths["qrels"], "workdir": work,
-                "seed": seed, "retrieve.k": 100, "train.learning_rate": train_cfg.learning_rate,
-                "train.batch_size": train_cfg.batch_size, "train.epochs": train_cfg.epochs,
-                "finetune_entity_embeddings": train_cfg.finetune_entity_embeddings,
-                **{f"dims.{d}": getattr(world.dims, d) for d in "kmnp"},
-            }
-            config = os.path.join(work, "dreq.conf")
-            with open(config, "w", encoding="utf-8") as f:
-                f.writelines(f"{key} = {value}\n" for key, value in settings.items())
-            for stage in stages:
-                if main(["--config", config, stage]) != 0:
-                    raise RuntimeError(f"`dreq {stage}` failed on the seed-{seed} world")
-            with open(os.path.join(work, "ablate.tsv"), encoding="utf-8") as f:
-                header, *rows = (line.rstrip("\n").split("\t") for line in f)
-        column = header.index("ndcg@20")
-        for row in rows:
-            totals[row[0]] = totals.get(row[0], 0.0) + float(row[column])
-    return {name: total / len(seeds) for name, total in totals.items()}

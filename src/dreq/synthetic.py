@@ -120,13 +120,13 @@ class SyntheticWorld:
         return self.cfg.dims
 
     # --- aligned embedding stores ---------------------------------------
-    # One synthetic_embed_rows call per store. The sums below are elementwise
-    # and unit_rows normalizes each row on its own, so every row has the bits
-    # of the same arithmetic done one vector at a time.
+    # The query store holds one topic row per query. Planted entities lie near
+    # their query's topic, and topical passages (relevant and distractor alike,
+    # so text alone cannot tell them apart) share it. Planted (query, entity)
+    # encodings point along one base direction, all others against it.
 
     @cached_property
     def query_store(self) -> EmbeddingStore:
-        """One topic direction per query: the rows the other stores align to."""
         qids = [q.query_id for q in self.queries]
         topics = synthetic_embed_rows("topic", qids, self.dims.p, self.cfg.seed)
         return EmbeddingStore("query", qids, topics)
@@ -142,7 +142,6 @@ class SyntheticWorld:
 
     @cached_property
     def entity_store(self) -> EmbeddingStore:
-        """Planted entities lie near their query's topic; the rest are random."""
         cfg, m = self.cfg, self.dims.m
         topic_of = self.query_store.row
         all_entities = list(self.corpus.entities)
@@ -161,8 +160,6 @@ class SyntheticWorld:
 
     @cached_property
     def passage_store(self) -> EmbeddingStore:
-        """Topical documents (relevant and keyword-stuffed alike) share their
-        query's text direction, so text alone cannot tell them apart."""
         cfg, n = self.cfg, self.dims.n
         topic_of = self.query_store.row
         keys: list[str] = []
@@ -181,8 +178,6 @@ class SyntheticWorld:
 
     @cached_property
     def encoding_store(self) -> EmbeddingStore:
-        """(query, entity) encodings: planted pairs point along one base
-        direction, all others against it."""
         cfg, k = self.cfg, self.dims.k
         qids = self.query_store.ids
         all_entities = list(self.corpus.entities)

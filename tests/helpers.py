@@ -5,20 +5,26 @@
 `store_from_rows` makes an `EmbeddingStore` from (id, vector) pairs.
 `synthetic_embed` is the one-row case of `synthetic_embed_rows`.
 `MALFORMED_CORPUS_LINES` are corpus lines `load_corpus` rejects, each with
-its message.
+its message. `run_planted_ablation`, which the claim test runs, drives the
+CLI stages themselves on planted worlds.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
+from dreq.cli import main
 from dreq.corpus import Document, SegmenterConfig, split_sentences
 from dreq.embeddings import EmbeddingStore, synthetic_embed_rows
+from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
+from dreq.training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -94,3 +100,44 @@ MALFORMED_CORPUS_LINES = {
     "string-confidence": (_bad_mention(confidence="x"),
                           "doc 'dbad': confidence 'x' is not a number"),
 }
+
+
+def run_planted_ablation(
+    planted: PlantedConfig, train_cfg: TrainConfig, seeds: list[int]
+) -> dict[str, float]:
+    """Seed-averaged held-out nDCG@20 on planted worlds, by the CLI stages.
+
+    Each seed's world is written as input files to a temporary work
+    directory, with one config (its dims, `retrieve.k = 100`, the seed and
+    `train_cfg`'s values), and `build-index`, `retrieve`, `pool-entities`,
+    `train-entity-ranker`, `rank-entities` and `ablate` run on it in process,
+    as `dreq` runs them. Returns {"candidates": ..., variant: ...}: the means
+    over the seeds of the `ndcg@20` column of `ablate.tsv`.
+    """
+    stages = ("build-index", "retrieve", "pool-entities", "train-entity-ranker",
+              "rank-entities", "ablate")
+    totals: dict[str, float] = {}
+    for seed in seeds:
+        world = generate_planted_world(replace(planted, seed=seed))
+        with tempfile.TemporaryDirectory() as work:
+            paths = write_world_files(world, work)
+            settings = {
+                "corpus": paths["corpus"], "entity_catalog": paths["entities"],
+                "queries": paths["queries"], "qrels": paths["qrels"], "workdir": work,
+                "seed": seed, "retrieve.k": 100, "train.learning_rate": train_cfg.learning_rate,
+                "train.batch_size": train_cfg.batch_size, "train.epochs": train_cfg.epochs,
+                "finetune_entity_embeddings": train_cfg.finetune_entity_embeddings,
+                **{f"dims.{d}": getattr(world.dims, d) for d in "kmnp"},
+            }
+            config = os.path.join(work, "dreq.conf")
+            with open(config, "w", encoding="utf-8") as f:
+                f.writelines(f"{key} = {value}\n" for key, value in settings.items())
+            for stage in stages:
+                if main(["--config", config, stage]) != 0:
+                    raise RuntimeError(f"`dreq {stage}` failed on the seed-{seed} world")
+            with open(os.path.join(work, "ablate.tsv"), encoding="utf-8") as f:
+                header, *rows = (line.rstrip("\n").split("\t") for line in f)
+        column = header.index("ndcg@20")
+        for row in rows:
+            totals[row[0]] = totals.get(row[0], 0.0) + float(row[column])
+    return {name: total / len(seeds) for name, total in totals.items()}

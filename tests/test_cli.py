@@ -252,6 +252,24 @@ class TestPipeline:
         assert set(got["q03"].raw_scores.tolist()) == {0.0}
         assert len(got["q03"]) == len(before["geeer"]["q03"])
 
+    def test_geeer_without_query_links_writes_the_bm25_ranking(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode"]
+        assert main([*argv, "bm25"]) == 0
+        bm25 = (work / "entity_ranking.npz").read_bytes()
+        links = tmp_path / "query_links.tsv"
+        links.write_text("")
+        monkeypatch.setenv("DREQ_QUERY_LINKS", str(links))
+        capsys.readouterr()
+        assert main([*argv, "geeer"]) == 0
+        pooled = len(load_entity_rankings(str(work / "entity_ranking.npz")))
+        assert f"for {pooled} queries, {pooled} by BM25 alone" in capsys.readouterr().out
+        assert (work / "entity_ranking.npz").read_bytes() == bm25
+
     def test_description_modes_rank_as_with_descriptions_from_the_corpus(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -466,6 +484,23 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err == "error: no document training examples (check qrels coverage)\n", stage
 
+    def test_no_positive_judgement_stops_the_entity_ranker_with_one_line(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        qrels = tmp_path / "qrels.txt"
+        toy = (Path(TOY) / "qrels.txt").read_text().splitlines()
+        qrels.write_text("".join(" ".join(line.split()[:3] + ["0"]) + "\n" for line in toy))
+        monkeypatch.setenv("DREQ_QRELS", str(qrels))
+        before = tree_bytes(work)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), "train-entity-ranker"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no entity training examples (are any candidates judged relevant?)\n"
+        assert tree_bytes(work) == before
+
     def test_a_judged_document_outside_the_corpus_is_no_training_positive(
         self, pipeline, tmp_path, monkeypatch, capsys
     ):
@@ -594,6 +629,28 @@ class TestPipeline:
                      str(work / "d.run")]) == 0
         assert digest("d.run") != digest("b.run")
 
+    def test_weighting_none_reads_no_entity_ranking(self, pipeline, tmp_path, monkeypatch):
+        config, workdir = pipeline
+        monkeypatch.setenv("DREQ_WEIGHTING_MODE", "none")
+        written = {}
+        for ranked in (True, False):
+            work = tmp_path / f"ranked-{ranked}"
+            shutil.copytree(workdir, work)
+            if not ranked:
+                (work / "entity_ranking.npz").unlink()
+            argv = ["--config", config, "--workdir", str(work)]
+            assert main([*argv, "train-dreq"]) == 0, ranked
+            assert main([*argv, "rerank", "--weighting", "none"]) == 0, ranked
+            for stage in ("train-dreq", "rerank-rerank_dreq"):
+                manifest = json.loads((work / "manifests" / f"{stage}.json").read_text())
+                assert "entity_ranking.npz" not in manifest["inputs"], (ranked, stage)
+            written[ranked] = {
+                name: data for name, data in tree_bytes(work).items()
+                if not name.startswith("manifests") and name != "entity_ranking.npz"
+            }
+        assert written[True] == written[False]
+        assert written[True]["dreq.run"] != Path(workdir, "dreq.run").read_bytes()
+
     def test_rerank_scores_each_query_with_its_test_fold_model(
         self, pipeline, tmp_path, monkeypatch
     ):
@@ -694,6 +751,25 @@ class TestPipeline:
         rows = dict(line.split("\t", 1) for line in open(fresh / "wig.tsv").read().splitlines()[1:])
         assert sorted(rows) == sorted([*normal, "qempty"])
         assert rows["qempty"].startswith("0.000000\t")
+
+
+    def test_qpp_and_difficulty_on_two_queries_give_no_terciles(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        config, _ = pipeline
+        queries = tmp_path / "queries.tsv"
+        toy = (Path(TOY) / "queries.tsv").read_text().splitlines(keepends=True)
+        queries.write_text("".join(toy[:2]))
+        work = tmp_path / "work"
+        monkeypatch.setenv("DREQ_QUERIES", str(queries))
+        argv = ["--config", config, "--workdir", str(work)]
+        for stage in ("build-index", "retrieve", "qpp"):
+            assert main([*argv, stage]) == 0, stage
+        cands = str(work / "candidates.run")
+        assert main([*argv, "difficulty", "--baseline-run", cands, "--system-run", cands]) == 0
+        rows = (work / "wig.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[2] for row in rows] == ["-", "-"]
+        assert "#tercile" not in (work / "difficulty.tsv").read_text()
 
 
 class TestManifests:

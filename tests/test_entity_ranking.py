@@ -279,6 +279,12 @@ class TestBm25EntityRank:
         ranking = bm25_entity_rank("bear attacks", ["bear", "axe"], index)
         assert ranking.entity_ids[0] == "bear"
 
+    def test_without_a_description_index_every_entity_scores_zero(self):
+        ranking = bm25_entity_rank("bear", ["road", "bear", "axe"], None, query_id="q")
+        assert ranking.entity_ids == ["axe", "bear", "road"]
+        assert ranking.raw_scores.tolist() == [0.0, 0.0, 0.0]
+        assert ranking.probs.tolist() == [1 / 3] * 3
+
     def test_missing_description_scores_zero(self):
         index, _ = self.catalog_index()
         ranking = bm25_entity_rank("bear", ["bear", "undescribed"], index)
@@ -361,10 +367,9 @@ class TestGeeerEntityRank:
         )
         assert ranking.raw_scores[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_no_linked_entities_rejected(self):
+    def test_no_linked_entities_give_none(self):
         store = self.store()
-        with pytest.raises(ValueError, match="inapplicable"):
-            geeer_entity_rank([("absent", 0.9)], ["match"], store, {}, query_id="q")
+        assert geeer_entity_rank([("absent", 0.9)], ["match"], store, {}, query_id="q") is None
 
 
 class TestSerialization:

@@ -670,12 +670,11 @@ class TestMaxSimCos:
         assert out.doc_ids == ["d2", "d1"]
         assert out.scores[1] == float("-inf")
 
-    def test_query_without_entities_rejected(self):
+    def test_query_without_entities_gives_none(self):
         entity_store = store_with(2, de=[0.5, 0.5])
         docs = {"d1": doc_with("d1", ["de"])}
         cands = Ranking.from_scores("q", ["d1"], [1.0])
-        with pytest.raises(ValueError):
-            maxsimcos_rerank([], cands, docs, entity_store)
+        assert maxsimcos_rerank([], cands, docs, entity_store) is None
 
 
 class TestCheckpoint:

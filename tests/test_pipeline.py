@@ -4,9 +4,9 @@ and the candidate ranking. The numbers come from the CLI stages, run in
 process up to `ablate`. Reciprocal-rank weights are not compared: on these
 worlds they score level with probabilities."""
 
-from dreq.pipeline import run_planted_ablation
 from dreq.synthetic import PlantedConfig
 from dreq.training import PLANTED_TRAIN
+from helpers import run_planted_ablation
 
 # 3-seed held-out nDCG@20 (the `ablate.tsv` column) measured at 0.5617 (dreq)
 # vs 0.4597 (candidates) / 0.4148 (uniform) / 0.4051 (no_entity); the
