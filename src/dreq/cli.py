@@ -31,7 +31,9 @@ user's path. This module loads only the first-stage modules (`corpus`,
 `cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
 or training code. `build-index` loads the corpus with `mentions=False`: its
 lines and mentions are checked as in every other stage, but only the texts
-are kept.
+are kept. Only `synth-embed` (whose entity store covers the catalog) and
+`rank-entities --mode bm25|geeer` (which index its descriptions) read the
+entity catalog.
 """
 
 from __future__ import annotations
@@ -389,11 +391,6 @@ def _finite(text: str, what: str) -> float:
 # --- shared loading --------------------------------------------------------------
 
 
-def _load_corpus(settings: Settings, mentions: bool = True):
-    catalog = settings.input("entity_catalog", optional=True)
-    return load_corpus(settings.input("corpus"), catalog_path=catalog, mentions=mentions)
-
-
 def _load_stores(settings: Settings, *names: str) -> list[EmbeddingStore]:
     """The stores `names` (of `STORE_NAMES`), in that order: only those the stage reads."""
     from .embeddings import load_store, store_path
@@ -428,7 +425,7 @@ def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, Enti
 
 def cmd_build_index(settings: Settings) -> None:
     # the index reads only the texts: every mention is checked, none is built
-    texts = _load_corpus(settings, mentions=False).texts()
+    texts = load_corpus(settings.input("corpus"), mentions=False).texts()
     index = build_index(texts, settings.tokenizer())
     del texts
     index_path = settings.save(settings.workpath("index.npz"), save_index, index)
@@ -452,7 +449,7 @@ def cmd_retrieve(settings: Settings) -> None:
 def cmd_pool_entities(settings: Settings) -> None:
     from .pipeline import pooled_entities_map
 
-    corpus = _load_corpus(settings)
+    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     qrels = settings.input("qrels", optional=True)
     pooled = pooled_entities_map(corpus, cands, None if qrels is None else load_qrels(qrels))
@@ -465,7 +462,7 @@ def cmd_synth_embed(settings: Settings) -> None:
     from .embeddings import (STORE_NAMES, EmbeddingStore, passage_key, query_entity_key,
                              save_store, store_path, synthetic_embed_rows)
 
-    corpus = _load_corpus(settings)
+    corpus = load_corpus(settings.input("corpus"), settings.input("entity_catalog", optional=True))
     queries = load_queries(settings.input("queries"))
     pooled = _pooled(settings)
     dims = settings.dims()
@@ -501,7 +498,7 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     from .pipeline import build_entity_encoding_examples, entity_labels_map
     from .training import write_training_log
 
-    corpus = _load_corpus(settings)
+    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
@@ -521,7 +518,6 @@ def cmd_rank_entities(settings: Settings) -> None:
 
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
     pooled = _pooled(settings)
-    queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
     bm25_only = 0
 
     if mode == "learned":
@@ -529,6 +525,7 @@ def cmd_rank_entities(settings: Settings) -> None:
         path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         rankings = entity_rankings_map(load_entity_head(path), pooled, encodings)
     elif mode in ("bm25", "geeer"):
+        queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
         catalog = settings.input("entity_catalog", optional=True)
@@ -571,7 +568,7 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     entity ranking only if some weighting mode of `modes` weights entities."""
     from .training import TrainData, build_doc_examples, make_folds
 
-    corpus = _load_corpus(settings)
+    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
     stores = _load_stores(settings, "query", "entity", "passage")
@@ -596,7 +593,7 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
 def cmd_train_dreq(settings: Settings) -> None:
     from .embeddings import save_store, store_path
     from .model import DreqModel, WeightingMode, save_checkpoint
-    from .training import train_dreq, train_feature_table, write_training_log
+    from .training import train_dreq, write_training_log
 
     mode, modes = settings.get("weighting.mode"), [m.value for m in WeightingMode]
     if mode not in modes:
@@ -604,8 +601,7 @@ def cmd_train_dreq(settings: Settings) -> None:
         raise CliError(f"config key 'weighting.mode' must be one of {allowed}, got {mode!r}")
     _, examples, folds, data, cfg, unknown = _training_inputs(settings, [mode])
     template = DreqModel.init(settings.dims(), mode=mode, seed=settings.seed)
-    table = train_feature_table(data, examples)
-    result = train_dreq([template], examples, folds, data, cfg, table)
+    result = train_dreq([template], examples, folds, data, cfg)
     (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
 
     settings.save(settings.workpath("folds.json"), folds.save)
@@ -620,7 +616,7 @@ def cmd_train_dreq(settings: Settings) -> None:
     settings.save(settings.workpath("dreq_train_log.tsv"), write_training_log, result.log_rows)
     print(
         f"trained {len(outcomes)} folds on {len(examples)} examples "
-        f"({table.empty_text_docs} documents without text), {unknown} judged-relevant "
+        f"({result.empty_text_docs} documents without text), {unknown} judged-relevant "
         f"documents not in the corpus skipped; out-of-fold run -> {out}"
     )
 
@@ -671,7 +667,7 @@ def cmd_rerank(settings: Settings) -> None:
     from .model import build_feature_table, maxsimcos_rerank, rerank
 
     mode = settings.args.mode
-    corpus = _load_corpus(settings)
+    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     settings.manifest_name = f"rerank-{os.path.splitext(os.path.basename(out))[0]}"
@@ -767,9 +763,11 @@ def cmd_difficulty(settings: Settings) -> None:
     wig_path = settings.args.wig or settings.workpath("wig.tsv")
     if os.path.exists(wig_path):
         wig_scores = load_wig(settings.artifact(wig_path, "qpp"))
+        missing = sorted(set(base_metric) - set(wig_scores))
+        if missing:
+            raise CliError(f"queries {missing[:5]} of the baseline run are not in {wig_path}; "
+                           "rerun `dreq qpp`")
         wig_scores = {q: s for q, s in wig_scores.items() if q in base_metric}
-        if set(wig_scores) != set(base_metric):
-            wig_scores = None
     report = build_difficulty_report(base_metric, sys_metric, wig_scores)
     out = settings.save(settings.workpath("difficulty.tsv"), write_difficulty_report, report)
     print(f"helped={report.helped} hurt={report.hurt} unchanged={report.unchanged} -> {out}")

@@ -23,7 +23,9 @@ functions: a `DreqModel` whose parameters, and the rows and entity tables it
 scores, carry a leading run axis. `_forward`, `_features` and
 `_entity_vectors` broadcast over it, and for each run compute exactly what
 the 2-D call on that run's slice computes, so serving (2-D) and training
-share one forward.
+share one forward. Parameters are checked where they enter the program:
+`load_checkpoint` rejects a non-finite one, and the trainer checks its fit
+once, when it ends.
 
 The `maxsimcos` baseline scores each distinct linked entity against the
 query entities once, with `cosine`: its `np.dot` gives the bits of a
@@ -76,6 +78,8 @@ class DreqModel:
     W2: (p, m+n) fusion matrix, b2: (p,) fusion bias,
     w3: (5p,) scoring projection, b3: scalar scoring bias. The trainer's
     model gives each a leading run axis, b3 then being a (runs,) array.
+    Construction checks the mode and shapes; `init` makes finite values, and
+    other values are checked where they enter (the module docstring).
     """
 
     W2: np.ndarray
@@ -92,9 +96,6 @@ class DreqModel:
         for name, shape in (("W2", (d.p, d.m + d.n)), ("b2", (d.p,)), ("w3", (5 * d.p,))):
             if getattr(self, name).shape != lead + shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {lead + shape}")
-        for arr in (self.W2, self.b2, self.w3, self.b3):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite model parameters")
 
     @classmethod
     def init(
@@ -348,7 +349,10 @@ def save_checkpoint(model: DreqModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> DreqModel:
+    """The model `save_checkpoint` wrote; every parameter must be finite."""
     arrays = _npz.read(path, _CHECKPOINT_ARRAYS, "checkpoint", "train-dreq")
+    if not all(np.isfinite(arrays[name]).all() for name in ("W2", "b2", "w3", "b3")):
+        raise ValueError(f"{path}: non-finite model parameters; rerun `dreq train-dreq`")
     k, m, n, p = arrays["dims"].tolist()
     mode = arrays["mode"].tobytes().decode("utf-8")
     return DreqModel(

@@ -122,7 +122,7 @@ class AblationResult:
     candidate_report: MetricsReport
     variant_reports: dict[str, MetricsReport]
     variant_runs: dict[str, dict[str, Ranking]]
-    empty_text_docs: int  # of the shared feature table: scored with text vector 0
+    empty_text_docs: int  # of the trainer's feature table: scored with text vector 0
 
 
 def ablation_sweep(
@@ -142,12 +142,11 @@ def ablation_sweep(
     ndcg_k, recall_k) go to `evaluate_run`."""
     from .evaluation import evaluate_run
     from .model import DreqModel
-    from .training import train_dreq, train_feature_table
+    from .training import train_dreq
 
     candidate_report = evaluate_run(dict(data.candidates), qrels, tag="candidates", **cutoffs)
-    table = train_feature_table(data, examples)
     templates = [DreqModel.init(dims, mode=VARIANTS[name], seed=init_seed) for name in variants]
-    result = train_dreq(templates, examples, folds, data, cfg, table)
+    result = train_dreq(templates, examples, folds, data, cfg)
     runs = dict(zip(variants, result.reranked))
     reports = {name: evaluate_run(run, qrels, tag=name, **cutoffs) for name, run in runs.items()}
-    return AblationResult(candidate_report, reports, runs, table.empty_text_docs)
+    return AblationResult(candidate_report, reports, runs, result.empty_text_docs)

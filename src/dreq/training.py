@@ -414,11 +414,13 @@ class FoldOutcome:
 @dataclass
 class TrainResult:
     """Per template, in the order trained: its folds' outcomes and its merged
-    out-of-fold rankings; and the log rows of every run, template by template."""
+    out-of-fold rankings; the log rows of every run, template by template;
+    and the feature table's documents without text (`empty_text_docs`)."""
 
     fold_outcomes: list[list[FoldOutcome]]
     reranked: list[dict[str, Ranking]]
     log_rows: list[tuple[int, int, float]]  # (fold, epoch, loss)
+    empty_text_docs: int
 
 
 def train_feature_table(data: TrainData, examples: Sequence[TrainingExample]) -> FeatureTable:
@@ -517,7 +519,6 @@ def train_dreq(
     folds: FoldPlan,
     data: TrainData,
     cfg: TrainConfig,
-    table: FeatureTable | None = None,
 ) -> TrainResult:
     """Per-fold training of the document scorer of each template, with
     out-of-fold reranking.
@@ -532,15 +533,15 @@ def train_dreq(
     module docstring). When entity fine-tuning is on and some template's
     mode is not none, each run owns a copy of the entity table and the
     gradient of one embedding is the sum of its weight-scaled fusion
-    gradients. The templates share their dims. `table` defaults to
-    `train_feature_table(data, examples)`.
+    gradients. The templates share their dims; all runs share one
+    `train_feature_table(data, examples)`. The fit is checked once, when the
+    loop ends: a non-finite parameter is an error naming the learning rate.
     """
     from .entity_ranking import _query_ranking
 
     if len({t.dims for t in templates}) != 1:
         raise ValueError("train_dreq needs one or more templates with the same dims")
-    if table is None:
-        table = train_feature_table(data, examples)
+    table = train_feature_table(data, examples)
     finetune = cfg.finetune_entity_embeddings and any(
         t.mode != WeightingMode.NONE for t in templates
     )
@@ -572,9 +573,6 @@ def train_dreq(
     if finetune:
         entities = params["entities"] = np.tile(table.entities, (len(runs), 1, 1))
     state = AdamState()
-    # per run group, over views of params; its mode goes unread, as each
-    # run's batch already holds its entity weights
-    models: dict[tuple[int, ...], DreqModel] = {}
 
     live = list(range(len(runs))) if cfg.epochs > 0 else []
     # a diverging fit is reported once, below, not by numpy at every step
@@ -587,13 +585,8 @@ def train_dreq(
             step = state.step
             for size, group in groups.items():
                 at = _run_index(group)
-                model = models.get(tuple(group))
-                if model is None:
-                    model = replace(
-                        templates[0], **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")}
-                    )
-                    if isinstance(at, slice):  # an index array would copy the parameters
-                        models[tuple(group)] = model
+                # its mode goes unread: each run's batch holds its entity weights
+                model = replace(templates[0], **{k: views[k][at] for k in ("W2", "b2", "w3", "b3")})
                 batch = _take(all_rows, run_template[at], np.array([batches[r] for r in group]))
                 tables = entities[at] if finetune else entities
                 loss, grads = dreq_loss_and_grads(model, batch, tables, finetune)
@@ -643,7 +636,7 @@ def train_dreq(
         for o in per_template
         for e, loss in enumerate(o.epoch_losses)
     ]
-    return TrainResult(fold_outcomes=outcomes, reranked=reranked, log_rows=log_rows)
+    return TrainResult(outcomes, reranked, log_rows, table.empty_text_docs)
 
 
 def write_training_log(log_rows, path: str) -> None:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dreq import _npz
 from dreq.cli import (
     CliError,
     Settings,
@@ -557,16 +558,20 @@ class TestPipeline:
         shutil.copytree(workdir, work)
         monkeypatch.setenv("DREQ_TRAIN_LEARNING_RATE", rate)
         before = tree_bytes(work)
-        for stage in ("train-entity-ranker", "train-dreq", "ablate"):
-            capsys.readouterr()
-            # a warning would reach the user's stderr ahead of the error line
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
-            assert [str(w.message) for w in caught] == [], stage
-            err = capsys.readouterr().err
-            assert re.fullmatch(f"error: {message}\n", err), (stage, err)
-            assert tree_bytes(work) == before, stage
+        # batch size 3 leaves short last minibatches, so the runs step in groups
+        for batch_size in ("3", "20"):
+            monkeypatch.setenv("DREQ_TRAIN_BATCH_SIZE", batch_size)
+            for stage in ("train-entity-ranker", "train-dreq", "ablate"):
+                capsys.readouterr()
+                # a warning would reach the user's stderr ahead of the error line
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
+                where = (batch_size, stage)
+                assert [str(w.message) for w in caught] == [], where
+                err = capsys.readouterr().err
+                assert re.fullmatch(f"error: {message}\n", err), (where, err)
+                assert tree_bytes(work) == before, where
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
@@ -588,6 +593,61 @@ class TestPipeline:
                 == 0
             ), weighting
             assert os.path.exists(out)
+
+    def test_a_non_finite_checkpoint_stops_rerank_with_one_line(self, pipeline, tmp_path, capsys):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        ckpt = work / "nan.ckpt"
+        arrays = dict(np.load(work / "dreq_fold0.ckpt"))
+        arrays["w3"][1] = np.nan
+        _npz.write(str(ckpt), arrays)
+        before = tree_bytes(work)
+        capsys.readouterr()
+        argv = ["--config", config, "--workdir", str(work), "rerank", "--checkpoint", str(ckpt)]
+        assert main(argv) == 1
+        expected = f"error: {ckpt}: non-finite model parameters; rerun `dreq train-dreq`\n"
+        assert capsys.readouterr().err == expected
+        assert tree_bytes(work) == before
+
+    @pytest.mark.parametrize(("kept", "missing"), [
+        (lambda qid: qid != "q03", ["q03"]),
+        (lambda qid: False, ["q00", "q01", "q02", "q03", "q04"]),
+    ], ids=["without-q03", "header-only"])
+    def test_difficulty_refuses_a_wig_table_without_a_baseline_query(
+        self, pipeline, tmp_path, capsys, kept, missing
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        (work / "difficulty.tsv").unlink(missing_ok=True)
+        wig = work / "wig.tsv"
+        header, *rows = wig.read_text().splitlines(keepends=True)
+        wig.write_text(header + "".join(row for row in rows if kept(row.split("\t")[0])))
+        capsys.readouterr()
+        argv = ["--config", config, "--workdir", str(work), "difficulty", "--baseline-run",
+                str(work / "candidates.run"), "--system-run", str(work / "dreq.run")]
+        assert main(argv) == 1
+        expected = (f"error: queries {missing} of the baseline run are not in {wig}; "
+                    "rerun `dreq qpp`\n")
+        assert capsys.readouterr().err == expected
+        assert not (work / "difficulty.tsv").exists()
+        assert not (work / "manifests").exists()
+
+    def test_difficulty_ignores_wig_rows_outside_the_baseline_run(self, pipeline, tmp_path):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        argv = ["--config", config, "--workdir", str(work), "difficulty", "--baseline-run",
+                str(work / "candidates.run"), "--system-run", str(work / "dreq.run")]
+        assert main(argv) == 0
+        full = (work / "difficulty.tsv").read_text()
+        assert full.count("#tercile") == 8
+        with open(work / "wig.tsv", "a", encoding="utf-8") as f:
+            f.write("qZZ\t1.000000\t1\n")
+        assert main(argv) == 0
+        assert (work / "difficulty.tsv").read_text() == full
 
     def test_weighting_none_gives_the_runs_and_checkpoints_entities_off_gave(
         self, pipeline, tmp_path, monkeypatch
@@ -842,11 +902,18 @@ class TestManifests:
             for key, path in [*manifest["inputs"].items(), *manifest["outputs"].items()]:
                 assert key in self.CONFIG_KEYS or key == os.path.relpath(path, work), argv
         counts = {" ".join(a): len(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
-        # corpus and catalog; and, with the candidates, qrels, three stores and
-        # the entity ranking; and, with the queries, folds.json and five checkpoints
-        assert counts["build-index"] == 2
-        assert counts["train-dreq"] == counts["ablate"] == 8
-        assert counts["rerank --mode dreq"] == 14
+        # the corpus; and, with the candidates, qrels, three stores and the
+        # entity ranking; and, with the queries, folds.json and five checkpoints
+        assert counts["build-index"] == 1
+        assert counts["train-dreq"] == counts["ablate"] == 7
+        assert counts["rerank --mode dreq"] == 13
+        # a stage lists a config file only if it reads it
+        keys = {" ".join(a): set(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
+        assert "queries" not in keys["rank-entities --mode learned"]
+        catalog_readers = {a for a, k in keys.items() if "entity_catalog" in k}
+        assert catalog_readers == {
+            "synth-embed", "rank-entities --mode bm25", "rank-entities --mode geeer"
+        }
 
     def test_a_stage_that_names_its_output_per_run_keeps_a_manifest_per_output(
         self, pipeline, tmp_path
@@ -914,13 +981,16 @@ class TestMalformedInputLines:
         ],
         ids=["list", "string", "null-entity-id"],
     )
-    def test_catalog_line(self, tmp_path, capsys, line, message):
+    def test_catalog_line(self, pipeline, tmp_path, capsys, line, message):
+        _, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
         catalog = tmp_path / "entities.jsonl"
         toy = (Path(TOY) / "entities.jsonl").read_text()
         catalog.write_text(toy + line + "\n")
-        config = write_config(tmp_path, tmp_path / "work", entity_catalog=str(catalog))
+        config = write_config(tmp_path, work, entity_catalog=str(catalog))
         capsys.readouterr()
-        assert run(config, "build-index") == 1
+        assert run(config, "synth-embed") == 1
         line_no = len(toy.splitlines()) + 1
         expected = f"error: {catalog}:{line_no}: malformed catalog line: {message}\n"
         assert capsys.readouterr().err == expected
