@@ -18,9 +18,9 @@ is `manifests/<stage>.json`, but `evaluate-<tag>.json` and
 per run.
 
 Numbers one stage hands to the next are arrays in one deterministic `.npz`
-format (`dreq._npz`): `index.npz`, `stores/<name>.npz` (and the fine-tuned
-`stores/entity_tuned_fold{i}.npz`), `entity_head.npz`, `entity_ranking.npz`
-and `dreq_fold{i}.ckpt`. An unreadable one is an `error:` line naming the
+format (`dreq._npz`): `index.npz`, `corpus_links.npz`, `stores/<name>.npz`
+(and the fine-tuned `stores/entity_tuned_fold{i}.npz`), `entity_head.npz`,
+`entity_ranking.npz` and `dreq_fold{i}.ckpt`. An unreadable one is an `error:` line naming the
 stage to rerun. What people read stays text: run files, the eval, ablate,
 wig and difficulty TSVs, training logs, `folds.json`,
 `pooled_entities.tsv` and the manifests.
@@ -29,11 +29,14 @@ Each stage runs in its own process, so start-up is paid nine times on the
 user's path. This module loads only the first-stage modules (`corpus`,
 `retrieval`) up front; a stage imports the rest of what it runs inside its
 `cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
-or training code. `build-index` loads the corpus with `mentions=False`: its
-lines and mentions are checked as in every other stage, but only the texts
-are kept. Only `synth-embed` (whose entity store covers the catalog) and
-`rank-entities --mode bm25|geeer` (which index its descriptions) read the
-entity catalog.
+or training code. Only `build-index` (with `mentions=False`: every line and
+mention is checked, only the texts are kept), `pool-entities` and
+`synth-embed` parse `corpus.jsonl`. `pool-entities` also writes
+`corpus_links.npz` (`pipeline.CorpusLinks`: doc ids, sentence counts and
+linked entities), which `train-entity-ranker`, `train-dreq`, `ablate` and
+`rerank` read in its place. Only `synth-embed` (whose entity store covers
+the catalog) and `rank-entities --mode bm25|geeer` (which index its
+descriptions) read the entity catalog.
 """
 
 from __future__ import annotations
@@ -409,6 +412,13 @@ def _pooled(settings: Settings) -> dict[str, list[str]]:
     return load_pooled(settings.artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
 
 
+def _links(settings: Settings):
+    from .pipeline import load_corpus_links
+
+    path = settings.artifact(settings.workpath("corpus_links.npz"), "pool-entities")
+    return load_corpus_links(path)
+
+
 def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, EntityRanking]:
     """The entity ranking, read only if some weighting mode of `modes` weights
     entities: mode none reads none."""
@@ -447,13 +457,15 @@ def cmd_retrieve(settings: Settings) -> None:
 
 
 def cmd_pool_entities(settings: Settings) -> None:
-    from .pipeline import pooled_entities_map
+    from .pipeline import corpus_links, pooled_entities_map, save_corpus_links
 
     corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     qrels = settings.input("qrels", optional=True)
     pooled = pooled_entities_map(corpus, cands, None if qrels is None else load_qrels(qrels))
     out = settings.save(settings.workpath("pooled_entities.tsv"), write_pooled, pooled)
+    links = corpus_links(corpus.documents.values())
+    settings.save(settings.workpath("corpus_links.npz"), save_corpus_links, links)
     total = sum(len(v) for v in pooled.values())
     print(f"pooled {total} (query, entity) pairs over {len(pooled)} queries -> {out}")
 
@@ -498,11 +510,10 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     from .pipeline import build_entity_encoding_examples, entity_labels_map
     from .training import write_training_log
 
-    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
-    labels = entity_labels_map(corpus, cands, qrels)
+    labels = entity_labels_map(_links(settings), cands, qrels)
     X, y = build_entity_encoding_examples(labels, encodings, settings.seed)
     log_rows: list = []
     head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
@@ -568,8 +579,8 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     entity ranking only if some weighting mode of `modes` weights entities."""
     from .training import TrainData, build_doc_examples, make_folds
 
-    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
+    links = _links(settings)
     qrels = load_qrels(settings.input("qrels"))
     stores = _load_stores(settings, "query", "entity", "passage")
     rankings = _entity_rankings(settings, modes)
@@ -578,15 +589,15 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     # a judged-relevant document outside the corpus has nothing to score, so
     # it is no positive, as `pooling_docs` pools no entity from it
     in_corpus = Qrels({
-        qid: {d: grade for d, grade in per_query.items() if d in corpus.documents}
+        qid: {d: grade for d, grade in per_query.items() if d in links.row}
         for qid, per_query in qrels.grades.items()
     })
-    unknown = sum(d not in corpus.documents for qid in cands for d in qrels.relevant_docs(qid))
+    unknown = sum(d not in links.row for qid in cands for d in qrels.relevant_docs(qid))
     examples = build_doc_examples(in_corpus, cands, seed)
     if not examples:
         raise CliError("no document training examples (check qrels coverage)")
     folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
-    data = TrainData(corpus, *stores, rankings, cands, settings.segmenter())
+    data = TrainData(links, *stores, rankings, cands, settings.segmenter())
     return qrels, examples, folds, data, cfg, unknown
 
 
@@ -667,8 +678,8 @@ def cmd_rerank(settings: Settings) -> None:
     from .model import build_feature_table, maxsimcos_rerank, rerank
 
     mode = settings.args.mode
-    corpus = load_corpus(settings.input("corpus"))
     cands = _candidates(settings)
+    doc_links = _links(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     settings.manifest_name = f"rerank-{os.path.splitext(os.path.basename(out))[0]}"
     queries = load_queries(settings.input("queries"))
@@ -682,7 +693,7 @@ def cmd_rerank(settings: Settings) -> None:
             if q.query_id not in cands:
                 continue
             qlinks = [eid for eid, _ in links.get(q.query_id, [])]
-            ranked = maxsimcos_rerank(qlinks, cands[q.query_id], corpus.documents, entity_store)
+            ranked = maxsimcos_rerank(qlinks, cands[q.query_id], doc_links, entity_store)
             if ranked is None:  # no query entity to compare with
                 ranked = cands[q.query_id]
                 kept += 1
@@ -692,8 +703,9 @@ def cmd_rerank(settings: Settings) -> None:
             settings, "query", "entity", "passage"
         )
         qids = [q.query_id for q in queries if q.query_id in cands]
-        docs = (corpus.doc(d) for qid in qids for d in cands[qid].doc_ids)
-        table = build_feature_table(docs, entity_store, passage_store, settings.segmenter())
+        doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
+        table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
+                                    settings.segmenter())
         empty_text = table.empty_text_docs
         scorers = _rerank_scorers(settings, qids, table)
         entity_rankings = _entity_rankings(settings, [model.mode for model, _ in scorers.values()])
@@ -761,7 +773,7 @@ def cmd_difficulty(settings: Settings) -> None:
 
     wig_scores = None
     wig_path = settings.args.wig or settings.workpath("wig.tsv")
-    if os.path.exists(wig_path):
+    if settings.args.wig or os.path.exists(wig_path):  # only the default may be absent
         wig_scores = load_wig(settings.artifact(wig_path, "qpp"))
         missing = sorted(set(base_metric) - set(wig_scores))
         if missing:

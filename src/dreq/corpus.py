@@ -19,8 +19,8 @@ confidence) has its own memo, so a value is shared only within its field
 and type, and a confidence is shared only with a bit-equal one (zeros keep
 their sign). Each document's distinct linked entity ids, in first-mention
 order, are filled in from its memoized mentions as it loads
-(`Document.entity_ids`), and pooling and label transfer work on those ids
-with one dict operation per document, not per mention. The entity-id memo
+(`Document.entity_ids`), and pooling works on those ids with one dict
+operation per document, not per mention. The entity-id memo
 holds every linked id in first-mention order over the corpus, so the
 store's entity table is built from it in one pass. A document keeps no
 split of its sentences: the stages that need one only count them, with
@@ -55,7 +55,6 @@ __all__ = [
     "load_queries",
     "load_qrels",
     "pool_entities",
-    "transfer_labels",
 ]
 
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
@@ -344,17 +343,3 @@ def pool_entities(candidates: Iterable[Document]) -> list[str]:
     """Union of linked entity ids over candidates, in first-seen order."""
     return list(dict.fromkeys(chain.from_iterable(doc.entity_ids for doc in candidates)))
 
-
-def transfer_labels(qrels: Qrels, query_id: str, candidates: list[Document]) -> dict[str, int]:
-    """Carry document relevance down to entities.
-
-    An entity is labeled 1 iff it appears in at least one candidate with
-    grade >= 1, and 0 if it appears only in grade-0 or unjudged candidates.
-    The keyset equals pool_entities(candidates), in the same order.
-    """
-    labels = dict.fromkeys(pool_entities(candidates), 0)
-    grades = qrels.grades.get(query_id, {})
-    for doc in candidates:
-        if grades.get(doc.doc_id, 0) >= 1:
-            labels.update(dict.fromkeys(doc.entity_ids, 1))
-    return labels

@@ -8,11 +8,11 @@ arrays of rows X = [v_t; v_e] (`_features`) through one forward pass
 (`_forward`). `build_feature_table`, run once per CLI stage or `train_dreq`
 call, holds the text vectors, a CSR map doc -> entity rows and the entity
 store itself, whose matrix is the entity table (a fine-tuned run swaps in
-its own store). The table never forms passage text: a
-document's passage count follows from its sentence count, and all passage
-rows come from one `take`. Per-document sums, over passages for v_t and
-over links for entity weights and v_e, add left to right from zero, as
-`v = v + x` does (`_row_sums`, or position by position over all documents
+its own store). The table reads the corpus links (`pipeline.CorpusLinks`),
+not texts: a document's passage count follows from its sentence count, and
+all passage rows come from one `take`. Per-document sums, over passages for
+v_t and over links for entity weights and v_e, add left to right from zero,
+as `v = v + x` does (`_row_sums`, or position by position over all documents
 for v_t; numpy's reductions reassociate), so they are bit-identical to a
 per-document loop; fusion and projection are matrix products, equal to
 per-document ones up to rounding. `rerank` scores
@@ -41,12 +41,13 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import _npz
-from .corpus import Document, SegmenterConfig, split_sentences
+from .corpus import SegmenterConfig
 from .embeddings import DimsConfig, EmbeddingStore, cosine, passage_key
 from .retrieval import Ranking
 
 if TYPE_CHECKING:  # pragma: no cover
     from .entity_ranking import EntityRanking
+    from .pipeline import CorpusLinks
 
 __all__ = [
     "BLOCK_ROWS",
@@ -202,43 +203,49 @@ class FeatureTable:
 
 
 def build_feature_table(
-    docs: Iterable[Document],
+    links: CorpusLinks,
+    doc_ids: Iterable[str],
     entity_store: EmbeddingStore,
     passage_store: EmbeddingStore,
     seg: SegmenterConfig = SegmenterConfig(),
 ) -> FeatureTable:
-    """Feature table over `docs` (repeats skipped) and all of `entity_store`.
-    A doc's text vector is the mean of its passages' rows, gathered in one
-    `take` and added position by position from zero, as `_row_sums` adds;
-    a doc without sentences gets text vector 0, so only its entities score it."""
-    docs = list({doc.doc_id: doc for doc in docs}.values())
+    """Feature table over the documents `doc_ids` (repeats skipped) of
+    `links` and all of `entity_store`. A doc's passage count follows from
+    its stored sentence count; its text vector is the mean of its passages'
+    rows, gathered in one `take` and added position by position from zero,
+    as `_row_sums` adds; a doc without sentences gets text vector 0, so
+    only its entities score it."""
+    doc_ids = list(dict.fromkeys(doc_ids))
+    rows = links.rows(doc_ids)
     counts = np.array(
-        [seg.passage_count(len(split_sentences(doc.text))) for doc in docs], dtype=np.intp
+        [seg.passage_count(n) for n in links.sentences[rows].tolist()], dtype=np.intp
     )
     passages = passage_store.take(
-        passage_key(doc.doc_id, i) for doc, n in zip(docs, counts.tolist()) for i in range(n)
+        passage_key(d, i) for d, n in zip(doc_ids, counts.tolist()) for i in range(n)
     )
     starts = np.cumsum(counts) - counts
-    text = np.zeros((len(docs), passage_store.dim))
+    text = np.zeros((len(doc_ids), passage_store.dim))
     for i in range(int(counts.max(initial=0))):
         has = np.flatnonzero(counts > i)
         text[has] += passages[starts[has] + i]
     has = counts > 0
     text[has] /= counts[has, None]
 
-    entity_row = entity_store.row
-    index, indptr = [], [0]
-    for doc in docs:
-        unembedded = [e for e in doc.entity_ids if e not in entity_row]
-        if unembedded:
-            raise KeyError(f"entity {unembedded[0]!r} of doc {doc.doc_id!r} has no embedding")
-        index.extend(entity_row[e] for e in doc.entity_ids)
-        indptr.append(len(index))
+    linked, per_doc = links.linked(rows)
+    store_row = np.array([entity_store.row.get(e, -1) for e in links.entity_ids], dtype=np.intp)
+    index = store_row[linked]
+    indptr = np.zeros(len(doc_ids) + 1, dtype=np.intp)
+    np.cumsum(per_doc, out=indptr[1:])
+    unembedded = np.flatnonzero(index < 0)
+    if unembedded.size:
+        at = unembedded[0]
+        doc = doc_ids[np.searchsorted(indptr, at, side="right") - 1]
+        raise KeyError(f"entity {links.entity_ids[linked[at]]!r} of doc {doc!r} has no embedding")
     return FeatureTable(
-        doc_ids=[doc.doc_id for doc in docs],
+        doc_ids=doc_ids,
         text=text,
-        indptr=np.array(indptr, dtype=np.intp),
-        entity_index=np.array(index, dtype=np.intp),
+        indptr=indptr,
+        entity_index=index,
         entity_store=entity_store,
         empty_text_docs=int(np.count_nonzero(counts == 0)),
     )
@@ -302,7 +309,7 @@ def rerank(
 def maxsimcos_rerank(
     query_entity_ids: list[str],
     candidates: Ranking,
-    docs,
+    links: CorpusLinks,
     entity_store: EmbeddingStore,
 ) -> Ranking | None:
     """Unsupervised baseline: a document scores the maximum cosine between
@@ -316,8 +323,8 @@ def maxsimcos_rerank(
         return None
     best: dict[str, float] = {}
     scores = []
-    for doc_id in candidates.doc_ids:
-        linked = [e for e in docs[doc_id].entity_ids if e in entity_store]
+    for entity_ids in links.entities(candidates.doc_ids):
+        linked = [e for e in entity_ids if e in entity_store]
         for eid in linked:
             if eid not in best:
                 vec = entity_store.get(eid)

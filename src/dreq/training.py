@@ -34,11 +34,11 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, Qrels, SegmenterConfig
+from .corpus import Qrels, SegmenterConfig
 from .embeddings import DimsConfig, EmbeddingStore, sigmoid
 from .model import (
     DreqModel,
@@ -52,6 +52,9 @@ from .model import (
     rerank,
 )
 from .retrieval import Ranking
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .pipeline import CorpusLinks
 
 logger = logging.getLogger(__name__)
 
@@ -391,10 +394,11 @@ def _take(batch: DreqBatch, templates: np.ndarray, idx: np.ndarray) -> DreqBatch
 
 @dataclass
 class TrainData:
-    """Everything the trainer reads: immutable corpus, stores, precomputed
-    per-query entity rankings and candidate rankings."""
+    """Everything the trainer reads: the corpus links (document ids,
+    sentence counts and linked entities; no text or mentions), stores,
+    precomputed per-query entity rankings and candidate rankings."""
 
-    corpus: CorpusStore
+    links: CorpusLinks
     query_store: EmbeddingStore
     entity_store: EmbeddingStore
     passage_store: EmbeddingStore
@@ -426,8 +430,8 @@ class TrainResult:
 def train_feature_table(data: TrainData, examples: Sequence[TrainingExample]) -> FeatureTable:
     """Feature table over every candidate and example document."""
     doc_ids = [d for qid in sorted(data.candidates) for d in data.candidates[qid].doc_ids]
-    docs = (data.corpus.doc(d) for d in doc_ids + [ex.item_id for ex in examples])
-    return build_feature_table(docs, data.entity_store, data.passage_store, data.seg)
+    doc_ids += [ex.item_id for ex in examples]
+    return build_feature_table(data.links, doc_ids, data.entity_store, data.passage_store, data.seg)
 
 
 def _example_batch(

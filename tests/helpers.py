@@ -2,6 +2,10 @@
 
 `segment_passages` cuts a document into the sentence windows whose number
 `SegmenterConfig.passage_count` gives and whose keys a passage store holds.
+`transfer_labels` and `reference_feature_table` are the `Document`-based
+label transfer and feature table that the stages after `pool-entities`
+compute from `corpus_links.npz` instead; `feature_table` builds the array
+table of a list of `Document`s.
 `store_from_rows` makes an `EmbeddingStore` from (id, vector) pairs.
 `synthetic_embed` is the one-row case of `synthetic_embed_rows`.
 `MALFORMED_CORPUS_LINES` are corpus lines `load_corpus` rejects, each with
@@ -21,8 +25,10 @@ from typing import Iterable
 import numpy as np
 
 from dreq.cli import main
-from dreq.corpus import Document, SegmenterConfig, split_sentences
-from dreq.embeddings import EmbeddingStore, synthetic_embed_rows
+from dreq.corpus import Document, Qrels, SegmenterConfig, pool_entities, split_sentences
+from dreq.embeddings import EmbeddingStore, passage_key, synthetic_embed_rows
+from dreq.model import FeatureTable, build_feature_table
+from dreq.pipeline import corpus_links
 from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
 from dreq.training import TrainConfig
 
@@ -62,6 +68,73 @@ def segment_passages(doc: Document, cfg: SegmenterConfig) -> list[Passage]:
         start += cfg.stride
         index += 1
     return passages
+
+
+def transfer_labels(qrels: Qrels, query_id: str, candidates: list[Document]) -> dict[str, int]:
+    """Document relevance carried down to entities: an entity is labelled 1
+    iff it appears in at least one candidate with grade >= 1, and 0 if it
+    appears only in grade-0 or unjudged candidates. The keyset equals
+    pool_entities(candidates), in the same order."""
+    labels = dict.fromkeys(pool_entities(candidates), 0)
+    grades = qrels.grades.get(query_id, {})
+    for doc in candidates:
+        if grades.get(doc.doc_id, 0) >= 1:
+            labels.update(dict.fromkeys(doc.entity_ids, 1))
+    return labels
+
+
+def reference_feature_table(
+    docs: Iterable[Document],
+    entity_store: EmbeddingStore,
+    passage_store: EmbeddingStore,
+    seg: SegmenterConfig = SegmenterConfig(),
+) -> FeatureTable:
+    """The feature table over `docs` (repeats skipped), read off each
+    document's text and mentions."""
+    docs = list({doc.doc_id: doc for doc in docs}.values())
+    counts = np.array(
+        [seg.passage_count(len(split_sentences(doc.text))) for doc in docs], dtype=np.intp
+    )
+    passages = passage_store.take(
+        passage_key(doc.doc_id, i) for doc, n in zip(docs, counts.tolist()) for i in range(n)
+    )
+    starts = np.cumsum(counts) - counts
+    text = np.zeros((len(docs), passage_store.dim))
+    for i in range(int(counts.max(initial=0))):
+        has = np.flatnonzero(counts > i)
+        text[has] += passages[starts[has] + i]
+    has = counts > 0
+    text[has] /= counts[has, None]
+
+    entity_row = entity_store.row
+    index, indptr = [], [0]
+    for doc in docs:
+        unembedded = [e for e in doc.entity_ids if e not in entity_row]
+        if unembedded:
+            raise KeyError(f"entity {unembedded[0]!r} of doc {doc.doc_id!r} has no embedding")
+        index.extend(entity_row[e] for e in doc.entity_ids)
+        indptr.append(len(index))
+    return FeatureTable(
+        doc_ids=[doc.doc_id for doc in docs],
+        text=text,
+        indptr=np.array(indptr, dtype=np.intp),
+        entity_index=np.array(index, dtype=np.intp),
+        entity_store=entity_store,
+        empty_text_docs=int(np.count_nonzero(counts == 0)),
+    )
+
+
+def feature_table(
+    docs: Iterable[Document],
+    entity_store: EmbeddingStore,
+    passage_store: EmbeddingStore,
+    seg: SegmenterConfig = SegmenterConfig(),
+) -> FeatureTable:
+    """`build_feature_table` over the links of `docs` (repeats skipped)."""
+    docs = list({doc.doc_id: doc for doc in docs}.values())
+    return build_feature_table(
+        corpus_links(docs), [doc.doc_id for doc in docs], entity_store, passage_store, seg
+    )
 
 
 def store_from_rows(space: str, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStore:

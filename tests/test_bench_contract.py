@@ -4,6 +4,7 @@ names resolvable and those shapes intact, so that per-layer numbers stay
 comparable from one change to the next. layers.py is only read."""
 
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from dreq import corpus as corpus_module, training
-from dreq.corpus import EntityMention, load_corpus, load_qrels, pool_entities
+from dreq import corpus as corpus_module, pipeline as pipeline_module, training
+from dreq.corpus import Document, EntityMention, load_corpus, load_qrels, pool_entities
 from dreq.embeddings import query_entity_key
 from dreq.entity_ranking import train_entity_head
 from dreq.model import DreqModel, WeightingMode, rerank
@@ -30,7 +31,7 @@ from dreq.pipeline import (
 from dreq.retrieval import Ranking, build_index, retrieve
 from dreq.training import TrainConfig, build_doc_examples, make_folds
 from helpers import store_from_rows
-from test_cli import run, write_config
+from test_cli import STAGES, run, write_config
 from test_training import make_train_world
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "dreqbench")
@@ -171,6 +172,48 @@ def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_pat
         mentions = sum(len(json.loads(line)["entities"]) for line in f)
     load_corpus(path)
     assert len(made) == mentions > 0
+
+
+def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
+    """The toy chain under the tracer: `corpus.load_corpus` runs only in
+    `build-index`, `pool-entities` and `synth-embed`, the later stages read
+    `corpus_links.npz`. `pipeline.pooling_docs` still yields `Document`s
+    with mentions, which the `corpus.docs_without_entities` probe reads, and
+    `pipeline.entity_labels_map`, which `corpus.labels_s` times, runs in
+    `train-entity-ranker`."""
+    pooled = []
+
+    @functools.wraps(pipeline_module.pooling_docs)
+    def spy(*args, _original=pipeline_module.pooling_docs, **kwargs):
+        docs = _original(*args, **kwargs)
+        pooled.extend(docs)
+        return docs
+
+    monkeypatch.setattr(pipeline_module, "pooling_docs", spy)
+    config = write_config(tmp_path, tmp_path / "work")
+    tracer = layers.Tracer(layers.PROBES)
+    tracer.install()
+    try:
+        for argv in STAGES + [("ablate",), ("rerank",), ("rerank", "--mode", "maxsimcos")]:
+            tracer.stage = argv[0]
+            assert run(config, *argv) == 0, argv
+    finally:
+        tracer.uninstall()
+
+    def stages(name: str) -> set[str]:
+        return {span.stage for span in tracer.spans if span.name == name}
+
+    assert stages("corpus.load_corpus") == {"build-index", "pool-entities", "synth-embed"}
+    assert stages("pipeline.pooling_docs") == {"pool-entities"}
+    assert stages("pipeline.entity_labels_map") == {"train-entity-ranker"}
+    # (the `rank_entities` probe reads a field the rankings lost: a known benchmark defect)
+    assert not {"pipeline.pooling_docs", "pipeline.pooled_entities_map"} & set(tracer.probe_errors)
+    assert pooled and all(isinstance(doc, Document) for doc in pooled)
+    assert all(isinstance(m, EntityMention) for doc in pooled for m in doc.mentions)
+    assert any(doc.mentions for doc in pooled)
+    metric = next(m for m in layers.METRICS if m.name == "corpus.docs_without_entities")
+    without = metric.value(layers.Trace(tracer, {}, 0, 0.0, {}))
+    assert without == sum(1 for doc in pooled if not doc.mentions)
 
 
 def test_ranking_and_document_probes_read_the_columns(layers):

@@ -113,6 +113,7 @@ class TestPipeline:
             "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
+            "corpus_links.npz",
             "stores/query.npz",
             "stores/entity.npz",
             "stores/passage.npz",
@@ -635,6 +636,27 @@ class TestPipeline:
         assert not (work / "difficulty.tsv").exists()
         assert not (work / "manifests").exists()
 
+    def test_difficulty_with_a_missing_wig_path_is_an_error_line(self, pipeline, tmp_path, capsys):
+        """An explicit `--wig` must exist; only the default `wig.tsv` may be absent."""
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        (work / "difficulty.tsv").unlink(missing_ok=True)
+        argv = ["--config", config, "--workdir", str(work), "difficulty", "--baseline-run",
+                str(work / "candidates.run"), "--system-run", str(work / "dreq.run")]
+        missing = tmp_path / "wig-typo.tsv"
+        before = sorted(os.listdir(work))
+        capsys.readouterr()
+        assert main([*argv, "--wig", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: missing artifact '{missing}'; run `dreq qpp` first\n"
+        )
+        assert sorted(os.listdir(work)) == before  # no difficulty.tsv, manifest or .tmp file
+        (work / "wig.tsv").unlink()
+        assert main(argv) == 0
+        assert "#tercile" not in (work / "difficulty.tsv").read_text()
+
     def test_difficulty_ignores_wig_rows_outside_the_baseline_run(self, pipeline, tmp_path):
         config, workdir = pipeline
         work = tmp_path / "work"
@@ -902,13 +924,21 @@ class TestManifests:
             for key, path in [*manifest["inputs"].items(), *manifest["outputs"].items()]:
                 assert key in self.CONFIG_KEYS or key == os.path.relpath(path, work), argv
         counts = {" ".join(a): len(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
-        # the corpus; and, with the candidates, qrels, three stores and the
-        # entity ranking; and, with the queries, folds.json and five checkpoints
+        # the corpus; and the corpus links, with the candidates, qrels, three
+        # stores and the entity ranking; and, with the queries, folds.json and
+        # five checkpoints
         assert counts["build-index"] == 1
         assert counts["train-dreq"] == counts["ablate"] == 7
         assert counts["rerank --mode dreq"] == 13
         # a stage lists a config file only if it reads it
         keys = {" ".join(a): set(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
+        assert {a for a, k in keys.items() if "corpus" in k} == {
+            "build-index", "pool-entities", "synth-embed"
+        }
+        assert {a for a, k in keys.items() if "corpus_links.npz" in k} == {
+            "train-entity-ranker", "train-dreq", "ablate", "rerank --mode dreq",
+            "rerank --mode maxsimcos",
+        }
         assert "queries" not in keys["rank-entities --mode learned"]
         catalog_readers = {a for a, k in keys.items() if "entity_catalog" in k}
         assert catalog_readers == {
@@ -1172,7 +1202,9 @@ class TestTrainingArtifacts:
     def test_planted_world_training_outputs_keep_their_bytes(self, tmp_path, finetune):
         # sha256 pinned when `ablate` trained its variants one `train_dreq`
         # call after another; at this learning rate some runs stop early,
-        # at epochs that differ between the variants' runs of one fold
+        # at epochs that differ between the variants' runs of one fold; the
+        # entity side and the two rerank runs were pinned when every stage
+        # after `pool-entities` still parsed corpus.jsonl
         world = generate_planted_world(PlantedConfig(n_docs=300, n_queries=10, seed=6))
         work = tmp_path / "work"
         paths = write_world_files(world, str(work))
@@ -1183,10 +1215,13 @@ class TestTrainingArtifacts:
             **{f"dims.{d}": "16" for d in "kmnp"},
             **{"retrieve.k": "30", "train.learning_rate": "0.1", "train.epochs": "30"},
         )
-        for stage in STAGES[:3] + STAGES[4:7] + [("ablate",)]:
+        reranks = [("rerank",), ("rerank", "--mode", "maxsimcos")]  # routed: no --checkpoint
+        for stage in STAGES[:3] + STAGES[4:7] + [("ablate",)] + reranks:
             assert run(config, *stage) == 0, stage
         names = ["ablate.tsv", *(f"ablate_{v}.run" for v in VARIANTS)]
         names += [f"dreq_fold{i}.ckpt" for i in range(5)] + ["dreq_train_log.tsv", "dreq.run"]
+        names += ["entity_head.npz", "entity_train_log.tsv", "entity_ranking.npz"]
+        names += ["rerank_dreq.run", "rerank_maxsimcos.run"]
         digests = {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in names}
         assert digests == {
             "false": {
@@ -1202,6 +1237,11 @@ class TestTrainingArtifacts:
                 "dreq_fold4.ckpt": "990eb8d75ba153a873c675467758bc2954527a22f123f2159780bee4ce1db634",
                 "dreq_train_log.tsv": "d2dd1ac9f658005307abf146017293188cd34f418800fb48d68ade185643e49e",
                 "dreq.run": "6860628eb67abcfa949fb8150d3cb194b6850e3a78e19ae52c38655f87b70c63",
+                "entity_head.npz": "51c473b3a94a7ae68e3908d4b7e173b64730dcc1b62b8d1d24378b47e693c865",
+                "entity_train_log.tsv": "df1f37fa553850109fd454f10f68d23236b3f111f12a97d5538af347c82c4c2b",
+                "entity_ranking.npz": "b21a89c0538d10ca987b4abef0749f0324b8f9f7ff27e456143f65c7d8e015f8",
+                "rerank_dreq.run": "48735f15864dd3aecfb0102a434704e894fac1e734017aa837d16487d94f00d9",
+                "rerank_maxsimcos.run": "f1413af51a83f7904e8266a535499f2f699815924399eaa7bf0f4253604ab6be",
             },
             "true": {
                 "ablate.tsv": "26101def8e517c8cf17153078920b1a4ced8444e590c12e9aea43c7d86b9a637",
@@ -1216,6 +1256,11 @@ class TestTrainingArtifacts:
                 "dreq_fold4.ckpt": "c0dff008e2a717b3fb18646f063fa55a4ef7ca43a35f59fd9a384beedbde4c5d",
                 "dreq_train_log.tsv": "5c83901322040c97a2d2983f622b7db3255f136ab8ff8db93566eff742989cd4",
                 "dreq.run": "a1175c6e5926b5ea047b4c674cc4694f766a5c6fca7b28259884e04e57e0224a",
+                "entity_head.npz": "51c473b3a94a7ae68e3908d4b7e173b64730dcc1b62b8d1d24378b47e693c865",
+                "entity_train_log.tsv": "df1f37fa553850109fd454f10f68d23236b3f111f12a97d5538af347c82c4c2b",
+                "entity_ranking.npz": "b21a89c0538d10ca987b4abef0749f0324b8f9f7ff27e456143f65c7d8e015f8",
+                "rerank_dreq.run": "266057349bdfb9e7231005c09413dad9d6fe1933402b9d70809183d0906e06ef",
+                "rerank_maxsimcos.run": "f1413af51a83f7904e8266a535499f2f699815924399eaa7bf0f4253604ab6be",
             },
         }[finetune]
 
@@ -1240,6 +1285,7 @@ class TestDeterminism:
             "index.npz",
             "candidates.run",
             "pooled_entities.tsv",
+            "corpus_links.npz",
             "stores/query.npz",
             "stores/entity.npz",
             "stores/passage.npz",

@@ -16,9 +16,8 @@ from dreq.corpus import (
     load_queries,
     pool_entities,
     split_sentences,
-    transfer_labels,
 )
-from helpers import MALFORMED_CORPUS_LINES, segment_passages
+from helpers import MALFORMED_CORPUS_LINES, segment_passages, transfer_labels
 
 
 def make_doc(doc_id, entity_ids, n_sentences=3):

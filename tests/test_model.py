@@ -14,15 +14,15 @@ from dreq.model import (
     WeightingMode,
     _entity_vectors,
     _forward,
-    build_feature_table,
     load_checkpoint,
     maxsimcos_rerank,
     rerank,
     save_checkpoint,
 )
+from dreq.pipeline import corpus_links
 from dreq.retrieval import Ranking
 from dreq.training import DreqBatch, _with_entities
-from helpers import segment_passages, store_from_rows
+from helpers import feature_table, segment_passages, store_from_rows
 
 
 def dreq_logits(model, batch, entity_table):
@@ -91,7 +91,7 @@ def weights_of(doc, ranking, mode, entity_store=None):
     """A document's (entity_id, weight) pairs as the feature table forms them."""
     if entity_store is None:
         entity_store = store_with(1, **{e: [1.0] for e in doc.entity_ids})
-    table = build_feature_table([doc], entity_store, text_store_for([doc]))
+    table = feature_table([doc], entity_store, text_store_for([doc]))
     links, weights = table.entity_weights(ranking, mode, table.rows([doc.doc_id]))
     width = 0 if mode == WeightingMode.NONE else len(doc.entity_ids)
     assert links.shape == weights.shape == (1, width)
@@ -122,7 +122,7 @@ def interactions(q, d_q):
 
 
 def score_of(model, q, doc, ranking, es, ps) -> float:
-    table = build_feature_table([doc], es, ps)
+    table = feature_table([doc], es, ps)
     return rerank(model, q, Ranking.from_scores("q", [doc.doc_id], [0.0]), table, ranking).scores[0]
 
 
@@ -260,7 +260,7 @@ class TestTextCentricEmbedding:
 
     def text_vector(self, doc, store):
         seg = SegmenterConfig(window=1, stride=1)
-        return build_feature_table([doc], store_with(1), store, seg).text[0]
+        return feature_table([doc], store_with(1), store, seg).text[0]
 
     def test_single_passage_verbatim(self):
         doc = doc_with("d", [], text="only sentence.")
@@ -439,7 +439,7 @@ class TestRerank:
         return model, q, candidates, docs, ranking, entity_store, passage_store
 
     def table(self, docs, es, ps):
-        return build_feature_table(docs.values(), es, ps)
+        return feature_table(docs.values(), es, ps)
 
     def test_output_is_permutation(self):
         model, q, cands, docs, ranking, es, ps = self.build()
@@ -463,7 +463,7 @@ class TestRerank:
 
     def test_candidate_outside_table_named(self):
         model, q, cands, docs, ranking, es, ps = self.build(n_docs=3)
-        table = build_feature_table([docs["d0"]], es, ps)
+        table = feature_table([docs["d0"]], es, ps)
         with pytest.raises(KeyError, match="d1"):
             rerank(model, q, cands, table, ranking)
 
@@ -520,7 +520,7 @@ class TestBatchedMatchesReference:
         model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
         model.mode = mode
         cands = Ranking.from_scores("q", [d.doc_id for d in docs], [float(-i) for i in range(len(docs))])
-        out = rerank(model, q, cands, build_feature_table(docs, es, ps), ranking)
+        out = rerank(model, q, cands, feature_table(docs, es, ps), ranking)
         expected = {d.doc_id: reference_logit(model, q, d, ranking, es, ps) for d in docs}
         got = dict(zip(out.doc_ids, out.scores.tolist()))
         assert got.keys() == expected.keys()
@@ -538,7 +538,7 @@ class TestBatchedMatchesReference:
         dims = DimsConfig(2, 3, 4, 3)
         model, q, docs, ranking, es, ps = random_world(seed, n_docs, dims)
         model.mode = mode
-        table = build_feature_table(docs, es, ps)
+        table = feature_table(docs, es, ps)
         rows = table.rows(d.doc_id for d in docs)
         links, weights = table.entity_weights(ranking, mode, rows)
         batch = DreqBatch(
@@ -568,7 +568,7 @@ class TestFeatureTableStore:
         scales = 10.0 ** rng.integers(-8, 8, size=len(passages))  # mixed magnitudes round
         vectors = rng.standard_normal((len(passages), 5)) * scales[:, None]
         ps = EmbeddingStore("passage", [passage_key(p.doc_id, p.index) for p in passages], vectors)
-        table = build_feature_table(docs, store_with(1), ps, seg)
+        table = feature_table(docs, store_with(1), ps, seg)
         for doc, row in zip(docs, table.text):
             passages = segment_passages(doc, seg)
             total = np.zeros(5)
@@ -579,7 +579,7 @@ class TestFeatureTableStore:
 
     def test_entity_matrix_is_the_stores(self):
         _, _, docs, _, es, ps = random_world(5, 10, DimsConfig(2, 3, 4, 3))
-        table = build_feature_table(docs, es, ps)
+        table = feature_table(docs, es, ps)
         assert table.entity_store is es
         assert np.shares_memory(table.entities, es.vectors)
 
@@ -625,7 +625,7 @@ class TestMaxSimCosMatchesReference:
             docs[f"d{i}"] = doc_with(f"d{i}", linked)
         cands = Ranking.from_scores("q", list(docs), [float(-i) for i in range(len(docs))])
         query = ["q0", "unembedded"] + [names[j] for j in rng.integers(0, 6, size=n_query - 1)]
-        got = maxsimcos_rerank(query, cands, docs, store)
+        got = maxsimcos_rerank(query, cands, corpus_links(docs.values()), store)
         want = reference_maxsimcos(query, cands, docs, store)
         assert got.doc_ids == want.doc_ids
         assert [s.hex() for s in got.scores.tolist()] == [s.hex() for s in want.scores.tolist()]
@@ -639,7 +639,7 @@ class TestMaxSimCos:
         entity_store = store_with(2, qe=[1.0, 0.0], other=[0.0, 1.0])
         docs = {"d1": doc_with("d1", ["qe"]), "d2": doc_with("d2", ["other"])}
         cands = Ranking.from_scores("q", ["d1", "d2"], [1.0, 0.9])
-        out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
+        out = maxsimcos_rerank(["qe"], cands, corpus_links(docs.values()), entity_store)
         assert out.doc_ids[0] == "d1"
         assert out.scores[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -647,7 +647,7 @@ class TestMaxSimCos:
         entity_store = store_with(2, qe=[1.0, 0.0], de=[0.0, 1.0])
         docs = {"d1": doc_with("d1", ["de"])}
         cands = Ranking.from_scores("q", ["d1"], [1.0])
-        out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
+        out = maxsimcos_rerank(["qe"], cands, corpus_links(docs.values()), entity_store)
         assert out.scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_over_pair_grid(self):
@@ -656,7 +656,7 @@ class TestMaxSimCos:
         entity_store = store_with(3, **vecs)
         docs = {"d1": doc_with("d1", ["da", "db"])}
         cands = Ranking.from_scores("q", ["d1"], [1.0])
-        out = maxsimcos_rerank(["qa", "qb"], cands, docs, entity_store)
+        out = maxsimcos_rerank(["qa", "qb"], cands, corpus_links(docs.values()), entity_store)
         expected = max(
             cosine(vecs[q], vecs[d]) for q in ("qa", "qb") for d in ("da", "db")
         )
@@ -666,7 +666,7 @@ class TestMaxSimCos:
         entity_store = store_with(2, qe=[1.0, 0.0], de=[0.5, 0.5])
         docs = {"d1": doc_with("d1", []), "d2": doc_with("d2", ["de"])}
         cands = Ranking.from_scores("q", ["d1", "d2"], [5.0, 1.0])
-        out = maxsimcos_rerank(["qe"], cands, docs, entity_store)
+        out = maxsimcos_rerank(["qe"], cands, corpus_links(docs.values()), entity_store)
         assert out.doc_ids == ["d2", "d1"]
         assert out.scores[1] == float("-inf")
 
@@ -674,7 +674,7 @@ class TestMaxSimCos:
         entity_store = store_with(2, de=[0.5, 0.5])
         docs = {"d1": doc_with("d1", ["de"])}
         cands = Ranking.from_scores("q", ["d1"], [1.0])
-        assert maxsimcos_rerank([], cands, docs, entity_store) is None
+        assert maxsimcos_rerank([], cands, corpus_links(docs.values()), entity_store) is None
 
 
 class TestCheckpoint:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreq.corpus import CorpusStore, Qrels
+from dreq.corpus import Qrels
 from dreq.embeddings import DimsConfig, EmbeddingStore
 from dreq.entity_ranking import EntityRanking
 from dreq.corpus import Document, EntityMention
 from dreq.model import BLOCK_ROWS, DreqModel, WeightingMode, _entity_vectors, _forward
-from dreq.pipeline import VARIANTS
+from dreq.pipeline import VARIANTS, corpus_links
 from dreq.retrieval import Ranking
 from dreq.training import (
     AdamState,
@@ -347,13 +347,13 @@ class TestEntitySumBatch:
             assert np.allclose(Ve, dense, rtol=0, atol=1e-12)
             for row, i in enumerate(idx):
                 ex = examples[i]
-                doc = data.corpus.doc(ex.item_id)
+                (entity_ids,) = data.links.entities([ex.item_id])
                 ranking = data.entity_rankings[ex.query_id]
                 prob = dict(zip(ranking.entity_ids, ranking.probs.tolist()))
-                probs = [prob[e] for e in doc.entity_ids]
+                probs = [prob[e] for e in entity_ids]
                 linked = len(probs)
                 got = batch.links[row, :linked]
-                assert tuple(table.entity_store.ids[j] for j in got) == doc.entity_ids
+                assert [table.entity_store.ids[j] for j in got] == entity_ids
                 assert batch.weights[row, :linked].tolist() == [p / sum(probs) for p in probs]
                 assert not batch.weights[row, linked:].any()
                 assert np.array_equal(batch.Q[row], data.query_store.get(ex.query_id))
@@ -366,7 +366,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
     relevance is linearly recoverable from the query/entity alignment."""
     rng = np.random.default_rng(seed)
     dims = DimsConfig(4, 4, 4, 4)
-    corpus = CorpusStore()
+    docs = []
     qrels = Qrels()
     query_rows, entity_rows, passage_rows = [], [], []
     rankings = {}
@@ -387,7 +387,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
             vec = u if relevant else rng.standard_normal(dims.m) * 0.2
             entity_rows.append((eid, vec))
             text = "some sentence."
-            corpus.documents[doc_id] = Document(doc_id, text, [EntityMention(eid, "s", 0, 1, 1.0)])
+            docs.append(Document(doc_id, text, [EntityMention(eid, "s", 0, 1, 1.0)]))
             passage_rows.append((f"{doc_id}::0", rng.standard_normal(dims.n) * 0.1))
             qrels.add(qid, doc_id, 1 if relevant else 0)
             doc_ids.append(doc_id)
@@ -397,7 +397,7 @@ def make_train_world(n_queries=6, docs_per_query=6, seed=0):
         candidates[qid] = Ranking.from_scores(qid, doc_ids, scores)
         rankings[qid] = EntityRanking.from_raw_scores(qid, entity_ids, raw)
     data = TrainData(
-        corpus=corpus,
+        links=corpus_links(docs),
         query_store=store_from_rows("query", dims.p, query_rows),
         entity_store=store_from_rows("entity", dims.m, entity_rows),
         passage_store=store_from_rows("passage", dims.n, passage_rows),
@@ -594,12 +594,14 @@ def reference_train(template, examples, folds, data, cfg):
 
 def link_more_entities(data):
     """Link each document to 1-4 of its query's entities, own entity first."""
-    for doc_id, doc in list(data.corpus.documents.items()):
+    docs = []
+    for doc_id in data.links.doc_ids:
         qid, di = doc_id.split("_d")
-        others = data.entity_rankings[qid].entity_ids
-        others = [e for e in others if e != doc.entity_ids[0]][: int(di) % 4]
-        extra = [EntityMention(e, "s", 0, 1, 1.0) for e in others]
-        data.corpus.documents[doc_id] = Document(doc_id, doc.text, doc.mentions + extra)
+        (own,) = data.links.entities([doc_id])
+        others = [e for e in data.entity_rankings[qid].entity_ids if e != own[0]][: int(di) % 4]
+        mentions = [EntityMention(e, "s", 0, 1, 1.0) for e in own + others]
+        docs.append(Document(doc_id, "some sentence.", mentions))
+    data.links = corpus_links(docs)
 
 
 def assert_matches_reference(templates, examples, folds, data, cfg):
