@@ -16,10 +16,10 @@ import numpy as np
 
 def pack_strings(items: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """UTF-8 blob plus int64 byte offsets (len(items) + 1 of them)."""
-    encoded = [item.encode("utf-8") for item in items]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+    offsets = np.zeros(len(items) + 1, dtype=np.int64)
+    sizes = (len(item.encode("utf-8")) for item in items)
+    np.cumsum(np.fromiter(sizes, dtype=np.int64, count=len(items)), out=offsets[1:])
+    return np.frombuffer("".join(items).encode("utf-8"), dtype=np.uint8), offsets
 
 
 def unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:

@@ -29,14 +29,15 @@ Each stage runs in its own process, so start-up is paid nine times on the
 user's path. This module loads only the first-stage modules (`corpus`,
 `retrieval`) up front; a stage imports the rest of what it runs inside its
 `cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
-or training code. Only `build-index` (with `mentions=False`: every line and
-mention is checked, only the texts are kept), `pool-entities` and
-`synth-embed` parse `corpus.jsonl`. `pool-entities` also writes
-`corpus_links.npz` (`pipeline.CorpusLinks`: doc ids, sentence counts and
-linked entities), which `train-entity-ranker`, `train-dreq`, `ablate` and
-`rerank` read in its place. Only `synth-embed` (whose entity store covers
-the catalog) and `rank-entities --mode bm25|geeer` (which index its
-descriptions) read the entity catalog.
+or training code. Only `build-index`, `pool-entities` and `synth-embed`
+parse `corpus.jsonl`: the first indexes the texts as `read_corpus_texts`
+streams them, line by line; the other two hold the corpus whole.
+`pool-entities` also writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc
+ids, sentence counts and linked entities), which `train-entity-ranker`,
+`train-dreq`, `ablate` and `rerank` read in its place. Only `synth-embed`
+(whose entity store covers the catalog) and `rank-entities --mode
+bm25|geeer` (which index its descriptions) read the entity catalog. A run in
+weighting mode none reads neither the entity ranking nor the entity store.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .corpus import (
     load_entity_catalog,
     load_qrels,
     load_queries,
+    read_corpus_texts,
     split_sentences,
 )
 from .retrieval import (
@@ -78,6 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .embeddings import DimsConfig, EmbeddingStore
     from .entity_ranking import EntityRanking
     from .model import DreqModel, FeatureTable
+    from .pipeline import CorpusLinks
     from .training import TrainConfig
 
 ENV_PREFIX = "DREQ_"
@@ -419,6 +422,21 @@ def _links(settings: Settings):
     return load_corpus_links(path)
 
 
+def _entity_inputs(settings: Settings, links: CorpusLinks, weighted: bool):
+    """`links` and the entity store if `weighted`; else, for weighting mode
+    none, which reads no entity store, the links without entities and an
+    empty store of width `dims.m`."""
+    if weighted:
+        return links, _load_stores(settings, "entity")[0]
+    from dataclasses import replace
+
+    from .embeddings import EmbeddingStore
+
+    unlinked = replace(links, indptr=np.zeros_like(links.indptr),
+                       entity_index=links.entity_index[:0], entity_ids=[])
+    return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims().m)))
+
+
 def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, EntityRanking]:
     """The entity ranking, read only if some weighting mode of `modes` weights
     entities: mode none reads none."""
@@ -434,10 +452,7 @@ def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, Enti
 
 
 def cmd_build_index(settings: Settings) -> None:
-    # the index reads only the texts: every mention is checked, none is built
-    texts = load_corpus(settings.input("corpus"), mentions=False).texts()
-    index = build_index(texts, settings.tokenizer())
-    del texts
+    index = build_index(read_corpus_texts(settings.input("corpus")), settings.tokenizer())
     index_path = settings.save(settings.workpath("index.npz"), save_index, index)
     print(f"indexed {index.doc_count} documents -> {index_path}")
 
@@ -576,16 +591,20 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
     TrainData, TrainConfig, the number of judged-relevant documents of the
     candidate queries that are not in the corpus). The TrainData holds the
-    entity ranking only if some weighting mode of `modes` weights entities."""
+    entity ranking only if some weighting mode of `modes` weights entities,
+    and the entity store only then or when entity embeddings are fine-tuned."""
     from .training import TrainData, build_doc_examples, make_folds
 
     cands = _candidates(settings)
     links = _links(settings)
     qrels = load_qrels(settings.input("qrels"))
-    stores = _load_stores(settings, "query", "entity", "passage")
+    cfg = settings.train_config()
+    query_store, passage_store = _load_stores(settings, "query", "passage")
+    # (fine-tuning saves each fold's copy of the store, in any mode)
+    weighted = cfg.finetune_entity_embeddings or any(mode != "none" for mode in modes)
+    links, entity_store = _entity_inputs(settings, links, weighted)
     rankings = _entity_rankings(settings, modes)
     seed = settings.seed
-    cfg = settings.train_config()
     # a judged-relevant document outside the corpus has nothing to score, so
     # it is no positive, as `pooling_docs` pools no entity from it
     in_corpus = Qrels({
@@ -597,7 +616,8 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     if not examples:
         raise CliError("no document training examples (check qrels coverage)")
     folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
-    data = TrainData(links, *stores, rankings, cands, settings.segmenter())
+    data = TrainData(links, query_store, entity_store, passage_store, rankings, cands,
+                     settings.segmenter())
     return qrels, examples, folds, data, cfg, unknown
 
 
@@ -633,16 +653,17 @@ def cmd_train_dreq(settings: Settings) -> None:
 
 
 def _rerank_scorers(
-    settings: Settings, qids: list[str], table: FeatureTable
-) -> dict[str, tuple[DreqModel, FeatureTable]]:
-    """The model and feature table that score each query: `--checkpoint` and
-    `table` for every query, else the checkpoint of the fold whose test set
-    holds it (out of fold), with that fold's tuned entity table when
-    `finetune_entity_embeddings` is on."""
+    settings: Settings, qids: list[str], doc_links: CorpusLinks, cands, passage_store
+) -> tuple[dict[str, tuple[DreqModel, FeatureTable]], FeatureTable]:
+    """The model and feature table that score each query, and the table over
+    the queries' candidates: `--checkpoint` and that table for every query,
+    else the checkpoint of the fold whose test set holds it (out of fold),
+    with that fold's tuned entity table when `finetune_entity_embeddings` is
+    on. Only then, or if a model weights entities, is the entity store read."""
     from dataclasses import replace
 
     from .embeddings import load_store, store_path
-    from .model import WeightingMode, load_checkpoint
+    from .model import WeightingMode, build_feature_table, load_checkpoint
 
     ckpt = settings.args.checkpoint
     fold_of: dict[str, int | None] = dict.fromkeys(qids)  # --checkpoint: no fold
@@ -656,12 +677,19 @@ def _rerank_scorers(
             raise CliError(f"queries {unplanned[:5]} are in no test fold of folds.json; "
                            "rerun `dreq train-dreq` or pass --checkpoint")
     tuned = not ckpt and settings.get_bool("finetune_entity_embeddings")
-    scorers = {}
+    models = {}
     for i in dict.fromkeys(fold_of[qid] for qid in qids):
         path = ckpt or settings.workpath(f"dreq_fold{i}.ckpt")
-        model = load_checkpoint(settings.artifact(path, "train-dreq"))
+        models[i] = load_checkpoint(settings.artifact(path, "train-dreq"))
         if settings.args.weighting:
-            model.mode = WeightingMode(settings.args.weighting)
+            models[i].mode = WeightingMode(settings.args.weighting)
+    weighted = tuned or any(model.mode != WeightingMode.NONE for model in models.values())
+    doc_links, entity_store = _entity_inputs(settings, doc_links, weighted)
+    doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
+    table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
+                                settings.segmenter())
+    scorers = {}
+    for i, model in models.items():
         fold_table = table
         if tuned:
             path = store_path(settings.workdir, f"entity_tuned_fold{i}")
@@ -670,12 +698,12 @@ def _rerank_scorers(
                 raise CliError(f"{path}: not the entity store's ids; rerun `dreq train-dreq`")
             fold_table = replace(table, entity_store=store)
         scorers[i] = model, fold_table
-    return {qid: scorers[fold_of[qid]] for qid in qids}
+    return {qid: scorers[fold_of[qid]] for qid in qids}, table
 
 
 def cmd_rerank(settings: Settings) -> None:
     from .entity_ranking import _query_ranking
-    from .model import build_feature_table, maxsimcos_rerank, rerank
+    from .model import maxsimcos_rerank, rerank
 
     mode = settings.args.mode
     cands = _candidates(settings)
@@ -699,15 +727,10 @@ def cmd_rerank(settings: Settings) -> None:
                 kept += 1
             rankings[q.query_id] = ranked
     elif mode == "dreq":
-        query_store, entity_store, passage_store = _load_stores(
-            settings, "query", "entity", "passage"
-        )
+        query_store, passage_store = _load_stores(settings, "query", "passage")
         qids = [q.query_id for q in queries if q.query_id in cands]
-        doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
-        table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
-                                    settings.segmenter())
+        scorers, table = _rerank_scorers(settings, qids, doc_links, cands, passage_store)
         empty_text = table.empty_text_docs
-        scorers = _rerank_scorers(settings, qids, table)
         entity_rankings = _entity_rankings(settings, [model.mode for model, _ in scorers.values()])
         rankings = {
             qid: rerank(model, query_store.get(qid), cands[qid], fold_table,
@@ -866,7 +889,8 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command](settings)
         write_manifest(settings, t0)
     except (CliError, OSError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # (str() of a KeyError quotes its message)
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 1
     return 0
 

@@ -126,7 +126,7 @@ def train_entity_head(
     params = {"w1": head.w1, "b1": np.array([head.b1])}
     state = AdamState()
     run = _FoldRun(np.arange(len(y)), np.random.default_rng(cfg.seed))
-    going = cfg.epochs > 0
+    going = True  # a TrainConfig runs at least one epoch
     with np.errstate(over="ignore", invalid="ignore"):  # `_require_finite_fit` reports
         while going:
             idx = run.next_batch(cfg.batch_size)

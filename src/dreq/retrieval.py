@@ -13,16 +13,18 @@ vocabulary in first-occurrence order; term t's postings are
 `docs[indptr[t]:indptr[t + 1]]` (int32 internal doc indices, ascending)
 with their term frequencies in `tfs` (int32); `doc_lengths` (int64) and
 `doc_ids` are per internal index. Everything else is derived on first use
-and never stored: the term -> id dict, each document's rank in doc_id
-order, and a doc -> term forward CSR, so that RM3 reads only the feedback
-documents' own rows instead of the whole vocabulary.
+and never stored: the term -> id dict and each document's rank in doc_id
+order. RM3 reads its feedback documents' rows (`InvertedIndex.doc_terms`)
+by one gather of a membership mask over `docs`: no doc -> term copy exists.
 
-`build_index` reads only document texts. It gives each token its term id,
-widens the ids once into one int64 array and turns that array in place
-into (term, doc) keys `term * N + doc`, sorts it in place, and counts runs
-of equal keys: a run is one posting, its length the tf. Beside the keys, the
-only temporaries as long as the token stream are the int32 document ids
-added into them and a bool mask of run starts.
+`build_index` reads `(doc_id, text)` pairs one at a time, so a streamed
+corpus is never held whole. It gives each token its term id, drops the term
+dict, widens the ids once into one int64 array and turns that array in
+place into (term, doc) keys `term * N + doc`, sorts it in place, and counts
+runs of equal keys: a run is one posting, its length the tf. Beside the
+keys, the only temporaries as long as the token stream are the int32
+document ids added into them and a bool mask of run starts; the run lengths
+go straight into int32, and each key is split in place into doc and term.
 
 Scoring adds one term at a time into a float64 array over all documents.
 BM25 impacts are deliberately not precomputed into the index: `Bm25Params`
@@ -59,7 +61,6 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _porter
-from .corpus import CorpusStore
 
 __all__ = [
     "TokenizerConfig",
@@ -232,19 +233,23 @@ class InvertedIndex:
         """Each document's position in doc_id order (the tie-break key)."""
         return _id_ranks(self.doc_ids)
 
-    @cached_property
-    def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Doc -> term CSR `(indptr, term ids, tfs)`; a row's term ids ascend.
-        Postings are put in that order by one argsort of their int64 keys
-        `doc * len(terms) + term`; no two postings share a key, so the order
-        does not depend on the sort's stability."""
-        term_of = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.indptr))
-        keys = self.docs.astype(np.int64)
-        keys *= len(self.terms)
-        keys += term_of
-        order = np.argsort(keys)
-        del keys
-        return _indptr(self.docs, self.doc_count), term_of[order], self.tfs[order]
+    def doc_terms(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (term id, tf) rows of the distinct documents `docs` as a CSR
+        `(indptr, term ids, tfs)`, row r for `docs[r]`, term ids ascending.
+        A gather of a membership mask over `docs` finds the postings in term
+        order, and a stable sort by row keeps it."""
+        member = np.zeros(self.doc_count, dtype=bool)
+        member[docs] = True
+        hit = np.empty(len(self.docs), dtype=bool)
+        step = 1 << 16  # in slices: `take` widens its int32 indices to intp
+        for lo in range(0, len(self.docs), step):
+            np.take(member, self.docs[lo : lo + step], out=hit[lo : lo + step])
+        at = np.flatnonzero(hit)
+        sorter = np.argsort(docs)
+        row = sorter[np.searchsorted(docs, self.docs[at], sorter=sorter)]
+        at = at[np.argsort(row, kind="stable")]
+        terms = (np.searchsorted(self.indptr, at, side="right") - 1).astype(np.int32)
+        return _indptr(row, len(docs)), terms, self.tfs[at]
 
     @property
     def postings(self) -> PostingsView:
@@ -259,23 +264,28 @@ def _indptr(ids: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_index(
-    corpus: CorpusStore | Mapping[str, str],
+    corpus: Mapping[str, str] | Iterable[tuple[str, str]],
     tokenizer: TokenizerConfig = TokenizerConfig(),
 ) -> InvertedIndex:
-    """Index a corpus (or any id -> text mapping, e.g. entity descriptions)."""
-    texts = corpus.texts() if isinstance(corpus, CorpusStore) else corpus
-    if not texts:
-        raise ValueError("cannot build an index over an empty corpus")
+    """Index an id -> text mapping (e.g. entity descriptions) or the
+    `(doc_id, text)` pairs of a corpus, read once."""
+    if isinstance(corpus, Mapping):
+        corpus = corpus.items()
 
     # an id per token (a new term takes the next id: first-occurrence order)
     term_id: defaultdict[str, int] = defaultdict()
     term_id.default_factory = term_id.__len__
-    token_ids, doc_lengths = array("i"), array("q")
-    for text in texts.values():
+    token_ids, doc_lengths, doc_ids = array("i"), array("q"), []
+    for doc_id, text in corpus:
         tokens = tokenize(text, tokenizer)
         token_ids.extend(map(term_id.__getitem__, tokens))
         doc_lengths.append(len(tokens))
-    n = len(texts)
+        doc_ids.append(doc_id)
+    if not doc_ids:
+        raise ValueError("cannot build an index over an empty corpus")
+    terms = list(term_id)
+    term_id.clear()  # its default factory refers to it: `del` would leave a cycle
+    n = len(doc_ids)
     doc_lengths = np.array(doc_lengths, dtype=np.int64)
     # keys `term * n + doc`, built and sorted in place: a run of equal keys
     # is one posting, its length the tf
@@ -287,17 +297,23 @@ def build_index(
     run_start = np.empty(len(keys), dtype=bool)
     run_start[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    n_tokens = len(keys)
+    keys = keys[run_start]
     starts = np.flatnonzero(run_start)
     del run_start
-    tfs = np.diff(starts, append=len(keys)).astype(np.int32)
-    keys = keys[starts]
+    tfs = np.empty(len(starts), dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
+    tfs[-1:] = n_tokens - starts[-1:]
     del starts
+    docs = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, n, out=docs, casting="unsafe")
+    keys //= n  # now the term ids
     return InvertedIndex(
-        terms=list(term_id),
-        indptr=_indptr(keys // n, len(term_id)),
-        docs=(keys % n).astype(np.int32),
+        terms=terms,
+        indptr=_indptr(keys, len(terms)),
+        docs=docs,
         tfs=tfs,
-        doc_ids=list(texts),
+        doc_ids=doc_ids,
         doc_lengths=doc_lengths,
         tokenizer=tokenizer,
     )
@@ -368,14 +384,14 @@ def rm3_expand(
     exp_s = [math.exp(s - max_s) for s in fb_scores]
     z = sum(exp_s)
 
-    # each feedback document's own terms, from the forward index
-    fwd_indptr, fwd_terms, fwd_tfs = index.forward
+    # each feedback document's own terms, document after document
+    fb_indptr, fb_terms, fb_tfs = index.doc_terms(feedback)
     term_weights: dict[int, float] = {}
-    for i, e in zip(feedback.tolist(), exp_s):
+    for r, (i, e) in enumerate(zip(feedback.tolist(), exp_s)):
         doc_weight = e / z
         dl = int(index.doc_lengths[i])
-        lo, hi = fwd_indptr[i], fwd_indptr[i + 1]
-        for t, tf in zip(fwd_terms[lo:hi].tolist(), fwd_tfs[lo:hi].tolist()):
+        lo, hi = fb_indptr[r], fb_indptr[r + 1]
+        for t, tf in zip(fb_terms[lo:hi].tolist(), fb_tfs[lo:hi].tolist()):
             term_weights[t] = term_weights.get(t, 0.0) + doc_weight * tf / dl
 
     top = sorted(

@@ -111,6 +111,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"train.epochs must be >= 1, got {self.epochs}")
 
 
 #: training settings that converge on the desk-scale planted worlds
@@ -578,7 +580,7 @@ def train_dreq(
         entities = params["entities"] = np.tile(table.entities, (len(runs), 1, 1))
     state = AdamState()
 
-    live = list(range(len(runs))) if cfg.epochs > 0 else []
+    live = list(range(len(runs)))  # a TrainConfig runs at least one epoch
     # a diverging fit is reported once, below, not by numpy at every step
     with np.errstate(over="ignore", invalid="ignore"):
         while live:

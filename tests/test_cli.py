@@ -462,7 +462,7 @@ class TestPipeline:
         assert main([*argv, "rank-entities"]) == 0
         assert "q00" not in load_entity_rankings(str(work / "entity_ranking.npz"))
         missing = re.compile(
-            r"error: \"entity '\w+' of doc '\w+' missing from the entity ranking for query 'q00'\"\n"
+            r"error: entity '\w+' of doc '\w+' missing from the entity ranking for query 'q00'\n"
         )
         for stage in (("train-dreq",), ("ablate",), ("rerank", "--mode", "dreq")):
             capsys.readouterr()
@@ -573,6 +573,21 @@ class TestPipeline:
                 err = capsys.readouterr().err
                 assert re.fullmatch(f"error: {message}\n", err), (where, err)
                 assert tree_bytes(work) == before, where
+
+    @pytest.mark.parametrize("epochs", ["-1", "0"])
+    def test_fewer_than_one_epoch_stops_the_trainers(
+        self, pipeline, tmp_path, monkeypatch, capsys, epochs
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_TRAIN_EPOCHS", epochs)
+        before = tree_bytes(work)
+        for stage in ("train-entity-ranker", "train-dreq", "ablate"):
+            capsys.readouterr()
+            assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
+            assert capsys.readouterr().err == f"error: train.epochs must be >= 1, got {epochs}\n"
+            assert tree_bytes(work) == before, stage
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
         config, workdir = pipeline
@@ -712,23 +727,27 @@ class TestPipeline:
         assert digest("d.run") != digest("b.run")
 
     def test_weighting_none_reads_no_entity_ranking(self, pipeline, tmp_path, monkeypatch):
+        """Nor the entity store: with both deleted, `train-dreq` and `rerank`
+        write the bytes they write with both present."""
         config, workdir = pipeline
         monkeypatch.setenv("DREQ_WEIGHTING_MODE", "none")
+        entity_inputs = ("entity_ranking.npz", os.path.join("stores", "entity.npz"))
         written = {}
         for ranked in (True, False):
             work = tmp_path / f"ranked-{ranked}"
             shutil.copytree(workdir, work)
             if not ranked:
-                (work / "entity_ranking.npz").unlink()
+                for name in entity_inputs:
+                    (work / name).unlink()
             argv = ["--config", config, "--workdir", str(work)]
             assert main([*argv, "train-dreq"]) == 0, ranked
             assert main([*argv, "rerank", "--weighting", "none"]) == 0, ranked
             for stage in ("train-dreq", "rerank-rerank_dreq"):
                 manifest = json.loads((work / "manifests" / f"{stage}.json").read_text())
-                assert "entity_ranking.npz" not in manifest["inputs"], (ranked, stage)
+                assert not set(entity_inputs) & set(manifest["inputs"]), (ranked, stage)
             written[ranked] = {
                 name: data for name, data in tree_bytes(work).items()
-                if not name.startswith("manifests") and name != "entity_ranking.npz"
+                if not name.startswith("manifests") and name not in entity_inputs
             }
         assert written[True] == written[False]
         assert written[True]["dreq.run"] != Path(workdir, "dreq.run").read_bytes()
@@ -1001,6 +1020,8 @@ class TestMalformedInputLines:
         assert run(config, "build-index") == 1
         line_no = len(toy.splitlines()) + 1
         assert capsys.readouterr().err == f"error: {corpus}:{line_no}: {message}\n"
+        # the index was being built as the corpus streamed: nothing is left of it
+        assert tree_bytes(tmp_path / "work") == {}
 
     @pytest.mark.parametrize(
         ("line", "message"),

@@ -198,10 +198,11 @@ def test_a_missing_or_bad_links_file_stops_each_reader_with_one_line(
         gone = load_run(str(work / "candidates.run"))["q00"].doc_ids[0]
         docs = load_corpus(os.path.join(TOY, "corpus.jsonl")).documents.values()
         save_corpus_links(corpus_links(d for d in docs if d.doc_id != gone), str(path))
-        expected = f"'{gone}' not in the corpus links; rerun `dreq pool-entities`\"\n"
+        expected = f"error: doc_id '{gone}' not in the corpus links; rerun `dreq pool-entities`\n"
     before = sorted(os.listdir(work))
     capsys.readouterr()
     assert main(["--config", config, "--workdir", str(work), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.endswith(expected) and err.count("\n") == 1
+    assert not err.startswith(("error: '", 'error: "'))  # a KeyError's message, not its repr
     assert sorted(os.listdir(work)) == before  # no manifest, no output, no .tmp file

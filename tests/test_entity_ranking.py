@@ -239,13 +239,13 @@ class TestTrainEntityHead:
         with pytest.raises(ValueError):
             train_entity_head(np.zeros((0, 4)), np.zeros(0), self.cfg())
 
-    @pytest.mark.parametrize("epochs", [0, 1, 5])
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
     @pytest.mark.parametrize("batch_size", [1, 7, 100])
     @pytest.mark.parametrize("stop", [(1e-5, 3), (1.0, 2), (-1.0, 1)],
                              ids=["late", "stall", "never"])
     def test_matches_the_reference_loop(self, epochs, batch_size, stop):
         """The `_FoldRun` walk gives the reference loop's head and log bit
-        for bit: epochs 0, 1 and 5, a batch of one row, a ragged last batch,
+        for bit: epochs 1, 2 and 5, a batch of one row, a ragged last batch,
         a batch wider than the data, and an early stop after stalled epochs."""
         examples = self.make_separable(n=23, k=5, seed=epochs + batch_size)
         cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=epochs, seed=11,

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from collections import Counter
 from collections.abc import Mapping
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dreq import _porter
-from dreq.corpus import CorpusStore, Document
 from dreq.retrieval import (
     Bm25Params,
     Ranking,
@@ -39,13 +39,6 @@ def triples(ranking: Ranking) -> list[tuple[str, float, int]]:
         (d, s, rank)
         for rank, (d, s) in enumerate(zip(ranking.doc_ids, ranking.scores.tolist()), start=1)
     ]
-
-
-def corpus_of(texts: dict[str, str]) -> CorpusStore:
-    store = CorpusStore()
-    for doc_id, text in texts.items():
-        store.documents[doc_id] = Document(doc_id, text, [])
-    return store
 
 
 class TestTokenizer:
@@ -116,18 +109,18 @@ def tf_table(index):
 
 class TestIndex:
     def test_single_doc_statistics(self):
-        index = build_index(corpus_of({"d1": "a b a"}))
+        index = build_index({"d1": "a b a"})
         assert tf_table(index) == {("a", "d1"): 2, ("b", "d1"): 1}
         assert index.avg_doc_length == 3.0
         assert index.doc_count == 1
 
     def test_df_across_docs(self):
-        index = build_index(corpus_of({"d1": "t x", "d2": "t y"}))
+        index = build_index({"d1": "t x", "d2": "t y"})
         assert {term: len(docs) for term, docs in index.postings.items()} == {"t": 2, "x": 1, "y": 1}
 
     def test_rebuild_identical(self):
         texts = {"d1": "alpha beta", "d2": "beta gamma gamma"}
-        a, b = build_index(corpus_of(texts)), build_index(corpus_of(texts))
+        a, b = build_index(texts), build_index(texts)
         assert a.terms == b.terms
         assert a.doc_ids == b.doc_ids
         for name in ("indptr", "docs", "tfs", "doc_lengths"):
@@ -135,12 +128,13 @@ class TestIndex:
         assert a.avg_doc_length == b.avg_doc_length
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            build_index(corpus_of({}))
+        for empty in ({}, iter(())):
+            with pytest.raises(ValueError, match="empty"):
+                build_index(empty)
 
     def test_csr_layout(self):
         texts = {"d1": "b a b", "d2": "", "d3": "c b"}
-        index = build_index(corpus_of(texts))
+        index = build_index(texts)
         assert index.terms == ["b", "a", "c"]  # first-occurrence order
         assert index.indptr.tolist() == [0, 2, 3, 4]
         assert index.docs.tolist() == [0, 2, 0, 2]
@@ -161,13 +155,18 @@ class TestIndex:
             f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(0, 8)))
             for i in rng.sample(range(20), rng.randint(1, 8))
         }
-        index = build_index(corpus_of(texts))
+        index = build_index(texts)
         bags = [Counter(tokenize(t)) for t in texts.values()]
-        fwd_indptr, fwd_terms, fwd_tfs = index.forward
-        for i, bag in enumerate(bags):
-            lo, hi = fwd_indptr[i], fwd_indptr[i + 1]
-            assert dict(zip((index.terms[t] for t in fwd_terms[lo:hi]), fwd_tfs[lo:hi])) == bag
-            assert index.doc_lengths[i] == sum(bag.values())
+        order = np.array(rng.sample(range(len(bags)), len(bags)), dtype=np.int64)
+        row_indptr, row_terms, row_tfs = index.doc_terms(order)
+        fwd_indptr, fwd_terms, fwd_tfs = stable_forward(index)
+        for r, i in enumerate(order.tolist()):
+            lo, hi = row_indptr[r], row_indptr[r + 1]
+            terms, tfs = row_terms[lo:hi].tolist(), row_tfs[lo:hi].tolist()
+            assert dict(zip((index.terms[t] for t in terms), tfs)) == bags[i]
+            fwd = slice(fwd_indptr[i], fwd_indptr[i + 1])
+            assert (terms, tfs) == (fwd_terms[fwd].tolist(), fwd_tfs[fwd].tolist())
+            assert index.doc_lengths[i] == sum(bags[i].values())
         for t, term in enumerate(index.terms):
             lo, hi = index.indptr[t], index.indptr[t + 1]
             docs = index.docs[lo:hi].tolist()
@@ -181,7 +180,7 @@ class TestIndex:
         assert index.avg_doc_length == sum(index.doc_lengths.tolist()) / index.doc_count
 
     def test_postings_view_is_read_only(self):
-        index = build_index(corpus_of({"d1": "a b", "d2": "b"}))
+        index = build_index({"d1": "a b", "d2": "b"})
         assert isinstance(index.postings, Mapping)
         assert not hasattr(index.postings, "__setitem__")
         assert dict((t, p.tolist()) for t, p in index.postings.items()) == {"a": [0], "b": [0, 1]}
@@ -192,17 +191,17 @@ class TestIndex:
 class TestBm25:
     def test_hand_example(self):
         # N=2, df=1, tf=2, dl=avgdl=4, k1=0.9, b=0.4 -> ln2 * 3.8/2.9
-        index = build_index(corpus_of({"d1": "t t x y", "d2": "p q r s"}))
+        index = build_index({"d1": "t t x y", "d2": "p q r s"})
         score = bm25_score(index, ["t"], "d1", Bm25Params(k1=0.9, b=0.4))
         assert score == pytest.approx(0.9082, abs=1e-4)
         assert score == pytest.approx(math.log(2) * 3.8 / 2.9, abs=1e-12)
 
     def test_absent_term_scores_zero(self):
-        index = build_index(corpus_of({"d1": "a b", "d2": "a c"}))
+        index = build_index({"d1": "a b", "d2": "a c"})
         assert bm25_score(index, ["zzz"], "d1") == 0.0
 
     def test_term_in_every_doc_single_doc_corpus(self):
-        index = build_index(corpus_of({"d1": "solo"}))
+        index = build_index({"d1": "solo"})
         score = bm25_score(index, ["solo"], "d1")
         assert score > 0.0
         assert math.log(1 + 0.5 / 1.5) == pytest.approx(
@@ -210,34 +209,32 @@ class TestBm25:
         )
 
     def test_unknown_doc_rejected(self):
-        index = build_index(corpus_of({"d1": "a"}))
+        index = build_index({"d1": "a"})
         with pytest.raises(KeyError):
             bm25_score(index, ["a"], "nope")
 
     def test_monotone_in_tf(self):
         # same doc length, increasing tf of the query term
-        index = build_index(
-            corpus_of({"d1": "t x x x", "d2": "t t x x", "d3": "t t t x"})
-        )
+        index = build_index({"d1": "t x x x", "d2": "t t x x", "d3": "t t t x"})
         scores = [bm25_score(index, ["t"], d) for d in ("d1", "d2", "d3")]
         assert scores[0] < scores[1] < scores[2]
 
 
 class TestRm3:
     def test_alpha_one_returns_original(self):
-        index = build_index(corpus_of({"d1": "x y", "d2": "x z"}))
+        index = build_index({"d1": "x y", "d2": "x z"})
         model = rm3_expand(index, ["x"], Rm3Params(original_weight=1.0))
         assert model == {"x": 1.0}
 
     def test_single_feedback_doc_hand_interpolation(self):
         # one matching doc with uniform terms {x, y}; alpha = 0.5, query {x}
-        index = build_index(corpus_of({"d1": "x y"}))
+        index = build_index({"d1": "x y"})
         model = rm3_expand(index, ["x"], Rm3Params(fb_docs=10, fb_terms=10, original_weight=0.5))
         assert model["x"] == pytest.approx(0.75, abs=1e-12)
         assert model["y"] == pytest.approx(0.25, abs=1e-12)
 
     def test_no_retrievable_docs_returns_original(self):
-        index = build_index(corpus_of({"d1": "a b", "d2": "c d"}))
+        index = build_index({"d1": "a b", "d2": "c d"})
         model = rm3_expand(index, ["zzz", "qqq"], Rm3Params())
         assert model == {"zzz": 0.5, "qqq": 0.5}
 
@@ -251,7 +248,7 @@ class TestRm3:
         texts = {
             f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(2, 10))) for i in range(6)
         }
-        index = build_index(corpus_of(texts))
+        index = build_index(texts)
         query = rng.sample(vocab, rng.randint(1, 3))
         model = rm3_expand(index, query, Rm3Params(fb_docs=3, fb_terms=4, original_weight=0.3))
         assert abs(sum(model.values()) - 1.0) < 1e-9
@@ -284,23 +281,23 @@ def _oracle_order(index, weighted_terms, params):
 
 class TestRetrieve:
     def test_k_exceeding_corpus_returns_whole_corpus(self):
-        index = build_index(corpus_of({"d1": "a", "d2": "b", "d3": "a b"}))
+        index = build_index({"d1": "a", "d2": "b", "d3": "a b"})
         ranking = retrieve(index, "a", k=100, mode="bm25")
         assert len(ranking) == 3
 
     def test_tie_broken_by_doc_id(self):
-        index = build_index(corpus_of({"db": "t", "da": "t"}))
+        index = build_index({"db": "t", "da": "t"})
         ranking = retrieve(index, "t", k=2, mode="bm25")
         assert ranking.doc_ids == ["da", "db"]
 
     def test_k_validation(self):
-        index = build_index(corpus_of({"d1": "a"}))
+        index = build_index({"d1": "a"})
         with pytest.raises(ValueError):
             retrieve(index, "a", k=0)
 
     def test_prefix_property(self):
         texts = {f"d{i}": f"common term{i % 3}" for i in range(8)}
-        index = build_index(corpus_of(texts))
+        index = build_index(texts)
         full = retrieve(index, "common term1", k=8, mode="bm25")
         for k in range(1, 8):
             assert retrieve(index, "common term1", k=k, mode="bm25").doc_ids == (
@@ -320,7 +317,7 @@ class TestRetrieve:
             f"d{i:02d}": " ".join(rng.choices(vocab, k=rng.randint(1, 12)))
             for i in range(n_docs)
         }
-        index = build_index(corpus_of(texts))
+        index = build_index(texts)
         terms = rng.choices(vocab, k=rng.randint(1, 3))
         params = Bm25Params()
 
@@ -683,17 +680,48 @@ def stable_forward(index):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.text("dxy", min_size=1, max_size=3), INDEX_TEXTS, min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+@example({"d": ""}, random.Random(0))
+@example({"d": "", "e": "?!"}, random.Random(0))
+@example({"d": "a a a a"}, random.Random(0))
+@example({"d": "a", "e": "", "f": "a a"}, random.Random(0))
+@example({"d": "é b", "e": "", "f": "b b é"}, random.Random(0))
+def test_forward_matches_a_stable_argsort(texts, rng):
+    """`doc_terms` of any distinct documents, in any order, gives their rows
+    of the doc -> term CSR that a stable argsort of the postings builds."""
+    index = build_index(texts)
+    indptr, terms, tfs = stable_forward(index)
+    docs = rng.sample(range(index.doc_count), rng.randint(0, index.doc_count))
+    rows = [slice(indptr[i], indptr[i + 1]) for i in docs]
+    expected = (
+        np.concatenate(([0], np.cumsum([r.stop - r.start for r in rows]))).astype(np.int64),
+        np.concatenate([terms[r] for r in rows] or [terms[:0]]),
+        np.concatenate([tfs[r] for r in rows] or [tfs[:0]]),
+    )
+    got = index.doc_terms(np.array(docs, dtype=np.int64))
+    for got_part, expected_part in zip(got, expected, strict=True):
+        assert got_part.dtype == expected_part.dtype
+        assert got_part.tobytes() == expected_part.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.text("dxy", min_size=1, max_size=3), INDEX_TEXTS, min_size=1, max_size=8))
 @example({"d": ""})
-@example({"d": "", "e": "?!"})
-@example({"d": "a a a a"})
-@example({"d": "a", "e": "", "f": "a a"})
 @example({"d": "é b", "e": "", "f": "b b é"})
-def test_forward_matches_a_stable_argsort(texts):
-    index = build_index(texts)
-    for got, expected in zip(index.forward, stable_forward(index), strict=True):
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+def test_build_index_of_a_one_shot_stream_equals_the_mapping(texts):
+    """Pairs read once, from a generator, index bit for bit as the mapping."""
+    got = build_index((doc_id, text) for doc_id, text in texts.items())
+    expected = build_index(texts)
+    assert (got.terms, got.doc_ids, got.tokenizer) == (
+        expected.terms, expected.doc_ids, expected.tokenizer
+    )
+    for name in ("indptr", "docs", "tfs", "doc_lengths"):
+        array, reference = getattr(got, name), getattr(expected, name)
+        assert array.dtype == reference.dtype, name
+        assert array.tobytes() == reference.tobytes(), name
 
 
 def reference_load_run(path):
