@@ -29,15 +29,16 @@ Each stage runs in its own process, so start-up is paid nine times on the
 user's path. This module loads only the first-stage modules (`corpus`,
 `retrieval`) up front; a stage imports the rest of what it runs inside its
 `cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
-or training code. Only `build-index`, `pool-entities` and `synth-embed`
-parse `corpus.jsonl`: the first indexes the texts as `read_corpus_texts`
-streams them, line by line; the other two hold the corpus whole.
-`pool-entities` also writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc
-ids, sentence counts and linked entities), which `train-entity-ranker`,
-`train-dreq`, `ablate` and `rerank` read in its place. Only `synth-embed`
-(whose entity store covers the catalog) and `rank-entities --mode
-bm25|geeer` (which index its descriptions) read the entity catalog. A run in
-weighting mode none reads neither the entity ranking nor the entity store.
+or training code. Only `build-index` (with `mentions=False`: every line and
+mention is checked, only the texts are kept, and each document is dropped
+once it is tokenized), `pool-entities` and `synth-embed` parse
+`corpus.jsonl`. `pool-entities` also writes `corpus_links.npz`
+(`pipeline.CorpusLinks`: doc ids, sentence counts and linked entities),
+which `train-entity-ranker`, `train-dreq`, `ablate` and `rerank` read in its
+place. Only `synth-embed` (whose entity store covers the catalog) and
+`rank-entities --mode bm25|geeer` (which index its descriptions) read the
+entity catalog. A run in weighting mode none reads no entity ranking, and
+no entity store unless it fine-tunes entity embeddings.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,7 +62,6 @@ from .corpus import (
     load_entity_catalog,
     load_qrels,
     load_queries,
-    read_corpus_texts,
     split_sentences,
 )
 from .retrieval import (
@@ -422,37 +423,46 @@ def _links(settings: Settings):
     return load_corpus_links(path)
 
 
-def _entity_inputs(settings: Settings, links: CorpusLinks, weighted: bool):
-    """`links` and the entity store if `weighted`; else, for weighting mode
-    none, which reads no entity store, the links without entities and an
-    empty store of width `dims.m`."""
-    if weighted:
-        return links, _load_stores(settings, "entity")[0]
-    from dataclasses import replace
-
-    from .embeddings import EmbeddingStore
-
-    unlinked = replace(links, indptr=np.zeros_like(links.indptr),
-                       entity_index=links.entity_index[:0], entity_ids=[])
-    return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims().m)))
-
-
-def _entity_rankings(settings: Settings, modes: Iterable[str]) -> dict[str, EntityRanking]:
-    """The entity ranking, read only if some weighting mode of `modes` weights
-    entities: mode none reads none."""
+def _entity_inputs(
+    settings: Settings, modes: Iterable[str], finetune: bool
+) -> tuple[CorpusLinks, EmbeddingStore, dict[str, EntityRanking]]:
+    """The corpus links, the entity store and the entity rankings that a
+    scorer in the weighting `modes` reads. Only a mode that weights entities
+    reads the rankings; it or `finetune` (which saves each fold's copy of the
+    store, in any mode) reads the store. Mode none alone reads neither: the
+    links without their entities and an empty store of width `dims.m` stand in."""
     from .entity_ranking import load_entity_rankings
 
-    if all(mode == "none" for mode in modes):
-        return {}
+    links = _links(settings)
+    weighted = any(mode != "none" for mode in modes)
+    if not (weighted or finetune):
+        from dataclasses import replace
+
+        from .embeddings import EmbeddingStore
+
+        unlinked = replace(links, indptr=np.zeros_like(links.indptr),
+                           entity_index=links.entity_index[:0], entity_ids=[])
+        return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims().m))), {}
+    (store,) = _load_stores(settings, "entity")
+    if not weighted:
+        return links, store, {}
     path = settings.artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
-    return load_entity_rankings(path)
+    return links, store, load_entity_rankings(path)
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
 def cmd_build_index(settings: Settings) -> None:
-    index = build_index(read_corpus_texts(settings.input("corpus")), settings.tokenizer())
+    # the index reads only the texts: every mention is checked, none is built
+    documents = deque(load_corpus(settings.input("corpus"), mentions=False).documents.values())
+
+    def texts():  # each document goes once it is tokenized, before the array phase
+        while documents:
+            doc = documents.popleft()
+            yield doc.doc_id, doc.text
+
+    index = build_index(texts(), settings.tokenizer())
     index_path = settings.save(settings.workpath("index.npz"), save_index, index)
     print(f"indexed {index.doc_count} documents -> {index_path}")
 
@@ -591,19 +601,15 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
     TrainData, TrainConfig, the number of judged-relevant documents of the
     candidate queries that are not in the corpus). The TrainData holds the
-    entity ranking only if some weighting mode of `modes` weights entities,
-    and the entity store only then or when entity embeddings are fine-tuned."""
+    entity inputs that `_entity_inputs` reads for the weighting `modes`."""
     from .training import TrainData, build_doc_examples, make_folds
 
     cands = _candidates(settings)
-    links = _links(settings)
     qrels = load_qrels(settings.input("qrels"))
     cfg = settings.train_config()
     query_store, passage_store = _load_stores(settings, "query", "passage")
-    # (fine-tuning saves each fold's copy of the store, in any mode)
-    weighted = cfg.finetune_entity_embeddings or any(mode != "none" for mode in modes)
-    links, entity_store = _entity_inputs(settings, links, weighted)
-    rankings = _entity_rankings(settings, modes)
+    links, entity_store, rankings = _entity_inputs(settings, modes,
+                                                   cfg.finetune_entity_embeddings)
     seed = settings.seed
     # a judged-relevant document outside the corpus has nothing to score, so
     # it is no positive, as `pooling_docs` pools no entity from it
@@ -652,18 +658,11 @@ def cmd_train_dreq(settings: Settings) -> None:
     )
 
 
-def _rerank_scorers(
-    settings: Settings, qids: list[str], doc_links: CorpusLinks, cands, passage_store
-) -> tuple[dict[str, tuple[DreqModel, FeatureTable]], FeatureTable]:
-    """The model and feature table that score each query, and the table over
-    the queries' candidates: `--checkpoint` and that table for every query,
-    else the checkpoint of the fold whose test set holds it (out of fold),
-    with that fold's tuned entity table when `finetune_entity_embeddings` is
-    on. Only then, or if a model weights entities, is the entity store read."""
-    from dataclasses import replace
-
-    from .embeddings import load_store, store_path
-    from .model import WeightingMode, build_feature_table, load_checkpoint
+def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, tuple[int | None, DreqModel]]:
+    """The fold and the model that score each query: `--checkpoint` for every
+    query (no fold), else the checkpoint of the fold whose test set holds it
+    (out of fold). `--weighting` sets each model's mode."""
+    from .model import WeightingMode, load_checkpoint
 
     ckpt = settings.args.checkpoint
     fold_of: dict[str, int | None] = dict.fromkeys(qids)  # --checkpoint: no fold
@@ -676,44 +675,51 @@ def _rerank_scorers(
         if unplanned:
             raise CliError(f"queries {unplanned[:5]} are in no test fold of folds.json; "
                            "rerun `dreq train-dreq` or pass --checkpoint")
-    tuned = not ckpt and settings.get_bool("finetune_entity_embeddings")
     models = {}
     for i in dict.fromkeys(fold_of[qid] for qid in qids):
         path = ckpt or settings.workpath(f"dreq_fold{i}.ckpt")
         models[i] = load_checkpoint(settings.artifact(path, "train-dreq"))
         if settings.args.weighting:
             models[i].mode = WeightingMode(settings.args.weighting)
-    weighted = tuned or any(model.mode != WeightingMode.NONE for model in models.values())
-    doc_links, entity_store = _entity_inputs(settings, doc_links, weighted)
-    doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
-    table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
-                                settings.segmenter())
-    scorers = {}
-    for i, model in models.items():
-        fold_table = table
+    return {qid: (fold_of[qid], models[fold_of[qid]]) for qid in qids}
+
+
+def _rerank_scorers(
+    settings: Settings, models: dict[str, tuple[int | None, DreqModel]], table: FeatureTable,
+    tuned: bool,
+) -> dict[str, tuple[DreqModel, FeatureTable]]:
+    """The model and feature table that score each query: `table`, or with
+    `tuned` (fine-tuned entity embeddings, out of fold) the table with its
+    fold's tuned entity store."""
+    from dataclasses import replace
+
+    from .embeddings import load_store, store_path
+
+    tables = {}
+    for i in dict.fromkeys(i for i, _ in models.values()):
+        tables[i] = table
         if tuned:
             path = store_path(settings.workdir, f"entity_tuned_fold{i}")
             store = load_store(settings.artifact(path, "train-dreq"))
             if store.ids != table.entity_store.ids:
                 raise CliError(f"{path}: not the entity store's ids; rerun `dreq train-dreq`")
-            fold_table = replace(table, entity_store=store)
-        scorers[i] = model, fold_table
-    return {qid: scorers[fold_of[qid]] for qid in qids}, table
+            tables[i] = replace(table, entity_store=store)
+    return {qid: (model, tables[i]) for qid, (i, model) in models.items()}
 
 
 def cmd_rerank(settings: Settings) -> None:
     from .entity_ranking import _query_ranking
-    from .model import maxsimcos_rerank, rerank
+    from .model import build_feature_table, maxsimcos_rerank, rerank
 
     mode = settings.args.mode
     cands = _candidates(settings)
-    doc_links = _links(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     settings.manifest_name = f"rerank-{os.path.splitext(os.path.basename(out))[0]}"
     queries = load_queries(settings.input("queries"))
     kept = empty_text = 0
 
     if mode == "maxsimcos":
+        doc_links = _links(settings)
         (entity_store,) = _load_stores(settings, "entity")
         links = load_query_links(settings.input("query_links"))
         rankings = {}
@@ -729,9 +735,16 @@ def cmd_rerank(settings: Settings) -> None:
     elif mode == "dreq":
         query_store, passage_store = _load_stores(settings, "query", "passage")
         qids = [q.query_id for q in queries if q.query_id in cands]
-        scorers, table = _rerank_scorers(settings, qids, doc_links, cands, passage_store)
+        models = _rerank_models(settings, qids)
+        tuned = not settings.args.checkpoint and settings.get_bool("finetune_entity_embeddings")
+        doc_links, entity_store, entity_rankings = _entity_inputs(
+            settings, [model.mode for _, model in models.values()], tuned
+        )
+        doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
+        table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
+                                    settings.segmenter())
         empty_text = table.empty_text_docs
-        entity_rankings = _entity_rankings(settings, [model.mode for model, _ in scorers.values()])
+        scorers = _rerank_scorers(settings, models, table, tuned)
         rankings = {
             qid: rerank(model, query_store.get(qid), cands[qid], fold_table,
                         _query_ranking(entity_rankings, qid))

@@ -26,10 +26,10 @@ store's entity table is built from it in one pass. A document keeps no
 split of its sentences: the stages that need one only count them, with
 `split_sentences`.
 
-`read_corpus_texts` streams `(doc_id, text)` pairs, one line at a time: it
-checks every line and every mention the way `load_corpus` does, with the
-same errors, and builds nothing from the mentions. `build-index`, which
-reads only the texts, indexes from it without holding the corpus.
+`load_corpus(..., mentions=False)` checks every line and every mention the
+same way, with the same errors, and builds nothing from them: each document
+keeps only its id and text, and the entity table only the catalog's
+records. `build-index`, which reads only the texts, is the one caller.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "EntityMention",
@@ -51,7 +51,6 @@ __all__ = [
     "CorpusStore",
     "split_sentences",
     "load_corpus",
-    "read_corpus_texts",
     "load_entity_catalog",
     "load_queries",
     "load_qrels",
@@ -225,10 +224,23 @@ def _read_document(raw, *memos: dict) -> Document:
     return doc
 
 
-def _documents(path: str, *memos: dict) -> Iterator[Document]:
-    """Each line's `Document` (`_read_document` with `memos`) in file order;
-    a malformed line or a repeated doc_id is a ValueError naming `path:line`."""
-    seen: set[str] = set()
+def load_corpus(
+    path: str, catalog_path: str | None = None, *, mentions: bool = True
+) -> CorpusStore:
+    """Load a JSONL corpus.
+
+    Rejects malformed lines, duplicate doc_ids and mention spans outside the
+    text, each with `path:line`. When `catalog_path` is given its
+    descriptions are merged into the store's entity table; entities
+    mentioned but absent from the catalog get an empty-description record.
+
+    With `mentions=False` every line and mention is checked as above, but
+    no mention is kept: documents have empty `mentions`, and the entity
+    table holds only the catalog's records. Only `build-index` loads so.
+    """
+    store = CorpusStore()
+    ids: dict[str, str] = {}  # every linked entity id, in first-mention order
+    memos = (ids, {}, {}, {}) if mentions else ()
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -242,34 +254,14 @@ def _documents(path: str, *memos: dict) -> Iterator[Document]:
                 doc = _read_document(raw, *memos)
             except ValueError as e:
                 raise ValueError(f"{path}:{line_no}: {e}") from None
-            if doc.doc_id in seen:
+            if doc.doc_id in store.documents:
                 raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            yield doc
-
-
-def load_corpus(path: str, catalog_path: str | None = None) -> CorpusStore:
-    """Load a JSONL corpus.
-
-    Rejects malformed lines, duplicate doc_ids and mention spans outside the
-    text, each with `path:line`. When `catalog_path` is given its
-    descriptions are merged into the store's entity table; entities
-    mentioned but absent from the catalog get an empty-description record.
-    """
-    ids: dict[str, str] = {}  # every linked entity id, in first-mention order
-    store = CorpusStore({doc.doc_id: doc for doc in _documents(path, ids, {}, {}, {})})
+            store.documents[doc.doc_id] = doc
     store.entities = {entity_id: EntityRecord(entity_id) for entity_id in ids}
     if catalog_path is not None:
         for record in load_entity_catalog(catalog_path).values():
             store.entities[record.entity_id] = record
     return store
-
-
-def read_corpus_texts(path: str) -> Iterator[tuple[str, str]]:
-    """`(doc_id, text)` of each document, one line at a time, each line
-    checked as `load_corpus` checks it; no mention is built."""
-    for doc in _documents(path):
-        yield doc.doc_id, doc.text
 
 
 def load_entity_catalog(path: str) -> dict[str, EntityRecord]:

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import _npz
 from .corpus import CorpusStore, Document, Qrels, Query, pool_entities, split_sentences
-from .retrieval import Bm25Params, InvertedIndex, Ranking, Rm3Params, retrieve
+from .retrieval import (
+    Bm25Params, InvertedIndex, Ranking, Rm3Params, feedback_rows, retrieve, tokenize,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .embeddings import DimsConfig, EmbeddingStore
@@ -58,10 +60,14 @@ def candidate_rankings(
     bm25: Bm25Params = Bm25Params(),
     rm3: Rm3Params = Rm3Params(),
 ) -> dict[str, Ranking]:
-    """First-stage ranking per query, in query order."""
+    """First-stage ranking per query, in query order. With RM3, one scan of
+    the postings finds the rows of every query's feedback documents."""
+    terms = [tokenize(q.text, index.tokenizer) for q in queries]
+    rows = feedback_rows(index, terms, rm3, bm25) if mode == "bm25_rm3" else None
     return {
-        q.query_id: retrieve(index, q.text, k=k, mode=mode, bm25=bm25, rm3=rm3, query_id=q.query_id)
-        for q in queries
+        q.query_id: retrieve(index, query, k=k, mode=mode, bm25=bm25, rm3=rm3,
+                             query_id=q.query_id, rows=rows)
+        for q, query in zip(queries, terms)
     }
 
 

@@ -14,17 +14,21 @@ vocabulary in first-occurrence order; term t's postings are
 with their term frequencies in `tfs` (int32); `doc_lengths` (int64) and
 `doc_ids` are per internal index. Everything else is derived on first use
 and never stored: the term -> id dict and each document's rank in doc_id
-order. RM3 reads its feedback documents' rows (`InvertedIndex.doc_terms`)
-by one gather of a membership mask over `docs`: no doc -> term copy exists.
+order. No doc -> term copy of the postings exists: RM3 reads its feedback
+documents' rows (`InvertedIndex.doc_terms`, a `DocTerms`) from one gather
+of a membership mask over `docs`. `feedback_rows` does that scan once for
+the feedback documents of a whole batch of queries, which
+`pipeline.candidate_rankings` passes to each query's `retrieve`.
 
-`build_index` reads `(doc_id, text)` pairs one at a time, so a streamed
-corpus is never held whole. It gives each token its term id, drops the term
-dict, widens the ids once into one int64 array and turns that array in
-place into (term, doc) keys `term * N + doc`, sorts it in place, and counts
-runs of equal keys: a run is one posting, its length the tf. Beside the
-keys, the only temporaries as long as the token stream are the int32
-document ids added into them and a bool mask of run starts; the run lengths
-go straight into int32, and each key is split in place into doc and term.
+`build_index` reads `(doc_id, text)` pairs one at a time, from a mapping
+or a one-shot iterable, and keeps none of the texts. It gives each token
+its term id, drops the term dict, widens the ids once into one int64 array
+and turns that array in place into (term, doc) keys `term * N + doc`, sorts
+it in place, and counts runs of equal keys: a run is one posting, its
+length the tf. Beside the keys, the only temporaries as long as the token
+stream are the int32 document ids added into them and a bool mask of run
+starts; the run lengths go straight into int32, and each key is split in
+place into doc and term.
 
 Scoring adds one term at a time into a float64 array over all documents.
 BM25 impacts are deliberately not precomputed into the index: `Bm25Params`
@@ -69,8 +73,10 @@ __all__ = [
     "Rm3Params",
     "Ranking",
     "InvertedIndex",
+    "DocTerms",
     "PostingsView",
     "build_index",
+    "feedback_rows",
     "rm3_expand",
     "retrieve",
     "write_run",
@@ -198,6 +204,26 @@ class PostingsView(Mapping):
         return len(self._index.terms)
 
 
+@dataclass(frozen=True, eq=False)
+class DocTerms:
+    """The (term id, tf) rows of some documents: `docs[r]` (distinct internal
+    indices, ascending) has the term ids `terms[indptr[r]:indptr[r + 1]]`,
+    ascending, with their tfs alongside."""
+
+    docs: np.ndarray
+    indptr: np.ndarray  # int64, (len(docs) + 1,)
+    terms: np.ndarray  # int32
+    tfs: np.ndarray  # int32
+
+    def row(self, doc: int) -> tuple[np.ndarray, np.ndarray]:
+        """Document `doc`'s term ids and tfs; a KeyError if it has no row."""
+        r = int(np.searchsorted(self.docs, doc))
+        if r == len(self.docs) or self.docs[r] != doc:
+            raise KeyError(f"document {doc} has no row")
+        lo, hi = self.indptr[r], self.indptr[r + 1]
+        return self.terms[lo:hi], self.tfs[lo:hi]
+
+
 @dataclass(eq=False)
 class InvertedIndex:
     """CSR postings: term t's documents are `docs[indptr[t]:indptr[t + 1]]`
@@ -233,11 +259,11 @@ class InvertedIndex:
         """Each document's position in doc_id order (the tie-break key)."""
         return _id_ranks(self.doc_ids)
 
-    def doc_terms(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (term id, tf) rows of the distinct documents `docs` as a CSR
-        `(indptr, term ids, tfs)`, row r for `docs[r]`, term ids ascending.
-        A gather of a membership mask over `docs` finds the postings in term
-        order, and a stable sort by row keeps it."""
+    def doc_terms(self, docs: np.ndarray) -> DocTerms:
+        """The rows of the documents `docs`. One gather of a membership mask
+        over `docs` finds their postings in term order, and a stable sort by
+        document keeps that order within each row."""
+        docs = np.unique(docs)
         member = np.zeros(self.doc_count, dtype=bool)
         member[docs] = True
         hit = np.empty(len(self.docs), dtype=bool)
@@ -245,11 +271,10 @@ class InvertedIndex:
         for lo in range(0, len(self.docs), step):
             np.take(member, self.docs[lo : lo + step], out=hit[lo : lo + step])
         at = np.flatnonzero(hit)
-        sorter = np.argsort(docs)
-        row = sorter[np.searchsorted(docs, self.docs[at], sorter=sorter)]
-        at = at[np.argsort(row, kind="stable")]
+        at = at[np.argsort(self.docs[at], kind="stable")]
         terms = (np.searchsorted(self.indptr, at, side="right") - 1).astype(np.int32)
-        return _indptr(row, len(docs)), terms, self.tfs[at]
+        rows = _indptr(np.searchsorted(docs, self.docs[at]), len(docs))
+        return DocTerms(docs, rows, terms, self.tfs[at])
 
     @property
     def postings(self) -> PostingsView:
@@ -358,23 +383,47 @@ def _original_query_model(query_terms: list[str]) -> dict[str, float]:
     return {t: 1.0 / len(distinct) for t in distinct}
 
 
+def _feedback(
+    index: InvertedIndex, original: dict[str, float], params: Rm3Params, bm25: Bm25Params
+) -> tuple[np.ndarray, np.ndarray]:
+    """RM3's feedback documents for the query model `original`, best first,
+    and the BM25 scores of the pass that picked them."""
+    scores = _score_all(index, original.items(), bm25)
+    return _top_k(index, scores, np.flatnonzero(scores > 0.0), params.fb_docs), scores
+
+
+def feedback_rows(
+    index: InvertedIndex,
+    queries: Iterable[list[str]],
+    params: Rm3Params = Rm3Params(),
+    bm25: Bm25Params = Bm25Params(),
+) -> DocTerms:
+    """The rows of every document that RM3 feeds back for one of the
+    tokenized `queries`, from one scan of the postings."""
+    feedback = [_feedback(index, _original_query_model(terms), params, bm25)[0]
+                for terms in queries]
+    return index.doc_terms(np.concatenate([np.empty(0, dtype=np.intp), *feedback]))
+
+
 def rm3_expand(
     index: InvertedIndex,
     query_terms: list[str],
     params: Rm3Params = Rm3Params(),
     bm25: Bm25Params = Bm25Params(),
+    rows: DocTerms | None = None,
 ) -> dict[str, float]:
     """RM3 pseudo-relevance feedback: a relevance model over the top
     `fb_docs` documents (document weights = softmax of their BM25 scores),
     truncated to `fb_terms` terms, interpolated with the uniform original
     query model at `original_weight`. Output weights sum to 1; a query
-    without terms gives an empty model.
+    without terms gives an empty model. The feedback documents' terms come
+    from `rows` (`feedback_rows` of a batch of queries), else from a scan of
+    the postings for this query alone.
     """
     original = _original_query_model(query_terms)
     if params.original_weight == 1.0:
         return original
-    scores = _score_all(index, original.items(), bm25)
-    feedback = _top_k(index, scores, np.flatnonzero(scores > 0.0), params.fb_docs)
+    feedback, scores = _feedback(index, original, params, bm25)
     if not len(feedback):
         return original
 
@@ -385,13 +434,14 @@ def rm3_expand(
     z = sum(exp_s)
 
     # each feedback document's own terms, document after document
-    fb_indptr, fb_terms, fb_tfs = index.doc_terms(feedback)
+    if rows is None:
+        rows = index.doc_terms(feedback)
     term_weights: dict[int, float] = {}
-    for r, (i, e) in enumerate(zip(feedback.tolist(), exp_s)):
+    for i, e in zip(feedback.tolist(), exp_s):
         doc_weight = e / z
         dl = int(index.doc_lengths[i])
-        lo, hi = fb_indptr[r], fb_indptr[r + 1]
-        for t, tf in zip(fb_terms[lo:hi].tolist(), fb_tfs[lo:hi].tolist()):
+        terms, tfs = rows.row(i)
+        for t, tf in zip(terms.tolist(), tfs.tolist()):
             term_weights[t] = term_weights.get(t, 0.0) + doc_weight * tf / dl
 
     top = sorted(
@@ -417,11 +467,13 @@ def retrieve(
     bm25: Bm25Params = Bm25Params(),
     rm3: Rm3Params = Rm3Params(),
     query_id: str = "",
+    rows: DocTerms | None = None,
 ) -> Ranking:
     """Top-k retrieval; `mode` is "bm25" or "bm25_rm3" (second-pass scoring
-    with the expanded weighted query). Every indexed document is scored, so
-    a k beyond the matched set is padded with zero-score documents in
-    doc_id order (all of the top k, for a query without terms).
+    with the expanded weighted query; `rows` as for `rm3_expand`). Every
+    indexed document is scored, so a k beyond the matched set is padded with
+    zero-score documents in doc_id order (all of the top k, for a query
+    without terms).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -435,7 +487,7 @@ def retrieve(
         for t in terms:
             weighted[t] = weighted.get(t, 0.0) + 1.0
     else:
-        weighted = rm3_expand(index, terms, rm3, bm25)
+        weighted = rm3_expand(index, terms, rm3, bm25, rows)
 
     scores = _score_all(index, weighted.items(), bm25)
     top = _top_k(index, scores, np.arange(index.doc_count), k)

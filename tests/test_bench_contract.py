@@ -16,10 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from dreq import cli as cli_module, corpus as corpus_module, pipeline as pipeline_module, training
-from dreq.corpus import (
-    Document, EntityMention, load_corpus, load_qrels, pool_entities, read_corpus_texts,
-)
+from dreq import corpus as corpus_module, pipeline as pipeline_module, training
+from dreq.corpus import Document, EntityMention, load_corpus, load_qrels, pool_entities
 from dreq.embeddings import query_entity_key
 from dreq.entity_ranking import train_entity_head
 from dreq.model import DreqModel, WeightingMode, rerank
@@ -134,7 +132,8 @@ def test_ablation_sweep_trains_once_and_the_probe_reads_every_run(layers, monkey
 
 
 def test_first_stage_probes_read_the_csr_index(layers):
-    index = build_index(read_corpus_texts(os.path.join(TOY, "corpus.jsonl")))
+    corpus = load_corpus(os.path.join(TOY, "corpus.jsonl"), mentions=False)
+    index = build_index({doc_id: doc.text for doc_id, doc in corpus.documents.items()})
     probed = layers.PROBES["retrieval.build_index"]((), {}, index)
     assert probed == {"vocab_terms": len(index.terms), "postings": len(index.docs)}
     assert probed["postings"] == index.indptr[-1] == len(index.tfs)
@@ -146,11 +145,10 @@ def test_first_stage_probes_read_the_csr_index(layers):
 
 
 def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_path, monkeypatch):
-    """`build-index` parses `corpus.jsonl` once, streamed through
-    `read_corpus_texts`: each line is read once and no `EntityMention` is
-    made, while the full load makes one per mention. No `corpus.load_corpus`
-    span is left, so `cli.load_corpus_calls` counts none for the stage."""
-    made, streamed, lines = [], [], []
+    """`cli.load_corpus_calls` finds the one `corpus.load_corpus` span of
+    `build-index`; that load checks the corpus but makes no `EntityMention`,
+    while the full load makes one per mention."""
+    made = []
 
     class Counted(EntityMention):
         def __new__(cls, *fields):
@@ -158,11 +156,6 @@ def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_pat
             return super().__new__(cls, *fields)
 
     monkeypatch.setattr(corpus_module, "EntityMention", Counted)
-    stream, read = cli_module.read_corpus_texts, corpus_module._read_document
-    monkeypatch.setattr(cli_module, "read_corpus_texts",
-                        lambda path: streamed.append(path) or stream(path))
-    monkeypatch.setattr(corpus_module, "_read_document",
-                        lambda raw, *memos: lines.append(raw) or read(raw, *memos))
     config = write_config(tmp_path, tmp_path / "work")
     tracer = layers.Tracer(layers.PROBES)
     tracer.install()
@@ -172,27 +165,24 @@ def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_pat
     finally:
         tracer.uninstall()
     metric = next(m for m in layers.METRICS if m.name == "cli.load_corpus_calls")
-    assert metric.value(layers.Trace(tracer, {}, 0, 0.0, {})) == 0.0
-    path = os.path.join(TOY, "corpus.jsonl")
-    assert streamed == [path]
-    with open(path, encoding="utf-8") as f:
-        docs = [json.loads(line) for line in f if line.strip()]
-    assert len(lines) == len(docs)
+    assert metric.value(layers.Trace(tracer, {}, 0, 0.0, {})) == 1.0
     assert made == []
 
+    path = os.path.join(TOY, "corpus.jsonl")
+    with open(path, encoding="utf-8") as f:
+        mentions = sum(len(json.loads(line)["entities"]) for line in f)
     load_corpus(path)
-    assert len(made) == sum(len(doc["entities"]) for doc in docs) > 0
+    assert len(made) == mentions > 0
 
 
 def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
-    """The toy chain under the tracer: `build-index` streams the corpus
-    through `read_corpus_texts`, `corpus.load_corpus` runs only in
-    `pool-entities` and `synth-embed`, the later stages read
+    """The toy chain under the tracer: `corpus.load_corpus` runs only in
+    `build-index`, `pool-entities` and `synth-embed`, the later stages read
     `corpus_links.npz`. `pipeline.pooling_docs` still yields `Document`s
     with mentions, which the `corpus.docs_without_entities` probe reads, and
     `pipeline.entity_labels_map`, which `corpus.labels_s` times, runs in
     `train-entity-ranker`."""
-    pooled, read_in = [], []
+    pooled = []
 
     @functools.wraps(pipeline_module.pooling_docs)
     def spy(*args, _original=pipeline_module.pooling_docs, **kwargs):
@@ -203,9 +193,6 @@ def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline_module, "pooling_docs", spy)
     config = write_config(tmp_path, tmp_path / "work")
     tracer = layers.Tracer(layers.PROBES)
-    stream = cli_module.read_corpus_texts
-    monkeypatch.setattr(cli_module, "read_corpus_texts",
-                        lambda path: read_in.append(tracer.stage) or stream(path))
     tracer.install()
     try:
         for argv in STAGES + [("ablate",), ("rerank",), ("rerank", "--mode", "maxsimcos")]:
@@ -217,8 +204,7 @@ def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
     def stages(name: str) -> set[str]:
         return {span.stage for span in tracer.spans if span.name == name}
 
-    assert read_in == ["build-index"]
-    assert stages("corpus.load_corpus") == {"pool-entities", "synth-embed"}
+    assert stages("corpus.load_corpus") == {"build-index", "pool-entities", "synth-embed"}
     assert stages("pipeline.pooling_docs") == {"pool-entities"}
     assert stages("pipeline.entity_labels_map") == {"train-entity-ranker"}
     # (the `rank_entities` probe reads a field the rankings lost: a known benchmark defect)

@@ -15,7 +15,6 @@ from dreq.corpus import (
     load_qrels,
     load_queries,
     pool_entities,
-    read_corpus_texts,
     split_sentences,
 )
 from helpers import MALFORMED_CORPUS_LINES, segment_passages, transfer_labels
@@ -393,41 +392,41 @@ REJECTED_LINES = [
 ]
 
 
-class TestReadCorpusTexts:
+class TestLoadCorpusWithoutMentions:
     @settings(max_examples=200, deadline=None)
     @given(corpus_lines(), st.none() | st.sampled_from(REJECTED_LINES))
     def test_checks_alike_and_keeps_the_texts(self, tmp_path_factory, docs, rejected):
-        """`read_corpus_texts` rejects a line with the same error as the full
-        load, and otherwise yields the same texts in the same order, with no
-        mention built."""
+        """`mentions=False` rejects a line with the same error as the full
+        load, and otherwise keeps the same texts in the same order, with no
+        mention and no entity record."""
         path = write_corpus(tmp_path_factory.mktemp("corpus"), docs)
         if rejected is not None:
             with open(path, "a", encoding="utf-8") as f:
                 f.write(rejected[0] + "\n")
         outcomes = []
-        for read in (
-            lambda: [(d, doc.text) for d, doc in load_corpus(path).documents.items()],
-            lambda: list(read_corpus_texts(path)),
-        ):
+        for mentions in (True, False):
             try:
-                outcomes.append(read())
+                store = load_corpus(path, mentions=mentions)
             except ValueError as e:
                 outcomes.append(str(e))
+            else:
+                outcomes.append([(d, doc.text) for d, doc in store.documents.items()])
         assert outcomes[0] == outcomes[1]
-        if rejected is not None:
+        if rejected is None:
+            assert [doc.mentions for doc in store.documents.values()] == [[]] * len(docs)
+            assert store.entities == {}
+        else:
             message = rejected[1]
             where = f"{path}:{len(docs) + 1}: "
             assert outcomes[0].startswith(where)
             assert message is None or outcomes[0] == where + message
 
-    def test_yields_before_reading_on(self, tmp_path):
-        """One line at a time: the first pair comes before a bad last line is
-        read, and the bad line then stops the stream."""
-        path = write_corpus(tmp_path, [make_doc("d1", ["e1"]), make_doc("d2", [])])
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("{not json\n")
-        texts = read_corpus_texts(path)
-        assert next(texts) == ("d1", make_doc("d1", ["e1"])["text"])
-        assert next(texts)[0] == "d2"
-        with pytest.raises(ValueError, match=r":3: malformed JSON"):
-            next(texts)
+    def test_keeps_the_catalog_records(self, tmp_path):
+        path = write_corpus(tmp_path, [make_doc("d1", ["e1", "e2"])])
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text(json.dumps({"entity_id": "e9", "description": "nine"}) + "\n")
+        store = load_corpus(path, str(catalog), mentions=False)
+        assert store.entities == {"e9": EntityRecord("e9", "nine")}
+        assert [(d, doc.text) for d, doc in store.documents.items()] == [
+            ("d1", make_doc("d1", [])["text"])
+        ]

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dreq import _porter
+from dreq.corpus import Query
+from dreq.pipeline import candidate_rankings
 from dreq.retrieval import (
     Bm25Params,
     Ranking,
@@ -158,11 +160,10 @@ class TestIndex:
         index = build_index(texts)
         bags = [Counter(tokenize(t)) for t in texts.values()]
         order = np.array(rng.sample(range(len(bags)), len(bags)), dtype=np.int64)
-        row_indptr, row_terms, row_tfs = index.doc_terms(order)
+        rows = index.doc_terms(order)
         fwd_indptr, fwd_terms, fwd_tfs = stable_forward(index)
-        for r, i in enumerate(order.tolist()):
-            lo, hi = row_indptr[r], row_indptr[r + 1]
-            terms, tfs = row_terms[lo:hi].tolist(), row_tfs[lo:hi].tolist()
+        for i in order.tolist():
+            terms, tfs = (part.tolist() for part in rows.row(i))
             assert dict(zip((index.terms[t] for t in terms), tfs)) == bags[i]
             fwd = slice(fwd_indptr[i], fwd_indptr[i + 1])
             assert (terms, tfs) == (fwd_terms[fwd].tolist(), fwd_tfs[fwd].tolist())
@@ -439,6 +440,26 @@ class TestArrayPathMatchesReference:
             texts, model.items(), k, params
         )
 
+    @given(retrieval_worlds(), st.lists(st.lists(st.sampled_from(VOCAB + ["zzz"]), max_size=4),
+                                        max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_scan_serves_a_batch_of_queries(self, world, more):
+        """`candidate_rankings` scans the postings once for the feedback rows
+        of all its queries, and ranks each bit for bit as `retrieve` ranks it
+        alone, with its own scan."""
+        texts, terms, rm3, _, _ = world
+        index = build_index(texts)
+        queries = [Query(f"q{i}", " ".join(t)) for i, t in enumerate([terms, *more])]
+        scans, scan = [], index.doc_terms
+        index.doc_terms = lambda docs: scans.append(len(docs)) or scan(docs)
+        got = candidate_rankings(index, queries, k=len(texts), rm3=rm3)
+        assert len(scans) == 1
+        index.doc_terms = scan
+        for q in queries:
+            alone = retrieve(index, q.text, k=len(texts), mode="bm25_rm3", rm3=rm3,
+                             query_id=q.query_id)
+            assert triples(got[q.query_id]) == triples(alone)
+
     @given(retrieval_worlds())
     @settings(max_examples=100, deadline=None)
     def test_bm25_score_counts_each_occurrence(self, world):
@@ -690,21 +711,32 @@ def stable_forward(index):
 @example({"d": "a", "e": "", "f": "a a"}, random.Random(0))
 @example({"d": "é b", "e": "", "f": "b b é"}, random.Random(0))
 def test_forward_matches_a_stable_argsort(texts, rng):
-    """`doc_terms` of any distinct documents, in any order, gives their rows
-    of the doc -> term CSR that a stable argsort of the postings builds."""
+    """`doc_terms` of any documents, in any order and with repeats, holds
+    each one's row of the doc -> term CSR that a stable argsort of the
+    postings builds, rows in document order; a document not asked for has
+    no row."""
     index = build_index(texts)
     indptr, terms, tfs = stable_forward(index)
-    docs = rng.sample(range(index.doc_count), rng.randint(0, index.doc_count))
-    rows = [slice(indptr[i], indptr[i + 1]) for i in docs]
+    docs = rng.choices(range(index.doc_count), k=rng.randint(0, 2 * index.doc_count))
+    got = index.doc_terms(np.array(docs, dtype=np.int64))
+    wanted = sorted(set(docs))
+    rows = [slice(indptr[i], indptr[i + 1]) for i in wanted]
     expected = (
         np.concatenate(([0], np.cumsum([r.stop - r.start for r in rows]))).astype(np.int64),
         np.concatenate([terms[r] for r in rows] or [terms[:0]]),
         np.concatenate([tfs[r] for r in rows] or [tfs[:0]]),
     )
-    got = index.doc_terms(np.array(docs, dtype=np.int64))
-    for got_part, expected_part in zip(got, expected, strict=True):
+    assert got.docs.tolist() == wanted
+    for got_part, expected_part in zip((got.indptr, got.terms, got.tfs), expected, strict=True):
         assert got_part.dtype == expected_part.dtype
         assert got_part.tobytes() == expected_part.tobytes()
+    for i in range(index.doc_count):
+        if i in wanted:
+            for got_part, expected_part in zip(got.row(i), (terms, tfs)):
+                assert got_part.tobytes() == expected_part[indptr[i] : indptr[i + 1]].tobytes()
+        else:
+            with pytest.raises(KeyError):
+                got.row(i)
 
 
 @settings(max_examples=100, deadline=None)
