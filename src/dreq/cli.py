@@ -2,20 +2,24 @@
 
 Stages communicate through files in a work directory, so every step is
 re-runnable and inspectable. Settings resolve as CLI flag > DREQ_*
-environment variable > config file > default; a config-file key or a
-DREQ_* variable that names no setting is an error. A `cmd_*` function runs one
-stage and opens every file through its `Settings`, which records it:
-`input` a file named by a config key (corpus, entity_catalog, queries, qrels,
-query_links) under that key; `artifact` a work-dir or flag-named file, once
-it is found to exist (else an `error:` line names the stage that writes it);
-`save` each output, written atomically (temp file + rename). A work-dir file
-is keyed by its path relative to the work dir, any other by its path. `main`
-then writes the stage's manifest from that record: `stage`, `flags` (the
-stage's own arguments), `config_digest` (sha256 of the config file),
-`seed`, `inputs` and `outputs` (key -> the path opened) and `seconds`. It
-is `manifests/<stage>.json`, but `evaluate-<tag>.json` and
-`rerank-<output file stem>.json` for the two stages whose output is named
-per run.
+environment variable > config file > default; a config-file key or a DREQ_*
+variable that names no setting is an error. One table, `_KEYS`, gives each
+key's default and parser; `_BUNDLES` maps each setting bundle's fields
+(`TokenizerConfig`, ..., `TrainConfig`) to keys. `Settings` parses every key
+and builds every bundle before a stage opens a file, so any stage stops on a
+bad value, even of a key it does not read, with one `error: config key
+'<key>' ...` line. A `cmd_*` function runs one stage and opens every file
+through its `Settings`, which records it: `input` a file named by a config
+key (corpus, entity_catalog, queries, qrels, query_links) under that key;
+`artifact` a work-dir or flag-named file, once it is found to exist (else an
+`error:` line names the stage that writes it); `save` each output, written
+atomically (temp file + rename). A work-dir file is keyed by its path
+relative to the work dir, any other by its path. `main` then writes the
+stage's manifest from that record: `stage`, `flags` (the stage's own
+arguments), `config_digest` (sha256 of the config file), `seed`, `inputs`
+and `outputs` (key -> the path opened) and `seconds`. It is
+`manifests/<stage>.json`, but `evaluate-<tag>.json` and `rerank-<output file
+stem>.json` for the two stages whose output is named per run.
 
 Numbers one stage hands to the next are arrays in one deterministic `.npz`
 format (`dreq._npz`): `index.npz`, `corpus_links.npz`, `stores/<name>.npz`
@@ -27,18 +31,19 @@ wig and difficulty TSVs, training logs, `folds.json`,
 
 Each stage runs in its own process, so start-up is paid nine times on the
 user's path. This module loads only the first-stage modules (`corpus`,
-`retrieval`) up front; a stage imports the rest of what it runs inside its
-`cmd_*` function, so `build-index`, `retrieve` and `evaluate` load no model
-or training code. Only `build-index` (with `mentions=False`: every line and
-mention is checked, only the texts are kept, and each document is dropped
-once it is tokenized), `pool-entities` and `synth-embed` parse
-`corpus.jsonl`. `pool-entities` also writes `corpus_links.npz`
-(`pipeline.CorpusLinks`: doc ids, sentence counts and linked entities),
-which `train-entity-ranker`, `train-dreq`, `ablate` and `rerank` read in its
-place. Only `synth-embed` (whose entity store covers the catalog) and
-`rank-entities --mode bm25|geeer` (which index its descriptions) read the
-entity catalog. A run in weighting mode none reads no entity ranking, and
-no entity store unless it fine-tunes entity embeddings.
+`retrieval`) and `config` (the model stages' bundles) up front; a stage
+imports the rest of what it runs inside its `cmd_*` function, so
+`build-index`, `retrieve` and `evaluate` load no model or training code.
+Only `build-index` (with `mentions=False`: every line and mention is
+checked, only the texts are kept, and each document is dropped once it is
+tokenized), `pool-entities` and `synth-embed` parse `corpus.jsonl`.
+`pool-entities` also writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc
+ids, sentence counts and linked entities), which `train-entity-ranker`,
+`train-dreq`, `ablate` and `rerank` read in its place. Only `synth-embed`
+(whose entity store covers the catalog) and `rank-entities --mode
+bm25|geeer` (which index its descriptions) read the entity catalog. A run in
+weighting mode none reads no entity ranking, and no entity store unless it
+fine-tunes entity embeddings.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _npz
+from .config import DimsConfig, TrainConfig, WeightingMode, _unit_lambda
 from .corpus import (
     Qrels,
     SegmenterConfig,
@@ -78,50 +84,103 @@ from .retrieval import (
 if TYPE_CHECKING:  # pragma: no cover
     from collections.abc import Iterable
 
-    from .embeddings import DimsConfig, EmbeddingStore
+    from .embeddings import EmbeddingStore
     from .entity_ranking import EntityRanking
     from .model import DreqModel, FeatureTable
     from .pipeline import CorpusLinks
-    from .training import TrainConfig
 
 ENV_PREFIX = "DREQ_"
-
-_DEFAULTS = {
-    "workdir": "work",
-    "dims.k": "32",
-    "dims.m": "32",
-    "dims.n": "32",
-    "dims.p": "32",
-    "tokenizer.stem": "false",
-    "bm25.k1": "0.9",
-    "bm25.b": "0.4",
-    "rm3.fb_docs": "10",
-    "rm3.fb_terms": "10",
-    "rm3.alpha": "0.5",
-    "segmenter.window": "10",
-    "segmenter.stride": "5",
-    "retrieve.k": "1000",
-    "retrieve.mode": "bm25_rm3",
-    "entity.mode": "learned",
-    "geeer.lambda": "0.5",
-    "weighting.mode": "probability",
-    "finetune_entity_embeddings": "false",
-    "train.learning_rate": "1e-5",
-    "train.batch_size": "20",
-    "train.epochs": "20",
-    "folds.k": "5",
-    "eval.prec_k": "20",
-    "eval.ndcg_k": "20",
-    "eval.recall_k": "1000",
-    "wig.k": "20",
-    "run.tag": "dreq",
-    "seed": "13",
-}
-_INPUT_KEYS = ("corpus", "entity_catalog", "queries", "qrels", "query_links")  # no default
 
 
 class CliError(Exception):
     pass
+
+
+def _number(kind, least: int | None = None):
+    """A parser of `kind` (int or float) numbers, each >= `least` if given."""
+    what = "an integer" if kind is int else "a number"
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"is not {what}: {text!r}") from None
+        if least is not None and value < least:
+            bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+            raise ValueError(f"must be {bound}, got {value}")
+        return value
+    return parse
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"is not a boolean: {text!r}")
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+_INT, _FLOAT, _COUNT = _number(int), _number(float), _number(int, least=1)
+# config key -> (default, parser); a parser's ValueError is "<predicate>"
+_KEYS = {
+    "workdir": ("work", str),
+    **{f"dims.{d}": ("32", _INT) for d in "kmnp"},
+    "tokenizer.stem": ("false", _bool),
+    "bm25.k1": ("0.9", _FLOAT),
+    "bm25.b": ("0.4", _FLOAT),
+    "rm3.fb_docs": ("10", _INT),
+    "rm3.fb_terms": ("10", _INT),
+    "rm3.alpha": ("0.5", _FLOAT),
+    "segmenter.window": ("10", _INT),
+    "segmenter.stride": ("5", _INT),
+    "retrieve.k": ("1000", _COUNT),
+    "retrieve.mode": ("bm25_rm3", _one_of("bm25", "bm25_rm3")),
+    "entity.mode": ("learned", _one_of("learned", "bm25", "geeer")),
+    "geeer.lambda": ("0.5", _FLOAT),
+    "weighting.mode": ("probability", _one_of(*(m.value for m in WeightingMode))),
+    "finetune_entity_embeddings": ("false", _bool),
+    "train.learning_rate": ("1e-5", _FLOAT),
+    "train.batch_size": ("20", _INT),
+    "train.epochs": ("20", _INT),
+    "folds.k": ("5", _number(int, least=2)),
+    "eval.prec_k": ("20", _COUNT),
+    "eval.ndcg_k": ("20", _COUNT),
+    "eval.recall_k": ("1000", _COUNT),
+    "wig.k": ("20", _COUNT),
+    "run.tag": ("dreq", str),
+    # every stage's manifest records the seed, and numpy takes no negative one
+    "seed": ("13", _number(int, least=0)),
+}
+_INPUT_KEYS = ("corpus", "entity_catalog", "queries", "qrels", "query_links")  # no default
+
+# `Settings` attribute -> (a bundle class or check, {its field: config key})
+_BUNDLES = {
+    "tokenizer": (TokenizerConfig, {"stem": "tokenizer.stem"}),
+    "bm25": (Bm25Params, {"k1": "bm25.k1", "b": "bm25.b"}),
+    "rm3": (Rm3Params, {"fb_docs": "rm3.fb_docs", "fb_terms": "rm3.fb_terms",
+                        "original_weight": "rm3.alpha"}),
+    "segmenter": (SegmenterConfig, {"window": "segmenter.window", "stride": "segmenter.stride"}),
+    "dims": (DimsConfig, {d: f"dims.{d}" for d in "kmnp"}),
+    "train": (TrainConfig, {"learning_rate": "train.learning_rate", "seed": "seed",
+                            "batch_size": "train.batch_size", "epochs": "train.epochs",
+                            "finetune_entity_embeddings": "finetune_entity_embeddings"}),
+    "geeer_lambda": (_unit_lambda, {"lam": "geeer.lambda"}),
+    "cutoffs": (dict, {"prec_k": "eval.prec_k", "ndcg_k": "eval.ndcg_k",
+                       "recall_k": "eval.recall_k"}),  # of `evaluate_run`
+}
+
+
+def _keyed(error: ValueError, fields: dict[str, str]) -> CliError:
+    """A bundle's `error`, "<subject> must ...", naming the key of the first
+    subject word that is a field in `fields` (or a key), else its only key."""
+    subject, _, predicate = str(error).partition(" must ")
+    named = [fields.get(w, w) for w in subject.split() if w in fields or w in _KEYS]
+    return CliError(f"config key {(named or list(fields.values()))[0]!r} must {predicate}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -140,23 +199,23 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 class Settings:
-    """Layered configuration with typed accessors, and the record of the files
-    a stage reads (`inputs`) and writes (`outputs`), keyed as `main` writes
-    them to the manifest (the module docstring)."""
+    """The resolved configuration: `get(key)` gives a key's parsed value and
+    each `_BUNDLES` name its bundle, every one checked when constructed; and
+    the record of the files a stage reads (`inputs`) and writes (`outputs`),
+    keyed as `main` writes them to the manifest (the module docstring)."""
 
     def __init__(self, args: argparse.Namespace):
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.manifest_name = getattr(args, "command", None)
-        self.values = dict(_DEFAULTS)
+        self.values = {key: default for key, (default, _) in _KEYS.items()}
         self.config_path = getattr(args, "config", None)
         self.config_bytes = b""
         if self.config_path:
             with open(self.config_path, "rb") as f:
                 self.config_bytes = f.read()
             self.values.update(load_config_file(self.config_path))
-        env = {ENV_PREFIX + key.upper().replace(".", "_"): key
-               for key in (*_DEFAULTS, *_INPUT_KEYS)}
+        env = {ENV_PREFIX + key.upper().replace(".", "_"): key for key in (*_KEYS, *_INPUT_KEYS)}
         unknown = [f"config key {key!r}" for key in self.values if key not in env.values()]
         unknown += [f"environment variable {name}" for name in os.environ
                     if name.startswith(ENV_PREFIX) and name not in env]
@@ -170,40 +229,22 @@ class Settings:
             if v is not None:
                 self.values[flag] = str(v)
         self.args = args
-        # every stage's manifest records the seed, and numpy takes no negative one
-        self.seed = self.get_int("seed")
-        if self.seed < 0:
-            raise CliError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
+        for key, (_, parse) in _KEYS.items():
+            try:
+                self.values[key] = parse(self.values[key])
+            except ValueError as e:
+                raise CliError(f"config key {key!r} {e}") from None
+        for name, (bundle, fields) in _BUNDLES.items():
+            try:
+                setattr(self, name, bundle(**{f: self.values[key] for f, key in fields.items()}))
+            except ValueError as e:
+                raise _keyed(e, fields) from None
+        self.seed, self.workdir = self.values["seed"], self.values["workdir"]
 
-    def get(self, key: str) -> str:
+    def get(self, key: str):
         if key in self.values:
             return self.values[key]
         raise CliError(f"missing required config key {key!r} (config file or {ENV_PREFIX}* env)")
-
-    def get_int(self, key: str) -> int:
-        return self._parse(key, int, "an integer")
-
-    def get_float(self, key: str) -> float:
-        return self._parse(key, float, "a number")
-
-    def _parse(self, key: str, kind, what: str):
-        v = self.get(key)
-        try:
-            return kind(v)
-        except ValueError:
-            raise CliError(f"config key {key!r} is not {what}: {v!r}") from None
-
-    def get_bool(self, key: str) -> bool:
-        v = self.get(key).lower()
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise CliError(f"config key {key!r} is not a boolean: {v!r}")
-
-    @property
-    def workdir(self) -> str:
-        return self.get("workdir")
 
     def workpath(self, name: str) -> str:
         return os.path.join(self.workdir, name)
@@ -244,50 +285,6 @@ class Settings:
 
     def config_digest(self) -> str:
         return hashlib.sha256(self.config_bytes).hexdigest()
-
-    # typed bundles -----------------------------------------------------
-    def dims(self) -> DimsConfig:
-        from .embeddings import DimsConfig
-
-        return DimsConfig(
-            k=self.get_int("dims.k"),
-            m=self.get_int("dims.m"),
-            n=self.get_int("dims.n"),
-            p=self.get_int("dims.p"),
-        )
-
-    def tokenizer(self) -> TokenizerConfig:
-        return TokenizerConfig(stem=self.get_bool("tokenizer.stem"))
-
-    def bm25(self) -> Bm25Params:
-        return Bm25Params(k1=self.get_float("bm25.k1"), b=self.get_float("bm25.b"))
-
-    def rm3(self) -> Rm3Params:
-        return Rm3Params(
-            fb_docs=self.get_int("rm3.fb_docs"),
-            fb_terms=self.get_int("rm3.fb_terms"),
-            original_weight=self.get_float("rm3.alpha"),
-        )
-
-    def segmenter(self) -> SegmenterConfig:
-        return SegmenterConfig(
-            window=self.get_int("segmenter.window"), stride=self.get_int("segmenter.stride")
-        )
-
-    def train_config(self) -> TrainConfig:
-        from .training import TrainConfig
-
-        return TrainConfig(
-            learning_rate=self.get_float("train.learning_rate"),
-            batch_size=self.get_int("train.batch_size"),
-            epochs=self.get_int("train.epochs"),
-            seed=self.seed,
-            finetune_entity_embeddings=self.get_bool("finetune_entity_embeddings"),
-        )
-
-    def cutoffs(self) -> dict[str, int]:
-        """The `evaluate_run` cutoffs: prec_k, ndcg_k and recall_k."""
-        return {k: self.get_int(f"eval.{k}") for k in ("prec_k", "ndcg_k", "recall_k")}
 
 
 def _write_text(text: str, path: str) -> None:
@@ -442,7 +439,7 @@ def _entity_inputs(
 
         unlinked = replace(links, indptr=np.zeros_like(links.indptr),
                            entity_index=links.entity_index[:0], entity_ids=[])
-        return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims().m))), {}
+        return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims.m))), {}
     (store,) = _load_stores(settings, "entity")
     if not weighted:
         return links, store, {}
@@ -462,7 +459,7 @@ def cmd_build_index(settings: Settings) -> None:
             doc = documents.popleft()
             yield doc.doc_id, doc.text
 
-    index = build_index(texts(), settings.tokenizer())
+    index = build_index(texts(), settings.tokenizer)
     index_path = settings.save(settings.workpath("index.npz"), save_index, index)
     print(f"indexed {index.doc_count} documents -> {index_path}")
 
@@ -472,10 +469,9 @@ def cmd_retrieve(settings: Settings) -> None:
 
     index = load_index(settings.artifact(settings.workpath("index.npz"), "build-index"))
     queries = load_queries(settings.input("queries"))
-    k = settings.get_int("retrieve.k")
-    mode = settings.get("retrieve.mode")
-    cands = candidate_rankings(index, queries, k=k, mode=mode, bm25=settings.bm25(),
-                               rm3=settings.rm3())
+    k, mode = settings.get("retrieve.k"), settings.get("retrieve.mode")
+    cands = candidate_rankings(index, queries, k=k, mode=mode, bm25=settings.bm25,
+                               rm3=settings.rm3)
     runs = (cands[q.query_id] for q in queries)
     out = settings.save(settings.workpath("candidates.run"), write_run, runs, tag=f"{mode}")
     print(f"retrieved top-{k} ({mode}) for {len(queries)} queries -> {out}")
@@ -502,9 +498,7 @@ def cmd_synth_embed(settings: Settings) -> None:
     corpus = load_corpus(settings.input("corpus"), settings.input("entity_catalog", optional=True))
     queries = load_queries(settings.input("queries"))
     pooled = _pooled(settings)
-    dims = settings.dims()
-    seed = settings.seed
-    seg = settings.segmenter()
+    dims, seed, seg = settings.dims, settings.seed, settings.segmenter
 
     def embedded(space: str, dim: int, keys) -> EmbeddingStore:
         keys = list(keys)
@@ -539,17 +533,20 @@ def cmd_train_entity_ranker(settings: Settings) -> None:
     qrels = load_qrels(settings.input("qrels"))
     (encodings,) = _load_stores(settings, "query_entity")
     labels = entity_labels_map(_links(settings), cands, qrels)
+    if not any(labels.values()):
+        raise CliError("no candidate or judged-relevant document links an entity, "
+                       "so the entity head has nothing to train on")
     X, y = build_entity_encoding_examples(labels, encodings, settings.seed)
     log_rows: list = []
-    head = train_entity_head(X, y, settings.train_config(), log_rows=log_rows)
+    head = train_entity_head(X, y, settings.train, log_rows=log_rows)
     head_path = settings.save(settings.workpath("entity_head.npz"), save_entity_head, head)
     settings.save(settings.workpath("entity_train_log.tsv"), write_training_log, log_rows)
     print(f"trained entity head on {len(y)} examples -> {head_path}")
 
 
 def cmd_rank_entities(settings: Settings) -> None:
-    from .entity_ranking import (_unit_lambda, bm25_entity_rank, geeer_entity_rank,
-                                 load_entity_head, save_entity_rankings)
+    from .entity_ranking import (bm25_entity_rank, geeer_entity_rank, load_entity_head,
+                                 save_entity_rankings)
     from .pipeline import entity_rankings_map
 
     mode = getattr(settings.args, "mode", None) or settings.get("entity.mode")
@@ -560,7 +557,7 @@ def cmd_rank_entities(settings: Settings) -> None:
         (encodings,) = _load_stores(settings, "query_entity")
         path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         rankings = entity_rankings_map(load_entity_head(path), pooled, encodings)
-    elif mode in ("bm25", "geeer"):
+    else:  # bm25 or geeer
         queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
@@ -569,15 +566,14 @@ def cmd_rank_entities(settings: Settings) -> None:
         descriptions = {rec.entity_id: rec.description for rec in records if rec.description}
         if mode == "bm25" and not descriptions:
             raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
-        desc_index = build_index(descriptions, settings.tokenizer()) if descriptions else None
-        bm25 = settings.bm25()
+        desc_index = build_index(descriptions, settings.tokenizer) if descriptions else None
+        bm25 = settings.bm25
         rankings = {qid: bm25_entity_rank(queries[qid].text, pooled[qid], desc_index, bm25, qid)
                     for qid in sorted(pooled)}
         if mode == "geeer":
             (entity_store,) = _load_stores(settings, "entity")
             links = load_query_links(settings.input("query_links"))
-            # checked here too: with no query pooled, geeer_entity_rank never runs
-            lam = _unit_lambda(settings.get_float("geeer.lambda"))
+            lam = settings.geeer_lambda
             for qid, sparse in rankings.items():
                 bm25_scores = dict(zip(sparse.entity_ids, sparse.raw_scores.tolist()))
                 ranked = geeer_entity_rank(links.get(qid, []), pooled[qid], entity_store,
@@ -586,8 +582,6 @@ def cmd_rank_entities(settings: Settings) -> None:
                     bm25_only += 1
                 else:
                     rankings[qid] = ranked
-    else:
-        raise CliError(f"unknown entity ranking mode {mode!r}")
 
     path = settings.save(settings.workpath("entity_ranking.npz"), save_entity_rankings, rankings)
     # probabilities as run scores
@@ -606,7 +600,7 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
 
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
-    cfg = settings.train_config()
+    cfg = settings.train
     query_store, passage_store = _load_stores(settings, "query", "passage")
     links, entity_store, rankings = _entity_inputs(settings, modes,
                                                    cfg.finetune_entity_embeddings)
@@ -621,23 +615,23 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
     examples = build_doc_examples(in_corpus, cands, seed)
     if not examples:
         raise CliError("no document training examples (check qrels coverage)")
-    folds = make_folds(sorted(cands), k=settings.get_int("folds.k"), seed=seed)
+    try:
+        folds = make_folds(sorted(cands), k=settings.get("folds.k"), seed=seed)
+    except ValueError as e:  # more folds than the candidates' queries
+        raise CliError(f"config key 'folds.k': {e} of config key 'queries'") from None
     data = TrainData(links, query_store, entity_store, passage_store, rankings, cands,
-                     settings.segmenter())
+                     settings.segmenter)
     return qrels, examples, folds, data, cfg, unknown
 
 
 def cmd_train_dreq(settings: Settings) -> None:
     from .embeddings import save_store, store_path
-    from .model import DreqModel, WeightingMode, save_checkpoint
+    from .model import DreqModel, save_checkpoint
     from .training import train_dreq, write_training_log
 
-    mode, modes = settings.get("weighting.mode"), [m.value for m in WeightingMode]
-    if mode not in modes:
-        allowed = ", ".join(modes)
-        raise CliError(f"config key 'weighting.mode' must be one of {allowed}, got {mode!r}")
+    mode = settings.get("weighting.mode")
     _, examples, folds, data, cfg, unknown = _training_inputs(settings, [mode])
-    template = DreqModel.init(settings.dims(), mode=mode, seed=settings.seed)
+    template = DreqModel.init(settings.dims, mode=mode, seed=settings.seed)
     result = train_dreq([template], examples, folds, data, cfg)
     (outcomes,), (reranked,) = result.fold_outcomes, result.reranked
 
@@ -662,7 +656,7 @@ def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, tuple[int |
     """The fold and the model that score each query: `--checkpoint` for every
     query (no fold), else the checkpoint of the fold whose test set holds it
     (out of fold). `--weighting` sets each model's mode."""
-    from .model import WeightingMode, load_checkpoint
+    from .model import load_checkpoint
 
     ckpt = settings.args.checkpoint
     fold_of: dict[str, int | None] = dict.fromkeys(qids)  # --checkpoint: no fold
@@ -732,17 +726,17 @@ def cmd_rerank(settings: Settings) -> None:
                 ranked = cands[q.query_id]
                 kept += 1
             rankings[q.query_id] = ranked
-    elif mode == "dreq":
+    else:  # dreq
         query_store, passage_store = _load_stores(settings, "query", "passage")
         qids = [q.query_id for q in queries if q.query_id in cands]
         models = _rerank_models(settings, qids)
-        tuned = not settings.args.checkpoint and settings.get_bool("finetune_entity_embeddings")
+        tuned = not settings.args.checkpoint and settings.get("finetune_entity_embeddings")
         doc_links, entity_store, entity_rankings = _entity_inputs(
             settings, [model.mode for _, model in models.values()], tuned
         )
         doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
         table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
-                                    settings.segmenter())
+                                    settings.segmenter)
         empty_text = table.empty_text_docs
         scorers = _rerank_scorers(settings, models, table, tuned)
         rankings = {
@@ -750,8 +744,6 @@ def cmd_rerank(settings: Settings) -> None:
                         _query_ranking(entity_rankings, qid))
             for qid, (model, fold_table) in scorers.items()
         }
-    else:
-        raise CliError(f"unknown rerank mode {mode!r}")
 
     settings.save(out, write_run, (rankings[qid] for qid in sorted(rankings)), tag=f"rerank-{mode}")
     print(
@@ -770,7 +762,7 @@ def cmd_evaluate(settings: Settings) -> None:
     rankings = load_run(settings.artifact(run_path, "train-dreq (or retrieve/rerank)"))
     tag = settings.args.tag or os.path.splitext(os.path.basename(run_path))[0]
     settings.manifest_name = f"evaluate-{tag}"
-    report = evaluate_run(rankings, qrels, tag=tag, **settings.cutoffs())
+    report = evaluate_run(rankings, qrels, tag=tag, **settings.cutoffs)
     out = settings.save(settings.workpath(f"eval_{tag}.tsv"), write_metrics_report, report)
     for metric, value in report.means.items():
         print(f"{tag}\t{metric}\t{value:.4f}")
@@ -782,10 +774,13 @@ def cmd_qpp(settings: Settings) -> None:
 
     queries = load_queries(settings.input("queries"))
     cands = _candidates(settings)
-    k = settings.get_int("wig.k")
-    tok = settings.tokenizer()
-    scores = {q.query_id: wig(q.text, cands[q.query_id], k=k, tokenizer=tok)
-              for q in queries if q.query_id in cands}
+    k, tok = settings.get("wig.k"), settings.tokenizer
+    try:
+        scores = {q.query_id: wig(q.text, cands[q.query_id], k=k, tokenizer=tok)
+                  for q in queries if q.query_id in cands}
+    except ValueError as e:  # k beyond a query's candidates
+        raise CliError(f"config key 'wig.k': {e}; lower it, or rerun `dreq retrieve` at a "
+                       "higher config key 'retrieve.k'") from None
     terciles = wig_terciles(scores)
     text = "query_id\twig\ttercile\n" + "".join(
         f"{qid}\t{scores[qid]:.6f}\t{terciles.get(qid, '-')}\n" for qid in sorted(scores)
@@ -800,7 +795,7 @@ def cmd_difficulty(settings: Settings) -> None:
     qrels = load_qrels(settings.input("qrels"))
     baseline = load_run(settings.artifact(settings.args.baseline_run, "retrieve"))
     system = load_run(settings.artifact(settings.args.system_run, "train-dreq or rerank"))
-    ndcg_k = settings.get_int("eval.ndcg_k")
+    ndcg_k = settings.get("eval.ndcg_k")
     base_report = evaluate_run(baseline, qrels, tag="baseline", ndcg_k=ndcg_k)
     sys_report = evaluate_run(system, qrels, tag="system", ndcg_k=ndcg_k)
     metric = f"ndcg@{ndcg_k}"
@@ -827,8 +822,8 @@ def cmd_ablate(settings: Settings) -> None:
     qrels, examples, folds, data, cfg, unknown = _training_inputs(settings, VARIANTS.values())
     variants = list(VARIANTS)
     outcome = ablation_sweep(
-        variants, settings.dims(), examples, folds, data, cfg, qrels,
-        init_seed=settings.seed, **settings.cutoffs(),
+        variants, settings.dims, examples, folds, data, cfg, qrels,
+        init_seed=settings.seed, **settings.cutoffs,
     )
     metrics = list(outcome.candidate_report.per_query)  # map, ndcg@k, p@k, recall@k
     rows = [("candidates", outcome.candidate_report.means)]
@@ -849,19 +844,6 @@ def cmd_ablate(settings: Settings) -> None:
 # --- argument parsing -------------------------------------------------------------
 
 
-class _WeightingModes:
-    """`rerank --weighting` choices: the `WeightingMode` values, looked up
-    only when argparse checks or prints them, so parsing loads no model code."""
-
-    def __iter__(self):
-        from .model import WeightingMode
-
-        return iter([m.value for m in WeightingMode])
-
-    def __contains__(self, value: object) -> bool:
-        return value in list(self)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dreq",
@@ -876,8 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     p["rank-entities"].add_argument("--mode", choices=["learned", "bm25", "geeer"])
     p["rerank"].add_argument("--mode", choices=["dreq", "maxsimcos"], default="dreq")
     p["rerank"].add_argument("--checkpoint")
-    # set once the action exists: add_argument itself would list the choices
-    p["rerank"].add_argument("--weighting").choices = _WeightingModes()
+    p["rerank"].add_argument("--weighting", choices=[m.value for m in WeightingMode])
     p["rerank"].add_argument("--output")
     p["evaluate"].add_argument("--run")
     p["evaluate"].add_argument("--tag")
@@ -894,8 +875,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the stage reuses the parser's freed memory
     try:
         settings = Settings(args)
         t0 = time.time()

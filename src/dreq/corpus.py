@@ -133,7 +133,8 @@ class SegmenterConfig:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not 1 <= self.stride <= self.window:
-            raise ValueError(f"stride must be in [1, window], got {self.stride}")
+            raise ValueError(f"stride must be in [1, window] = [1, {self.window}], "
+                             f"got {self.stride}")
 
     def passage_count(self, sentences: int) -> int:
         """How many passages a document of `sentences` sentences has: windows

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _npz
+from .config import DimsConfig
 
 __all__ = [
     "DimsConfig",
@@ -39,22 +40,6 @@ __all__ = [
     "passage_key",
     "query_entity_key",
 ]
-
-
-@dataclass(frozen=True)
-class DimsConfig:
-    """Embedding dimensions: k = query-conditioned entity encodings,
-    m = entities, n = text passages, p = queries (and the hybrid space)."""
-
-    k: int = 32
-    m: int = 32
-    n: int = 32
-    p: int = 32
-
-    def __post_init__(self) -> None:
-        for name in ("k", "m", "n", "p"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"dimension {name} must be >= 1, got {getattr(self, name)}")
 
 
 def passage_key(doc_id: str, index: int) -> str:

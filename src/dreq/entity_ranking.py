@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _npz
+from .config import _unit_lambda
 from .embeddings import EmbeddingStore, cosine, query_entity_key, softmax
 from .retrieval import Bm25Params, InvertedIndex, Ranking, _score_all, tokenize
 from .training import (AdamState, TrainConfig, _FoldRun, _require_finite_fit, adam_step,
@@ -171,13 +172,6 @@ def _minmax(values: Sequence[float]) -> list[float]:
     if hi == lo:
         return [0.5] * len(values)
     return [(v - lo) / (hi - lo) for v in values]
-
-
-def _unit_lambda(lam: float) -> float:
-    """`lam`, if it is a GEEER interpolation weight: in [0, 1], NaN not."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"geeer lambda must be in [0, 1], got {lam}")
-    return lam
 
 
 def geeer_entity_rank(

@@ -35,14 +35,14 @@ per-pair loop, which a matrix product does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import _npz
+from .config import DimsConfig, WeightingMode
 from .corpus import SegmenterConfig
-from .embeddings import DimsConfig, EmbeddingStore, cosine, passage_key
+from .embeddings import EmbeddingStore, cosine, passage_key
 from .retrieval import Ranking
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,13 +63,6 @@ __all__ = [
 
 #: candidate rows scored per forward call in `rerank`
 BLOCK_ROWS = 128
-
-
-class WeightingMode(str, Enum):
-    PROBABILITY = "probability"
-    UNIFORM = "uniform"
-    RECIPROCAL_RANK = "reciprocal_rank"
-    NONE = "none"  # no entities: v_e = 0
 
 
 @dataclass
@@ -187,7 +180,8 @@ class FeatureTable:
         if absent.size:
             i, j = absent[0]
             raise KeyError(f"entity {store.ids[links[i, j]]!r} of doc {self.doc_ids[rows[i]]!r} "
-                           f"missing from the entity ranking for query {ranking.query_id!r}")
+                           f"missing from the entity ranking for query {ranking.query_id!r}; "
+                           "rerun `dreq rank-entities`")
         if mode == WeightingMode.UNIFORM:
             return links, linked.astype(np.float64)
         if mode == WeightingMode.RECIPROCAL_RANK:

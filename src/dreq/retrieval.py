@@ -27,8 +27,8 @@ and turns that array in place into (term, doc) keys `term * N + doc`, sorts
 it in place, and counts runs of equal keys: a run is one posting, its
 length the tf. Beside the keys, the only temporaries as long as the token
 stream are the int32 document ids added into them and a bool mask of run
-starts; the run lengths go straight into int32, and each key is split in
-place into doc and term.
+starts, taken only once the keys are split into doc and row pointers and
+dropped; the run lengths go straight into int32.
 
 Scoring adds one term at a time into a float64 array over all documents.
 BM25 impacts are deliberately not precomputed into the index: `Bm25Params`
@@ -131,8 +131,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:  # NaN is not
+            raise ValueError(f"k1 must be a finite number >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
@@ -144,8 +144,9 @@ class Rm3Params:
     original_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.fb_docs < 1 or self.fb_terms < 1:
-            raise ValueError("fb_docs and fb_terms must be >= 1")
+        for name in ("fb_docs", "fb_terms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.original_weight <= 1.0:
             raise ValueError(f"original_weight must be in [0, 1], got {self.original_weight}")
 
@@ -324,18 +325,20 @@ def build_index(
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     n_tokens = len(keys)
     keys = keys[run_start]
+    docs = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, n, out=docs, casting="unsafe")
+    keys //= n  # now the term ids
+    indptr = _indptr(keys, len(terms))
+    del keys
     starts = np.flatnonzero(run_start)
     del run_start
     tfs = np.empty(len(starts), dtype=np.int32)
     np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
     tfs[-1:] = n_tokens - starts[-1:]
     del starts
-    docs = np.empty(len(keys), dtype=np.int32)
-    np.remainder(keys, n, out=docs, casting="unsafe")
-    keys //= n  # now the term ids
     return InvertedIndex(
         terms=terms,
-        indptr=_indptr(keys, len(terms)),
+        indptr=indptr,
         docs=docs,
         tfs=tfs,
         doc_ids=doc_ids,

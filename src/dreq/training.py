@@ -38,8 +38,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .config import DimsConfig, TrainConfig
 from .corpus import Qrels, SegmenterConfig
-from .embeddings import DimsConfig, EmbeddingStore, sigmoid
+from .embeddings import EmbeddingStore, sigmoid
 from .model import (
     DreqModel,
     FeatureTable,
@@ -89,30 +90,6 @@ class TrainingExample:
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-5
-    batch_size: int = 20
-    epochs: int = 20
-    seed: int = 13
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    finetune_entity_embeddings: bool = False
-    early_stop_delta: float = 1e-5
-    early_stop_patience: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:  # NaN is not
-            raise ValueError(
-                f"train.learning_rate must be a positive finite number, got {self.learning_rate}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"train.epochs must be >= 1, got {self.epochs}")
 
 
 #: training settings that converge on the desk-scale planted worlds

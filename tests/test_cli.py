@@ -14,6 +14,7 @@ import pytest
 
 from dreq import _npz
 from dreq.cli import (
+    _KEYS,
     CliError,
     Settings,
     load_config_file,
@@ -32,6 +33,25 @@ from helpers import MALFORMED_CORPUS_LINES
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+_COUNTS = ["nan", "inf", "-inf", "-1", "0", "abc", "2.5"]
+_UNIT = ["nan", "inf", "-inf", "-1", "1.5", "abc"]
+# config key -> its invalid values: NaN, +-inf, negative, zero where invalid,
+# non-numeric, non-boolean, an unknown mode, and a bound of its own
+INVALID_SETTINGS = {
+    **dict.fromkeys(["dims.k", "dims.m", "dims.n", "dims.p", "rm3.fb_docs", "rm3.fb_terms",
+                     "segmenter.window", "retrieve.k", "train.batch_size", "train.epochs",
+                     "eval.prec_k", "eval.ndcg_k", "eval.recall_k", "wig.k"], _COUNTS),
+    "segmenter.stride": [*_COUNTS, "11"],  # above the window, 10
+    "folds.k": [*_COUNTS, "1"],
+    "seed": ["nan", "inf", "-inf", "-1", "abc", "2.5"],
+    "bm25.k1": ["nan", "inf", "-inf", "-1", "abc"],
+    **dict.fromkeys(["bm25.b", "rm3.alpha", "geeer.lambda"], _UNIT),
+    "train.learning_rate": ["nan", "inf", "-inf", "-1", "0", "abc"],
+    **dict.fromkeys(["tokenizer.stem", "finetune_entity_embeddings"], ["maybe", "2"]),
+    **dict.fromkeys(["retrieve.mode", "entity.mode", "weighting.mode"], ["bogus"]),
+}
 
 
 def pairs(ranking) -> list[tuple[str, float]]:
@@ -383,7 +403,9 @@ class TestPipeline:
         capsys.readouterr()
         argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode", "geeer"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: geeer lambda must be in [0, 1], got {float(lam)}\n"
+        assert capsys.readouterr().err == (
+            f"error: config key 'geeer.lambda' must be in [0, 1], got {float(lam)}\n"
+        )
         assert {name: (work / name).read_bytes() for name in outputs} == before
 
     def test_geeer_checks_its_lambda_when_no_query_links_an_entity(
@@ -400,7 +422,7 @@ class TestPipeline:
         capsys.readouterr()
         argv = ["--config", config, "--workdir", str(work), "rank-entities", "--mode", "geeer"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: geeer lambda must be in [0, 1], got nan\n"
+        assert capsys.readouterr().err == "error: config key 'geeer.lambda' must be in [0, 1], got nan\n"
         assert tree_bytes(work) == before
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -441,6 +463,14 @@ class TestPipeline:
         for stage in chain:
             assert run(config, *stage) == 0, stage
         assert load_entity_rankings(str(work / "entity_ranking.npz")) == {}
+        # the candidates are judged relevant, but the learned ranker has no entity to learn
+        capsys.readouterr()
+        assert run(config, "train-entity-ranker") == 1
+        assert capsys.readouterr().err == (
+            "error: no candidate or judged-relevant document links an entity, "
+            "so the entity head has nothing to train on\n"
+        )
+        assert not (work / "entity_head.npz").exists()
         cands = load_run(str(work / "candidates.run"))
         runs = {name: load_run(str(work / f"ablate_{name}.run")) for name in VARIANTS}
         for name, got in runs.items():
@@ -462,7 +492,8 @@ class TestPipeline:
         assert main([*argv, "rank-entities"]) == 0
         assert "q00" not in load_entity_rankings(str(work / "entity_ranking.npz"))
         missing = re.compile(
-            r"error: entity '\w+' of doc '\w+' missing from the entity ranking for query 'q00'\n"
+            r"error: entity '\w+' of doc '\w+' missing from the entity ranking for query 'q00'; "
+            r"rerun `dreq rank-entities`\n"
         )
         for stage in (("train-dreq",), ("ablate",), ("rerank", "--mode", "dreq")):
             capsys.readouterr()
@@ -541,13 +572,48 @@ class TestPipeline:
             before = {name: (work / name).read_bytes() for name in ("dreq.run", "folds.json")}
             capsys.readouterr()
             assert main(["--config", config, "--workdir", str(work), stage]) == 1
-            assert capsys.readouterr().err == f"error: need at least 2 folds, got k={k}\n"
+            assert capsys.readouterr().err == (
+                f"error: config key 'folds.k' must be an integer >= 2, got {k}\n"
+            )
             assert {name: (work / name).read_bytes() for name in before} == before
             assert not (work / "ablate.tsv").exists()
 
+    @pytest.mark.parametrize("stage", ["train-dreq", "ablate"])
+    def test_more_folds_than_queries_names_both_keys(
+        self, pipeline, tmp_path, monkeypatch, capsys, stage
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_FOLDS_K", "9")  # the toy has 8 queries
+        before = tree_bytes(work)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), stage]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'folds.k': need at least 9 queries for 9 folds, got 8 of "
+            "config key 'queries'\n"
+        )
+        assert tree_bytes(work) == before
+
+    def test_a_wig_depth_beyond_the_candidates_names_both_keys(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        monkeypatch.setenv("DREQ_WIG_K", "31")  # retrieve.k is 30
+        before = tree_bytes(work)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), "qpp"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'wig.k': k=31 exceeds candidate depth 30; lower it, or rerun "
+            "`dreq retrieve` at a higher config key 'retrieve.k'\n"
+        )
+        assert tree_bytes(work) == before
+
     @pytest.mark.parametrize(("rate", "message"), [
-        ("nan", "train.learning_rate must be a positive finite number, got nan"),
-        ("inf", "train.learning_rate must be a positive finite number, got inf"),
+        ("nan", "config key 'train.learning_rate' must be a positive finite number, got nan"),
+        ("inf", "config key 'train.learning_rate' must be a positive finite number, got inf"),
         ("1e308", r"the (entity head|document scorer) fit diverged to non-finite parameters "
                   r"at train.learning_rate = 1e\+308; lower it"),
     ], ids=["nan", "inf", "diverging"])
@@ -586,7 +652,9 @@ class TestPipeline:
         for stage in ("train-entity-ranker", "train-dreq", "ablate"):
             capsys.readouterr()
             assert main(["--config", config, "--workdir", str(work), stage]) == 1, stage
-            assert capsys.readouterr().err == f"error: train.epochs must be >= 1, got {epochs}\n"
+            assert capsys.readouterr().err == (
+                f"error: config key 'train.epochs' must be >= 1, got {epochs}\n"
+            )
             assert tree_bytes(work) == before, stage
 
     def test_rerank_with_checkpoint_and_ablation_flags(self, pipeline):
@@ -1146,11 +1214,13 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
         ).stdout
         seen = json.loads(out.splitlines()[-1])
-        first = ["dreq", "dreq._npz", "dreq._porter", "dreq.cli", "dreq.corpus", "dreq.retrieval"]
+        first = ["dreq", "dreq._npz", "dreq._porter", "dreq.cli", "dreq.config", "dreq.corpus",
+                 "dreq.retrieval"]
         assert seen["import"] == seen["build-index"] == first
         assert seen["retrieve"] == sorted(first + ["dreq.pipeline"])
         assert seen["evaluate"] == sorted(first + ["dreq.evaluation", "dreq.pipeline"])
-        heavy = {"dreq.training", "dreq.model", "dreq.entity_ranking", "dreq.synthetic"}
+        heavy = {"dreq.training", "dreq.model", "dreq.entity_ranking", "dreq.synthetic",
+                 "dreq.embeddings"}
         assert not heavy & set(seen["evaluate"])
 
     def test_weighting_choices_are_the_weighting_modes(self, capsys):
@@ -1346,7 +1416,7 @@ class TestConfigResolution:
         args.config = config
         monkeypatch.setenv("DREQ_RETRIEVE_K", "99")
         settings = Settings(args)
-        assert settings.get_int("retrieve.k") == 99
+        assert settings.get("retrieve.k") == 99
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, tmp_path / "w")
@@ -1359,7 +1429,7 @@ class TestConfigResolution:
         args.seed = 123
         monkeypatch.setenv("DREQ_SEED", "55")
         settings = Settings(args)
-        assert settings.get_int("seed") == 123
+        assert settings.get("seed") == 123
 
     @pytest.mark.parametrize("given", ["flag", "env", "file"])
     def test_a_negative_seed_names_its_key(self, tmp_path, monkeypatch, capsys, given):
@@ -1434,6 +1504,24 @@ class TestConfigResolution:
             "reciprocal_rank, none, got 'bogus'\n"
         )
         assert not work.exists()
+
+    @pytest.mark.parametrize(("key", "value"), [
+        (key, value) for key, values in INVALID_SETTINGS.items() for value in values
+    ])
+    def test_an_invalid_setting_stops_every_stage_with_one_line_naming_its_key(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        work = tmp_path / "work"
+        config = write_config(tmp_path, work)
+        monkeypatch.setenv("DREQ_" + key.upper().replace(".", "_"), value)
+        assert main(["--config", config, "build-index"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: config key '{re.escape(key)}' (is not|must be) [^\n]+\n", err)
+        assert value in err
+        assert not work.exists()
+
+    def test_every_setting_that_can_be_invalid_is_swept(self):
+        assert set(INVALID_SETTINGS) == set(_KEYS) - {"workdir", "run.tag"}
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

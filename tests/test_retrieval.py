@@ -197,6 +197,11 @@ class TestBm25:
         assert score == pytest.approx(0.9082, abs=1e-4)
         assert score == pytest.approx(math.log(2) * 3.8 / 2.9, abs=1e-12)
 
+    @pytest.mark.parametrize("k1", [math.nan, math.inf, -0.5])
+    def test_k1_must_be_a_finite_non_negative_number(self, k1):
+        with pytest.raises(ValueError, match=f"k1 must be a finite number >= 0, got {k1}"):
+            Bm25Params(k1=k1)
+
     def test_absent_term_scores_zero(self):
         index = build_index({"d1": "a b", "d2": "a c"})
         assert bm25_score(index, ["zzz"], "d1") == 0.0
