@@ -36,9 +36,9 @@ imports the rest of what it runs inside its `cmd_*` function, so
 `build-index`, `retrieve` and `evaluate` load no model or training code.
 Only `build-index` (with `mentions=False`: every line and mention is
 checked, only the texts are kept, and each document is dropped once it is
-tokenized), `pool-entities` and `synth-embed` parse `corpus.jsonl`.
-`pool-entities` also writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc
-ids, sentence counts and linked entities), which `train-entity-ranker`,
+tokenized) and `pool-entities` parse `corpus.jsonl`. `pool-entities` also
+writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc ids, sentence counts
+and linked entities), which `synth-embed`, `train-entity-ranker`,
 `train-dreq`, `ablate` and `rerank` read in its place. Only `synth-embed`
 (whose entity store covers the catalog) and `rank-entities --mode
 bm25|geeer` (which index its descriptions) read the entity catalog. A run in
@@ -63,12 +63,12 @@ from . import _npz
 from .config import DimsConfig, TrainConfig, WeightingMode, _unit_lambda
 from .corpus import (
     Qrels,
+    Query,
     SegmenterConfig,
     load_corpus,
     load_entity_catalog,
     load_qrels,
     load_queries,
-    split_sentences,
 )
 from .retrieval import (
     Bm25Params,
@@ -413,6 +413,18 @@ def _pooled(settings: Settings) -> dict[str, list[str]]:
     return load_pooled(settings.artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
 
 
+def _pooled_queries(settings: Settings, pooled: dict[str, list[str]]) -> dict[str, Query]:
+    """The queries file's queries by id, in its order; a pooled query it
+    lacks is an error."""
+    path = settings.input("queries")
+    queries = {q.query_id: q for q in load_queries(path)}
+    missing = next((qid for qid in sorted(pooled) if qid not in queries), None)
+    if missing is not None:
+        raise CliError(f"query {missing!r} of pooled_entities.tsv is not in the queries file "
+                       f"{path!r}; rerun `dreq retrieve`")
+    return queries
+
+
 def _links(settings: Settings):
     from .pipeline import load_corpus_links
 
@@ -495,21 +507,25 @@ def cmd_synth_embed(settings: Settings) -> None:
     from .embeddings import (STORE_NAMES, EmbeddingStore, passage_key, query_entity_key,
                              save_store, store_path, synthetic_embed_rows)
 
-    corpus = load_corpus(settings.input("corpus"), settings.input("entity_catalog", optional=True))
-    queries = load_queries(settings.input("queries"))
+    links = _links(settings)
+    catalog = settings.input("entity_catalog", optional=True)
     pooled = _pooled(settings)
+    queries = _pooled_queries(settings, pooled)
     dims, seed, seg = settings.dims, settings.seed, settings.segmenter
 
     def embedded(space: str, dim: int, keys) -> EmbeddingStore:
         keys = list(keys)
         return EmbeddingStore(space, keys, synthetic_embed_rows(space, keys, dim, seed))
 
-    query_store = embedded("query", dims.p, (q.query_id for q in queries))
-    entity_store = embedded("entity", dims.m, corpus.entities)
+    query_store = embedded("query", dims.p, queries)
+    # the linked entities in first-mention order, then those only the catalog lists
+    entity_store = embedded("entity", dims.m, dict.fromkeys(
+        [*links.entity_ids, *(load_entity_catalog(catalog) if catalog is not None else ())]
+    ))
     passage_store = embedded("passage", dims.n, (
-        passage_key(doc.doc_id, i)
-        for doc in corpus.documents.values()
-        for i in range(seg.passage_count(len(split_sentences(doc.text))))
+        passage_key(doc_id, i)
+        for doc_id, sentences in zip(links.doc_ids, links.sentences.tolist())
+        for i in range(seg.passage_count(sentences))
     ))
     encoding_store = embedded("query_entity", dims.k, (
         query_entity_key(qid, eid) for qid in sorted(pooled) for eid in pooled[qid]
@@ -558,12 +574,12 @@ def cmd_rank_entities(settings: Settings) -> None:
         path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         rankings = entity_rankings_map(load_entity_head(path), pooled, encodings)
     else:  # bm25 or geeer
-        queries = {q.query_id: q for q in load_queries(settings.input("queries"))}
+        queries = _pooled_queries(settings, pooled)
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
         catalog = settings.input("entity_catalog", optional=True)
-        records = load_entity_catalog(catalog).values() if catalog is not None else ()
-        descriptions = {rec.entity_id: rec.description for rec in records if rec.description}
+        records = load_entity_catalog(catalog).items() if catalog is not None else ()
+        descriptions = {entity_id: text for entity_id, text in records if text}
         if mode == "bm25" and not descriptions:
             raise CliError("bm25 entity ranking needs entity descriptions (entity_catalog)")
         desc_index = build_index(descriptions, settings.tokenizer) if descriptions else None

@@ -20,16 +20,15 @@ and type, and a confidence is shared only with a bit-equal one (zeros keep
 their sign). Each document's distinct linked entity ids, in first-mention
 order, are filled in from its memoized mentions as it loads
 (`Document.entity_ids`), and pooling works on those ids with one dict
-operation per document, not per mention. The entity-id memo
-holds every linked id in first-mention order over the corpus, so the
-store's entity table is built from it in one pass. A document keeps no
-split of its sentences: the stages that need one only count them, with
-`split_sentences`.
+operation per document, not per mention. A document keeps no split of its
+sentences: the stages that need one only count them, with
+`split_sentences`. The store holds documents only; the catalog is read on
+its own, by `load_entity_catalog`.
 
 `load_corpus(..., mentions=False)` checks every line and every mention the
 same way, with the same errors, and builds nothing from them: each document
-keeps only its id and text, and the entity table only the catalog's
-records. `build-index`, which reads only the texts, is the one caller.
+keeps only its id and text. `build-index`, which reads only the texts, is
+the one caller.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import Iterable, NamedTuple
 
 __all__ = [
     "EntityMention",
-    "EntityRecord",
     "Document",
     "Query",
     "Qrels",
@@ -72,12 +70,6 @@ class EntityMention(NamedTuple):
     start: int
     end: int
     confidence: float
-
-
-@dataclass(frozen=True)
-class EntityRecord:
-    entity_id: str
-    description: str = ""
 
 
 @dataclass
@@ -148,10 +140,9 @@ class SegmenterConfig:
 
 @dataclass
 class CorpusStore:
-    """Immutable-after-load document and entity-record tables."""
+    """Immutable-after-load document table."""
 
     documents: dict[str, Document] = field(default_factory=dict)
-    entities: dict[str, EntityRecord] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -225,23 +216,18 @@ def _read_document(raw, *memos: dict) -> Document:
     return doc
 
 
-def load_corpus(
-    path: str, catalog_path: str | None = None, *, mentions: bool = True
-) -> CorpusStore:
+def load_corpus(path: str, *, mentions: bool = True) -> CorpusStore:
     """Load a JSONL corpus.
 
     Rejects malformed lines, duplicate doc_ids and mention spans outside the
-    text, each with `path:line`. When `catalog_path` is given its
-    descriptions are merged into the store's entity table; entities
-    mentioned but absent from the catalog get an empty-description record.
+    text, each with `path:line`.
 
     With `mentions=False` every line and mention is checked as above, but
-    no mention is kept: documents have empty `mentions`, and the entity
-    table holds only the catalog's records. Only `build-index` loads so.
+    no mention is kept: documents have empty `mentions`. Only `build-index`
+    loads so.
     """
     store = CorpusStore()
-    ids: dict[str, str] = {}  # every linked entity id, in first-mention order
-    memos = (ids, {}, {}, {}) if mentions else ()
+    memos = ({}, {}, {}, {}) if mentions else ()
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -258,16 +244,12 @@ def load_corpus(
             if doc.doc_id in store.documents:
                 raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
             store.documents[doc.doc_id] = doc
-    store.entities = {entity_id: EntityRecord(entity_id) for entity_id in ids}
-    if catalog_path is not None:
-        for record in load_entity_catalog(catalog_path).values():
-            store.entities[record.entity_id] = record
     return store
 
 
-def load_entity_catalog(path: str) -> dict[str, EntityRecord]:
-    """Load the entity-id -> description catalog."""
-    catalog: dict[str, EntityRecord] = {}
+def load_entity_catalog(path: str) -> dict[str, str]:
+    """Load the entity-id -> description catalog, in its order."""
+    catalog: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -287,7 +269,7 @@ def load_entity_catalog(path: str) -> dict[str, EntityRecord]:
                 raise ValueError(f"{path}:{line_no}: malformed catalog line: {e}") from e
             if entity_id in catalog:
                 raise ValueError(f"{path}:{line_no}: duplicate entity_id {entity_id!r}")
-            catalog[entity_id] = EntityRecord(entity_id, description)
+            catalog[entity_id] = description
     return catalog
 
 

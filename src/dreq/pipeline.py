@@ -3,8 +3,9 @@ set, per-query entity pooling and label transfer, the entity-ranking stage,
 and cross-validated ablation sweeps.
 
 `pool-entities` pools from `Document`s and writes `corpus_links.npz`
-(`CorpusLinks`): all that the later stages read of the corpus. Label
-transfer, the feature table and MaxSimCos work on those arrays.
+(`CorpusLinks`): all that the later stages read of the corpus, from the
+passage and entity keys of `synth-embed` on. Label transfer, the feature
+table and MaxSimCos work on those arrays.
 """
 
 from __future__ import annotations

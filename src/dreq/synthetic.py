@@ -26,6 +26,10 @@ and `test_confidences_are_random_uniform` hold each draw to its method (values
 and generator state), and `test_compose_doc_matches_the_reference` holds the
 function to a copy written with the methods.
 
+The world keeps its entity catalog beside the corpus, as `entities.jsonl`
+holds it: `SyntheticWorld.entities` maps each id to its description, the
+planted entities by query and then the noise entities.
+
 `write_world_files` formats each corpus line itself (`_corpus_line`); a line
 is byte-equal to `json.dumps` of the document's object with `sort_keys=True`.
 """
@@ -46,7 +50,6 @@ from .corpus import (
     CorpusStore,
     Document,
     EntityMention,
-    EntityRecord,
     Qrels,
     Query,
     SegmenterConfig,
@@ -106,6 +109,7 @@ class SyntheticWorld:
     built changes no bit of them or of the world's files."""
 
     corpus: CorpusStore
+    entities: dict[str, str]  # the catalog: entity id -> description
     queries: list[Query]
     qrels: Qrels
     seg: SegmenterConfig
@@ -144,7 +148,7 @@ class SyntheticWorld:
     def entity_store(self) -> EmbeddingStore:
         cfg, m = self.cfg, self.dims.m
         topic_of = self.query_store.row
-        all_entities = list(self.corpus.entities)
+        all_entities = list(self.entities)
         planted_of = {e: topic_of[qid] for qid, ents in self.planted.items() for e in ents}
         is_planted = np.array([eid in planted_of for eid in all_entities], dtype=bool)
         planted_ids = [eid for eid in all_entities if eid in planted_of]
@@ -180,7 +184,7 @@ class SyntheticWorld:
     def encoding_store(self) -> EmbeddingStore:
         cfg, k = self.cfg, self.dims.k
         qids = self.query_store.ids
-        all_entities = list(self.corpus.entities)
+        all_entities = list(self.entities)
         base_dir = synthetic_embed_rows("encdir", ["base"], k, cfg.seed)[0]
         keys = [query_entity_key(qid, eid) for qid in qids for eid in all_entities]
         signs = np.array(
@@ -300,11 +304,10 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
         corpus.documents[doc_id] = doc
         doc_sentences.append(sentences)
 
-    for qid in sorted(planted):
-        for eid in planted[qid]:
-            corpus.entities[eid] = EntityRecord(eid, f"about {' '.join(topic_words[qid])}")
+    entities = {eid: f"about {' '.join(topic_words[qid])}"
+                for qid in sorted(planted) for eid in planted[qid]}
     for eid in noise_entities:
-        corpus.entities[eid] = EntityRecord(eid, " ".join(rng.sample(filler, 6)))
+        entities[eid] = " ".join(rng.sample(filler, 6))
 
     seg = SegmenterConfig()
     passage_counts = [seg.passage_count(sentences) for sentences in doc_sentences]
@@ -318,6 +321,7 @@ def generate_planted_world(cfg: PlantedConfig) -> SyntheticWorld:
 
     return SyntheticWorld(
         corpus=corpus,
+        entities=entities,
         queries=queries,
         qrels=qrels,
         seg=seg,
@@ -366,14 +370,9 @@ def write_world_files(world: SyntheticWorld, out_dir: str, stores: bool = True) 
         fragments: dict[tuple[str, str], str] = {}
         f.writelines(_corpus_line(doc, fragments) for doc in world.corpus.documents.values())
     with open(paths["entities"], "w", encoding="utf-8") as f:
-        for record in world.corpus.entities.values():
-            f.write(
-                json.dumps(
-                    {"entity_id": record.entity_id, "description": record.description},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for eid, description in world.entities.items():
+            f.write(json.dumps({"entity_id": eid, "description": description}, sort_keys=True)
+                    + "\n")
     with open(paths["queries"], "w", encoding="utf-8") as f:
         for q in world.queries:
             f.write(f"{q.query_id}\t{q.text}\n")

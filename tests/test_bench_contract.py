@@ -177,7 +177,7 @@ def test_build_index_loads_the_corpus_once_and_builds_no_mention(layers, tmp_pat
 
 def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
     """The toy chain under the tracer: `corpus.load_corpus` runs only in
-    `build-index`, `pool-entities` and `synth-embed`, the later stages read
+    `build-index` and `pool-entities`, the later stages read
     `corpus_links.npz`. `pipeline.pooling_docs` still yields `Document`s
     with mentions, which the `corpus.docs_without_entities` probe reads, and
     `pipeline.entity_labels_map`, which `corpus.labels_s` times, runs in
@@ -204,7 +204,7 @@ def test_only_the_first_stages_parse_the_corpus(layers, tmp_path, monkeypatch):
     def stages(name: str) -> set[str]:
         return {span.stage for span in tracer.spans if span.name == name}
 
-    assert stages("corpus.load_corpus") == {"build-index", "pool-entities", "synth-embed"}
+    assert stages("corpus.load_corpus") == {"build-index", "pool-entities"}
     assert stages("pipeline.pooling_docs") == {"pool-entities"}
     assert stages("pipeline.entity_labels_map") == {"train-entity-ranker"}
     # (the `rank_entities` probe reads a field the rankings lost: a known benchmark defect)

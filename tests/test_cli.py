@@ -23,13 +23,15 @@ from dreq.cli import (
     main,
     save_index,
 )
-from dreq.corpus import load_corpus, load_entity_catalog
+from dreq.corpus import load_entity_catalog
+from dreq.embeddings import load_store
 from dreq.entity_ranking import load_entity_rankings, save_entity_rankings
-from dreq.pipeline import VARIANTS
+from dreq.pipeline import VARIANTS, load_corpus_links
 from dreq.retrieval import TokenizerConfig, build_index, load_run, retrieve
 from dreq.synthetic import PlantedConfig, generate_planted_world, write_world_files
 from dreq.training import FoldPlan
 from helpers import MALFORMED_CORPUS_LINES
+from test_corpus import reference_load_corpus
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -161,6 +163,49 @@ class TestPipeline:
         for name, digest in pinned.items():
             data = Path(workdir, "stores", f"{name}.npz").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_entity_store_keeps_the_linked_order_then_the_catalog_only_entities(
+        self, pipeline, tmp_path
+    ):
+        # a catalog in reverse order, with an entity no document links: the
+        # store follows first mention, then the catalog, as loading the corpus
+        # with the catalog merged in used to order its entity table
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        toy = (Path(TOY) / "entities.jsonl").read_text().splitlines()
+        catalog = tmp_path / "entities.jsonl"
+        only = json.dumps({"entity_id": "eonly", "description": "listed alone"})
+        catalog.write_text("\n".join([toy[-1], only, *reversed(toy[:-1])]) + "\n")
+        config = write_config(tmp_path, work, entity_catalog=str(catalog))
+        assert run(config, "synth-embed") == 0
+        ids = load_store(str(work / "stores" / "entity.npz")).ids
+        _, entities = reference_load_corpus(os.path.join(TOY, "corpus.jsonl"), str(catalog))
+        assert ids == list(entities)
+        assert ids[-1] == "eonly" and ids != list(load_entity_catalog(str(catalog)))
+
+    @pytest.mark.parametrize("argv", [
+        ("synth-embed",), ("rank-entities", "--mode", "bm25"), ("rank-entities", "--mode", "geeer"),
+    ], ids=["synth-embed", "bm25", "geeer"])
+    def test_a_pooled_query_missing_from_the_queries_file_is_an_error(
+        self, pipeline, tmp_path, capsys, argv
+    ):
+        # the stage stops before it writes anything
+        _, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        before = tree_bytes(work)
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("".join((Path(TOY) / "queries.tsv").read_text().splitlines(True)[1:]))
+        config = write_config(tmp_path, work, queries=str(queries))
+        capsys.readouterr()
+        assert run(config, *argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: query 'q00' of pooled_entities.tsv is not in the queries file "
+            f"{str(queries)!r}; rerun `dreq retrieve`\n"
+        )
+        assert tree_bytes(work) == before
 
     def test_manifests_written(self, pipeline):
         _, workdir = pipeline
@@ -302,9 +347,10 @@ class TestPipeline:
         work = tmp_path / "work"
         shutil.copytree(workdir, work)
         toy_catalog = os.path.join(TOY, "entities.jsonl")
-        corpus = load_corpus(os.path.join(TOY, "corpus.jsonl"), toy_catalog)
-        from_corpus = [(e, r.description) for e, r in corpus.entities.items() if r.description]
-        from_catalog = [(e, r.description) for e, r in load_entity_catalog(toy_catalog).items()]
+        catalog = load_entity_catalog(toy_catalog)
+        linked = load_corpus_links(str(work / "corpus_links.npz")).entity_ids
+        from_corpus = [(e, catalog[e]) for e in dict.fromkeys([*linked, *catalog]) if catalog[e]]
+        from_catalog = list(catalog.items())
         assert from_corpus != from_catalog and sorted(from_corpus) == sorted(from_catalog)
         corpus_order = tmp_path / "entities.jsonl"
         corpus_order.write_text("".join(
@@ -1019,11 +1065,9 @@ class TestManifests:
         assert counts["rerank --mode dreq"] == 13
         # a stage lists a config file only if it reads it
         keys = {" ".join(a): set(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
-        assert {a for a, k in keys.items() if "corpus" in k} == {
-            "build-index", "pool-entities", "synth-embed"
-        }
+        assert {a for a, k in keys.items() if "corpus" in k} == {"build-index", "pool-entities"}
         assert {a for a, k in keys.items() if "corpus_links.npz" in k} == {
-            "train-entity-ranker", "train-dreq", "ablate", "rerank --mode dreq",
+            "synth-embed", "train-entity-ranker", "train-dreq", "ablate", "rerank --mode dreq",
             "rerank --mode maxsimcos",
         }
         assert "queries" not in keys["rank-entities --mode learned"]

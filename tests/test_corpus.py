@@ -7,7 +7,6 @@ from dreq.corpus import (
     CorpusStore,
     Document,
     EntityMention,
-    EntityRecord,
     Qrels,
     SegmenterConfig,
     load_corpus,
@@ -17,6 +16,7 @@ from dreq.corpus import (
     pool_entities,
     split_sentences,
 )
+from dreq.pipeline import corpus_links
 from helpers import MALFORMED_CORPUS_LINES, segment_passages, transfer_labels
 
 
@@ -66,12 +66,11 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match=":2"):
             load_corpus(str(path))
 
-    def test_catalog_merge(self, tmp_path):
-        cpath = write_corpus(tmp_path, [make_doc("d1", ["a"])])
+    def test_catalog_maps_ids_to_descriptions_in_its_order(self, tmp_path):
         kpath = tmp_path / "catalog.jsonl"
-        kpath.write_text(json.dumps({"entity_id": "a", "description": "alpha thing"}) + "\n")
-        store = load_corpus(cpath, catalog_path=str(kpath))
-        assert store.entities["a"].description == "alpha thing"
+        kpath.write_text(json.dumps({"entity_id": "b", "description": "beta thing"}) + "\n"
+                         + json.dumps({"entity_id": "a"}) + "\n")
+        assert list(load_entity_catalog(str(kpath)).items()) == [("b", "beta thing"), ("a", "")]
 
     def test_catalog_duplicate_entity_rejected(self, tmp_path):
         kpath = tmp_path / "catalog.jsonl"
@@ -259,8 +258,12 @@ def test_pooling_and_labels_match_a_per_mention_walk(docs_spec):
 
 def reference_load_corpus(path, catalog_path=None):
     """The loader before value sharing: one `int`/`float`/`str` conversion,
-    so one new object, per mention field."""
+    so one new object, per mention field. With the store, the entity table
+    the loader used to build (id -> description): every linked id in
+    first-mention order, then the catalog merged in, its descriptions over
+    the empty ones and its other ids in its order."""
     store = CorpusStore()
+    entities = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
             if not line.strip():
@@ -277,11 +280,10 @@ def reference_load_corpus(path, catalog_path=None):
                 ))
             store.documents[doc_id] = Document(doc_id, text, mentions)
             for entity_id in store.documents[doc_id].entity_ids:
-                store.entities.setdefault(entity_id, EntityRecord(entity_id))
+                entities.setdefault(entity_id, "")
     if catalog_path is not None:
-        for record in load_entity_catalog(catalog_path).values():
-            store.entities[record.entity_id] = record
-    return store
+        entities.update(load_entity_catalog(catalog_path))
+    return store, entities
 
 
 def mention_bits(m):
@@ -291,11 +293,8 @@ def mention_bits(m):
 
 
 def store_bits(store):
-    return (
-        [(d.doc_id, d.text, d.entity_ids, [mention_bits(m) for m in d.mentions])
-         for d in store.documents.values()],
-        [(e.entity_id, e.description) for e in store.entities.values()],
-    )
+    return [(d.doc_id, d.text, d.entity_ids, [mention_bits(m) for m in d.mentions])
+            for d in store.documents.values()]
 
 
 @st.composite
@@ -332,9 +331,10 @@ class TestLoadCorpusSharing:
     @settings(max_examples=200, deadline=None)
     @given(corpus_lines(), st.booleans())
     def test_matches_the_loader_without_sharing(self, tmp_path_factory, docs, with_catalog):
-        """Mentions, each document's entity ids and the entity table (ids,
-        order, descriptions) equal those of a per-document walk over
-        `Document.entity_ids` found on first use."""
+        """Mentions and each document's entity ids equal those of a
+        per-document walk over `Document.entity_ids` found on first use; the
+        links' entities, then the catalog's, give the entity table of that
+        walk (ids, order, descriptions), as `synth-embed` orders its store."""
         tmp = tmp_path_factory.mktemp("corpus")
         path = write_corpus(tmp, docs)
         catalog = None
@@ -345,8 +345,12 @@ class TestLoadCorpusSharing:
                 for e, d in (("e9", "nine"), ("e2", "two"))
             ))
             catalog = str(catalog)
-        store = load_corpus(path, catalog)
-        assert store_bits(store) == store_bits(reference_load_corpus(path, catalog))
+        store = load_corpus(path)
+        reference, entities = reference_load_corpus(path, catalog)
+        assert store_bits(store) == store_bits(reference)
+        listed = load_entity_catalog(catalog) if catalog else {}
+        order = dict.fromkeys([*corpus_links(store.documents.values()).entity_ids, *listed])
+        assert [(e, listed.get(e, "")) for e in order] == list(entities.items())
         assert all("entity_ids" in vars(doc) for doc in store.documents.values())
 
     def test_equal_values_are_one_object_of_their_own_type(self, tmp_path):
@@ -366,7 +370,7 @@ class TestLoadCorpusSharing:
         store = load_corpus(path)
         a, b = store.doc("d1").mentions
         c, d = store.doc("d2").mentions
-        assert a.entity_id is c.entity_id is d.entity_id is store.entities["e1"].entity_id
+        assert a.entity_id is c.entity_id is d.entity_id is store.doc("d2").entity_ids[0]
         assert a.surface is c.surface
         assert a.end is b.start is c.start
         assert a.confidence is c.confidence  # the int 1 was read as the float 1.0
@@ -398,7 +402,7 @@ class TestLoadCorpusWithoutMentions:
     def test_checks_alike_and_keeps_the_texts(self, tmp_path_factory, docs, rejected):
         """`mentions=False` rejects a line with the same error as the full
         load, and otherwise keeps the same texts in the same order, with no
-        mention and no entity record."""
+        mention and no linked entity."""
         path = write_corpus(tmp_path_factory.mktemp("corpus"), docs)
         if rejected is not None:
             with open(path, "a", encoding="utf-8") as f:
@@ -414,19 +418,17 @@ class TestLoadCorpusWithoutMentions:
         assert outcomes[0] == outcomes[1]
         if rejected is None:
             assert [doc.mentions for doc in store.documents.values()] == [[]] * len(docs)
-            assert store.entities == {}
+            assert [doc.entity_ids for doc in store.documents.values()] == [()] * len(docs)
         else:
             message = rejected[1]
             where = f"{path}:{len(docs) + 1}: "
             assert outcomes[0].startswith(where)
             assert message is None or outcomes[0] == where + message
 
-    def test_keeps_the_catalog_records(self, tmp_path):
+    def test_keeps_the_text_of_a_linked_document(self, tmp_path):
         path = write_corpus(tmp_path, [make_doc("d1", ["e1", "e2"])])
-        catalog = tmp_path / "catalog.jsonl"
-        catalog.write_text(json.dumps({"entity_id": "e9", "description": "nine"}) + "\n")
-        store = load_corpus(path, str(catalog), mentions=False)
-        assert store.entities == {"e9": EntityRecord("e9", "nine")}
-        assert [(d, doc.text) for d, doc in store.documents.items()] == [
-            ("d1", make_doc("d1", [])["text"])
+        store = load_corpus(path, mentions=False)
+        assert [(d, doc.text, doc.mentions, doc.entity_ids)
+                for d, doc in store.documents.items()] == [
+            ("d1", make_doc("d1", [])["text"], [], ())
         ]

@@ -45,8 +45,8 @@ def test_planted_descriptions_name_their_own_query_past_99_queries():
     text_of = {q.query_id: q.text for q in world.queries}
     for qid, entities in world.planted.items():
         for eid in entities:
-            assert world.corpus.entities[eid].description == f"about {text_of[qid]}"
-    assert world.corpus.entities["eq105p1"].description == "about topic105a topic105b topic105c"
+            assert world.entities[eid] == f"about {text_of[qid]}"
+    assert world.entities["eq105p1"] == "about topic105a topic105b topic105c"
 
 
 @pytest.mark.parametrize("planted", [1, 0, -1])
