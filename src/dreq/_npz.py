@@ -24,8 +24,15 @@ def pack_strings(items: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
     data = blob.tobytes()
-    bounds = offsets.tolist()
-    return [data[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    cuts = offsets.tolist()
+    return [data[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])]
+
+
+def bounds(offsets: np.ndarray, size: int) -> bool:
+    """`offsets` cut `size` items into consecutive parts: from 0 to `size`,
+    never decreasing."""
+    return len(offsets) > 0 and offsets[0] == 0 and offsets[-1] == size and (
+        np.diff(offsets) >= 0).all()
 
 
 def write(path: str, arrays: dict[str, np.ndarray]) -> None:

@@ -41,9 +41,13 @@ writes `corpus_links.npz` (`pipeline.CorpusLinks`: doc ids, sentence counts
 and linked entities), which `synth-embed`, `train-entity-ranker`,
 `train-dreq`, `ablate` and `rerank` read in its place. Only `synth-embed`
 (whose entity store covers the catalog) and `rank-entities --mode
-bm25|geeer` (which index its descriptions) read the entity catalog. A run in
-weighting mode none reads no entity ranking, and no entity store unless it
-fine-tunes entity embeddings.
+bm25|geeer` (which index its descriptions) read the entity catalog. Only
+`retrieve`, `synth-embed`, `rank-entities --mode bm25|geeer` and `qpp` read
+the queries file; later stages read the query store. `rerank --mode dreq`
+reads what `train-dreq` reads (`_scoring_data`) but the qrels, and scores
+through the trainer's `training.rerank_folds`. A run in weighting mode none
+reads no entity ranking, and no entity store unless it fine-tunes entity
+embeddings.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import os
 import sys
 import time
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -85,9 +90,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from collections.abc import Iterable
 
     from .embeddings import EmbeddingStore
-    from .entity_ranking import EntityRanking
     from .model import DreqModel, FeatureTable
-    from .pipeline import CorpusLinks
+    from .training import FoldPlan, TrainData
 
 ENV_PREFIX = "DREQ_"
 
@@ -313,6 +317,9 @@ def write_manifest(settings: Settings, t0: float) -> None:
 
 
 _INDEX_ARRAYS = ("indptr", "docs", "tfs", "doc_lengths")
+# member -> its dtype, where not int64
+_INDEX_DTYPES = {"tokenizer": np.bool_, "terms": np.uint8, "doc_ids": np.uint8, "docs": np.int32,
+                 "tfs": np.int32}
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
@@ -329,15 +336,38 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 
 def load_index(path: str) -> InvertedIndex:
+    """The index `save_index` wrote; dtypes, lengths, offsets and postings are
+    checked, and a bad file is a ValueError naming `build-index`."""
     names = ("tokenizer", "terms", "term_offsets", "doc_ids", "doc_id_offsets", *_INDEX_ARRAYS)
-    arrays = _npz.read(path, names, "index", "build-index")
-    lowercase, stem = arrays["tokenizer"].tolist()
-    return InvertedIndex(
-        terms=_npz.unpack_strings(arrays["terms"], arrays["term_offsets"]),
-        doc_ids=_npz.unpack_strings(arrays["doc_ids"], arrays["doc_id_offsets"]),
-        tokenizer=TokenizerConfig(lowercase=lowercase, stem=stem),
-        **{name: arrays[name] for name in _INDEX_ARRAYS},
+    a = _npz.read(path, names, "index", "build-index")
+    docs, tfs = a["docs"], a["tfs"]
+    valid = (
+        all(v.ndim == 1 and v.dtype == _INDEX_DTYPES.get(name, np.int64) for name, v in a.items())
+        and len(a["tokenizer"]) == 2
+        and _npz.bounds(a["term_offsets"], len(a["terms"]))
+        and _npz.bounds(a["doc_id_offsets"], len(a["doc_ids"]))
+        and len(a["indptr"]) == len(a["term_offsets"])
+        and _npz.bounds(a["indptr"], len(docs)) and len(tfs) == len(docs)
+        and 0 < len(a["doc_lengths"]) == len(a["doc_id_offsets"]) - 1
+        and a["doc_lengths"].min() >= 0
+        and docs.min(initial=0) >= 0 and docs.max(initial=0) < len(a["doc_lengths"])
+        and tfs.min(initial=1) >= 1
     )
+    index = None
+    if valid:
+        lowercase, stem = a["tokenizer"].tolist()
+        try:
+            index = InvertedIndex(
+                terms=_npz.unpack_strings(a["terms"], a["term_offsets"]),
+                doc_ids=_npz.unpack_strings(a["doc_ids"], a["doc_id_offsets"]),
+                tokenizer=TokenizerConfig(lowercase=lowercase, stem=stem),
+                **{name: a[name] for name in _INDEX_ARRAYS},
+            )
+        except UnicodeDecodeError:
+            pass
+    if index is None:
+        raise ValueError(f"{path}: corrupt index; rerun `dreq build-index`")
+    return index
 
 
 def write_pooled(pooled: dict[str, list[str]], path: str) -> None:
@@ -413,15 +443,19 @@ def _pooled(settings: Settings) -> dict[str, list[str]]:
     return load_pooled(settings.artifact(settings.workpath("pooled_entities.tsv"), "pool-entities"))
 
 
-def _pooled_queries(settings: Settings, pooled: dict[str, list[str]]) -> dict[str, Query]:
-    """The queries file's queries by id, in its order; a pooled query it
-    lacks is an error."""
+def _require_queries(ids: Iterable[str], source: str, known, where: str, stage: str) -> None:
+    """Stop on the first query of `source` (the file of `ids`) not in `known`."""
+    missing = next((qid for qid in sorted(ids) if qid not in known), None)
+    if missing is not None:
+        raise CliError(f"query {missing!r} of {source} is not in {where}; rerun `dreq {stage}`")
+
+
+def _queries(settings: Settings, ids: Iterable[str], source: str) -> dict[str, Query]:
+    """The queries file's queries by id, in its order; a query of `source`
+    (its `ids`) that the file lacks is an error."""
     path = settings.input("queries")
     queries = {q.query_id: q for q in load_queries(path)}
-    missing = next((qid for qid in sorted(pooled) if qid not in queries), None)
-    if missing is not None:
-        raise CliError(f"query {missing!r} of pooled_entities.tsv is not in the queries file "
-                       f"{path!r}; rerun `dreq retrieve`")
+    _require_queries(ids, source, queries, f"the queries file {path!r}", "retrieve")
     return queries
 
 
@@ -432,31 +466,36 @@ def _links(settings: Settings):
     return load_corpus_links(path)
 
 
-def _entity_inputs(
-    settings: Settings, modes: Iterable[str], finetune: bool
-) -> tuple[CorpusLinks, EmbeddingStore, dict[str, EntityRanking]]:
-    """The corpus links, the entity store and the entity rankings that a
-    scorer in the weighting `modes` reads. Only a mode that weights entities
-    reads the rankings; it or `finetune` (which saves each fold's copy of the
-    store, in any mode) reads the store. Mode none alone reads neither: the
-    links without their entities and an empty store of width `dims.m` stand in."""
+def _scoring_data(
+    settings: Settings, cands: dict[str, Ranking], modes: Iterable[str], finetune: bool
+) -> TrainData:
+    """What a scorer in the weighting `modes` reads to score `cands`: the
+    query, passage and entity stores, the corpus links and the entity
+    rankings; a candidate query the query store lacks is an error. Only a
+    mode that weights entities reads the rankings; it or `finetune` (which
+    saves each fold's copy of the store, in any mode) reads the store. Mode
+    none alone reads neither: the links without their entities and an empty
+    store of width `dims.m` stand in."""
+    from .embeddings import EmbeddingStore, store_path
     from .entity_ranking import load_entity_rankings
+    from .training import TrainData
 
-    links = _links(settings)
-    weighted = any(mode != "none" for mode in modes)
-    if not (weighted or finetune):
-        from dataclasses import replace
-
-        from .embeddings import EmbeddingStore
-
-        unlinked = replace(links, indptr=np.zeros_like(links.indptr),
-                           entity_index=links.entity_index[:0], entity_ids=[])
-        return unlinked, EmbeddingStore("entity", [], np.zeros((0, settings.dims.m))), {}
-    (store,) = _load_stores(settings, "entity")
-    if not weighted:
-        return links, store, {}
-    path = settings.artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
-    return links, store, load_entity_rankings(path)
+    query_store, passage_store = _load_stores(settings, "query", "passage")
+    where = f"the query store {store_path(settings.workdir, 'query')!r}"
+    _require_queries(cands, "candidates.run", query_store, where, "synth-embed")
+    links, rankings = _links(settings), {}
+    weighted = any(mode != WeightingMode.NONE for mode in modes)
+    if weighted or finetune:
+        (entity_store,) = _load_stores(settings, "entity")
+    else:
+        links = replace(links, indptr=np.zeros_like(links.indptr),
+                        entity_index=links.entity_index[:0], entity_ids=[])
+        entity_store = EmbeddingStore("entity", [], np.zeros((0, settings.dims.m)))
+    if weighted:
+        path = settings.artifact(settings.workpath("entity_ranking.npz"), "rank-entities")
+        rankings = load_entity_rankings(path)
+    return TrainData(links, query_store, entity_store, passage_store, rankings, cands,
+                     settings.segmenter)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -510,7 +549,7 @@ def cmd_synth_embed(settings: Settings) -> None:
     links = _links(settings)
     catalog = settings.input("entity_catalog", optional=True)
     pooled = _pooled(settings)
-    queries = _pooled_queries(settings, pooled)
+    queries = _queries(settings, pooled, "pooled_entities.tsv")
     dims, seed, seg = settings.dims, settings.seed, settings.segmenter
 
     def embedded(space: str, dim: int, keys) -> EmbeddingStore:
@@ -574,7 +613,7 @@ def cmd_rank_entities(settings: Settings) -> None:
         path = settings.artifact(settings.workpath("entity_head.npz"), "train-entity-ranker")
         rankings = entity_rankings_map(load_entity_head(path), pooled, encodings)
     else:  # bm25 or geeer
-        queries = _pooled_queries(settings, pooled)
+        queries = _queries(settings, pooled, "pooled_entities.tsv")
         # the catalog alone, in its own order: BM25 reads only df, dl, avgdl
         # and tf, so the order of the indexed descriptions changes no score
         catalog = settings.input("entity_catalog", optional=True)
@@ -609,18 +648,16 @@ def cmd_rank_entities(settings: Settings) -> None:
 
 def _training_inputs(settings: Settings, modes: Iterable[str]):
     """What `train-dreq` and `ablate` read: (qrels, document examples, folds,
-    TrainData, TrainConfig, the number of judged-relevant documents of the
-    candidate queries that are not in the corpus). The TrainData holds the
-    entity inputs that `_entity_inputs` reads for the weighting `modes`."""
-    from .training import TrainData, build_doc_examples, make_folds
+    the `_scoring_data` of the weighting `modes`, TrainConfig, the number of
+    judged-relevant documents of the candidate queries that are not in the
+    corpus)."""
+    from .training import build_doc_examples, make_folds
 
     cands = _candidates(settings)
     qrels = load_qrels(settings.input("qrels"))
     cfg = settings.train
-    query_store, passage_store = _load_stores(settings, "query", "passage")
-    links, entity_store, rankings = _entity_inputs(settings, modes,
-                                                   cfg.finetune_entity_embeddings)
-    seed = settings.seed
+    data = _scoring_data(settings, cands, modes, cfg.finetune_entity_embeddings)
+    links, seed = data.links, settings.seed
     # a judged-relevant document outside the corpus has nothing to score, so
     # it is no positive, as `pooling_docs` pools no entity from it
     in_corpus = Qrels({
@@ -635,8 +672,6 @@ def _training_inputs(settings: Settings, modes: Iterable[str]):
         folds = make_folds(sorted(cands), k=settings.get("folds.k"), seed=seed)
     except ValueError as e:  # more folds than the candidates' queries
         raise CliError(f"config key 'folds.k': {e} of config key 'queries'") from None
-    data = TrainData(links, query_store, entity_store, passage_store, rankings, cands,
-                     settings.segmenter)
     return qrels, examples, folds, data, cfg, unknown
 
 
@@ -668,64 +703,54 @@ def cmd_train_dreq(settings: Settings) -> None:
     )
 
 
-def _rerank_models(settings: Settings, qids: list[str]) -> dict[str, tuple[int | None, DreqModel]]:
-    """The fold and the model that score each query: `--checkpoint` for every
-    query (no fold), else the checkpoint of the fold whose test set holds it
-    (out of fold). `--weighting` sets each model's mode."""
+def _rerank_models(
+    settings: Settings, cands: dict[str, Ranking]
+) -> tuple[FoldPlan, dict[int, DreqModel]]:
+    """The folds that route the candidate queries (`folds.json`, or with
+    `--checkpoint` one fold that tests them all) and the model of each fold
+    that tests one; `--weighting` sets each model's mode."""
     from .model import load_checkpoint
+    from .training import Fold, FoldPlan
 
     ckpt = settings.args.checkpoint
-    fold_of: dict[str, int | None] = dict.fromkeys(qids)  # --checkpoint: no fold
-    if not ckpt:
-        from .training import FoldPlan
-
+    if ckpt:
+        plan = FoldPlan([Fold(train=(), test=tuple(sorted(cands)))])
+    else:
         plan = FoldPlan.load(settings.artifact(settings.workpath("folds.json"), "train-dreq"))
-        fold_of = {qid: i for i, fold in enumerate(plan.folds) for qid in fold.test}
-        unplanned = [qid for qid in qids if qid not in fold_of]
+        planned = {qid for fold in plan.folds for qid in fold.test}
+        unplanned = [qid for qid in sorted(cands) if qid not in planned]
         if unplanned:
             raise CliError(f"queries {unplanned[:5]} are in no test fold of folds.json; "
                            "rerun `dreq train-dreq` or pass --checkpoint")
     models = {}
-    for i in dict.fromkeys(fold_of[qid] for qid in qids):
-        path = ckpt or settings.workpath(f"dreq_fold{i}.ckpt")
-        models[i] = load_checkpoint(settings.artifact(path, "train-dreq"))
-        if settings.args.weighting:
-            models[i].mode = WeightingMode(settings.args.weighting)
-    return {qid: (fold_of[qid], models[fold_of[qid]]) for qid in qids}
+    for i, fold in enumerate(plan.folds):
+        if any(qid in cands for qid in fold.test):
+            path = ckpt or settings.workpath(f"dreq_fold{i}.ckpt")
+            models[i] = load_checkpoint(settings.artifact(path, "train-dreq"))
+            if settings.args.weighting:
+                models[i].mode = WeightingMode(settings.args.weighting)
+    return plan, models
 
 
-def _rerank_scorers(
-    settings: Settings, models: dict[str, tuple[int | None, DreqModel]], table: FeatureTable,
-    tuned: bool,
-) -> dict[str, tuple[DreqModel, FeatureTable]]:
-    """The model and feature table that score each query: `table`, or with
-    `tuned` (fine-tuned entity embeddings, out of fold) the table with its
-    fold's tuned entity store."""
-    from dataclasses import replace
-
+def _tuned_table(settings: Settings, table: FeatureTable, fold: int) -> FeatureTable:
+    """`table` with fold `fold`'s fine-tuned entity store."""
     from .embeddings import load_store, store_path
 
-    tables = {}
-    for i in dict.fromkeys(i for i, _ in models.values()):
-        tables[i] = table
-        if tuned:
-            path = store_path(settings.workdir, f"entity_tuned_fold{i}")
-            store = load_store(settings.artifact(path, "train-dreq"))
-            if store.ids != table.entity_store.ids:
-                raise CliError(f"{path}: not the entity store's ids; rerun `dreq train-dreq`")
-            tables[i] = replace(table, entity_store=store)
-    return {qid: (model, tables[i]) for qid, (i, model) in models.items()}
+    path = store_path(settings.workdir, f"entity_tuned_fold{fold}")
+    store = load_store(settings.artifact(path, "train-dreq"))
+    if store.ids != table.entity_store.ids:
+        raise CliError(f"{path}: not the entity store's ids; rerun `dreq train-dreq`")
+    return replace(table, entity_store=store)
 
 
 def cmd_rerank(settings: Settings) -> None:
-    from .entity_ranking import _query_ranking
-    from .model import build_feature_table, maxsimcos_rerank, rerank
+    from .model import maxsimcos_rerank
+    from .training import rerank_folds, train_feature_table
 
     mode = settings.args.mode
     cands = _candidates(settings)
     out = settings.args.output or settings.workpath(f"rerank_{mode}.run")
     settings.manifest_name = f"rerank-{os.path.splitext(os.path.basename(out))[0]}"
-    queries = load_queries(settings.input("queries"))
     kept = empty_text = 0
 
     if mode == "maxsimcos":
@@ -733,33 +758,22 @@ def cmd_rerank(settings: Settings) -> None:
         (entity_store,) = _load_stores(settings, "entity")
         links = load_query_links(settings.input("query_links"))
         rankings = {}
-        for q in queries:
-            if q.query_id not in cands:
-                continue
-            qlinks = [eid for eid, _ in links.get(q.query_id, [])]
-            ranked = maxsimcos_rerank(qlinks, cands[q.query_id], doc_links, entity_store)
+        for qid, ranking in cands.items():
+            qlinks = [eid for eid, _ in links.get(qid, [])]
+            ranked = maxsimcos_rerank(qlinks, ranking, doc_links, entity_store)
             if ranked is None:  # no query entity to compare with
-                ranked = cands[q.query_id]
+                ranked = ranking
                 kept += 1
-            rankings[q.query_id] = ranked
+            rankings[qid] = ranked
     else:  # dreq
-        query_store, passage_store = _load_stores(settings, "query", "passage")
-        qids = [q.query_id for q in queries if q.query_id in cands]
-        models = _rerank_models(settings, qids)
+        plan, models = _rerank_models(settings, cands)
         tuned = not settings.args.checkpoint and settings.get("finetune_entity_embeddings")
-        doc_links, entity_store, entity_rankings = _entity_inputs(
-            settings, [model.mode for _, model in models.values()], tuned
-        )
-        doc_ids = (d for qid in qids for d in cands[qid].doc_ids)
-        table = build_feature_table(doc_links, doc_ids, entity_store, passage_store,
-                                    settings.segmenter)
+        data = _scoring_data(settings, cands, [model.mode for model in models.values()], tuned)
+        table = train_feature_table(data, [])
         empty_text = table.empty_text_docs
-        scorers = _rerank_scorers(settings, models, table, tuned)
-        rankings = {
-            qid: rerank(model, query_store.get(qid), cands[qid], fold_table,
-                        _query_ranking(entity_rankings, qid))
-            for qid, (model, fold_table) in scorers.items()
-        }
+        scorers = {i: (model, _tuned_table(settings, table, i) if tuned else table)
+                   for i, model in models.items()}
+        rankings = rerank_folds(scorers, plan, data)
 
     settings.save(out, write_run, (rankings[qid] for qid in sorted(rankings)), tag=f"rerank-{mode}")
     print(
@@ -788,12 +802,12 @@ def cmd_evaluate(settings: Settings) -> None:
 def cmd_qpp(settings: Settings) -> None:
     from .evaluation import wig, wig_terciles
 
-    queries = load_queries(settings.input("queries"))
     cands = _candidates(settings)
+    queries = _queries(settings, cands, "candidates.run")
     k, tok = settings.get("wig.k"), settings.tokenizer
     try:
-        scores = {q.query_id: wig(q.text, cands[q.query_id], k=k, tokenizer=tok)
-                  for q in queries if q.query_id in cands}
+        scores = {qid: wig(queries[qid].text, ranking, k=k, tokenizer=tok)
+                  for qid, ranking in cands.items()}
     except ValueError as e:  # k beyond a query's candidates
         raise CliError(f"config key 'wig.k': {e}; lower it, or rerun `dreq retrieve` at a "
                        "higher config key 'retrieve.k'") from None

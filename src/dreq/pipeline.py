@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Container, Iterable
 import numpy as np
 
 from . import _npz
+from .config import WeightingMode
 from .corpus import CorpusStore, Document, Qrels, Query, pool_entities, split_sentences
 from .retrieval import (
     Bm25Params, InvertedIndex, Ranking, Rm3Params, feedback_rows, retrieve, tokenize,
@@ -43,13 +44,11 @@ __all__ = [
     "ablation_sweep",
 ]
 
-# variant name -> weighting mode value; by value, so that
-# `candidate_rankings` (the retrieve stage) loads no model code
-VARIANTS: dict[str, str] = {
-    "dreq": "probability",
-    "uniform": "uniform",
-    "reciprocal_rank": "reciprocal_rank",
-    "no_entity": "none",
+VARIANTS: dict[str, WeightingMode] = {
+    "dreq": WeightingMode.PROBABILITY,
+    "uniform": WeightingMode.UNIFORM,
+    "reciprocal_rank": WeightingMode.RECIPROCAL_RANK,
+    "no_entity": WeightingMode.NONE,
 }
 
 
@@ -144,13 +143,6 @@ def save_corpus_links(links: CorpusLinks, path: str) -> None:
     })
 
 
-def _bounds(offsets: np.ndarray, size: int) -> bool:
-    """`offsets` cut `size` items into consecutive parts: from 0 to `size`,
-    never decreasing."""
-    return len(offsets) > 0 and offsets[0] == 0 and offsets[-1] == size and (
-        np.diff(offsets) >= 0).all()
-
-
 def load_corpus_links(path: str) -> CorpusLinks:
     """The links `save_corpus_links` wrote; members, lengths, offsets and
     entity indices are checked, and a bad file is a ValueError naming
@@ -160,11 +152,11 @@ def load_corpus_links(path: str) -> CorpusLinks:
     valid = (
         all(v.ndim == 1 and v.dtype == (np.uint8 if name in blobs else np.int64)
             for name, v in a.items())
-        and _bounds(a["doc_id_offsets"], len(a["doc_ids"]))
-        and _bounds(a["entity_id_offsets"], len(a["entity_ids"]))
+        and _npz.bounds(a["doc_id_offsets"], len(a["doc_ids"]))
+        and _npz.bounds(a["entity_id_offsets"], len(a["entity_ids"]))
         and len(a["sentences"]) + 1 == len(a["doc_id_offsets"]) == len(a["indptr"])
         and (a["sentences"] >= 0).all()
-        and _bounds(a["indptr"], len(a["entity_index"]))
+        and _npz.bounds(a["indptr"], len(a["entity_index"]))
         and (a["entity_index"] < len(a["entity_id_offsets"]) - 1).all()
         and (a["entity_index"] >= 0).all()
     )

@@ -1,13 +1,16 @@
 """Pointwise training: balanced example construction, query-level folds,
 Adam optimization, and analytic gradients through the scorer's forward pass.
 
-Training and serving share one forward (`model._forward`) and one feature
-table (`train_feature_table`). A row's entity-centric vector Ve is the
-left-to-right sum of its weighted entity rows, the same arithmetic
-`model.rerank` uses, and row by row, so precomputing it once per template
-(`_example_batch`) changes no bit; no (rows, |entities|) weight matrix is
-formed. With entity fine-tuning the tables move every step, so
-`dreq_loss_and_grads` sums each minibatch's Ve again from its run's table.
+Training and serving share one forward (`model._forward`), one feature
+table (`train_feature_table`) and one out-of-fold scorer (`rerank_folds`,
+which scores each fold's test queries with that fold's model and table):
+`train_dreq` and `dreq rerank` both call the last two. A row's
+entity-centric vector Ve is the left-to-right sum of its weighted entity
+rows, the same arithmetic `model.rerank` uses, and row by row, so
+precomputing it once per template (`_example_batch`) changes no bit; no
+(rows, |entities|) weight matrix is formed. With entity fine-tuning the
+tables move every step, so `dreq_loss_and_grads` sums each minibatch's Ve
+again from its run's table.
 
 A run is one (template, fold) pair of `train_dreq`. Their parameters are
 the rows of one (runs, P) float64 matrix, W2, b2, w3 and b3 being views
@@ -76,6 +79,7 @@ __all__ = [
     "train_feature_table",
     "TrainResult",
     "train_dreq",
+    "rerank_folds",
 ]
 
 _PROB_CLAMP = 1e-12
@@ -520,8 +524,6 @@ def train_dreq(
     `train_feature_table(data, examples)`. The fit is checked once, when the
     loop ends: a non-finite parameter is an error naming the learning rate.
     """
-    from .entity_ranking import _query_ranking
-
     if len({t.dims for t in templates}) != 1:
         raise ValueError("train_dreq needs one or more templates with the same dims")
     table = train_feature_table(data, examples)
@@ -581,7 +583,7 @@ def train_dreq(
     _require_finite_fit("document scorer", cfg, *params.values())
 
     outcomes: list[list[FoldOutcome]] = [[] for _ in templates]
-    reranked: list[dict[str, Ranking]] = [{} for _ in templates]
+    scorers: list[dict[int, tuple[DreqModel, FeatureTable]]] = [{} for _ in templates]
     for r, run in enumerate(runs):
         fold_index, t = divmod(r, len(templates))
         model = replace(
@@ -593,25 +595,9 @@ def train_dreq(
         if finetune:  # the tuned table is this run's feature-table entities and its saved store
             space, ids = table.entity_store.space, table.entity_store.ids
             fold_table = replace(table, entity_store=EmbeddingStore(space, ids, entities[r]))
-
-        for qid in folds.folds[fold_index].test:
-            if qid not in data.candidates:
-                continue
-            reranked[t][qid] = rerank(
-                model,
-                data.query_store.get(qid),
-                data.candidates[qid],
-                fold_table,
-                _query_ranking(data.entity_rankings, qid),
-            )
-        outcomes[t].append(
-            FoldOutcome(
-                fold_index=fold_index,
-                model=model,
-                entity_store=fold_table.entity_store,
-                epoch_losses=run.epoch_losses,
-            )
-        )
+        scorers[t][fold_index] = (model, fold_table)
+        outcomes[t].append(FoldOutcome(fold_index, model, fold_table.entity_store, run.epoch_losses))
+    reranked = [rerank_folds(per_fold, folds, data) for per_fold in scorers]
 
     log_rows = [
         (o.fold_index, e, loss)
@@ -620,6 +606,23 @@ def train_dreq(
         for e, loss in enumerate(o.epoch_losses)
     ]
     return TrainResult(outcomes, reranked, log_rows, table.empty_text_docs)
+
+
+def rerank_folds(
+    scorers: Mapping[int, tuple[DreqModel, FeatureTable]], folds: FoldPlan, data: TrainData
+) -> dict[str, Ranking]:
+    """Out-of-fold rankings: each test query of fold i that has candidates,
+    reranked by `scorers[i]`, that fold's (model, feature table), in the
+    model's weighting mode. Fold after fold, in test order."""
+    from .entity_ranking import _query_ranking
+
+    reranked = {}
+    for i, fold in enumerate(folds.folds):
+        for qid in (q for q in fold.test if q in data.candidates):
+            model, table = scorers[i]
+            reranked[qid] = rerank(model, data.query_store.get(qid), data.candidates[qid], table,
+                                   _query_ranking(data.entity_rankings, qid))
+    return reranked
 
 
 def write_training_log(log_rows, path: str) -> None:

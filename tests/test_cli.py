@@ -207,6 +207,83 @@ class TestPipeline:
         )
         assert tree_bytes(work) == before
 
+    def test_a_candidate_query_missing_from_the_queries_file_stops_qpp(
+        self, pipeline, tmp_path, capsys
+    ):
+        _, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        before = tree_bytes(work)
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("".join((Path(TOY) / "queries.tsv").read_text().splitlines(True)[1:]))
+        config = write_config(tmp_path, work, queries=str(queries))
+        capsys.readouterr()
+        assert run(config, "qpp") == 1
+        assert capsys.readouterr().err == (
+            f"error: query 'q00' of candidates.run is not in the queries file "
+            f"{str(queries)!r}; rerun `dreq retrieve`\n"
+        )
+        assert tree_bytes(work) == before
+
+    @pytest.mark.parametrize("argv", [
+        ("train-dreq",), ("ablate",), ("rerank", "--mode", "dreq"),
+        ("rerank", "--checkpoint", "{work}/dreq_fold0.ckpt"),
+    ], ids=["train-dreq", "ablate", "rerank", "rerank-checkpoint"])
+    def test_a_candidate_query_missing_from_the_query_store_is_an_error(
+        self, pipeline, tmp_path, capsys, argv
+    ):
+        from dreq.embeddings import EmbeddingStore, save_store
+
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        path = work / "stores" / "query.npz"
+        store = load_store(str(path))
+        kept = [i for i, qid in enumerate(store.ids) if qid != "q00"]
+        save_store(EmbeddingStore("query", [store.ids[i] for i in kept], store.vectors[kept]),
+                   str(path))
+        before = tree_bytes(work)
+        capsys.readouterr()
+        argv = [arg.format(work=work) for arg in argv]
+        assert main(["--config", config, "--workdir", str(work), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: query 'q00' of candidates.run is not in the query store {str(path)!r}; "
+            "rerun `dreq synth-embed`\n"
+        )
+        assert tree_bytes(work) == before
+
+    def test_rerank_reads_no_queries_file(self, pipeline, tmp_path):
+        """Both modes, with and without `--checkpoint`, write the same bytes
+        with the queries file deleted as with it present."""
+        _, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        queries = tmp_path / "queries.tsv"
+        shutil.copy(Path(TOY) / "queries.tsv", queries)
+        config = write_config(tmp_path, work, queries=str(queries))
+        reranks = {
+            "dreq": ("--mode", "dreq"),
+            "maxsimcos": ("--mode", "maxsimcos"),
+            "checkpoint": ("--checkpoint", str(work / "dreq_fold2.ckpt")),
+        }
+        written = {}
+        for present in (True, False):
+            if not present:
+                queries.unlink()
+            for name, argv in reranks.items():
+                out = work / f"{name}-{present}.run"
+                assert run(config, "rerank", *argv, "--output", str(out)) == 0, (name, present)
+                written[name, present] = out.read_bytes()
+                manifest = json.loads((work / "manifests" / f"rerank-{out.stem}.json").read_text())
+                assert "queries" not in manifest["inputs"], (name, present)
+        for name in reranks:
+            assert written[name, True] == written[name, False], name
+        assert written["dreq", True] == Path(workdir, "dreq.run").read_bytes().replace(
+            b" dreq\n", b" rerank-dreq\n"
+        )
+
     def test_manifests_written(self, pipeline):
         _, workdir = pipeline
         for stage, *_ in STAGES:
@@ -1058,11 +1135,11 @@ class TestManifests:
                 assert key in self.CONFIG_KEYS or key == os.path.relpath(path, work), argv
         counts = {" ".join(a): len(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
         # the corpus; and the corpus links, with the candidates, qrels, three
-        # stores and the entity ranking; and, with the queries, folds.json and
-        # five checkpoints
+        # stores and the entity ranking; and, without the qrels, with
+        # folds.json and five checkpoints
         assert counts["build-index"] == 1
         assert counts["train-dreq"] == counts["ablate"] == 7
-        assert counts["rerank --mode dreq"] == 13
+        assert counts["rerank --mode dreq"] == 12
         # a stage lists a config file only if it reads it
         keys = {" ".join(a): set(stage["manifest"]["inputs"]) for a, stage in zip(stages, seen)}
         assert {a for a, k in keys.items() if "corpus" in k} == {"build-index", "pool-entities"}
@@ -1070,7 +1147,10 @@ class TestManifests:
             "synth-embed", "train-entity-ranker", "train-dreq", "ablate", "rerank --mode dreq",
             "rerank --mode maxsimcos",
         }
-        assert "queries" not in keys["rank-entities --mode learned"]
+        assert {a for a, k in keys.items() if "queries" in k} == {
+            "retrieve", "synth-embed", "rank-entities --mode bm25", "rank-entities --mode geeer",
+            "qpp",
+        }
         catalog_readers = {a for a, k in keys.items() if "entity_catalog" in k}
         assert catalog_readers == {
             "synth-embed", "rank-entities --mode bm25", "rank-entities --mode geeer"
@@ -1280,6 +1360,45 @@ class TestStartup:
         assert "{" + ",".join(m.value for m in WeightingMode) + "}" in err
 
 
+INDEX_MEMBERS = ("tokenizer", "terms", "term_offsets", "doc_ids", "doc_id_offsets", "indptr",
+                 "docs", "tfs", "doc_lengths")
+
+
+def _with(arrays, name, value):
+    return {**arrays, name: value}
+
+
+def _raised(values, at, to):
+    values = values.copy()
+    values[at] = to
+    return values
+
+
+# corruptions of the index that `test_a_corrupt_index_is_an_error_naming_build_index`
+# builds: three terms and six postings over the documents d0, d1 and d2
+INDEX_CORRUPTIONS = {
+    "doc-past-the-documents": lambda a: _with(a, "docs", a["docs"] + 10**6),
+    "doc-at-the-document-count": lambda a: _with(a, "docs", _raised(a["docs"], 0, 3)),
+    "negative-doc": lambda a: _with(a, "docs", _raised(a["docs"], 0, -1)),
+    "zero-tf": lambda a: _with(a, "tfs", _raised(a["tfs"], 0, 0)),
+    "tfs-short": lambda a: _with(a, "tfs", a["tfs"][:-1]),
+    "float-tfs": lambda a: _with(a, "tfs", a["tfs"] * 1.0),
+    "int64-docs": lambda a: _with(a, "docs", a["docs"].astype(np.int64)),
+    "indptr-decreasing": lambda a: _with(a, "indptr", _raised(a["indptr"], 1, a["indptr"][-1])),
+    "indptr-past-the-postings": lambda a: _with(a, "indptr", _raised(a["indptr"], -1,
+                                                                     len(a["docs"]) + 1)),
+    "indptr-short": lambda a: _with(a, "indptr", a["indptr"][:-1]),
+    "doc-lengths-short": lambda a: _with(a, "doc_lengths", a["doc_lengths"][:-1]),
+    "negative-doc-length": lambda a: _with(a, "doc_lengths", -a["doc_lengths"]),
+    "term-offsets-past-the-blob": lambda a: _with(a, "term_offsets", a["term_offsets"] + 1),
+    "doc-id-offsets-decreasing": lambda a: _with(a, "doc_id_offsets",
+                                                 _raised(a["doc_id_offsets"], 1, 5)),
+    "not-utf8": lambda a: _with(a, "terms", np.full_like(a["terms"], 0xFF)),
+    "one-tokenizer-flag": lambda a: _with(a, "tokenizer", a["tokenizer"][:1]),
+    "two-dimensional": lambda a: _with(a, "doc_lengths", a["doc_lengths"][:, None]),
+}
+
+
 class TestIndexArtifact:
     def test_npz_round_trip_keeps_odd_ids(self, tmp_path):
         texts = {
@@ -1307,6 +1426,35 @@ class TestIndexArtifact:
         again = str(tmp_path / "again.npz")
         save_index(loaded, again)
         assert open(path, "rb").read() == open(again, "rb").read()
+
+    @pytest.mark.parametrize("corruption", INDEX_CORRUPTIONS)
+    def test_a_corrupt_index_is_an_error_naming_build_index(self, tmp_path, corruption):
+        index = build_index({"d0": "alpha beta beta", "d1": "beta gamma", "d2": "gamma alpha"},
+                            TokenizerConfig())
+        path = str(tmp_path / "index.npz")
+        save_index(index, path)
+        _npz.write(path, INDEX_CORRUPTIONS[corruption](_npz.read(path, INDEX_MEMBERS, "", "")))
+        with pytest.raises(ValueError) as e:
+            load_index(path)
+        assert str(e.value) == f"{path}: corrupt index; rerun `dreq build-index`"
+
+    def test_postings_past_the_documents_stop_retrieve_with_one_line(
+        self, pipeline, tmp_path, capsys
+    ):
+        config, workdir = pipeline
+        work = tmp_path / "work"
+        shutil.copytree(workdir, work)
+        shutil.rmtree(work / "manifests")
+        path = str(work / "index.npz")
+        arrays = _npz.read(path, INDEX_MEMBERS, "", "")
+        _npz.write(path, {**arrays, "docs": arrays["docs"] + 10**6})
+        before = tree_bytes(work)
+        capsys.readouterr()
+        assert main(["--config", config, "--workdir", str(work), "retrieve"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: corrupt index; rerun `dreq build-index`\n"
+        )
+        assert tree_bytes(work) == before
 
     def test_planted_world_index_and_candidates_keep_their_bytes(self, tmp_path):
         # sha256 pinned when tokens came from the regex alone and the forward
